@@ -59,7 +59,6 @@ from .geometry import (
     residual_convergence,
     suggested_chart_radius,
     transversal_flow,
-    tubular_coords,
 )
 from .analysis import (
     AccelerationReport,
@@ -70,8 +69,10 @@ from .analysis import (
     LimitCurve,
     acceleration_uniformity,
     certify_instability,
+    check_certificate,
     coordinate_bounds_report,
     coordinate_traces,
+    escape_point,
     extract_limit,
     metric_min_for_traces,
     physical_evidence_runs,

@@ -12,8 +12,8 @@ physical time tau*/eps_j.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     ScheduleTooShortError,
     UnverifiedLimitError,
 )
-from .geometry import FLOW_BASE_STEP, MChart, foot_point, pullback_metric_min
+from .geometry import MChart, flow_steps_for, foot_point, pullback_metric_min
 
 Array = np.ndarray
 
@@ -64,7 +64,7 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
     spacing = float(family.tau[1] - family.tau[0])
     for j, traj in enumerate(family.members):
         rvals = fld.value_many(traj.x)
-        n_flow = max(8, int(np.ceil((np.abs(rvals).max() + 1e-3) / FLOW_BASE_STEP)))
+        n_flow = flow_steps_for(rvals)
         ys = np.empty((len(traj.tau), chart.dim - 1))
         for i, x in enumerate(traj.x):
             try:
@@ -94,8 +94,10 @@ def metric_min_for_traces(chart: MChart, traces: List[CoordinateTrace],
         y_box = np.maximum(y_box, np.abs(t.y).max(axis=0))
     y_box = y_box * pad + 1e-3
     corner = float(np.linalg.norm(y_box))
-    if corner > 0.999 * chart.delta:  # keep the probe grid inside the chart
-        y_box *= 0.999 * chart.delta / corner
+    # keep the probe grid and its finite-difference stencil inside the chart
+    reach = min(0.999 * chart.delta, chart.delta - 2.0 * chart.stencil_step)
+    if corner > reach:
+        y_box *= reach / corner
     return pullback_metric_min(chart, r_range=(mid - half, mid + half),
                                y_box=y_box, n_grid=n_grid)
 
@@ -160,12 +162,13 @@ class AccelerationReport:
     ``bound`` is the largest interior |yddot| over all members; the family
     is uniform when the per-member maxima stay within ``ratio_bound`` of
     each other (accelerations must not blow up as eps shrinks).  Members
-    with negligible acceleration make the ratio vacuous and pass trivially.
+    with negligible acceleration make the ratio vacuous (None) and pass
+    trivially.
     """
 
     per_member: Array
     bound: float
-    ratio: float
+    ratio: Optional[float]
     ratio_bound: float
     uniform_ok: bool
     excluded_samples: tuple = (0, -1)
@@ -186,7 +189,7 @@ def acceleration_uniformity(traces: List[CoordinateTrace],
     c = float(per.max())
     if c <= _ACCEL_NOISE_FLOOR:
         # straight-line families: every acceleration is below measurement noise
-        return AccelerationReport(per_member=per, bound=c, ratio=float("nan"),
+        return AccelerationReport(per_member=per, bound=c, ratio=None,
                                   ratio_bound=ratio_bound, uniform_ok=True)
     ratio = c / max(float(per.min()), _ACCEL_NOISE_FLOOR)
     return AccelerationReport(per_member=per, bound=c, ratio=ratio,
@@ -262,8 +265,7 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     cauchy_ok = bool(all(monotone) and d[-1] <= tol_limit)
 
     best = members[-1]
-    rmax = float(np.abs(fld.value_many(best.x)).max())
-    n_flow = max(8, int(np.ceil((rmax + 1e-3) / FLOW_BASE_STEP)))
+    n_flow = flow_steps_for(fld.value_many(best.x))
     x_lim = np.empty_like(best.x)
     for i, xi in enumerate(best.x):
         x_lim[i] = foot_point(fld, xi, n_steps=n_flow)
@@ -284,6 +286,15 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
         cauchy_ok=cauchy_ok, violation_max=violations,
         rate_estimates=np.array([d[j] / max(d[j + 1], 1e-300) for j in range(len(d) - 1)]))
     return limit, report
+
+
+def escape_point(tau: Array, x: Array, p) -> Tuple[int, float, float]:
+    """Index k, radius R = |x[k] - p| and time tau* = tau[k] at which x strays
+    farthest from p over tau >= 0 (``tau`` is symmetric, 0 at its middle)."""
+    c = (len(tau) - 1) // 2
+    dist = np.linalg.norm(x[c:] - p, axis=1)
+    i = int(np.argmax(dist))
+    return c + i, float(dist[i]), float(tau[c + i])
 
 
 def physical_evidence_runs(potential, p, v, epsilons, tau_star: float,
@@ -341,18 +352,11 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
     spacing = float(limit.tau[1] - limit.tau[0])
     if tol_r is None:
         tol_r = 10.0 * spacing * vnorm
-    c = (len(limit.tau) - 1) // 2
-    dist = np.linalg.norm(limit.x[c:] - p, axis=1)
-    i_star = int(np.argmax(dist))
-    radius = float(dist[i_star])
-    tau_star = float(limit.tau[c + i_star])
+    k, radius, tau_star = escape_point(limit.tau, limit.x, p)
     if radius <= tol_r:
         raise DegenerateLimitError(
             f"limit curve never leaves the noise ball: R = {radius:.3e} <= tol {tol_r:.3e}")
-    member_d = np.array([
-        float(np.linalg.norm(m.x[c + i_star] - limit.x[c + i_star]))
-        for m in family.members
-    ])
+    member_d = np.array([float(np.linalg.norm(m.x[k] - limit.x[k])) for m in family.members])
     close = member_d < 0.5 * radius
     j0 = None
     for j in range(len(close)):
@@ -391,29 +395,54 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
         p=p.copy(), v=family.v.copy())
 
 
+#: relative tolerance of revalidation: numbers are recomputed as they were
+#: first computed and CSVs round-trip float64, so only a changed number fails
+REVALIDATION_RTOL = 1e-12
+
+
+def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
+                      members_x: Sequence[Array],
+                      physical_ends: Optional[Sequence[Array]] = None) -> Dict[str, bool]:
+    """Re-derive a certificate from arrays: one boolean per named check.
+
+    ``claims`` are the certificate fields by name (``vars`` of an
+    :class:`InstabilityCertificate`, or report.json's ``certificate``);
+    positions lie on the grid ``tau``.  The evidence displacements are
+    re-derived from the physical runs' final states ``physical_ends`` when
+    they are given.
+    """
+    def close(value, claim):
+        return abs(value - claim) <= REVALIDATION_RTOL * max(1.0, abs(value))
+
+    p = np.asarray(claims["p"], dtype=float)
+    k, radius, tau_star = escape_point(tau, limit_x, p)
+    threshold, j0, claimed = claims["threshold"], claims["j0"], claims["member_distances"]
+    dist = [float(np.linalg.norm(x[k] - limit_x[k])) for x in members_x]
+    # from j0 on, each member is within R/2 of the limit at tau* and, being
+    # the physical state at tau*/eps, at least R/2 away from p
+    members = (len(claimed) == len(dist) and all(map(close, dist, claimed))
+               and all(d < threshold <= float(np.linalg.norm(x[k] - p))
+                       for d, x in zip(dist[j0:], members_x[j0:])))
+    # one evidence row for every member from j0 on
+    evidence = [row["j"] for row in claims["evidence"]] == list(range(j0, len(dist)))
+    for row in claims["evidence"]:
+        if physical_ends is not None:
+            moved = float(np.linalg.norm(physical_ends[row["j"]] - p))
+            evidence = evidence and close(moved, row["displacement"]) and moved >= threshold
+        evidence = evidence and row["displacement"] >= threshold
+    return {
+        "escape_radius": close(radius, claims["escape_radius"]),
+        "tau_star": close(tau_star, claims["tau_star"]),
+        "threshold": close(0.5 * radius, threshold),
+        "members": members,
+        "evidence": evidence,
+        "j0_covers_schedule": 0 <= j0 < len(claims["epsilons"]),
+    }
+
+
 def revalidate_certificate(cert: InstabilityCertificate, family: FamilyResult,
-                           limit: LimitCurve, physical_runs: List[Trajectory],
-                           rtol: float = 1e-9) -> bool:
-    """Re-derive every certificate number from the stored trajectories."""
-    p = cert.p
-    c = (len(limit.tau) - 1) // 2
-    dist = np.linalg.norm(limit.x[c:] - p, axis=1)
-    i_star = int(np.argmax(dist))
-    if abs(float(dist[i_star]) - cert.escape_radius) > rtol * max(1.0, cert.escape_radius):
-        return False
-    if abs(float(limit.tau[c + i_star]) - cert.tau_star) > rtol:
-        return False
-    for j, m in enumerate(family.members):
-        d = float(np.linalg.norm(m.x[c + i_star] - limit.x[c + i_star]))
-        if abs(d - cert.member_distances[j]) > rtol * max(1.0, d):
-            return False
-        if j >= cert.j0 and not d < cert.threshold:
-            return False
-    for row in cert.evidence:
-        run = physical_runs[row["j"]]
-        disp = float(np.linalg.norm(run.x[-1] - p))
-        if abs(disp - row["displacement"]) > rtol * max(1.0, disp):
-            return False
-        if disp < cert.threshold:
-            return False
-    return True
+                           limit: LimitCurve, physical_runs: List[Trajectory]) -> bool:
+    """Re-derive every certificate number from the in-memory trajectories."""
+    checks = check_certificate(vars(cert), limit.tau, limit.x, [m.x for m in family.members],
+                               [run.x[-1] for run in physical_runs])
+    return all(checks.values())

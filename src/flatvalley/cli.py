@@ -14,7 +14,8 @@ Scenario files are flat JSON documents::
 
 Exit codes for ``certify``: 0 when the certificate verdict is UNSTABLE,
 2 when the verdict is indeterminate (limit unverified, degenerate, or
-schedule too short), 1 on hard errors.
+schedule too short), 1 on hard errors, bad input included: every failure
+is a ``FlatValleyError``, reported on one ``error: ...`` line.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .analysis import (
     certify_instability,
     coordinate_bounds_report,
     coordinate_traces,
+    escape_point,
     extract_limit,
     metric_min_for_traces,
     physical_evidence_runs,
@@ -45,6 +47,7 @@ from .dynamics import (
     energy_audit,
     confinement_check,
     integrate_rescaled,
+    launch_vector,
     run_family,
 )
 from .errors import (
@@ -72,18 +75,18 @@ from .svgplot import line_plot
 
 _SCENARIO_KEYS = {
     "name", "potential", "p", "v", "horizon", "eps0", "ratio", "count",
-    "step_factor", "integrator", "n_out", "slack", "tol_on_m", "tol_tangent",
-    "min_eps", "out",
+    "step_factor", "integrator", "n_out", "slack", "min_eps", "out",
 }
 
 
 def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
-    """Load and validate a scenario file.
+    """Load a scenario file; :class:`Scenario` validates what it holds.
 
-    p is snapped onto the valley floor when |f(p)| <= 1e-6 (error beyond);
-    v is projected onto the tangent plane when its normal component is
-    small (error beyond 10 percent).  ``overrides`` (CLI flags) replace
-    file values before validation.
+    The file format is lenient in two ways: p is snapped onto the valley
+    floor when |f(p)| <= 1e-4, and v is projected onto the tangent plane at
+    p when its cosine with grad f(p) is at most 0.1.  Beyond those limits
+    the values reach the validator as written and are rejected there.
+    ``overrides`` (CLI flags) replace file values before validation.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -107,8 +110,8 @@ def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         if key not in data:
             raise ScenarioError(f"scenario is missing the required field {key!r}")
     pot_spec = data["potential"]
-    if not isinstance(pot_spec, dict) or "kind" not in pot_spec:
-        raise ScenarioError("field 'potential' must be an object with a 'kind'")
+    if not isinstance(pot_spec, dict) or not isinstance(pot_spec.get("kind"), str):
+        raise ScenarioError("field 'potential' must be an object with a string 'kind'")
     params = {k: v for k, v in pot_spec.items() if k != "kind"}
     potential = gallery_lookup(pot_spec["kind"], params)
     if not isinstance(potential, CompositePotential):
@@ -116,43 +119,30 @@ def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
             f"potential kind {pot_spec['kind']!r} is not a composite potential; "
             "plain gallery entries run through the 'gallery' subcommand")
     fld = potential.field
-    p = np.asarray(data["p"], dtype=float)
-    v = np.asarray(data["v"], dtype=float)
-    if p.shape != (fld.dim,) or v.shape != (fld.dim,):
-        raise ScenarioError(f"fields 'p' and 'v' must be {fld.dim}-vectors")
-    fp = float(fld.value(p))
-    if abs(fp) > 1e-4:
-        raise ScenarioError(
-            f"field 'p': |f(p)| = {abs(fp):.3e} is too far from the valley floor to snap")
-    if abs(fp) > 0.0:
+    p = launch_vector("p", data["p"], fld.dim)
+    v = launch_vector("v", data["v"], fld.dim)
+    if 0.0 < abs(fld.value(p)) <= 1e-4:
         p = foot_point(fld, p)
     g = fld.gradient(p)
     gn = float(np.linalg.norm(g))
-    vn = float(np.linalg.norm(v))
-    if vn == 0.0:
-        raise ScenarioError("field 'v': must be nonzero")
-    cosine = abs(float(g @ v)) / (gn * vn)
-    if cosine > 0.1:
-        raise ScenarioError(
-            f"field 'v': not tangent to the valley floor at p (cosine = {cosine:.3e})")
-    v = v - (float(v @ g) / (gn * gn)) * g
+    if gn > 0.0 and abs(float(g @ v)) <= 0.1 * gn * float(np.linalg.norm(v)):
+        v = v - (float(v @ g) / (gn * gn)) * g
     opts = IntegratorOptions(
         method=data.get("integrator", "pefrl"),
-        step_factor=float(data.get("step_factor", 0.01)),
-        n_out=int(data.get("n_out", 401)),
+        step_factor=data.get("step_factor", 0.01),
+        n_out=data.get("n_out", 401),
     )
     return Scenario(
         potential=potential,
         p=p,
         v=v,
-        horizon=float(data.get("horizon", 1.0)),
-        eps0=float(data.get("eps0", 0.1)),
-        ratio=float(data.get("ratio", 0.5)),
-        count=int(data.get("count", 6)),
+        horizon=data.get("horizon", 1.0),
+        eps0=data.get("eps0", 0.1),
+        ratio=data.get("ratio", 0.5),
+        count=data.get("count", 6),
         options=opts,
-        slack=float(data.get("slack", 1e-6)),
-        tol_tangent=1e-8,
-        min_eps=float(data.get("min_eps", 1e-4)),
+        slack=data.get("slack", 1e-6),
+        min_eps=data.get("min_eps", 1e-4),
         name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
     )
 
@@ -249,9 +239,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = Tr
 
     def stage_certificate():
         fam, limit = state["family"], state["limit"]
-        c = (len(limit.tau) - 1) // 2
-        dist = np.linalg.norm(limit.x[c:] - fam.p, axis=1)
-        tau_star = float(limit.tau[c + int(np.argmax(dist))])
+        _, _, tau_star = escape_point(limit.tau, limit.x, fam.p)
         runs = physical_evidence_runs(scenario.potential, fam.p, fam.v,
                                       fam.epsilons, tau_star, scenario.options)
         cert = certify_instability(fam, limit, runs)
@@ -263,8 +251,8 @@ def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = Tr
         report.exit_code = 0 if cert.verdict == "UNSTABLE" else 2
 
     def stage_emit():
-        fam = state["family"]
-        for j in range(fam.count):
+        fam = state.get("family")
+        for j in range(fam.count if fam is not None else 0):
             name = os.path.join(out_dir, f"traj_eps{j}.csv")
             write_trajectory_csv(name, fam.members[j], fam.energies[j].values)
             report.manifest.append(name)
@@ -435,6 +423,8 @@ def _cmd_certify(args) -> int:
         print(f"stage {st['name']:<12} {st['status']:<14} {st['seconds']:.2f}s")
     print(f"verdict: {report.verdict}" + (f" ({report.reason})" if report.reason else ""))
     print(f"artifacts in {report.out_dir}")
+    if report.exit_code == 1:
+        print(f"error: {report.reason}", file=sys.stderr)
     return report.exit_code
 
 

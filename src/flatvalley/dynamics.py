@@ -20,17 +20,43 @@ derivative work; ``sample`` interpolates them with a cubic spline.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import BlowUpError, InvalidParameterError, ScenarioError
 from .fields import CompositePotential, gallery_lookup
-from .integrators import integrate
+from .geometry import TOL_CRIT
+from .integrators import TABLES, integrate
 
 Array = np.ndarray
+
+#: largest |f(p)| for a scenario's launch point to count as on the valley floor
+TOL_ON_M = 1e-9
+#: largest cosine between a scenario's launch velocity and grad f(p)
+TOL_TANGENT = 1e-8
+
+
+def _number(name: str, value, kind=numbers.Real, error=ScenarioError):
+    """``value`` as a float (an int for numbers.Integral); a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise error(f"{name} must be a finite {kind.__name__.lower()} number, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
+
+
+def launch_vector(name: str, value, dim: int) -> Array:
+    """``value`` as a float ``dim``-vector; its entries must be finite numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.shape != (dim,) or not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{name} must be a {dim}-vector of finite numbers, got {value!r}")
+    return arr.astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +90,13 @@ class IntegratorOptions:
     blowup_radius: float = 1e6
 
     def __post_init__(self):
+        if not (isinstance(self.method, str) and self.method in TABLES):
+            raise InvalidParameterError(
+                f"unknown integrator {self.method!r}; known: {sorted(TABLES)}")
+        object.__setattr__(self, "step_factor",
+                           _number("step_factor", self.step_factor, error=InvalidParameterError))
+        object.__setattr__(self, "n_out", _number("n_out", self.n_out, numbers.Integral,
+                                                  InvalidParameterError))
         if self.step_factor <= 0:
             raise InvalidParameterError("step_factor must be positive")
         if self.n_out < 3 or self.n_out % 2 != 1:
@@ -95,14 +128,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def center_index(self) -> int:
-        """Output index of tau = 0 (rescaled) or t = 0 (physical)."""
-        return (len(self.tau) - 1) // 2 if self.kind == "rescaled" else 0
-
-    def state(self, i: int) -> PhaseState:
-        return PhaseState(self.x[i], self.v[i])
 
     def sample(self, taus):
         """Cubic-spline positions and velocities at arbitrary interior times."""
@@ -332,10 +357,11 @@ def confinement_check(traj: Trajectory, potential, v, slack: float = 1e-6) -> Bo
 
 @dataclass(eq=False)
 class Scenario:
-    """A validated experiment description.
+    """A validated experiment description; the one scenario validator.
 
-    p must lie on the valley floor and v must be tangent to it there; the
-    eps schedule eps_j = eps0 * ratio^j is capped below by ``min_eps``
+    p must lie on the valley floor at a regular point of f, v must be
+    tangent to it there, and every number must be finite and of its type.
+    The eps schedule eps_j = eps0 * ratio^j is capped below by ``min_eps``
     because step-size adequacy far below 1e-4 has not been studied.
     """
 
@@ -348,31 +374,36 @@ class Scenario:
     count: int = 6
     options: IntegratorOptions = field(default_factory=IntegratorOptions)
     slack: float = 1e-6
-    tol_on_m: float = 1e-9
-    tol_tangent: float = 1e-8
     min_eps: float = 1e-4
     name: str = "scenario"
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
         P = self.potential
         if not isinstance(P, CompositePotential):
             raise ScenarioError("scenario potentials must be composite (g of f)")
-        if self.p.shape != (P.dim,) or self.v.shape != (P.dim,):
-            raise ScenarioError(f"p and v must be {P.dim}-vectors")
+        self.p = launch_vector("p", self.p, P.dim)
+        self.v = launch_vector("v", self.v, P.dim)
         fval = abs(P.field.value(self.p))
-        if fval > self.tol_on_m:
+        if not fval <= TOL_ON_M:
             raise ScenarioError(
-                f"p is not on the valley floor: |f(p)| = {fval:.3e} > {self.tol_on_m:g}")
+                f"p is not on the valley floor: |f(p)| = {fval:.3e} > {TOL_ON_M:g}")
         vnorm = float(np.linalg.norm(self.v))
         if vnorm == 0.0:
             raise ScenarioError("v must be nonzero")
         g = P.field.gradient(self.p)
-        cosine = abs(float(g @ self.v)) / (float(np.linalg.norm(g)) * vnorm)
-        if cosine > self.tol_tangent:
+        gn = float(np.linalg.norm(g))
+        if not gn > TOL_CRIT:
+            raise ScenarioError(f"p is a critical point of f: |grad f(p)| = {gn:.3e}")
+        cosine = abs(float(g @ self.v)) / (gn * vnorm)
+        if not cosine <= TOL_TANGENT:
             raise ScenarioError(
                 f"v is not tangent to the valley floor at p: cosine = {cosine:.3e}")
+        self.horizon = _number("horizon", self.horizon)
+        self.eps0 = _number("eps0", self.eps0)
+        self.ratio = _number("ratio", self.ratio)
+        self.count = _number("count", self.count, numbers.Integral)
+        self.slack = _number("slack", self.slack)
+        self.min_eps = _number("min_eps", self.min_eps)
         if self.horizon <= 0:
             raise ScenarioError("horizon must be positive")
         if self.eps0 <= 0:
@@ -381,6 +412,8 @@ class Scenario:
             raise ScenarioError("ratio must lie in (0, 1)")
         if self.count < 1:
             raise ScenarioError("count must be at least 1")
+        if self.slack < 0:
+            raise ScenarioError("slack must be nonnegative")
         if self.epsilons[-1] < self.min_eps:
             raise ScenarioError(
                 f"smallest eps {self.epsilons[-1]:.3e} is below the cap {self.min_eps:g}; "
@@ -434,27 +467,20 @@ def family_from_runs(potential, p, v, T, epsilons,
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     epsilons = np.asarray(list(epsilons), dtype=float)
-    members: List[Trajectory] = []
     if jobs > 1 and potential.spec_record is not None:
-        payloads = [_member_payload(potential.spec_record, p, v, e, T, opts)
-                    for e in epsilons]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_member_worker, pl) for pl in payloads]
-            for j, fut in enumerate(futures):
-                try:
-                    members.append(fut.result())
-                except BlowUpError as exc:
-                    raise BlowUpError(
-                        f"family member j={j} (eps={epsilons[j]:g}) failed: {exc}",
-                        last_time=exc.last_time, last_state=exc.last_state) from exc
+            runs = [pool.submit(_member_worker, _member_payload(
+                potential.spec_record, p, v, eps, T, opts)).result for eps in epsilons]
     else:
-        for j, eps in enumerate(epsilons):
-            try:
-                members.append(integrate_rescaled(potential, p, v, eps, T, opts))
-            except BlowUpError as exc:
-                raise BlowUpError(
-                    f"family member j={j} (eps={eps:g}) failed: {exc}",
-                    last_time=exc.last_time, last_state=exc.last_state) from exc
+        runs = [partial(integrate_rescaled, potential, p, v, eps, T, opts) for eps in epsilons]
+    members: List[Trajectory] = []
+    for j, run in enumerate(runs):
+        try:
+            members.append(run())
+        except BlowUpError as exc:
+            raise BlowUpError(
+                f"family member j={j} (eps={epsilons[j]:g}) failed: {exc}",
+                last_time=exc.last_time, last_state=exc.last_state) from exc
     energies = [energy_audit(traj, potential) for traj in members]
     bounds = [confinement_check(traj, potential, v, slack) for traj in members]
     return FamilyResult(
@@ -480,8 +506,6 @@ def halving_error(potential, p, v, eps: float, T: float,
     two-route consistency checks.
     """
     coarse = integrate_rescaled(potential, p, v, eps, T, opts)
-    fine_opts = IntegratorOptions(
-        method=opts.method, step_factor=opts.step_factor / 2.0,
-        n_out=opts.n_out, blowup_radius=opts.blowup_radius)
-    fine = integrate_rescaled(potential, p, v, eps, T, fine_opts)
+    fine = integrate_rescaled(potential, p, v, eps, T,
+                              replace(opts, step_factor=opts.step_factor / 2.0))
     return float(np.max(np.linalg.norm(coarse.x - fine.x, axis=1)))

@@ -134,11 +134,6 @@ class CompositePotential:
         )
 
     @cached_property
-    def value_fast(self) -> Callable[[Array], float]:
-        f, g = self.field.f, self.profile.g
-        return lambda x: g(f(x))
-
-    @cached_property
     def gradient_fast(self) -> Callable[[Array], Array]:
         f, grad, dg = self.field.f, self.field.grad, self.profile.dg
         return lambda x: dg(f(x)) * grad(x)
@@ -167,10 +162,6 @@ class PlainPotential:
 
     def gradient(self, x) -> Array:
         return np.asarray(self.grad_u(_as_point(x, self.dim)), dtype=float)
-
-    @cached_property
-    def value_fast(self) -> Callable[[Array], float]:
-        return self.u
 
     @cached_property
     def gradient_fast(self) -> Callable[[Array], Array]:
@@ -348,7 +339,6 @@ _GALLERY = {
     "painleve": painleve,
     "laloy": laloy,
     "custom-polynomial": custom_polynomial,
-    "custom_polynomial": custom_polynomial,
 }
 
 
@@ -358,11 +348,11 @@ def gallery_lookup(name: str, params: Optional[dict] = None):
         builder = _GALLERY[name]
     except KeyError:
         raise UnknownPotentialError(
-            f"unknown potential {name!r}; known: {sorted(set(_GALLERY) - {'custom_polynomial'})}"
+            f"unknown potential {name!r}; known: {sorted(_GALLERY)}"
         ) from None
     try:
         return builder(**(params or {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # wrong keywords, or values of the wrong type
         raise InvalidParameterError(f"bad parameters for {name!r}: {exc}") from None
 
 
@@ -409,12 +399,6 @@ class RegularityReport:
     @property
     def min_grad_norm(self) -> float:
         return float(min(self.grad_norms)) if self.grad_norms else float("nan")
-
-    @property
-    def argmin_point(self) -> Optional[Array]:
-        if not self.grad_norms:
-            return None
-        return self.points[int(np.argmin(self.grad_norms))]
 
     @property
     def passed(self) -> bool:

@@ -76,6 +76,12 @@ def default_flow_steps(t: float, base: float = FLOW_BASE_STEP) -> int:
     return max(8, int(math.ceil(abs(t) / base)))
 
 
+def flow_steps_for(r_values) -> int:
+    """Flow substeps shared by a batch of points with f-values ``r_values``:
+    enough for the farthest of them from M, with a 1e-3 margin."""
+    return default_flow_steps(float(np.max(np.abs(r_values))) + 1e-3)
+
+
 def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None,
                      tol_crit: float = TOL_CRIT, identity_tol: float = 1e-6) -> Array:
     """Flow x0 along grad f / |grad f|^2 for time t.
@@ -207,6 +213,11 @@ class MChart:
     def dim(self) -> int:
         return self.p.size
 
+    @property
+    def stencil_step(self) -> float:
+        """Default central-difference step of the tube map: 1e-4 (1 + |p|)."""
+        return 1e-4 * (1.0 + float(np.linalg.norm(self.p)))
+
     def surface_point(self, y) -> Array:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.dim - 1,):
@@ -304,11 +315,6 @@ def build_m_chart(fld, p, v=None, delta: Optional[float] = None) -> MChart:
                   delta=float(delta))
 
 
-def tubular_coords(chart: MChart, x, flow_steps: Optional[int] = None) -> TubularCoords:
-    """Module-level alias of :meth:`MChart.coords_of`."""
-    return chart.coords_of(x, flow_steps=flow_steps)
-
-
 @dataclass(eq=False)
 class FrameData:
     """Scale factors, versors, duals, and curvature data of the tube map at (r, y).
@@ -334,7 +340,7 @@ class FrameData:
 
 def frame_data(chart: MChart, rc: TubularCoords, h_step: Optional[float] = None) -> FrameData:
     """Differentiate the tube map numerically at the given coordinates."""
-    h = h_step if h_step is not None else 1e-4 * (1.0 + float(np.linalg.norm(chart.p)))
+    h = h_step if h_step is not None else chart.stencil_step
     if h <= 0:
         raise InvalidParameterError("frame step must be positive")
     r = rc.r
@@ -427,7 +433,7 @@ def pullback_metric_min(chart: MChart, rho_ball: Optional[float] = None,
     k = chart.dim - 1
     if y_box.size == 1:
         y_box = np.full(k, float(y_box[0]))
-    h = h_step if h_step is not None else 1e-4 * (1.0 + float(np.linalg.norm(chart.p)))
+    h = h_step if h_step is not None else chart.stencil_step
     r_lo, r_hi = float(r_range[0]), float(r_range[1])
     n_flow = max(4, int(math.ceil((max(abs(r_lo), abs(r_hi)) + 2.5 * h) / FLOW_COARSE_STEP)))
     rs = np.linspace(r_lo, r_hi, n_grid)
@@ -508,7 +514,7 @@ def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[
         stencil = np.array([t0 - H, t0, t0 + H])
         xs, _ = traj.sample(stencil)
         rvals = [float(chart.field.f(x)) for x in xs]
-        n_flow = max(8, int(math.ceil((max(abs(r) for r in rvals) + 1e-3) / FLOW_BASE_STEP)))
+        n_flow = flow_steps_for(rvals)
         coords = [chart.coords_of(x, flow_steps=n_flow) for x in xs]
         rdot = (coords[2].r - coords[0].r) / (2.0 * H)
         ydot = (coords[2].y - coords[0].y) / (2.0 * H)
@@ -534,7 +540,7 @@ def residual_convergence(chart: MChart, traj, tau_samples,
     """
     traj = getattr(traj, "trajectory", traj)
     H = trace_step if trace_step is not None else 0.5 * float(traj.tau[1] - traj.tau[0])
-    hf = frame_step if frame_step is not None else 1e-4 * (1.0 + float(np.linalg.norm(chart.p)))
+    hf = frame_step if frame_step is not None else chart.stencil_step
     coarse = curvilinear_residual(chart, traj, tau_samples, trace_step=H, frame_step=hf)
     fine = curvilinear_residual(chart, traj, tau_samples, trace_step=H / 2.0, frame_step=hf / 2.0)
     cmax = float(np.max(np.abs(coarse)))

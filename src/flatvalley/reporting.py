@@ -3,7 +3,8 @@
 CSV columns use '.' decimals and 17 significant digits, which round-trips
 float64 exactly: revalidation from files reproduces in-memory numbers to
 the bit.  report.json contains only deterministic content (no wall-clock),
-so identical scenarios produce identical bytes.
+so identical scenarios produce identical bytes, and it is strict JSON (RFC
+8259): a non-finite number is an error, never a bare NaN token.
 """
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ import os
 from typing import Dict, List
 
 import numpy as np
+
+from .analysis import check_certificate
+from .errors import NonFiniteEvaluationError
 
 Array = np.ndarray
 
@@ -34,42 +38,40 @@ def _jsonable(obj):
     return obj
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def write_trajectory_csv(path, traj, h_values) -> None:
     """One rescaled member: tau, positions, velocities, energy."""
     n = traj.dim
     header = (["tau"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)] + ["H"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(len(traj.tau)):
-            row = [traj.tau[k], *traj.x[k], *traj.v[k], h_values[k]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, header, ([traj.tau[k], *traj.x[k], *traj.v[k], h_values[k]]
+                              for k in range(len(traj.tau))))
 
 
 def write_coords_csv(path, trace) -> None:
     """One coordinate trace: tau, r, tangential chart coordinates."""
-    k = trace.y.shape[1]
-    header = ["tau", "r"] + [f"y{i + 1}" for i in range(k)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(trace.tau)):
-            row = [trace.tau[i], trace.r[i], *trace.y[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    header = ["tau", "r"] + [f"y{i + 1}" for i in range(trace.y.shape[1])]
+    _write_csv(path, header, ([trace.tau[i], trace.r[i], *trace.y[i]]
+                              for i in range(len(trace.tau))))
 
 
 def write_limit_csv(path, limit) -> None:
-    n = limit.x.shape[1]
-    header = ["tau"] + [f"x{i}" for i in range(n)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(limit.tau)):
-            row = [limit.tau[i], *limit.x[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    header = ["tau"] + [f"x{i}" for i in range(limit.x.shape[1])]
+    _write_csv(path, header, ([limit.tau[i], *limit.x[i]] for i in range(len(limit.tau))))
 
 
 def write_report_json(path, payload: dict) -> None:
+    try:
+        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteEvaluationError(f"cannot write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_csv_columns(path) -> Dict[str, Array]:
@@ -93,31 +95,12 @@ def bounds_payload(bounds) -> List[dict]:
 
 
 def certificate_payload(cert) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "escape_radius": cert.escape_radius,
-        "tau_star": cert.tau_star,
-        "threshold": cert.threshold,
-        "j0": cert.j0,
-        "epsilons": cert.epsilons,
-        "member_distances": cert.member_distances,
-        "evidence": cert.evidence,
-        "tol_r": cert.tol_r,
-        "p": cert.p,
-        "v": cert.v,
-    }
+    """Every certificate field by name: what ``check_certificate`` reads back."""
+    return dict(vars(cert))
 
 
 def convergence_payload(report, limit=None) -> dict:
-    payload = {
-        "epsilons": report.epsilons,
-        "distances": report.distances,
-        "monotone": report.monotone,
-        "tol_limit": report.tol_limit,
-        "cauchy_ok": report.cauchy_ok,
-        "violation_max": report.violation_max,
-        "rate_estimates": report.rate_estimates,
-    }
+    payload = dict(vars(report))
     if limit is not None:
         payload["initial_velocity_error"] = limit.initial_velocity_error
         payload["source_epsilon"] = limit.source_epsilon
@@ -128,42 +111,23 @@ def convergence_payload(report, limit=None) -> dict:
 def revalidate_from_dir(out_dir) -> dict:
     """Re-derive the certificate from the emitted files alone.
 
-    Returns a dict with an ``ok`` flag and per-check booleans; never
-    re-runs any integration.
+    Reads report.json, limit.csv and every traj_eps<j>.csv and runs
+    :func:`flatvalley.analysis.check_certificate` on them.  Returns a dict
+    with an ``ok`` flag and the per-check booleans; never re-runs any
+    integration.
     """
     with open(os.path.join(out_dir, "report.json"), "r", encoding="utf-8") as fh:
         report = json.load(fh)
     cert = report.get("certificate")
-    checks = {}
     if not cert or cert.get("verdict") != "UNSTABLE":
         return {"ok": False, "reason": "no UNSTABLE certificate in report.json"}
-    limit_cols = read_csv_columns(os.path.join(out_dir, "limit.csv"))
-    tau = limit_cols["tau"]
-    p = np.asarray(cert["p"], dtype=float)
-    n = p.size
-    X = np.stack([limit_cols[f"x{i}"] for i in range(n)], axis=1)
-    c = (len(tau) - 1) // 2
-    dist = np.linalg.norm(X[c:] - p, axis=1)
-    i_star = int(np.argmax(dist))
-    R = float(dist[i_star])
-    checks["escape_radius"] = abs(R - cert["escape_radius"]) <= 1e-12 * max(1.0, R)
-    checks["tau_star"] = abs(float(tau[c + i_star]) - cert["tau_star"]) <= 1e-12
-    checks["threshold"] = abs(cert["threshold"] - 0.5 * R) <= 1e-12
-    member_ok = True
-    for j, eps in enumerate(cert["epsilons"]):
-        cols = read_csv_columns(os.path.join(out_dir, f"traj_eps{j}.csv"))
-        Xj = np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
-        d = float(np.linalg.norm(Xj[c + i_star] - X[c + i_star]))
-        if abs(d - cert["member_distances"][j]) > 1e-12 * max(1.0, d):
-            member_ok = False
-        if j >= cert["j0"]:
-            if not d < cert["threshold"]:
-                member_ok = False
-            # the rescaled member at tau* is the physical state at tau*/eps
-            if not float(np.linalg.norm(Xj[c + i_star] - p)) >= cert["threshold"]:
-                member_ok = False
-    checks["members"] = member_ok
-    evidence_ok = all(row["displacement"] >= cert["threshold"] for row in cert["evidence"])
-    checks["evidence"] = evidence_ok
-    checks["j0_covers_schedule"] = cert["j0"] <= len(cert["epsilons"]) - 1
+    n = len(cert["p"])
+
+    def positions(name):
+        cols = read_csv_columns(os.path.join(out_dir, name))
+        return cols["tau"], np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
+
+    tau, limit_x = positions("limit.csv")
+    members_x = [positions(f"traj_eps{j}.csv")[1] for j in range(len(cert["epsilons"]))]
+    checks = check_certificate(cert, tau, limit_x, members_x)
     return {"ok": all(checks.values()), "checks": checks}

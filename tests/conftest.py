@@ -16,9 +16,7 @@ def _pipeline_bundle(scn):
     coord_bounds = fv.coordinate_bounds_report(traces, scn.potential, scn.v, metric, scn.slack)
     acceleration = fv.acceleration_uniformity(traces)
     limit, convergence = fv.extract_limit(fam)
-    c = (len(limit.tau) - 1) // 2
-    dist = np.linalg.norm(limit.x[c:] - scn.p, axis=1)
-    tau_star = float(limit.tau[c + int(np.argmax(dist))])
+    _, _, tau_star = fv.escape_point(limit.tau, limit.x, scn.p)
     runs = fv.physical_evidence_runs(scn.potential, scn.p, scn.v, fam.epsilons,
                                      tau_star, scn.options)
     cert = fv.certify_instability(fam, limit, runs)

@@ -9,6 +9,7 @@ from flatvalley.errors import (
     ScheduleTooShortError,
     UnverifiedLimitError,
 )
+from flatvalley.reporting import revalidate_from_dir
 
 
 def test_gutter_traces_are_straight(gutter_bundle):
@@ -149,6 +150,24 @@ def test_revalidate_detects_tampering(circle_bundle):
     assert not fv.revalidate_certificate(
         tampered, circle_bundle.family, circle_bundle.limit,
         circle_bundle.physical_runs)
+
+
+def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
+    b = circle_bundle
+    claims = dict(vars(b.certificate))
+    args = (b.limit.tau, b.limit.x, [m.x for m in b.family.members],
+            [run.x[-1] for run in b.physical_runs])
+    checks = fv.check_certificate(claims, *args)
+    assert all(checks.values())
+    assert checks == revalidate_from_dir(circle_run_dir.path)["checks"]
+    evidence = claims["evidence"]
+    # every member from j0 on needs an evidence row
+    claims["evidence"] = evidence[1:]
+    assert not fv.check_certificate(claims, *args)["evidence"]
+    # the evidence displacement is re-derived from the physical runs
+    claims["evidence"] = [dict(row, displacement=row["displacement"] * (1 + 1e-9))
+                          for row in evidence]
+    assert not fv.check_certificate(claims, *args)["evidence"]
 
 
 def test_physical_runs_must_match_tau_star(circle_bundle):

@@ -6,7 +6,7 @@ import pytest
 
 import flatvalley as fv
 from flatvalley import cli
-from flatvalley.errors import ScenarioError, UnverifiedLimitError
+from flatvalley.errors import BlowUpError, ScenarioError, UnverifiedLimitError
 from flatvalley.reporting import read_csv_columns, revalidate_from_dir
 
 
@@ -73,6 +73,25 @@ def test_parse_scenario_rejects_plain_potential(tmp_path):
     data = {"potential": {"kind": "painleve"}, "p": [0.0], "v": [1.0]}
     with pytest.raises(ScenarioError, match="gallery"):
         fv.parse_scenario(_write(tmp_path, "plain.json", data))
+
+
+@pytest.mark.parametrize("change", [
+    {"p": [float("nan"), 0.0, 0.0]},
+    {"horizon": float("nan")},
+    {"eps0": float("inf")},
+    {"count": "3"},
+    {"count": True},
+    {"tol_on_m": 5.0},
+    {"slack": -1.0},
+], ids=["p-nan", "horizon-nan", "eps0-inf", "count-string", "count-bool", "tol_on_m",
+        "slack-negative"])
+def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
+    path = _write(tmp_path, "bad.json", dict(BASE, **change))
+    code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"), "--no-svg"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ScenarioError") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_overrides_take_precedence(tmp_path):
@@ -204,3 +223,42 @@ def test_family_jobs_worker_path(tiny_scenario_file):
     for a, b in zip(seq.members, par.members):
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.v, b.v)
+
+
+def test_certify_reports_family_failure(tiny_scenario_file, tmp_path, monkeypatch, capsys):
+    def blow_up(*args, **kwargs):
+        raise BlowUpError("forced for the error-report test")
+
+    monkeypatch.setattr(cli, "run_family", blow_up)
+    out = tmp_path / "failed"
+    code = cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
+                     "--no-svg"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: BlowUpError")
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["errors"][0]["stage"] == "family"
+
+
+def test_report_json_is_strict_json(tmp_path):
+    # a straight valley has no tangential acceleration, so its ratio is vacuous
+    scn = fv.Scenario(fv.gutter(), [0.0, 0.0], [0.0, 1.0], 1.0, count=3,
+                      options=fv.IntegratorOptions(n_out=101))
+    fv.run_pipeline(scn, str(tmp_path), svg=False)
+
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    with open(tmp_path / "report.json") as fh:
+        rep = json.load(fh, parse_constant=refuse)
+    assert rep["coordinates"]["acceleration_ratio"] is None
+
+
+def test_metric_grid_stencil_stays_in_small_chart(tmp_path):
+    # chart radius 0.13125: the metric probe grid is clipped to it, and its
+    # finite-difference stencil must not step past it
+    path = _write(tmp_path, "slow.json",
+                  dict(BASE, v=[0.0, 0.25, 0.0], eps0=0.05, count=3, n_out=101))
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--scenario", path, "--out", str(out), "--no-svg"]) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert "errors" not in rep and rep["certificate"]["verdict"] == "INDETERMINATE"

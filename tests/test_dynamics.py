@@ -197,6 +197,8 @@ def test_scenario_validation():
         fv.Scenario(C, [1.0, 0.0], [1.0, 0.0], 1.0)          # not tangent
     with pytest.raises(ScenarioError):
         fv.Scenario(C, [1.0, 0.0], [0.0, 0.0], 1.0)          # zero velocity
+    with pytest.raises(ScenarioError, match="critical"):
+        fv.Scenario(fv.custom_polynomial(quadratic=[1.0, 0.0]), [0.0, 0.0], [0.0, 1.0], 1.0)
     with pytest.raises(ScenarioError):
         fv.Scenario(C, [1.0, 0.0], [0.0, 1.0], 1.0, ratio=1.5)
     with pytest.raises(ScenarioError):

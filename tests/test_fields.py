@@ -127,6 +127,8 @@ def test_gallery_lookup():
         fv.gallery_lookup("ellipsoid", {"exponent": -4})
     with pytest.raises(InvalidParameterError):
         fv.gallery_lookup("gutter", {"sharpness": 2})
+    with pytest.raises(InvalidParameterError):
+        fv.gallery_lookup("ellipsoid", {"coeffs": [1.0, "a", 3.0]})
 
 
 def test_custom_polynomial():

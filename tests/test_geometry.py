@@ -124,7 +124,7 @@ def test_tubular_coords():
     rc = chart.coords_of(chart.surface_point(y0))
     assert abs(rc.r) <= 1e-12
     assert np.allclose(rc.y, y0, atol=1e-9)
-    assert np.array_equal(fv.tubular_coords(chart, chart.p).y, rc.y * 0.0)
+    assert np.array_equal(chart.coords_of(chart.p).y, rc.y * 0.0)
 
 
 @pytest.mark.parametrize("builder,p,v,r_box,y_box", [
