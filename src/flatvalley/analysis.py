@@ -22,6 +22,7 @@ from .dynamics import (
     IntegratorOptions,
     PhaseState,
     Trajectory,
+    energy_drift,
     integrate_newton,
 )
 from .errors import (
@@ -221,9 +222,10 @@ class ConvergenceReport:
 
     ``distances[j]`` is the sup distance between members j and j+1.  The
     verdict passes when the distances are non-increasing from j = 1 on
-    (one pre-asymptotic pair is allowed) and the last one is below
-    ``tol_limit``.  ``rate_estimates`` are the measured consecutive ratios,
-    reported without asserting any order of convergence.
+    (one pre-asymptotic pair is allowed), up to the rounding the members
+    carry, and the last one is below ``tol_limit``.  ``rate_estimates`` are
+    the measured consecutive ratios, reported without asserting any order
+    of convergence.
     """
 
     epsilons: Array
@@ -254,7 +256,11 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
         float(np.max(np.linalg.norm(members[j].x - members[j + 1].x, axis=1)))
         for j in range(len(members) - 1)
     ])
-    monotone = [bool(d[j] <= d[j - 1] * (1.0 + 1e-3) + 1e-12) for j in range(1, len(d))]
+    # rounding floor of a distance: one unit roundoff of the position scale
+    # per internal step of the finest member
+    best = members[-1]
+    floor = np.finfo(float).eps * (len(best.tau_int) - 1) * float(np.abs(best.x).max())
+    monotone = [bool(d[j] <= d[j - 1] * (1.0 + 1e-3) + floor) for j in range(1, len(d))]
     if tol_limit is None:
         if family.potential.profile.inverse is None:
             raise InvalidParameterError(
@@ -264,7 +270,6 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
         tol_limit = 2.0 * family.potential.profile.inverse(budget) / gradn
     cauchy_ok = bool(all(monotone) and d[-1] <= tol_limit)
 
-    best = members[-1]
     n_flow = flow_steps_for(fld.value_many(best.x))
     x_lim = np.empty_like(best.x)
     for i, xi in enumerate(best.x):
@@ -345,8 +350,7 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
     eps_j v integrated exactly to tau*/eps_j.
     """
     if not limit.verified:
-        raise UnverifiedLimitError(
-            "the family did not pass the Cauchy diagnostic; no certificate")
+        raise UnverifiedLimitError()
     p = family.p
     vnorm = float(np.linalg.norm(family.v))
     spacing = float(limit.tau[1] - limit.tau[0])
@@ -402,14 +406,19 @@ REVALIDATION_RTOL = 1e-12
 
 def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
                       members_x: Sequence[Array],
-                      physical_ends: Optional[Sequence[Array]] = None) -> Dict[str, bool]:
+                      physical_ends: Optional[Sequence[Array]] = None,
+                      energies: Optional[Tuple[Sequence[float], Sequence[Array]]] = None
+                      ) -> Dict[str, bool]:
     """Re-derive a certificate from arrays: one boolean per named check.
 
     ``claims`` are the certificate fields by name (``vars`` of an
     :class:`InstabilityCertificate`, or report.json's ``certificate``);
     positions lie on the grid ``tau``.  The evidence displacements are
     re-derived from the physical runs' final states ``physical_ends`` when
-    they are given.
+    they are given.  ``energies``, when given, holds the members' claimed
+    energy drifts and their H on the output grid: the output grid is a
+    subset of the internal steps each claim was taken over, so a claim below
+    the drift re-derived from H is false.
     """
     def close(value, claim):
         return abs(value - claim) <= REVALIDATION_RTOL * max(1.0, abs(value))
@@ -430,6 +439,7 @@ def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
             moved = float(np.linalg.norm(physical_ends[row["j"]] - p))
             evidence = evidence and close(moved, row["displacement"]) and moved >= threshold
         evidence = evidence and row["displacement"] >= threshold
+    drifts, hs = energies if energies is not None else ((), ())
     return {
         "escape_radius": close(radius, claims["escape_radius"]),
         "tau_star": close(tau_star, claims["tau_star"]),
@@ -437,6 +447,8 @@ def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
         "members": members,
         "evidence": evidence,
         "j0_covers_schedule": 0 <= j0 < len(claims["epsilons"]),
+        "energy_drift": (len(drifts) == len(hs)
+                         and all(energy_drift(h) <= d for d, h in zip(drifts, hs))),
     }
 
 

@@ -1,4 +1,4 @@
-"""Command line: scenario files, the full pipeline, and artifact emission.
+"""Command line: scenario files, the pipeline, and artifact emission.
 
 Scenario files are flat JSON documents::
 
@@ -12,10 +12,21 @@ Scenario files are flat JSON documents::
       "out": "runs/circle"
     }
 
-Exit codes for ``certify``: 0 when the certificate verdict is UNSTABLE,
-2 when the verdict is indeterminate (limit unverified, degenerate, or
-schedule too short), 1 on hard errors, bad input included: every failure
-is a ``FlatValleyError``, reported on one ``error: ...`` line.
+``simulate``, ``family``, ``limit`` and ``certify`` parse the file once and
+run stages of :func:`run_pipeline` (``family -> coordinates -> limit ->
+certificate``, then ``emit``): ``simulate`` and ``family`` run ``family``
+(``simulate --eps E`` is a family of one member at eps0 = E, under the same
+``min_eps`` cap), ``limit`` runs ``family`` and ``limit``, and ``certify``
+runs all four.  Each writes the files of the stages it ran (traj_eps<j>.csv,
+coords_eps<j>.csv, limit.csv, figures/*.svg) and report.json into ``--out``,
+else the file's ``out``, else ``out_<name>``.
+
+Exit codes of all four: 0 when every stage passed (the certificate verdict
+is UNSTABLE for ``certify``), 2 when a stage's audit stopped the run with an
+INDETERMINATE verdict (a member failed its confinement audit, the limit
+failed its Cauchy diagnostic, a degenerate limit, a schedule too short),
+1 on hard errors, bad input included: every failure is a
+``FlatValleyError``, reported on one ``error: ...`` line.
 """
 from __future__ import annotations
 
@@ -25,7 +36,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -44,8 +55,6 @@ from .contrast import locate_barrier, projection_trap_check, trapped_motion_chec
 from .dynamics import (
     IntegratorOptions,
     Scenario,
-    energy_audit,
-    confinement_check,
     integrate_rescaled,
     launch_vector,
     run_family,
@@ -53,7 +62,9 @@ from .dynamics import (
 from .errors import (
     FlatValleyError,
     IndeterminateCertificateError,
+    InvalidParameterError,
     ScenarioError,
+    UnverifiedLimitError,
 )
 from .fields import CompositePotential, check_regular_value, fd_gradient_check, gallery_lookup
 from .geometry import (
@@ -144,6 +155,7 @@ def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         slack=data.get("slack", 1e-6),
         min_eps=data.get("min_eps", 1e-4),
         name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
+        out=data.get("out"),
     )
 
 
@@ -153,27 +165,49 @@ def chart_for_scenario(scn: Scenario):
     return build_m_chart(scn.potential.field, scn.p, scn.v, delta=delta)
 
 
+#: the analysis stages of :func:`run_pipeline`, in the order they run
+STAGES = ("family", "coordinates", "limit", "certificate")
+
+
 @dataclass(eq=False)
 class RunReport:
-    """Pipeline outcome: per-stage status/wall-clock, file manifest, verdict."""
+    """Pipeline outcome: per-stage status/wall-clock, file manifest, verdict.
+
+    ``verdict`` is UNSTABLE when the certificate stage passes, OK when every
+    stage run passed short of it, and INDETERMINATE or ERROR when a stage
+    stopped the run.  ``results`` holds what the stages computed by name.
+    """
 
     out_dir: str
     stages: List[dict] = field(default_factory=list)
     manifest: List[str] = field(default_factory=list)
-    verdict: str = "INDETERMINATE"
+    verdict: str = "OK"
     reason: str = ""
-    exit_code: int = 1
+    exit_code: int = 0
+    results: dict = field(default_factory=dict)
 
     def stage(self, name: str, status: str, seconds: float) -> None:
         self.stages.append({"name": name, "status": status, "seconds": seconds})
 
 
-def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = True) -> RunReport:
-    """family -> coordinates -> reports -> limit -> certificate -> files."""
+def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = True,
+                 stages: Sequence[str] = STAGES) -> RunReport:
+    """family -> coordinates -> limit -> certificate, then the files.
+
+    ``stages`` picks the analysis stages to run, in pipeline order; every
+    stage needs ``family`` and the certificate needs ``limit``.  Each stage
+    records its data and then gates on its own audit, so the files of the
+    stages that finished are written even when a later one stops the run.
+    """
+    if not (set(stages) <= set(STAGES) and "family" in stages
+            and ("certificate" not in stages or "limit" in stages)):
+        raise InvalidParameterError(
+            f"stages {tuple(stages)!r} must be drawn from {STAGES}, include 'family', "
+            "and include 'limit' with 'certificate'")
     report = RunReport(out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
     payload = {"scenario": _scenario_payload(scenario)}
-    state = {}
+    state = report.results
 
     def run_stage(name, fn):
         t0 = time.perf_counter()
@@ -198,13 +232,17 @@ def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = Tr
         return True
 
     def stage_family():
-        state["family"] = run_family(scenario, jobs=jobs)
-        fam = state["family"]
+        fam = state["family"] = run_family(scenario, jobs=jobs)
         payload["family"] = {
             "epsilons": fam.epsilons,
             "energy_drifts": [e.drift for e in fam.energies],
             "bounds": bounds_payload(fam.bounds),
         }
+        for j, b in enumerate(fam.bounds):
+            if not b.passed:
+                raise IndeterminateCertificateError(
+                    f"family member j={j} (eps={b.epsilon:g}) failed its confinement audit "
+                    f"(speed_ok={b.speed_ok}, sublevel_ok={b.sublevel_ok}, ball_ok={b.ball_ok})")
 
     def stage_coordinates():
         fam = state["family"]
@@ -236,6 +274,8 @@ def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = Tr
         limit, conv = extract_limit(state["family"])
         state.update(limit=limit, convergence=conv)
         payload["convergence"] = convergence_payload(conv, limit)
+        if not conv.cauchy_ok:
+            raise UnverifiedLimitError()
 
     def stage_certificate():
         fam, limit = state["family"], state["limit"]
@@ -248,7 +288,6 @@ def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = Tr
         payload["certificate"] = certificate_payload(cert)
         payload["certificate"]["revalidated_in_memory"] = bool(ok)
         report.verdict = cert.verdict
-        report.exit_code = 0 if cert.verdict == "UNSTABLE" else 2
 
     def stage_emit():
         fam = state.get("family")
@@ -272,10 +311,11 @@ def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = Tr
         write_report_json(name, payload)
         report.manifest.append(name)
 
-    ok = run_stage("family", stage_family)
-    ok = ok and run_stage("coordinates", stage_coordinates)
-    ok = ok and run_stage("limit", stage_limit)
-    ok = ok and run_stage("certificate", stage_certificate)
+    run = {"family": stage_family, "coordinates": stage_coordinates,
+           "limit": stage_limit, "certificate": stage_certificate}
+    for name in STAGES:
+        if name in stages and not run_stage(name, run[name]):
+            break
     run_stage("emit", stage_emit)
     return report
 
@@ -347,78 +387,29 @@ def _scenario_from_args(args) -> Scenario:
         "horizon": args.horizon,
         "step_factor": args.step_factor,
     }
+    if args.command == "simulate":  # a family of one member, at --eps if given
+        overrides.update(count=1, eps0=args.eps if args.eps is not None else args.eps0)
     return parse_scenario(args.scenario, overrides)
 
 
-def _out_dir(args, scn: Scenario) -> str:
-    if args.out:
-        return args.out
-    try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if isinstance(raw, dict) and raw.get("out"):
-            return str(raw["out"])
-    except (OSError, json.JSONDecodeError):
-        pass
-    return f"out_{scn.name}"
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_pipeline(args) -> int:
+    """simulate, family, limit and certify: the command's stages of run_pipeline."""
     scn = _scenario_from_args(args)
-    eps = args.eps if args.eps is not None else scn.eps0
-    traj = integrate_rescaled(scn.potential, scn.p, scn.v, eps, scn.horizon, scn.options)
-    audit = energy_audit(traj, scn.potential)
-    bounds = confinement_check(traj, scn.potential, scn.v, scn.slack)
-    out = _out_dir(args, scn)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "traj_eps0.csv")
-    write_trajectory_csv(path, traj, audit.values)
-    print(f"eps = {eps:g}:")
-    print(f"  energy drift     = {audit.drift:.3e}")
-    print(f"  max speed        = {bounds.max_speed:.9f} (bound {bounds.v_norm * (1 + scn.slack):.9f})")
-    print(f"  max potential    = {bounds.max_potential:.3e}")
-    print(f"  confinement pass = {bounds.passed}")
-    print(f"  wrote {path}")
-    return 0
-
-
-def _cmd_family(args) -> int:
-    scn = _scenario_from_args(args)
-    fam = run_family(scn, jobs=args.jobs)
-    out = _out_dir(args, scn)
-    os.makedirs(out, exist_ok=True)
-    for j in range(fam.count):
-        write_trajectory_csv(os.path.join(out, f"traj_eps{j}.csv"),
-                             fam.members[j], fam.energies[j].values)
-    print(f"{'j':>2} {'eps':>10} {'drift':>10} {'max|xd|':>12} {'maxU':>12} {'pass':>5}")
-    for j in range(fam.count):
-        b, e = fam.bounds[j], fam.energies[j]
-        print(f"{j:>2} {fam.epsilons[j]:>10.4g} {e.drift:>10.2e} "
-              f"{b.max_speed:>12.9f} {b.max_potential:>12.4e} {str(b.passed):>5}")
-    print(f"wrote {fam.count} trajectory files to {out}")
-    return 0 if all(b.passed for b in fam.bounds) else 2
-
-
-def _cmd_limit(args) -> int:
-    scn = _scenario_from_args(args)
-    fam = run_family(scn, jobs=args.jobs)
-    limit, conv = extract_limit(fam)
-    out = _out_dir(args, scn)
-    os.makedirs(out, exist_ok=True)
-    write_limit_csv(os.path.join(out, "limit.csv"), limit)
-    payload = {"scenario": _scenario_payload(scn),
-               "convergence": convergence_payload(conv, limit)}
-    write_report_json(os.path.join(out, "report.json"), payload)
-    print("consecutive sup distances:", ", ".join(f"{d:.3e}" for d in conv.distances))
-    print(f"cauchy_ok = {conv.cauchy_ok} (tol {conv.tol_limit:.3e})")
-    print(f"|xdot(0) - v| = {limit.initial_velocity_error:.3e}")
-    return 0 if conv.cauchy_ok else 2
-
-
-def _cmd_certify(args) -> int:
-    scn = _scenario_from_args(args)
-    out = _out_dir(args, scn)
-    report = run_pipeline(scn, out, jobs=args.jobs, svg=args.svg)
+    report = run_pipeline(scn, args.out or scn.out or f"out_{scn.name}", jobs=args.jobs,
+                          svg=args.svg, stages=args.stages)
+    fam = report.results.get("family")
+    if fam is not None:
+        b = fam.bounds[0]
+        print(f"speed bound |v| (1 + slack) = {b.v_norm * (1 + b.slack):.9f}")
+        print(f"{'j':>2} {'eps':>10} {'drift':>10} {'max|xd|':>12} {'maxU':>12} {'pass':>5}")
+        for j, (e, b) in enumerate(zip(fam.energies, fam.bounds)):
+            print(f"{j:>2} {fam.epsilons[j]:>10.4g} {e.drift:>10.2e} "
+                  f"{b.max_speed:>12.9f} {b.max_potential:>12.4e} {str(b.passed):>5}")
+    conv = report.results.get("convergence")
+    if conv is not None:
+        print("consecutive sup distances:", ", ".join(f"{d:.3e}" for d in conv.distances))
+        print(f"cauchy_ok = {conv.cauchy_ok} (tol {conv.tol_limit:.3e})")
+        print(f"|xdot(0) - v| = {report.results['limit'].initial_velocity_error:.3e}")
     for st in report.stages:
         print(f"stage {st['name']:<12} {st['status']:<14} {st['seconds']:.2f}s")
     print(f"verdict: {report.verdict}" + (f" ({report.reason})" if report.reason else ""))
@@ -540,12 +531,14 @@ def main(argv=None) -> int:
     common.add_argument("--step-factor", dest="step_factor", type=float, default=None)
     common.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="single rescaled run")
-    p.add_argument("--eps", type=float, default=None)
-    p.set_defaults(fn=_cmd_simulate)
-    sub.add_parser("family", parents=[common], help="run the eps family").set_defaults(fn=_cmd_family)
-    sub.add_parser("limit", parents=[common], help="family plus limit extraction").set_defaults(fn=_cmd_limit)
-    sub.add_parser("certify", parents=[common], help="full pipeline").set_defaults(fn=_cmd_certify)
+    for name, stages, text in (("simulate", ("family",), "single rescaled run"),
+                               ("family", ("family",), "run the eps family"),
+                               ("limit", ("family", "limit"), "family plus limit extraction"),
+                               ("certify", STAGES, "full pipeline")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(fn=_cmd_pipeline, stages=stages)
+        if name == "simulate":
+            p.add_argument("--eps", type=float, default=None)
     p = sub.add_parser("residual", parents=[common],
                        help="tangential equation-of-motion residual")
     p.add_argument("--member", type=int, default=1)

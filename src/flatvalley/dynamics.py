@@ -24,7 +24,7 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,9 @@ Array = np.ndarray
 TOL_ON_M = 1e-9
 #: largest cosine between a scenario's launch velocity and grad f(p)
 TOL_TANGENT = 1e-8
+#: most steps one ``integrate`` call may take: ten times the largest run a
+#: shipped scenario, gallery default or test asks for (10^5 steps)
+MAX_STEPS = 10**6
 
 
 def _number(name: str, value, kind=numbers.Real, error=ScenarioError):
@@ -150,9 +153,23 @@ def _accel(potential, scale: float):
     return lambda x: -scale * grad(x)
 
 
-def _snap_step(spacing: float, target: float) -> int:
-    """Substeps per output interval so the internal step divides the spacing."""
-    return max(1, int(math.ceil(spacing / target - 1e-12)))
+def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, float, int]:
+    """Substeps m per output interval, the internal step spacing / m (at most
+    ``target`` up to rounding) and the step count of ``intervals`` intervals.
+
+    Raises InvalidParameterError, before any array is allocated, when the
+    run would take more than MAX_STEPS steps.
+    """
+    if not target > 0:
+        raise InvalidParameterError(f"step must be positive, got {target!r}")
+    per = float(spacing) / float(target) - 1e-12  # inf, not a numpy warning, on overflow
+    m = max(1, math.ceil(per)) if math.isfinite(per) else math.inf
+    if intervals * m > MAX_STEPS:
+        raise InvalidParameterError(
+            f"a run of {intervals} output intervals of {spacing:g} at step {target:g} "
+            f"needs more than MAX_STEPS = {MAX_STEPS:g} steps; shorten the horizon or "
+            "raise the step")
+    return m, spacing / m, intervals * m
 
 
 def integrate_newton(potential, s0: PhaseState, t_end: float,
@@ -165,9 +182,7 @@ def integrate_newton(potential, s0: PhaseState, t_end: float,
         raise InvalidParameterError("initial state dimension does not match the potential")
     n_out = opts.n_out
     spacing = t_end / (n_out - 1)
-    m = _snap_step(spacing, opts.step_factor)
-    dt = spacing / m
-    steps = (n_out - 1) * m
+    m, dt, steps = _snap_step(spacing, opts.step_factor, n_out - 1)
     X, V = integrate(_accel(potential, 1.0), s0.x, s0.v, dt, steps,
                      method=opts.method, blowup_radius=opts.blowup_radius)
     return Trajectory(
@@ -203,9 +218,7 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
         raise InvalidParameterError("p and v must match the potential dimension")
     half = (opts.n_out - 1) // 2
     spacing = T / half
-    m = _snap_step(spacing, opts.step_factor * eps)
-    dt = spacing / m
-    steps = half * m
+    m, dt, steps = _snap_step(spacing, opts.step_factor * eps, half)
     accel = _accel(potential, 1.0 / (eps * eps))
     try:
         Xf, Vf = integrate(accel, p, v, dt, steps,
@@ -220,10 +233,11 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
                            method=opts.method, blowup_radius=opts.blowup_radius)
     except BlowUpError as exc:
         last = None if exc.last_time is None else -exc.last_time
+        state = None if exc.last_state is None else (exc.last_state[0], -exc.last_state[1])
         raise BlowUpError(
             f"rescaled run blew up on the backward half (eps={eps:g}); the solution exists "
             f"globally, so this is an integrator failure: {exc}",
-            last_time=last, last_state=exc.last_state) from exc
+            last_time=last, last_state=state) from exc
     x_int = np.concatenate([Xb[:0:-1], Xf])
     v_int = np.concatenate([-Vb[:0:-1], Vf])
     return Trajectory(
@@ -280,17 +294,21 @@ class EnergyReport:
     values: Array
 
 
+def energy_drift(H: Array) -> float:
+    """max |H - H(0)| / max(|H(0)|, 1e-300), with H(0) the middle sample."""
+    h0 = float(H[(len(H) - 1) // 2])
+    return float(np.max(np.abs(H - h0)) / max(abs(h0), 1e-300))
+
+
 def energy_audit(traj: Trajectory, potential) -> EnergyReport:
     if traj.kind != "rescaled" or traj.epsilon is None:
         raise InvalidParameterError("energy_audit expects a rescaled trajectory")
     eps = traj.epsilon
     kinetic = 0.5 * np.einsum("ij,ij->i", traj.v_int, traj.v_int)
     H = kinetic + potential.value_many(traj.x_int) / (eps * eps)
-    center = (len(H) - 1) // 2
-    h0 = float(H[center])
-    drift = float(np.max(np.abs(H - h0)) / max(abs(h0), 1e-300))
     m = (len(traj.tau_int) - 1) // (len(traj.tau) - 1)
-    return EnergyReport(epsilon=eps, h0=h0, drift=drift, values=H[::m].copy())
+    return EnergyReport(epsilon=eps, h0=float(H[(len(H) - 1) // 2]), drift=energy_drift(H),
+                        values=H[::m].copy())
 
 
 @dataclass(eq=False)
@@ -376,6 +394,7 @@ class Scenario:
     slack: float = 1e-6
     min_eps: float = 1e-4
     name: str = "scenario"
+    out: Optional[str] = None  # output directory named by the scenario file
 
     def __post_init__(self):
         P = self.potential
@@ -414,6 +433,8 @@ class Scenario:
             raise ScenarioError("count must be at least 1")
         if self.slack < 0:
             raise ScenarioError("slack must be nonnegative")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ScenarioError(f"out must be a string, got {self.out!r}")
         if self.epsilons[-1] < self.min_eps:
             raise ScenarioError(
                 f"smallest eps {self.epsilons[-1]:.3e} is below the cap {self.min_eps:g}; "
@@ -461,12 +482,15 @@ def family_from_runs(potential, p, v, T, epsilons,
     """Integrate one rescaled run per eps and audit each of them.
 
     Members are independent; with ``jobs`` > 1 and a gallery potential they
-    fan out to a process pool.  A failing member aborts the family with its
-    index attached.
+    fan out to a process pool.  A family whose finest member would take more
+    than MAX_STEPS steps fails before any member runs; a failing member
+    aborts the family with its index attached.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     epsilons = np.asarray(list(epsilons), dtype=float)
+    half = (opts.n_out - 1) // 2
+    _snap_step(T / half, opts.step_factor * epsilons.min(), half)  # the finest member fits
     if jobs > 1 and potential.spec_record is not None:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             runs = [pool.submit(_member_worker, _member_payload(

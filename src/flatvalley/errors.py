@@ -68,6 +68,9 @@ class DegenerateLimitError(IndeterminateCertificateError):
 class UnverifiedLimitError(IndeterminateCertificateError):
     """The family did not pass the convergence diagnostic."""
 
+    def __init__(self, message="the family did not pass the Cauchy diagnostic; no certificate"):
+        super().__init__(message)
+
 
 class ScheduleTooShortError(IndeterminateCertificateError):
     """No index from which every member stays close to the limit at tau*."""

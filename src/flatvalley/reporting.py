@@ -112,8 +112,9 @@ def revalidate_from_dir(out_dir) -> dict:
     """Re-derive the certificate from the emitted files alone.
 
     Reads report.json, limit.csv and every traj_eps<j>.csv and runs
-    :func:`flatvalley.analysis.check_certificate` on them.  Returns a dict
-    with an ``ok`` flag and the per-check booleans; never re-runs any
+    :func:`flatvalley.analysis.check_certificate` on them, energy drifts
+    included (re-derived from each member's H column).  Returns a dict with
+    an ``ok`` flag and the per-check booleans; never re-runs any
     integration.
     """
     with open(os.path.join(out_dir, "report.json"), "r", encoding="utf-8") as fh:
@@ -123,11 +124,13 @@ def revalidate_from_dir(out_dir) -> dict:
         return {"ok": False, "reason": "no UNSTABLE certificate in report.json"}
     n = len(cert["p"])
 
-    def positions(name):
+    def columns(name):
         cols = read_csv_columns(os.path.join(out_dir, name))
-        return cols["tau"], np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
+        return cols, np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
 
-    tau, limit_x = positions("limit.csv")
-    members_x = [positions(f"traj_eps{j}.csv")[1] for j in range(len(cert["epsilons"]))]
-    checks = check_certificate(cert, tau, limit_x, members_x)
+    limit_cols, limit_x = columns("limit.csv")
+    members = [columns(f"traj_eps{j}.csv") for j in range(len(cert["epsilons"]))]
+    checks = check_certificate(cert, limit_cols["tau"], limit_x, [x for _, x in members],
+                               energies=(report.get("family", {}).get("energy_drifts", ()),
+                                         [cols["H"] for cols, _ in members]))
     return {"ok": all(checks.values()), "checks": checks}

@@ -200,3 +200,17 @@ def test_convergence_report_rates(circle_bundle):
     # around the eps^2 scaling of the transverse excursion
     assert len(conv.rate_estimates) == len(conv.distances) - 1
     assert np.all(conv.rate_estimates > 1.0)
+
+
+def test_monotone_check_floor_is_the_rounding_scale(tmp_path, circle_bundle, gutter_bundle,
+                                                    ellipsoid_bundle):
+    # members of a straight valley differ only by rounding (distances up to
+    # 2.5e-12 at |v| = 0.9, growing with the step count), which the monotone
+    # check must not read as divergence
+    scn = fv.Scenario(fv.gutter(), [0.0, 0.0], [0.0, 0.9], 1.0)
+    report = fv.run_pipeline(scn, str(tmp_path), svg=False)
+    assert report.verdict == "UNSTABLE", report.reason
+    assert all(report.results["convergence"].monotone)
+    assert report.results["certificate"].escape_radius == pytest.approx(0.9, abs=1e-9)
+    for bundle in (circle_bundle, gutter_bundle, ellipsoid_bundle):
+        assert all(bundle.convergence.monotone)

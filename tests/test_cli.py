@@ -7,7 +7,7 @@ import pytest
 import flatvalley as fv
 from flatvalley import cli
 from flatvalley.errors import BlowUpError, ScenarioError, UnverifiedLimitError
-from flatvalley.reporting import read_csv_columns, revalidate_from_dir
+from flatvalley.reporting import read_csv_columns, revalidate_from_dir, write_trajectory_csv
 
 
 def _write(tmp_path, name, payload):
@@ -83,8 +83,9 @@ def test_parse_scenario_rejects_plain_potential(tmp_path):
     {"count": True},
     {"tol_on_m": 5.0},
     {"slack": -1.0},
+    {"out": 5},
 ], ids=["p-nan", "horizon-nan", "eps0-inf", "count-string", "count-bool", "tol_on_m",
-        "slack-negative"])
+        "slack-negative", "out-number"])
 def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     path = _write(tmp_path, "bad.json", dict(BASE, **change))
     code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"), "--no-svg"])
@@ -262,3 +263,101 @@ def test_metric_grid_stencil_stays_in_small_chart(tmp_path):
     assert cli.main(["certify", "--scenario", path, "--out", str(out), "--no-svg"]) == 2
     rep = json.loads((out / "report.json").read_text())
     assert "errors" not in rep and rep["certificate"]["verdict"] == "INDETERMINATE"
+
+
+def _stages_printed(out):
+    return [line.split()[1] for line in out.splitlines() if line.startswith("stage ")]
+
+
+def test_confinement_failure_stops_family_and_certify(tiny_scenario_file, tmp_path,
+                                                      monkeypatch, capsys):
+    run_family = cli.run_family
+
+    def leaky(scn, jobs=1):
+        fam = run_family(scn, jobs=jobs)
+        fam.bounds[1].ball_ok = False
+        return fam
+
+    monkeypatch.setattr(cli, "run_family", leaky)
+    for command in ("family", "certify"):
+        out = tmp_path / command
+        assert cli.main([command, "--scenario", tiny_scenario_file, "--out", str(out),
+                         "--no-svg"]) == 2
+        assert _stages_printed(capsys.readouterr().out) == ["family", "emit"]
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["certificate"]["verdict"] == "INDETERMINATE"
+        assert "j=1" in rep["certificate"]["reason"]
+        assert rep["family"]["bounds"][1]["ball_ok"] is False
+        assert (out / "traj_eps2.csv").exists()
+
+
+def test_limit_runs_no_coordinates_stage(tmp_path, capsys):
+    # the small-chart ellipsoid fails its Cauchy diagnostic
+    path = _write(tmp_path, "slow.json",
+                  dict(BASE, v=[0.0, 0.25, 0.0], eps0=0.05, count=3, n_out=101))
+    out = tmp_path / "out"
+    assert cli.main(["limit", "--scenario", path, "--out", str(out), "--no-svg"]) == 2
+    printed = capsys.readouterr().out
+    assert _stages_printed(printed) == ["family", "limit", "emit"]
+    assert "cauchy_ok = False" in printed and "|xdot(0) - v|" in printed
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["convergence"]["cauchy_ok"] is False and "coordinates" not in rep
+    assert rep["certificate"]["reason"] == str(UnverifiedLimitError())
+    assert (out / "limit.csv").exists()
+
+
+def test_simulate_is_a_one_member_family(tiny_scenario_file, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--scenario", tiny_scenario_file, "--eps", "0.03",
+                     "--out", str(out), "--no-svg"]) == 0
+    assert _stages_printed(capsys.readouterr().out) == ["family", "emit"]
+    scn = fv.parse_scenario(tiny_scenario_file)
+    traj = fv.integrate_rescaled(scn.potential, scn.p, scn.v, 0.03, scn.horizon, scn.options)
+    direct = tmp_path / "direct.csv"
+    write_trajectory_csv(str(direct), traj, fv.energy_audit(traj, scn.potential).values)
+    assert (out / "traj_eps0.csv").read_bytes() == direct.read_bytes()
+    assert json.loads((out / "report.json").read_text())["scenario"]["count"] == 1
+    # the min_eps cap applies to the simulated eps too
+    assert cli.main(["simulate", "--scenario", tiny_scenario_file, "--eps", "1e-5",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ScenarioError")
+
+
+def test_output_directory_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    tiny = dict(BASE, potential={"kind": "circle"}, p=[1.0, 0.0], v=[0.0, 1.0],
+                count=1, n_out=11)
+    named = _write(tmp_path, "named.json", dict(tiny, out="from_file"))
+    assert cli.main(["family", "--scenario", named, "--out", "from_flag", "--no-svg"]) == 0
+    assert cli.main(["family", "--scenario", named, "--no-svg"]) == 0
+    plain = _write(tmp_path, "plain.json", tiny)
+    assert cli.main(["family", "--scenario", plain, "--no-svg"]) == 0
+    for out in ("from_flag", "from_file", "out_plain"):
+        assert (tmp_path / out / "traj_eps0.csv").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--horizon", "1e308"],
+    ["gallery", "--horizon", "1e308"],
+], ids=["family", "gallery"])
+def test_huge_horizon_is_one_error_line(tiny_scenario_file, tmp_path, capsys, argv):
+    if argv[0] == "family":
+        argv = argv + ["--scenario", tiny_scenario_file, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidParameterError") and "MAX_STEPS" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_file_revalidation_rederives_energy_drift(circle_run_dir, tmp_path):
+    import shutil
+
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    rep = json.loads((clone / "report.json").read_text())
+    rep["family"]["energy_drifts"] = [0.0] * len(rep["family"]["energy_drifts"])
+    (clone / "report.json").write_text(json.dumps(rep))
+    result = revalidate_from_dir(str(clone))
+    assert not result["ok"] and not result["checks"]["energy_drift"]
+    assert revalidate_from_dir(circle_run_dir.path)["checks"]["energy_drift"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import flatvalley as fv
+from flatvalley.dynamics import MAX_STEPS
 from flatvalley.errors import BlowUpError, InvalidParameterError, ScenarioError
 
 
@@ -175,6 +176,37 @@ def test_family_abort_reports_member():
     with pytest.raises(BlowUpError) as info:
         fv.family_from_runs(P, [1.0, 0.0], [0.0, 0.0], 1.0, [0.1, 0.05])
     assert "j=0" in str(info.value)
+
+
+def test_backward_blowup_reports_backward_state():
+    # along the gutter floor x(tau) = p + tau v; a blow-up radius of 1.3
+    # lets the forward half run to (0, 0) and stops the backward half near
+    # y = -1.54, where the true velocity is still v, not -v
+    p, v = np.array([0.0, -1.0]), np.array([0.0, 1.0])
+    with pytest.raises(BlowUpError, match="backward") as info:
+        fv.integrate_rescaled(fv.gutter(), p, v, 0.1, 1.0,
+                              fv.IntegratorOptions(blowup_radius=1.3))
+    exc = info.value
+    assert -1.0 < exc.last_time < 0.0
+    x, xdot = exc.last_state
+    assert np.allclose(xdot, v, atol=1e-12)
+    assert np.allclose(x, p + exc.last_time * v, atol=1e-12)
+
+
+def test_step_count_cap_fails_before_allocating():
+    C = fv.circle()
+    with pytest.raises(InvalidParameterError, match="MAX_STEPS"):
+        fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 1e308)
+    # finite and just past the cap: 200 intervals of 5006 steps
+    assert MAX_STEPS < 200 * 5006
+    with pytest.raises(InvalidParameterError, match="MAX_STEPS"):
+        fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 1.0,
+                              fv.IntegratorOptions(step_factor=0.999e-5))
+    with pytest.raises(InvalidParameterError, match="MAX_STEPS"):
+        fv.integrate_newton(C, fv.PhaseState([1.0, 0.0], [0.0, 0.1]), 1e308)
+    # a family fails on its finest member before running any member
+    with pytest.raises(InvalidParameterError, match="MAX_STEPS"):
+        fv.family_from_runs(C, [1.0, 0.0], [0.0, 1.0], 1.0, [0.1, 1e-6])
 
 
 def test_output_nodes_are_internal_nodes():
