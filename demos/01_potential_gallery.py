@@ -35,13 +35,13 @@ print(f"  gutter    U(0.5,7.3) = {G.value([0.5, 7.3])}  (0.5^4, y irrelevant)")
 
 print("\nregular-value probe (is the valley floor a smooth hypersurface?)")
 seeds = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.2, 0.2, size=(10, 3))
-report = fv.check_regular_value(E.field, seeds, tol=1e-3)
+report = fv.check_regular_value(E.field, seeds)
 print(f"  ellipsoid: pass={report.passed}, min |grad f| on floor = "
       f"{report.min_grad_norm:.4f} (smallest at the (+-1,0,0) tips)")
 
 # f(x, y) = x^2 fails: its gradient vanishes on the zero set
 bad = fv.custom_polynomial(quadratic=[1.0, 0.0], exponent=2)
-report = fv.check_regular_value(bad.field, [[0.1, 0.2], [-0.05, 0.4]], tol=1e-3)
+report = fv.check_regular_value(bad.field, [[0.1, 0.2], [-0.05, 0.4]])
 print(f"  f = x^2  : pass={report.passed}  (projections died near the critical set)")
 for note in report.notes:
     print(f"             note: {note}")

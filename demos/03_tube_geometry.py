@@ -49,8 +49,9 @@ print(f"    h_y = {fr.h_tan[0]:.6f}   (analytic sqrt(1.21/0.91) = "
 print(f"    <e^y, e_y> = {float(fr.dual_tan[0] @ fr.e_tan[0]):.9f}")
 
 print("\npullback-metric minimum (smallest stretch of the tube map):")
-m = fv.pullback_metric_min(chart, rho_ball=0.3, n_grid=9)
-print(f"  over the ball of radius 0.3: m = {m.value:.6f} at r = {m.argmin_r:.3f}")
+# the ball of radius 0.3 about p lies in 0.7^2 - 1 <= r <= 1.3^2 - 1, |y| <= 0.3
+m = fv.pullback_metric_min(chart, r_range=(0.7**2 - 1.0, 1.3**2 - 1.0), y_box=0.3, n_grid=9)
+print(f"  over the box of the ball of radius 0.3: m = {m.value:.6f} at r = {m.argmin_r:.3f}")
 print(f"  (the radial factor 1/(2 sqrt(1+r)) is smallest at the outer edge:"
       f" 1/(4*1.69) = {1 / 6.76:.6f})")
 m = fv.pullback_metric_min(chart, r_range=(-1e-6, 1e-6), y_box=1e-6, n_grid=3)

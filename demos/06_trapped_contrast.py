@@ -25,7 +25,7 @@ print(f"all trapped: {rep.all_trapped}")
 print("\nthe 2-d variant: the x coordinate still decouples and stays trapped,")
 print("while the y coordinate is repelled and runs away:")
 L = fv.laloy()
-rep = fv.projection_trap_check(L, barrier, n_traj=4)
+rep = fv.trapped_motion_check(L, barrier, n_traj=4, t_end=12.0)
 for r in rep.records:
     print(f"  x0={r.x0:+.4f}: max |x| = {r.max_excursion:.6f} (trapped={r.trapped}), "
           f"max |y| = {r.companion_excursion:.3f}")

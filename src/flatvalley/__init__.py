@@ -57,7 +57,6 @@ from .geometry import (
     frame_data,
     pullback_metric_min,
     residual_convergence,
-    suggested_chart_radius,
     transversal_flow,
 )
 from .analysis import (
@@ -82,7 +81,6 @@ from .contrast import (
     BarrierInfo,
     TrapReport,
     locate_barrier,
-    projection_trap_check,
     trapped_motion_check,
 )
 from .cli import chart_for_scenario, parse_scenario, run_pipeline

@@ -83,24 +83,29 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
     return out
 
 
-def metric_min_for_traces(chart: MChart, traces: List[CoordinateTrace],
-                          n_grid: int = 7, pad: float = 1.1):
-    """Pullback-metric minimum over the coordinate box the traces visit."""
+#: points per axis of the metric probe grid, and the padding of its box
+METRIC_GRID = 7
+METRIC_PAD = 1.1
+
+
+def metric_min_for_traces(chart: MChart, traces: List[CoordinateTrace]):
+    """Pullback-metric minimum over the coordinate box the traces visit,
+    padded by METRIC_PAD, on METRIC_GRID points per axis."""
     r_lo = min(float(t.r.min()) for t in traces)
     r_hi = max(float(t.r.max()) for t in traces)
     mid, half = 0.5 * (r_lo + r_hi), 0.5 * (r_hi - r_lo)
-    half = max(half * pad, 1e-3)
+    half = max(half * METRIC_PAD, 1e-3)
     y_box = np.zeros(chart.dim - 1)
     for t in traces:
         y_box = np.maximum(y_box, np.abs(t.y).max(axis=0))
-    y_box = y_box * pad + 1e-3
+    y_box = y_box * METRIC_PAD + 1e-3
     corner = float(np.linalg.norm(y_box))
     # keep the probe grid and its finite-difference stencil inside the chart
     reach = min(0.999 * chart.delta, chart.delta - 2.0 * chart.stencil_step)
     if corner > reach:
         y_box *= reach / corner
     return pullback_metric_min(chart, r_range=(mid - half, mid + half),
-                               y_box=y_box, n_grid=n_grid)
+                               y_box=y_box, n_grid=METRIC_GRID)
 
 
 @dataclass(eq=False)
@@ -178,10 +183,11 @@ class AccelerationReport:
 #: second differences of O(1) coordinates on the common grid cannot be
 #: trusted below this scale (rounding alone contributes ~4 eps / spacing^2)
 _ACCEL_NOISE_FLOOR = 1e-8
+#: largest ratio of per-member acceleration maxima of a uniform family
+ACCEL_RATIO_BOUND = 4.0
 
 
-def acceleration_uniformity(traces: List[CoordinateTrace],
-                            ratio_bound: float = 4.0) -> AccelerationReport:
+def acceleration_uniformity(traces: List[CoordinateTrace]) -> AccelerationReport:
     per = []
     for t in traces:
         norms = np.linalg.norm(t.yddot[1:-1], axis=1)
@@ -191,10 +197,11 @@ def acceleration_uniformity(traces: List[CoordinateTrace],
     if c <= _ACCEL_NOISE_FLOOR:
         # straight-line families: every acceleration is below measurement noise
         return AccelerationReport(per_member=per, bound=c, ratio=None,
-                                  ratio_bound=ratio_bound, uniform_ok=True)
+                                  ratio_bound=ACCEL_RATIO_BOUND, uniform_ok=True)
     ratio = c / max(float(per.min()), _ACCEL_NOISE_FLOOR)
     return AccelerationReport(per_member=per, bound=c, ratio=ratio,
-                              ratio_bound=ratio_bound, uniform_ok=ratio <= ratio_bound)
+                              ratio_bound=ACCEL_RATIO_BOUND,
+                              uniform_ok=ratio <= ACCEL_RATIO_BOUND)
 
 
 @dataclass(eq=False)
@@ -341,8 +348,7 @@ class InstabilityCertificate:
 
 
 def certify_instability(family: FamilyResult, limit: LimitCurve,
-                        physical_runs: List[Trajectory],
-                        tol_r: Optional[float] = None) -> InstabilityCertificate:
+                        physical_runs: List[Trajectory]) -> InstabilityCertificate:
     """Assemble the certificate, or raise an indeterminate-certificate error.
 
     Preconditions: the limit passed its convergence diagnostic, and
@@ -354,8 +360,7 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
     p = family.p
     vnorm = float(np.linalg.norm(family.v))
     spacing = float(limit.tau[1] - limit.tau[0])
-    if tol_r is None:
-        tol_r = 10.0 * spacing * vnorm
+    tol_r = 10.0 * spacing * vnorm  # the noise ball: ten output steps at speed |v|
     k, radius, tau_star = escape_point(limit.tau, limit.x, p)
     if radius <= tol_r:
         raise DegenerateLimitError(

@@ -51,7 +51,7 @@ from .analysis import (
     physical_evidence_runs,
     revalidate_certificate,
 )
-from .contrast import locate_barrier, projection_trap_check, trapped_motion_check
+from .contrast import locate_barrier, trapped_motion_check
 from .dynamics import (
     IntegratorOptions,
     Scenario,
@@ -84,10 +84,11 @@ from .reporting import (
 )
 from .svgplot import line_plot
 
-_SCENARIO_KEYS = {
-    "name", "potential", "p", "v", "horizon", "eps0", "ratio", "count",
-    "step_factor", "integrator", "n_out", "slack", "min_eps", "out",
-}
+#: scenario-file keys that are IntegratorOptions fields, by field name
+_OPTION_KEYS = {"integrator": "method", "step_factor": "step_factor", "n_out": "n_out"}
+#: scenario-file keys that are Scenario fields of the same name
+_SCENARIO_ARGS = ("horizon", "eps0", "ratio", "count", "slack", "min_eps", "out")
+_SCENARIO_KEYS = {"name", "potential", "p", "v", *_OPTION_KEYS, *_SCENARIO_ARGS}
 
 
 def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
@@ -138,25 +139,14 @@ def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
     gn = float(np.linalg.norm(g))
     if gn > 0.0 and abs(float(g @ v)) <= 0.1 * gn * float(np.linalg.norm(v)):
         v = v - (float(v @ g) / (gn * gn)) * g
-    opts = IntegratorOptions(
-        method=data.get("integrator", "pefrl"),
-        step_factor=data.get("step_factor", 0.01),
-        n_out=data.get("n_out", 401),
-    )
-    return Scenario(
-        potential=potential,
-        p=p,
-        v=v,
-        horizon=data.get("horizon", 1.0),
-        eps0=data.get("eps0", 0.1),
-        ratio=data.get("ratio", 0.5),
-        count=data.get("count", 6),
-        options=opts,
-        slack=data.get("slack", 1e-6),
-        min_eps=data.get("min_eps", 1e-4),
-        name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
-        out=data.get("out"),
-    )
+    # the file passes only the keys it holds: every default is stated once,
+    # in Scenario and IntegratorOptions
+    opts = IntegratorOptions(**{arg: data[key] for key, arg in _OPTION_KEYS.items()
+                                if key in data})
+    given = {key: data[key] for key in _SCENARIO_ARGS if key in data}
+    return Scenario(potential=potential, p=p, v=v, options=opts,
+                    name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
+                    **given)
 
 
 def chart_for_scenario(scn: Scenario):
@@ -421,6 +411,12 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_residual(args) -> int:
     scn = _scenario_from_args(args)
+    if not 0 <= args.member < scn.count:
+        raise InvalidParameterError(
+            f"--member must name one of the {scn.count} members (0 to {scn.count - 1}), "
+            f"got {args.member}")
+    if args.samples < 1:
+        raise InvalidParameterError(f"--samples must be at least 1, got {args.samples}")
     eps = float(scn.epsilons[args.member])
     traj = integrate_rescaled(scn.potential, scn.p, scn.v, eps, scn.horizon, scn.options)
     chart = chart_for_scenario(scn)
@@ -475,25 +471,19 @@ def _cmd_check(args) -> int:
     verdict("tube-roundtrip", worst_round <= 1e-8, f"max roundtrip {worst_round:.2e}")
 
     seeds = scn.p + rng.uniform(-0.2 * scale, 0.2 * scale, size=(20, fld.dim))
-    reg = check_regular_value(fld, seeds, tol=1e-3)
+    reg = check_regular_value(fld, seeds)
     verdict("regular-value", reg.passed, f"min |grad f| on floor = {reg.min_grad_norm:.3g}")
     return 0 if failures == 0 else 2
 
 
 def _cmd_gallery(args) -> int:
     potential = gallery_lookup(args.name, {})
-    if potential.dim == 1:
-        barrier = locate_barrier(potential, window=args.window)
-        rep = trapped_motion_check(potential, barrier, n_traj=args.trajectories,
-                                   t_end=args.horizon,
-                                   energy_fraction=args.energy_fraction)
-    else:
-        probe = gallery_lookup("painleve", {})
-        barrier = locate_barrier(probe, window=args.window)
-        # the second coordinate runs away exponentially: keep the horizon short
-        rep = projection_trap_check(potential, barrier, n_traj=args.trajectories,
-                                    t_end=min(args.horizon, 12.0),
-                                    energy_fraction=args.energy_fraction)
+    # laloy's first coordinate moves in the painleve bump alone
+    barrier = locate_barrier(gallery_lookup("painleve", {}), window=args.window)
+    # laloy's second coordinate runs away exponentially: keep its horizon short
+    t_end = args.horizon if potential.dim == 1 else min(args.horizon, 12.0)
+    rep = trapped_motion_check(potential, barrier, n_traj=args.trajectories, t_end=t_end,
+                               energy_fraction=args.energy_fraction)
     b = rep.barrier
     print(f"{args.name}: barrier height {b.height:.6e} at [{b.x_left:.6f}, {b.x_right:.6f}]")
     for r in rep.records:

@@ -18,6 +18,14 @@ from .errors import InvalidParameterError
 
 Array = np.ndarray
 
+#: points of the barrier scan and golden-section steps refining each peak
+BARRIER_GRID = 40001
+BARRIER_REFINE_ITERS = 80
+#: integrator settings of every trapped-motion run
+TRAP_OPTIONS = IntegratorOptions(n_out=1001)
+#: initial velocity of every coordinate past the first
+COMPANION_SPEED = 1e-3
+
 
 @dataclass(frozen=True)
 class BarrierInfo:
@@ -27,11 +35,9 @@ class BarrierInfo:
     x_right: float
     height: float
     window: float
-    n_grid: int
 
 
-def locate_barrier(potential, window: float = 0.25, n_grid: int = 40001,
-                   refine_iters: int = 80) -> BarrierInfo:
+def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
     """Scan U on [-window, window] and return the tallest barrier pair.
 
     The scan takes the global maximum of U on each side of the origin and
@@ -42,7 +48,7 @@ def locate_barrier(potential, window: float = 0.25, n_grid: int = 40001,
         raise InvalidParameterError("barrier location is a 1-d diagnostic")
     if window <= 0:
         raise InvalidParameterError("window must be positive")
-    xs = np.linspace(-window, window, n_grid)
+    xs = np.linspace(-window, window, BARRIER_GRID)
     us = potential.value_many(xs[:, None])
 
     def refine(lo: float, hi: float) -> tuple:
@@ -51,7 +57,7 @@ def locate_barrier(potential, window: float = 0.25, n_grid: int = 40001,
         c, d = b - phi * (b - a), a + phi * (b - a)
         fc = potential.value(np.array([c]))
         fd = potential.value(np.array([d]))
-        for _ in range(refine_iters):
+        for _ in range(BARRIER_REFINE_ITERS):
             if fc < fd:
                 a, c, fc = c, d, fd
                 d = a + phi * (b - a)
@@ -68,14 +74,14 @@ def locate_barrier(potential, window: float = 0.25, n_grid: int = 40001,
         sub = np.where(mask)[0]
         i = sub[np.argmax(us[sub])]
         lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, n_grid - 1)]
+        hi = xs[min(i + 1, BARRIER_GRID - 1)]
         side[name] = refine(lo, hi)
     height = min(side["left"][1], side["right"][1])
     if height <= 0:
         raise InvalidParameterError(
             f"no positive barrier inside the window {window}: peak height {height:g}")
     return BarrierInfo(x_left=side["left"][0], x_right=side["right"][0],
-                       height=float(height), window=window, n_grid=n_grid)
+                       height=float(height), window=window)
 
 
 @dataclass(eq=False)
@@ -85,7 +91,7 @@ class TrapRecord:
     energy: float
     max_excursion: float
     trapped: bool
-    companion_excursion: float = 0.0  # |y| reached by the untrapped coordinate, 2-d only
+    companion_excursion: float  # largest |x_i| of the other coordinates; 0.0 in 1-d
 
 
 @dataclass(eq=False)
@@ -102,55 +108,36 @@ class TrapReport:
 
 
 def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
-                         t_end: float = 1e3, energy_fraction: float = 0.5,
-                         opts: IntegratorOptions = IntegratorOptions(n_out=1001)) -> TrapReport:
-    """Launch sub-barrier motions and verify none crosses the barrier.
+                         t_end: float = 1e3, energy_fraction: float = 0.5) -> TrapReport:
+    """Launch sub-barrier motions along the first coordinate and verify that
+    it never crosses the barrier.
 
-    Energy conservation keeps a motion with E < barrier height inside the
-    barrier interval; the check integrates to ``t_end`` and compares the
-    recorded excursion against the barrier location.
+    Each motion starts at x0 with the speed that puts its energy at
+    ``energy_fraction`` of the barrier height; the other coordinates start
+    at 0 with velocity COMPANION_SPEED.  Conservation keeps a 1-d motion
+    with energy below the barrier inside it.  In the 2-d contrast (``laloy``)
+    the first coordinate decouples and stays trapped the same way, while the
+    second is repelled and grows exponentially (keep ``t_end`` short); the
+    largest |x_i| of the other coordinates is ``companion_excursion``.
     """
     if not (0.0 < energy_fraction < 1.0):
         raise InvalidParameterError("energy_fraction must lie in (0, 1)")
+    if n_traj < 1:
+        raise InvalidParameterError(f"n_traj must be at least 1, got {n_traj}")
     inner = 0.6 * min(-barrier.x_left, barrier.x_right)
     x0s = np.linspace(-inner, inner, n_traj)
     target = energy_fraction * barrier.height
+    rest = potential.dim - 1
     records = []
     for x0 in x0s:
-        u0 = potential.value(np.array([x0]))
+        start = np.array([x0] + [0.0] * rest)
+        u0 = potential.value(start)  # for laloy, U(x0, 0) is the 1-d bump alone
         v0 = float(np.sqrt(max(0.0, 2.0 * (target - u0))))
-        traj = integrate_newton(potential, PhaseState([x0], [v0]), t_end, opts)
-        exc = float(np.abs(traj.x_int).max())
-        records.append(TrapRecord(
-            x0=float(x0), v0=v0, energy=0.5 * v0 * v0 + u0, max_excursion=exc,
-            trapped=bool(barrier.x_left < -exc and exc < barrier.x_right)))
-    return TrapReport(barrier=barrier, t_end=t_end, records=records)
-
-
-def projection_trap_check(potential, barrier: BarrierInfo, n_traj: int = 6,
-                          t_end: float = 12.0, energy_fraction: float = 0.5,
-                          opts: IntegratorOptions = IntegratorOptions(n_out=1001)) -> TrapReport:
-    """Trapping of the first coordinate of the 2-d contrast potential.
-
-    The x dynamics decouples from y, so the x projection carries its own
-    conserved energy and stays behind the 1-d barrier.  The y coordinate is
-    repelled from 0 (the potential falls off quadratically that way) and
-    grows exponentially; the default horizon keeps it finite while the
-    contrast is made, and its excursion is recorded alongside.
-    """
-    if potential.dim != 2:
-        raise InvalidParameterError("projection check expects a 2-d potential")
-    inner = 0.6 * min(-barrier.x_left, barrier.x_right)
-    x0s = np.linspace(-inner, inner, n_traj)
-    target = energy_fraction * barrier.height
-    records = []
-    for x0 in x0s:
-        ux = potential.value(np.array([x0, 0.0]))  # U(x0, 0) is the 1-d bump alone
-        vx0 = float(np.sqrt(max(0.0, 2.0 * (target - ux))))
-        traj = integrate_newton(potential, PhaseState([x0, 0.0], [vx0, 1e-3]), t_end, opts)
+        traj = integrate_newton(potential, PhaseState(start, [v0] + [COMPANION_SPEED] * rest),
+                                t_end, TRAP_OPTIONS)
         exc = float(np.abs(traj.x_int[:, 0]).max())
         records.append(TrapRecord(
-            x0=float(x0), v0=vx0, energy=0.5 * vx0 * vx0 + ux, max_excursion=exc,
+            x0=float(x0), v0=v0, energy=0.5 * v0 * v0 + u0, max_excursion=exc,
             trapped=bool(barrier.x_left < -exc and exc < barrier.x_right),
-            companion_excursion=float(np.abs(traj.x_int[:, 1]).max())))
+            companion_excursion=float(np.abs(traj.x_int[:, 1:]).max()) if rest else 0.0))
     return TrapReport(barrier=barrier, t_end=t_end, records=records)

@@ -30,15 +30,11 @@ import numpy as np
 
 from .errors import BlowUpError, InvalidParameterError, ScenarioError
 from .fields import CompositePotential, gallery_lookup
-from .geometry import TOL_CRIT
+from .geometry import TOL_CRIT, TOL_ON_M, TOL_TANGENT
 from .integrators import TABLES, integrate
 
 Array = np.ndarray
 
-#: largest |f(p)| for a scenario's launch point to count as on the valley floor
-TOL_ON_M = 1e-9
-#: largest cosine between a scenario's launch velocity and grad f(p)
-TOL_TANGENT = 1e-8
 #: most steps one ``integrate`` call may take: ten times the largest run a
 #: shipped scenario, gallery default or test asks for (10^5 steps)
 MAX_STEPS = 10**6
@@ -386,7 +382,7 @@ class Scenario:
     potential: CompositePotential
     p: Array
     v: Array
-    horizon: float
+    horizon: float = 1.0
     eps0: float = 0.1
     ratio: float = 0.5
     count: int = 6

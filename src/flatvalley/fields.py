@@ -48,16 +48,14 @@ def default_fd_step(x: Array) -> float:
 class ScalarField:
     """A smooth scalar function on R^n with analytic gradient.
 
-    ``f`` and ``grad`` take a single (n,) point.  ``f_many`` optionally
-    evaluates an (N, n) batch; vectorised gallery fields provide it so that
-    energy audits do not pay a Python loop per sample.
+    ``f`` and ``grad`` take a single (n,) point; ``f_many`` evaluates an
+    (N, n) batch, so that energy audits do not pay a Python loop per sample.
     """
 
     dim: int
     f: Callable[[Array], float]
     grad: Callable[[Array], Array]
-    hess: Optional[Callable[[Array], Array]] = None
-    f_many: Optional[Callable[[Array], Array]] = None
+    f_many: Callable[[Array], Array]
     name: str = "field"
 
     def value(self, x) -> float:
@@ -67,10 +65,7 @@ class ScalarField:
         return np.asarray(self.grad(_as_point(x, self.dim)), dtype=float)
 
     def value_many(self, X: Array) -> Array:
-        X = np.asarray(X, dtype=float)
-        if self.f_many is not None:
-            return np.asarray(self.f_many(X), dtype=float)
-        return np.array([self.f(row) for row in X], dtype=float)
+        return np.asarray(self.f_many(np.asarray(X, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +79,6 @@ class Profile:
 
     g: Callable[[float], float]
     dg: Callable[[float], float]
-    d2g: Optional[Callable[[float], float]] = None
     inverse: Optional[Callable[[float], float]] = None
     name: str = "profile"
 
@@ -105,7 +99,6 @@ def power_profile(exponent: int) -> Profile:
     return Profile(
         g=lambda s: s**k,
         dg=lambda s: k * s ** (k - 1),
-        d2g=lambda s: k * (k - 1) * s ** (k - 2),
         inverse=lambda t: t ** (1.0 / k),
         name=f"s^{k}",
     )
@@ -179,7 +172,6 @@ class PlainPotential:
 # ---------------------------------------------------------------------------
 
 _GUTTER_GRAD = np.array([1.0, 0.0])
-_GUTTER_HESS = np.zeros((2, 2))
 
 
 def gutter(exponent: int = 4) -> CompositePotential:
@@ -188,7 +180,6 @@ def gutter(exponent: int = 4) -> CompositePotential:
         dim=2,
         f=lambda x: x[0],
         grad=lambda x: _GUTTER_GRAD,
-        hess=lambda x: _GUTTER_HESS,
         f_many=lambda X: X[:, 0],
         name="gutter",
     )
@@ -206,7 +197,6 @@ def circle(exponent: int = 2) -> CompositePotential:
         dim=2,
         f=lambda x: x[0] * x[0] + x[1] * x[1] - 1.0,
         grad=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
-        hess=lambda x: 2.0 * np.eye(2),
         f_many=lambda X: X[:, 0] ** 2 + X[:, 1] ** 2 - 1.0,
         name="circle",
     )
@@ -228,7 +218,6 @@ def ellipsoid(coeffs=(1.0, 2.0, 3.0), exponent: int = 4) -> CompositePotential:
         dim=n,
         f=lambda x: float(c @ (x * x)) - 1.0,
         grad=lambda x: 2.0 * c * x,
-        hess=lambda x: 2.0 * np.diag(c),
         f_many=lambda X: (X * X) @ c - 1.0,
         name=f"ellipsoid{tuple(c)}",
     )
@@ -262,7 +251,6 @@ def custom_polynomial(
         dim=n,
         f=lambda x: float(lv @ x + qv @ (x * x)) - off,
         grad=lambda x: lv + 2.0 * qv * x,
-        hess=lambda x: 2.0 * np.diag(qv),
         f_many=lambda X: X @ lv + (X * X) @ qv - off,
         name="custom-polynomial",
     )
@@ -405,8 +393,13 @@ class RegularityReport:
         return bool(self.grad_norms) and self.min_grad_norm > self.tol and not self.notes
 
 
-def check_regular_value(fld: ScalarField, seeds, tol: float = 1e-3) -> RegularityReport:
-    """Project seeds onto {f = 0} and report the smallest gradient norm found.
+#: smallest |grad f| on the floor for 0 to count as a regular value of f
+REGULAR_VALUE_TOL = 1e-3
+
+
+def check_regular_value(fld: ScalarField, seeds) -> RegularityReport:
+    """Project seeds onto {f = 0} and report the smallest gradient norm found
+    (it must exceed REGULAR_VALUE_TOL).
 
     A projection that dies approaching the critical set is itself evidence
     against regularity: the gradient norm at the failure point is recorded
@@ -415,7 +408,7 @@ def check_regular_value(fld: ScalarField, seeds, tol: float = 1e-3) -> Regularit
     from .errors import FlowDomainError, NewtonConvergenceError
     from .geometry import foot_point
 
-    report = RegularityReport(tol=tol)
+    report = RegularityReport(tol=REGULAR_VALUE_TOL)
     for seed in seeds:
         seed = _as_point(seed, fld.dim)
         try:

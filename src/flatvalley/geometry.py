@@ -44,15 +44,27 @@ FLOW_BASE_STEP = 2.5e-3
 FLOW_COARSE_STEP = 1e-2
 #: |grad f| guard below which the flow refuses to continue
 TOL_CRIT = 1e-7
+#: largest |f(flow(t, x)) - t - f(x)| / (1 + |t|) a flow may leave
+FLOW_IDENTITY_TOL = 1e-6
+#: |f| the foot-point polish must reach, within this many Newton steps
+FOOT_TOL = 1e-12
+FOOT_MAX_ITER = 50
+#: fixed Newton steps of the chart's graph solve and its residual bound
+CHART_NEWTON_ITERS = 12
+CHART_NEWTON_TOL = 1e-12
+#: largest |f(p)| for a point to count as on the valley floor (scenarios, charts)
+TOL_ON_M = 1e-9
+#: largest cosine between a launch velocity and grad f(p) (scenarios, charts)
+TOL_TANGENT = 1e-8
 
 
-def _flow_rhs(fld, tol_crit: float):
+def _flow_rhs(fld):
     grad = fld.grad
 
     def rhs(x):
         g = np.asarray(grad(x), dtype=float)
         gg = float(g @ g)
-        if not (gg > tol_crit * tol_crit):
+        if not (gg > TOL_CRIT * TOL_CRIT):
             raise FlowDomainError(
                 f"transversal flow approached the critical set (|grad f|^2 = {gg:.3e})",
                 state=np.asarray(x, dtype=float),
@@ -72,8 +84,8 @@ def _rk4(rhs, x, h: float, n: int) -> Array:
     return x
 
 
-def default_flow_steps(t: float, base: float = FLOW_BASE_STEP) -> int:
-    return max(8, int(math.ceil(abs(t) / base)))
+def default_flow_steps(t: float) -> int:
+    return max(8, int(math.ceil(abs(t) / FLOW_BASE_STEP)))
 
 
 def flow_steps_for(r_values) -> int:
@@ -82,25 +94,24 @@ def flow_steps_for(r_values) -> int:
     return default_flow_steps(float(np.max(np.abs(r_values))) + 1e-3)
 
 
-def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None,
-                     tol_crit: float = TOL_CRIT, identity_tol: float = 1e-6) -> Array:
+def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None) -> Array:
     """Flow x0 along grad f / |grad f|^2 for time t.
 
     Fixed-step RK4 run at n and 2n substeps, Richardson-combined.  Since
     f(flow(t, x)) = t + f(x) holds exactly in continuous time, the result is
     rejected (FlowDomainError) if it violates that identity by more than
-    ``identity_tol``; a violation means the path grazed the critical set.
+    FLOW_IDENTITY_TOL; a violation means the path grazed the critical set.
     """
     x0 = np.asarray(x0, dtype=float)
     if t == 0.0:
         return x0.copy()
-    rhs = _flow_rhs(fld, tol_crit)
+    rhs = _flow_rhs(fld)
     n = n_steps if n_steps is not None else default_flow_steps(t)
     coarse = _rk4(rhs, x0, t / n, n)
     fine = _rk4(rhs, x0, t / (2 * n), 2 * n)
     out = fine + (fine - coarse) / 15.0
     err = abs(fld.f(out) - t - fld.f(x0))
-    if not (err <= identity_tol * (1.0 + abs(t))):
+    if not (err <= FLOW_IDENTITY_TOL * (1.0 + abs(t))):
         raise FlowDomainError(
             f"flow identity violated by {err:.3e} after time {t:g}; "
             "the path likely grazed the critical set",
@@ -109,26 +120,25 @@ def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None,
     return out
 
 
-def flow_identity_residual(fld, x0, t: float, n_steps: Optional[int] = None) -> float:
+def flow_identity_residual(fld, x0, t: float) -> float:
     """|f(flow(t, x0)) - t - f(x0)|: the exactness defect of the flow."""
     x0 = np.asarray(x0, dtype=float)
-    end = transversal_flow(fld, x0, t, n_steps=n_steps)
+    end = transversal_flow(fld, x0, t)
     return abs(float(fld.f(end)) - t - float(fld.f(x0)))
 
 
-def foot_point(fld, x, n_steps: Optional[int] = None, tol: float = 1e-12,
-               max_iter: int = 50) -> Array:
+def foot_point(fld, x, n_steps: Optional[int] = None) -> Array:
     """Project x onto {f = 0}: flow back by -f(x), then Newton-polish.
 
     The flow lands on M up to integration error; the polish steps along
-    grad f remove it, leaving |f(result)| <= tol.
+    grad f remove it, leaving |f(result)| <= FOOT_TOL.
     """
     x = np.asarray(x, dtype=float)
     r = float(fld.f(x))
     y = x.copy() if r == 0.0 else transversal_flow(fld, x, -r, n_steps=n_steps)
-    for _ in range(max_iter):
+    for _ in range(FOOT_MAX_ITER):
         fv = float(fld.f(y))
-        if abs(fv) <= tol:
+        if abs(fv) <= FOOT_TOL:
             return y
         g = np.asarray(fld.grad(y), dtype=float)
         gg = float(g @ g)
@@ -137,7 +147,7 @@ def foot_point(fld, x, n_steps: Optional[int] = None, tol: float = 1e-12,
                 "foot-point polish hit the critical set", state=y)
         y = y - (fv / gg) * g
     raise NewtonConvergenceError(
-        f"foot-point polish did not reach |f| <= {tol:g} in {max_iter} iterations")
+        f"foot-point polish did not reach |f| <= {FOOT_TOL:g} in {FOOT_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -153,39 +163,6 @@ def _unit(vec: Array, what: str) -> Array:
     if not (n > 0.0) or not np.isfinite(n):
         raise ChartDomainError(f"degenerate {what} (norm {n})")
     return vec / n
-
-
-def suggested_chart_radius(fld, p, probe: float = 0.05) -> float:
-    """Heuristic guard radius: 0.5 |grad f(p)| / max nearby Hessian norm.
-
-    A crude fold guard only; callers routinely need larger charts and rely
-    on the graph solve to fail loudly when the chart is pushed too far.
-    """
-    p = np.asarray(p, dtype=float)
-    scale = probe * (1.0 + float(np.linalg.norm(p)))
-    points = [p]
-    for i in range(p.size):
-        e = np.zeros_like(p)
-        e[i] = scale
-        points += [p + e, p - e]
-    hmax = 0.0
-    for q in points:
-        hmax = max(hmax, float(np.linalg.norm(_hessian(fld, q), 2)))
-    gn = float(np.linalg.norm(fld.grad(p)))
-    return min(1e6, 0.5 * gn / max(hmax, 1e-12))
-
-
-def _hessian(fld, q: Array) -> Array:
-    if fld.hess is not None:
-        return np.asarray(fld.hess(q), dtype=float)
-    h = 1e-5 * (1.0 + float(np.linalg.norm(q)))
-    n = q.size
-    H = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        H[i] = (np.asarray(fld.grad(q + e), float) - np.asarray(fld.grad(q - e), float)) / (2 * h)
-    return 0.5 * (H + H.T)
 
 
 @dataclass(eq=False)
@@ -206,8 +183,6 @@ class MChart:
     basis: Array
     w: Array
     delta: float
-    newton_iters: int = 12
-    newton_tol: float = 1e-12
 
     @property
     def dim(self) -> int:
@@ -228,7 +203,7 @@ class MChart:
         base = self.p + y @ self.basis
         fld = self.field
         s = 0.0
-        for _ in range(self.newton_iters):
+        for _ in range(CHART_NEWTON_ITERS):
             q = base + s * self.normal
             fv = float(fld.f(q))
             dv = float(np.asarray(fld.grad(q), float) @ self.normal)
@@ -237,7 +212,7 @@ class MChart:
                     f"graph solve degenerate at y = {y.tolist()} (df/ds = {dv})")
             s -= fv / dv
         q = base + s * self.normal
-        if not (abs(float(fld.f(q))) <= self.newton_tol * (1.0 + float(np.linalg.norm(y)))):
+        if not (abs(float(fld.f(q))) <= CHART_NEWTON_TOL * (1.0 + float(np.linalg.norm(y)))):
             raise ChartDomainError(
                 f"graph solve failed at y = {y.tolist()}: |f| = {abs(fld.f(q)):.3e}; "
                 "the chart radius is too large here")
@@ -268,15 +243,16 @@ class MChart:
         return TubularCoords(r=r, y=y)
 
 
-def build_m_chart(fld, p, v=None, delta: Optional[float] = None) -> MChart:
-    """Build the graph chart of M at p, first tangent axis along v.
+def build_m_chart(fld, p, v=None, *, delta: float) -> MChart:
+    """Build the graph chart of M at p with radius delta, first tangent axis along v.
 
-    Requires |f(p)| <= 1e-10, a noncritical gradient, and v (when given)
-    tangent at p to within cosine 1e-8.
+    Requires |f(p)| <= TOL_ON_M, a noncritical gradient, and v (when given)
+    tangent at p to within cosine TOL_TANGENT: the limits a scenario's
+    launch point and velocity are validated against.
     """
     p = np.asarray(p, dtype=float)
     fp = abs(float(fld.f(p)))
-    if fp > 1e-10:
+    if fp > TOL_ON_M:
         raise ChartDomainError(f"chart centre is off the surface: |f(p)| = {fp:.3e}")
     g = np.asarray(fld.grad(p), dtype=float)
     gn = float(np.linalg.norm(g))
@@ -293,7 +269,7 @@ def build_m_chart(fld, p, v=None, delta: Optional[float] = None) -> MChart:
         vnorm = float(np.linalg.norm(v))
         if vnorm > 0.0:
             cosine = abs(float(g @ v)) / (gn * vnorm)
-            if cosine > 1e-8:
+            if cosine > TOL_TANGENT:
                 raise ChartDomainError(
                     f"v is not tangent to the surface at p (cosine = {cosine:.3e})")
             v_t = v - float(v @ normal) * normal
@@ -309,8 +285,6 @@ def build_m_chart(fld, p, v=None, delta: Optional[float] = None) -> MChart:
             columns.append(cand / float(np.linalg.norm(cand)))
     if len(columns) != n - 1:
         raise ChartDomainError("failed to complete an orthonormal tangent basis")
-    if delta is None:
-        delta = suggested_chart_radius(fld, p)
     return MChart(field=fld, p=p, normal=normal, basis=np.array(columns), w=w,
                   delta=float(delta))
 
@@ -415,25 +389,20 @@ class MetricMinEstimate:
     argmin_y: Array
 
 
-def pullback_metric_min(chart: MChart, rho_ball: Optional[float] = None,
-                        r_range: Optional[tuple] = None, y_box=None,
-                        n_grid: int = 7, h_step: Optional[float] = None) -> MetricMinEstimate:
-    """Minimum of |dPsi(u)|^2 over unit u and a coordinate region.
+def pullback_metric_min(chart: MChart, r_range: tuple, y_box,
+                        n_grid: int = 7) -> MetricMinEstimate:
+    """Minimum of |dPsi(u)|^2 over unit u and the region r in ``r_range``,
+    |y_a| <= ``y_box`` (a scalar or one bound per tangent axis).
 
-    Either pass ``rho_ball`` to derive the (r, y) region from the ambient
-    ball of that radius around the chart centre, or pass explicit
-    ``r_range`` and ``y_box``.  Pointwise, min over unit u of |dPsi u|^2 is
-    the smallest eigenvalue of J^T J with J the FD Jacobian of Psi.
+    Pointwise, min over unit u of |dPsi u|^2 is the smallest eigenvalue of
+    J^T J with J the Jacobian of Psi by central differences of step
+    ``chart.stencil_step``.
     """
-    if rho_ball is not None:
-        r_range, y_box = _ball_region(chart, float(rho_ball))
-    if r_range is None or y_box is None:
-        raise InvalidParameterError("need rho_ball or explicit r_range and y_box")
     y_box = np.atleast_1d(np.asarray(y_box, dtype=float))
     k = chart.dim - 1
     if y_box.size == 1:
         y_box = np.full(k, float(y_box[0]))
-    h = h_step if h_step is not None else chart.stencil_step
+    h = chart.stencil_step
     r_lo, r_hi = float(r_range[0]), float(r_range[1])
     n_flow = max(4, int(math.ceil((max(abs(r_lo), abs(r_hi)) + 2.5 * h) / FLOW_COARSE_STEP)))
     rs = np.linspace(r_lo, r_hi, n_grid)
@@ -462,23 +431,6 @@ def pullback_metric_min(chart: MChart, rho_ball: Optional[float] = None,
                 arg = (float(r), y.copy())
     return MetricMinEstimate(value=best, r_range=(r_lo, r_hi), y_box=y_box,
                              n_grid=n_grid, argmin_r=arg[0], argmin_y=arg[1])
-
-
-def _ball_region(chart: MChart, rho: float):
-    """(r, y) ranges covering the ambient ball B(p, rho), by sampling."""
-    n = chart.dim
-    axes = [np.linspace(-rho, rho, 7)] * n
-    offsets = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    offsets = offsets[np.linalg.norm(offsets, axis=1) <= rho + 1e-12]
-    pts = chart.p + offsets
-    fvals = np.array([chart.field.f(q) for q in pts])
-    r_range = (float(fvals.min()), float(fvals.max()))
-    stride = max(1, len(pts) // 40)
-    y_max = np.zeros(n - 1)
-    for q in pts[::stride]:
-        rc = chart.coords_of(q)
-        y_max = np.maximum(y_max, np.abs(rc.y))
-    return r_range, y_max
 
 
 def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[float] = None,
@@ -530,17 +482,17 @@ def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[
     return out
 
 
-def residual_convergence(chart: MChart, traj, tau_samples,
-                         trace_step: Optional[float] = None,
-                         frame_step: Optional[float] = None) -> dict:
-    """Residuals at a step and at half that step, with the shrink factor.
+def residual_convergence(chart: MChart, traj, tau_samples) -> dict:
+    """Residuals at the default steps and at half of them, with the shrink factor.
 
-    Second-order stencils should shrink the residual by about 4 when all
-    steps are halved; a factor well below that flags a noise floor.
+    The default steps are half the trajectory's output spacing for the trace
+    and ``chart.stencil_step`` for the frame.  Second-order stencils should
+    shrink the residual by about 4 when all steps are halved; a factor well
+    below that flags a noise floor.
     """
     traj = getattr(traj, "trajectory", traj)
-    H = trace_step if trace_step is not None else 0.5 * float(traj.tau[1] - traj.tau[0])
-    hf = frame_step if frame_step is not None else chart.stencil_step
+    H = 0.5 * float(traj.tau[1] - traj.tau[0])
+    hf = chart.stencil_step
     coarse = curvilinear_residual(chart, traj, tau_samples, trace_step=H, frame_step=hf)
     fine = curvilinear_residual(chart, traj, tau_samples, trace_step=H / 2.0, frame_step=hf / 2.0)
     cmax = float(np.max(np.abs(coarse)))

@@ -114,23 +114,29 @@ def revalidate_from_dir(out_dir) -> dict:
     Reads report.json, limit.csv and every traj_eps<j>.csv and runs
     :func:`flatvalley.analysis.check_certificate` on them, energy drifts
     included (re-derived from each member's H column).  Returns a dict with
-    an ``ok`` flag and the per-check booleans; never re-runs any
-    integration.
+    an ``ok`` flag and the per-check booleans, or ``ok: False`` and a
+    ``reason`` when a file is missing or malformed; never re-runs any
+    integration and never raises on what the files hold.
     """
-    with open(os.path.join(out_dir, "report.json"), "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    cert = report.get("certificate")
-    if not cert or cert.get("verdict") != "UNSTABLE":
-        return {"ok": False, "reason": "no UNSTABLE certificate in report.json"}
-    n = len(cert["p"])
+    try:
+        with open(os.path.join(out_dir, "report.json"), "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+        cert = report.get("certificate")
+        if not cert or cert.get("verdict") != "UNSTABLE":
+            return {"ok": False, "reason": "no UNSTABLE certificate in report.json"}
+        n = len(cert["p"])
 
-    def columns(name):
-        cols = read_csv_columns(os.path.join(out_dir, name))
-        return cols, np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
+        def columns(name):
+            cols = read_csv_columns(os.path.join(out_dir, name))
+            return cols, np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
 
-    limit_cols, limit_x = columns("limit.csv")
-    members = [columns(f"traj_eps{j}.csv") for j in range(len(cert["epsilons"]))]
-    checks = check_certificate(cert, limit_cols["tau"], limit_x, [x for _, x in members],
-                               energies=(report.get("family", {}).get("energy_drifts", ()),
-                                         [cols["H"] for cols, _ in members]))
+        limit_cols, limit_x = columns("limit.csv")
+        members = [columns(f"traj_eps{j}.csv") for j in range(len(cert["epsilons"]))]
+        checks = check_certificate(cert, limit_cols["tau"], limit_x, [x for _, x in members],
+                                   energies=(report.get("family", {}).get("energy_drifts", ()),
+                                             [cols["H"] for cols, _ in members]))
+    except OSError as exc:
+        return {"ok": False, "reason": f"cannot read the run's files: {exc}"}
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        return {"ok": False, "reason": f"malformed run files: {type(exc).__name__}: {exc}"}
     return {"ok": all(checks.values()), "checks": checks}

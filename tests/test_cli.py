@@ -361,3 +361,75 @@ def test_file_revalidation_rederives_energy_drift(circle_run_dir, tmp_path):
     result = revalidate_from_dir(str(clone))
     assert not result["ok"] and not result["checks"]["energy_drift"]
     assert revalidate_from_dir(circle_run_dir.path)["checks"]["energy_drift"]
+
+
+def _set_claim(key, value):
+    def edit(rep):
+        rep["certificate"][key] = value
+        return rep
+    return edit
+
+
+def _drop_claim(key):
+    def edit(rep):
+        del rep["certificate"][key]
+        return rep
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_claim("j0", "1"),
+    _drop_claim("p"),
+    _set_claim("threshold", None),
+    _drop_claim("epsilons"),
+    lambda rep: [rep],
+    None,
+], ids=["j0-string", "p-missing", "threshold-null", "epsilons-missing", "top-level-list",
+        "csv-missing"])
+def test_file_revalidation_rejects_malformed_runs(circle_run_dir, tmp_path, edit):
+    import shutil
+
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    if edit is None:
+        os.remove(clone / "traj_eps2.csv")
+    else:
+        rep = json.loads((clone / "report.json").read_text())
+        (clone / "report.json").write_text(json.dumps(edit(rep)))
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False and result["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--member", "10"],
+    ["residual", "--member", "-1"],
+    ["residual", "--samples", "0"],
+    ["gallery", "--trajectories", "0"],
+], ids=["member-past-count", "member-negative", "samples-zero", "trajectories-zero"])
+def test_out_of_range_counts_are_one_error_line(tiny_scenario_file, capsys, argv):
+    if argv[0] == "residual":
+        argv = argv + ["--scenario", tiny_scenario_file]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: InvalidParameterError")
+    assert len(captured.err.splitlines()) == 1
+    assert "trapped" not in captured.out
+
+
+def test_scenario_file_defaults_are_the_scenario_defaults(tmp_path):
+    path = _write(tmp_path, "least.json", {"potential": {"kind": "circle"},
+                                           "p": [1.0, 0.0], "v": [0.0, 1.0]})
+    scn = fv.parse_scenario(path)
+    ref = fv.Scenario(fv.circle(), [1.0, 0.0], [0.0, 1.0])
+    for name in ("horizon", "eps0", "ratio", "count", "options", "slack", "min_eps", "out"):
+        assert getattr(scn, name) == getattr(ref, name), name
+    assert np.array_equal(scn.p, ref.p) and np.array_equal(scn.v, ref.v)
+
+
+def test_launch_point_within_floor_tolerance_certifies(tmp_path):
+    # |f(p)| = 5e-10 is on the floor for the scenario (TOL_ON_M = 1e-9), so
+    # the chart, which reads the same tolerance, must accept it too
+    scn = fv.Scenario(fv.circle(), [np.sqrt(1.0 + 5e-10), 0.0], [0.0, 1.0], 1.0, count=3,
+                      options=fv.IntegratorOptions(n_out=101))
+    report = fv.run_pipeline(scn, str(tmp_path), svg=False)
+    assert report.exit_code == 0 and report.verdict == "UNSTABLE", report.reason

@@ -27,11 +27,12 @@ def test_sub_barrier_motions_stay_trapped(barrier):
     for r in rep.records:
         assert r.energy < barrier.height
         assert r.max_excursion < barrier.x_right
+        assert r.companion_excursion == 0.0  # no other coordinate in 1-d
 
 
 def test_projection_trapping_for_2d_contrast(barrier):
     L = fv.laloy()
-    rep = fv.projection_trap_check(L, barrier, n_traj=4)
+    rep = fv.trapped_motion_check(L, barrier, n_traj=4, t_end=12.0)
     assert rep.all_trapped
     # the second coordinate is NOT trapped: it must have moved visibly more
     # than the first stays within
@@ -41,8 +42,3 @@ def test_projection_trapping_for_2d_contrast(barrier):
 def test_barrier_requires_1d():
     with pytest.raises(InvalidParameterError):
         fv.locate_barrier(fv.laloy())
-
-
-def test_projection_requires_2d(barrier):
-    with pytest.raises(InvalidParameterError):
-        fv.projection_trap_check(fv.painleve(), barrier)

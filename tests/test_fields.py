@@ -151,19 +151,19 @@ def test_dimension_mismatch():
 def test_regular_value_pass_and_min():
     E = fv.ellipsoid()
     seeds = np.array([1.0, 0.0, 0.0]) + RNG.uniform(-0.2, 0.2, size=(12, 3))
-    report = fv.check_regular_value(E.field, seeds, tol=1e-3)
+    report = fv.check_regular_value(E.field, seeds)
     assert report.passed
     # the gradient norm on the ellipsoid is minimal (= 2) at (+-1, 0, 0)
     assert report.min_grad_norm >= 2.0 - 1e-6
     near_pole = np.array([1.0, 0.0, 0.0]) + RNG.uniform(-1e-3, 1e-3, size=(8, 3))
-    report = fv.check_regular_value(E.field, near_pole, tol=1e-3)
+    report = fv.check_regular_value(E.field, near_pole)
     assert report.min_grad_norm == pytest.approx(2.0, abs=1e-2)
 
 
 def test_regular_value_constant_gradient():
     G = fv.gutter()
     seeds = RNG.uniform(-0.5, 0.5, size=(8, 2))
-    report = fv.check_regular_value(G.field, seeds, tol=1e-3)
+    report = fv.check_regular_value(G.field, seeds)
     assert report.passed
     assert np.allclose(report.grad_norms, 1.0)
 
@@ -172,6 +172,6 @@ def test_regular_value_detects_critical_zero_set():
     # f(x, y) = x^2 has grad f = 0 on its zero set: 0 is not a regular value
     P = fv.custom_polynomial(quadratic=[1.0, 0.0], exponent=2)
     seeds = np.array([[0.1, 0.3], [-0.08, -0.2], [0.05, 0.6]])
-    report = fv.check_regular_value(P.field, seeds, tol=1e-3)
+    report = fv.check_regular_value(P.field, seeds)
     assert not report.passed
     assert report.notes  # failures were recorded as critical-set evidence

@@ -92,7 +92,7 @@ def test_chart_surface_point():
 def test_chart_rejects_nontangent_velocity():
     E = fv.ellipsoid().field
     with pytest.raises(ChartDomainError):
-        fv.build_m_chart(E, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        fv.build_m_chart(E, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), delta=0.6)
 
 
 def test_chart_domain_errors():
@@ -102,14 +102,6 @@ def test_chart_domain_errors():
         chart.surface_point(np.array([1.1]))   # beyond the chart radius
     with pytest.raises(ChartDomainError):
         chart.surface_point(np.array([1.02]))  # inside delta but off the graph
-
-
-def test_default_chart_radius_heuristic():
-    C = fv.circle().field
-    # |grad f(p)| = 2, Hessian norm = 2 everywhere: delta = 0.5 * 2 / 2
-    assert fv.suggested_chart_radius(C, np.array([1.0, 0.0])) == pytest.approx(0.5, rel=1e-6)
-    chart = fv.build_m_chart(C, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert chart.delta == pytest.approx(0.5, rel=1e-6)
 
 
 def test_tubular_coords():
@@ -200,7 +192,10 @@ def test_metric_min_gutter_is_one():
 def test_metric_min_circle_ball():
     C = fv.circle().field
     chart = fv.build_m_chart(C, np.array([1.0, 0.0]), np.array([0.0, 1.0]), delta=1.05)
-    m = fv.pullback_metric_min(chart, rho_ball=0.3, n_grid=9)
+    # the box of the ball of radius 0.3 about p: r = |x|^2 - 1 spans
+    # [0.7^2 - 1, 1.3^2 - 1], and |y| <= 0.3
+    m = fv.pullback_metric_min(chart, r_range=(0.7**2 - 1.0, 1.3**2 - 1.0), y_box=0.3,
+                               n_grid=9)
     # the radial scale factor 1/(2 sqrt(1+r)) dominates at the outer edge
     # of the ball, where r = 1.3^2 - 1: the minimum is 1/(4 * 1.69)
     assert 0.0 < m.value <= 1.0
