@@ -34,7 +34,14 @@ from .errors import (
     ScheduleTooShortError,
     UnverifiedLimitError,
 )
-from .geometry import MChart, flow_steps_for, foot_point, pullback_metric_min
+from .geometry import (  # noqa: F401 (foot_point: flatbench/tracer.py patches it here)
+    MChart,
+    flow_steps_for,
+    foot_many,
+    foot_point,
+    pullback_metric_min,
+    raise_first,
+)
 
 Array = np.ndarray
 
@@ -65,14 +72,14 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
     spacing = float(family.tau[1] - family.tau[0])
     for j, traj in enumerate(family.members):
         rvals = fld.value_many(traj.x)
-        n_flow = flow_steps_for(rvals)
-        ys = np.empty((len(traj.tau), chart.dim - 1))
-        for i, x in enumerate(traj.x):
-            try:
-                ys[i] = chart.coords_of(x, flow_steps=n_flow).y
-            except (ChartDomainError, FlowDomainError) as exc:
+        _, ys, failures = chart.coords_many(traj.x, flow_steps_for(rvals))
+        if failures:
+            i = min(failures)
+            exc = failures[i]
+            if isinstance(exc, (ChartDomainError, FlowDomainError)):
                 raise ChartDomainError(
                     f"tube violation at member j={j}, tau={traj.tau[i]:g}: {exc}") from exc
+            raise exc
         rdot = np.gradient(rvals, spacing, edge_order=2)
         ydot = np.gradient(ys, spacing, axis=0, edge_order=2)
         yddot = np.full_like(ys, np.nan)
@@ -277,10 +284,8 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
         tol_limit = 2.0 * family.potential.profile.inverse(budget) / gradn
     cauchy_ok = bool(all(monotone) and d[-1] <= tol_limit)
 
-    n_flow = flow_steps_for(fld.value_many(best.x))
-    x_lim = np.empty_like(best.x)
-    for i, xi in enumerate(best.x):
-        x_lim[i] = foot_point(fld, xi, n_steps=n_flow)
+    x_lim, failures = foot_many(fld, best.x, flow_steps_for(fld.value_many(best.x)))
+    raise_first(failures)
     resid = float(np.abs(fld.value_many(x_lim)).max())
     if resid > 1e-10:
         raise FlowDomainError(f"projection left |f| = {resid:.3e} > 1e-10 on the limit")

@@ -172,6 +172,8 @@ def integrate_newton(potential, s0: PhaseState, t_end: float,
                      opts: IntegratorOptions = IntegratorOptions(),
                      epsilon: Optional[float] = None) -> Trajectory:
     """Integrate xdd = -grad U(x) on [0, t_end] from the given state."""
+    if not math.isfinite(t_end):
+        raise InvalidParameterError(f"the horizon t_end must be finite, got {t_end:g}")
     if t_end <= 0:
         raise InvalidParameterError("t_end must be positive")
     if s0.x.size != potential.dim:
@@ -482,6 +484,8 @@ def family_from_runs(potential, p, v, T, epsilons,
     than MAX_STEPS steps fails before any member runs; a failing member
     aborts the family with its index attached.
     """
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     epsilons = np.asarray(list(epsilons), dtype=float)

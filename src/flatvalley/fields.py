@@ -48,14 +48,19 @@ def default_fd_step(x: Array) -> float:
 class ScalarField:
     """A smooth scalar function on R^n with analytic gradient.
 
-    ``f`` and ``grad`` take a single (n,) point; ``f_many`` evaluates an
-    (N, n) batch, so that energy audits do not pay a Python loop per sample.
+    ``f`` and ``grad`` take a single (n,) point; ``f_many`` (N, n) -> (N,)
+    and ``grad_many`` (N, n) -> (N, n) are their batch partners, so energy
+    audits and the tube geometry do not pay a Python call per point.  Each
+    batch row must round exactly as the single-point call does on it (dot
+    products through ``np.vecdot``, which rounds like the scalar ``@``), so
+    a batch and a loop of single points give the same bits.
     """
 
     dim: int
     f: Callable[[Array], float]
     grad: Callable[[Array], Array]
     f_many: Callable[[Array], Array]
+    grad_many: Callable[[Array], Array]
     name: str = "field"
 
     def value(self, x) -> float:
@@ -181,6 +186,7 @@ def gutter(exponent: int = 4) -> CompositePotential:
         f=lambda x: x[0],
         grad=lambda x: _GUTTER_GRAD,
         f_many=lambda X: X[:, 0],
+        grad_many=lambda X: np.tile(_GUTTER_GRAD, (len(X), 1)),
         name="gutter",
     )
     return CompositePotential(
@@ -198,6 +204,7 @@ def circle(exponent: int = 2) -> CompositePotential:
         f=lambda x: x[0] * x[0] + x[1] * x[1] - 1.0,
         grad=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
         f_many=lambda X: X[:, 0] ** 2 + X[:, 1] ** 2 - 1.0,
+        grad_many=lambda X: 2.0 * X,
         name="circle",
     )
     return CompositePotential(
@@ -218,7 +225,8 @@ def ellipsoid(coeffs=(1.0, 2.0, 3.0), exponent: int = 4) -> CompositePotential:
         dim=n,
         f=lambda x: float(c @ (x * x)) - 1.0,
         grad=lambda x: 2.0 * c * x,
-        f_many=lambda X: (X * X) @ c - 1.0,
+        f_many=lambda X: np.vecdot(X * X, c) - 1.0,
+        grad_many=lambda X: 2.0 * c * X,
         name=f"ellipsoid{tuple(c)}",
     )
     return CompositePotential(
@@ -251,7 +259,8 @@ def custom_polynomial(
         dim=n,
         f=lambda x: float(lv @ x + qv @ (x * x)) - off,
         grad=lambda x: lv + 2.0 * qv * x,
-        f_many=lambda X: X @ lv + (X * X) @ qv - off,
+        f_many=lambda X: np.vecdot(X, lv) + np.vecdot(X * X, qv) - off,
+        grad_many=lambda X: lv + 2.0 * qv * X,
         name="custom-polynomial",
     )
     return CompositePotential(

@@ -17,17 +17,29 @@ small central differences, so every evaluation must be a *smooth* function
 of its inputs.  All iteration counts are therefore fixed (never adapted to
 a tolerance mid-stencil), and flow step counts are chosen once per stencil
 and shared by all of its evaluations.
+
+Batches: every map is one kernel over an (N, n) batch of rows
+(``flow_many``, ``foot_many``, ``MChart.surface_many``/``tube_many``/
+``coords_many``), and the single-point functions are batches of one.  A
+batch shares one flow step count; times, f-values and chart coordinates
+are per row.  Each row rounds exactly as it would alone (elementwise
+arithmetic, ``np.vecdot`` and per-row ``matmul`` only), so a batch and a
+loop of single points agree bit for bit.  A kernel returns its rows and
+``{row: error}`` for the rows that failed, each error what that row alone
+would raise; ``raise_first`` raises the lowest-index one, which is the
+error a loop over the rows would have stopped at.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (
     ChartDomainError,
+    FlatValleyError,
     FlowDomainError,
     InvalidParameterError,
     NewtonConvergenceError,
@@ -58,30 +70,16 @@ TOL_ON_M = 1e-9
 TOL_TANGENT = 1e-8
 
 
-def _flow_rhs(fld):
-    grad = fld.grad
-
-    def rhs(x):
-        g = np.asarray(grad(x), dtype=float)
-        gg = float(g @ g)
-        if not (gg > TOL_CRIT * TOL_CRIT):
-            raise FlowDomainError(
-                f"transversal flow approached the critical set (|grad f|^2 = {gg:.3e})",
-                state=np.asarray(x, dtype=float),
-            )
-        return g / gg
-
-    return rhs
+def raise_first(failures: Dict[int, FlatValleyError]) -> None:
+    """Raise the error of the lowest-index failed row, if any row failed."""
+    if failures:
+        raise failures[min(failures)]
 
 
-def _rk4(rhs, x, h: float, n: int) -> Array:
-    for _ in range(n):
-        k1 = rhs(x)
-        k2 = rhs(x + (0.5 * h) * k1)
-        k3 = rhs(x + (0.5 * h) * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+def _single(rows: Array, failures: Dict[int, FlatValleyError]) -> Array:
+    """The one row of a batch of one, or its error."""
+    raise_first(failures)
+    return rows[0]
 
 
 def default_flow_steps(t: float) -> int:
@@ -94,30 +92,68 @@ def flow_steps_for(r_values) -> int:
     return default_flow_steps(float(np.max(np.abs(r_values))) + 1e-3)
 
 
-def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None) -> Array:
-    """Flow x0 along grad f / |grad f|^2 for time t.
+def flow_many(fld, X, t, n_steps: int):
+    """Flow each row of X along grad f / |grad f|^2 for its own time t[i].
 
-    Fixed-step RK4 run at n and 2n substeps, Richardson-combined.  Since
-    f(flow(t, x)) = t + f(x) holds exactly in continuous time, the result is
-    rejected (FlowDomainError) if it violates that identity by more than
-    FLOW_IDENTITY_TOL; a violation means the path grazed the critical set.
+    Fixed-step RK4 with ``n_steps`` substeps shared by the batch, run at n
+    and 2n substeps and Richardson-combined; rows with t = 0 are copied.  A
+    row fails (FlowDomainError) where |grad f| drops to TOL_CRIT, or when
+    its result violates the exact identity f(flow(t, x)) = t + f(x) by more
+    than FLOW_IDENTITY_TOL (1 + |t|), which means its path grazed the
+    critical set.  Returns the flowed rows and {row: error}.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if t == 0.0:
-        return x0.copy()
-    rhs = _flow_rhs(fld)
+    X = np.asarray(X, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = X.copy()
+    failures: Dict[int, FlatValleyError] = {}
+    rows = np.flatnonzero(t != 0.0)
+    if rows.size == 0:
+        return out, failures
+    x0, t = X[rows], t[rows]
+
+    def rhs(Z):
+        G = fld.grad_many(Z)
+        gg = np.vecdot(G, G)
+        if gg.min() > TOL_CRIT * TOL_CRIT:  # also false when a row is NaN
+            return G / gg[:, None]
+        bad = ~(gg > TOL_CRIT * TOL_CRIT)
+        for i in np.flatnonzero(bad):
+            failures.setdefault(int(rows[i]), FlowDomainError(
+                f"transversal flow approached the critical set (|grad f|^2 = {gg[i]:.3e})",
+                state=Z[i].copy()))
+        K = G / np.where(bad, 1.0, gg)[:, None]
+        K[bad] = 0.0  # a failed row stands still
+        return K
+
+    def rk4(h, n):
+        h = h[:, None]
+        half, sixth = 0.5 * h, h / 6.0
+        Z = x0
+        for _ in range(n):
+            k1 = rhs(Z)
+            k2 = rhs(Z + half * k1)
+            k3 = rhs(Z + half * k2)
+            k4 = rhs(Z + h * k3)
+            Z = Z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return Z
+
+    coarse = rk4(t / n_steps, n_steps)
+    fine = rk4(t / (2 * n_steps), 2 * n_steps)
+    end = fine + (fine - coarse) / 15.0
+    err = np.abs(fld.f_many(end) - t - fld.f_many(x0))
+    for i in np.flatnonzero(~(err <= FLOW_IDENTITY_TOL * (1.0 + np.abs(t)))):
+        failures.setdefault(int(rows[i]), FlowDomainError(
+            f"flow identity violated by {err[i]:.3e} after time {t[i]:g}; "
+            "the path likely grazed the critical set", state=end[i].copy()))
+    out[rows] = end
+    return out, failures
+
+
+def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None) -> Array:
+    """Flow x0 along grad f / |grad f|^2 for time t: :func:`flow_many` on one
+    row, with ``default_flow_steps(t)`` substeps unless ``n_steps`` is given."""
     n = n_steps if n_steps is not None else default_flow_steps(t)
-    coarse = _rk4(rhs, x0, t / n, n)
-    fine = _rk4(rhs, x0, t / (2 * n), 2 * n)
-    out = fine + (fine - coarse) / 15.0
-    err = abs(fld.f(out) - t - fld.f(x0))
-    if not (err <= FLOW_IDENTITY_TOL * (1.0 + abs(t))):
-        raise FlowDomainError(
-            f"flow identity violated by {err:.3e} after time {t:g}; "
-            "the path likely grazed the critical set",
-            state=out,
-        )
-    return out
+    return _single(*flow_many(fld, np.asarray(x0, dtype=float)[None], np.array([t], float), n))
 
 
 def flow_identity_residual(fld, x0, t: float) -> float:
@@ -127,27 +163,43 @@ def flow_identity_residual(fld, x0, t: float) -> float:
     return abs(float(fld.f(end)) - t - float(fld.f(x0)))
 
 
-def foot_point(fld, x, n_steps: Optional[int] = None) -> Array:
-    """Project x onto {f = 0}: flow back by -f(x), then Newton-polish.
+def foot_many(fld, X, n_steps: int):
+    """Project each row of X onto {f = 0}: flow back by -f(x) with
+    ``n_steps`` shared substeps, then Newton-polish along grad f.
 
-    The flow lands on M up to integration error; the polish steps along
-    grad f remove it, leaving |f(result)| <= FOOT_TOL.
+    The flow lands on M up to integration error; the polish removes it,
+    leaving |f| <= FOOT_TOL within FOOT_MAX_ITER steps per row, or that
+    row fails.  Returns the feet and {row: error}.
     """
-    x = np.asarray(x, dtype=float)
-    r = float(fld.f(x))
-    y = x.copy() if r == 0.0 else transversal_flow(fld, x, -r, n_steps=n_steps)
+    X = np.asarray(X, dtype=float)
+    Y, failures = flow_many(fld, X, -fld.f_many(X), n_steps)
+    live = np.array([i for i in range(len(X)) if i not in failures], dtype=int)
     for _ in range(FOOT_MAX_ITER):
-        fv = float(fld.f(y))
-        if abs(fv) <= FOOT_TOL:
-            return y
-        g = np.asarray(fld.grad(y), dtype=float)
-        gg = float(g @ g)
-        if not (gg > TOL_CRIT * TOL_CRIT):
-            raise FlowDomainError(
-                "foot-point polish hit the critical set", state=y)
-        y = y - (fv / gg) * g
-    raise NewtonConvergenceError(
-        f"foot-point polish did not reach |f| <= {FOOT_TOL:g} in {FOOT_MAX_ITER} iterations")
+        fv = fld.f_many(Y[live])
+        unsettled = ~(np.abs(fv) <= FOOT_TOL)
+        live, fv = live[unsettled], fv[unsettled]
+        if live.size == 0:
+            return Y, failures
+        G = fld.grad_many(Y[live])
+        gg = np.vecdot(G, G)
+        ok = gg > TOL_CRIT * TOL_CRIT
+        for i in live[~ok]:
+            failures[int(i)] = FlowDomainError(
+                "foot-point polish hit the critical set", state=Y[i].copy())
+        live = live[ok]
+        Y[live] = Y[live] - (fv[ok] / gg[ok])[:, None] * G[ok]
+    for i in live:
+        failures[int(i)] = NewtonConvergenceError(
+            f"foot-point polish did not reach |f| <= {FOOT_TOL:g} in {FOOT_MAX_ITER} iterations")
+    return Y, failures
+
+
+def foot_point(fld, x, n_steps: Optional[int] = None) -> Array:
+    """Project x onto {f = 0}: :func:`foot_many` on one row, with
+    ``default_flow_steps(f(x))`` substeps unless ``n_steps`` is given."""
+    x = np.asarray(x, dtype=float)[None]
+    n = n_steps if n_steps is not None else default_flow_steps(float(fld.f_many(x)[0]))
+    return _single(*foot_many(fld, x, n))
 
 
 @dataclass(frozen=True)
@@ -174,7 +226,8 @@ class MChart:
     ``surface_point`` solves the graph equation f(p + y.basis + s normal) = 0
     for s; ``tube_point`` composes it with the transversal flow.
     ``w`` is the chart velocity: surface_point'(0) w equals the velocity the
-    chart was built with.
+    chart was built with.  The ``*_many`` methods are the batch kernels
+    (see the module docstring); the single-point methods are batches of one.
     """
 
     field: "ScalarField"
@@ -193,54 +246,97 @@ class MChart:
         """Default central-difference step of the tube map: 1e-4 (1 + |p|)."""
         return 1e-4 * (1.0 + float(np.linalg.norm(self.p)))
 
-    def surface_point(self, y) -> Array:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (self.dim - 1,):
+    def surface_many(self, Y):
+        """Points of M over the chart coordinates Y, one (dim-1,) row each.
+
+        Each row solves f(p + y.basis + s normal) = 0 for s with
+        CHART_NEWTON_ITERS Newton steps from s = 0 and must leave
+        |f| <= CHART_NEWTON_TOL (1 + |y|) with |y| <= delta.  Returns the
+        points and {row: error}.
+        """
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != self.dim - 1:
             raise InvalidParameterError(f"chart coordinates must be {self.dim - 1}-vectors")
-        if float(np.linalg.norm(y)) > self.delta:
-            raise ChartDomainError(
-                f"|y| = {np.linalg.norm(y):.4g} exceeds the chart radius {self.delta:.4g}")
-        base = self.p + y @ self.basis
         fld = self.field
-        s = 0.0
+        failures: Dict[int, FlatValleyError] = {}
+        norms = np.sqrt(np.vecdot(Y, Y))
+        live = ~(norms > self.delta)
+        for i in np.flatnonzero(~live):
+            failures[int(i)] = ChartDomainError(
+                f"|y| = {norms[i]:.4g} exceeds the chart radius {self.delta:.4g}")
+        base = self.p + (Y[:, None, :] @ self.basis)[:, 0]
+        s = np.zeros(len(Y))
         for _ in range(CHART_NEWTON_ITERS):
-            q = base + s * self.normal
-            fv = float(fld.f(q))
-            dv = float(np.asarray(fld.grad(q), float) @ self.normal)
-            if not np.isfinite(fv) or not np.isfinite(dv) or dv == 0.0:
-                raise ChartDomainError(
-                    f"graph solve degenerate at y = {y.tolist()} (df/ds = {dv})")
-            s -= fv / dv
-        q = base + s * self.normal
-        if not (abs(float(fld.f(q))) <= CHART_NEWTON_TOL * (1.0 + float(np.linalg.norm(y)))):
-            raise ChartDomainError(
-                f"graph solve failed at y = {y.tolist()}: |f| = {abs(fld.f(q)):.3e}; "
+            Q = base + s[:, None] * self.normal
+            fv = fld.f_many(Q)
+            dv = np.vecdot(fld.grad_many(Q), self.normal)
+            bad = live & ~(np.isfinite(fv) & np.isfinite(dv) & (dv != 0.0))
+            for i in np.flatnonzero(bad):
+                failures[int(i)] = ChartDomainError(
+                    f"graph solve degenerate at y = {Y[i].tolist()} (df/ds = {dv[i]})")
+            live &= ~bad
+            s = s - np.divide(fv, dv, out=np.zeros_like(s), where=live)
+        Q = base + s[:, None] * self.normal
+        resid = np.abs(fld.f_many(Q))
+        for i in np.flatnonzero(live & ~(resid <= CHART_NEWTON_TOL * (1.0 + norms))):
+            failures[int(i)] = ChartDomainError(
+                f"graph solve failed at y = {Y[i].tolist()}: |f| = {resid[i]:.3e}; "
                 "the chart radius is too large here")
-        return q
+        return Q, failures
+
+    def surface_point(self, y) -> Array:
+        return _single(*self.surface_many(np.atleast_1d(np.asarray(y, dtype=float))[None]))
+
+    def tube_many(self, r, Y, flow_steps: int):
+        """Psi(r, y) per row: flow the surface point for time r with
+        ``flow_steps`` shared substeps, then pin f(x) = r with three Newton
+        steps (rows with r = 0 are the surface points).  Returns the points
+        and {row: error}."""
+        r = np.asarray(r, dtype=float)
+        fld = self.field
+        X, failures = self.surface_many(Y)
+        move = r != 0.0
+        move[list(failures)] = False
+        X, flow_failures = flow_many(fld, X, np.where(move, r, 0.0), flow_steps)
+        failures.update(flow_failures)
+        move[list(flow_failures)] = False
+        rows = np.flatnonzero(move)
+        x, rr = X[rows], r[rows]
+        for _ in range(3):
+            fv = fld.f_many(x) - rr
+            G = fld.grad_many(x)
+            x = x - (fv / np.vecdot(G, G))[:, None] * G
+        X[rows] = x
+        return X, failures
 
     def tube_point(self, r: float, y, flow_steps: Optional[int] = None) -> Array:
         """Psi(r, y): flow the surface point for time r, then pin f(x) = r."""
-        x = self.surface_point(y)
-        if r == 0.0:
-            return x
-        x = transversal_flow(self.field, x, r, n_steps=flow_steps)
-        fld = self.field
-        for _ in range(3):
-            fv = float(fld.f(x)) - r
-            g = np.asarray(fld.grad(x), dtype=float)
-            x = x - (fv / float(g @ g)) * g
-        return x
+        n = flow_steps if flow_steps is not None else default_flow_steps(r)
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return _single(*self.tube_many(np.array([r], float), y[None], n))
+
+    def coords_many(self, X, flow_steps: int):
+        """Tube coordinates of the rows of X: r = f(x), and y the chart
+        coordinates of the foot (:func:`foot_many` with ``flow_steps``
+        shared substeps), which must lie within delta.  Returns r, y and
+        {row: error}."""
+        X = np.asarray(X, dtype=float)
+        feet, failures = foot_many(self.field, X, flow_steps)
+        y = (self.basis @ (feet - self.p)[:, :, None])[:, :, 0]
+        norms = np.sqrt(np.vecdot(y, y))
+        for i in np.flatnonzero(norms > self.delta):
+            failures.setdefault(int(i), ChartDomainError(
+                f"foot point left the chart: |y| = {norms[i]:.4g} > {self.delta:.4g}"))
+        return self.field.f_many(X), y, failures
 
     def coords_of(self, x, flow_steps: Optional[int] = None) -> TubularCoords:
         """Tube coordinates (r, y) of an ambient point: r = f(x), y from the foot."""
-        x = np.asarray(x, dtype=float)
-        r = float(self.field.f(x))
-        foot = foot_point(self.field, x, n_steps=flow_steps)
-        y = self.basis @ (foot - self.p)
-        if float(np.linalg.norm(y)) > self.delta:
-            raise ChartDomainError(
-                f"foot point left the chart: |y| = {np.linalg.norm(y):.4g} > {self.delta:.4g}")
-        return TubularCoords(r=r, y=y)
+        x = np.asarray(x, dtype=float)[None]
+        n = (flow_steps if flow_steps is not None
+             else default_flow_steps(float(self.field.f_many(x)[0])))
+        r, y, failures = self.coords_many(x, n)
+        raise_first(failures)
+        return TubularCoords(r=float(r[0]), y=y[0])
 
 
 def build_m_chart(fld, p, v=None, *, delta: float) -> MChart:
@@ -313,7 +409,12 @@ class FrameData:
 
 
 def frame_data(chart: MChart, rc: TubularCoords, h_step: Optional[float] = None) -> FrameData:
-    """Differentiate the tube map numerically at the given coordinates."""
+    """Differentiate the tube map numerically at the given coordinates.
+
+    The whole stencil (13 points in 2-D, 23 in 3-D) is one batch of
+    ``chart.tube_many``; its rows are listed, and then consumed, in the
+    order the differences below use them.
+    """
     h = h_step if h_step is not None else chart.stencil_step
     if h <= 0:
         raise InvalidParameterError("frame step must be positive")
@@ -321,20 +422,29 @@ def frame_data(chart: MChart, rc: TubularCoords, h_step: Optional[float] = None)
     y = np.asarray(rc.y, dtype=float)
     k = y.size
     n_flow = max(8, int(math.ceil((abs(r) + 2.5 * h) / FLOW_BASE_STEP)))
-
-    def psi(rr, yy):
-        return chart.tube_point(rr, yy, flow_steps=n_flow)
-
-    center = psi(r, y)
-
-    def dpsi_dr(rr, yy):
-        return (psi(rr + h, yy) - psi(rr - h, yy)) / (2.0 * h)
-
     ey = np.eye(k)
-    plus = [psi(r, y + h * ey[a]) for a in range(k)]
-    minus = [psi(r, y - h * ey[a]) for a in range(k)]
+    plus_y = [y + h * ey[a] for a in range(k)]
+    minus_y = [y - h * ey[a] for a in range(k)]
+    stencil = [(r, y)] + [(r, yy) for yy in plus_y + minus_y]
+    for rr, yy in [(r, y), (r + h, y), (r - h, y)] + [
+            (r, yy) for pair in zip(plus_y, minus_y) for yy in pair]:
+        stencil += [(rr + h, yy), (rr - h, yy)]          # dPsi/dr at (rr, yy)
+    for a in range(k):
+        for b in range(a + 1, k):
+            stencil += [(r, y + h * ey[a] + h * ey[b]), (r, y + h * ey[a] - h * ey[b]),
+                        (r, y - h * ey[a] + h * ey[b]), (r, y - h * ey[a] - h * ey[b])]
+    points, failures = chart.tube_many(np.array([s[0] for s in stencil]),
+                                       np.array([s[1] for s in stencil]), n_flow)
+    raise_first(failures)
+    psi = iter(points)
 
-    d_r = dpsi_dr(r, y)
+    def dpsi_dr():
+        return (next(psi) - next(psi)) / (2.0 * h)
+
+    center = next(psi)
+    plus = [next(psi) for _ in range(k)]
+    minus = [next(psi) for _ in range(k)]
+    d_r = dpsi_dr()
     h_r = float(np.linalg.norm(d_r))
     e_r = _unit(d_r, "radial versor")
     d_tan = np.array([(plus[a] - minus[a]) / (2.0 * h) for a in range(k)])
@@ -343,22 +453,18 @@ def frame_data(chart: MChart, rc: TubularCoords, h_step: Optional[float] = None)
         raise ChartDomainError("vanishing scale factor: frame degenerate")
     e_tan = d_tan / h_tan[:, None]
 
-    de_r_dr = (_unit(dpsi_dr(r + h, y), "radial versor")
-               - _unit(dpsi_dr(r - h, y), "radial versor")) / (2.0 * h)
+    de_r_dr = (_unit(dpsi_dr(), "radial versor")
+               - _unit(dpsi_dr(), "radial versor")) / (2.0 * h)
     de_r_dy = np.array([
-        (_unit(dpsi_dr(r, y + h * ey[a]), "radial versor")
-         - _unit(dpsi_dr(r, y - h * ey[a]), "radial versor")) / (2.0 * h)
-        for a in range(k)
+        (_unit(dpsi_dr(), "radial versor") - _unit(dpsi_dr(), "radial versor")) / (2.0 * h)
+        for _ in range(k)
     ])
 
     d2 = np.empty((k, k, chart.dim))
     for a in range(k):
         d2[a, a] = (plus[a] - 2.0 * center + minus[a]) / (h * h)
         for b in range(a + 1, k):
-            pp = psi(r, y + h * ey[a] + h * ey[b])
-            pm = psi(r, y + h * ey[a] - h * ey[b])
-            mp = psi(r, y - h * ey[a] + h * ey[b])
-            mm = psi(r, y - h * ey[a] - h * ey[b])
+            pp, pm, mp, mm = (next(psi) for _ in range(4))
             d2[a, b] = d2[b, a] = (pp - pm - mp + mm) / (4.0 * h * h)
 
     frame = np.vstack([e_r[None, :], e_tan])
@@ -396,7 +502,9 @@ def pullback_metric_min(chart: MChart, r_range: tuple, y_box,
 
     Pointwise, min over unit u of |dPsi u|^2 is the smallest eigenvalue of
     J^T J with J the Jacobian of Psi by central differences of step
-    ``chart.stencil_step``.
+    ``chart.stencil_step``.  All 2 + 2k stencil points of every grid point
+    are one batch of ``chart.tube_many``; ties keep the first grid point in
+    r-major order.
     """
     y_box = np.atleast_1d(np.asarray(y_box, dtype=float))
     k = chart.dim - 1
@@ -405,32 +513,32 @@ def pullback_metric_min(chart: MChart, r_range: tuple, y_box,
     h = chart.stencil_step
     r_lo, r_hi = float(r_range[0]), float(r_range[1])
     n_flow = max(4, int(math.ceil((max(abs(r_lo), abs(r_hi)) + 2.5 * h) / FLOW_COARSE_STEP)))
-    rs = np.linspace(r_lo, r_hi, n_grid)
     axes = [np.linspace(-b, b, n_grid) for b in y_box]
-    grids = np.meshgrid(*axes, indexing="ij") if k else []
-    ys = (np.stack([g.ravel() for g in grids], axis=1)
-          if k else np.zeros((1, 0)))
+    ys = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    rs = np.repeat(np.linspace(r_lo, r_hi, n_grid), len(ys))
+    ys = np.tile(ys, (n_grid, 1))
+    # per grid point: Psi(r +- h, y), then Psi(r, y +- h e_a) for each axis a
     ey = np.eye(k)
-    best = math.inf
-    arg = (rs[0], ys[0])
-    for r in rs:
-        for y in ys:
-            cols = [(chart.tube_point(r + h, y, n_flow) - chart.tube_point(r - h, y, n_flow))
-                    / (2.0 * h)]
-            for a in range(k):
-                cols.append(
-                    (chart.tube_point(r, y + h * ey[a], n_flow)
-                     - chart.tube_point(r, y - h * ey[a], n_flow)) / (2.0 * h))
-            J = np.stack(cols, axis=1)
-            lam = float(np.linalg.eigvalsh(J.T @ J)[0])
-            if lam <= 0.0:
-                raise ChartDomainError(
-                    f"pullback metric degenerate at (r, y) = ({r:.4g}, {y.tolist()})")
-            if lam < best:
-                best = lam
-                arg = (float(r), y.copy())
-    return MetricMinEstimate(value=best, r_range=(r_lo, r_hi), y_box=y_box,
-                             n_grid=n_grid, argmin_r=arg[0], argmin_y=arg[1])
+    stencil_r = [rs + h, rs - h] + [rs] * (2 * k)
+    stencil_y = [ys, ys] + [yy for a in range(k) for yy in (ys + h * ey[a], ys - h * ey[a])]
+    width = len(stencil_r)
+    points, failures = chart.tube_many(np.stack(stencil_r, axis=1).ravel(),
+                                       np.stack(stencil_y, axis=1).reshape(-1, k), n_flow)
+    points = points.reshape(len(rs), width, chart.dim)
+    J = np.stack([(points[:, 2 * c] - points[:, 2 * c + 1]) / (2.0 * h)
+                  for c in range(width // 2)], axis=2)
+    # a loop over the grid would check the points before the first failed row
+    J = J[:min(failures, default=len(rs) * width) // width]
+    lam = np.linalg.eigvalsh(np.swapaxes(J, 1, 2) @ J)[:, 0]
+    degenerate = np.flatnonzero(lam <= 0.0)
+    if degenerate.size:
+        i = degenerate[0]
+        raise ChartDomainError(
+            f"pullback metric degenerate at (r, y) = ({rs[i]:.4g}, {ys[i].tolist()})")
+    raise_first(failures)
+    i = int(np.argmin(lam))
+    return MetricMinEstimate(value=float(lam[i]), r_range=(r_lo, r_hi), y_box=y_box,
+                             n_grid=n_grid, argmin_r=float(rs[i]), argmin_y=ys[i].copy())
 
 
 def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[float] = None,
@@ -465,13 +573,12 @@ def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[
                 f"sample tau = {t0:g} is too close to the grid boundary for step {H:g}")
         stencil = np.array([t0 - H, t0, t0 + H])
         xs, _ = traj.sample(stencil)
-        rvals = [float(chart.field.f(x)) for x in xs]
-        n_flow = flow_steps_for(rvals)
-        coords = [chart.coords_of(x, flow_steps=n_flow) for x in xs]
-        rdot = (coords[2].r - coords[0].r) / (2.0 * H)
-        ydot = (coords[2].y - coords[0].y) / (2.0 * H)
-        yddot = (coords[2].y - 2.0 * coords[1].y + coords[0].y) / (H * H)
-        fr = frame_data(chart, coords[1], h_step=frame_step)
+        r, y, failures = chart.coords_many(xs, flow_steps_for(chart.field.f_many(xs)))
+        raise_first(failures)
+        rdot = (r[2] - r[0]) / (2.0 * H)
+        ydot = (y[2] - y[0]) / (2.0 * H)
+        yddot = (y[2] - 2.0 * y[1] + y[0]) / (H * H)
+        fr = frame_data(chart, TubularCoords(r=float(r[1]), y=y[1]), h_step=frame_step)
         for k in range(chart.dim - 1):
             dual = fr.dual_tan[k]
             hk = fr.h_tan[k]

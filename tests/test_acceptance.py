@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import flatvalley as fv
+from flatvalley.geometry import flow_many, flow_steps_for, raise_first
 from flatvalley.reporting import revalidate_from_dir
 
 RNG = np.random.default_rng(20240611)
@@ -71,13 +72,17 @@ def test_criterion_4_flow_and_tube_identities():
         fld = P.field
         chart = fv.build_m_chart(fld, np.array(p, float), np.array(v, float),
                                  delta=2.0 * y_box)
-        for _ in range(1000):
-            y = RNG.uniform(-y_box, y_box, size=fld.dim - 1)
-            r = float(RNG.uniform(-r_box, r_box))
-            x = chart.tube_point(r, y)
-            t = float(RNG.uniform(-t_box, t_box))
-            worst_flow = max(worst_flow, fv.flow_identity_residual(fld, x, t))
-            worst_sep = max(worst_sep, abs(P.value(x) - P.profile.value(r)))
+        draws = [(RNG.uniform(-y_box, y_box, size=fld.dim - 1),
+                  float(RNG.uniform(-r_box, r_box)),
+                  float(RNG.uniform(-t_box, t_box))) for _ in range(1000)]
+        y, r, t = (np.array(column) for column in zip(*draws))
+        # one batch per map, with the step count its farthest row needs
+        x, failures = chart.tube_many(r, y, flow_steps_for(r))
+        raise_first(failures)
+        end, failures = flow_many(fld, x, t, flow_steps_for(t))
+        raise_first(failures)
+        worst_flow = max(worst_flow, float(np.max(np.abs(fld.f_many(end) - t - fld.f_many(x)))))
+        worst_sep = max(worst_sep, float(np.max(np.abs(P.value_many(x) - P.profile.g(r)))))
     assert worst_flow <= 1e-9
     assert worst_sep <= 1e-9
     print(f"PASS 4 flow identity: worst residual {worst_flow:.2e} <= 1e-9; "

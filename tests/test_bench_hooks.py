@@ -1,0 +1,57 @@
+"""The benchmark's tracer still fits the package it patches.
+
+``flatbench/tracer.py`` wraps package functions by name and reads some of
+their arguments and results by name.  A refactor that renames one of them
+would only crash a traced benchmark run; here it fails in milliseconds.
+The tracer module is imported from its file and never modified.
+"""
+import dataclasses
+import importlib.util
+import inspect
+import pathlib
+import typing
+
+TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "flatbench" / "tracer.py"
+_spec = importlib.util.spec_from_file_location("flatbench_tracer", TRACER_PATH)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+#: hook name -> argument names it reads from the patched call
+HOOK_ARGS = {
+    "_steps": ("n_steps",),
+    "_flow_substeps": ("t", "n_steps"),
+    "_audit_rows": ("traj",),
+    "_bytes_written": ("path",),
+    "_bytes_read": ("path",),
+    "_report_read": ("out_dir",),
+}
+#: hook name -> attributes it reads from the patched call's result
+HOOK_RESULT_FIELDS = {
+    "_metric_points": ("n_grid", "y_box"),
+    "_stages": ("stages",),
+}
+
+
+def test_every_patched_name_is_in_its_owner():
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracer.PATCHES
+               if not callable(vars(owner).get(attr))]
+    assert not missing
+
+
+def test_every_hook_reads_names_that_still_bind():
+    problems = []
+    for owner, attr, _, hook in tracer.PATCHES:
+        if hook is None:
+            continue
+        fn = vars(owner)[attr]
+        if hook.__name__ not in HOOK_ARGS and hook.__name__ not in HOOK_RESULT_FIELDS:
+            problems.append(f"hook {hook.__name__} is not described here")
+        params = inspect.signature(fn).parameters
+        problems += [f"{attr} lost its argument {arg!r}"
+                     for arg in HOOK_ARGS.get(hook.__name__, ()) if arg not in params]
+        if hook.__name__ in HOOK_RESULT_FIELDS:
+            result = typing.get_type_hints(fn)["return"]
+            fields = {f.name for f in dataclasses.fields(result)}
+            problems += [f"{result.__name__} lost its field {field!r}"
+                         for field in HOOK_RESULT_FIELDS[hook.__name__] if field not in fields]
+    assert not problems

@@ -337,16 +337,28 @@ def test_output_directory_order(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["family", "--horizon", "1e308"],
-    ["gallery", "--horizon", "1e308"],
-], ids=["family", "gallery"])
-def test_huge_horizon_is_one_error_line(tiny_scenario_file, tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, reason", [
+    (["family", "--horizon", "1e308"], "MAX_STEPS"),
+    (["gallery", "--horizon", "1e308"], "MAX_STEPS"),
+    (["gallery", "--horizon", "nan", "--trajectories", "1"], "must be finite, got nan"),
+    (["gallery", "--horizon", "inf", "--trajectories", "1"], "must be finite, got inf"),
+], ids=["family", "gallery", "gallery-nan", "gallery-inf"])
+def test_huge_horizon_is_one_error_line(tiny_scenario_file, tmp_path, capsys, argv, reason):
     if argv[0] == "family":
         argv = argv + ["--scenario", tiny_scenario_file, "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: InvalidParameterError") and "MAX_STEPS" in err
+    assert err.startswith("error: InvalidParameterError") and reason in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_one_error_line(tiny_scenario_file, tmp_path, capsys, jobs):
+    argv = ["family", "--scenario", tiny_scenario_file, "--out", str(tmp_path / "out"),
+            "--no-svg", "--jobs", jobs]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidParameterError") and f"got {jobs}" in err
     assert len(err.splitlines()) == 1
 
 
