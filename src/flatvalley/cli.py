@@ -180,7 +180,7 @@ class RunReport:
         self.stages.append({"name": name, "status": status, "seconds": seconds})
 
 
-def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = True,
+def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
                  stages: Sequence[str] = STAGES) -> RunReport:
     """family -> coordinates -> limit -> certificate, then the files.
 
@@ -222,7 +222,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = Tr
         return True
 
     def stage_family():
-        fam = state["family"] = run_family(scenario, jobs=jobs)
+        fam = state["family"] = run_family(scenario)
         payload["family"] = {
             "epsilons": fam.epsilons,
             "energy_drifts": [e.drift for e in fam.energies],
@@ -277,6 +277,9 @@ def run_pipeline(scenario: Scenario, out_dir: str, jobs: int = 1, svg: bool = Tr
         state.update(certificate=cert, physical_runs=runs)
         payload["certificate"] = certificate_payload(cert)
         payload["certificate"]["revalidated_in_memory"] = bool(ok)
+        if not ok:
+            raise IndeterminateCertificateError(
+                "the certificate failed its in-memory revalidation")
         report.verdict = cert.verdict
 
     def stage_emit():
@@ -385,8 +388,8 @@ def _scenario_from_args(args) -> Scenario:
 def _cmd_pipeline(args) -> int:
     """simulate, family, limit and certify: the command's stages of run_pipeline."""
     scn = _scenario_from_args(args)
-    report = run_pipeline(scn, args.out or scn.out or f"out_{scn.name}", jobs=args.jobs,
-                          svg=args.svg, stages=args.stages)
+    report = run_pipeline(scn, args.out or scn.out or f"out_{scn.name}", svg=args.svg,
+                          stages=args.stages)
     fam = report.results.get("family")
     if fam is not None:
         b = fam.bounds[0]
@@ -513,7 +516,10 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="scenario JSON file")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--jobs", type=int, default=1, help="family worker processes")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility and must be at least 1; every run "
+                             "is serial (the family runs in one lockstep batch), so it "
+                             "changes nothing")
     common.add_argument("--eps0", type=float, default=None)
     common.add_argument("--ratio", type=float, default=None)
     common.add_argument("--count", type=int, default=None)
@@ -547,6 +553,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidParameterError(f"--jobs must be at least 1, got {args.jobs}")
         return args.fn(args)
     except FlatValleyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

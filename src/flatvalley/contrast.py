@@ -13,7 +13,12 @@ from typing import List
 
 import numpy as np
 
-from .dynamics import IntegratorOptions, PhaseState, integrate_newton
+from .dynamics import (  # noqa: F401 (integrate_newton: flatbench/tracer.py patches it here)
+    IntegratorOptions,
+    PhaseState,
+    integrate_newton,
+    newton_many,
+)
 from .errors import InvalidParameterError
 
 Array = np.ndarray
@@ -109,8 +114,8 @@ class TrapReport:
 
 def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
                          t_end: float = 1e3, energy_fraction: float = 0.5) -> TrapReport:
-    """Launch sub-barrier motions along the first coordinate and verify that
-    it never crosses the barrier.
+    """Launch sub-barrier motions along the first coordinate, all in one
+    lockstep call, and verify that it never crosses the barrier.
 
     Each motion starts at x0 with the speed that puts its energy at
     ``energy_fraction`` of the barrier height; the other coordinates start
@@ -128,13 +133,14 @@ def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
     x0s = np.linspace(-inner, inner, n_traj)
     target = energy_fraction * barrier.height
     rest = potential.dim - 1
+    starts = [np.array([x0] + [0.0] * rest) for x0 in x0s]
+    u0s = [potential.value(start) for start in starts]  # for laloy, the 1-d bump alone
+    v0s = [float(np.sqrt(max(0.0, 2.0 * (target - u0)))) for u0 in u0s]
+    runs = newton_many(potential, [PhaseState(start, [v0] + [COMPANION_SPEED] * rest)
+                                   for start, v0 in zip(starts, v0s)],
+                       [t_end] * n_traj, TRAP_OPTIONS)
     records = []
-    for x0 in x0s:
-        start = np.array([x0] + [0.0] * rest)
-        u0 = potential.value(start)  # for laloy, U(x0, 0) is the 1-d bump alone
-        v0 = float(np.sqrt(max(0.0, 2.0 * (target - u0))))
-        traj = integrate_newton(potential, PhaseState(start, [v0] + [COMPANION_SPEED] * rest),
-                                t_end, TRAP_OPTIONS)
+    for x0, u0, v0, traj in zip(x0s, u0s, v0s, runs):
         exc = float(np.abs(traj.x_int[:, 0]).max())
         records.append(TrapRecord(
             x0=float(x0), v0=v0, energy=0.5 * v0 * v0 + u0, max_excursion=exc,

@@ -11,6 +11,10 @@ from; conservation of H = |xd|^2/2 + U/eps^2 gives sharp a-priori bounds
 (speed, sublevel confinement, ball confinement) that every run is audited
 against.
 
+Runs are batched: ``rescaled_many`` (both halves of every member of a
+family) and ``newton_many`` (physical runs) make one lockstep call of
+``integrators.integrate`` each, and a single run is a batch of one.
+
 Output grids: every trajectory is reported on an equispaced grid whose
 nodes are exact integrator states (the internal step is snapped to divide
 the output spacing), so audits and cross-member comparisons never see
@@ -21,15 +25,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
-from functools import partial
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BlowUpError, InvalidParameterError, ScenarioError
-from .fields import CompositePotential, gallery_lookup
+from .fields import CompositePotential
 from .geometry import TOL_CRIT, TOL_ON_M, TOL_TANGENT
 from .integrators import TABLES, integrate
 
@@ -142,13 +144,6 @@ class Trajectory:
         return sx(taus), sv(taus)
 
 
-def _accel(potential, scale: float):
-    grad = potential.gradient_fast
-    if scale == 1.0:
-        return lambda x: -grad(x)
-    return lambda x: -scale * grad(x)
-
-
 def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, float, int]:
     """Substeps m per output interval, the internal step spacing / m (at most
     ``target`` up to rounding) and the step count of ``intervals`` intervals.
@@ -168,32 +163,122 @@ def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, floa
     return m, spacing / m, intervals * m
 
 
+def _lockstep(potential, x0, v0, scale, snaps, opts: IntegratorOptions):
+    """One ``integrate`` call over rows under xdd = -scale grad U, the row r
+    stepping as ``snaps[r]`` = (m, dt, steps) says: per-row (X, V) and
+    {row: BlowUpError}."""
+    steps = [s for _, _, s in snaps]
+    return integrate(potential.gradient_many, x0, v0, [dt for _, dt, _ in snaps],
+                     max(steps), steps=steps, scale=-np.asarray(scale, dtype=float),
+                     method=opts.method, blowup_radius=opts.blowup_radius)
+
+
+def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
+                opts: IntegratorOptions = IntegratorOptions(),
+                epsilons: Optional[Sequence[Optional[float]]] = None) -> List[Trajectory]:
+    """Integrate xdd = -grad U on [0, t_ends[i]] from each ``starts[i]``, all
+    runs in one lockstep call; ``epsilons[i]`` labels run i.
+
+    Raises the BlowUpError of the first run that fails, the error a loop of
+    :func:`integrate_newton` stops at.
+    """
+    n_out = opts.n_out
+    snaps = []
+    for s0, t_end in zip(starts, t_ends):
+        if not math.isfinite(t_end):
+            raise InvalidParameterError(f"the horizon t_end must be finite, got {t_end:g}")
+        if t_end <= 0:
+            raise InvalidParameterError("t_end must be positive")
+        if s0.x.size != potential.dim:
+            raise InvalidParameterError("initial state dimension does not match the potential")
+        snaps.append(_snap_step(t_end / (n_out - 1), opts.step_factor, n_out - 1))
+    Xs, Vs, failures = _lockstep(potential, [s0.x for s0 in starts], [s0.v for s0 in starts],
+                                 1.0, snaps, opts)
+    if failures:
+        raise failures[min(failures)]
+    labels = [None] * len(starts) if epsilons is None else epsilons
+    runs = []
+    for (m, dt, steps), t_end, X, V, eps in zip(snaps, t_ends, Xs, Vs, labels):
+        runs.append(Trajectory(
+            kind="physical",
+            epsilon=eps,
+            tau=np.arange(n_out) * (t_end / (n_out - 1)),
+            x=X[::m].copy(),
+            v=V[::m].copy(),
+            dt=dt,
+            tau_int=np.arange(steps + 1) * dt,
+            x_int=X,
+            v_int=V,
+        ))
+    return runs
+
+
 def integrate_newton(potential, s0: PhaseState, t_end: float,
                      opts: IntegratorOptions = IntegratorOptions(),
                      epsilon: Optional[float] = None) -> Trajectory:
     """Integrate xdd = -grad U(x) on [0, t_end] from the given state."""
-    if not math.isfinite(t_end):
-        raise InvalidParameterError(f"the horizon t_end must be finite, got {t_end:g}")
-    if t_end <= 0:
-        raise InvalidParameterError("t_end must be positive")
-    if s0.x.size != potential.dim:
-        raise InvalidParameterError("initial state dimension does not match the potential")
-    n_out = opts.n_out
-    spacing = t_end / (n_out - 1)
-    m, dt, steps = _snap_step(spacing, opts.step_factor, n_out - 1)
-    X, V = integrate(_accel(potential, 1.0), s0.x, s0.v, dt, steps,
-                     method=opts.method, blowup_radius=opts.blowup_radius)
-    return Trajectory(
-        kind="physical",
-        epsilon=epsilon,
-        tau=np.arange(n_out) * spacing,
-        x=X[::m].copy(),
-        v=V[::m].copy(),
-        dt=dt,
-        tau_int=np.arange(steps + 1) * dt,
-        x_int=X,
-        v_int=V,
-    )
+    return newton_many(potential, [s0], [t_end], opts, [epsilon])[0]
+
+
+def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
+                  step_factors: Sequence[float], opts: IntegratorOptions = IntegratorOptions()
+                  ) -> Tuple[List[Optional[Trajectory]], Dict[int, BlowUpError]]:
+    """Integrate xdd = -(1/eps_j^2) grad U(x) on [-T, T] from (p, v) at the
+    internal step ``step_factors[j] * eps_j``, both halves of every run in
+    one lockstep call.
+
+    Returns the runs and {j: BlowUpError}, each error the one
+    :func:`integrate_rescaled` raises for run j (whose entry is None).  Every
+    run's step count is checked against MAX_STEPS before any run starts.
+    """
+    if T <= 0:
+        raise InvalidParameterError("horizon T must be positive")
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if p.shape != (potential.dim,) or v.shape != (potential.dim,):
+        raise InvalidParameterError("p and v must match the potential dimension")
+    half = (opts.n_out - 1) // 2
+    spacing = T / half
+    snaps, scales = [], []
+    for eps, factor in zip(epsilons, step_factors):
+        eps = float(eps)
+        if eps <= 0:
+            raise InvalidParameterError("eps must be positive")
+        snap = _snap_step(spacing, factor * eps, half)
+        snaps += [snap, snap]  # the forward half from (p, v), the backward from (p, -v)
+        scales += [1.0 / (eps * eps)] * 2
+    Xs, Vs, failures = _lockstep(potential, [p] * len(snaps), [v, -v] * (len(snaps) // 2),
+                                 scales, snaps, opts)
+    runs, errors = [], {}
+    for j, eps in enumerate(epsilons):
+        # the forward half runs first in time, so its error is the one reported
+        for row, side, sign in ((2 * j, "forward", 1.0), (2 * j + 1, "backward", -1.0)):
+            exc = failures.get(row)
+            if exc is not None and j not in errors:
+                errors[j] = BlowUpError(
+                    f"rescaled run blew up on the {side} half (eps={eps:g}); the solution "
+                    f"exists globally, so this is an integrator failure: {exc}",
+                    last_time=sign * exc.last_time,
+                    last_state=(exc.last_state[0], sign * exc.last_state[1]))
+        if j in errors:
+            runs.append(None)
+            continue
+        m, dt, steps = snaps[2 * j]
+        x_int = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
+        v_int = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
+        Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
+        runs.append(Trajectory(
+            kind="rescaled",
+            epsilon=eps,
+            tau=np.arange(-half, half + 1) * spacing,
+            x=x_int[::m].copy(),
+            v=v_int[::m].copy(),
+            dt=dt,
+            tau_int=np.arange(-steps, steps + 1) * dt,
+            x_int=x_int,
+            v_int=v_int,
+        ))
+    return runs, errors
 
 
 def integrate_rescaled(potential, p, v, eps: float, T: float,
@@ -206,49 +291,10 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     the step size failed to resolve the stiffness and is reported as an
     integrator failure.
     """
-    if eps <= 0:
-        raise InvalidParameterError("eps must be positive")
-    if T <= 0:
-        raise InvalidParameterError("horizon T must be positive")
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if p.shape != (potential.dim,) or v.shape != (potential.dim,):
-        raise InvalidParameterError("p and v must match the potential dimension")
-    half = (opts.n_out - 1) // 2
-    spacing = T / half
-    m, dt, steps = _snap_step(spacing, opts.step_factor * eps, half)
-    accel = _accel(potential, 1.0 / (eps * eps))
-    try:
-        Xf, Vf = integrate(accel, p, v, dt, steps,
-                           method=opts.method, blowup_radius=opts.blowup_radius)
-    except BlowUpError as exc:
-        raise BlowUpError(
-            f"rescaled run blew up on the forward half (eps={eps:g}); the solution exists "
-            f"globally, so this is an integrator failure: {exc}",
-            last_time=exc.last_time, last_state=exc.last_state) from exc
-    try:
-        Xb, Vb = integrate(accel, p, -v, dt, steps,
-                           method=opts.method, blowup_radius=opts.blowup_radius)
-    except BlowUpError as exc:
-        last = None if exc.last_time is None else -exc.last_time
-        state = None if exc.last_state is None else (exc.last_state[0], -exc.last_state[1])
-        raise BlowUpError(
-            f"rescaled run blew up on the backward half (eps={eps:g}); the solution exists "
-            f"globally, so this is an integrator failure: {exc}",
-            last_time=last, last_state=state) from exc
-    x_int = np.concatenate([Xb[:0:-1], Xf])
-    v_int = np.concatenate([-Vb[:0:-1], Vf])
-    return Trajectory(
-        kind="rescaled",
-        epsilon=eps,
-        tau=np.arange(-half, half + 1) * spacing,
-        x=x_int[::m].copy(),
-        v=v_int[::m].copy(),
-        dt=dt,
-        tau_int=np.arange(-steps, steps + 1) * dt,
-        x_int=x_int,
-        v_int=v_int,
-    )
+    runs, errors = rescaled_many(potential, p, v, T, [eps], [opts.step_factor], opts)
+    if errors:
+        raise errors[0]
+    return runs[0]
 
 
 def rescale_trajectory(traj: Trajectory, eps: float,
@@ -463,48 +509,27 @@ class FamilyResult:
         return len(self.members)
 
 
-def _member_payload(record, p, v, eps, T, opts: IntegratorOptions):
-    return (record, np.asarray(p, float), np.asarray(v, float), float(eps),
-            float(T), asdict(opts))
-
-
-def _member_worker(payload):
-    record, p, v, eps, T, opts_dict = payload
-    potential = gallery_lookup(record["kind"], record.get("params", {}))
-    return integrate_rescaled(potential, p, v, eps, T, IntegratorOptions(**opts_dict))
-
-
 def family_from_runs(potential, p, v, T, epsilons,
                      opts: IntegratorOptions = IntegratorOptions(),
-                     slack: float = 1e-6, jobs: int = 1) -> FamilyResult:
-    """Integrate one rescaled run per eps and audit each of them.
+                     slack: float = 1e-6) -> FamilyResult:
+    """Integrate one rescaled run per eps, all in one lockstep call, and audit
+    each of them.
 
-    Members are independent; with ``jobs`` > 1 and a gallery potential they
-    fan out to a process pool.  A family whose finest member would take more
-    than MAX_STEPS steps fails before any member runs; a failing member
-    aborts the family with its index attached.
+    A family any of whose members would take more than MAX_STEPS steps
+    fails before any member runs; a failing member aborts the family with
+    the lowest failing index attached.
     """
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     epsilons = np.asarray(list(epsilons), dtype=float)
-    half = (opts.n_out - 1) // 2
-    _snap_step(T / half, opts.step_factor * epsilons.min(), half)  # the finest member fits
-    if jobs > 1 and potential.spec_record is not None:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = [pool.submit(_member_worker, _member_payload(
-                potential.spec_record, p, v, eps, T, opts)).result for eps in epsilons]
-    else:
-        runs = [partial(integrate_rescaled, potential, p, v, eps, T, opts) for eps in epsilons]
-    members: List[Trajectory] = []
-    for j, run in enumerate(runs):
-        try:
-            members.append(run())
-        except BlowUpError as exc:
-            raise BlowUpError(
-                f"family member j={j} (eps={epsilons[j]:g}) failed: {exc}",
-                last_time=exc.last_time, last_state=exc.last_state) from exc
+    members, errors = rescaled_many(potential, p, v, T, epsilons,
+                                    [opts.step_factor] * len(epsilons), opts)
+    if errors:
+        j = min(errors)
+        exc = errors[j]
+        raise BlowUpError(
+            f"family member j={j} (eps={epsilons[j]:g}) failed: {exc}",
+            last_time=exc.last_time, last_state=exc.last_state) from exc
     energies = [energy_audit(traj, potential) for traj in members]
     bounds = [confinement_check(traj, potential, v, slack) for traj in members]
     return FamilyResult(
@@ -514,11 +539,11 @@ def family_from_runs(potential, p, v, T, epsilons,
     )
 
 
-def run_family(scenario: Scenario, jobs: int = 1) -> FamilyResult:
+def run_family(scenario: Scenario) -> FamilyResult:
     """Run the scenario's eps family with its own options and slack."""
     return family_from_runs(
         scenario.potential, scenario.p, scenario.v, scenario.horizon,
-        scenario.epsilons, scenario.options, scenario.slack, jobs=jobs,
+        scenario.epsilons, scenario.options, scenario.slack,
     )
 
 
@@ -529,7 +554,8 @@ def halving_error(potential, p, v, eps: float, T: float,
     A cheap a-posteriori discretization error estimate used by the
     two-route consistency checks.
     """
-    coarse = integrate_rescaled(potential, p, v, eps, T, opts)
-    fine = integrate_rescaled(potential, p, v, eps, T,
-                              replace(opts, step_factor=opts.step_factor / 2.0))
+    (coarse, fine), errors = rescaled_many(potential, p, v, T, [eps, eps],
+                                           [opts.step_factor, opts.step_factor / 2.0], opts)
+    if errors:
+        raise errors[min(errors)]
     return float(np.max(np.linalg.norm(coarse.x - fine.x, axis=1)))

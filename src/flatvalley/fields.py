@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,6 +93,16 @@ class Profile:
         return float(self.dg(s))
 
 
+def _power(s, k: int):
+    """s**k as a chain of multiplications, which rounds the same for a float
+    and for each entry of an array (numpy's array ``**`` need not round as
+    the scalar one does)."""
+    out = s
+    for _ in range(k - 1):
+        out = out * s
+    return out
+
+
 def power_profile(exponent: int) -> Profile:
     """g(s) = s**k for even integer k >= 2 (so g is C^2 and nonnegative)."""
     k = int(exponent)
@@ -102,8 +111,8 @@ def power_profile(exponent: int) -> Profile:
             f"profile exponent must be an even integer >= 2, got {exponent!r}"
         )
     return Profile(
-        g=lambda s: s**k,
-        dg=lambda s: k * s ** (k - 1),
+        g=lambda s: _power(s, k),
+        dg=lambda s: k * _power(s, k - 1),
         inverse=lambda t: t ** (1.0 / k),
         name=f"s^{k}",
     )
@@ -131,10 +140,9 @@ class CompositePotential:
             self.field.grad(x), dtype=float
         )
 
-    @cached_property
-    def gradient_fast(self) -> Callable[[Array], Array]:
-        f, grad, dg = self.field.f, self.field.grad, self.profile.dg
-        return lambda x: dg(f(x)) * grad(x)
+    def gradient_many(self, X: Array) -> Array:
+        """Gradients of an (N, n) batch; each row rounds as ``gradient`` does."""
+        return self.profile.dg(self.field.f_many(X))[:, None] * self.field.grad_many(X)
 
     def value_many(self, X: Array) -> Array:
         return np.asarray(self.profile.g(self.field.value_many(X)), dtype=float)
@@ -142,7 +150,11 @@ class CompositePotential:
 
 @dataclass(frozen=True, eq=False)
 class PlainPotential:
-    """A potential given directly by U and its gradient, without a field."""
+    """A potential given directly by U and its gradient, without a field.
+
+    ``u`` takes one point.  ``grad_u`` is the one gradient, batched:
+    (N, n) -> (N, n), used by single-point and batch calls alike.
+    """
 
     dim: int
     u: Callable[[Array], float]
@@ -159,11 +171,10 @@ class PlainPotential:
         return float(self.u(_as_point(x, self.dim)))
 
     def gradient(self, x) -> Array:
-        return np.asarray(self.grad_u(_as_point(x, self.dim)), dtype=float)
+        return np.asarray(self.grad_u(_as_point(x, self.dim)[None]), dtype=float)[0]
 
-    @cached_property
-    def gradient_fast(self) -> Callable[[Array], Array]:
-        return self.grad_u
+    def gradient_many(self, X: Array) -> Array:
+        return self.grad_u(X)
 
     def value_many(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)
@@ -203,7 +214,7 @@ def circle(exponent: int = 2) -> CompositePotential:
         dim=2,
         f=lambda x: x[0] * x[0] + x[1] * x[1] - 1.0,
         grad=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
-        f_many=lambda X: X[:, 0] ** 2 + X[:, 1] ** 2 - 1.0,
+        f_many=lambda X: X[:, 0] * X[:, 0] + X[:, 1] * X[:, 1] - 1.0,
         grad_many=lambda X: 2.0 * X,
         name="circle",
     )
@@ -279,39 +290,42 @@ def custom_polynomial(
     )
 
 
-# Oscillating bump used by the classical 1-D and 2-D stable counterexamples.
-# The value at the essential singularity is 0 by continuity; evaluation inside
+# Oscillating bump used by the classical 1-D and 2-D stable counterexamples,
+# one vectorised function for single points and batches alike.  The value at
+# the essential singularity is 0 by continuity; evaluation inside
 # |s| < 1e-12 returns 0 to avoid overflow of 1/|s|.
 _BUMP_CUT = 1e-12
 
 
-def _bump(s: float) -> float:
-    a = abs(s)
-    if a < _BUMP_CUT:
-        return 0.0
-    u = 1.0 / a
-    return math.exp(-u) * math.sin(u)
+def _bump_parts(s: Array):
+    """(|s| < cut, 1/|s| with 1 inside the cut) for an array s."""
+    a = np.abs(s)
+    near = a < _BUMP_CUT
+    return near, 1.0 / np.where(near, 1.0, a)
 
 
-def _bump_prime(s: float) -> float:
+def _bump(s: Array) -> Array:
+    near, u = _bump_parts(s)
+    return np.where(near, 0.0, np.exp(-u) * np.sin(u))
+
+
+def _bump_prime(s: Array) -> Array:
     # the bump is even, so its derivative extends oddly through 0
-    a = abs(s)
-    if a < _BUMP_CUT:
-        return 0.0
-    u = 1.0 / a
-    val = math.exp(-u) * u * u * (math.sin(u) - math.cos(u))
-    return val if s > 0 else -val
+    near, u = _bump_parts(s)
+    val = np.exp(-u) * u * u * (np.sin(u) - np.cos(u))
+    return np.where(near, 0.0, np.where(s > 0, val, -val))
+
+
+def _plain(dim: int, u_many, grad_u, label: str) -> PlainPotential:
+    """A gallery PlainPotential whose single-point value is a batch of one."""
+    return PlainPotential(dim=dim, u=lambda x: float(u_many(x[None])[0]), grad_u=grad_u,
+                          label=label, spec_record={"kind": label, "params": {}},
+                          u_many=u_many)
 
 
 def painleve() -> PlainPotential:
     """1-D potential exp(-1/|x|) sin(1/|x|): the origin is a stable non-minimum."""
-    return PlainPotential(
-        dim=1,
-        u=lambda x: _bump(x[0]),
-        grad_u=lambda x: np.array([_bump_prime(x[0])]),
-        label="painleve",
-        spec_record={"kind": "painleve", "params": {}},
-    )
+    return _plain(1, lambda X: _bump(X[:, 0]), _bump_prime, "painleve")
 
 
 def laloy() -> PlainPotential:
@@ -320,13 +334,12 @@ def laloy() -> PlainPotential:
     The x motion decouples (dU/dx depends on x only), so the first coordinate
     stays trapped exactly as in the 1-D example.
     """
-    return PlainPotential(
-        dim=2,
-        u=lambda x: _bump(x[0]) - _bump(x[1]) - x[1] * x[1],
-        grad_u=lambda x: np.array([_bump_prime(x[0]), -_bump_prime(x[1]) - 2.0 * x[1]]),
-        label="laloy",
-        spec_record={"kind": "laloy", "params": {}},
-    )
+    return _plain(
+        2,
+        lambda X: _bump(X[:, 0]) - _bump(X[:, 1]) - X[:, 1] * X[:, 1],
+        lambda X: np.stack([_bump_prime(X[:, 0]), -_bump_prime(X[:, 1]) - 2.0 * X[:, 1]],
+                           axis=1),
+        "laloy")
 
 
 _GALLERY = {

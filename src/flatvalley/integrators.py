@@ -1,4 +1,4 @@
-"""Fixed-step symplectic steppers for second-order systems xdd = a(x).
+"""Fixed-step symplectic steppers for second-order systems xdd = a(x), in lockstep.
 
 Each method is a drift-kick composition table: pairs (c_drift, c_kick)
 executed in order, where drift moves x by c*dt*v and kick moves v by
@@ -8,6 +8,17 @@ c*dt*a(x).  All tables are symmetric, so the maps are time reversible.
 is the package default: at the step sizes used here its energy error is
 several orders of magnitude below the velocity-Verlet one, which matters
 because the conservation checks run at 1e-8 relative tolerance.
+
+:func:`integrate` is the one stepping loop.  It advances a batch of rows,
+each with its own step ``dt``, step count and acceleration scale, in
+lockstep: the rows are ordered by step count, so a finished row drops off
+the end of the live prefix and the Python loop runs max(steps) times, not
+sum(steps).  Every operation acts row by row and rounds as it does for one
+row alone (the products c*dt of each row, the acceleration scale * a(x)),
+so a batch gives the same bits as a loop of batches of one.  States are
+buffered CHUNK steps at a time, tested for blow-up and copied into one
+exact-size array per row, so the blow-up test sees every stored state and
+no (steps, rows, n) array is ever allocated.
 """
 from __future__ import annotations
 
@@ -43,39 +54,109 @@ _PEFRL = (
 TABLES = {"verlet": _VERLET, "yoshida4": _YOSHIDA4, "pefrl": _PEFRL}
 ORDERS = {"verlet": 2, "yoshida4": 4, "pefrl": 4}
 
+#: lockstep iterations buffered between blow-up tests and copies to the rows
+CHUNK = 256
 
-def integrate(accel, x0, v0, dt: float, n_steps: int, *, method: str = "pefrl",
-              blowup_radius: float = 1e6):
-    """March ``n_steps`` of size ``dt`` from (x0, v0).
 
-    Returns (X, V) of shape (n_steps + 1, dim) holding the state after every
-    full step.  Raises BlowUpError at the first non-finite or escaping state,
-    carrying the last valid time and state.
+def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
+              method: str = "pefrl", blowup_radius: float = 1e6):
+    """March the rows of (x0, v0) under xdd = scale * accel(x) in lockstep.
+
+    ``x0`` and ``v0`` are (rows, n); ``dt``, ``steps`` and ``scale`` are
+    per row, a scalar standing for every row (``scale`` None for 1).
+    ``n_steps`` is the lockstep iteration count, the largest of ``steps``;
+    when ``steps`` is None every row takes ``n_steps`` steps.  ``accel``
+    maps an (m, n) block of positions to its accelerations row by row.
+
+    Returns (Xs, Vs, failures): per row the (steps + 1, n) states after
+    every full step, and {row: BlowUpError} for the rows that reached a
+    non-finite or escaping state, each carrying its last valid time and
+    state (a failed row's Xs/Vs entries are None).  A single (n,) row is a
+    batch of one: it returns (X, V) and raises its BlowUpError.
     """
     if method not in TABLES:
         raise InvalidParameterError(f"unknown integrator {method!r}; known: {sorted(TABLES)}")
-    if dt <= 0:
-        raise InvalidParameterError("step size must be positive")
-    coeffs = [(dc * dt, kc * dt) for dc, kc in TABLES[method]]
+    if np.ndim(x0) == 1:
+        Xs, Vs, failures = integrate(accel, [x0], [v0], dt, n_steps, steps=steps, scale=scale,
+                                     method=method, blowup_radius=blowup_radius)
+        if failures:
+            raise failures[0]
+        return Xs[0], Vs[0]
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
-    X = np.empty((n_steps + 1, x.size))
-    V = np.empty_like(X)
-    X[0] = x
-    V[0] = v
+    rows, n = x.shape
+    n_steps = int(n_steps)
+    h = np.broadcast_to(np.asarray(dt, dtype=float), (rows,))
+    counts = np.broadcast_to(np.asarray(n_steps if steps is None else steps), (rows,))
+    if not np.all(h > 0):
+        raise InvalidParameterError("step size must be positive")
+    if counts.dtype.kind not in "iu" or counts.min() < 0 or counts.max() != n_steps:
+        raise InvalidParameterError(
+            f"per-row step counts must be nonnegative integers with maximum n_steps = {n_steps}")
+    order = np.argsort(-counts, kind="stable")
+    counts = counts[order].tolist()
+    h = h[order]
+    x, v = x[order], v[order]
+
+    def per_row(c):  # c per row, spread over the n columns (no broadcasting in the loop)
+        return np.repeat(np.asarray(c, dtype=float)[:, None], n, axis=1)
+
+    a_scale = None if scale is None else per_row(
+        np.broadcast_to(np.asarray(scale, dtype=float), (rows,))[order])
+    coeffs = [(per_row(dc * h), None if kc == 0.0 else per_row(kc * h))
+              for dc, kc in TABLES[method]]
+    Xs = [np.empty((c + 1, n)) for c in counts]
+    Vs = [np.empty((c + 1, n)) for c in counts]
+    for r in range(rows):
+        Xs[r][0] = x[r]
+        Vs[r][0] = v[r]
+    chunk = min(CHUNK, n_steps)
+    buf_x = np.empty((chunk, rows, n))
+    buf_v = np.empty((chunk, rows, n))
     r2 = blowup_radius * blowup_radius
-    for k in range(1, n_steps + 1):
-        for dc, kc in coeffs:
-            x = x + dc * v
-            if kc != 0.0:
-                v = v + kc * accel(x)
-        xx = float(x @ x) + float(v @ v)
-        if not (xx <= r2 + r2):  # False also for NaN
-            raise BlowUpError(
-                f"state left the finite box at step {k} (t = {k * dt:.6g})",
-                last_time=(k - 1) * dt,
-                last_state=(X[k - 1].copy(), V[k - 1].copy()),
-            )
-        X[k] = x
-        V[k] = v
-    return X, V
+    failures = {}
+    live = rows
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up row is caught below
+        while k < n_steps:
+            first, live0 = k + 1, live
+            steps_here = min(chunk, n_steps - k)
+            for i in range(steps_here):
+                k += 1
+                if counts[live - 1] < k:  # finished rows drop off the end of the live prefix
+                    while counts[live - 1] < k:
+                        live -= 1
+                    x, v = x[:live], v[:live]
+                    coeffs = [(dc[:live], None if kc is None else kc[:live])
+                              for dc, kc in coeffs]
+                    a_scale = None if a_scale is None else a_scale[:live]
+                for dc, kc in coeffs:
+                    x = x + dc * v
+                    if kc is not None:
+                        a = accel(x)
+                        v = v + kc * (a if a_scale is None else a_scale * a)
+                buf_x[i, :live] = x
+                buf_v[i, :live] = v
+            for r in range(live0):
+                if r not in failures:
+                    stored = min(counts[r], k) - first + 1
+                    Xs[r][first:first + stored] = buf_x[:stored, r]
+                    Vs[r][first:first + stored] = buf_v[:stored, r]
+            bx, bv = buf_x[:steps_here, :live0], buf_v[:steps_here, :live0]
+            inside = np.vecdot(bx, bx) + np.vecdot(bv, bv) <= r2 + r2  # False also for NaN
+            due = np.arange(first, k + 1)[:, None] <= np.array(counts[:live0])
+            for r in np.flatnonzero(np.any(due & ~inside, axis=0)).tolist():
+                if r not in failures:
+                    j = first + int(np.argmax(~inside[:, r]))
+                    step = float(h[r])
+                    failures[r] = BlowUpError(
+                        f"state left the finite box at step {j} (t = {j * step:.6g})",
+                        last_time=(j - 1) * step,
+                        last_state=(Xs[r][j - 1].copy(), Vs[r][j - 1].copy()))
+            if len(failures) == rows:
+                break
+    back = np.argsort(order, kind="stable")
+    for r in failures:
+        Xs[r] = Vs[r] = None
+    return ([Xs[r] for r in back], [Vs[r] for r in back],
+            {int(order[r]): exc for r, exc in failures.items()})

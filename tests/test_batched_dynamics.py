@@ -1,0 +1,159 @@
+"""The lockstep integrator against loops of batches of one, bit for bit.
+
+Every run goes through one kernel that advances a batch of rows, each with
+its own step, step count and acceleration scale.  A family, a set of
+evidence runs and a contrast batch must give exactly what a loop of single
+runs gives: the same bits on every stored state, and on a failing row the
+error that row raises alone.
+"""
+import warnings
+
+import numpy as np
+import pytest
+
+import flatvalley as fv
+from flatvalley.contrast import COMPANION_SPEED, TRAP_OPTIONS
+from flatvalley.dynamics import newton_many
+from flatvalley.errors import BlowUpError
+from flatvalley.integrators import CHUNK, integrate
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _tangent(fld, p, direction):
+    g = fld.gradient(p)
+    d = np.asarray(direction, dtype=float)
+    return d - (float(d @ g) / float(g @ g)) * g
+
+
+def _custom_case():
+    P = fv.custom_polynomial(linear=[0.3, -0.1, 0.7], quadratic=[1.3, 0.7, 2.9],
+                             offset=1.1, exponent=6)
+    p = fv.foot_point(P.field, np.array([0.8, 0.0, 0.0]))
+    return P, p, _tangent(P.field, p, [0.0, 1.0, 0.3])
+
+
+# name -> (potential, p on the floor, tangent v)
+CASES = {
+    "circle": (fv.circle(), np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+    "gutter": (fv.gutter(), np.array([0.0, 0.0]), np.array([0.0, 1.0])),
+    "ellipsoid": (fv.ellipsoid(), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+    "custom-polynomial": _custom_case(),
+}
+EPSILONS = [0.1, 0.05, 0.025]
+OPTIONS = fv.IntegratorOptions(n_out=101)
+
+
+def _same_run(a, b):
+    assert a.kind == b.kind and a.epsilon == b.epsilon and a.dt == b.dt
+    for name in ("tau", "x", "v", "tau_int", "x_int", "v_int"):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_power_profile_rounds_the_same_for_a_point_and_a_batch(k):
+    rng = np.random.default_rng(k)
+    for P in (fv.circle(exponent=k), fv.ellipsoid(exponent=k), fv.gutter(exponent=k)):
+        X = rng.uniform(-1.5, 1.5, size=(2000, P.dim))
+        assert _bits(P.value_many(X)) == _bits([P.value(x) for x in X])
+        assert _bits(P.gradient_many(X)) == _bits([P.gradient(x) for x in X])
+
+
+@pytest.mark.parametrize("P", [fv.painleve(), fv.laloy()], ids=["painleve", "laloy"])
+def test_bump_rounds_the_same_for_a_point_and_a_batch(P):
+    X = np.random.default_rng(7).uniform(-0.3, 0.3, size=(500, P.dim))
+    X[:3, 0] = [0.0, 1e-13, -2e-12]  # at and inside the cut round the singularity
+    assert _bits(P.value_many(X)) == _bits([P.value(x) for x in X])
+    assert _bits(P.gradient_many(X)) == _bits([P.gradient(x) for x in X])
+
+
+def test_kernel_batch_is_a_loop_of_batches_of_one():
+    # unsorted step counts across chunk boundaries, a row of no steps,
+    # per-row steps and scales
+    steps = [CHUNK + 1, 0, 3, 2 * CHUNK + 7, CHUNK, 3]
+    dts = [0.01, 0.2, 0.05, 0.003, 0.02, 0.05]
+    scales = [-1.0, -2.0, -0.5, -3.0, -1.0, -7.0]
+    rng = np.random.default_rng(1)
+    x0, v0 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    Xs, Vs, failures = integrate(np.sin, x0, v0, dts, max(steps), steps=steps, scale=scales)
+    assert not failures
+    for r in range(6):
+        X, V = integrate(np.sin, x0[r], v0[r], dts[r], steps[r], scale=scales[r])
+        assert X.shape == (steps[r] + 1, 3)
+        assert _bits(Xs[r]) == _bits(X) and _bits(Vs[r]) == _bits(V)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_family_is_a_loop_of_rescaled_runs(name):
+    P, p, v = CASES[name]
+    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    for eps, member in zip(EPSILONS, fam.members):
+        _same_run(member, fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_evidence_runs_are_a_loop_of_newton_runs(name):
+    P, p, v = CASES[name]
+    runs = fv.physical_evidence_runs(P, p, v, EPSILONS, 0.4, OPTIONS)
+    for eps, run in zip(EPSILONS, runs):
+        _same_run(run, fv.integrate_newton(P, fv.PhaseState(p, eps * v), 0.4 / eps,
+                                           OPTIONS, epsilon=eps))
+
+
+@pytest.mark.parametrize("P", [fv.painleve(), fv.laloy()], ids=["painleve", "laloy"])
+def test_contrast_batch_is_a_loop_of_newton_runs(P):
+    rest = P.dim - 1
+    starts = [fv.PhaseState([x0] + [0.0] * rest, [v0] + [COMPANION_SPEED] * rest)
+              for x0, v0 in ((-0.08, 0.02), (0.0, 0.03), (0.05, 0.01))]
+    runs = newton_many(P, starts, [10.0] * len(starts), TRAP_OPTIONS)
+    for s0, run in zip(starts, runs):
+        _same_run(run, fv.integrate_newton(P, s0, 10.0, TRAP_OPTIONS))
+
+
+def test_halving_error_is_the_loop_it_replaces():
+    P, p, v = CASES["ellipsoid"]
+    coarse = fv.integrate_rescaled(P, p, v, 0.05, 0.5, OPTIONS)
+    fine = fv.integrate_rescaled(P, p, v, 0.05, 0.5,
+                                 fv.IntegratorOptions(n_out=101, step_factor=0.005))
+    expected = float(np.max(np.linalg.norm(coarse.x - fine.x, axis=1)))
+    assert fv.halving_error(P, p, v, 0.05, 0.5, OPTIONS) == expected
+
+
+def _single_error(call):
+    with pytest.raises(BlowUpError) as info:
+        call()
+    return info.value
+
+
+def test_a_blown_up_row_raises_its_own_error():
+    # along the gutter floor only the fast middle row leaves the box of radius 1.3
+    P = fv.gutter()
+    opts = fv.IntegratorOptions(blowup_radius=1.3)
+    starts = [fv.PhaseState([0.0, 0.0], [0.0, s]) for s in (0.01, 1.0, 0.02)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _single_error(lambda: newton_many(P, starts, [3.0] * 3, opts))
+    single = _single_error(lambda: fv.integrate_newton(P, starts[1], 3.0, opts))
+    assert "left the finite box" in str(single)
+    assert str(batch) == str(single)
+    assert batch.last_time == single.last_time
+    assert _bits(batch.last_state) == _bits(single.last_state)
+
+
+def test_family_blow_up_names_the_lowest_member_and_its_forward_half():
+    # U = -|x|^4 repels; the smaller eps escapes first in lockstep time, but a
+    # loop over the members stops at j = 0, on its forward half
+    P = fv.PlainPotential(dim=2, u=lambda x: -float(x @ x) ** 2,
+                          grad_u=lambda X: -4.0 * np.vecdot(X, X)[:, None] * X,
+                          label="repulsive")
+    p, v = np.array([1.0, 0.0]), np.array([0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _single_error(lambda: fv.family_from_runs(P, p, v, 1.0, [0.1, 0.05]))
+    single = _single_error(lambda: fv.integrate_rescaled(P, p, v, 0.1, 1.0))
+    assert "forward half" in str(single)
+    assert str(batch) == f"family member j=0 (eps=0.1) failed: {single}"
+    assert batch.last_time == single.last_time
+    assert _bits(batch.last_state) == _bits(single.last_state)

@@ -217,15 +217,6 @@ def test_main_check(tiny_scenario_file, capsys):
     assert "FAIL" not in out
 
 
-def test_family_jobs_worker_path(tiny_scenario_file):
-    scn = fv.parse_scenario(tiny_scenario_file)
-    seq = fv.run_family(scn, jobs=1)
-    par = fv.run_family(scn, jobs=2)
-    for a, b in zip(seq.members, par.members):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.v, b.v)
-
-
 def test_certify_reports_family_failure(tiny_scenario_file, tmp_path, monkeypatch, capsys):
     def blow_up(*args, **kwargs):
         raise BlowUpError("forced for the error-report test")
@@ -273,8 +264,8 @@ def test_confinement_failure_stops_family_and_certify(tiny_scenario_file, tmp_pa
                                                       monkeypatch, capsys):
     run_family = cli.run_family
 
-    def leaky(scn, jobs=1):
-        fam = run_family(scn, jobs=jobs)
+    def leaky(scn):
+        fam = run_family(scn)
         fam.bounds[1].ball_ok = False
         return fam
 
@@ -289,6 +280,19 @@ def test_confinement_failure_stops_family_and_certify(tiny_scenario_file, tmp_pa
         assert "j=1" in rep["certificate"]["reason"]
         assert rep["family"]["bounds"][1]["ball_ok"] is False
         assert (out / "traj_eps2.csv").exists()
+
+
+def test_failed_in_memory_revalidation_is_indeterminate(tiny_scenario_file, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.setattr(cli, "revalidate_certificate", lambda *args: False)
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
+                     "--no-svg"]) == 2
+    assert "verdict: INDETERMINATE" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["certificate"] == {
+        "verdict": "INDETERMINATE",
+        "reason": "the certificate failed its in-memory revalidation"}
 
 
 def test_limit_runs_no_coordinates_stage(tmp_path, capsys):
@@ -354,12 +358,13 @@ def test_huge_horizon_is_one_error_line(tiny_scenario_file, tmp_path, capsys, ar
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_one_error_line(tiny_scenario_file, tmp_path, capsys, jobs):
-    argv = ["family", "--scenario", tiny_scenario_file, "--out", str(tmp_path / "out"),
-            "--no-svg", "--jobs", jobs]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: InvalidParameterError") and f"got {jobs}" in err
-    assert len(err.splitlines()) == 1
+    for command in ("family", "check", "residual"):
+        argv = [command, "--scenario", tiny_scenario_file, "--out", str(tmp_path / "out"),
+                "--no-svg", "--jobs", jobs]
+        assert cli.main(argv) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError") and f"got {jobs}" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_file_revalidation_rederives_energy_drift(circle_run_dir, tmp_path):

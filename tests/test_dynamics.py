@@ -7,9 +7,7 @@ from flatvalley.errors import BlowUpError, InvalidParameterError, ScenarioError
 
 
 def free_potential(dim=2):
-    zero = np.zeros(dim)
-    return fv.PlainPotential(dim=dim, u=lambda x: 0.0, grad_u=lambda x: zero,
-                             label="free")
+    return fv.PlainPotential(dim=dim, u=lambda x: 0.0, grad_u=np.zeros_like, label="free")
 
 
 def repulsive_potential():
@@ -17,8 +15,8 @@ def repulsive_potential():
     def u(x):
         return -float(x @ x) ** 2
 
-    def grad(x):
-        return -4.0 * float(x @ x) * x
+    def grad(X):
+        return -4.0 * np.vecdot(X, X)[:, None] * X
 
     return fv.PlainPotential(dim=2, u=u, grad_u=grad, label="repulsive")
 
