@@ -2,13 +2,20 @@
 
 The pipeline here is: read each family member in tube coordinates
 (``coordinate_traces``), check the transverse coordinate shrinks at the
-conservation-law rate and the coordinate velocities/accelerations stay
-bounded uniformly in eps, extract the uniform limit curve from the
+conservation-law rate and the coordinate accelerations stay bounded
+uniformly in eps (``coordinate_gate`` stops on either; the coordinate
+velocity bound is a diagnostic), extract the uniform limit curve from the
 smallest-eps member (``extract_limit``) with a Cauchy diagnostic standing
 in for compactness, and finally assemble an :class:`InstabilityCertificate`:
 concrete evidence that trajectories launched with initial speeds eps_j |v|
 (going to zero) still reach distance R/2 from the equilibrium point p at
 physical time tau*/eps_j.
+
+That evidence comes from physical integrations independent of the
+rescaled members: the family's twins (see :mod:`flatvalley.dynamics`),
+integrated in the family's own lockstep call.  ``physical_evidence_runs``
+only cuts each twin at tau*/eps_j, a node of its grid, so the certificate
+stage integrates nothing.
 """
 from __future__ import annotations
 
@@ -19,12 +26,9 @@ import numpy as np
 
 from .dynamics import (
     FamilyResult,
-    IntegratorOptions,
-    PhaseState,
     Trajectory,
     energy_drift,
     integrate_newton,  # noqa: F401 (flatbench/tracer.py patches it here)
-    newton_many,
 )
 from .errors import (
     ChartDomainError,
@@ -120,10 +124,13 @@ def metric_min_for_traces(chart: MChart, traces: List[CoordinateTrace]):
 class CoordinateBoundsReport:
     """Transverse-coordinate and coordinate-velocity bounds per member.
 
-    The transverse coordinate must shrink with eps and stay below the
-    conservation budget g^-1(eps^2 |v|^2 / 2); coordinate velocities must
-    stay below |v|/sqrt(m) with m the pullback-metric minimum.  The metric
-    clause is diagnostic (m is a grid estimate, not a certified minimum).
+    The transverse coordinate must shrink with eps (``shrinking``) and stay
+    below the conservation budget g^-1(eps^2 |v|^2 / 2) (``r_bounds_ok``):
+    these are bounds of the proof, and :func:`coordinate_gate` stops the
+    pipeline when one fails.  ``velocity_ok`` (coordinate velocities below
+    |v|/sqrt(m), m the pullback-metric minimum) is a diagnostic only: m is
+    a grid estimate, not a certified minimum, so it is recorded and never
+    gated on.
     """
 
     epsilons: Array
@@ -143,6 +150,16 @@ class CoordinateBoundsReport:
         return self.r_bounds_ok and self.shrinking and self.velocity_ok
 
 
+def _r_excess(sup_r: Array, r_bounds: Array, slack: float) -> Array:
+    """Per member: sup |r| above its conservation bound."""
+    return ~(sup_r <= r_bounds * (1.0 + slack))
+
+
+def _growth(sup_r: Array) -> Array:
+    """Per member: sup |r| above the previous member's (False for j = 0)."""
+    return np.concatenate([[False], ~(sup_r[1:] <= sup_r[:-1] * (1.0 + 1e-9) + 1e-15)])
+
+
 def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v,
                              m_estimate, slack: float = 1e-6) -> CoordinateBoundsReport:
     if potential.profile.inverse is None:
@@ -155,9 +172,8 @@ def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v,
     eps = np.array([t.epsilon for t in traces])
     sup_r = np.array([float(np.abs(t.r).max()) for t in traces])
     bounds = np.array([potential.profile.inverse(0.5 * e * e * vnorm * vnorm) for e in eps])
-    r_ok = bool(np.all(sup_r <= bounds * (1.0 + slack)))
-    shrinking = all(sup_r[j + 1] <= sup_r[j] * (1.0 + 1e-9) + 1e-15
-                    for j in range(len(sup_r) - 1))
+    r_ok = not _r_excess(sup_r, bounds, slack).any()
+    shrinking = not _growth(sup_r).any()
     vb = vnorm / np.sqrt(m_value)
     max_rdot = np.array([float(np.abs(t.rdot).max()) for t in traces])
     max_ydot = np.array([float(np.abs(t.ydot).max()) for t in traces])
@@ -195,6 +211,10 @@ _ACCEL_NOISE_FLOOR = 1e-8
 ACCEL_RATIO_BOUND = 4.0
 
 
+def _accel_floor(per: Array) -> float:
+    return max(float(per.min()), _ACCEL_NOISE_FLOOR)
+
+
 def acceleration_uniformity(traces: List[CoordinateTrace]) -> AccelerationReport:
     per = []
     for t in traces:
@@ -206,10 +226,36 @@ def acceleration_uniformity(traces: List[CoordinateTrace]) -> AccelerationReport
         # straight-line families: every acceleration is below measurement noise
         return AccelerationReport(per_member=per, bound=c, ratio=None,
                                   ratio_bound=ACCEL_RATIO_BOUND, uniform_ok=True)
-    ratio = c / max(float(per.min()), _ACCEL_NOISE_FLOOR)
+    ratio = c / _accel_floor(per)
     return AccelerationReport(per_member=per, bound=c, ratio=ratio,
                               ratio_bound=ACCEL_RATIO_BOUND,
                               uniform_ok=ratio <= ACCEL_RATIO_BOUND)
+
+
+def coordinate_gate(bounds: CoordinateBoundsReport, acceleration: AccelerationReport) -> None:
+    """Stop as INDETERMINATE when a proof bound of the coordinates fails: the
+    transverse bound, the shrinking of sup |r| with eps, or the uniformity of
+    the tangential accelerations.  The reason names the first failing member
+    j and its eps.  ``velocity_ok`` is a diagnostic and never stops.
+    """
+    eps, sup_r = bounds.epsilons, bounds.sup_r
+    if not bounds.r_bounds_ok:
+        j = int(np.argmax(_r_excess(sup_r, bounds.r_bounds, bounds.slack)))
+        raise IndeterminateCertificateError(
+            f"member j={j} (eps={eps[j]:g}) leaves the conservation tube: sup |r| = "
+            f"{sup_r[j]:.6g} > g^-1(eps^2 |v|^2 / 2) = {bounds.r_bounds[j]:.6g}")
+    if not bounds.shrinking:
+        j = int(np.argmax(_growth(sup_r)))
+        raise IndeterminateCertificateError(
+            f"member j={j} (eps={eps[j]:g}) does not shrink: sup |r| = {sup_r[j]:.6g} > "
+            f"{sup_r[j - 1]:.6g} of member j={j - 1}")
+    if not acceleration.uniform_ok:
+        ratios = acceleration.per_member / _accel_floor(acceleration.per_member)
+        j = int(np.argmax(ratios > acceleration.ratio_bound))
+        raise IndeterminateCertificateError(
+            f"member j={j} (eps={eps[j]:g}) breaks acceleration uniformity: max |y''| = "
+            f"{acceleration.per_member[j]:.6g} is {ratios[j]:.6g} times the smallest member "
+            f"maximum, above {acceleration.ratio_bound:g}")
 
 
 @dataclass(eq=False)
@@ -315,17 +361,32 @@ def escape_point(tau: Array, x: Array, p) -> Tuple[int, float, float]:
     return c + i, float(dist[i]), float(tau[c + i])
 
 
-def physical_evidence_runs(potential, p, v, epsilons, tau_star: float,
-                           opts: IntegratorOptions = IntegratorOptions()) -> List[Trajectory]:
-    """Physical (unrescaled) runs with initial speed eps_j |v| up to tau*/eps_j,
-    all in one lockstep call."""
-    if tau_star <= 0:
-        raise InvalidParameterError("tau_star must be positive")
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    epsilons = [float(eps) for eps in np.asarray(epsilons, dtype=float)]
-    return newton_many(potential, [PhaseState(p, eps * v) for eps in epsilons],
-                       [tau_star / eps for eps in epsilons], opts, epsilons)
+def physical_evidence_runs(family: FamilyResult, tau_star: float) -> List[Trajectory]:
+    """The physical runs with initial speed eps_j |v|, each up to tau*/eps_j.
+
+    Run j is the family's twin j (the physical run from (p, eps_j v) that
+    the family integrates beside member j) cut at its node i, where
+    tau* = tau[half + i] is a node of the family grid: that node is the
+    physical state at tau*/eps_j, so nothing is integrated or interpolated
+    here.  Raises InvalidParameterError unless tau* is a positive node of
+    the grid, and the BlowUpError of the lowest j whose twin blew up before
+    reaching node i, the error a run integrated to tau*/eps_j would raise.
+    """
+    half = (len(family.tau) - 1) // 2
+    spacing = float(family.tau[1] - family.tau[0])
+    i = round(tau_star / spacing) if 0 < tau_star < np.inf else 0
+    if not (0 < i <= half
+            and abs(family.tau[half + i] - tau_star) <= 1e-9 * max(1.0, tau_star)):
+        raise InvalidParameterError(
+            f"tau_star = {tau_star:g} is not a positive node of the family grid")
+    runs = []
+    for j, twin in enumerate(family.twins):
+        if len(twin.tau) <= i:
+            raise family.twin_errors[j]
+        tau, x, v = twin.tau[:i + 1], twin.x[:i + 1], twin.v[:i + 1]
+        runs.append(Trajectory(kind="physical", epsilon=twin.epsilon, tau=tau, x=x, v=v,
+                               dt=twin.dt, tau_int=tau, x_int=x, v_int=v))
+    return runs
 
 
 @dataclass(eq=False)
@@ -416,7 +477,7 @@ REVALIDATION_RTOL = 1e-12
 
 def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
                       members_x: Sequence[Array],
-                      physical_ends: Optional[Sequence[Array]] = None,
+                      physical_ends: Optional[Mapping[int, Array] | Sequence[Array]] = None,
                       energies: Optional[Tuple[Sequence[float], Sequence[Array]]] = None
                       ) -> Dict[str, bool]:
     """Re-derive a certificate from arrays: one boolean per named check.
@@ -424,11 +485,11 @@ def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
     ``claims`` are the certificate fields by name (``vars`` of an
     :class:`InstabilityCertificate`, or report.json's ``certificate``);
     positions lie on the grid ``tau``.  The evidence displacements are
-    re-derived from the physical runs' final states ``physical_ends`` when
-    they are given.  ``energies``, when given, holds the members' claimed
-    energy drifts and their H on the output grid: the output grid is a
-    subset of the internal steps each claim was taken over, so a claim below
-    the drift re-derived from H is false.
+    re-derived from the physical runs' final states ``physical_ends``
+    (indexed by member j) when they are given.  ``energies``, when given,
+    holds the members' claimed energy drifts and their H on the output
+    grid: the output grid is a subset of the internal steps each claim was
+    taken over, so a claim below the drift re-derived from H is false.
     """
     def close(value, claim):
         return abs(value - claim) <= REVALIDATION_RTOL * max(1.0, abs(value))

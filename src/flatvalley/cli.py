@@ -18,13 +18,18 @@ certificate``, then ``emit``): ``simulate`` and ``family`` run ``family``
 (``simulate --eps E`` is a family of one member at eps0 = E, under the same
 ``min_eps`` cap), ``limit`` runs ``family`` and ``limit``, and ``certify``
 runs all four.  Each writes the files of the stages it ran (traj_eps<j>.csv,
-coords_eps<j>.csv, limit.csv, figures/*.svg) and report.json into ``--out``,
-else the file's ``out``, else ``out_<name>``.
+coords_eps<j>.csv, limit.csv, evidence.csv, figures/*.svg) and report.json
+into ``--out``, else the file's ``out``, else ``out_<name>``.
+
+The family stage integrates every member and its physical twin in one
+lockstep call; the certificate stage reads its evidence off the twins and
+integrates nothing.
 
 Exit codes of all four: 0 when every stage passed (the certificate verdict
 is UNSTABLE for ``certify``), 2 when a stage's audit stopped the run with an
-INDETERMINATE verdict (a member failed its confinement audit, the limit
-failed its Cauchy diagnostic, a degenerate limit, a schedule too short),
+INDETERMINATE verdict (a member failed its confinement audit, a proof bound
+of the tube coordinates failed, the limit failed its Cauchy diagnostic, a
+degenerate limit, a schedule too short, a failed in-memory revalidation),
 1 on hard errors, bad input included: every failure is a
 ``FlatValleyError``, reported on one ``error: ...`` line.
 """
@@ -44,6 +49,7 @@ from .analysis import (
     acceleration_uniformity,
     certify_instability,
     coordinate_bounds_report,
+    coordinate_gate,
     coordinate_traces,
     escape_point,
     extract_limit,
@@ -78,6 +84,7 @@ from .reporting import (
     certificate_payload,
     convergence_payload,
     write_coords_csv,
+    write_evidence_csv,
     write_limit_csv,
     write_report_json,
     write_trajectory_csv,
@@ -227,6 +234,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             "epsilons": fam.epsilons,
             "energy_drifts": [e.drift for e in fam.energies],
             "bounds": bounds_payload(fam.bounds),
+            "twin_distances": fam.twin_distances,
         }
         for j, b in enumerate(fam.bounds):
             if not b.passed:
@@ -259,6 +267,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             "acceleration_ratio": acc.ratio,
             "acceleration_uniform_ok": acc.uniform_ok,
         }
+        coordinate_gate(cb, acc)
 
     def stage_limit():
         limit, conv = extract_limit(state["family"])
@@ -270,11 +279,10 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
     def stage_certificate():
         fam, limit = state["family"], state["limit"]
         _, _, tau_star = escape_point(limit.tau, limit.x, fam.p)
-        runs = physical_evidence_runs(scenario.potential, fam.p, fam.v,
-                                      fam.epsilons, tau_star, scenario.options)
+        runs = state["physical_runs"] = physical_evidence_runs(fam, tau_star)
         cert = certify_instability(fam, limit, runs)
         ok = revalidate_certificate(cert, fam, limit, runs)
-        state.update(certificate=cert, physical_runs=runs)
+        state["certificate"] = cert
         payload["certificate"] = certificate_payload(cert)
         payload["certificate"]["revalidated_in_memory"] = bool(ok)
         if not ok:
@@ -295,6 +303,10 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
         if "limit" in state:
             name = os.path.join(out_dir, "limit.csv")
             write_limit_csv(name, state["limit"])
+            report.manifest.append(name)
+        if "physical_runs" in state:
+            name = os.path.join(out_dir, "evidence.csv")
+            write_evidence_csv(name, state["physical_runs"])
             report.manifest.append(name)
         if svg:
             report.manifest.extend(_figures(out_dir, scenario, state))

@@ -23,9 +23,12 @@ from .errors import InvalidParameterError
 
 Array = np.ndarray
 
-#: points of the barrier scan and golden-section steps refining each peak
+#: points of the barrier scan
 BARRIER_GRID = 40001
-BARRIER_REFINE_ITERS = 80
+#: the golden-section search refining each peak stops once its bracket is
+#: this narrow relative to max(|x|, 1): a flat maximum is located only to
+#: about sqrt(machine eps) of its scale, so narrower brackets refine noise
+BARRIER_XTOL = float(np.sqrt(np.finfo(float).eps))
 #: integrator settings of every trapped-motion run
 TRAP_OPTIONS = IntegratorOptions(n_out=1001)
 #: initial velocity of every coordinate past the first
@@ -46,8 +49,9 @@ def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
     """Scan U on [-window, window] and return the tallest barrier pair.
 
     The scan takes the global maximum of U on each side of the origin and
-    golden-section refines it; the barrier height is the smaller of the two
-    peaks, which is what bounds crossings in one dimension.
+    golden-section refines it to float resolution (BARRIER_XTOL); the
+    barrier height is the smaller of the two peaks, which is what bounds
+    crossings in one dimension.
     """
     if potential.dim != 1:
         raise InvalidParameterError("barrier location is a 1-d diagnostic")
@@ -62,7 +66,7 @@ def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
         c, d = b - phi * (b - a), a + phi * (b - a)
         fc = potential.value(np.array([c]))
         fd = potential.value(np.array([d]))
-        for _ in range(BARRIER_REFINE_ITERS):
+        while b - a > BARRIER_XTOL * max(abs(0.5 * (a + b)), 1.0):
             if fc < fd:
                 a, c, fc = c, d, fd
                 d = a + phi * (b - a)

@@ -12,8 +12,18 @@ from; conservation of H = |xd|^2/2 + U/eps^2 gives sharp a-priori bounds
 against.
 
 Runs are batched: ``rescaled_many`` (both halves of every member of a
-family) and ``newton_many`` (physical runs) make one lockstep call of
+family, and for a family the physical twin of every member) and
+``newton_many`` (physical runs) make one lockstep call of
 ``integrators.integrate`` each, and a single run is a batch of one.
+
+The twin of member j is the physical run from (p, eps_j v) to T/eps_j on
+the member's forward output grid scaled by 1/eps_j.  It takes the member's
+step count, so it costs the lockstep no extra iterations, and its nodes
+are the physical states at tau/eps_j for every node tau >= 0 of the
+family: the certificate's evidence runs are read off the twins, with no
+integration of their own.  Under t = tau/eps_j the twin and the member's
+forward half are the same discrete map up to rounding; their distance is
+the family's two-route cross-check (``FamilyResult.twin_distances``).
 
 Output grids: every trajectory is reported on an equispaced grid whose
 nodes are exact integrator states (the internal step is snapped to divide
@@ -110,7 +120,10 @@ class Trajectory:
 
     ``tau``/``x``/``v`` live on the equispaced output grid (401 nodes by
     default); the ``*_int`` arrays hold every internal step.  Output nodes
-    coincide with internal nodes by construction.
+    coincide with internal nodes by construction.  A family's physical
+    twins, and the evidence runs cut from them, keep only their output
+    nodes: their ``*_int`` arrays are the node arrays, and ``dt`` is still
+    the step they were integrated at.
     """
 
     kind: str                 # "physical" | "rescaled"
@@ -173,6 +186,39 @@ def _lockstep(potential, x0, v0, scale, snaps, opts: IntegratorOptions):
                      method=opts.method, blowup_radius=opts.blowup_radius)
 
 
+def _newton_snaps(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
+                  intervals: int, step_factors: Sequence[float]) -> List[Tuple[int, float, int]]:
+    """The (m, dt, steps) of physical runs from ``starts[i]`` to ``t_ends[i]``
+    on ``intervals`` output intervals at a step of at most ``step_factors[i]``,
+    each checked before any run starts."""
+    snaps = []
+    for s0, t_end, factor in zip(starts, t_ends, step_factors):
+        if not math.isfinite(t_end):
+            raise InvalidParameterError(f"the horizon t_end must be finite, got {t_end:g}")
+        if t_end <= 0:
+            raise InvalidParameterError("t_end must be positive")
+        if s0.x.size != potential.dim:
+            raise InvalidParameterError("initial state dimension does not match the potential")
+        snaps.append(_snap_step(t_end / intervals, factor, intervals))
+    return snaps
+
+
+def _newton_run(snap, t_end: float, intervals: int, X: Array, V: Array,
+                eps: Optional[float], nodes_only: bool = False) -> Trajectory:
+    """A physical run from its internal states; a run cut short by a blow-up
+    keeps the output nodes it reached.  With ``nodes_only`` the run keeps
+    only its output nodes, which are then also its ``*_int`` arrays."""
+    m, dt, _ = snap
+    x, v = X[::m].copy(), V[::m].copy()
+    tau = np.arange(len(x)) * (t_end / intervals)
+    if nodes_only:
+        X, V, tau_int = x, v, tau
+    else:
+        tau_int = np.arange(len(X)) * dt
+    return Trajectory(kind="physical", epsilon=eps, tau=tau, x=x, v=v, dt=dt,
+                      tau_int=tau_int, x_int=X, v_int=V)
+
+
 def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
                 opts: IntegratorOptions = IntegratorOptions(),
                 epsilons: Optional[Sequence[Optional[float]]] = None) -> List[Trajectory]:
@@ -182,35 +228,16 @@ def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float]
     Raises the BlowUpError of the first run that fails, the error a loop of
     :func:`integrate_newton` stops at.
     """
-    n_out = opts.n_out
-    snaps = []
-    for s0, t_end in zip(starts, t_ends):
-        if not math.isfinite(t_end):
-            raise InvalidParameterError(f"the horizon t_end must be finite, got {t_end:g}")
-        if t_end <= 0:
-            raise InvalidParameterError("t_end must be positive")
-        if s0.x.size != potential.dim:
-            raise InvalidParameterError("initial state dimension does not match the potential")
-        snaps.append(_snap_step(t_end / (n_out - 1), opts.step_factor, n_out - 1))
+    intervals = opts.n_out - 1
+    snaps = _newton_snaps(potential, starts, t_ends, intervals,
+                          [opts.step_factor] * len(starts))
     Xs, Vs, failures = _lockstep(potential, [s0.x for s0 in starts], [s0.v for s0 in starts],
                                  1.0, snaps, opts)
     if failures:
         raise failures[min(failures)]
     labels = [None] * len(starts) if epsilons is None else epsilons
-    runs = []
-    for (m, dt, steps), t_end, X, V, eps in zip(snaps, t_ends, Xs, Vs, labels):
-        runs.append(Trajectory(
-            kind="physical",
-            epsilon=eps,
-            tau=np.arange(n_out) * (t_end / (n_out - 1)),
-            x=X[::m].copy(),
-            v=V[::m].copy(),
-            dt=dt,
-            tau_int=np.arange(steps + 1) * dt,
-            x_int=X,
-            v_int=V,
-        ))
-    return runs
+    return [_newton_run(snap, t_end, intervals, X, V, eps)
+            for snap, t_end, X, V, eps in zip(snaps, t_ends, Xs, Vs, labels)]
 
 
 def integrate_newton(potential, s0: PhaseState, t_end: float,
@@ -221,15 +248,32 @@ def integrate_newton(potential, s0: PhaseState, t_end: float,
 
 
 def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
-                  step_factors: Sequence[float], opts: IntegratorOptions = IntegratorOptions()
-                  ) -> Tuple[List[Optional[Trajectory]], Dict[int, BlowUpError]]:
+                  step_factors: Sequence[float], opts: IntegratorOptions = IntegratorOptions(),
+                  twins: bool = False
+                  ) -> Tuple[List[Optional[Trajectory]], Dict[int, BlowUpError],
+                             List[Trajectory], Dict[int, BlowUpError]]:
     """Integrate xdd = -(1/eps_j^2) grad U(x) on [-T, T] from (p, v) at the
     internal step ``step_factors[j] * eps_j``, both halves of every run in
     one lockstep call.
 
-    Returns the runs and {j: BlowUpError}, each error the one
-    :func:`integrate_rescaled` raises for run j (whose entry is None).  Every
-    run's step count is checked against MAX_STEPS before any run starts.
+    With ``twins``, the physical twin of every run rides in the same call:
+    twin j solves xdd = -grad U from (p, eps_j v) to T/eps_j at a step of at
+    most ``step_factors[j]``, on the forward half's ``half`` output
+    intervals (spacing (T/eps_j)/half).  Its nodes are those of the
+    :func:`integrate_newton` run to T/eps_j with n_out = half + 1, bit for
+    bit; it takes the step count of run j, so the lockstep loop runs no
+    longer, and its node i is the physical state at the time of run j's
+    node half + i.  A twin keeps only its output nodes (its ``*_int``
+    arrays are its node arrays): its internal states are freed before the
+    runs are joined, so the twins add almost nothing to the family's
+    memory peak.
+
+    Returns (runs, errors, twin_runs, twin_errors): the runs and
+    {j: BlowUpError}, each error the one :func:`integrate_rescaled` raises
+    for run j (whose entry is None); then the twins (empty without
+    ``twins``) and {j: BlowUpError} of the twins that blew up, each of which
+    keeps the output nodes it reached.  A twin's failure touches no run.
+    Every step count is checked against MAX_STEPS before any run starts.
     """
     if T <= 0:
         raise InvalidParameterError("horizon T must be positive")
@@ -239,6 +283,7 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
         raise InvalidParameterError("p and v must match the potential dimension")
     half = (opts.n_out - 1) // 2
     spacing = T / half
+    count = len(epsilons)
     snaps, scales = [], []
     for eps, factor in zip(epsilons, step_factors):
         eps = float(eps)
@@ -247,8 +292,26 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
         snap = _snap_step(spacing, factor * eps, half)
         snaps += [snap, snap]  # the forward half from (p, v), the backward from (p, -v)
         scales += [1.0 / (eps * eps)] * 2
-    Xs, Vs, failures = _lockstep(potential, [p] * len(snaps), [v, -v] * (len(snaps) // 2),
-                                 scales, snaps, opts)
+    x0s, v0s = [p] * len(snaps), [v, -v] * count
+    if twins:
+        starts = [PhaseState(p, float(eps) * v) for eps in epsilons]
+        t_ends = [T / float(eps) for eps in epsilons]
+        snaps += _newton_snaps(potential, starts, t_ends, half, step_factors)
+        scales += [1.0] * count
+        x0s += [s0.x for s0 in starts]
+        v0s += [s0.v for s0 in starts]
+    Xs, Vs, failures = _lockstep(potential, x0s, v0s, scales, snaps, opts)
+    twin_runs, twin_errors = [], {}
+    for j in range(count if twins else 0):
+        row, eps = 2 * count + j, float(epsilons[j])
+        exc = failures.get(row)
+        if exc is not None:
+            twin_errors[j] = BlowUpError(
+                f"physical twin j={j} (eps={eps:g}) blew up: {exc}",
+                last_time=exc.last_time, last_state=exc.last_state)
+        twin_runs.append(_newton_run(snaps[row], t_ends[j], half, Xs[row], Vs[row], eps,
+                                     nodes_only=True))
+        Xs[row] = Vs[row] = None  # free the internal states before the runs are joined
     runs, errors = [], {}
     for j, eps in enumerate(epsilons):
         # the forward half runs first in time, so its error is the one reported
@@ -278,7 +341,7 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
             x_int=x_int,
             v_int=v_int,
         ))
-    return runs, errors
+    return runs, errors, twin_runs, twin_errors
 
 
 def integrate_rescaled(potential, p, v, eps: float, T: float,
@@ -291,7 +354,7 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     the step size failed to resolve the stiffness and is reported as an
     integrator failure.
     """
-    runs, errors = rescaled_many(potential, p, v, T, [eps], [opts.step_factor], opts)
+    runs, errors, _, _ = rescaled_many(potential, p, v, T, [eps], [opts.step_factor], opts)
     if errors:
         raise errors[0]
     return runs[0]
@@ -491,7 +554,13 @@ class Scenario:
 
 @dataclass(eq=False)
 class FamilyResult:
-    """Rescaled trajectories for a geometric eps schedule on one output grid."""
+    """Rescaled trajectories for a geometric eps schedule on one output grid,
+    with their physical twins.
+
+    ``twins[j]`` is the physical run from (p, eps_j v) to T/eps_j that was
+    integrated beside member j (see :func:`rescaled_many`); a twin that blew
+    up ends early and has its error in ``twin_errors``.
+    """
 
     potential: CompositePotential
     p: Array
@@ -503,27 +572,39 @@ class FamilyResult:
     members: List[Trajectory]
     energies: List[EnergyReport]
     bounds: List[BoundsCheck]
+    twins: List[Trajectory]
+    twin_errors: Dict[int, BlowUpError]
 
     @property
     def count(self) -> int:
         return len(self.members)
 
+    @property
+    def twin_distances(self) -> Array:
+        """Per member, the sup distance between its twin and its forward half
+        on the nodes they share: the two routes to the same discrete map."""
+        half = (len(self.tau) - 1) // 2
+        return np.array([
+            float(np.max(np.linalg.norm(twin.x - member.x[half:half + len(twin.x)], axis=1)))
+            for member, twin in zip(self.members, self.twins)])
+
 
 def family_from_runs(potential, p, v, T, epsilons,
                      opts: IntegratorOptions = IntegratorOptions(),
                      slack: float = 1e-6) -> FamilyResult:
-    """Integrate one rescaled run per eps, all in one lockstep call, and audit
-    each of them.
+    """Integrate one rescaled run per eps and its physical twin, all in one
+    lockstep call, and audit each run.
 
     A family any of whose members would take more than MAX_STEPS steps
     fails before any member runs; a failing member aborts the family with
-    the lowest failing index attached.
+    the lowest failing index attached.  A failing twin never does: its
+    error waits in ``twin_errors`` for the certificate stage.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     epsilons = np.asarray(list(epsilons), dtype=float)
-    members, errors = rescaled_many(potential, p, v, T, epsilons,
-                                    [opts.step_factor] * len(epsilons), opts)
+    members, errors, twins, twin_errors = rescaled_many(
+        potential, p, v, T, epsilons, [opts.step_factor] * len(epsilons), opts, twins=True)
     if errors:
         j = min(errors)
         exc = errors[j]
@@ -535,7 +616,7 @@ def family_from_runs(potential, p, v, T, epsilons,
     return FamilyResult(
         potential=potential, p=p, v=v, horizon=float(T), options=opts,
         epsilons=epsilons, tau=members[0].tau, members=members,
-        energies=energies, bounds=bounds,
+        energies=energies, bounds=bounds, twins=twins, twin_errors=twin_errors,
     )
 
 
@@ -554,7 +635,7 @@ def halving_error(potential, p, v, eps: float, T: float,
     A cheap a-posteriori discretization error estimate used by the
     two-route consistency checks.
     """
-    (coarse, fine), errors = rescaled_many(potential, p, v, T, [eps, eps],
+    (coarse, fine), errors, _, _ = rescaled_many(potential, p, v, T, [eps, eps],
                                            [opts.step_factor, opts.step_factor / 2.0], opts)
     if errors:
         raise errors[min(errors)]

@@ -71,8 +71,9 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
     Returns (Xs, Vs, failures): per row the (steps + 1, n) states after
     every full step, and {row: BlowUpError} for the rows that reached a
     non-finite or escaping state, each carrying its last valid time and
-    state (a failed row's Xs/Vs entries are None).  A single (n,) row is a
-    batch of one: it returns (X, V) and raises its BlowUpError.
+    state (a failed row's Xs/Vs hold its states before the first bad one).
+    A single (n,) row is a batch of one: it returns (X, V) and raises its
+    BlowUpError.
     """
     if method not in TABLES:
         raise InvalidParameterError(f"unknown integrator {method!r}; known: {sorted(TABLES)}")
@@ -115,6 +116,7 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
     buf_v = np.empty((chunk, rows, n))
     r2 = blowup_radius * blowup_radius
     failures = {}
+    bad = {}  # failed row -> index of its first bad state
     live = rows
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a blown-up row is caught below
@@ -147,7 +149,7 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
             due = np.arange(first, k + 1)[:, None] <= np.array(counts[:live0])
             for r in np.flatnonzero(np.any(due & ~inside, axis=0)).tolist():
                 if r not in failures:
-                    j = first + int(np.argmax(~inside[:, r]))
+                    j = bad[r] = first + int(np.argmax(~inside[:, r]))
                     step = float(h[r])
                     failures[r] = BlowUpError(
                         f"state left the finite box at step {j} (t = {j * step:.6g})",
@@ -156,7 +158,7 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
             if len(failures) == rows:
                 break
     back = np.argsort(order, kind="stable")
-    for r in failures:
-        Xs[r] = Vs[r] = None
+    for r, j in bad.items():
+        Xs[r], Vs[r] = Xs[r][:j], Vs[r][:j]
     return ([Xs[r] for r in back], [Vs[r] for r in back],
             {int(order[r]): exc for r, exc in failures.items()})

@@ -65,6 +65,13 @@ def write_limit_csv(path, limit) -> None:
     _write_csv(path, header, ([limit.tau[i], *limit.x[i]] for i in range(len(limit.tau))))
 
 
+def write_evidence_csv(path, runs) -> None:
+    """The physical evidence: each run's state at its end, tau*/eps_j."""
+    header = ["j", "eps", "t"] + [f"x{i}" for i in range(runs[0].dim)]
+    _write_csv(path, header, ([j, run.epsilon, run.tau[-1], *run.x[-1]]
+                              for j, run in enumerate(runs)))
+
+
 def write_report_json(path, payload: dict) -> None:
     try:
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
@@ -111,12 +118,13 @@ def convergence_payload(report, limit=None) -> dict:
 def revalidate_from_dir(out_dir) -> dict:
     """Re-derive the certificate from the emitted files alone.
 
-    Reads report.json, limit.csv and every traj_eps<j>.csv and runs
-    :func:`flatvalley.analysis.check_certificate` on them, energy drifts
-    included (re-derived from each member's H column).  Returns a dict with
-    an ``ok`` flag and the per-check booleans, or ``ok: False`` and a
-    ``reason`` when a file is missing or malformed; never re-runs any
-    integration and never raises on what the files hold.
+    Reads report.json, limit.csv, every traj_eps<j>.csv and evidence.csv
+    and runs :func:`flatvalley.analysis.check_certificate` on them, energy
+    drifts (re-derived from each member's H column) and evidence
+    displacements (re-derived from the physical end states) included.
+    Returns a dict with an ``ok`` flag and the per-check booleans, or
+    ``ok: False`` and a ``reason`` when a file is missing or malformed;
+    never re-runs any integration and never raises on what the files hold.
     """
     try:
         with open(os.path.join(out_dir, "report.json"), "r", encoding="utf-8") as fh:
@@ -132,7 +140,9 @@ def revalidate_from_dir(out_dir) -> dict:
 
         limit_cols, limit_x = columns("limit.csv")
         members = [columns(f"traj_eps{j}.csv") for j in range(len(cert["epsilons"]))]
+        evidence_cols, ends = columns("evidence.csv")
         checks = check_certificate(cert, limit_cols["tau"], limit_x, [x for _, x in members],
+                                   dict(zip(evidence_cols["j"].tolist(), ends)),
                                    energies=(report.get("family", {}).get("energy_drifts", ()),
                                              [cols["H"] for cols, _ in members]))
     except OSError as exc:

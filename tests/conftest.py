@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import flatvalley as fv
+from flatvalley import dynamics
+from flatvalley.errors import BlowUpError
 from flatvalley.geometry import flow_steps_for, foot_many, raise_first
 
 
@@ -18,8 +20,7 @@ def _pipeline_bundle(scn):
     acceleration = fv.acceleration_uniformity(traces)
     limit, convergence = fv.extract_limit(fam)
     _, _, tau_star = fv.escape_point(limit.tau, limit.x, scn.p)
-    runs = fv.physical_evidence_runs(scn.potential, scn.p, scn.v, fam.epsilons,
-                                     tau_star, scn.options)
+    runs = fv.physical_evidence_runs(fam, tau_star)
     cert = fv.certify_instability(fam, limit, runs)
     return SimpleNamespace(
         scenario=scn, family=fam, chart=chart, traces=traces, metric=metric,
@@ -82,3 +83,33 @@ def tiny_scenario_file(tmp_path):
         "n_out": 101,
     }))
     return str(path)
+
+
+@pytest.fixture()
+def blow_up_twins(monkeypatch):
+    """Make a family's twins blow up: ``blow_up_twins({j: fraction})`` has the
+    family's lockstep call report twin j as leaving the finite box at that
+    fraction of its steps, keeping its states before, as ``integrate``
+    reports a row that blew up.  A twin moves eps_j times slower than its
+    member along the same path, so it never blows up while its member runs
+    on: the failure has to be injected."""
+    real = dynamics.integrate
+
+    def install(fractions):
+        def integrate(accel, x0, v0, dt, n_steps, *, steps, scale, **kwargs):
+            Xs, Vs, failures = real(accel, x0, v0, dt, n_steps, steps=steps, scale=scale,
+                                    **kwargs)
+            count = len(Xs) // 3  # both halves of every member, then the twins
+            for j, fraction in fractions.items():
+                r, h = 2 * count + j, dt[2 * count + j]
+                bad = int(fraction * steps[r])
+                failures[r] = BlowUpError(
+                    f"state left the finite box at step {bad} (t = {bad * h:.6g})",
+                    last_time=(bad - 1) * h,
+                    last_state=(Xs[r][bad - 1].copy(), Vs[r][bad - 1].copy()))
+                Xs[r], Vs[r] = Xs[r][:bad], Vs[r][:bad]
+            return Xs, Vs, failures
+
+        monkeypatch.setattr(dynamics, "integrate", integrate)
+
+    return install

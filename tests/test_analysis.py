@@ -94,7 +94,7 @@ def test_degenerate_limit_is_rejected():
     assert conv.cauchy_ok          # all members sit at p: distances vanish
     assert np.allclose(limit.x, [1.0, 0.0])
     assert np.allclose(limit.xdot0, 0.0)
-    runs = fv.physical_evidence_runs(C, fam.p, fam.v, fam.epsilons, 0.25, fam.options)
+    runs = fv.physical_evidence_runs(fam, 0.25)
     with pytest.raises(DegenerateLimitError):
         fv.certify_instability(fam, limit, runs)
 
@@ -172,9 +172,7 @@ def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
 
 def test_physical_runs_must_match_tau_star(circle_bundle):
     fam, limit = circle_bundle.family, circle_bundle.limit
-    bad_runs = fv.physical_evidence_runs(
-        fam.potential, fam.p, fam.v, fam.epsilons, circle_bundle.tau_star * 0.9,
-        fam.options)
+    bad_runs = fv.physical_evidence_runs(fam, circle_bundle.tau_star * 0.9)
     with pytest.raises((InvalidParameterError, IndeterminateCertificateError)):
         fv.certify_instability(fam, limit, bad_runs)
 

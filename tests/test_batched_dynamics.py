@@ -13,8 +13,8 @@ import pytest
 
 import flatvalley as fv
 from flatvalley.contrast import COMPANION_SPEED, TRAP_OPTIONS
-from flatvalley.dynamics import newton_many
-from flatvalley.errors import BlowUpError
+from flatvalley.dynamics import newton_many, rescaled_many
+from flatvalley.errors import BlowUpError, InvalidParameterError
 from flatvalley.integrators import CHUNK, integrate
 
 
@@ -47,8 +47,14 @@ OPTIONS = fv.IntegratorOptions(n_out=101)
 
 
 def _same_run(a, b):
+    _same_nodes(a, b)
+    for name in ("tau_int", "x_int", "v_int"):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+
+
+def _same_nodes(a, b):
     assert a.kind == b.kind and a.epsilon == b.epsilon and a.dt == b.dt
-    for name in ("tau", "x", "v", "tau_int", "x_int", "v_int"):
+    for name in ("tau", "x", "v"):
         assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
 
 
@@ -93,13 +99,84 @@ def test_family_is_a_loop_of_rescaled_runs(name):
         _same_run(member, fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS))
 
 
+def _twin_alone(P, p, v, eps, T=0.5):
+    """Twin of the member at eps, integrated alone: the physical run from
+    (p, eps v) to T/eps on the forward half's output intervals."""
+    half = (OPTIONS.n_out - 1) // 2
+    return fv.integrate_newton(P, fv.PhaseState(p, eps * v), T / eps,
+                               fv.IntegratorOptions(n_out=half + 1), epsilon=eps)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_twins_are_a_loop_of_newton_runs(name):
+    P, p, v = CASES[name]
+    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    assert not fam.twin_errors
+    for eps, member, twin in zip(EPSILONS, fam.members, fam.twins):
+        alone = _twin_alone(P, p, v, eps)
+        _same_nodes(twin, alone)
+        # a twin keeps only its nodes, and takes its member's step count:
+        # the lockstep runs no longer
+        assert twin.x_int is twin.x and twin.v_int is twin.v and twin.tau_int is twin.tau
+        assert 2 * (len(alone.tau_int) - 1) == len(member.tau_int) - 1
+    # same discrete map up to rounding: the two routes agree far below any
+    # tolerance the certificate uses
+    assert np.all(fam.twin_distances <= 1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_twins_leave_the_members_bit_identical(name):
+    # the family without twins is the one lockstep call it made before them
+    P, p, v = CASES[name]
+    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    alone, errors, twins, _ = rescaled_many(P, p, v, 0.5, EPSILONS,
+                                            [OPTIONS.step_factor] * 3, OPTIONS)
+    assert not errors and twins == []
+    for member, run in zip(fam.members, alone):
+        _same_run(member, run)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_evidence_runs_are_a_loop_of_newton_runs(name):
+    # evidence run j is twin j cut at tau* = 0.4, node 40 of its 50 intervals
     P, p, v = CASES[name]
-    runs = fv.physical_evidence_runs(P, p, v, EPSILONS, 0.4, OPTIONS)
+    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    runs = fv.physical_evidence_runs(fam, 0.4)
     for eps, run in zip(EPSILONS, runs):
-        _same_run(run, fv.integrate_newton(P, fv.PhaseState(p, eps * v), 0.4 / eps,
-                                           OPTIONS, epsilon=eps))
+        alone = _twin_alone(P, p, v, eps)
+        assert run.kind == "physical" and run.epsilon == eps and run.dt == alone.dt
+        assert run.tau[-1] * eps == pytest.approx(0.4, rel=1e-12)
+        for name_ in ("tau", "x", "v"):
+            assert _bits(getattr(run, name_)) == _bits(getattr(alone, name_)[:41]), name_
+        assert run.x_int is run.x
+
+
+@pytest.mark.parametrize("tau_star", [0.0, -0.4, 0.403, 0.51, np.nan, np.inf])
+def test_evidence_needs_a_positive_node_of_the_family_grid(tau_star):
+    P, p, v = CASES["circle"]
+    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS[:1], OPTIONS)
+    with pytest.raises(InvalidParameterError, match="not a positive node"):
+        fv.physical_evidence_runs(fam, tau_star)
+
+
+def test_a_blown_up_twin_keeps_its_nodes_and_raises_only_before_them(blow_up_twins):
+    # twins 2 and 1 fail at 90 % and 80 % of their runs: evidence up to
+    # tau* = 0.25 is read off their surviving nodes, evidence at tau* = 0.5
+    # raises the error of the lowest j, and no member is touched
+    P, p, v = CASES["circle"]
+    alone = [fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS) for eps in EPSILONS]
+    blow_up_twins({2: 0.9, 1: 0.8})
+    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    assert sorted(fam.twin_errors) == [1, 2]
+    assert [len(twin.tau) for twin in fam.twins] == [51, 40, 45]
+    for member, run in zip(fam.members, alone):
+        _same_run(member, run)
+    early = fv.physical_evidence_runs(fam, 0.25)
+    assert [len(run.tau) for run in early] == [26, 26, 26]
+    with pytest.raises(BlowUpError) as info:
+        fv.physical_evidence_runs(fam, 0.5)
+    assert info.value is fam.twin_errors[1]
+    assert str(info.value).startswith("physical twin j=1 (eps=0.05) blew up: state left")
 
 
 @pytest.mark.parametrize("P", [fv.painleve(), fv.laloy()], ids=["painleve", "laloy"])
@@ -140,6 +217,19 @@ def test_a_blown_up_row_raises_its_own_error():
     assert str(batch) == str(single)
     assert batch.last_time == single.last_time
     assert _bits(batch.last_state) == _bits(single.last_state)
+
+
+def test_a_blown_up_row_keeps_its_states_before_the_failure():
+    # free motion: the fast middle row leaves the box of radius 2.5 at
+    # t = 0.63; the rows beside it run on, and it keeps the 63 states before
+    free = np.zeros_like
+    x0, v0 = np.zeros((3, 1)), np.array([[0.5], [3.0], [1.0]])
+    Xs, Vs, failures = integrate(free, x0, v0, 0.01, 100, blowup_radius=2.5)
+    assert list(failures) == [1] and "at step 63" in str(failures[1])
+    assert [len(X) for X in Xs] == [101, 63, 101]
+    X, V = integrate(free, x0[1], v0[1], 0.01, 62, blowup_radius=2.5)
+    assert _bits(Xs[1]) == _bits(X) and _bits(Vs[1]) == _bits(V)
+    assert _bits(failures[1].last_state) == _bits((X[-1], V[-1]))
 
 
 def test_family_blow_up_names_the_lowest_member_and_its_forward_half():

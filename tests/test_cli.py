@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -109,7 +111,7 @@ def test_pipeline_artifacts_and_exit(circle_run_dir):
     for j in range(6):
         assert f"traj_eps{j}.csv" in names
         assert f"coords_eps{j}.csv" in names
-    assert "limit.csv" in names and "report.json" in names
+    assert "limit.csv" in names and "report.json" in names and "evidence.csv" in names
     for fig in ("trajectories.svg", "convergence.svg", "violation.svg"):
         assert os.path.exists(os.path.join(circle_run_dir.path, "figures", fig))
     stages = {s["name"]: s["status"] for s in run.stages}
@@ -401,15 +403,16 @@ def _drop_claim(key):
     _drop_claim("epsilons"),
     lambda rep: [rep],
     None,
+    "evidence.csv",
 ], ids=["j0-string", "p-missing", "threshold-null", "epsilons-missing", "top-level-list",
-        "csv-missing"])
+        "csv-missing", "evidence-missing"])
 def test_file_revalidation_rejects_malformed_runs(circle_run_dir, tmp_path, edit):
     import shutil
 
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
-    if edit is None:
-        os.remove(clone / "traj_eps2.csv")
+    if edit is None or isinstance(edit, str):
+        os.remove(clone / (edit or "traj_eps2.csv"))
     else:
         rep = json.loads((clone / "report.json").read_text())
         (clone / "report.json").write_text(json.dumps(edit(rep)))
@@ -450,3 +453,138 @@ def test_launch_point_within_floor_tolerance_certifies(tmp_path):
                       options=fv.IntegratorOptions(n_out=101))
     report = fv.run_pipeline(scn, str(tmp_path), svg=False)
     assert report.exit_code == 0 and report.verdict == "UNSTABLE", report.reason
+
+
+def test_evidence_csv_holds_the_physical_end_states(circle_run_dir):
+    cols = read_csv_columns(os.path.join(circle_run_dir.path, "evidence.csv"))
+    assert list(cols) == ["j", "eps", "t", "x0", "x1"]
+    rep = json.loads(open(os.path.join(circle_run_dir.path, "report.json")).read())
+    cert = rep["certificate"]
+    assert cols["j"].tolist() == list(range(6))
+    assert cols["eps"].tolist() == rep["family"]["epsilons"]
+    assert np.allclose(cols["t"] * cols["eps"], cert["tau_star"], rtol=1e-12, atol=0)
+    for row in cert["evidence"]:
+        j = row["j"]
+        moved = float(np.hypot(cols["x0"][j] - cert["p"][0], cols["x1"][j] - cert["p"][1]))
+        assert moved == pytest.approx(row["displacement"], rel=1e-15)
+    # the two-route cross-check: each twin against its member's forward half
+    assert len(rep["family"]["twin_distances"]) == 6
+    assert max(rep["family"]["twin_distances"]) <= 1e-12
+
+
+def _tamper_evidence_coordinate(clone, rep):
+    lines = (clone / "evidence.csv").read_text().splitlines()
+    row = lines[-1].split(",")
+    row[3] = repr(float(row[3]) * (1.0 + 1e-9))
+    (clone / "evidence.csv").write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+
+
+def _tamper_displacement(clone, rep):
+    rep["certificate"]["evidence"][-1]["displacement"] *= 1.0 + 1e-9
+    (clone / "report.json").write_text(json.dumps(rep))
+
+
+@pytest.mark.parametrize("tamper", [_tamper_evidence_coordinate, _tamper_displacement],
+                         ids=["evidence-coordinate", "displacement"])
+def test_file_revalidation_rederives_evidence(circle_run_dir, tmp_path, tamper):
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    tamper(clone, json.loads((clone / "report.json").read_text()))
+    result = revalidate_from_dir(str(clone))
+    assert not result["ok"] and not result["checks"]["evidence"]
+    assert [name for name, ok in result["checks"].items() if not ok] == ["evidence"]
+
+
+def _scale_r(member, factor):
+    """Wrap the coordinate bounds so they see member's r scaled by factor."""
+    real = cli.coordinate_bounds_report
+
+    def bounds(traces, *args):
+        traces = [dataclasses.replace(t, r=t.r * factor) if j == member else t
+                  for j, t in enumerate(traces)]
+        return real(traces, *args)
+    return "coordinate_bounds_report", bounds
+
+
+def _scale_yddot(factors):
+    """Wrap the acceleration report so it sees member j's y'' scaled by factors[j]."""
+    real = cli.acceleration_uniformity
+
+    def uniformity(traces):
+        return real([dataclasses.replace(t, yddot=t.yddot * factors.get(j, 1.0))
+                     for j, t in enumerate(traces)])
+    return "acceleration_uniformity", uniformity
+
+
+COORDINATE_GATES = ("r_bounds_ok", "shrinking", "acceleration_uniform_ok")
+
+
+@pytest.mark.parametrize("flag, member, patch", [
+    ("r_bounds_ok", 0, _scale_r(0, 1e3)),          # far outside the conservation tube
+    ("shrinking", 2, _scale_r(1, 0.1)),            # member 2 now wider than member 1
+    ("acceleration_uniform_ok", 1, _scale_yddot({1: 10.0, 2: 20.0})),  # first, not worst
+], ids=COORDINATE_GATES)
+def test_coordinate_proof_bound_failure_is_indeterminate(tiny_scenario_file, tmp_path,
+                                                         monkeypatch, capsys, flag, member,
+                                                         patch):
+    monkeypatch.setattr(cli, *patch)
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
+                     "--no-svg"]) == 2
+    assert _stages_printed(capsys.readouterr().out) == ["family", "coordinates", "emit"]
+    rep = json.loads((out / "report.json").read_text())
+    assert [name for name in COORDINATE_GATES if not rep["coordinates"][name]] == [flag]
+    assert rep["certificate"]["verdict"] == "INDETERMINATE"
+    eps = 0.1 * 0.5 ** member
+    assert f"member j={member} (eps={eps:g})" in rep["certificate"]["reason"]
+    assert "coords_eps2.csv" in rep["manifest"] and "limit.csv" not in rep["manifest"]
+
+
+def test_velocity_clause_is_a_diagnostic(tiny_scenario_file, tmp_path, monkeypatch):
+    real = cli.coordinate_bounds_report
+    monkeypatch.setattr(cli, "coordinate_bounds_report",
+                        lambda *args: dataclasses.replace(real(*args), velocity_ok=False))
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
+                     "--no-svg"]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["coordinates"]["velocity_ok"] is False
+    assert rep["certificate"]["verdict"] == "UNSTABLE"
+
+
+def test_twin_blow_up_before_tau_star_stops_the_certificate_stage(
+        tiny_scenario_file, tmp_path, capsys, blow_up_twins):
+    # tau* is the last node here, so both twins fail before it; the lowest j
+    # is the error the certificate stage raises, and the family stage is not
+    # stopped by either
+    blow_up_twins({2: 0.5, 1: 0.9})
+    assert cli.main(["family", "--scenario", tiny_scenario_file, "--out",
+                     str(tmp_path / "family"), "--no-svg"]) == 0
+    out = tmp_path / "certify"
+    assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
+                     "--no-svg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BlowUpError: physical twin j=1 (eps=0.05) blew up: "
+                          "state left the finite box at step ")
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["errors"][0]["stage"] == "certificate"
+    assert "evidence.csv" not in rep["manifest"]
+
+
+def test_twin_blow_up_after_tau_star_still_certifies(tmp_path, capsys, blow_up_twins):
+    # a circle run past its farthest point: tau* = 3.12 < T = 4, so twin 1
+    # failing at 95 % of T/eps_1 leaves every node the evidence needs
+    # (without the coordinates stage: the graph chart reaches only a
+    # quarter of the circle)
+    path = _write(tmp_path, "long.json", {
+        "potential": {"kind": "circle"}, "p": [1.0, 0.0], "v": [0.0, 1.0],
+        "horizon": 4.0, "count": 3, "n_out": 101})
+    blow_up_twins({1: 0.95})
+    assert cli.main(["family", "--scenario", path, "--out", str(tmp_path / "family"),
+                     "--no-svg"]) == 0
+    report = fv.run_pipeline(fv.parse_scenario(path), str(tmp_path / "certify"), svg=False,
+                             stages=("family", "limit", "certificate"))
+    assert report.verdict == "UNSTABLE" and report.exit_code == 0
+    assert sorted(report.results["family"].twin_errors) == [1]
+    assert report.results["certificate"].tau_star < 0.95 * 4.0
+    assert revalidate_from_dir(str(tmp_path / "certify"))["ok"]

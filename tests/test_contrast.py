@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import flatvalley as fv
+from flatvalley.contrast import BARRIER_XTOL
 from flatvalley.errors import InvalidParameterError
 
 
@@ -18,6 +21,21 @@ def test_barrier_location_and_height(barrier):
     assert barrier.x_right == pytest.approx(x_expect, abs=1e-6)
     assert barrier.x_left == pytest.approx(-x_expect, abs=1e-6)
     assert barrier.height == pytest.approx(h_expect, rel=1e-9)
+
+
+def test_barrier_refinement_stops_at_float_resolution():
+    # the golden-section search stops once its bracket is BARRIER_XTOL wide
+    # (the peaks sit at |x| < 1): the bracket still holds the true peak, and
+    # each side takes about 20 evaluations instead of the 83 of a fixed 80
+    # steps, which refined a 2.5e-5 bracket to about 1e-21
+    P = fv.painleve()
+    calls = []
+    counted = dataclasses.replace(P, u=lambda x: calls.append(x) or P.u(x))
+    barrier = fv.locate_barrier(counted, window=0.25)
+    x_peak = 1.0 / (2.25 * np.pi)
+    assert abs(barrier.x_right - x_peak) <= 0.5 * BARRIER_XTOL
+    assert abs(barrier.x_left + x_peak) <= 0.5 * BARRIER_XTOL
+    assert len(calls) <= 2 * 20
 
 
 def test_sub_barrier_motions_stay_trapped(barrier):
