@@ -75,8 +75,10 @@ from .errors import (
 from .fields import CompositePotential, check_regular_value, fd_gradient_check, gallery_lookup
 from .geometry import (
     build_m_chart,
-    flow_identity_residual,
+    flow_many,
+    flow_steps_for,
     foot_point,
+    raise_first,
     residual_convergence,
 )
 from .reporting import (
@@ -468,19 +470,22 @@ def _cmd_check(args) -> int:
     vnorm = float(np.linalg.norm(scn.v))
     r_box = 2.0 * P.profile.inverse(0.5 * scn.eps0 ** 2 * vnorm ** 2)
     chart = chart_for_scenario(scn)
-    worst_flow = 0.0
-    worst_sep = 0.0
-    worst_round = 0.0
-    for _ in range(200):
-        y = rng.uniform(-0.4, 0.4, size=fld.dim - 1) * scn.horizon * vnorm
-        r = float(rng.uniform(-r_box, r_box))
-        t = float(rng.uniform(-0.3, 0.3))
-        x = chart.tube_point(r, y)
-        worst_flow = max(worst_flow, flow_identity_residual(fld, x, t))
-        worst_sep = max(worst_sep, abs(P.value(x) - P.profile.value(r)))
-        rc = chart.coords_of(x)
-        back = chart.tube_point(rc.r, rc.y)
-        worst_round = max(worst_round, float(np.linalg.norm(back - x)))
+    draws = [(rng.uniform(-0.4, 0.4, size=fld.dim - 1) * scn.horizon * vnorm,
+              float(rng.uniform(-r_box, r_box)), float(rng.uniform(-0.3, 0.3)))
+             for _ in range(200)]
+    y, r, t = (np.array(column) for column in zip(*draws))
+    # one batch per map, each with the flow steps its farthest row needs
+    x, errors = chart.tube_many(r, y, flow_steps_for(r))
+    raise_first(errors)
+    end, errors = flow_many(fld, x, t, flow_steps_for(t))
+    raise_first(errors)
+    worst_flow = float(np.max(np.abs(fld.f_many(end) - t - fld.f_many(x))))
+    worst_sep = float(np.max(np.abs(P.value_many(x) - P.profile.g(r))))
+    rc, yc, errors = chart.coords_many(x, flow_steps_for(fld.f_many(x)))
+    raise_first(errors)
+    back, errors = chart.tube_many(rc, yc, flow_steps_for(rc))
+    raise_first(errors)
+    worst_round = float(np.max(np.linalg.norm(back - x, axis=1)))
     verdict("flow-identity", worst_flow <= 1e-9, f"max residual {worst_flow:.2e}")
     verdict("potential-separation", worst_sep <= 1e-9, f"max |U - g(r)| {worst_sep:.2e}")
     verdict("tube-roundtrip", worst_round <= 1e-8, f"max roundtrip {worst_round:.2e}")

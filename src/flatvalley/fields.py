@@ -28,6 +28,11 @@ Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
 
+# Constants of the batched oracles, as 0-d arrays (see ScalarField).
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+_TWO = np.array(2.0)
+
 
 def _as_point(x, dim: int) -> Array:
     x = np.asarray(x, dtype=float)
@@ -53,6 +58,13 @@ class ScalarField:
     batch row must round exactly as the single-point call does on it (dot
     products through ``np.vecdot``, which rounds like the scalar ``@``), so
     a batch and a loop of single points give the same bits.
+
+    The batch oracles are the lockstep integrator's inner loop, called on a
+    few rows at a time, where a numpy call costs more in converting and
+    broadcasting a Python scalar operand than in the arithmetic.  So they
+    take array operands only (constants as 0-d arrays or hoisted per field,
+    ufuncs called directly), which round exactly as the scalar expressions
+    do in the same order.
     """
 
     dim: int
@@ -99,7 +111,7 @@ def _power(s, k: int):
     the scalar one does)."""
     out = s
     for _ in range(k - 1):
-        out = out * s
+        out = np.multiply(out, s)
     return out
 
 
@@ -110,9 +122,10 @@ def power_profile(exponent: int) -> Profile:
         raise InvalidParameterError(
             f"profile exponent must be an even integer >= 2, got {exponent!r}"
         )
+    kf = np.array(float(k))
     return Profile(
         g=lambda s: _power(s, k),
-        dg=lambda s: k * _power(s, k - 1),
+        dg=lambda s: np.multiply(kf, _power(s, k - 1)),
         inverse=lambda t: t ** (1.0 / k),
         name=f"s^{k}",
     )
@@ -120,7 +133,14 @@ def power_profile(exponent: int) -> Profile:
 
 @dataclass(frozen=True, eq=False)
 class CompositePotential:
-    """U(x) = g(f(x)) with the chain-rule gradient g'(f(x)) grad f(x)."""
+    """U(x) = g(f(x)) with the chain-rule gradient g'(f(x)) grad f(x).
+
+    ``gradient_many`` is the lockstep integrator's acceleration oracle,
+    called four times per iteration on a few rows; like the field's batch
+    oracles it takes array operands only (see :class:`ScalarField`),
+    because on so few rows numpy's per-call overhead, not the arithmetic,
+    is its cost.
+    """
 
     field: ScalarField
     profile: Profile
@@ -142,7 +162,8 @@ class CompositePotential:
 
     def gradient_many(self, X: Array) -> Array:
         """Gradients of an (N, n) batch; each row rounds as ``gradient`` does."""
-        return self.profile.dg(self.field.f_many(X))[:, None] * self.field.grad_many(X)
+        fld = self.field
+        return np.multiply(self.profile.dg(fld.f_many(X))[:, None], fld.grad_many(X))
 
     def value_many(self, X: Array) -> Array:
         return np.asarray(self.profile.g(self.field.value_many(X)), dtype=float)
@@ -188,6 +209,7 @@ class PlainPotential:
 # ---------------------------------------------------------------------------
 
 _GUTTER_GRAD = np.array([1.0, 0.0])
+_GUTTER_ROW = _GUTTER_GRAD[None]
 
 
 def gutter(exponent: int = 4) -> CompositePotential:
@@ -197,7 +219,7 @@ def gutter(exponent: int = 4) -> CompositePotential:
         f=lambda x: x[0],
         grad=lambda x: _GUTTER_GRAD,
         f_many=lambda X: X[:, 0],
-        grad_many=lambda X: np.tile(_GUTTER_GRAD, (len(X), 1)),
+        grad_many=lambda X: _GUTTER_ROW.repeat(len(X), axis=0),
         name="gutter",
     )
     return CompositePotential(
@@ -210,12 +232,17 @@ def gutter(exponent: int = 4) -> CompositePotential:
 
 def circle(exponent: int = 2) -> CompositePotential:
     """U(x, y) = (x^2 + y^2 - 1)**k: the valley floor is the unit circle."""
+
+    def f_many(X):
+        Q = np.multiply(X, X)
+        return np.subtract(np.add(Q[:, 0], Q[:, 1]), _ONE)
+
     fld = ScalarField(
         dim=2,
         f=lambda x: x[0] * x[0] + x[1] * x[1] - 1.0,
         grad=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
-        f_many=lambda X: X[:, 0] * X[:, 0] + X[:, 1] * X[:, 1] - 1.0,
-        grad_many=lambda X: 2.0 * X,
+        f_many=f_many,
+        grad_many=lambda X: np.multiply(_TWO, X),
         name="circle",
     )
     return CompositePotential(
@@ -232,12 +259,13 @@ def ellipsoid(coeffs=(1.0, 2.0, 3.0), exponent: int = 4) -> CompositePotential:
     if c.ndim != 1 or c.size < 2 or np.any(c <= 0):
         raise InvalidParameterError("ellipsoid coefficients must be positive, >= 2 of them")
     n = c.size
+    c2 = 2.0 * c
     fld = ScalarField(
         dim=n,
         f=lambda x: float(c @ (x * x)) - 1.0,
-        grad=lambda x: 2.0 * c * x,
-        f_many=lambda X: np.vecdot(X * X, c) - 1.0,
-        grad_many=lambda X: 2.0 * c * X,
+        grad=lambda x: c2 * x,
+        f_many=lambda X: np.subtract(np.vecdot(np.multiply(X, X), c), _ONE),
+        grad_many=lambda X: np.multiply(c2, X),
         name=f"ellipsoid{tuple(c)}",
     )
     return CompositePotential(
@@ -266,12 +294,14 @@ def custom_polynomial(
     lv = np.zeros(n) if l is None else l
     qv = np.zeros(n) if q is None else q
     off = float(offset)
+    off0, q2 = np.array(off), 2.0 * qv
     fld = ScalarField(
         dim=n,
         f=lambda x: float(lv @ x + qv @ (x * x)) - off,
-        grad=lambda x: lv + 2.0 * qv * x,
-        f_many=lambda X: np.vecdot(X, lv) + np.vecdot(X * X, qv) - off,
-        grad_many=lambda X: lv + 2.0 * qv * X,
+        grad=lambda x: lv + q2 * x,
+        f_many=lambda X: np.subtract(
+            np.add(np.vecdot(X, lv), np.vecdot(np.multiply(X, X), qv)), off0),
+        grad_many=lambda X: np.add(lv, np.multiply(q2, X)),
         name="custom-polynomial",
     )
     return CompositePotential(
@@ -294,26 +324,24 @@ def custom_polynomial(
 # one vectorised function for single points and batches alike.  The value at
 # the essential singularity is 0 by continuity; evaluation inside
 # |s| < 1e-12 returns 0 to avoid overflow of 1/|s|.
-_BUMP_CUT = 1e-12
-
-
-def _bump_parts(s: Array):
-    """(|s| < cut, 1/|s| with 1 inside the cut) for an array s."""
-    a = np.abs(s)
-    near = a < _BUMP_CUT
-    return near, 1.0 / np.where(near, 1.0, a)
+_BUMP_CUT = np.array(1e-12)
 
 
 def _bump(s: Array) -> Array:
-    near, u = _bump_parts(s)
-    return np.where(near, 0.0, np.exp(-u) * np.sin(u))
+    a = np.abs(s)
+    near = np.less(a, _BUMP_CUT)
+    u = np.divide(_ONE, np.where(near, _ONE, a))
+    return np.where(near, _ZERO, np.exp(-u) * np.sin(u))
 
 
 def _bump_prime(s: Array) -> Array:
-    # the bump is even, so its derivative extends oddly through 0
-    near, u = _bump_parts(s)
+    # the bump is even, so its derivative extends oddly through 0: the sign
+    # of s (+-1 outside the cut) flips val exactly as negation does
+    a = np.abs(s)
+    near = np.less(a, _BUMP_CUT)
+    u = np.divide(_ONE, np.where(near, _ONE, a))
     val = np.exp(-u) * u * u * (np.sin(u) - np.cos(u))
-    return np.where(near, 0.0, np.where(s > 0, val, -val))
+    return np.where(near, _ZERO, np.multiply(val, np.sign(s)))
 
 
 def _plain(dim: int, u_many, grad_u, label: str) -> PlainPotential:
@@ -337,8 +365,8 @@ def laloy() -> PlainPotential:
     return _plain(
         2,
         lambda X: _bump(X[:, 0]) - _bump(X[:, 1]) - X[:, 1] * X[:, 1],
-        lambda X: np.stack([_bump_prime(X[:, 0]), -_bump_prime(X[:, 1]) - 2.0 * X[:, 1]],
-                           axis=1),
+        lambda X: np.stack([_bump_prime(X[:, 0]),
+                            -_bump_prime(X[:, 1]) - np.multiply(_TWO, X[:, 1])], axis=1),
         "laloy")
 
 

@@ -6,12 +6,18 @@ formatting, no timestamps.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f"]
+
+
+def escape(text: str) -> str:
+    """Escape &, > and < for XML text, in the order xml.sax.saxutils does
+    (importing that module pulls urllib, http.client and ssl into the
+    package import)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _nice_step(span: float) -> float:

@@ -58,13 +58,87 @@ def _same_nodes(a, b):
         assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
 
 
+def _same_floats(a, b):
+    """Equal shapes, values and signs of zero (array_equal alone takes -0.0 for 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# The batched oracles as plain float expressions: the reference that the
+# array-operand kernels in fields.py must match bit for bit.
+def _reference_power(s, k):
+    out = s
+    for _ in range(k - 1):
+        out = out * s
+    return out
+
+
+def _reference_field(P):
+    kind, params = P.spec_record["kind"], P.spec_record["params"]
+    if kind == "circle":
+        return lambda X: X[:, 0] * X[:, 0] + X[:, 1] * X[:, 1] - 1.0, lambda X: 2.0 * X
+    if kind == "gutter":
+        return lambda X: X[:, 0], lambda X: np.tile(np.array([1.0, 0.0]), (len(X), 1))
+    if kind == "ellipsoid":
+        c = np.array(params["coeffs"])
+        return lambda X: np.vecdot(X * X, c) - 1.0, lambda X: 2.0 * c * X
+    lv, qv, off = np.array(params["linear"]), np.array(params["quadratic"]), params["offset"]
+    return (lambda X: np.vecdot(X, lv) + np.vecdot(X * X, qv) - off,
+            lambda X: lv + 2.0 * qv * X)
+
+
+def _reference_bump_parts(s):
+    a = np.abs(s)
+    near = a < 1e-12
+    return near, 1.0 / np.where(near, 1.0, a)
+
+
+def _reference_bump(s):
+    near, u = _reference_bump_parts(s)
+    return np.where(near, 0.0, np.exp(-u) * np.sin(u))
+
+
+def _reference_bump_prime(s):
+    near, u = _reference_bump_parts(s)
+    val = np.exp(-u) * u * u * (np.sin(u) - np.cos(u))
+    return np.where(near, 0.0, np.where(s > 0, val, -val))
+
+
+_REFERENCE_BUMP = {
+    "painleve": (lambda X: _reference_bump(X[:, 0]), _reference_bump_prime),
+    "laloy": (lambda X: _reference_bump(X[:, 0]) - _reference_bump(X[:, 1]) - X[:, 1] * X[:, 1],
+              lambda X: np.stack([_reference_bump_prime(X[:, 0]),
+                                  -_reference_bump_prime(X[:, 1]) - 2.0 * X[:, 1]], axis=1)),
+}
+
+
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_power_profile_rounds_the_same_for_a_point_and_a_batch(k):
     rng = np.random.default_rng(k)
-    for P in (fv.circle(exponent=k), fv.ellipsoid(exponent=k), fv.gutter(exponent=k)):
+    for P in (fv.circle(exponent=k), fv.ellipsoid(exponent=k), fv.gutter(exponent=k),
+              fv.ellipsoid(coeffs=(1.3, 0.7, 2.9), exponent=k),
+              fv.custom_polynomial(linear=[0.3, -0.1, 0.7], quadratic=[1.3, 0.7, 2.9],
+                                   offset=1.1, exponent=k)):
         X = rng.uniform(-1.5, 1.5, size=(2000, P.dim))
+        # signed zeros, and points where f is exactly 0
+        X[:P.dim] = np.eye(P.dim)
+        X[P.dim:2 * P.dim] = -np.eye(P.dim)
+        X[2 * P.dim] = 0.0
+        X[2 * P.dim + 1] = -0.0
         assert _bits(P.value_many(X)) == _bits([P.value(x) for x in X])
         assert _bits(P.gradient_many(X)) == _bits([P.gradient(x) for x in X])
+        f_many, grad_many = _reference_field(P)
+        _same_floats(P.field.value_many(X), f_many(X))
+        _same_floats(P.field.grad_many(X), grad_many(X))
+        _same_floats(P.value_many(X), _reference_power(f_many(X), k))
+        _same_floats(P.gradient_many(X),
+                     k * _reference_power(f_many(X), k - 1)[:, None] * grad_many(X))
+
+
+# zeros of both signs, inside the cut, on it, and far outside it
+_BUMP_ROWS = [0.0, -0.0, 5e-13, -5e-13, np.nextafter(1e-12, 0.0), 1e-12, -1e-12,
+              1.0, -1.0, 3.7, -250.0, np.inf, -np.inf]
 
 
 @pytest.mark.parametrize("P", [fv.painleve(), fv.laloy()], ids=["painleve", "laloy"])
@@ -73,6 +147,10 @@ def test_bump_rounds_the_same_for_a_point_and_a_batch(P):
     X[:3, 0] = [0.0, 1e-13, -2e-12]  # at and inside the cut round the singularity
     assert _bits(P.value_many(X)) == _bits([P.value(x) for x in X])
     assert _bits(P.gradient_many(X)) == _bits([P.gradient(x) for x in X])
+    X[:len(_BUMP_ROWS)] = np.array(_BUMP_ROWS)[:, None]
+    u_many, grad_u = _REFERENCE_BUMP[P.name]
+    _same_floats(P.value_many(X), u_many(X))
+    _same_floats(P.gradient_many(X), grad_u(X))
 
 
 def test_kernel_batch_is_a_loop_of_batches_of_one():

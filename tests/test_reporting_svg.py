@@ -1,7 +1,28 @@
+import os
+import subprocess
+import sys
+from xml.sax.saxutils import escape as sax_escape
+
 import numpy as np
 
+import flatvalley
 from flatvalley.reporting import read_csv_columns, write_report_json
-from flatvalley.svgplot import line_plot
+from flatvalley.svgplot import escape, line_plot
+
+
+def test_escape_matches_saxutils():
+    for text in ["a < b > c & d", "&amp;", "<<&&>>", "&lt;eps&gt;", "plain", ""]:
+        assert escape(text) == sax_escape(text)
+
+
+def test_import_leaves_out_the_network_stack():
+    # xml.sax.saxutils alone would pull in urllib.request, http.client and ssl
+    code = ("import sys, flatvalley; print(sorted(m for m in "
+            "('xml.sax', 'urllib.request', 'http.client', 'ssl') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(flatvalley.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_svg_is_deterministic(tmp_path):
