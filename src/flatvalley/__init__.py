@@ -42,7 +42,6 @@ from .dynamics import (
     halving_error,
     integrate_newton,
     integrate_rescaled,
-    rescale_trajectory,
     run_family,
 )
 from .geometry import (
@@ -52,7 +51,6 @@ from .geometry import (
     TubularCoords,
     build_m_chart,
     curvilinear_residual,
-    flow_identity_residual,
     foot_point,
     frame_data,
     pullback_metric_min,

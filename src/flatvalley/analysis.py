@@ -162,9 +162,6 @@ def _growth(sup_r: Array) -> Array:
 
 def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v,
                              m_estimate, slack: float = 1e-6) -> CoordinateBoundsReport:
-    if potential.profile.inverse is None:
-        raise InvalidParameterError(
-            "the profile does not expose an inverse; cannot form the transverse bound")
     m_value = getattr(m_estimate, "value", m_estimate)
     if m_value <= 0:
         raise InvalidParameterError("metric minimum must be positive")
@@ -201,7 +198,6 @@ class AccelerationReport:
     ratio: Optional[float]
     ratio_bound: float
     uniform_ok: bool
-    excluded_samples: tuple = (0, -1)
 
 
 #: second differences of O(1) coordinates on the common grid cannot be
@@ -323,9 +319,6 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     floor = np.finfo(float).eps * (len(best.tau_int) - 1) * float(np.abs(best.x).max())
     monotone = [bool(d[j] <= d[j - 1] * (1.0 + 1e-3) + floor) for j in range(1, len(d))]
     if tol_limit is None:
-        if family.potential.profile.inverse is None:
-            raise InvalidParameterError(
-                "profile has no inverse; pass tol_limit explicitly")
         budget = 0.5 * eps[-2] ** 2 * vnorm * vnorm
         gradn = float(np.linalg.norm(fld.gradient(family.p)))
         tol_limit = 2.0 * family.potential.profile.inverse(budget) / gradn

@@ -369,11 +369,9 @@ def _figures(out_dir: str, scn: Scenario, state: dict) -> List[str]:
                   xlabel="pair index j", ylabel="log10 sup distance", logy=True)
         written.append(name)
         bound = [scn.potential.profile.inverse(0.5 * e * e * float(np.linalg.norm(scn.v)) ** 2)
-                 for e in fam.epsilons] if scn.potential.profile.inverse else None
+                 for e in fam.epsilons]
         series = [{"x": fam.epsilons, "y": conv.violation_max, "label": "max |f|",
-                   "marker": True}]
-        if bound is not None:
-            series.append({"x": fam.epsilons, "y": bound, "label": "budget bound"})
+                   "marker": True}, {"x": fam.epsilons, "y": bound, "label": "budget bound"}]
         name = os.path.join(fig_dir, "violation.svg")
         line_plot(name, series, title=f"{scn.name}: floor violation vs eps",
                   xlabel="log10 eps", ylabel="log10 max |f|", logx=True, logy=True)

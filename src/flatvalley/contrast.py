@@ -42,7 +42,6 @@ class BarrierInfo:
     x_left: float
     x_right: float
     height: float
-    window: float
 
 
 def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
@@ -55,8 +54,9 @@ def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
     """
     if potential.dim != 1:
         raise InvalidParameterError("barrier location is a 1-d diagnostic")
-    if window <= 0:
-        raise InvalidParameterError("window must be positive")
+    if not 0 < 2.0 * window < np.inf:  # the scan spans 2 window
+        raise InvalidParameterError(
+            f"window must be a positive number with a finite span 2 window, got {window!r}")
     xs = np.linspace(-window, window, BARRIER_GRID)
     us = potential.value_many(xs[:, None])
 
@@ -90,7 +90,7 @@ def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
         raise InvalidParameterError(
             f"no positive barrier inside the window {window}: peak height {height:g}")
     return BarrierInfo(x_left=side["left"][0], x_right=side["right"][0],
-                       height=float(height), window=window)
+                       height=float(height))
 
 
 @dataclass(eq=False)

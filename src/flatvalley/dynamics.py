@@ -360,33 +360,6 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     return runs[0]
 
 
-def rescale_trajectory(traj: Trajectory, eps: float,
-                       horizon: Optional[float] = None) -> Trajectory:
-    """Map a physical run to rescaled time: tau = eps t, velocity / eps.
-
-    When ``horizon`` is given, the physical grid must cover [0, horizon/eps].
-    """
-    if traj.kind != "physical":
-        raise InvalidParameterError("rescale_trajectory expects a physical trajectory")
-    if eps <= 0:
-        raise InvalidParameterError("eps must be positive")
-    if horizon is not None and traj.tau[-1] * eps < horizon * (1.0 - 1e-12):
-        raise InvalidParameterError(
-            f"grid too short: physical run ends at t = {traj.tau[-1]:g}, "
-            f"need {horizon / eps:g} to cover the rescaled horizon {horizon:g}")
-    return Trajectory(
-        kind="rescaled",
-        epsilon=eps,
-        tau=eps * traj.tau,
-        x=traj.x.copy(),
-        v=traj.v / eps,
-        dt=eps * traj.dt,
-        tau_int=eps * traj.tau_int,
-        x_int=traj.x_int.copy(),
-        v_int=traj.v_int / eps,
-    )
-
-
 @dataclass(eq=False)
 class EnergyReport:
     """Conservation audit of H = |v|^2/2 + U/eps^2 along a rescaled run.

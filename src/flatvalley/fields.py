@@ -11,7 +11,7 @@ fit the composite form; they are used by the stability-contrast demos only.
 """
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -20,9 +20,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    NewtonConvergenceError,
     NonFiniteEvaluationError,
     UnknownPotentialError,
 )
+from .geometry import flow_steps_for, foot_many
 
 Array = np.ndarray
 
@@ -52,19 +54,18 @@ def default_fd_step(x: Array) -> float:
 class ScalarField:
     """A smooth scalar function on R^n with analytic gradient.
 
-    ``f`` and ``grad`` take a single (n,) point; ``f_many`` (N, n) -> (N,)
-    and ``grad_many`` (N, n) -> (N, n) are their batch partners, so energy
-    audits and the tube geometry do not pay a Python call per point.  Each
-    batch row must round exactly as the single-point call does on it (dot
-    products through ``np.vecdot``, which rounds like the scalar ``@``), so
-    a batch and a loop of single points give the same bits.
+    ``f_many`` (N, n) -> (N,) and ``grad_many`` (N, n) -> (N, n) define the
+    field; ``f`` and ``grad`` take a single (n,) point and are batches of
+    one of them (the gallery builds every field with :func:`_field`), so a
+    point and a batch row give the same bits by construction.  Energy
+    audits and the tube geometry call the batch kernels and do not pay a
+    Python call per point.
 
     The batch oracles are the lockstep integrator's inner loop, called on a
     few rows at a time, where a numpy call costs more in converting and
     broadcasting a Python scalar operand than in the arithmetic.  So they
     take array operands only (constants as 0-d arrays or hoisted per field,
-    ufuncs called directly), which round exactly as the scalar expressions
-    do in the same order.
+    ufuncs called directly, dot products through ``np.vecdot``).
     """
 
     dim: int
@@ -84,25 +85,26 @@ class ScalarField:
         return np.asarray(self.f_many(np.asarray(X, dtype=float)), dtype=float)
 
 
+def _field(dim: int, f_many, grad_many, name: str) -> ScalarField:
+    """A gallery ScalarField whose single-point oracles are batches of one."""
+    return ScalarField(dim=dim, f=lambda x: f_many(x[None])[0],
+                       grad=lambda x: grad_many(x[None])[0],
+                       f_many=f_many, grad_many=grad_many, name=name)
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     """A scalar profile g with g(0) = 0, g >= 0, vanishing only at zero.
 
-    ``inverse`` is the inverse of g restricted to [0, inf) where monotone;
-    the gallery's power profiles provide it because the confinement bound
-    |f| <= g^-1(budget) needs it.
+    ``g`` and ``dg`` take a float or an array and round the same for both;
+    ``inverse`` is the inverse of g on [0, inf), which the confinement
+    bound |f| <= g^-1(budget) needs.  :func:`power_profile` builds them.
     """
 
     g: Callable[[float], float]
     dg: Callable[[float], float]
-    inverse: Optional[Callable[[float], float]] = None
+    inverse: Callable[[float], float]
     name: str = "profile"
-
-    def value(self, s: float) -> float:
-        return float(self.g(s))
-
-    def derivative(self, s: float) -> float:
-        return float(self.dg(s))
 
 
 def _power(s, k: int):
@@ -115,13 +117,19 @@ def _power(s, k: int):
     return out
 
 
+#: largest profile exponent: s**k costs k - 1 multiplications per call
+MAX_EXPONENT = 64
+
+
 def power_profile(exponent: int) -> Profile:
-    """g(s) = s**k for even integer k >= 2 (so g is C^2 and nonnegative)."""
-    k = int(exponent)
-    if k != exponent or k < 2 or k % 2 != 0:
+    """g(s) = s**k for even integer k, 2 <= k <= MAX_EXPONENT (so g is C^2
+    and nonnegative)."""
+    if not (isinstance(exponent, numbers.Real) and 2 <= exponent <= MAX_EXPONENT
+            and int(exponent) == exponent and int(exponent) % 2 == 0):
         raise InvalidParameterError(
-            f"profile exponent must be an even integer >= 2, got {exponent!r}"
-        )
+            f"profile exponent must be an even integer from 2 to {MAX_EXPONENT}, "
+            f"got {exponent!r}")
+    k = int(exponent)
     kf = np.array(float(k))
     return Profile(
         g=lambda s: _power(s, k),
@@ -152,7 +160,7 @@ class CompositePotential:
         return self.field.dim
 
     def value(self, x) -> float:
-        return self.profile.value(self.field.value(x))
+        return float(self.profile.g(self.field.value(x)))
 
     def gradient(self, x) -> Array:
         x = _as_point(x, self.dim)
@@ -173,16 +181,17 @@ class CompositePotential:
 class PlainPotential:
     """A potential given directly by U and its gradient, without a field.
 
-    ``u`` takes one point.  ``grad_u`` is the one gradient, batched:
-    (N, n) -> (N, n), used by single-point and batch calls alike.
+    ``u_many`` (N, n) -> (N,) and ``grad_u`` (N, n) -> (N, n) are the
+    batched value and gradient; ``u`` takes one point (the gallery's is a
+    batch of one, see :func:`_plain`), and ``gradient`` is a batch of one.
     """
 
     dim: int
     u: Callable[[Array], float]
     grad_u: Callable[[Array], Array]
+    u_many: Callable[[Array], Array]
     label: str = "plain"
     spec_record: Optional[dict] = None
-    u_many: Optional[Callable[[Array], Array]] = None
 
     @property
     def name(self) -> str:
@@ -198,30 +207,20 @@ class PlainPotential:
         return self.grad_u(X)
 
     def value_many(self, X: Array) -> Array:
-        X = np.asarray(X, dtype=float)
-        if self.u_many is not None:
-            return np.asarray(self.u_many(X), dtype=float)
-        return np.array([self.u(row) for row in X], dtype=float)
+        return np.asarray(self.u_many(np.asarray(X, dtype=float)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # gallery
 # ---------------------------------------------------------------------------
 
-_GUTTER_GRAD = np.array([1.0, 0.0])
-_GUTTER_ROW = _GUTTER_GRAD[None]
+_GUTTER_ROW = np.array([[1.0, 0.0]])
 
 
 def gutter(exponent: int = 4) -> CompositePotential:
     """U(x, y) = x**k: a straight flat valley along the y axis."""
-    fld = ScalarField(
-        dim=2,
-        f=lambda x: x[0],
-        grad=lambda x: _GUTTER_GRAD,
-        f_many=lambda X: X[:, 0],
-        grad_many=lambda X: _GUTTER_ROW.repeat(len(X), axis=0),
-        name="gutter",
-    )
+    fld = _field(2, lambda X: X[:, 0], lambda X: _GUTTER_ROW.repeat(len(X), axis=0),
+                 "gutter")
     return CompositePotential(
         fld,
         power_profile(exponent),
@@ -237,14 +236,7 @@ def circle(exponent: int = 2) -> CompositePotential:
         Q = np.multiply(X, X)
         return np.subtract(np.add(Q[:, 0], Q[:, 1]), _ONE)
 
-    fld = ScalarField(
-        dim=2,
-        f=lambda x: x[0] * x[0] + x[1] * x[1] - 1.0,
-        grad=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
-        f_many=f_many,
-        grad_many=lambda X: np.multiply(_TWO, X),
-        name="circle",
-    )
+    fld = _field(2, f_many, lambda X: np.multiply(_TWO, X), "circle")
     return CompositePotential(
         fld,
         power_profile(exponent),
@@ -258,16 +250,9 @@ def ellipsoid(coeffs=(1.0, 2.0, 3.0), exponent: int = 4) -> CompositePotential:
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size < 2 or np.any(c <= 0):
         raise InvalidParameterError("ellipsoid coefficients must be positive, >= 2 of them")
-    n = c.size
     c2 = 2.0 * c
-    fld = ScalarField(
-        dim=n,
-        f=lambda x: float(c @ (x * x)) - 1.0,
-        grad=lambda x: c2 * x,
-        f_many=lambda X: np.subtract(np.vecdot(np.multiply(X, X), c), _ONE),
-        grad_many=lambda X: np.multiply(c2, X),
-        name=f"ellipsoid{tuple(c)}",
-    )
+    fld = _field(c.size, lambda X: np.subtract(np.vecdot(np.multiply(X, X), c), _ONE),
+                 lambda X: np.multiply(c2, X), f"ellipsoid{tuple(c)}")
     return CompositePotential(
         fld,
         power_profile(exponent),
@@ -295,15 +280,11 @@ def custom_polynomial(
     qv = np.zeros(n) if q is None else q
     off = float(offset)
     off0, q2 = np.array(off), 2.0 * qv
-    fld = ScalarField(
-        dim=n,
-        f=lambda x: float(lv @ x + qv @ (x * x)) - off,
-        grad=lambda x: lv + q2 * x,
-        f_many=lambda X: np.subtract(
-            np.add(np.vecdot(X, lv), np.vecdot(np.multiply(X, X), qv)), off0),
-        grad_many=lambda X: np.add(lv, np.multiply(q2, X)),
-        name="custom-polynomial",
-    )
+    fld = _field(
+        n,
+        lambda X: np.subtract(np.add(np.vecdot(X, lv), np.vecdot(np.multiply(X, X), qv)), off0),
+        lambda X: np.add(lv, np.multiply(q2, X)),
+        "custom-polynomial")
     return CompositePotential(
         fld,
         power_profile(exponent),
@@ -402,7 +383,8 @@ def gallery_lookup(name: str, params: Optional[dict] = None):
 def fd_gradient_check(potential, x, h: Optional[float] = None) -> float:
     """Max relative discrepancy between the analytic gradient and central differences.
 
-    Returns max over coordinates of |analytic - fd| / (1 + |analytic|).
+    Returns max over coordinates of |analytic - fd| / (1 + |analytic|); the
+    2n stencil points are one ``value_many`` batch.
     """
     x = _as_point(x, potential.dim)
     if h is None:
@@ -410,19 +392,16 @@ def fd_gradient_check(potential, x, h: Optional[float] = None) -> float:
     if h <= 0:
         raise InvalidParameterError("finite-difference step must be positive")
     analytic = potential.gradient(x)
-    worst = 0.0
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        fp = potential.value(x + step)
-        fm = potential.value(x - step)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NonFiniteEvaluationError(
-                f"potential not finite within step {h} of {x} along axis {i}"
-            )
-        fd = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(analytic[i] - fd) / (1.0 + abs(analytic[i])))
-    return worst
+    steps = h * np.eye(x.size)
+    values = potential.value_many(np.concatenate([x + steps, x - steps]))
+    fp, fm = values[:x.size], values[x.size:]
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    if bad.any():
+        raise NonFiniteEvaluationError(
+            f"potential not finite within step {h} of {x} along axis {int(np.argmax(bad))}"
+        )
+    fd = (fp - fm) / (2.0 * h)
+    return float(np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))))
 
 
 @dataclass(eq=False)
@@ -431,7 +410,6 @@ class RegularityReport:
 
     tol: float
     grad_norms: list = field(default_factory=list)
-    points: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
     @property
@@ -449,34 +427,32 @@ REGULAR_VALUE_TOL = 1e-3
 
 def check_regular_value(fld: ScalarField, seeds) -> RegularityReport:
     """Project seeds onto {f = 0} and report the smallest gradient norm found
-    (it must exceed REGULAR_VALUE_TOL).
+    (it must exceed REGULAR_VALUE_TOL); the projection is one ``foot_many``
+    batch at the flow steps of the seed farthest from the floor.
 
     A projection that dies approaching the critical set is itself evidence
     against regularity: the gradient norm at the failure point is recorded
-    and the verdict fails.  Other projection failures propagate.
+    and the verdict fails.  A polish that does not converge raises, the
+    lowest seed's first.  No seeds give a report that does not pass.
     """
-    from .errors import FlowDomainError, NewtonConvergenceError
-    from .geometry import foot_point
-
     report = RegularityReport(tol=REGULAR_VALUE_TOL)
-    for seed in seeds:
-        seed = _as_point(seed, fld.dim)
-        try:
-            on_m = foot_point(fld, seed)
-        except FlowDomainError as exc:
-            where = seed if exc.state is None else np.asarray(exc.state, dtype=float)
-            gn = float(np.linalg.norm(fld.gradient(where)))
-            report.grad_norms.append(gn)
-            report.points.append(where)
-            report.notes.append(
-                f"projection of seed {seed.tolist()} approached the critical set "
-                f"(|grad f| = {gn:.3e})"
-            )
-            continue
-        except NewtonConvergenceError as exc:
-            raise NewtonConvergenceError(
-                f"seed {seed.tolist()} failed to project onto the zero set: {exc}"
-            ) from exc
-        report.grad_norms.append(float(np.linalg.norm(fld.gradient(on_m))))
-        report.points.append(on_m)
+    X = np.array([_as_point(seed, fld.dim) for seed in seeds]).reshape(-1, fld.dim)
+    if not len(X):
+        return report
+    where, failures = foot_many(fld, X, flow_steps_for(fld.f_many(X)))
+    stuck = [i for i in sorted(failures) if isinstance(failures[i], NewtonConvergenceError)]
+    if stuck:
+        i = stuck[0]
+        raise NewtonConvergenceError(
+            f"seed {X[i].tolist()} failed to project onto the zero set: {failures[i]}"
+        ) from failures[i]
+    for i, exc in failures.items():  # FlowDomainError: it approached the critical set
+        where[i] = X[i] if exc.state is None else exc.state
+    G = fld.grad_many(where)
+    report.grad_norms = np.sqrt(np.vecdot(G, G)).tolist()
+    for i in sorted(failures):
+        report.notes.append(
+            f"projection of seed {X[i].tolist()} approached the critical set "
+            f"(|grad f| = {report.grad_norms[i]:.3e})"
+        )
     return report

@@ -156,13 +156,6 @@ def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None) -> Array:
     return _single(*flow_many(fld, np.asarray(x0, dtype=float)[None], np.array([t], float), n))
 
 
-def flow_identity_residual(fld, x0, t: float) -> float:
-    """|f(flow(t, x0)) - t - f(x0)|: the exactness defect of the flow."""
-    x0 = np.asarray(x0, dtype=float)
-    end = transversal_flow(fld, x0, t)
-    return abs(float(fld.f(end)) - t - float(fld.f(x0)))
-
-
 def foot_many(fld, X, n_steps: int):
     """Project each row of X onto {f = 0}: flow back by -f(x) with
     ``n_steps`` shared substeps, then Newton-polish along grad f.
@@ -488,7 +481,6 @@ class MetricMinEstimate:
     """
 
     value: float
-    r_range: tuple
     y_box: Array
     n_grid: int
     argmin_r: float
@@ -537,8 +529,8 @@ def pullback_metric_min(chart: MChart, r_range: tuple, y_box,
             f"pullback metric degenerate at (r, y) = ({rs[i]:.4g}, {ys[i].tolist()})")
     raise_first(failures)
     i = int(np.argmin(lam))
-    return MetricMinEstimate(value=float(lam[i]), r_range=(r_lo, r_hi), y_box=y_box,
-                             n_grid=n_grid, argmin_r=float(rs[i]), argmin_y=ys[i].copy())
+    return MetricMinEstimate(value=float(lam[i]), y_box=y_box, n_grid=n_grid,
+                             argmin_r=float(rs[i]), argmin_y=ys[i].copy())
 
 
 def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[float] = None,

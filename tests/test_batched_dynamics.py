@@ -315,7 +315,7 @@ def test_family_blow_up_names_the_lowest_member_and_its_forward_half():
     # loop over the members stops at j = 0, on its forward half
     P = fv.PlainPotential(dim=2, u=lambda x: -float(x @ x) ** 2,
                           grad_u=lambda X: -4.0 * np.vecdot(X, X)[:, None] * X,
-                          label="repulsive")
+                          u_many=lambda X: -np.vecdot(X, X) ** 2, label="repulsive")
     p, v = np.array([1.0, 0.0]), np.array([0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -11,6 +11,11 @@ import inspect
 import pathlib
 import typing
 
+import numpy as np
+import pytest
+
+from flatvalley import fields
+
 TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "flatbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("flatbench_tracer", TRACER_PATH)
 tracer = importlib.util.module_from_spec(_spec)
@@ -55,3 +60,20 @@ def test_every_hook_reads_names_that_still_bind():
             problems += [f"{result.__name__} lost its field {field!r}"
                          for field in HOOK_RESULT_FIELDS[hook.__name__] if field not in fields]
     assert not problems
+
+
+#: parameters of the gallery entries without defaults for all of them
+GALLERY_PARAMS = {"custom-polynomial": {"linear": [1.0, 0.0], "quadratic": [0.5, 1.0]}}
+
+
+@pytest.mark.parametrize("name", sorted(fields._GALLERY))
+def test_tracer_counts_the_oracles_of_every_gallery_potential(name):
+    t = tracer.Tracer()
+    P = t.counted_potential(fields.gallery_lookup(name, GALLERY_PARAMS.get(name, {})))
+    x = np.linspace(0.2, 0.4, P.dim)
+    for counter, call in (("fields.f_calls", lambda: P.value(x)),
+                          ("fields.grad_calls", lambda: P.gradient(x)),
+                          ("fields.many_rows", lambda: P.value_many(np.stack([x, 2.0 * x])))):
+        before = t.counts[counter]
+        call()
+        assert t.counts[counter] > before, f"{name}: {counter} did not move"

@@ -358,6 +358,28 @@ def test_huge_horizon_is_one_error_line(tiny_scenario_file, tmp_path, capsys, ar
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("window", ["nan", "inf", "1e308"])
+def test_bad_window_is_one_error_line(capsys, window):
+    # 1e308 is finite, but the scan grid from -window to window is not
+    assert cli.main(["gallery", "--window", window, "--trajectories", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidParameterError")
+    assert "window must be a positive number with a finite span 2 window" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exponent", [1e300, float("inf")], ids=["1e300", "inf"])
+def test_huge_profile_exponent_is_one_error_line(tmp_path, capsys, exponent):
+    # json.dumps writes inf as Infinity, which json.load reads back
+    path = _write(tmp_path, "steep.json",
+                  dict(BASE, potential={"kind": "ellipsoid", "exponent": exponent}))
+    assert cli.main(["family", "--scenario", path, "--out", str(tmp_path / "out"),
+                     "--no-svg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidParameterError") and "from 2 to 64" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_one_error_line(tiny_scenario_file, tmp_path, capsys, jobs):
     for command in ("family", "check", "residual"):

@@ -7,7 +7,8 @@ from flatvalley.errors import BlowUpError, InvalidParameterError, ScenarioError
 
 
 def free_potential(dim=2):
-    return fv.PlainPotential(dim=dim, u=lambda x: 0.0, grad_u=np.zeros_like, label="free")
+    return fv.PlainPotential(dim=dim, u=lambda x: 0.0, grad_u=np.zeros_like,
+                             u_many=lambda X: np.zeros(len(X)), label="free")
 
 
 def repulsive_potential():
@@ -18,7 +19,8 @@ def repulsive_potential():
     def grad(X):
         return -4.0 * np.vecdot(X, X)[:, None] * X
 
-    return fv.PlainPotential(dim=2, u=u, grad_u=grad, label="repulsive")
+    return fv.PlainPotential(dim=2, u=u, grad_u=grad,
+                             u_many=lambda X: -np.vecdot(X, X) ** 2, label="repulsive")
 
 
 def test_gutter_rescaled_is_exact():
@@ -59,23 +61,13 @@ def test_zero_velocity_stays_at_equilibrium():
     assert np.all(traj.v == 0.0)
 
 
-def test_rescale_trajectory_velocity_convention():
-    C = fv.circle()
-    eps = 0.1
-    phys = fv.integrate_newton(C, fv.PhaseState([1.0, 0.0], [0.0, eps]), 10.0)
-    resc = fv.rescale_trajectory(phys, eps)
-    assert resc.kind == "rescaled"
-    assert np.allclose(resc.v[0], [0.0, 1.0])
-    assert resc.tau[-1] == pytest.approx(eps * 10.0)
-
-
 def test_rescale_gutter():
     P = fv.gutter()
     eps = 0.05
     phys = fv.integrate_newton(P, fv.PhaseState([0.0, 0.0], [0.0, eps]), 1.0 / eps)
-    resc = fv.rescale_trajectory(phys, eps)
-    expected = np.stack([np.zeros_like(resc.tau), resc.tau], axis=1)
-    assert np.max(np.abs(resc.x - expected)) <= 1e-10
+    tau = eps * phys.tau  # the physical run read in rescaled time
+    expected = np.stack([np.zeros_like(tau), tau], axis=1)
+    assert np.max(np.abs(phys.x - expected)) <= 1e-10
 
 
 def test_two_route_consistency():
@@ -84,29 +76,16 @@ def test_two_route_consistency():
     eps, T = 0.1, 1.0
     opts = fv.IntegratorOptions()
     phys = fv.integrate_newton(C, fv.PhaseState(p, eps * v), T / eps, opts)
-    via_phys = fv.rescale_trajectory(phys, eps)
     direct = fv.integrate_rescaled(C, p, v, eps, T, opts)
     c = (len(direct.tau) - 1) // 2
+    # physical node i sits at tau = eps t = T i / 400: the even ones are the
+    # rescaled run's forward nodes
+    assert np.allclose(eps * phys.tau[::2], direct.tau[c:], rtol=1e-12, atol=0.0)
     sup = 0.0
-    for i in range(0, len(via_phys.tau), 2):  # even nodes coincide with the common grid
-        sup = max(sup, float(np.linalg.norm(via_phys.x[i] - direct.x[c + i // 2])))
+    for i in range(0, len(phys.tau), 2):
+        sup = max(sup, float(np.linalg.norm(phys.x[i] - direct.x[c + i // 2])))
     tol = 2.0 * fv.halving_error(C, p, v, eps, T, opts)
     assert sup <= max(tol, 1e-12)
-
-
-def test_rescale_requires_physical():
-    C = fv.circle()
-    traj = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 0.5)
-    with pytest.raises(InvalidParameterError):
-        fv.rescale_trajectory(traj, 0.1)
-
-
-def test_rescale_rejects_short_grid():
-    C = fv.circle()
-    phys = fv.integrate_newton(C, fv.PhaseState([1.0, 0.0], [0.0, 0.01]), 5.0)
-    with pytest.raises(InvalidParameterError, match="grid too short"):
-        fv.rescale_trajectory(phys, 0.1, horizon=1.0)
-    fv.rescale_trajectory(phys, 0.1, horizon=0.5)  # exactly covered
 
 
 def test_time_symmetry():

@@ -5,6 +5,7 @@ import flatvalley as fv
 from flatvalley.errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    NonFiniteEvaluationError,
     UnknownPotentialError,
 )
 
@@ -43,7 +44,7 @@ def test_chain_rule_is_exact():
     for P in (fv.gutter(), fv.circle(), fv.ellipsoid()):
         for _ in range(20):
             x = RNG.uniform(-1.5, 1.5, size=P.dim)
-            manual = P.profile.derivative(P.field.value(x)) * P.field.gradient(x)
+            manual = P.profile.dg(P.field.value(x)) * P.field.gradient(x)
             assert np.array_equal(P.gradient(x), manual)
 
 
@@ -54,6 +55,20 @@ def test_fd_gradient_check_thresholds():
     assert fv.fd_gradient_check(G, [0.0, 0.0], h=1e-5) <= 1e-12
     P = fv.painleve()
     assert fv.fd_gradient_check(P, [0.2], h=1e-7) <= 1e-5
+
+
+def test_fd_gradient_check_names_the_first_non_finite_axis():
+    # U is infinite past y = 0.5 and past x = 0.75
+    def wall(X):
+        return np.where((X[:, 1] > 0.5) | (X[:, 0] > 0.75), np.inf, 0.0)
+
+    P = fv.PlainPotential(dim=2, u=lambda x: float(wall(x[None])[0]), grad_u=np.zeros_like,
+                          u_many=wall, label="wall")
+    with pytest.raises(NonFiniteEvaluationError, match=r"of \[0\.  0\.5\] along axis 1$"):
+        fv.fd_gradient_check(P, [0.0, 0.5], h=0.1)
+    with pytest.raises(NonFiniteEvaluationError, match="along axis 0$"):
+        fv.fd_gradient_check(P, [0.7, 0.5], h=0.1)
+    assert fv.fd_gradient_check(P, [0.0, 0.0], h=0.1) == 0.0
 
 
 def test_fd_gradient_check_random_points():
@@ -77,7 +92,7 @@ def test_zero_locus_consistency():
         delta = RNG.uniform(-1e-9, 1e-9)
         x = np.sqrt(1.0 + delta) * np.array([np.cos(theta), np.sin(theta)])
         assert abs(C.field.value(x)) <= 1.1e-9
-        assert C.value(x) <= C.profile.value(1.1e-9)
+        assert C.value(x) <= C.profile.g(1.1e-9)
 
 
 def test_bump_potential_values_and_symmetry():
@@ -107,11 +122,21 @@ def test_profile_validation():
         fv.power_profile(-2)
     with pytest.raises(InvalidParameterError):
         fv.power_profile(3)
+    with pytest.raises(InvalidParameterError):
+        fv.power_profile("4")
     g = fv.power_profile(4)
-    assert g.value(0.0) == 0.0
+    assert g.g(0.0) == 0.0
     for s in (0.3, -0.8, 2.0):
-        assert g.value(s) > 0.0
-        assert g.inverse(g.value(s)) == pytest.approx(abs(s), rel=1e-12)
+        assert g.g(s) > 0.0
+        assert g.inverse(g.g(s)) == pytest.approx(abs(s), rel=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [66, 1e300, 10**5, float("inf"), float("nan")])
+def test_profile_exponent_is_capped(exponent):
+    # s**k costs k - 1 multiplications: a huge k would hang every oracle call
+    with pytest.raises(InvalidParameterError, match="from 2 to 64"):
+        fv.gallery_lookup("circle", {"exponent": exponent})
+    assert fv.gallery_lookup("circle", {"exponent": 64}).value([0.0, 0.0]) == 1.0
 
 
 def test_gallery_lookup():
@@ -175,3 +200,24 @@ def test_regular_value_detects_critical_zero_set():
     report = fv.check_regular_value(P.field, seeds)
     assert not report.passed
     assert report.notes  # failures were recorded as critical-set evidence
+
+
+def test_regular_value_batch_records_each_critical_seed():
+    # f(x, y) = x^2: seeds far from the critical zero set and seeds beside it
+    P = fv.custom_polynomial(quadratic=[1.0, 0.0], exponent=2)
+    seeds = np.array([[1.0, 0.3], [0.1, 0.3], [1e-4, -0.2], [-0.7, 0.6], [-1e-3, 0.0]])
+    report = fv.check_regular_value(P.field, seeds)
+    assert not report.passed
+    assert len(report.grad_norms) == len(seeds)
+    assert report.min_grad_norm < report.tol
+    assert report.notes
+    named = [seed.tolist() for seed in seeds]
+    for note in report.notes:
+        assert "approached the critical set" in note
+        assert any(note.startswith(f"projection of seed {s} ") for s in named)
+
+
+def test_regular_value_of_no_seeds_does_not_pass():
+    report = fv.check_regular_value(fv.circle().field, [])
+    assert not report.passed
+    assert report.grad_norms == [] and np.isnan(report.min_grad_norm)
