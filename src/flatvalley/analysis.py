@@ -316,7 +316,7 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     # rounding floor of a distance: one unit roundoff of the position scale
     # per internal step of the finest member
     best = members[-1]
-    floor = np.finfo(float).eps * (len(best.tau_int) - 1) * float(np.abs(best.x).max())
+    floor = np.finfo(float).eps * best.steps * float(np.abs(best.x).max())
     monotone = [bool(d[j] <= d[j - 1] * (1.0 + 1e-3) + floor) for j in range(1, len(d))]
     if tol_limit is None:
         budget = 0.5 * eps[-2] ** 2 * vnorm * vnorm

@@ -521,7 +521,8 @@ def _cmd_gallery(args) -> int:
     return 0 if rep.all_trapped else 2
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="flatvalley",
         description="Escape-from-a-flat-valley laboratory: rescaled dynamics, "
@@ -565,8 +566,11 @@ def main(argv=None) -> int:
     p.add_argument("--energy-fraction", dest="energy_fraction", type=float, default=0.5)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_gallery)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise InvalidParameterError(f"--jobs must be at least 1, got {args.jobs}")

@@ -140,14 +140,22 @@ def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
     starts = [np.array([x0] + [0.0] * rest) for x0 in x0s]
     u0s = [potential.value(start) for start in starts]  # for laloy, the 1-d bump alone
     v0s = [float(np.sqrt(max(0.0, 2.0 * (target - u0)))) for u0 in u0s]
-    runs = newton_many(potential, [PhaseState(start, [v0] + [COMPANION_SPEED] * rest)
-                                   for start, v0 in zip(starts, v0s)],
-                       [t_end] * n_traj, TRAP_OPTIONS)
+    # the largest |x_i| of each run over every internal state, per
+    # coordinate i, streamed as the lockstep call makes the states
+    reach = np.zeros((n_traj, potential.dim))
+
+    def observe(rows, first, X, V, due):
+        valid = (np.arange(len(X))[:, None] < np.asarray(due))[:, :, None]
+        reach[rows] = np.maximum(reach[rows], np.max(np.abs(X), axis=0, where=valid,
+                                                     initial=0.0))
+
+    newton_many(potential, [PhaseState(start, [v0] + [COMPANION_SPEED] * rest)
+                            for start, v0 in zip(starts, v0s)],
+                [t_end] * n_traj, TRAP_OPTIONS, observe=observe)
     records = []
-    for x0, u0, v0, traj in zip(x0s, u0s, v0s, runs):
-        exc = float(np.abs(traj.x_int[:, 0]).max())
+    for x0, u0, v0, (exc, *others) in zip(x0s, u0s, v0s, reach.tolist()):
         records.append(TrapRecord(
             x0=float(x0), v0=v0, energy=0.5 * v0 * v0 + u0, max_excursion=exc,
             trapped=bool(barrier.x_left < -exc and exc < barrier.x_right),
-            companion_excursion=float(np.abs(traj.x_int[:, 1:]).max()) if rest else 0.0))
+            companion_excursion=max(others, default=0.0)))
     return TrapReport(barrier=barrier, t_end=t_end, records=records)

@@ -28,8 +28,16 @@ the family's two-route cross-check (``FamilyResult.twin_distances``).
 Output grids: every trajectory is reported on an equispaced grid whose
 nodes are exact integrator states (the internal step is snapped to divide
 the output spacing), so audits and cross-member comparisons never see
-interpolation error.  Dense internal states are kept on the trajectory for
-derivative work; ``sample`` interpolates them with a cubic spline.
+interpolation error.
+
+Memory grows with nodes, not steps.  The members and twins of a family
+keep only their output nodes: the lockstep call stores every m-th state
+of each row and streams every internal state of the members through
+their conservation audits (:class:`RunAudits`) as it goes, so no (steps +
+1, n) array is allocated per run.  Dense internal states are kept only
+where they are read: :func:`integrate_rescaled` and
+:func:`integrate_newton` return them, and ``Trajectory.sample``
+interpolates them with a cubic spline.
 """
 from __future__ import annotations
 
@@ -50,6 +58,9 @@ Array = np.ndarray
 #: most steps one ``integrate`` call may take: ten times the largest run a
 #: shipped scenario, gallery default or test asks for (10^5 steps)
 MAX_STEPS = 10**6
+#: most members a scenario's eps schedule may have: ten times the shipped
+#: count of 6, checked before the schedule is built
+MAX_MEMBERS = 64
 
 
 def _number(name: str, value, kind=numbers.Real, error=ScenarioError):
@@ -116,14 +127,16 @@ class IntegratorOptions:
 
 @dataclass(eq=False)
 class Trajectory:
-    """A sampled solution with its dense internal states.
+    """A sampled solution, with its internal states when it is dense.
 
     ``tau``/``x``/``v`` live on the equispaced output grid (401 nodes by
-    default); the ``*_int`` arrays hold every internal step.  Output nodes
-    coincide with internal nodes by construction.  A family's physical
-    twins, and the evidence runs cut from them, keep only their output
-    nodes: their ``*_int`` arrays are the node arrays, and ``dt`` is still
-    the step they were integrated at.
+    default).  A dense run (from :func:`integrate_rescaled` or
+    :func:`integrate_newton`) also holds every internal step in its
+    ``*_int`` arrays; output nodes coincide with internal nodes by
+    construction.  The members of a family and their physical twins, and
+    the evidence runs cut from the twins, keep only their output nodes:
+    their ``*_int`` arrays are the node arrays, and ``dt`` is still the
+    step they were integrated at.
     """
 
     kind: str                 # "physical" | "rescaled"
@@ -143,8 +156,23 @@ class Trajectory:
     def dim(self) -> int:
         return self.x.shape[1]
 
+    @property
+    def dense(self) -> bool:
+        """Whether the run kept its internal states, not only its nodes."""
+        return self.x_int is not self.x
+
+    @property
+    def steps(self) -> int:
+        """Internal steps from the first node to the last."""
+        return round(float(self.tau[-1] - self.tau[0]) / self.dt)
+
     def sample(self, taus):
-        """Cubic-spline positions and velocities at arbitrary interior times."""
+        """Cubic-spline positions and velocities at arbitrary interior times
+        of a dense run."""
+        if not self.dense:
+            raise InvalidParameterError(
+                "this run kept only its output nodes; sample a dense run from "
+                "integrate_rescaled (or integrate_newton) at the same eps, horizon and options")
         if self._sampler is None:
             from scipy.interpolate import CubicSpline
 
@@ -176,13 +204,17 @@ def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, floa
     return m, spacing / m, intervals * m
 
 
-def _lockstep(potential, x0, v0, scale, snaps, opts: IntegratorOptions):
+def _lockstep(potential, x0, v0, scale, snaps, opts: IntegratorOptions, dense: bool,
+              observe=None):
     """One ``integrate`` call over rows under xdd = -scale grad U, the row r
-    stepping as ``snaps[r]`` = (m, dt, steps) says: per-row (X, V) and
-    {row: BlowUpError}."""
+    stepping as ``snaps[r]`` = (m, dt, steps) says: per-row (X, V), every
+    state of a ``dense`` call and every m-th (the output nodes) otherwise,
+    and {row: BlowUpError}.  ``observe`` sees every state (see
+    ``integrate``)."""
     steps = [s for _, _, s in snaps]
     return integrate(potential.gradient_many, x0, v0, [dt for _, dt, _ in snaps],
                      max(steps), steps=steps, scale=-np.asarray(scale, dtype=float),
+                     stride=1 if dense else [m for m, _, _ in snaps], observe=observe,
                      method=opts.method, blowup_radius=opts.blowup_radius)
 
 
@@ -204,39 +236,40 @@ def _newton_snaps(potential, starts: Sequence[PhaseState], t_ends: Sequence[floa
 
 
 def _newton_run(snap, t_end: float, intervals: int, X: Array, V: Array,
-                eps: Optional[float], nodes_only: bool = False) -> Trajectory:
-    """A physical run from its internal states; a run cut short by a blow-up
-    keeps the output nodes it reached.  With ``nodes_only`` the run keeps
-    only its output nodes, which are then also its ``*_int`` arrays."""
+                eps: Optional[float], dense: bool) -> Trajectory:
+    """A physical run from its kept states, every one when ``dense`` and
+    else its output nodes, which are then also its ``*_int`` arrays; a run
+    cut short by a blow-up keeps the output nodes it reached."""
     m, dt, _ = snap
-    x, v = X[::m].copy(), V[::m].copy()
+    x, v = (X[::m].copy(), V[::m].copy()) if dense else (X, V)
     tau = np.arange(len(x)) * (t_end / intervals)
-    if nodes_only:
-        X, V, tau_int = x, v, tau
-    else:
-        tau_int = np.arange(len(X)) * dt
     return Trajectory(kind="physical", epsilon=eps, tau=tau, x=x, v=v, dt=dt,
-                      tau_int=tau_int, x_int=X, v_int=V)
+                      tau_int=np.arange(len(X)) * dt if dense else tau, x_int=X, v_int=V)
 
 
 def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
                 opts: IntegratorOptions = IntegratorOptions(),
-                epsilons: Optional[Sequence[Optional[float]]] = None) -> List[Trajectory]:
+                epsilons: Optional[Sequence[Optional[float]]] = None,
+                observe=None) -> List[Trajectory]:
     """Integrate xdd = -grad U on [0, t_ends[i]] from each ``starts[i]``, all
     runs in one lockstep call; ``epsilons[i]`` labels run i.
 
-    Raises the BlowUpError of the first run that fails, the error a loop of
-    :func:`integrate_newton` stops at.
+    The runs are dense, unless ``observe`` (an ``integrate`` observer, run
+    i being row i) reads their internal states as they are made: then the
+    runs keep only their output nodes.  Raises the BlowUpError of the
+    first run that fails, the error a loop of :func:`integrate_newton`
+    stops at.
     """
     intervals = opts.n_out - 1
     snaps = _newton_snaps(potential, starts, t_ends, intervals,
                           [opts.step_factor] * len(starts))
+    dense = observe is None
     Xs, Vs, failures = _lockstep(potential, [s0.x for s0 in starts], [s0.v for s0 in starts],
-                                 1.0, snaps, opts)
+                                 1.0, snaps, opts, dense, observe)
     if failures:
         raise failures[min(failures)]
     labels = [None] * len(starts) if epsilons is None else epsilons
-    return [_newton_run(snap, t_end, intervals, X, V, eps)
+    return [_newton_run(snap, t_end, intervals, X, V, eps, dense)
             for snap, t_end, X, V, eps in zip(snaps, t_ends, Xs, Vs, labels)]
 
 
@@ -249,12 +282,20 @@ def integrate_newton(potential, s0: PhaseState, t_end: float,
 
 def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
                   step_factors: Sequence[float], opts: IntegratorOptions = IntegratorOptions(),
-                  twins: bool = False
+                  twins: bool = False, audits: Optional["RunAudits"] = None,
+                  dense: bool = False
                   ) -> Tuple[List[Optional[Trajectory]], Dict[int, BlowUpError],
                              List[Trajectory], Dict[int, BlowUpError]]:
     """Integrate xdd = -(1/eps_j^2) grad U(x) on [-T, T] from (p, v) at the
     internal step ``step_factors[j] * eps_j``, both halves of every run in
     one lockstep call.
+
+    A run keeps only its output nodes (its ``*_int`` arrays are its node
+    arrays), unless ``dense``: then it keeps every internal state, as
+    :func:`integrate_rescaled` returns it.  ``audits``, a
+    :class:`RunAudits` of the same epsilons, is fed every internal state of
+    both halves of run j, as its run j, while the lockstep call makes them,
+    so no run has to keep its states for its audit.
 
     With ``twins``, the physical twin of every run rides in the same call:
     twin j solves xdd = -grad U from (p, eps_j v) to T/eps_j at a step of at
@@ -263,10 +304,7 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
     :func:`integrate_newton` run to T/eps_j with n_out = half + 1, bit for
     bit; it takes the step count of run j, so the lockstep loop runs no
     longer, and its node i is the physical state at the time of run j's
-    node half + i.  A twin keeps only its output nodes (its ``*_int``
-    arrays are its node arrays): its internal states are freed before the
-    runs are joined, so the twins add almost nothing to the family's
-    memory peak.
+    node half + i.  A twin, like a run, keeps only its output nodes.
 
     Returns (runs, errors, twin_runs, twin_errors): the runs and
     {j: BlowUpError}, each error the one :func:`integrate_rescaled` raises
@@ -300,7 +338,22 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
         scales += [1.0] * count
         x0s += [s0.x for s0 in starts]
         v0s += [s0.v for s0 in starts]
-    Xs, Vs, failures = _lockstep(potential, x0s, v0s, scales, snaps, opts)
+
+    def audit(rows, first, X, V, due):
+        # row 2j is run j's forward half, row 2j + 1 its backward half, whose
+        # steps count down from 0 and whose velocities are negated: the
+        # audited quantities are even in v
+        member = [c for c, r in enumerate(rows.tolist()) if r < 2 * count and due[c]]
+        for length in set(due[c] for c in member):  # one length but in a row's last chunk
+            cols = [c for c in member if due[c] == length]
+            rs = rows[cols]
+            k = (1 - 2 * (rs % 2))[:, None] * (first + np.arange(length))
+            audits.feed(rs // 2, k, X[:length].transpose(1, 0, 2)[cols],
+                        V[:length].transpose(1, 0, 2)[cols], [snaps[r][1] for r in rs],
+                        [snaps[r][0] for r in rs])
+
+    Xs, Vs, failures = _lockstep(potential, x0s, v0s, scales, snaps, opts, dense,
+                                 None if audits is None else audit)
     twin_runs, twin_errors = [], {}
     for j in range(count if twins else 0):
         row, eps = 2 * count + j, float(epsilons[j])
@@ -310,8 +363,7 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
                 f"physical twin j={j} (eps={eps:g}) blew up: {exc}",
                 last_time=exc.last_time, last_state=exc.last_state)
         twin_runs.append(_newton_run(snaps[row], t_ends[j], half, Xs[row], Vs[row], eps,
-                                     nodes_only=True))
-        Xs[row] = Vs[row] = None  # free the internal states before the runs are joined
+                                     dense=False))
     runs, errors = [], {}
     for j, eps in enumerate(epsilons):
         # the forward half runs first in time, so its error is the one reported
@@ -330,31 +382,28 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
         x_int = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
         v_int = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
         Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
-        runs.append(Trajectory(
-            kind="rescaled",
-            epsilon=eps,
-            tau=np.arange(-half, half + 1) * spacing,
-            x=x_int[::m].copy(),
-            v=v_int[::m].copy(),
-            dt=dt,
-            tau_int=np.arange(-steps, steps + 1) * dt,
-            x_int=x_int,
-            v_int=v_int,
-        ))
+        tau = np.arange(-half, half + 1) * spacing
+        x_out, v_out = (x_int[::m].copy(), v_int[::m].copy()) if dense else (x_int, v_int)
+        runs.append(Trajectory(kind="rescaled", epsilon=eps, tau=tau, x=x_out, v=v_out, dt=dt,
+                               tau_int=np.arange(-steps, steps + 1) * dt if dense else tau,
+                               x_int=x_int, v_int=v_int))
     return runs, errors, twin_runs, twin_errors
 
 
 def integrate_rescaled(potential, p, v, eps: float, T: float,
                        opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
-    """Integrate xdd = -(1/eps^2) grad U(x) on [-T, T] from (p, v).
+    """Integrate xdd = -(1/eps^2) grad U(x) on [-T, T] from (p, v): a dense
+    run, with every internal state.
 
     The backward half is obtained by running forward from (p, -v) and
     reflecting time, so a single stepper code path covers both halves.
     The solution exists globally for every eps; a blow-up therefore means
     the step size failed to resolve the stiffness and is reported as an
-    integrator failure.
+    integrator failure.  A family member at the same eps, horizon and
+    options has this run's nodes, bit for bit.
     """
-    runs, errors, _, _ = rescaled_many(potential, p, v, T, [eps], [opts.step_factor], opts)
+    runs, errors, _, _ = rescaled_many(potential, p, v, T, [eps], [opts.step_factor], opts,
+                                       dense=True)
     if errors:
         raise errors[0]
     return runs[0]
@@ -378,17 +427,6 @@ def energy_drift(H: Array) -> float:
     """max |H - H(0)| / max(|H(0)|, 1e-300), with H(0) the middle sample."""
     h0 = float(H[(len(H) - 1) // 2])
     return float(np.max(np.abs(H - h0)) / max(abs(h0), 1e-300))
-
-
-def energy_audit(traj: Trajectory, potential) -> EnergyReport:
-    if traj.kind != "rescaled" or traj.epsilon is None:
-        raise InvalidParameterError("energy_audit expects a rescaled trajectory")
-    eps = traj.epsilon
-    kinetic = 0.5 * np.einsum("ij,ij->i", traj.v_int, traj.v_int)
-    H = kinetic + potential.value_many(traj.x_int) / (eps * eps)
-    m = (len(traj.tau_int) - 1) // (len(traj.tau) - 1)
-    return EnergyReport(epsilon=eps, h0=float(H[(len(H) - 1) // 2]), drift=energy_drift(H),
-                        values=H[::m].copy())
 
 
 @dataclass(eq=False)
@@ -416,41 +454,122 @@ class BoundsCheck:
         return self.speed_ok and self.sublevel_ok and self.ball_ok
 
 
-def confinement_check(traj: Trajectory, potential, v, slack: float = 1e-6) -> BoundsCheck:
-    """Check the a-priori speed/sublevel/ball bounds on every internal step."""
+def _squared_norms(a: Array) -> Array:
+    """|a|^2 over the last axis, the squares added in order, as
+    ``np.linalg.norm`` adds them before its square root."""
+    squares = a * a
+    out = squares[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + squares[..., i]
+    return out
+
+
+class RunAudits:
+    """The conservation audits of rescaled runs from (p, v), one per eps,
+    fed their internal states one block at a time.
+
+    Each state is read once: H = |v|^2/2 + U/eps^2, the speed |v|, U, the
+    displacement |x - p| and the ball ratio |x - p|/(|tau| |v|) are
+    evaluated on the block and folded into running maxima per run, and H
+    is kept at the output nodes.  Every quantity is row by row and every
+    reduction a maximum, so the reports are the same bits however the
+    states are cut into blocks: a family feeds its members chunk by chunk
+    as the lockstep integrator makes them, :func:`energy_audit` and
+    :func:`confinement_check` feed a dense run as one block.  The block
+    holding tau = 0, where H(0) is read, comes first.
+    """
+
+    def __init__(self, potential, epsilons, p, v, nodes: int):
+        self.potential = potential
+        self.epsilons = np.asarray(epsilons, dtype=float)
+        self.p = np.asarray(p, dtype=float)
+        self.v_norm = float(np.linalg.norm(v))
+        runs = len(self.epsilons)
+        self.values = np.empty((runs, nodes))  # H at the output nodes
+        self.h0 = np.empty(runs)
+        self.maxima = np.full((runs, 5), -np.inf)  # |H - H(0)|, |v|, U, |x - p|, ball ratio
+
+    def feed(self, runs, k: Array, x: Array, v: Array, dt, stride) -> None:
+        """Audit a block of states: row c of the (cols, steps, n) states
+        (x, v) holds states of run ``runs[c]`` at the signed step indices
+        ``k[c]`` of a step ``dt[c]`` (tau = k dt), whose output nodes are
+        every ``stride[c]``-th step."""
+        cols, steps, n = x.shape
+        runs = np.asarray(runs)
+        dt, stride = np.asarray(dt, dtype=float)[:, None], np.asarray(stride)[:, None]
+        eps = self.epsilons[runs][:, None]
+        U = self.potential.value_many(x.reshape(-1, n)).reshape(cols, steps)
+        flat_v = v.reshape(-1, n)
+        H = 0.5 * np.einsum("ij,ij->i", flat_v, flat_v).reshape(cols, steps) + U / (eps * eps)
+        zero = k == 0
+        self.h0[runs[np.nonzero(zero)[0]]] = H[zero]
+        node = k % stride == 0
+        self.values[runs[np.nonzero(node)[0]],
+                    (self.values.shape[1] - 1) // 2 + (k // stride)[node]] = H[node]
+        taus = np.abs(k) * dt
+        disps = np.sqrt(_squared_norms(x - self.p))
+        ratios = np.zeros_like(disps)
+        if self.v_norm > 0:  # a run from rest reads max |x - p| for its ball bound
+            np.divide(disps, taus * self.v_norm, out=ratios, where=taus > 0)
+        np.maximum.at(self.maxima, runs, np.stack([
+            np.abs(H - self.h0[runs][:, None]).max(axis=1),
+            np.sqrt(_squared_norms(v).max(axis=1)),  # sqrt is monotone: the largest speed
+            U.max(axis=1), disps.max(axis=1), ratios.max(axis=1)], axis=1))
+
+    def energy(self, j: int) -> EnergyReport:
+        h0 = float(self.h0[j])
+        return EnergyReport(epsilon=float(self.epsilons[j]), h0=h0,
+                            drift=float(self.maxima[j, 0]) / max(abs(h0), 1e-300),
+                            values=self.values[j])
+
+    def bounds(self, j: int, slack: float) -> BoundsCheck:
+        eps, vnorm = float(self.epsilons[j]), self.v_norm
+        max_speed, max_pot, max_disp, worst_ratio = (float(m) for m in self.maxima[j, 1:])
+        if vnorm == 0.0:
+            worst_ratio = max_disp  # must be identically zero
+            ball_ok = worst_ratio == 0.0
+        else:
+            ball_ok = worst_ratio <= 1.0 + slack
+        return BoundsCheck(
+            epsilon=eps,
+            v_norm=vnorm,
+            slack=slack,
+            max_speed=max_speed,
+            max_potential=max_pot,
+            max_displacement=max_disp,
+            worst_ball_ratio=worst_ratio,
+            speed_ok=max_speed <= vnorm * (1.0 + slack),
+            sublevel_ok=max_pot <= 0.5 * eps * eps * vnorm * vnorm * (1.0 + slack),
+            ball_ok=ball_ok,
+        )
+
+
+def _dense_audit(traj: Trajectory, potential, v, name: str) -> RunAudits:
+    """A dense rescaled run fed to its audit as one block."""
     if traj.kind != "rescaled" or traj.epsilon is None:
-        raise InvalidParameterError("confinement_check expects a rescaled trajectory")
-    eps = traj.epsilon
-    v = np.asarray(v, dtype=float)
-    vnorm = float(np.linalg.norm(v))
-    center = (len(traj.tau_int) - 1) // 2
-    p = traj.x_int[center]
-    speeds = np.linalg.norm(traj.v_int, axis=1)
-    pots = potential.value_many(traj.x_int)
-    disps = np.linalg.norm(traj.x_int - p, axis=1)
-    taus = np.abs(traj.tau_int)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(taus > 0, disps / np.where(taus > 0, taus * vnorm, 1.0), 0.0)
-    if vnorm == 0.0:
-        worst_ratio = float(np.max(disps))  # must be identically zero
-        ball_ok = worst_ratio == 0.0
-    else:
-        worst_ratio = float(np.max(ratios))
-        ball_ok = worst_ratio <= 1.0 + slack
-    max_speed = float(np.max(speeds))
-    max_pot = float(np.max(pots))
-    return BoundsCheck(
-        epsilon=eps,
-        v_norm=vnorm,
-        slack=slack,
-        max_speed=max_speed,
-        max_potential=max_pot,
-        max_displacement=float(np.max(disps)),
-        worst_ball_ratio=worst_ratio,
-        speed_ok=max_speed <= vnorm * (1.0 + slack),
-        sublevel_ok=max_pot <= 0.5 * eps * eps * vnorm * vnorm * (1.0 + slack),
-        ball_ok=ball_ok,
-    )
+        raise InvalidParameterError(f"{name} expects a rescaled trajectory")
+    if not traj.dense:
+        raise InvalidParameterError(
+            f"{name} reads every internal state, and this run kept only its output nodes; "
+            "a family audits its members as they run, and integrate_rescaled gives a dense run")
+    steps = (len(traj.tau_int) - 1) // 2
+    # without a v (the energy audit), the ball ratio it never reads uses the launch velocity
+    audit = RunAudits(potential, [traj.epsilon], traj.x_int[steps],
+                      traj.v_int[steps] if v is None else v, len(traj.tau))
+    audit.feed([0], np.arange(-steps, steps + 1)[None], traj.x_int[None], traj.v_int[None],
+               [traj.dt], [(len(traj.tau_int) - 1) // (len(traj.tau) - 1)])
+    return audit
+
+
+def energy_audit(traj: Trajectory, potential) -> EnergyReport:
+    """Energy conservation on every internal step of a dense rescaled run."""
+    return _dense_audit(traj, potential, None, "energy_audit").energy(0)
+
+
+def confinement_check(traj: Trajectory, potential, v, slack: float = 1e-6) -> BoundsCheck:
+    """Check the a-priori speed/sublevel/ball bounds on every internal step
+    of a dense rescaled run."""
+    return _dense_audit(traj, potential, v, "confinement_check").bounds(0, slack)
 
 
 @dataclass(eq=False)
@@ -459,8 +578,10 @@ class Scenario:
 
     p must lie on the valley floor at a regular point of f, v must be
     tangent to it there, and every number must be finite and of its type.
-    The eps schedule eps_j = eps0 * ratio^j is capped below by ``min_eps``
-    because step-size adequacy far below 1e-4 has not been studied.
+    The eps schedule eps_j = eps0 * ratio^j, j < count <= MAX_MEMBERS, is
+    capped below by ``min_eps`` > 0 because step-size adequacy far below
+    1e-4 has not been studied; both are checked before the schedule is
+    built.
     """
 
     potential: CompositePotential
@@ -511,13 +632,19 @@ class Scenario:
             raise ScenarioError("ratio must lie in (0, 1)")
         if self.count < 1:
             raise ScenarioError("count must be at least 1")
+        if self.count > MAX_MEMBERS:
+            raise ScenarioError(f"count must be at most MAX_MEMBERS = {MAX_MEMBERS}, "
+                                f"got {self.count}")
+        if not self.min_eps > 0:
+            raise ScenarioError(f"min_eps must be positive, got {self.min_eps:g}")
         if self.slack < 0:
             raise ScenarioError("slack must be nonnegative")
         if not (self.out is None or isinstance(self.out, str)):
             raise ScenarioError(f"out must be a string, got {self.out!r}")
-        if self.epsilons[-1] < self.min_eps:
+        smallest = self.eps0 * self.ratio ** (self.count - 1)  # the schedule's last entry
+        if smallest < self.min_eps:
             raise ScenarioError(
-                f"smallest eps {self.epsilons[-1]:.3e} is below the cap {self.min_eps:g}; "
+                f"smallest eps {smallest:.3e} is below the cap {self.min_eps:g}; "
                 "shorten the schedule or lower min_eps explicitly")
 
     @property
@@ -530,6 +657,10 @@ class FamilyResult:
     """Rescaled trajectories for a geometric eps schedule on one output grid,
     with their physical twins.
 
+    Members and twins keep only their output nodes; ``energies`` and
+    ``bounds`` audited every internal state of each member as it ran (see
+    :class:`RunAudits`), and a member's dense run is
+    :func:`integrate_rescaled` at its eps, the horizon and the options.
     ``twins[j]`` is the physical run from (p, eps_j v) to T/eps_j that was
     integrated beside member j (see :func:`rescaled_many`); a twin that blew
     up ends early and has its error in ``twin_errors``.
@@ -566,7 +697,7 @@ def family_from_runs(potential, p, v, T, epsilons,
                      opts: IntegratorOptions = IntegratorOptions(),
                      slack: float = 1e-6) -> FamilyResult:
     """Integrate one rescaled run per eps and its physical twin, all in one
-    lockstep call, and audit each run.
+    lockstep call, and audit every internal state of each run as it is made.
 
     A family any of whose members would take more than MAX_STEPS steps
     fails before any member runs; a failing member aborts the family with
@@ -576,20 +707,22 @@ def family_from_runs(potential, p, v, T, epsilons,
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     epsilons = np.asarray(list(epsilons), dtype=float)
+    audits = RunAudits(potential, epsilons, p, v, opts.n_out)
     members, errors, twins, twin_errors = rescaled_many(
-        potential, p, v, T, epsilons, [opts.step_factor] * len(epsilons), opts, twins=True)
+        potential, p, v, T, epsilons, [opts.step_factor] * len(epsilons), opts, twins=True,
+        audits=audits)
     if errors:
         j = min(errors)
         exc = errors[j]
         raise BlowUpError(
             f"family member j={j} (eps={epsilons[j]:g}) failed: {exc}",
             last_time=exc.last_time, last_state=exc.last_state) from exc
-    energies = [energy_audit(traj, potential) for traj in members]
-    bounds = [confinement_check(traj, potential, v, slack) for traj in members]
     return FamilyResult(
         potential=potential, p=p, v=v, horizon=float(T), options=opts,
         epsilons=epsilons, tau=members[0].tau, members=members,
-        energies=energies, bounds=bounds, twins=twins, twin_errors=twin_errors,
+        energies=[audits.energy(j) for j in range(len(epsilons))],
+        bounds=[audits.bounds(j, slack) for j in range(len(epsilons))],
+        twins=twins, twin_errors=twin_errors,
     )
 
 
@@ -606,7 +739,8 @@ def halving_error(potential, p, v, eps: float, T: float,
     """Sup-norm change of a rescaled run when the internal step is halved.
 
     A cheap a-posteriori discretization error estimate used by the
-    two-route consistency checks.
+    two-route consistency checks; it compares nodes, so both runs keep only
+    their nodes.
     """
     (coarse, fine), errors, _, _ = rescaled_many(potential, p, v, T, [eps, eps],
                                            [opts.step_factor, opts.step_factor / 2.0], opts)

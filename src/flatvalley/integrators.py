@@ -16,9 +16,10 @@ the end of the live prefix and the Python loop runs max(steps) times, not
 sum(steps).  Every operation acts row by row and rounds as it does for one
 row alone (the products c*dt of each row, the acceleration scale * a(x)),
 so a batch gives the same bits as a loop of batches of one.  States are
-buffered CHUNK steps at a time, tested for blow-up and copied into one
-exact-size array per row, so the blow-up test sees every stored state and
-no (steps, rows, n) array is ever allocated.
+buffered CHUNK steps at a time, tested for blow-up, shown to an optional
+observer and copied, every stride-th one, into one exact-size array per
+row: the blow-up test and the observer see every state, and no (steps,
+rows, n) array is ever allocated.
 """
 from __future__ import annotations
 
@@ -58,20 +59,33 @@ ORDERS = {"verlet": 2, "yoshida4": 4, "pefrl": 4}
 CHUNK = 256
 
 
-def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
-              method: str = "pefrl", blowup_radius: float = 1e6):
+def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None, stride=1,
+              observe=None, method: str = "pefrl", blowup_radius: float = 1e6):
     """March the rows of (x0, v0) under xdd = scale * accel(x) in lockstep.
 
-    ``x0`` and ``v0`` are (rows, n); ``dt``, ``steps`` and ``scale`` are
-    per row, a scalar standing for every row (``scale`` None for 1).
-    ``n_steps`` is the lockstep iteration count, the largest of ``steps``;
-    when ``steps`` is None every row takes ``n_steps`` steps.  ``accel``
-    maps an (m, n) block of positions to its accelerations row by row.
+    ``x0`` and ``v0`` are (rows, n); ``dt``, ``steps``, ``scale`` and
+    ``stride`` are per row, a scalar standing for every row (``scale`` None
+    for 1).  ``n_steps`` is the lockstep iteration count, the largest of
+    ``steps``; when ``steps`` is None every row takes ``n_steps`` steps.
+    ``accel`` maps an (m, n) block of positions to its accelerations row by
+    row.  Row r keeps its states at steps 0, stride_r, 2 stride_r, ... (a
+    stride of 1 keeps every state), so a row that keeps only its output
+    nodes never holds its internal states.
 
-    Returns (Xs, Vs, failures): per row the (steps + 1, n) states after
-    every full step, and {row: BlowUpError} for the rows that reached a
-    non-finite or escaping state, each carrying its last valid time and
-    state (a failed row's Xs/Vs hold its states before the first bad one).
+    ``observe``, if given, sees every valid state of every row exactly
+    once, in step order, whatever the strides: it is called as
+    ``observe(rows, first, X, V, due)`` with the (steps, len(rows), n)
+    states of a block of steps starting at step ``first`` (first the
+    initial states alone, as step 0, then every CHUNK buffer before it is
+    reused), ``rows`` the original indices of the block's columns, and
+    ``due[c]`` the number of leading states of column c that belong to
+    its row: those past its step count, and a failed row's states from
+    its first bad one on, are not due.
+
+    Returns (Xs, Vs, failures): per row the (steps // stride + 1, n) kept
+    states, and {row: BlowUpError} for the rows that reached a non-finite
+    or escaping state, each carrying its last valid time and state (a
+    failed row's Xs/Vs hold its kept states before the first bad one).
     A single (n,) row is a batch of one: it returns (X, V) and raises its
     BlowUpError.
     """
@@ -79,7 +93,8 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
         raise InvalidParameterError(f"unknown integrator {method!r}; known: {sorted(TABLES)}")
     if np.ndim(x0) == 1:
         Xs, Vs, failures = integrate(accel, [x0], [v0], dt, n_steps, steps=steps, scale=scale,
-                                     method=method, blowup_radius=blowup_radius)
+                                     stride=stride, observe=observe, method=method,
+                                     blowup_radius=blowup_radius)
         if failures:
             raise failures[0]
         return Xs[0], Vs[0]
@@ -89,13 +104,17 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
     n_steps = int(n_steps)
     h = np.broadcast_to(np.asarray(dt, dtype=float), (rows,))
     counts = np.broadcast_to(np.asarray(n_steps if steps is None else steps), (rows,))
+    strides = np.broadcast_to(np.asarray(stride), (rows,))
     if not np.all(h > 0):
         raise InvalidParameterError("step size must be positive")
     if counts.dtype.kind not in "iu" or counts.min() < 0 or counts.max() != n_steps:
         raise InvalidParameterError(
             f"per-row step counts must be nonnegative integers with maximum n_steps = {n_steps}")
+    if strides.dtype.kind not in "iu" or strides.min() < 1:
+        raise InvalidParameterError("per-row strides must be positive integers")
     order = np.argsort(-counts, kind="stable")
     counts = counts[order].tolist()
+    strides = strides[order].tolist()
     h = h[order]
     x, v = x[order], v[order]
 
@@ -106,11 +125,13 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
         np.broadcast_to(np.asarray(scale, dtype=float), (rows,))[order])
     coeffs = [(per_row(dc * h), None if kc == 0.0 else per_row(kc * h))
               for dc, kc in TABLES[method]]
-    Xs = [np.empty((c + 1, n)) for c in counts]
-    Vs = [np.empty((c + 1, n)) for c in counts]
+    Xs = [np.empty((c // s + 1, n)) for c, s in zip(counts, strides)]
+    Vs = [np.empty((c // s + 1, n)) for c, s in zip(counts, strides)]
     for r in range(rows):
         Xs[r][0] = x[r]
         Vs[r][0] = v[r]
+    if observe is not None:
+        observe(order, 0, x[None], v[None], [1] * rows)
     chunk = min(CHUNK, n_steps)
     buf_x = np.empty((chunk, rows, n))
     buf_v = np.empty((chunk, rows, n))
@@ -119,10 +140,11 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
     bad = {}  # failed row -> index of its first bad state
     live = rows
     k = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up row is caught below
-        while k < n_steps:
-            first, live0 = k + 1, live
-            steps_here = min(chunk, n_steps - k)
+    while k < n_steps:
+        first, live0 = k + 1, live
+        x_before, v_before = x, v  # the states at step first - 1
+        steps_here = min(chunk, n_steps - k)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blown-up row is caught below
             for i in range(steps_here):
                 k += 1
                 if counts[live - 1] < k:  # finished rows drop off the end of the live prefix
@@ -139,26 +161,35 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None,
                         v = v + kc * (a if a_scale is None else a_scale * a)
                 buf_x[i, :live] = x
                 buf_v[i, :live] = v
-            for r in range(live0):
-                if r not in failures:
-                    stored = min(counts[r], k) - first + 1
-                    Xs[r][first:first + stored] = buf_x[:stored, r]
-                    Vs[r][first:first + stored] = buf_v[:stored, r]
             bx, bv = buf_x[:steps_here, :live0], buf_v[:steps_here, :live0]
             inside = np.vecdot(bx, bx) + np.vecdot(bv, bv) <= r2 + r2  # False also for NaN
-            due = np.arange(first, k + 1)[:, None] <= np.array(counts[:live0])
-            for r in np.flatnonzero(np.any(due & ~inside, axis=0)).tolist():
-                if r not in failures:
-                    j = bad[r] = first + int(np.argmax(~inside[:, r]))
-                    step = float(h[r])
-                    failures[r] = BlowUpError(
-                        f"state left the finite box at step {j} (t = {j * step:.6g})",
-                        last_time=(j - 1) * step,
-                        last_state=(Xs[r][j - 1].copy(), Vs[r][j - 1].copy()))
-            if len(failures) == rows:
-                break
+        span = [min(counts[r], k) - first + 1 for r in range(live0)]  # the chunk's states per row
+        for r in range(live0):
+            if r not in failures:
+                s = strides[r]
+                i0 = -first % s  # the chunk's first entry at a multiple of the stride
+                if i0 < span[r]:
+                    kept = slice((first + i0) // s, (first + span[r] - 1) // s + 1)
+                    Xs[r][kept] = buf_x[i0:span[r]:s, r]
+                    Vs[r][kept] = buf_v[i0:span[r]:s, r]
+        in_span = np.arange(steps_here)[:, None] < np.array(span)
+        for r in np.flatnonzero(np.any(in_span & ~inside, axis=0)).tolist():
+            if r not in failures:
+                j = bad[r] = first + int(np.argmax(~inside[:, r]))
+                step = float(h[r])
+                x_last, v_last = ((buf_x[j - 1 - first, r], buf_v[j - 1 - first, r])
+                                  if j > first else (x_before[r], v_before[r]))
+                failures[r] = BlowUpError(
+                    f"state left the finite box at step {j} (t = {j * step:.6g})",
+                    last_time=(j - 1) * step, last_state=(x_last.copy(), v_last.copy()))
+        if observe is not None:  # a failed row's states are due up to its first bad one
+            observe(order[:live0], first, bx, bv,
+                    [max(0, min(span[r], bad.get(r, k + 1) - first)) for r in range(live0)])
+        if len(failures) == rows:
+            break
     back = np.argsort(order, kind="stable")
     for r, j in bad.items():
-        Xs[r], Vs[r] = Xs[r][:j], Vs[r][:j]
+        kept = (j - 1) // strides[r] + 1
+        Xs[r], Vs[r] = Xs[r][:kept], Vs[r][:kept]
     return ([Xs[r] for r in back], [Vs[r] for r in back],
             {int(order[r]): exc for r, exc in failures.items()})

@@ -89,25 +89,28 @@ def tiny_scenario_file(tmp_path):
 def blow_up_twins(monkeypatch):
     """Make a family's twins blow up: ``blow_up_twins({j: fraction})`` has the
     family's lockstep call report twin j as leaving the finite box at that
-    fraction of its steps, keeping its states before, as ``integrate``
+    fraction of its steps, keeping its nodes before, as ``integrate``
     reports a row that blew up.  A twin moves eps_j times slower than its
     member along the same path, so it never blows up while its member runs
     on: the failure has to be injected."""
     real = dynamics.integrate
 
     def install(fractions):
-        def integrate(accel, x0, v0, dt, n_steps, *, steps, scale, **kwargs):
+        def integrate(accel, x0, v0, dt, n_steps, *, steps, scale, stride, **kwargs):
+            count = len(steps) // 3  # both halves of every member, then the twins
+            failing = {2 * count + j: fraction for j, fraction in fractions.items()}
+            # a failing twin keeps every state here, to be cut at its failure
+            # and thinned to its nodes below, as integrate keeps a row's nodes
             Xs, Vs, failures = real(accel, x0, v0, dt, n_steps, steps=steps, scale=scale,
-                                    **kwargs)
-            count = len(Xs) // 3  # both halves of every member, then the twins
-            for j, fraction in fractions.items():
-                r, h = 2 * count + j, dt[2 * count + j]
-                bad = int(fraction * steps[r])
+                                    stride=[1 if r in failing else s
+                                            for r, s in enumerate(stride)], **kwargs)
+            for r, fraction in failing.items():
+                h, bad = dt[r], int(fraction * steps[r])
                 failures[r] = BlowUpError(
                     f"state left the finite box at step {bad} (t = {bad * h:.6g})",
                     last_time=(bad - 1) * h,
                     last_state=(Xs[r][bad - 1].copy(), Vs[r][bad - 1].copy()))
-                Xs[r], Vs[r] = Xs[r][:bad], Vs[r][:bad]
+                Xs[r], Vs[r] = Xs[r][:bad:stride[r]], Vs[r][:bad:stride[r]]
             return Xs, Vs, failures
 
         monkeypatch.setattr(dynamics, "integrate", integrate)

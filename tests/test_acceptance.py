@@ -153,7 +153,10 @@ def test_criterion_7_coordinate_uniformity(circle_bundle):
 
 
 def test_criterion_8_tangential_residual(circle_bundle):
-    member = circle_bundle.family.members[1]  # eps = 0.05
+    # member j = 1 (eps = 0.05) keeps only its nodes: its dense run
+    scn = circle_bundle.scenario
+    member = fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[1],
+                                   scn.horizon, scn.options)
     taus = np.linspace(-0.85, 0.85, 20)
     res = fv.residual_convergence(circle_bundle.chart, member, taus)
     assert res["coarse_max"] <= 1e-3

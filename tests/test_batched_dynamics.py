@@ -171,10 +171,14 @@ def test_kernel_batch_is_a_loop_of_batches_of_one():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_family_is_a_loop_of_rescaled_runs(name):
+    # a member keeps only its nodes, those of the dense run at its eps
     P, p, v = CASES[name]
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
     for eps, member in zip(EPSILONS, fam.members):
-        _same_run(member, fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS))
+        alone = fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS)
+        _same_nodes(member, alone)
+        assert member.x_int is member.x and member.v_int is member.v
+        assert member.steps == alone.steps == len(alone.tau_int) - 1
 
 
 def _twin_alone(P, p, v, eps, T=0.5):
@@ -196,7 +200,7 @@ def test_twins_are_a_loop_of_newton_runs(name):
         # a twin keeps only its nodes, and takes its member's step count:
         # the lockstep runs no longer
         assert twin.x_int is twin.x and twin.v_int is twin.v and twin.tau_int is twin.tau
-        assert 2 * (len(alone.tau_int) - 1) == len(member.tau_int) - 1
+        assert 2 * alone.steps == member.steps
     # same discrete map up to rounding: the two routes agree far below any
     # tolerance the certificate uses
     assert np.all(fam.twin_distances <= 1e-12)
@@ -248,7 +252,7 @@ def test_a_blown_up_twin_keeps_its_nodes_and_raises_only_before_them(blow_up_twi
     assert sorted(fam.twin_errors) == [1, 2]
     assert [len(twin.tau) for twin in fam.twins] == [51, 40, 45]
     for member, run in zip(fam.members, alone):
-        _same_run(member, run)
+        _same_nodes(member, run)  # a member keeps only the nodes of its dense run
     early = fv.physical_evidence_runs(fam, 0.25)
     assert [len(run.tau) for run in early] == [26, 26, 26]
     with pytest.raises(BlowUpError) as info:
@@ -325,3 +329,73 @@ def test_family_blow_up_names_the_lowest_member_and_its_forward_half():
     assert str(batch) == f"family member j=0 (eps=0.1) failed: {single}"
     assert batch.last_time == single.last_time
     assert _bits(batch.last_state) == _bits(single.last_state)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_streamed_audits_are_the_dense_audits(name):
+    # a member's audits read its internal states chunk by chunk as the
+    # lockstep call makes them; on its dense run they read them as one block
+    P, p, v = CASES[name]
+    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    for eps, energy, bounds in zip(EPSILONS, fam.energies, fam.bounds):
+        dense = fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS)
+        want_energy, want_bounds = fv.energy_audit(dense, P), fv.confinement_check(dense, P, v)
+        for field in ("epsilon", "h0", "drift", "values"):
+            assert _bits(getattr(energy, field)) == _bits(getattr(want_energy, field)), field
+        for field in ("epsilon", "v_norm", "slack", "max_speed", "max_potential",
+                      "max_displacement", "worst_ball_ratio"):
+            assert _bits(getattr(bounds, field)) == _bits(getattr(want_bounds, field)), field
+        for flag in ("speed_ok", "sublevel_ok", "ball_ok", "passed"):
+            assert getattr(bounds, flag) is getattr(want_bounds, flag), flag
+
+
+def test_a_member_keeps_only_its_nodes_and_names_its_dense_run():
+    P, p, v = CASES["circle"]
+    member = fv.family_from_runs(P, p, v, 0.5, EPSILONS[:1], OPTIONS).members[0]
+    assert not member.dense and member.x_int is member.x
+    for call in (lambda: member.sample([0.1]), lambda: fv.energy_audit(member, P),
+                 lambda: fv.confinement_check(member, P, v)):
+        with pytest.raises(InvalidParameterError, match="integrate_rescaled"):
+            call()
+
+
+def test_kernel_keeps_every_stride_th_state_and_shows_the_observer_every_state():
+    steps = [CHUNK + 1, 0, 3, 2 * CHUNK + 7, CHUNK, 3]
+    strides = [3, 2, 1, 7, 256, 4]
+    dts = [0.01, 0.2, 0.05, 0.003, 0.02, 0.05]
+    rng = np.random.default_rng(2)
+    x0, v0 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    seen = {r: [] for r in range(6)}
+
+    def observe(rows, first, X, V, due):
+        for c, r in enumerate(rows.tolist()):
+            seen[r] += [(first + i, X[i, c].copy(), V[i, c].copy()) for i in range(due[c])]
+
+    Xs, Vs, failures = integrate(np.sin, x0, v0, dts, max(steps), steps=steps, scale=-1.0,
+                                 stride=strides, observe=observe)
+    assert not failures
+    dense, dense_v, _ = integrate(np.sin, x0, v0, dts, max(steps), steps=steps, scale=-1.0)
+    for r in range(6):
+        assert _bits(Xs[r]) == _bits(dense[r][::strides[r]])
+        assert _bits(Vs[r]) == _bits(dense_v[r][::strides[r]])
+        assert [k for k, _, _ in seen[r]] == list(range(steps[r] + 1))
+        assert _bits([x for _, x, _ in seen[r]]) == _bits(dense[r])
+        assert _bits([v for _, _, v in seen[r]]) == _bits(dense_v[r])
+
+
+def test_a_blown_up_strided_row_keeps_its_nodes_and_its_last_state():
+    # the fast middle row leaves the box at step 63 (see the dense case
+    # above); with a stride of 5 it keeps steps 0, 5, ..., 60, and its last
+    # valid state, step 62, comes from the buffer, as at a stride of 1
+    free = np.zeros_like
+    x0, v0 = np.zeros((3, 1)), np.array([[0.5], [3.0], [1.0]])
+    seen = []
+    Xs, Vs, failures = integrate(free, x0, v0, 0.01, 100, blowup_radius=2.5, stride=5,
+                                 observe=lambda rows, first, X, V, due: seen.append(
+                                     due[list(rows).index(1)]))
+    dense, dense_v, dense_failures = integrate(free, x0, v0, 0.01, 100, blowup_radius=2.5)
+    assert str(failures[1]) == str(dense_failures[1])
+    assert _bits(failures[1].last_state) == _bits(dense_failures[1].last_state)
+    assert [len(X) for X in Xs] == [21, 13, 21]
+    assert _bits(Xs[1]) == _bits(dense[1][::5]) and _bits(Vs[1]) == _bits(dense_v[1][::5])
+    assert sum(seen) == 63  # the observer sees step 0 to 62, never a bad state

@@ -1,20 +1,22 @@
-"""The benchmark's tracer still fits the package it patches.
+"""The benchmark still fits the package it runs.
 
 ``flatbench/tracer.py`` wraps package functions by name and reads some of
-their arguments and results by name.  A refactor that renames one of them
-would only crash a traced benchmark run; here it fails in milliseconds.
-The tracer module is imported from its file and never modified.
+their arguments and results by name, and ``flatbench/workloads.py`` hands
+the CLI generated command lines.  A refactor that renames one of them
+would only crash a benchmark run; here it fails in milliseconds.  The
+benchmark modules are imported from their files and never modified.
 """
 import dataclasses
 import importlib.util
 import inspect
 import pathlib
+import sys
 import typing
 
 import numpy as np
 import pytest
 
-from flatvalley import fields
+from flatvalley import cli, fields
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "flatbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("flatbench_tracer", TRACER_PATH)
@@ -77,3 +79,23 @@ def test_tracer_counts_the_oracles_of_every_gallery_potential(name):
         before = t.counts[counter]
         call()
         assert t.counts[counter] > before, f"{name}: {counter} did not move"
+
+
+WORKLOADS_PATH = TRACER_PATH.parent / "workloads.py"
+
+
+def test_every_benchmark_workload_command_line_parses(tmp_path, monkeypatch):
+    # the benchmark runs the CLI in-process with the argv its workloads
+    # generate, ``--jobs 1`` included: a removed or renamed flag fails here
+    spec = importlib.util.spec_from_file_location("flatbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    parser = cli.build_parser()
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        argv = workload.inputs(workloads.DEFAULT_SEED, str(tmp_path / name)).argv
+        args = parser.parse_args(argv)
+        assert args.command == argv[0], name
+        if "--jobs" in argv:
+            assert args.jobs == int(argv[argv.index("--jobs") + 1]), name

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     assert code == 1
     assert err.startswith("error: ScenarioError") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", [{"count": 10**12}, {"min_eps": 0}, {"min_eps": -1}],
+                         ids=["count-huge", "min_eps-zero", "min_eps-negative"])
+def test_schedule_is_checked_before_it_is_built(tmp_path, capsys, change):
+    path = _write(tmp_path, "schedule.json", dict(BASE, **change))
+    tracemalloc.start()
+    try:
+        code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"),
+                         "--no-svg"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ScenarioError") and len(err.splitlines()) == 1
+    assert peak < 2**20  # no eps schedule was allocated
 
 
 def test_overrides_take_precedence(tmp_path):

@@ -1,9 +1,14 @@
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import flatvalley as fv
-from flatvalley.dynamics import MAX_STEPS
+from flatvalley.dynamics import MAX_MEMBERS, MAX_STEPS
 from flatvalley.errors import BlowUpError, InvalidParameterError, ScenarioError
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def free_potential(dim=2):
@@ -215,6 +220,39 @@ def test_scenario_validation():
     scn = fv.Scenario(C, [1.0, 0.0], [0.0, 1.0], 1.0, eps0=1e-3, count=6,
                       min_eps=1e-6)
     assert scn.epsilons[-1] == pytest.approx(1e-3 * 0.5**5)
+
+
+def test_schedule_cap_and_smallest_eps_are_checked_as_scalars():
+    C = fv.circle()
+    with pytest.raises(ScenarioError, match="MAX_MEMBERS"):
+        fv.Scenario(C, [1.0, 0.0], [0.0, 1.0], 1.0, count=MAX_MEMBERS + 1, min_eps=1e-300)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ScenarioError, match="min_eps must be positive"):
+            fv.Scenario(C, [1.0, 0.0], [0.0, 1.0], 1.0, min_eps=bad)
+    assert len(fv.Scenario(C, [1.0, 0.0], [0.0, 1.0], 1.0, count=MAX_MEMBERS,
+                           min_eps=1e-300).epsilons) == MAX_MEMBERS
+    # the scalar the validator checks is the schedule's last entry
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scn = fv.parse_scenario(str(path))
+        assert scn.eps0 * scn.ratio ** (scn.count - 1) == scn.epsilons[-1], path.name
+
+
+def test_family_memory_grows_with_nodes_not_steps():
+    # members and twins keep only their output nodes, and the audits stream
+    # the internal states: the finest member's 32,000 steps per half on the
+    # shipped circle would take 2 MB of dense states alone
+    def peak(count):
+        scn = fv.parse_scenario(str(SCENARIOS / "circle.json"), {"count": count})
+        tracemalloc.start()
+        try:
+            fv.run_family(scn)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6) <= 1.5
+    # one more member doubles the finest member's steps
+    assert peak(5) - peak(4) < 0.25
 
 
 def test_phase_state_validation():

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import flatvalley as fv
-from flatvalley.errors import ChartDomainError, FlowDomainError
+from flatvalley.errors import ChartDomainError, FlowDomainError, InvalidParameterError
 
 RNG = np.random.default_rng(11)
 
@@ -217,8 +219,15 @@ def test_metric_min_shrinking_region_reaches_center_value():
     assert m.value == pytest.approx(0.25, abs=1e-3)
 
 
+def _dense_member(bundle, j):
+    """Family member j keeps only its nodes: its dense run, the same nodes."""
+    scn = bundle.scenario
+    return fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[j], scn.horizon,
+                                 scn.options)
+
+
 def test_residual_gutter_trace_is_flat(gutter_bundle):
-    res = fv.curvilinear_residual(gutter_bundle.chart, gutter_bundle.family.members[2],
+    res = fv.curvilinear_residual(gutter_bundle.chart, _dense_member(gutter_bundle, 2),
                                   np.linspace(-0.8, 0.8, 5), trace_step=0.05)
     assert np.max(np.abs(res)) <= 1e-10
 
@@ -239,7 +248,14 @@ def test_residual_rejects_boundary_samples(circle_bundle):
 
 def test_residual_accepts_coordinate_trace(circle_bundle):
     taus = np.array([0.1, -0.2])
-    via_trace = fv.curvilinear_residual(circle_bundle.chart, circle_bundle.traces[1], taus)
-    via_traj = fv.curvilinear_residual(circle_bundle.chart,
-                                       circle_bundle.family.members[1], taus)
+    dense = _dense_member(circle_bundle, 1)
+    trace = dataclasses.replace(circle_bundle.traces[1], trajectory=dense)
+    via_trace = fv.curvilinear_residual(circle_bundle.chart, trace, taus)
+    via_traj = fv.curvilinear_residual(circle_bundle.chart, dense, taus)
     assert np.array_equal(via_trace, via_traj)
+
+
+def test_residual_of_a_member_names_the_dense_run(circle_bundle):
+    with pytest.raises(InvalidParameterError, match="integrate_rescaled"):
+        fv.curvilinear_residual(circle_bundle.chart, circle_bundle.family.members[1],
+                                np.array([0.1]))
