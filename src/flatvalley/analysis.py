@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import (
+    SLACK,
     FamilyResult,
     Trajectory,
     energy_drift,
@@ -130,7 +131,8 @@ class CoordinateBoundsReport:
     pipeline when one fails.  ``velocity_ok`` (coordinate velocities below
     |v|/sqrt(m), m the pullback-metric minimum) is a diagnostic only: m is
     a grid estimate, not a certified minimum, so it is recorded and never
-    gated on.
+    gated on; when there is no estimate, ``metric_min``, ``velocity_bound``
+    and ``velocity_ok`` are None.
     """
 
     epsilons: Array
@@ -138,21 +140,16 @@ class CoordinateBoundsReport:
     r_bounds: Array
     r_bounds_ok: bool
     shrinking: bool
-    metric_min: float
-    velocity_bound: float
+    metric_min: Optional[float]
+    velocity_bound: Optional[float]
     max_rdot: Array
     max_ydot: Array
-    velocity_ok: bool
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.r_bounds_ok and self.shrinking and self.velocity_ok
+    velocity_ok: Optional[bool]
 
 
-def _r_excess(sup_r: Array, r_bounds: Array, slack: float) -> Array:
+def _r_excess(sup_r: Array, r_bounds: Array) -> Array:
     """Per member: sup |r| above its conservation bound."""
-    return ~(sup_r <= r_bounds * (1.0 + slack))
+    return ~(sup_r <= r_bounds * (1.0 + SLACK))
 
 
 def _growth(sup_r: Array) -> Array:
@@ -161,25 +158,28 @@ def _growth(sup_r: Array) -> Array:
 
 
 def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v,
-                             m_estimate, slack: float = 1e-6) -> CoordinateBoundsReport:
+                             m_estimate) -> CoordinateBoundsReport:
+    """The traces' bounds; an ``m_estimate`` of None leaves the velocity diagnostic None."""
     m_value = getattr(m_estimate, "value", m_estimate)
-    if m_value <= 0:
+    if m_value is not None and m_value <= 0:
         raise InvalidParameterError("metric minimum must be positive")
     vnorm = float(np.linalg.norm(np.asarray(v, dtype=float)))
     eps = np.array([t.epsilon for t in traces])
     sup_r = np.array([float(np.abs(t.r).max()) for t in traces])
     bounds = np.array([potential.profile.inverse(0.5 * e * e * vnorm * vnorm) for e in eps])
-    r_ok = not _r_excess(sup_r, bounds, slack).any()
+    r_ok = not _r_excess(sup_r, bounds).any()
     shrinking = not _growth(sup_r).any()
-    vb = vnorm / np.sqrt(m_value)
     max_rdot = np.array([float(np.abs(t.rdot).max()) for t in traces])
     max_ydot = np.array([float(np.abs(t.ydot).max()) for t in traces])
-    velocity_ok = bool(np.all(max_rdot <= vb * (1.0 + slack))
-                       and np.all(max_ydot <= vb * (1.0 + slack)))
+    vb = velocity_ok = None
+    if m_value is not None:
+        vb = float(vnorm / np.sqrt(m_value))
+        velocity_ok = bool(np.all(max_rdot <= vb * (1.0 + SLACK))
+                           and np.all(max_ydot <= vb * (1.0 + SLACK)))
     return CoordinateBoundsReport(
         epsilons=eps, sup_r=sup_r, r_bounds=bounds, r_bounds_ok=r_ok,
-        shrinking=shrinking, metric_min=float(m_value), velocity_bound=float(vb),
-        max_rdot=max_rdot, max_ydot=max_ydot, velocity_ok=velocity_ok, slack=slack)
+        shrinking=shrinking, metric_min=None if m_value is None else float(m_value),
+        velocity_bound=vb, max_rdot=max_rdot, max_ydot=max_ydot, velocity_ok=velocity_ok)
 
 
 @dataclass(eq=False)
@@ -236,7 +236,7 @@ def coordinate_gate(bounds: CoordinateBoundsReport, acceleration: AccelerationRe
     """
     eps, sup_r = bounds.epsilons, bounds.sup_r
     if not bounds.r_bounds_ok:
-        j = int(np.argmax(_r_excess(sup_r, bounds.r_bounds, bounds.slack)))
+        j = int(np.argmax(_r_excess(sup_r, bounds.r_bounds)))
         raise IndeterminateCertificateError(
             f"member j={j} (eps={eps[j]:g}) leaves the conservation tube: sup |r| = "
             f"{sup_r[j]:.6g} > g^-1(eps^2 |v|^2 / 2) = {bounds.r_bounds[j]:.6g}")
@@ -470,19 +470,18 @@ REVALIDATION_RTOL = 1e-12
 
 def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
                       members_x: Sequence[Array],
-                      physical_ends: Optional[Mapping[int, Array] | Sequence[Array]] = None,
-                      energies: Optional[Tuple[Sequence[float], Sequence[Array]]] = None
-                      ) -> Dict[str, bool]:
+                      physical_ends: Mapping[int, Array] | Sequence[Array],
+                      drifts: Sequence[float], members_h: Sequence[Array]) -> Dict[str, bool]:
     """Re-derive a certificate from arrays: one boolean per named check.
 
     ``claims`` are the certificate fields by name (``vars`` of an
     :class:`InstabilityCertificate`, or report.json's ``certificate``);
     positions lie on the grid ``tau``.  The evidence displacements are
     re-derived from the physical runs' final states ``physical_ends``
-    (indexed by member j) when they are given.  ``energies``, when given,
-    holds the members' claimed energy drifts and their H on the output
-    grid: the output grid is a subset of the internal steps each claim was
-    taken over, so a claim below the drift re-derived from H is false.
+    (indexed by member j).  ``drifts`` are the members' claimed energy
+    drifts and ``members_h`` their H on the output grid: the output grid is
+    a subset of the internal steps each claim was taken over, so a claim
+    below the drift re-derived from H is false.
     """
     def close(value, claim):
         return abs(value - claim) <= REVALIDATION_RTOL * max(1.0, abs(value))
@@ -499,11 +498,9 @@ def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
     # one evidence row for every member from j0 on
     evidence = [row["j"] for row in claims["evidence"]] == list(range(j0, len(dist)))
     for row in claims["evidence"]:
-        if physical_ends is not None:
-            moved = float(np.linalg.norm(physical_ends[row["j"]] - p))
-            evidence = evidence and close(moved, row["displacement"]) and moved >= threshold
-        evidence = evidence and row["displacement"] >= threshold
-    drifts, hs = energies if energies is not None else ((), ())
+        moved = float(np.linalg.norm(physical_ends[row["j"]] - p))
+        evidence = (evidence and close(moved, row["displacement"]) and moved >= threshold
+                    and row["displacement"] >= threshold)
     return {
         "escape_radius": close(radius, claims["escape_radius"]),
         "tau_star": close(tau_star, claims["tau_star"]),
@@ -511,8 +508,8 @@ def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
         "members": members,
         "evidence": evidence,
         "j0_covers_schedule": 0 <= j0 < len(claims["epsilons"]),
-        "energy_drift": (len(drifts) == len(hs)
-                         and all(energy_drift(h) <= d for d, h in zip(drifts, hs))),
+        "energy_drift": (len(drifts) == len(members_h)
+                         and all(energy_drift(h) <= d for d, h in zip(drifts, members_h))),
     }
 
 
@@ -520,5 +517,7 @@ def revalidate_certificate(cert: InstabilityCertificate, family: FamilyResult,
                            limit: LimitCurve, physical_runs: List[Trajectory]) -> bool:
     """Re-derive every certificate number from the in-memory trajectories."""
     checks = check_certificate(vars(cert), limit.tau, limit.x, [m.x for m in family.members],
-                               [run.x[-1] for run in physical_runs])
+                               [run.x[-1] for run in physical_runs],
+                               [e.drift for e in family.energies],
+                               [e.values for e in family.energies])
     return all(checks.values())

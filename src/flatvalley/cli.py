@@ -27,7 +27,8 @@ integrates nothing.
 
 Exit codes of all four: 0 when every stage passed (the certificate verdict
 is UNSTABLE for ``certify``), 2 when a stage's audit stopped the run with an
-INDETERMINATE verdict (a member failed its confinement audit, a proof bound
+INDETERMINATE verdict (a member failed its confinement audit or drifted in
+energy by more than ``dynamics.ENERGY_DRIFT_LIMIT`` = 1e-8, a proof bound
 of the tube coordinates failed, the limit failed its Cauchy diagnostic, a
 degenerate limit, a schedule too short, a failed in-memory revalidation),
 1 on hard errors, bad input included: every failure is a
@@ -59,6 +60,8 @@ from .analysis import (
 )
 from .contrast import locate_barrier, trapped_motion_check
 from .dynamics import (
+    ENERGY_DRIFT_LIMIT,
+    SLACK,
     IntegratorOptions,
     Scenario,
     integrate_rescaled,
@@ -66,7 +69,9 @@ from .dynamics import (
     run_family,
 )
 from .errors import (
+    ChartDomainError,
     FlatValleyError,
+    FlowDomainError,
     IndeterminateCertificateError,
     InvalidParameterError,
     ScenarioError,
@@ -96,7 +101,7 @@ from .svgplot import line_plot
 #: scenario-file keys that are IntegratorOptions fields, by field name
 _OPTION_KEYS = {"integrator": "method", "step_factor": "step_factor", "n_out": "n_out"}
 #: scenario-file keys that are Scenario fields of the same name
-_SCENARIO_ARGS = ("horizon", "eps0", "ratio", "count", "slack", "min_eps", "out")
+_SCENARIO_ARGS = ("horizon", "eps0", "ratio", "count", "min_eps", "out")
 _SCENARIO_KEYS = {"name", "potential", "p", "v", *_OPTION_KEYS, *_SCENARIO_ARGS}
 
 
@@ -238,19 +243,25 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             "bounds": bounds_payload(fam.bounds),
             "twin_distances": fam.twin_distances,
         }
-        for j, b in enumerate(fam.bounds):
+        for j, (e, b) in enumerate(zip(fam.energies, fam.bounds)):
             if not b.passed:
                 raise IndeterminateCertificateError(
                     f"family member j={j} (eps={b.epsilon:g}) failed its confinement audit "
                     f"(speed_ok={b.speed_ok}, sublevel_ok={b.sublevel_ok}, ball_ok={b.ball_ok})")
+            if not e.drift <= ENERGY_DRIFT_LIMIT:
+                raise IndeterminateCertificateError(
+                    f"family member j={j} (eps={e.epsilon:g}) failed its energy audit: drift "
+                    f"{e.drift:.3e} > ENERGY_DRIFT_LIMIT = {ENERGY_DRIFT_LIMIT:g}")
 
     def stage_coordinates():
         fam = state["family"]
         chart = chart_for_scenario(scenario)
         traces = coordinate_traces(chart, fam)
-        metric = metric_min_for_traces(chart, traces)
-        cb = coordinate_bounds_report(traces, scenario.potential, scenario.v,
-                                      metric, scenario.slack)
+        try:
+            metric, probe_error = metric_min_for_traces(chart, traces), None
+        except (ChartDomainError, FlowDomainError) as exc:  # a diagnostic's probe: go on
+            metric, probe_error = None, f"{type(exc).__name__}: {exc}"
+        cb = coordinate_bounds_report(traces, scenario.potential, scenario.v, metric)
         acc = acceleration_uniformity(traces)
         state.update(chart=chart, traces=traces, metric=metric, coord_bounds=cb,
                      acceleration=acc)
@@ -269,6 +280,8 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             "acceleration_ratio": acc.ratio,
             "acceleration_uniform_ok": acc.uniform_ok,
         }
+        if probe_error is not None:
+            payload["coordinates"]["metric_error"] = probe_error
         coordinate_gate(cb, acc)
 
     def stage_limit():
@@ -340,7 +353,7 @@ def _scenario_payload(scn: Scenario) -> dict:
         "integrator": scn.options.method,
         "step_factor": scn.options.step_factor,
         "n_out": scn.options.n_out,
-        "slack": scn.slack,
+        "slack": SLACK,
     }
 
 
@@ -404,8 +417,7 @@ def _cmd_pipeline(args) -> int:
                           stages=args.stages)
     fam = report.results.get("family")
     if fam is not None:
-        b = fam.bounds[0]
-        print(f"speed bound |v| (1 + slack) = {b.v_norm * (1 + b.slack):.9f}")
+        print(f"speed bound |v| (1 + slack) = {fam.bounds[0].v_norm * (1 + SLACK):.9f}")
         print(f"{'j':>2} {'eps':>10} {'drift':>10} {'max|xd|':>12} {'maxU':>12} {'pass':>5}")
         for j, (e, b) in enumerate(zip(fam.energies, fam.bounds)):
             print(f"{j:>2} {fam.epsilons[j]:>10.4g} {e.drift:>10.2e} "

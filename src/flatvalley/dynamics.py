@@ -61,6 +61,12 @@ MAX_STEPS = 10**6
 #: most members a scenario's eps schedule may have: ten times the shipped
 #: count of 6, checked before the schedule is built
 MAX_MEMBERS = 64
+#: relative slack of the speed, sublevel and ball bounds: room for rounding only
+SLACK = 1e-6
+#: largest relative energy drift a family member may show
+ENERGY_DRIFT_LIMIT = 1e-8
+#: a state with |x|^2 + |v|^2 above twice this radius squared has blown up
+BLOWUP_RADIUS = 1e6
 
 
 def _number(name: str, value, kind=numbers.Real, error=ScenarioError):
@@ -109,7 +115,6 @@ class IntegratorOptions:
     method: str = "pefrl"
     step_factor: float = 0.01
     n_out: int = 401
-    blowup_radius: float = 1e6
 
     def __post_init__(self):
         if not (isinstance(self.method, str) and self.method in TABLES):
@@ -215,7 +220,7 @@ def _lockstep(potential, x0, v0, scale, snaps, opts: IntegratorOptions, dense: b
     return integrate(potential.gradient_many, x0, v0, [dt for _, dt, _ in snaps],
                      max(steps), steps=steps, scale=-np.asarray(scale, dtype=float),
                      stride=1 if dense else [m for m, _, _ in snaps], observe=observe,
-                     method=opts.method, blowup_radius=opts.blowup_radius)
+                     method=opts.method, blowup_radius=BLOWUP_RADIUS)
 
 
 def _newton_snaps(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
@@ -235,16 +240,18 @@ def _newton_snaps(potential, starts: Sequence[PhaseState], t_ends: Sequence[floa
     return snaps
 
 
-def _newton_run(snap, t_end: float, intervals: int, X: Array, V: Array,
-                eps: Optional[float], dense: bool) -> Trajectory:
-    """A physical run from its kept states, every one when ``dense`` and
-    else its output nodes, which are then also its ``*_int`` arrays; a run
-    cut short by a blow-up keeps the output nodes it reached."""
+def _run(kind: str, eps, first: int, spacing: float, X: Array, V: Array, snap,
+         dense: bool) -> Trajectory:
+    """A run from its kept states, every one when ``dense`` and else its
+    output nodes, which are then also its ``*_int`` arrays; its node i lies
+    at tau = (first + i) spacing.  A run cut short by a blow-up keeps the
+    output nodes it reached."""
     m, dt, _ = snap
     x, v = (X[::m].copy(), V[::m].copy()) if dense else (X, V)
-    tau = np.arange(len(x)) * (t_end / intervals)
-    return Trajectory(kind="physical", epsilon=eps, tau=tau, x=x, v=v, dt=dt,
-                      tau_int=np.arange(len(X)) * dt if dense else tau, x_int=X, v_int=V)
+    tau = np.arange(first, first + len(x)) * spacing
+    return Trajectory(kind=kind, epsilon=eps, tau=tau, x=x, v=v, dt=dt,
+                      tau_int=np.arange(first * m, first * m + len(X)) * dt if dense else tau,
+                      x_int=X, v_int=V)
 
 
 def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
@@ -269,7 +276,7 @@ def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float]
     if failures:
         raise failures[min(failures)]
     labels = [None] * len(starts) if epsilons is None else epsilons
-    return [_newton_run(snap, t_end, intervals, X, V, eps, dense)
+    return [_run("physical", eps, 0, t_end / intervals, X, V, snap, dense)
             for snap, t_end, X, V, eps in zip(snaps, t_ends, Xs, Vs, labels)]
 
 
@@ -362,8 +369,8 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
             twin_errors[j] = BlowUpError(
                 f"physical twin j={j} (eps={eps:g}) blew up: {exc}",
                 last_time=exc.last_time, last_state=exc.last_state)
-        twin_runs.append(_newton_run(snaps[row], t_ends[j], half, Xs[row], Vs[row], eps,
-                                     dense=False))
+        twin_runs.append(_run("physical", eps, 0, t_ends[j] / half, Xs[row], Vs[row],
+                              snaps[row], dense=False))
     runs, errors = [], {}
     for j, eps in enumerate(epsilons):
         # the forward half runs first in time, so its error is the one reported
@@ -378,15 +385,10 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
         if j in errors:
             runs.append(None)
             continue
-        m, dt, steps = snaps[2 * j]
         x_int = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
         v_int = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
         Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
-        tau = np.arange(-half, half + 1) * spacing
-        x_out, v_out = (x_int[::m].copy(), v_int[::m].copy()) if dense else (x_int, v_int)
-        runs.append(Trajectory(kind="rescaled", epsilon=eps, tau=tau, x=x_out, v=v_out, dt=dt,
-                               tau_int=np.arange(-steps, steps + 1) * dt if dense else tau,
-                               x_int=x_int, v_int=v_int))
+        runs.append(_run("rescaled", eps, -half, spacing, x_int, v_int, snaps[2 * j], dense))
     return runs, errors, twin_runs, twin_errors
 
 
@@ -433,14 +435,13 @@ def energy_drift(H: Array) -> float:
 class BoundsCheck:
     """Conservation-law confinement verdicts for one rescaled run.
 
-    speed:      max |xd|      <= |v| (1 + slack)
-    sublevel:   max U         <= eps^2 |v|^2 / 2 (1 + slack)
-    ball:       |x(tau) - p|  <= |tau| |v| (1 + slack) at every node
+    speed:      max |xd|      <= |v| (1 + SLACK)
+    sublevel:   max U         <= eps^2 |v|^2 / 2 (1 + SLACK)
+    ball:       |x(tau) - p|  <= |tau| |v| (1 + SLACK) at every node
     """
 
     epsilon: float
     v_norm: float
-    slack: float
     max_speed: float
     max_potential: float
     max_displacement: float
@@ -522,24 +523,23 @@ class RunAudits:
                             drift=float(self.maxima[j, 0]) / max(abs(h0), 1e-300),
                             values=self.values[j])
 
-    def bounds(self, j: int, slack: float) -> BoundsCheck:
+    def bounds(self, j: int) -> BoundsCheck:
         eps, vnorm = float(self.epsilons[j]), self.v_norm
         max_speed, max_pot, max_disp, worst_ratio = (float(m) for m in self.maxima[j, 1:])
         if vnorm == 0.0:
             worst_ratio = max_disp  # must be identically zero
             ball_ok = worst_ratio == 0.0
         else:
-            ball_ok = worst_ratio <= 1.0 + slack
+            ball_ok = worst_ratio <= 1.0 + SLACK
         return BoundsCheck(
             epsilon=eps,
             v_norm=vnorm,
-            slack=slack,
             max_speed=max_speed,
             max_potential=max_pot,
             max_displacement=max_disp,
             worst_ball_ratio=worst_ratio,
-            speed_ok=max_speed <= vnorm * (1.0 + slack),
-            sublevel_ok=max_pot <= 0.5 * eps * eps * vnorm * vnorm * (1.0 + slack),
+            speed_ok=max_speed <= vnorm * (1.0 + SLACK),
+            sublevel_ok=max_pot <= 0.5 * eps * eps * vnorm * vnorm * (1.0 + SLACK),
             ball_ok=ball_ok,
         )
 
@@ -566,10 +566,10 @@ def energy_audit(traj: Trajectory, potential) -> EnergyReport:
     return _dense_audit(traj, potential, None, "energy_audit").energy(0)
 
 
-def confinement_check(traj: Trajectory, potential, v, slack: float = 1e-6) -> BoundsCheck:
+def confinement_check(traj: Trajectory, potential, v) -> BoundsCheck:
     """Check the a-priori speed/sublevel/ball bounds on every internal step
     of a dense rescaled run."""
-    return _dense_audit(traj, potential, v, "confinement_check").bounds(0, slack)
+    return _dense_audit(traj, potential, v, "confinement_check").bounds(0)
 
 
 @dataclass(eq=False)
@@ -592,7 +592,6 @@ class Scenario:
     ratio: float = 0.5
     count: int = 6
     options: IntegratorOptions = field(default_factory=IntegratorOptions)
-    slack: float = 1e-6
     min_eps: float = 1e-4
     name: str = "scenario"
     out: Optional[str] = None  # output directory named by the scenario file
@@ -622,7 +621,6 @@ class Scenario:
         self.eps0 = _number("eps0", self.eps0)
         self.ratio = _number("ratio", self.ratio)
         self.count = _number("count", self.count, numbers.Integral)
-        self.slack = _number("slack", self.slack)
         self.min_eps = _number("min_eps", self.min_eps)
         if self.horizon <= 0:
             raise ScenarioError("horizon must be positive")
@@ -637,8 +635,6 @@ class Scenario:
                                 f"got {self.count}")
         if not self.min_eps > 0:
             raise ScenarioError(f"min_eps must be positive, got {self.min_eps:g}")
-        if self.slack < 0:
-            raise ScenarioError("slack must be nonnegative")
         if not (self.out is None or isinstance(self.out, str)):
             raise ScenarioError(f"out must be a string, got {self.out!r}")
         smallest = self.eps0 * self.ratio ** (self.count - 1)  # the schedule's last entry
@@ -694,8 +690,7 @@ class FamilyResult:
 
 
 def family_from_runs(potential, p, v, T, epsilons,
-                     opts: IntegratorOptions = IntegratorOptions(),
-                     slack: float = 1e-6) -> FamilyResult:
+                     opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
     """Integrate one rescaled run per eps and its physical twin, all in one
     lockstep call, and audit every internal state of each run as it is made.
 
@@ -721,29 +716,31 @@ def family_from_runs(potential, p, v, T, epsilons,
         potential=potential, p=p, v=v, horizon=float(T), options=opts,
         epsilons=epsilons, tau=members[0].tau, members=members,
         energies=[audits.energy(j) for j in range(len(epsilons))],
-        bounds=[audits.bounds(j, slack) for j in range(len(epsilons))],
+        bounds=[audits.bounds(j) for j in range(len(epsilons))],
         twins=twins, twin_errors=twin_errors,
     )
 
 
 def run_family(scenario: Scenario) -> FamilyResult:
-    """Run the scenario's eps family with its own options and slack."""
-    return family_from_runs(
-        scenario.potential, scenario.p, scenario.v, scenario.horizon,
-        scenario.epsilons, scenario.options, scenario.slack,
-    )
+    """Run the scenario's eps family with its own options."""
+    return family_from_runs(scenario.potential, scenario.p, scenario.v, scenario.horizon,
+                            scenario.epsilons, scenario.options)
 
 
 def halving_error(potential, p, v, eps: float, T: float,
                   opts: IntegratorOptions = IntegratorOptions()) -> float:
-    """Sup-norm change of a rescaled run when the internal step is halved.
+    """Sup-norm change of a rescaled run when its substeps per output interval double.
 
     A cheap a-posteriori discretization error estimate used by the
     two-route consistency checks; it compares nodes, so both runs keep only
     their nodes.
     """
+    half = (opts.n_out - 1) // 2
+    m = _snap_step(T / half, opts.step_factor * eps, half)[0]
+    # a step between spacing/(2m) and spacing/(2m - 1) snaps to 2m substeps
+    fine_factor = T / half / (2 * m - 0.5) / eps
     (coarse, fine), errors, _, _ = rescaled_many(potential, p, v, T, [eps, eps],
-                                           [opts.step_factor, opts.step_factor / 2.0], opts)
+                                                 [opts.step_factor, fine_factor], opts)
     if errors:
         raise errors[min(errors)]
     return float(np.max(np.linalg.norm(coarse.x - fine.x, axis=1)))

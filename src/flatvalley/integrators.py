@@ -59,18 +59,16 @@ ORDERS = {"verlet": 2, "yoshida4": 4, "pefrl": 4}
 CHUNK = 256
 
 
-def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None, stride=1,
-              observe=None, method: str = "pefrl", blowup_radius: float = 1e6):
+def integrate(accel, x0, v0, dt, n_steps: int, *, steps, scale, blowup_radius: float,
+              stride=1, observe=None, method: str = "pefrl"):
     """March the rows of (x0, v0) under xdd = scale * accel(x) in lockstep.
 
     ``x0`` and ``v0`` are (rows, n); ``dt``, ``steps``, ``scale`` and
-    ``stride`` are per row, a scalar standing for every row (``scale`` None
-    for 1).  ``n_steps`` is the lockstep iteration count, the largest of
-    ``steps``; when ``steps`` is None every row takes ``n_steps`` steps.
-    ``accel`` maps an (m, n) block of positions to its accelerations row by
-    row.  Row r keeps its states at steps 0, stride_r, 2 stride_r, ... (a
-    stride of 1 keeps every state), so a row that keeps only its output
-    nodes never holds its internal states.
+    ``stride`` are per row, a scalar standing for every row; ``n_steps`` is
+    the largest of ``steps``.  ``accel`` maps an (m, n) block of positions
+    to its accelerations row by row.  Row r keeps its states at steps 0,
+    stride_r, 2 stride_r, ... (a stride of 1 keeps every state), so a row
+    that keeps only its output nodes never holds its internal states.
 
     ``observe``, if given, sees every valid state of every row exactly
     once, in step order, whatever the strides: it is called as
@@ -84,26 +82,18 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None, stride
 
     Returns (Xs, Vs, failures): per row the (steps // stride + 1, n) kept
     states, and {row: BlowUpError} for the rows that reached a non-finite
-    or escaping state, each carrying its last valid time and state (a
-    failed row's Xs/Vs hold its kept states before the first bad one).
-    A single (n,) row is a batch of one: it returns (X, V) and raises its
-    BlowUpError.
+    state or one with |x|^2 + |v|^2 > 2 ``blowup_radius``^2, each carrying
+    its last valid time and state (a failed row's Xs/Vs hold its kept
+    states before the first bad one).
     """
     if method not in TABLES:
         raise InvalidParameterError(f"unknown integrator {method!r}; known: {sorted(TABLES)}")
-    if np.ndim(x0) == 1:
-        Xs, Vs, failures = integrate(accel, [x0], [v0], dt, n_steps, steps=steps, scale=scale,
-                                     stride=stride, observe=observe, method=method,
-                                     blowup_radius=blowup_radius)
-        if failures:
-            raise failures[0]
-        return Xs[0], Vs[0]
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
     rows, n = x.shape
     n_steps = int(n_steps)
     h = np.broadcast_to(np.asarray(dt, dtype=float), (rows,))
-    counts = np.broadcast_to(np.asarray(n_steps if steps is None else steps), (rows,))
+    counts = np.broadcast_to(np.asarray(steps), (rows,))
     strides = np.broadcast_to(np.asarray(stride), (rows,))
     if not np.all(h > 0):
         raise InvalidParameterError("step size must be positive")
@@ -121,8 +111,7 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None, stride
     def per_row(c):  # c per row, spread over the n columns (no broadcasting in the loop)
         return np.repeat(np.asarray(c, dtype=float)[:, None], n, axis=1)
 
-    a_scale = None if scale is None else per_row(
-        np.broadcast_to(np.asarray(scale, dtype=float), (rows,))[order])
+    a_scale = per_row(np.broadcast_to(np.asarray(scale, dtype=float), (rows,))[order])
     coeffs = [(per_row(dc * h), None if kc == 0.0 else per_row(kc * h))
               for dc, kc in TABLES[method]]
     Xs = [np.empty((c // s + 1, n)) for c, s in zip(counts, strides)]
@@ -153,12 +142,12 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps=None, scale=None, stride
                     x, v = x[:live], v[:live]
                     coeffs = [(dc[:live], None if kc is None else kc[:live])
                               for dc, kc in coeffs]
-                    a_scale = None if a_scale is None else a_scale[:live]
+                    a_scale = a_scale[:live]
                 for dc, kc in coeffs:
                     x = x + dc * v
                     if kc is not None:
                         a = accel(x)
-                        v = v + kc * (a if a_scale is None else a_scale * a)
+                        v = v + kc * (a_scale * a)
                 buf_x[i, :live] = x
                 buf_v[i, :live] = v
             bx, bv = buf_x[:steps_here, :live0], buf_v[:steps_here, :live0]

@@ -143,8 +143,8 @@ def revalidate_from_dir(out_dir) -> dict:
         evidence_cols, ends = columns("evidence.csv")
         checks = check_certificate(cert, limit_cols["tau"], limit_x, [x for _, x in members],
                                    dict(zip(evidence_cols["j"].tolist(), ends)),
-                                   energies=(report.get("family", {}).get("energy_drifts", ()),
-                                             [cols["H"] for cols, _ in members]))
+                                   report["family"]["energy_drifts"],
+                                   [cols["H"] for cols, _ in members])
     except OSError as exc:
         return {"ok": False, "reason": f"cannot read the run's files: {exc}"}
     except (LookupError, TypeError, ValueError, AttributeError) as exc:

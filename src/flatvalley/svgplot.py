@@ -11,6 +11,8 @@ import numpy as np
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f"]
+#: every figure's size in pixels
+WIDTH, HEIGHT = 720, 480
 
 
 def escape(text: str) -> str:
@@ -51,8 +53,7 @@ def _ticks(lo: float, hi: float, log: bool):
     return out
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=False,
-              width=720, height=480):
+def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=False):
     """Write a line plot to ``path``.
 
     ``series`` is a list of dicts with keys ``x``, ``y`` and optional
@@ -60,8 +61,8 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fal
     log axes.
     """
     margin_l, margin_r, margin_t, margin_b = 64, 16, 36, 46
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = WIDTH - margin_l - margin_r
+    plot_h = HEIGHT - margin_t - margin_b
 
     cooked = []
     for i, s in enumerate(series):
@@ -107,9 +108,9 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fal
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
@@ -136,10 +137,10 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fal
                 parts.append(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="2.5" '
                              f'fill="{c["color"]}"/>')
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="22" font-size="14" '
+        parts.append(f'<text x="{WIDTH / 2:.1f}" y="22" font-size="14" '
                      f'font-family="monospace" text-anchor="middle">{escape(title)}</text>')
     if xlabel:
-        parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" font-size="12" '
+        parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{HEIGHT - 10}" font-size="12" '
                      f'font-family="monospace" text-anchor="middle">{escape(xlabel)}</text>')
     if ylabel:
         parts.append(f'<text x="14" y="{margin_t + plot_h / 2:.1f}" font-size="12" '

@@ -16,7 +16,7 @@ def _pipeline_bundle(scn):
     chart = fv.chart_for_scenario(scn)
     traces = fv.coordinate_traces(chart, fam)
     metric = fv.metric_min_for_traces(chart, traces)
-    coord_bounds = fv.coordinate_bounds_report(traces, scn.potential, scn.v, metric, scn.slack)
+    coord_bounds = fv.coordinate_bounds_report(traces, scn.potential, scn.v, metric)
     acceleration = fv.acceleration_uniformity(traces)
     limit, convergence = fv.extract_limit(fam)
     _, _, tau_star = fv.escape_point(limit.tau, limit.x, scn.p)

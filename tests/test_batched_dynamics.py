@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import flatvalley as fv
+from flatvalley import dynamics
 from flatvalley.contrast import COMPANION_SPEED, TRAP_OPTIONS
 from flatvalley.dynamics import newton_many, rescaled_many
 from flatvalley.errors import BlowUpError, InvalidParameterError
@@ -161,10 +162,12 @@ def test_kernel_batch_is_a_loop_of_batches_of_one():
     scales = [-1.0, -2.0, -0.5, -3.0, -1.0, -7.0]
     rng = np.random.default_rng(1)
     x0, v0 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-    Xs, Vs, failures = integrate(np.sin, x0, v0, dts, max(steps), steps=steps, scale=scales)
+    Xs, Vs, failures = integrate(np.sin, x0, v0, dts, max(steps), steps=steps, scale=scales,
+                                 blowup_radius=1e6)
     assert not failures
     for r in range(6):
-        X, V = integrate(np.sin, x0[r], v0[r], dts[r], steps[r], scale=scales[r])
+        (X,), (V,), _ = integrate(np.sin, x0[r:r + 1], v0[r:r + 1], dts[r], steps[r],
+                                  steps=steps[r], scale=scales[r], blowup_radius=1e6)
         assert X.shape == (steps[r] + 1, 3)
         assert _bits(Xs[r]) == _bits(X) and _bits(Vs[r]) == _bits(V)
 
@@ -280,21 +283,34 @@ def test_halving_error_is_the_loop_it_replaces():
     assert fv.halving_error(P, p, v, 0.05, 0.5, OPTIONS) == expected
 
 
+def test_halving_error_doubles_the_substeps():
+    # at eps = 0.1 and a step factor of 0.16 the target step 0.016 exceeds
+    # the output spacing 0.005, and so does half of it: both targets snap to
+    # one substep, and the fine run must still take two
+    P, p, v = fv.circle(), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    opts = fv.IntegratorOptions(step_factor=0.16)
+    coarse = fv.integrate_rescaled(P, p, v, 0.1, 1.0, opts)
+    fine = fv.integrate_rescaled(P, p, v, 0.1, 1.0, fv.IntegratorOptions(step_factor=0.04))
+    assert coarse.steps == 400 and fine.steps == 2 * coarse.steps
+    expected = float(np.max(np.linalg.norm(coarse.x - fine.x, axis=1)))
+    assert fv.halving_error(P, p, v, 0.1, 1.0, opts) == expected > 0.0
+
+
 def _single_error(call):
     with pytest.raises(BlowUpError) as info:
         call()
     return info.value
 
 
-def test_a_blown_up_row_raises_its_own_error():
+def test_a_blown_up_row_raises_its_own_error(monkeypatch):
     # along the gutter floor only the fast middle row leaves the box of radius 1.3
     P = fv.gutter()
-    opts = fv.IntegratorOptions(blowup_radius=1.3)
+    monkeypatch.setattr(dynamics, "BLOWUP_RADIUS", 1.3)
     starts = [fv.PhaseState([0.0, 0.0], [0.0, s]) for s in (0.01, 1.0, 0.02)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = _single_error(lambda: newton_many(P, starts, [3.0] * 3, opts))
-    single = _single_error(lambda: fv.integrate_newton(P, starts[1], 3.0, opts))
+        batch = _single_error(lambda: newton_many(P, starts, [3.0] * 3))
+    single = _single_error(lambda: fv.integrate_newton(P, starts[1], 3.0))
     assert "left the finite box" in str(single)
     assert str(batch) == str(single)
     assert batch.last_time == single.last_time
@@ -306,10 +322,13 @@ def test_a_blown_up_row_keeps_its_states_before_the_failure():
     # t = 0.63; the rows beside it run on, and it keeps the 63 states before
     free = np.zeros_like
     x0, v0 = np.zeros((3, 1)), np.array([[0.5], [3.0], [1.0]])
-    Xs, Vs, failures = integrate(free, x0, v0, 0.01, 100, blowup_radius=2.5)
+    Xs, Vs, failures = integrate(free, x0, v0, 0.01, 100, steps=100, scale=1.0,
+                                 blowup_radius=2.5)
     assert list(failures) == [1] and "at step 63" in str(failures[1])
     assert [len(X) for X in Xs] == [101, 63, 101]
-    X, V = integrate(free, x0[1], v0[1], 0.01, 62, blowup_radius=2.5)
+    (X,), (V,), alone = integrate(free, x0[1:2], v0[1:2], 0.01, 62, steps=62, scale=1.0,
+                                  blowup_radius=2.5)
+    assert not alone
     assert _bits(Xs[1]) == _bits(X) and _bits(Vs[1]) == _bits(V)
     assert _bits(failures[1].last_state) == _bits((X[-1], V[-1]))
 
@@ -342,7 +361,7 @@ def test_streamed_audits_are_the_dense_audits(name):
         want_energy, want_bounds = fv.energy_audit(dense, P), fv.confinement_check(dense, P, v)
         for field in ("epsilon", "h0", "drift", "values"):
             assert _bits(getattr(energy, field)) == _bits(getattr(want_energy, field)), field
-        for field in ("epsilon", "v_norm", "slack", "max_speed", "max_potential",
+        for field in ("epsilon", "v_norm", "max_speed", "max_potential",
                       "max_displacement", "worst_ball_ratio"):
             assert _bits(getattr(bounds, field)) == _bits(getattr(want_bounds, field)), field
         for flag in ("speed_ok", "sublevel_ok", "ball_ok", "passed"):
@@ -372,9 +391,10 @@ def test_kernel_keeps_every_stride_th_state_and_shows_the_observer_every_state()
             seen[r] += [(first + i, X[i, c].copy(), V[i, c].copy()) for i in range(due[c])]
 
     Xs, Vs, failures = integrate(np.sin, x0, v0, dts, max(steps), steps=steps, scale=-1.0,
-                                 stride=strides, observe=observe)
+                                 blowup_radius=1e6, stride=strides, observe=observe)
     assert not failures
-    dense, dense_v, _ = integrate(np.sin, x0, v0, dts, max(steps), steps=steps, scale=-1.0)
+    dense, dense_v, _ = integrate(np.sin, x0, v0, dts, max(steps), steps=steps, scale=-1.0,
+                                  blowup_radius=1e6)
     for r in range(6):
         assert _bits(Xs[r]) == _bits(dense[r][::strides[r]])
         assert _bits(Vs[r]) == _bits(dense_v[r][::strides[r]])
@@ -390,10 +410,12 @@ def test_a_blown_up_strided_row_keeps_its_nodes_and_its_last_state():
     free = np.zeros_like
     x0, v0 = np.zeros((3, 1)), np.array([[0.5], [3.0], [1.0]])
     seen = []
-    Xs, Vs, failures = integrate(free, x0, v0, 0.01, 100, blowup_radius=2.5, stride=5,
+    Xs, Vs, failures = integrate(free, x0, v0, 0.01, 100, steps=100, scale=1.0,
+                                 blowup_radius=2.5, stride=5,
                                  observe=lambda rows, first, X, V, due: seen.append(
                                      due[list(rows).index(1)]))
-    dense, dense_v, dense_failures = integrate(free, x0, v0, 0.01, 100, blowup_radius=2.5)
+    dense, dense_v, dense_failures = integrate(free, x0, v0, 0.01, 100, steps=100, scale=1.0,
+                                               blowup_radius=2.5)
     assert str(failures[1]) == str(dense_failures[1])
     assert _bits(failures[1].last_state) == _bits(dense_failures[1].last_state)
     assert [len(X) for X in Xs] == [21, 13, 21]

@@ -16,7 +16,7 @@ import typing
 import numpy as np
 import pytest
 
-from flatvalley import cli, fields
+from flatvalley import cli, dynamics, fields
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "flatbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("flatbench_tracer", TRACER_PATH)
@@ -84,13 +84,19 @@ def test_tracer_counts_the_oracles_of_every_gallery_potential(name):
 WORKLOADS_PATH = TRACER_PATH.parent / "workloads.py"
 
 
-def test_every_benchmark_workload_command_line_parses(tmp_path, monkeypatch):
+@pytest.fixture()
+def workloads(monkeypatch):
+    """flatbench/workloads.py, imported from its file."""
+    spec = importlib.util.spec_from_file_location("flatbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_workload_command_line_parses(tmp_path, workloads):
     # the benchmark runs the CLI in-process with the argv its workloads
     # generate, ``--jobs 1`` included: a removed or renamed flag fails here
-    spec = importlib.util.spec_from_file_location("flatbench_workloads", WORKLOADS_PATH)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
     parser = cli.build_parser()
     assert workloads.WORKLOADS
     for name, workload in workloads.WORKLOADS.items():
@@ -99,3 +105,8 @@ def test_every_benchmark_workload_command_line_parses(tmp_path, monkeypatch):
         assert args.command == argv[0], name
         if "--jobs" in argv:
             assert args.jobs == int(argv[argv.index("--jobs") + 1]), name
+
+
+def test_benchmark_drift_gate_is_the_pipeline_gate(workloads):
+    # the benchmark gates certify on its own copy of the drift limit
+    assert workloads.ENERGY_DRIFT_LIMIT == dynamics.ENERGY_DRIFT_LIMIT

@@ -9,6 +9,7 @@ import pytest
 
 import flatvalley as fv
 from flatvalley import cli
+from flatvalley.dynamics import ENERGY_DRIFT_LIMIT
 from flatvalley.errors import BlowUpError, ScenarioError, UnverifiedLimitError
 from flatvalley.reporting import read_csv_columns, revalidate_from_dir, write_trajectory_csv
 
@@ -265,6 +266,50 @@ def test_report_json_is_strict_json(tmp_path):
     assert rep["coordinates"]["acceleration_ratio"] is None
 
 
+CIRCLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "scenarios", "circle.json")
+
+
+@pytest.mark.parametrize("step_factor", ["3.0", "0.3"])
+def test_energy_drift_above_its_limit_is_indeterminate(tmp_path, capsys, step_factor):
+    # the shipped circle at a coarse step passes its confinement audit, but
+    # member 2 drifts by 1.9e-8: the family stage stops on the first member
+    # over the limit
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--scenario", CIRCLE, "--step-factor", step_factor,
+                     "--out", str(out), "--no-svg"]) == 2
+    assert _stages_printed(capsys.readouterr().out) == ["family", "emit"]
+    rep = json.loads((out / "report.json").read_text())
+    drifts = rep["family"]["energy_drifts"]
+    assert all(b["speed_ok"] and b["sublevel_ok"] and b["ball_ok"]
+               for b in rep["family"]["bounds"])
+    assert max(drifts[:2]) <= ENERGY_DRIFT_LIMIT < drifts[2]
+    assert rep["certificate"] == {
+        "verdict": "INDETERMINATE",
+        "reason": f"family member j=2 (eps=0.025) failed its energy audit: drift "
+                  f"{drifts[2]:.3e} > ENERGY_DRIFT_LIMIT = 1e-08"}
+
+
+def test_failed_metric_probe_leaves_the_velocity_diagnostic_unavailable(tmp_path):
+    # at horizon 1.2 the circle's traces reach |y| = 0.93, and the padded
+    # metric probe box passes |y| = 1, where the circle stops being a graph
+    # over its tangent line; the diagnostic is never gated, so the run goes on
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--scenario", CIRCLE, "--horizon", "1.2", "--out", str(out),
+                     "--no-svg"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    with open(out / "report.json") as fh:
+        rep = json.load(fh, parse_constant=refuse)
+    coords = rep["coordinates"]
+    assert [coords[k] for k in ("metric_min", "velocity_bound", "velocity_ok")] == [None] * 3
+    assert coords["metric_error"].startswith("ChartDomainError: graph solve failed")
+    assert rep["certificate"]["verdict"] == "UNSTABLE"
+    assert revalidate_from_dir(str(out))["ok"]
+
+
 def test_metric_grid_stencil_stays_in_small_chart(tmp_path):
     # chart radius 0.13125: the metric probe grid is clipped to it, and its
     # finite-difference stencil must not step past it
@@ -481,7 +526,7 @@ def test_scenario_file_defaults_are_the_scenario_defaults(tmp_path):
                                            "p": [1.0, 0.0], "v": [0.0, 1.0]})
     scn = fv.parse_scenario(path)
     ref = fv.Scenario(fv.circle(), [1.0, 0.0], [0.0, 1.0])
-    for name in ("horizon", "eps0", "ratio", "count", "options", "slack", "min_eps", "out"):
+    for name in ("horizon", "eps0", "ratio", "count", "options", "min_eps", "out"):
         assert getattr(scn, name) == getattr(ref, name), name
     assert np.array_equal(scn.p, ref.p) and np.array_equal(scn.v, ref.v)
 
