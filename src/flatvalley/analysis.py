@@ -294,19 +294,28 @@ class ConvergenceReport:
     rate_estimates: Array
 
 
+def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
+    """Twice the ambient half-width of the conservation tube of the
+    second-smallest member (of the only member of a family of one),
+    2 g^-1(eps^2 |v|^2 / 2) / |grad f(p)|: consecutive members agreeing to
+    the width the theory confines them to is exactly what the Cauchy
+    diagnostic can demand without assuming a convergence rate."""
+    eps = np.asarray(epsilons, dtype=float)
+    vnorm = float(np.linalg.norm(v))
+    budget = 0.5 * eps[-2 if len(eps) > 1 else -1] ** 2 * vnorm * vnorm
+    gradn = float(np.linalg.norm(potential.field.gradient(p)))
+    return 2.0 * potential.profile.inverse(budget) / gradn
+
+
 def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     """Extract the limit curve and its convergence diagnostic.
 
-    Needs at least 3 members.  The default ``tol_limit`` is twice the
-    ambient half-width of the conservation tube of the second-smallest
-    member, 2 g^-1(eps^2 |v|^2 / 2) / |grad f(p)|: consecutive members
-    agreeing to the width the theory confines them to is exactly what the
-    diagnostic can demand without assuming a convergence rate.
+    Needs at least 3 members.  The default ``tol_limit`` is
+    :func:`limit_tolerance` of the family.
     """
     if family.count < 3:
         raise InvalidParameterError("limit extraction needs at least 3 family members")
     fld = family.potential.field
-    vnorm = float(np.linalg.norm(family.v))
     eps = family.epsilons
     members = family.members
     d = np.array([
@@ -319,9 +328,7 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     floor = np.finfo(float).eps * best.steps * float(np.abs(best.x).max())
     monotone = [bool(d[j] <= d[j - 1] * (1.0 + 1e-3) + floor) for j in range(1, len(d))]
     if tol_limit is None:
-        budget = 0.5 * eps[-2] ** 2 * vnorm * vnorm
-        gradn = float(np.linalg.norm(fld.gradient(family.p)))
-        tol_limit = 2.0 * family.potential.profile.inverse(budget) / gradn
+        tol_limit = limit_tolerance(family.potential, family.p, family.v, eps)
     cauchy_ok = bool(all(monotone) and d[-1] <= tol_limit)
 
     x_lim, failures = foot_many(fld, best.x, flow_steps_for(fld.value_many(best.x)))

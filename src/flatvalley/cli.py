@@ -27,10 +27,12 @@ integrates nothing.
 
 Exit codes of all four: 0 when every stage passed (the certificate verdict
 is UNSTABLE for ``certify``), 2 when a stage's audit stopped the run with an
-INDETERMINATE verdict (a member failed its confinement audit or drifted in
-energy by more than ``dynamics.ENERGY_DRIFT_LIMIT`` = 1e-8, a proof bound
-of the tube coordinates failed, the limit failed its Cauchy diagnostic, a
-degenerate limit, a schedule too short, a failed in-memory revalidation),
+INDETERMINATE verdict (a member failed its confinement audit, drifted in
+energy by more than ``dynamics.ENERGY_DRIFT_LIMIT`` = 1e-8 or showed a step
+error above ``dynamics.STEP_ERROR_FRACTION`` = 1e-3 of the limit
+tolerance, a proof bound of the tube coordinates failed, the limit failed
+its Cauchy diagnostic, a degenerate limit, a schedule too short, a failed
+in-memory revalidation),
 1 on hard errors, bad input included: every failure is a
 ``FlatValleyError``, reported on one ``error: ...`` line.
 """
@@ -41,7 +43,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -54,6 +56,7 @@ from .analysis import (
     coordinate_traces,
     escape_point,
     extract_limit,
+    limit_tolerance,
     metric_min_for_traces,
     physical_evidence_runs,
     revalidate_certificate,
@@ -62,10 +65,12 @@ from .contrast import locate_barrier, trapped_motion_check
 from .dynamics import (
     ENERGY_DRIFT_LIMIT,
     SLACK,
+    STEP_ERROR_FRACTION,
     IntegratorOptions,
     Scenario,
     integrate_rescaled,
     launch_vector,
+    member_step_factors,
     run_family,
 )
 from .errors import (
@@ -239,19 +244,18 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
         fam = state["family"] = run_family(scenario)
         payload["family"] = {
             "epsilons": fam.epsilons,
+            "dt": [m.dt for m in fam.members],
+            "substeps": fam.substeps,
+            # strict JSON: the infinite step error of a blown-up companion is null
+            "step_errors": [float(e) if np.isfinite(e) else None for e in fam.step_errors],
             "energy_drifts": [e.drift for e in fam.energies],
             "bounds": bounds_payload(fam.bounds),
             "twin_distances": fam.twin_distances,
         }
-        for j, (e, b) in enumerate(zip(fam.energies, fam.bounds)):
-            if not b.passed:
-                raise IndeterminateCertificateError(
-                    f"family member j={j} (eps={b.epsilon:g}) failed its confinement audit "
-                    f"(speed_ok={b.speed_ok}, sublevel_ok={b.sublevel_ok}, ball_ok={b.ball_ok})")
-            if not e.drift <= ENERGY_DRIFT_LIMIT:
-                raise IndeterminateCertificateError(
-                    f"family member j={j} (eps={e.epsilon:g}) failed its energy audit: drift "
-                    f"{e.drift:.3e} > ENERGY_DRIFT_LIMIT = {ENERGY_DRIFT_LIMIT:g}")
+        failures = state["member_failures"] = _member_failures(fam)
+        for reason in failures:
+            if reason:
+                raise IndeterminateCertificateError(reason)
 
     def stage_coordinates():
         fam = state["family"]
@@ -340,6 +344,31 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
     return report
 
 
+def _member_failures(fam) -> List[str]:
+    """Per member, in order, why it fails the family stage's audits ('' when
+    it passes): its confinement audit, its energy drift against
+    ENERGY_DRIFT_LIMIT, then its step error against STEP_ERROR_FRACTION of
+    the limit tolerance."""
+    step_limit = STEP_ERROR_FRACTION * limit_tolerance(fam.potential, fam.p, fam.v,
+                                                       fam.epsilons)
+    reasons = []
+    for j, (e, b, err) in enumerate(zip(fam.energies, fam.bounds, fam.step_errors)):
+        member = f"family member j={j} (eps={b.epsilon:g})"
+        if not b.passed:
+            reasons.append(
+                f"{member} failed its confinement audit (speed_ok={b.speed_ok}, "
+                f"sublevel_ok={b.sublevel_ok}, ball_ok={b.ball_ok})")
+        elif not e.drift <= ENERGY_DRIFT_LIMIT:
+            reasons.append(f"{member} failed its energy audit: drift {e.drift:.3e} > "
+                           f"ENERGY_DRIFT_LIMIT = {ENERGY_DRIFT_LIMIT:g}")
+        elif not err <= step_limit:
+            reasons.append(f"{member} failed its step-error audit: step error {err:.3e} > "
+                           f"STEP_ERROR_FRACTION * tol_limit = {step_limit:.3e}")
+        else:
+            reasons.append("")
+    return reasons
+
+
 def _scenario_payload(scn: Scenario) -> dict:
     return {
         "name": scn.name,
@@ -419,9 +448,10 @@ def _cmd_pipeline(args) -> int:
     if fam is not None:
         print(f"speed bound |v| (1 + slack) = {fam.bounds[0].v_norm * (1 + SLACK):.9f}")
         print(f"{'j':>2} {'eps':>10} {'drift':>10} {'max|xd|':>12} {'maxU':>12} {'pass':>5}")
+        failures = report.results["member_failures"]
         for j, (e, b) in enumerate(zip(fam.energies, fam.bounds)):
             print(f"{j:>2} {fam.epsilons[j]:>10.4g} {e.drift:>10.2e} "
-                  f"{b.max_speed:>12.9f} {b.max_potential:>12.4e} {str(b.passed):>5}")
+                  f"{b.max_speed:>12.9f} {b.max_potential:>12.4e} {str(not failures[j]):>5}")
     conv = report.results.get("convergence")
     if conv is not None:
         print("consecutive sup distances:", ", ".join(f"{d:.3e}" for d in conv.distances))
@@ -445,7 +475,10 @@ def _cmd_residual(args) -> int:
     if args.samples < 1:
         raise InvalidParameterError(f"--samples must be at least 1, got {args.samples}")
     eps = float(scn.epsilons[args.member])
-    traj = integrate_rescaled(scn.potential, scn.p, scn.v, eps, scn.horizon, scn.options)
+    # the member's dense run: its eps at its own step factor
+    factor = member_step_factors(scn.horizon, scn.epsilons, scn.options)[args.member]
+    traj = integrate_rescaled(scn.potential, scn.p, scn.v, eps, scn.horizon,
+                              replace(scn.options, step_factor=factor))
     chart = chart_for_scenario(scn)
     taus = np.linspace(-0.85 * scn.horizon, 0.85 * scn.horizon, args.samples)
     result = residual_convergence(chart, traj, taus)

@@ -12,7 +12,8 @@ from; conservation of H = |xd|^2/2 + U/eps^2 gives sharp a-priori bounds
 against.
 
 Runs are batched: ``rescaled_many`` (both halves of every member of a
-family, and for a family the physical twin of every member) and
+family, and for a family the physical twin and the step-error companion
+of every member) and
 ``newton_many`` (physical runs) make one lockstep call of
 ``integrators.integrate`` each, and a single run is a batch of one.
 
@@ -30,14 +31,26 @@ nodes are exact integrator states (the internal step is snapped to divide
 the output spacing), so audits and cross-member comparisons never see
 interpolation error.
 
+Steps: member 0 of a family steps at dtau = step_factor * eps_0, snapped
+to dt_0; member j at dt_0 sqrt(eps_j/eps_0), snapped, and at most GROWTH
+times member 0's effective factor (:func:`member_step_factors`).  The
+transverse amplitude shrinks like eps^2, so this keeps the members' errors
+level (energy drifts of 1.1e-12 to 1.9e-12 on the shipped circle, where
+dtau = 0.01 eps_j gave 1.9e-12 down to 4.7e-14 and cost the lockstep
+32,000 iterations, now 5,800).  Beside each member's forward half the same
+lockstep call runs a companion at half its substeps per output interval;
+their sup node distance is the member's recorded step error
+(``FamilyResult.step_errors``), which the family stage gates on.
+
 Memory grows with nodes, not steps.  The members and twins of a family
 keep only their output nodes: the lockstep call stores every m-th state
 of each row and streams every internal state of the members through
 their conservation audits (:class:`RunAudits`) as it goes, so no (steps +
 1, n) array is allocated per run.  Dense internal states are kept only
-where they are read: :func:`integrate_rescaled` and
-:func:`integrate_newton` return them, and ``Trajectory.sample``
-interpolates them with a cubic spline.
+where they are read: :func:`integrate_rescaled` (which writes both halves
+into one array as the call makes them) and :func:`integrate_newton`
+return them, and ``Trajectory.sample`` interpolates them with a cubic
+spline.
 """
 from __future__ import annotations
 
@@ -65,6 +78,12 @@ MAX_MEMBERS = 64
 SLACK = 1e-6
 #: largest relative energy drift a family member may show
 ENERGY_DRIFT_LIMIT = 1e-8
+#: largest step error a family member may show, as a fraction of the limit
+#: tolerance (``analysis.limit_tolerance``)
+STEP_ERROR_FRACTION = 1e-3
+#: most a family member's step factor may exceed member 0's effective one
+#: under :func:`member_step_factors`
+GROWTH = 8
 #: a state with |x|^2 + |v|^2 above twice this radius squared has blown up
 BLOWUP_RADIUS = 1e6
 
@@ -107,9 +126,11 @@ class PhaseState:
 class IntegratorOptions:
     """Stepper choice and resolution knobs.
 
-    ``step_factor`` is the c in dtau = c * eps for rescaled runs; physical
+    ``step_factor`` is the c in dtau = c * eps for a rescaled run; physical
     runs use dt = c directly, so a rescaled run and its physical twin have
-    the same resolution per unit of rescaled time.
+    the same resolution per unit of rescaled time.  In a family it is
+    member 0's factor: the other members step at the factors
+    :func:`member_step_factors` derives from it.
     """
 
     method: str = "pefrl"
@@ -249,9 +270,12 @@ def _run(kind: str, eps, first: int, spacing: float, X: Array, V: Array, snap,
     m, dt, _ = snap
     x, v = (X[::m].copy(), V[::m].copy()) if dense else (X, V)
     tau = np.arange(first, first + len(x)) * spacing
+    tau_int = tau
+    if dense:  # the step indices as floats (exact), scaled in place
+        tau_int = np.arange(first * m, first * m + len(X), dtype=float)
+        tau_int *= dt
     return Trajectory(kind=kind, epsilon=eps, tau=tau, x=x, v=v, dt=dt,
-                      tau_int=np.arange(first * m, first * m + len(X)) * dt if dense else tau,
-                      x_int=X, v_int=V)
+                      tau_int=tau_int, x_int=X, v_int=V)
 
 
 def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
@@ -287,41 +311,81 @@ def integrate_newton(potential, s0: PhaseState, t_end: float,
     return newton_many(potential, [s0], [t_end], opts, [epsilon])[0]
 
 
+def _check_schedule(T: float, epsilons: Sequence[float]) -> None:
+    if T <= 0:
+        raise InvalidParameterError("horizon T must be positive")
+    if not all(float(eps) > 0 for eps in epsilons):
+        raise InvalidParameterError("eps must be positive")
+
+
+def member_step_factors(T: float, epsilons: Sequence[float],
+                        opts: IntegratorOptions = IntegratorOptions()) -> List[float]:
+    """The step factor of every member of a family on [-T, T].
+
+    Member 0 steps at ``opts.step_factor``, which snaps to dt_0 = spacing/m_0.
+    Member j targets dt_0 sqrt(eps_j/eps_0): the transverse amplitude shrinks
+    like eps^2, so a step proportional to sqrt(eps) keeps the step error of
+    the members roughly level, where a step proportional to eps spends most
+    of the family's steps on its finest members.  A factor is at most GROWTH
+    times member 0's effective factor dt_0/eps_0.
+    """
+    _check_schedule(T, epsilons)
+    half = (opts.n_out - 1) // 2
+    eps0 = float(epsilons[0])
+    base = _snap_step(T / half, opts.step_factor * eps0, half)[1] / eps0
+    return [opts.step_factor] + [base * min(math.sqrt(eps0 / float(eps)), GROWTH)
+                                 for eps in epsilons[1:]]
+
+
+def member_steps(T: float, epsilons: Sequence[float],
+                 opts: IntegratorOptions = IntegratorOptions()) -> List[Tuple[int, float]]:
+    """(substeps per output interval, dt) of every member of a family on
+    [-T, T] under :func:`member_step_factors`."""
+    half = (opts.n_out - 1) // 2
+    return [_snap_step(T / half, factor * float(eps), half)[:2]
+            for eps, factor in zip(epsilons, member_step_factors(T, epsilons, opts))]
+
+
 def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
                   step_factors: Sequence[float], opts: IntegratorOptions = IntegratorOptions(),
-                  twins: bool = False, audits: Optional["RunAudits"] = None,
+                  family: bool = False, audits: Optional["RunAudits"] = None,
                   dense: bool = False
                   ) -> Tuple[List[Optional[Trajectory]], Dict[int, BlowUpError],
-                             List[Trajectory], Dict[int, BlowUpError]]:
+                             List[Trajectory], Dict[int, BlowUpError], Array]:
     """Integrate xdd = -(1/eps_j^2) grad U(x) on [-T, T] from (p, v) at the
     internal step ``step_factors[j] * eps_j``, both halves of every run in
     one lockstep call.
 
     A run keeps only its output nodes (its ``*_int`` arrays are its node
     arrays), unless ``dense``: then it keeps every internal state, as
-    :func:`integrate_rescaled` returns it.  ``audits``, a
-    :class:`RunAudits` of the same epsilons, is fed every internal state of
-    both halves of run j, as its run j, while the lockstep call makes them,
-    so no run has to keep its states for its audit.
+    :func:`integrate_rescaled` returns it, written as the call makes them
+    into one array per run.  ``audits``, a :class:`RunAudits` of the same
+    epsilons, is fed every internal state of both halves of run j, as its
+    run j, while the lockstep call makes them, so no run has to keep its
+    states for its audit.
 
-    With ``twins``, the physical twin of every run rides in the same call:
-    twin j solves xdd = -grad U from (p, eps_j v) to T/eps_j at a step of at
-    most ``step_factors[j]``, on the forward half's ``half`` output
-    intervals (spacing (T/eps_j)/half).  Its nodes are those of the
+    With ``family``, two more rows per run ride in the same call.  The
+    physical twin j solves xdd = -grad U from (p, eps_j v) to T/eps_j at a
+    step of at most ``step_factors[j]``, on the forward half's ``half``
+    output intervals (spacing (T/eps_j)/half).  Its nodes are those of the
     :func:`integrate_newton` run to T/eps_j with n_out = half + 1, bit for
     bit; it takes the step count of run j, so the lockstep loop runs no
     longer, and its node i is the physical state at the time of run j's
-    node half + i.  A twin, like a run, keeps only its output nodes.
+    node half + i.  The companion j is run j's forward half at ceil(m_j/2)
+    substeps per output interval (2 when m_j = 1), m_j the run's: the sup
+    distance of its nodes from the forward half's is run j's step error.
+    Twins and companions, like runs, keep only their output nodes.
 
-    Returns (runs, errors, twin_runs, twin_errors): the runs and
-    {j: BlowUpError}, each error the one :func:`integrate_rescaled` raises
-    for run j (whose entry is None); then the twins (empty without
-    ``twins``) and {j: BlowUpError} of the twins that blew up, each of which
-    keeps the output nodes it reached.  A twin's failure touches no run.
-    Every step count is checked against MAX_STEPS before any run starts.
+    Returns (runs, errors, twin_runs, twin_errors, step_errors): the runs
+    and {j: BlowUpError}, each error the one :func:`integrate_rescaled`
+    raises for run j (whose entry is None); then the twins (empty without
+    ``family``) and {j: BlowUpError} of the twins that blew up, each of
+    which keeps the output nodes it reached; then the step errors (empty
+    without ``family``; inf for a run or companion that blew up).  A twin's
+    or a companion's failure touches no run.  Every step count is checked
+    against MAX_STEPS before any run starts.
     """
-    if T <= 0:
-        raise InvalidParameterError("horizon T must be positive")
+    _check_schedule(T, epsilons)
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.shape != (potential.dim,) or v.shape != (potential.dim,):
@@ -332,26 +396,49 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
     snaps, scales = [], []
     for eps, factor in zip(epsilons, step_factors):
         eps = float(eps)
-        if eps <= 0:
-            raise InvalidParameterError("eps must be positive")
         snap = _snap_step(spacing, factor * eps, half)
         snaps += [snap, snap]  # the forward half from (p, v), the backward from (p, -v)
         scales += [1.0 / (eps * eps)] * 2
     x0s, v0s = [p] * len(snaps), [v, -v] * count
-    if twins:
+    if family:  # rows 2 count + j: the twins; rows 3 count + j: the companions
         starts = [PhaseState(p, float(eps) * v) for eps in epsilons]
         t_ends = [T / float(eps) for eps in epsilons]
         snaps += _newton_snaps(potential, starts, t_ends, half, step_factors)
         scales += [1.0] * count
         x0s += [s0.x for s0 in starts]
         v0s += [s0.v for s0 in starts]
+        for j in range(count):
+            m = snaps[2 * j][0]
+            c = 2 if m == 1 else (m + 1) // 2
+            # a step between spacing/c and spacing/(c - 1/2) snaps to c substeps
+            snaps.append(_snap_step(spacing, spacing / (c - 0.5), half))
+        scales += scales[:2 * count:2]  # each companion at its run's scale
+        x0s += [p] * count
+        v0s += [v] * count
+    if dense:  # run j's states, the backward half reversed, its state 0 the forward half's
+        x_dense = [np.empty((2 * snaps[2 * j][2] + 1, potential.dim)) for j in range(count)]
+        v_dense = [np.empty_like(x) for x in x_dense]
 
-    def audit(rows, first, X, V, due):
+    def observe(rows, first, X, V, due):
         # row 2j is run j's forward half, row 2j + 1 its backward half, whose
-        # steps count down from 0 and whose velocities are negated: the
-        # audited quantities are even in v
+        # steps count down from 0 and whose velocities are negated
         member = [c for c, r in enumerate(rows.tolist()) if r < 2 * count and due[c]]
+        if dense:
+            for c in member:
+                j, back = divmod(int(rows[c]), 2)
+                mid, lo = snaps[2 * j][2], int(back and first == 0)
+                if back:
+                    if lo < due[c]:
+                        at = slice(mid - first - due[c] + 1, mid - first - lo + 1)
+                        x_dense[j][at] = X[lo:due[c], c][::-1]
+                        v_dense[j][at] = -V[lo:due[c], c][::-1]
+                else:
+                    x_dense[j][mid + first:mid + first + due[c]] = X[:due[c], c]
+                    v_dense[j][mid + first:mid + first + due[c]] = V[:due[c], c]
+        if audits is None:
+            return
         for length in set(due[c] for c in member):  # one length but in a row's last chunk
+            # the audited quantities are even in v
             cols = [c for c in member if due[c] == length]
             rs = rows[cols]
             k = (1 - 2 * (rs % 2))[:, None] * (first + np.arange(length))
@@ -359,10 +446,11 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
                         V[:length].transpose(1, 0, 2)[cols], [snaps[r][1] for r in rs],
                         [snaps[r][0] for r in rs])
 
-    Xs, Vs, failures = _lockstep(potential, x0s, v0s, scales, snaps, opts, dense,
-                                 None if audits is None else audit)
+    # every row keeps its nodes; a dense run's states reach it through the observer
+    Xs, Vs, failures = _lockstep(potential, x0s, v0s, scales, snaps, opts, dense=False,
+                                 observe=observe if dense or audits is not None else None)
     twin_runs, twin_errors = [], {}
-    for j in range(count if twins else 0):
+    for j in range(count if family else 0):
         row, eps = 2 * count + j, float(epsilons[j])
         exc = failures.get(row)
         if exc is not None:
@@ -371,7 +459,7 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
                 last_time=exc.last_time, last_state=exc.last_state)
         twin_runs.append(_run("physical", eps, 0, t_ends[j] / half, Xs[row], Vs[row],
                               snaps[row], dense=False))
-    runs, errors = [], {}
+    runs, errors, step_errors = [], {}, []
     for j, eps in enumerate(epsilons):
         # the forward half runs first in time, so its error is the one reported
         for row, side, sign in ((2 * j, "forward", 1.0), (2 * j + 1, "backward", -1.0)):
@@ -382,14 +470,22 @@ def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
                     f"exists globally, so this is an integrator failure: {exc}",
                     last_time=sign * exc.last_time,
                     last_state=(exc.last_state[0], sign * exc.last_state[1]))
+        if family:
+            companion = 3 * count + j
+            step_errors.append(
+                np.inf if j in errors or companion in failures
+                else float(np.max(np.linalg.norm(Xs[companion] - Xs[2 * j], axis=1))))
         if j in errors:
             runs.append(None)
             continue
-        x_int = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
-        v_int = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
-        Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
+        if dense:
+            x_int, v_int = x_dense[j], v_dense[j]
+        else:
+            x_int = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
+            v_int = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
+            Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
         runs.append(_run("rescaled", eps, -half, spacing, x_int, v_int, snaps[2 * j], dense))
-    return runs, errors, twin_runs, twin_errors
+    return runs, errors, twin_runs, twin_errors, np.array(step_errors)
 
 
 def integrate_rescaled(potential, p, v, eps: float, T: float,
@@ -401,11 +497,12 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     reflecting time, so a single stepper code path covers both halves.
     The solution exists globally for every eps; a blow-up therefore means
     the step size failed to resolve the stiffness and is reported as an
-    integrator failure.  A family member at the same eps, horizon and
-    options has this run's nodes, bit for bit.
+    integrator failure.  A family member at the same eps and horizon has
+    this run's nodes, bit for bit, when the options carry the member's
+    factor from :func:`member_step_factors`.
     """
-    runs, errors, _, _ = rescaled_many(potential, p, v, T, [eps], [opts.step_factor], opts,
-                                       dense=True)
+    runs, errors, *_ = rescaled_many(potential, p, v, T, [eps], [opts.step_factor], opts,
+                                     dense=True)
     if errors:
         raise errors[0]
     return runs[0]
@@ -579,9 +676,14 @@ class Scenario:
     p must lie on the valley floor at a regular point of f, v must be
     tangent to it there, and every number must be finite and of its type.
     The eps schedule eps_j = eps0 * ratio^j, j < count <= MAX_MEMBERS, is
-    capped below by ``min_eps`` > 0 because step-size adequacy far below
-    1e-4 has not been studied; both are checked before the schedule is
-    built.
+    capped below by ``min_eps`` > 0, and both are checked before the
+    schedule is built.  Every family records each member's step error and
+    the family stage gates on it; down to eps = 2e-4 (the shipped circle
+    and ellipsoid at count 10) the recorded step errors stay at or below
+    1.3e-9 and 2.8e-12, two and six orders of magnitude under their limits.
+    Once GROWTH caps a member's factor its step count grows like 1/eps
+    (64,000 lockstep iterations on the circle at eps = 2e-4), and the cap
+    bounds that cost.
     """
 
     potential: CompositePotential
@@ -656,10 +758,14 @@ class FamilyResult:
     Members and twins keep only their output nodes; ``energies`` and
     ``bounds`` audited every internal state of each member as it ran (see
     :class:`RunAudits`), and a member's dense run is
-    :func:`integrate_rescaled` at its eps, the horizon and the options.
+    :func:`integrate_rescaled` at its eps, the horizon and the options with
+    its :func:`member_step_factors` factor.
     ``twins[j]`` is the physical run from (p, eps_j v) to T/eps_j that was
     integrated beside member j (see :func:`rescaled_many`); a twin that blew
-    up ends early and has its error in ``twin_errors``.
+    up ends early and has its error in ``twin_errors``.  Member j steps at
+    ``members[j].dt``, ``substeps[j]`` steps per output interval (see
+    :func:`member_step_factors`), and ``step_errors[j]`` is the sup node
+    distance of its forward half from the same run at half its substeps.
     """
 
     potential: CompositePotential
@@ -674,10 +780,16 @@ class FamilyResult:
     bounds: List[BoundsCheck]
     twins: List[Trajectory]
     twin_errors: Dict[int, BlowUpError]
+    step_errors: Array
 
     @property
     def count(self) -> int:
         return len(self.members)
+
+    @property
+    def substeps(self) -> List[int]:
+        spacing = float(self.tau[1] - self.tau[0])
+        return [round(spacing / member.dt) for member in self.members]
 
     @property
     def twin_distances(self) -> Array:
@@ -691,7 +803,8 @@ class FamilyResult:
 
 def family_from_runs(potential, p, v, T, epsilons,
                      opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
-    """Integrate one rescaled run per eps and its physical twin, all in one
+    """Integrate one rescaled run per eps at its :func:`member_step_factors`
+    step, its physical twin and its step-error companion, all in one
     lockstep call, and audit every internal state of each run as it is made.
 
     A family any of whose members would take more than MAX_STEPS steps
@@ -703,9 +816,9 @@ def family_from_runs(potential, p, v, T, epsilons,
     v = np.asarray(v, dtype=float)
     epsilons = np.asarray(list(epsilons), dtype=float)
     audits = RunAudits(potential, epsilons, p, v, opts.n_out)
-    members, errors, twins, twin_errors = rescaled_many(
-        potential, p, v, T, epsilons, [opts.step_factor] * len(epsilons), opts, twins=True,
-        audits=audits)
+    members, errors, twins, twin_errors, step_errors = rescaled_many(
+        potential, p, v, T, epsilons, member_step_factors(T, epsilons, opts), opts,
+        family=True, audits=audits)
     if errors:
         j = min(errors)
         exc = errors[j]
@@ -717,7 +830,7 @@ def family_from_runs(potential, p, v, T, epsilons,
         epsilons=epsilons, tau=members[0].tau, members=members,
         energies=[audits.energy(j) for j in range(len(epsilons))],
         bounds=[audits.bounds(j) for j in range(len(epsilons))],
-        twins=twins, twin_errors=twin_errors,
+        twins=twins, twin_errors=twin_errors, step_errors=step_errors,
     )
 
 
@@ -739,8 +852,8 @@ def halving_error(potential, p, v, eps: float, T: float,
     m = _snap_step(T / half, opts.step_factor * eps, half)[0]
     # a step between spacing/(2m) and spacing/(2m - 1) snaps to 2m substeps
     fine_factor = T / half / (2 * m - 0.5) / eps
-    (coarse, fine), errors, _, _ = rescaled_many(potential, p, v, T, [eps, eps],
-                                                 [opts.step_factor, fine_factor], opts)
+    (coarse, fine), errors, *_ = rescaled_many(potential, p, v, T, [eps, eps],
+                                               [opts.step_factor, fine_factor], opts)
     if errors:
         raise errors[min(errors)]
     return float(np.max(np.linalg.norm(coarse.x - fine.x, axis=1)))

@@ -15,7 +15,8 @@ from typing import Dict, List
 import numpy as np
 
 from .analysis import check_certificate
-from .errors import NonFiniteEvaluationError
+from .dynamics import IntegratorOptions, member_steps
+from .errors import FlatValleyError, NonFiniteEvaluationError
 
 Array = np.ndarray
 
@@ -121,7 +122,10 @@ def revalidate_from_dir(out_dir) -> dict:
     Reads report.json, limit.csv, every traj_eps<j>.csv and evidence.csv
     and runs :func:`flatvalley.analysis.check_certificate` on them, energy
     drifts (re-derived from each member's H column) and evidence
-    displacements (re-derived from the physical end states) included.
+    displacements (re-derived from the physical end states) included.  The
+    ``member_steps`` check re-derives every member's ``dt`` and
+    ``substeps`` in ``report.json["family"]`` from ``report.json["scenario"]``
+    through :func:`flatvalley.dynamics.member_step_factors`.
     Returns a dict with an ``ok`` flag and the per-check booleans, or
     ``ok: False`` and a ``reason`` when a file is missing or malformed;
     never re-runs any integration and never raises on what the files hold.
@@ -145,8 +149,16 @@ def revalidate_from_dir(out_dir) -> dict:
                                    dict(zip(evidence_cols["j"].tolist(), ends)),
                                    report["family"]["energy_drifts"],
                                    [cols["H"] for cols, _ in members])
+        scn, fam = report["scenario"], report["family"]
+        opts = IntegratorOptions(method=scn["integrator"], step_factor=scn["step_factor"],
+                                 n_out=scn["n_out"])
+        epsilons = scn["eps0"] * scn["ratio"] ** np.arange(len(cert["epsilons"]))
+        steps = member_steps(scn["horizon"], epsilons, opts)
+        checks["member_steps"] = (scn["count"] == len(epsilons)
+                                  and [m for m, _ in steps] == fam["substeps"]
+                                  and [dt for _, dt in steps] == fam["dt"])
     except OSError as exc:
         return {"ok": False, "reason": f"cannot read the run's files: {exc}"}
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, FlatValleyError) as exc:
         return {"ok": False, "reason": f"malformed run files: {type(exc).__name__}: {exc}"}
     return {"ok": all(checks.values()), "checks": checks}

@@ -97,7 +97,8 @@ def blow_up_twins(monkeypatch):
 
     def install(fractions):
         def integrate(accel, x0, v0, dt, n_steps, *, steps, scale, stride, **kwargs):
-            count = len(steps) // 3  # both halves of every member, then the twins
+            # both halves of every member, then the twins, then the companions
+            count = len(steps) // 4
             failing = {2 * count + j: fraction for j, fraction in fractions.items()}
             # a failing twin keeps every state here, to be cut at its failure
             # and thinned to its nodes below, as integrate keeps a row's nodes

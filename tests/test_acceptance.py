@@ -153,10 +153,12 @@ def test_criterion_7_coordinate_uniformity(circle_bundle):
 
 
 def test_criterion_8_tangential_residual(circle_bundle):
-    # member j = 1 (eps = 0.05) keeps only its nodes: its dense run
+    # member j = 1 (eps = 0.05) keeps only its nodes: its dense run, at its
+    # own step factor
     scn = circle_bundle.scenario
-    member = fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[1],
-                                   scn.horizon, scn.options)
+    factor = fv.dynamics.member_step_factors(scn.horizon, scn.epsilons, scn.options)[1]
+    member = fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[1], scn.horizon,
+                                   fv.IntegratorOptions(step_factor=factor))
     taus = np.linspace(-0.85, 0.85, 20)
     res = fv.residual_convergence(circle_bundle.chart, member, taus)
     assert res["coarse_max"] <= 1e-3

@@ -45,6 +45,9 @@ CASES = {
 }
 EPSILONS = [0.1, 0.05, 0.025]
 OPTIONS = fv.IntegratorOptions(n_out=101)
+# member j steps at its own factor; its dense run and its twin alone take it too
+FACTORS = dynamics.member_step_factors(0.5, EPSILONS, OPTIONS)
+MEMBER_OPTIONS = [fv.IntegratorOptions(n_out=101, step_factor=c) for c in FACTORS]
 
 
 def _same_run(a, b):
@@ -177,19 +180,21 @@ def test_family_is_a_loop_of_rescaled_runs(name):
     # a member keeps only its nodes, those of the dense run at its eps
     P, p, v = CASES[name]
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
-    for eps, member in zip(EPSILONS, fam.members):
-        alone = fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS)
+    for eps, opts, member in zip(EPSILONS, MEMBER_OPTIONS, fam.members):
+        alone = fv.integrate_rescaled(P, p, v, eps, 0.5, opts)
         _same_nodes(member, alone)
         assert member.x_int is member.x and member.v_int is member.v
         assert member.steps == alone.steps == len(alone.tau_int) - 1
 
 
-def _twin_alone(P, p, v, eps, T=0.5):
-    """Twin of the member at eps, integrated alone: the physical run from
-    (p, eps v) to T/eps on the forward half's output intervals."""
-    half = (OPTIONS.n_out - 1) // 2
+def _twin_alone(P, p, v, j, T=0.5):
+    """Twin of member j, integrated alone: the physical run from (p, eps_j v)
+    to T/eps_j on the forward half's output intervals, at the member's
+    step factor."""
+    half, eps = (OPTIONS.n_out - 1) // 2, EPSILONS[j]
     return fv.integrate_newton(P, fv.PhaseState(p, eps * v), T / eps,
-                               fv.IntegratorOptions(n_out=half + 1), epsilon=eps)
+                               fv.IntegratorOptions(n_out=half + 1, step_factor=FACTORS[j]),
+                               epsilon=eps)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -197,8 +202,8 @@ def test_twins_are_a_loop_of_newton_runs(name):
     P, p, v = CASES[name]
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
     assert not fam.twin_errors
-    for eps, member, twin in zip(EPSILONS, fam.members, fam.twins):
-        alone = _twin_alone(P, p, v, eps)
+    for j, (member, twin) in enumerate(zip(fam.members, fam.twins)):
+        alone = _twin_alone(P, p, v, j)
         _same_nodes(twin, alone)
         # a twin keeps only its nodes, and takes its member's step count:
         # the lockstep runs no longer
@@ -214,9 +219,9 @@ def test_twins_leave_the_members_bit_identical(name):
     # the family without twins is the one lockstep call it made before them
     P, p, v = CASES[name]
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
-    alone, errors, twins, _ = rescaled_many(P, p, v, 0.5, EPSILONS,
-                                            [OPTIONS.step_factor] * 3, OPTIONS)
-    assert not errors and twins == []
+    alone, errors, twins, _, step_errors = rescaled_many(P, p, v, 0.5, EPSILONS, FACTORS,
+                                                         OPTIONS)
+    assert not errors and twins == [] and len(step_errors) == 0
     for member, run in zip(fam.members, alone):
         _same_run(member, run)
 
@@ -227,8 +232,8 @@ def test_evidence_runs_are_a_loop_of_newton_runs(name):
     P, p, v = CASES[name]
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
     runs = fv.physical_evidence_runs(fam, 0.4)
-    for eps, run in zip(EPSILONS, runs):
-        alone = _twin_alone(P, p, v, eps)
+    for j, (eps, run) in enumerate(zip(EPSILONS, runs)):
+        alone = _twin_alone(P, p, v, j)
         assert run.kind == "physical" and run.epsilon == eps and run.dt == alone.dt
         assert run.tau[-1] * eps == pytest.approx(0.4, rel=1e-12)
         for name_ in ("tau", "x", "v"):
@@ -249,7 +254,8 @@ def test_a_blown_up_twin_keeps_its_nodes_and_raises_only_before_them(blow_up_twi
     # tau* = 0.25 is read off their surviving nodes, evidence at tau* = 0.5
     # raises the error of the lowest j, and no member is touched
     P, p, v = CASES["circle"]
-    alone = [fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS) for eps in EPSILONS]
+    alone = [fv.integrate_rescaled(P, p, v, eps, 0.5, opts)
+             for eps, opts in zip(EPSILONS, MEMBER_OPTIONS)]
     blow_up_twins({2: 0.9, 1: 0.8})
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
     assert sorted(fam.twin_errors) == [1, 2]
@@ -356,8 +362,8 @@ def test_streamed_audits_are_the_dense_audits(name):
     # lockstep call makes them; on its dense run they read them as one block
     P, p, v = CASES[name]
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
-    for eps, energy, bounds in zip(EPSILONS, fam.energies, fam.bounds):
-        dense = fv.integrate_rescaled(P, p, v, eps, 0.5, OPTIONS)
+    for eps, opts, energy, bounds in zip(EPSILONS, MEMBER_OPTIONS, fam.energies, fam.bounds):
+        dense = fv.integrate_rescaled(P, p, v, eps, 0.5, opts)
         want_energy, want_bounds = fv.energy_audit(dense, P), fv.confinement_check(dense, P, v)
         for field in ("epsilon", "h0", "drift", "values"):
             assert _bits(getattr(energy, field)) == _bits(getattr(want_energy, field)), field

@@ -9,7 +9,8 @@ import pytest
 
 import flatvalley as fv
 from flatvalley import cli
-from flatvalley.dynamics import ENERGY_DRIFT_LIMIT
+from flatvalley.analysis import limit_tolerance
+from flatvalley.dynamics import ENERGY_DRIFT_LIMIT, STEP_ERROR_FRACTION
 from flatvalley.errors import BlowUpError, ScenarioError, UnverifiedLimitError
 from flatvalley.reporting import read_csv_columns, revalidate_from_dir, write_trajectory_csv
 
@@ -270,24 +271,85 @@ CIRCLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "scenarios", "circle.json")
 
 
+def _circle_file(tmp_path, **changes):
+    with open(CIRCLE) as fh:
+        return _write(tmp_path, "circle.json", {**json.load(fh), **changes})
+
+
+def _table_passes(out):
+    """The pass column of the family table, by member."""
+    rows = out.split("pass\n", 1)[1].split("\n")
+    return [row.split()[-1] for row in rows if row.split()[:1] and row.split()[0].isdigit()]
+
+
 @pytest.mark.parametrize("step_factor", ["3.0", "0.3"])
 def test_energy_drift_above_its_limit_is_indeterminate(tmp_path, capsys, step_factor):
-    # the shipped circle at a coarse step passes its confinement audit, but
-    # member 2 drifts by 1.9e-8: the family stage stops on the first member
+    # the shipped circle on a coarse grid of 201 nodes: at either factor
+    # member 0 takes one step per output interval, passes its confinement
+    # audit and drifts by 1.9e-8; the family stage stops on the first member
     # over the limit
     out = tmp_path / "out"
-    assert cli.main(["certify", "--scenario", CIRCLE, "--step-factor", step_factor,
-                     "--out", str(out), "--no-svg"]) == 2
-    assert _stages_printed(capsys.readouterr().out) == ["family", "emit"]
+    assert cli.main(["certify", "--scenario", _circle_file(tmp_path, n_out=201),
+                     "--step-factor", step_factor, "--out", str(out), "--no-svg"]) == 2
+    printed = capsys.readouterr().out
+    assert _stages_printed(printed) == ["family", "emit"]
     rep = json.loads((out / "report.json").read_text())
     drifts = rep["family"]["energy_drifts"]
     assert all(b["speed_ok"] and b["sublevel_ok"] and b["ball_ok"]
                for b in rep["family"]["bounds"])
-    assert max(drifts[:2]) <= ENERGY_DRIFT_LIMIT < drifts[2]
+    assert rep["family"]["substeps"][0] == 1 and ENERGY_DRIFT_LIMIT < drifts[0]
     assert rep["certificate"] == {
         "verdict": "INDETERMINATE",
-        "reason": f"family member j=2 (eps=0.025) failed its energy audit: drift "
-                  f"{drifts[2]:.3e} > ENERGY_DRIFT_LIMIT = 1e-08"}
+        "reason": f"family member j=0 (eps=0.1) failed its energy audit: drift "
+                  f"{drifts[0]:.3e} > ENERGY_DRIFT_LIMIT = 1e-08"}
+    assert _table_passes(printed)[0] == "False"
+
+
+def test_step_error_above_its_limit_is_indeterminate(tmp_path, capsys):
+    # the shipped circle to horizon 6 at step factor 0.08: energy stays
+    # conserved to 6.4e-9, but the phase error grows with the horizon, and
+    # member 4's step error passes STEP_ERROR_FRACTION of the limit tolerance
+    out = tmp_path / "out"
+    assert cli.main(["family", "--scenario", CIRCLE, "--horizon", "6", "--step-factor", "0.08",
+                     "--out", str(out), "--no-svg"]) == 2
+    printed = capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    fam, scn = rep["family"], fv.parse_scenario(CIRCLE, {"horizon": 6.0})
+    limit = STEP_ERROR_FRACTION * limit_tolerance(scn.potential, scn.p, scn.v, scn.epsilons)
+    errors = fam["step_errors"]
+    assert max(fam["energy_drifts"]) <= ENERGY_DRIFT_LIMIT
+    assert max(errors[:4]) <= limit < errors[4]
+    assert rep["certificate"] == {
+        "verdict": "INDETERMINATE",
+        "reason": f"family member j=4 (eps=0.00625) failed its step-error audit: step error "
+                  f"{errors[4]:.3e} > STEP_ERROR_FRACTION * tol_limit = {limit:.3e}"}
+    # the table's pass column is the gate's verdict per member
+    assert _table_passes(printed) == ["True"] * 4 + ["False", "True"]
+
+
+def test_step_error_of_a_blown_up_companion_is_infinite(tmp_path, monkeypatch):
+    # a companion that leaves the finite box has no step error to measure:
+    # it counts as infinite, and the gate stops the run
+    real = fv.dynamics.integrate
+
+    def integrate(accel, x0, v0, dt, n_steps, *, steps, scale, stride, **kwargs):
+        Xs, Vs, failures = real(accel, x0, v0, dt, n_steps, steps=steps, scale=scale,
+                                stride=stride, **kwargs)
+        companion = len(steps) - 1  # the last member's
+        failures[companion] = BlowUpError("state left the finite box", last_time=0.0,
+                                          last_state=(Xs[companion][0], Vs[companion][0]))
+        return Xs, Vs, failures
+
+    monkeypatch.setattr(fv.dynamics, "integrate", integrate)
+    scn = fv.parse_scenario(CIRCLE, {"count": 3})
+    report = fv.run_pipeline(scn, str(tmp_path), svg=False, stages=("family",))
+    assert report.exit_code == 2
+    assert list(report.results["family"].step_errors[:2] < np.inf) == [True, True]
+    assert report.results["family"].step_errors[2] == np.inf
+    assert report.reason.startswith("family member j=2 (eps=0.025) failed its step-error "
+                                    "audit: step error inf > ")
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["family"]["step_errors"][2] is None
 
 
 def test_failed_metric_probe_leaves_the_velocity_diagnostic_unavailable(tmp_path):
@@ -673,3 +735,51 @@ def test_twin_blow_up_after_tau_star_still_certifies(tmp_path, capsys, blow_up_t
     assert sorted(report.results["family"].twin_errors) == [1]
     assert report.results["certificate"].tau_star < 0.95 * 4.0
     assert revalidate_from_dir(str(tmp_path / "certify"))["ok"]
+
+
+# sha256 of traj_eps0.csv from `family` on each shipped scenario, recorded
+# before members stepped at their own factors: member 0 keeps its step, so
+# its file keeps its bytes
+MEMBER_0_DIGESTS = {
+    "circle": "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
+    "gutter": "0605bfeb9d294883f2bdc8302df206521dd25249634a51f5dcae33f1c39321b0",
+    "ellipsoid": "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBER_0_DIGESTS))
+def test_member_0_file_is_unchanged(tmp_path, name):
+    import hashlib
+
+    scn = fv.parse_scenario(os.path.join(os.path.dirname(CIRCLE), f"{name}.json"))
+    fv.run_pipeline(scn, str(tmp_path), svg=False, stages=("family",))
+    digest = hashlib.sha256((tmp_path / "traj_eps0.csv").read_bytes()).hexdigest()
+    assert digest == MEMBER_0_DIGESTS[name]
+
+
+def test_report_records_each_members_step(circle_run_dir):
+    fam = circle_run_dir.report.results["family"]
+    rep = json.loads(open(os.path.join(circle_run_dir.path, "report.json")).read())["family"]
+    assert rep["substeps"] == fam.substeps == [5, 8, 10, 15, 20, 29]
+    assert rep["dt"] == [m.dt for m in fam.members]
+    assert rep["step_errors"] == list(fam.step_errors)
+    # every member's step error sits far below its limit
+    limit = STEP_ERROR_FRACTION * limit_tolerance(fam.potential, fam.p, fam.v, fam.epsilons)
+    assert 0.0 < max(rep["step_errors"]) < 0.01 * limit
+
+
+@pytest.mark.parametrize("key, j, change", [
+    ("substeps", 5, lambda m: m + 1),
+    ("dt", 3, lambda dt: dt * (1.0 + 1e-15)),
+    ("substeps", 0, lambda m: None),
+], ids=["substeps", "dt", "substeps-null"])
+def test_file_revalidation_rederives_member_steps(circle_run_dir, tmp_path, key, j, change):
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    rep = json.loads((clone / "report.json").read_text())
+    rep["family"][key][j] = change(rep["family"][key][j])
+    (clone / "report.json").write_text(json.dumps(rep))
+    result = revalidate_from_dir(str(clone))
+    assert not result["ok"] and not result["checks"]["member_steps"]
+    assert all(ok for name, ok in result["checks"].items() if name != "member_steps")
+    assert revalidate_from_dir(circle_run_dir.path)["checks"]["member_steps"]

@@ -192,6 +192,52 @@ def test_step_count_cap_fails_before_allocating():
         fv.family_from_runs(C, [1.0, 0.0], [0.0, 1.0], 1.0, [0.1, 1e-6])
 
 
+@pytest.mark.parametrize("name, substeps", [
+    ("circle", [5, 8, 10, 15, 20, 29]),
+    ("ellipsoid", [3, 5, 6, 9, 12, 17]),
+], ids=["circle", "ellipsoid"])
+def test_member_substeps_on_the_shipped_scenarios(name, substeps):
+    # member j targets dt_0 sqrt(eps_j / eps_0): the finest member, and so
+    # the lockstep, takes 5,800 iterations on the circle and 3,400 on the
+    # ellipsoid (32,000 and 16,000 at dtau = 0.01 eps_j)
+    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
+    steps = dynamics.member_steps(scn.horizon, scn.epsilons, scn.options)
+    half = (scn.options.n_out - 1) // 2
+    assert [m for m, _ in steps] == substeps
+    assert half * max(substeps) == {"circle": 5800, "ellipsoid": 3400}[name]
+    assert steps[0] == (5 if name == "circle" else 3, scn.horizon / half / steps[0][0])
+
+
+def test_member_step_factors_keep_member_0_and_cap_the_growth():
+    opts = fv.IntegratorOptions(step_factor=0.03)
+    factors = dynamics.member_step_factors(1.0, [0.1, 0.05, 0.025, 1e-5], opts)
+    # member 0 keeps its factor; its step snaps to 0.005 / 2
+    assert factors[0] == 0.03
+    base = 0.0025 / 0.1
+    assert factors[1:3] == pytest.approx([base * 2 ** 0.5, base * 2.0], rel=1e-15)
+    assert factors[3] == dynamics.GROWTH * base  # sqrt(1e4) = 100 is capped at 8
+    for bad in ([0.1, 0.0], [0.1, -0.05]):
+        with pytest.raises(InvalidParameterError, match="eps must be positive"):
+            dynamics.member_step_factors(1.0, bad, opts)
+
+
+def test_dense_run_peaks_near_what_it_keeps():
+    # both halves of a dense run are written into one array as they are
+    # made, so the run never holds its halves and their join at once (a
+    # join peaked at 1.7 times the kept states)
+    C = fv.circle()
+    fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 0.25)  # lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        traj = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.01, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (traj.tau_int, traj.x_int, traj.v_int, traj.tau, traj.x, traj.v))
+    assert len(traj.tau_int) == 5201
+    assert peak <= 1.25 * kept
+
+
 def test_output_nodes_are_internal_nodes():
     C = fv.circle()
     traj = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 1.0)
