@@ -8,6 +8,7 @@ The flat-valley potentials have no such barrier along the floor, which is
 exactly the degree of freedom the escape curve exploits.
 """
 import flatvalley as fv
+from flatvalley.contrast import TRAP_DRIFT_FRACTION
 
 P = fv.painleve()
 barrier = fv.locate_barrier(P, window=0.25)
@@ -15,12 +16,14 @@ print(f"grid scan of the bump potential on [-0.25, 0.25]:")
 print(f"  barrier height {barrier.height:.6e} at x = +-{barrier.x_right:.6f}")
 
 rep = fv.trapped_motion_check(P, barrier, n_traj=5, t_end=500.0)
-print(f"\nfive sub-barrier motions, t in [0, {rep.t_end:g}]:")
-print(f"{'x0':>9} {'v0':>9} {'energy':>11} {'max |x|':>10} {'trapped':>8}")
+print(f"\nfive sub-barrier motions, t in [0, {rep.t_end:g}] at dt = {rep.dt:g}:")
+print(f"{'x0':>9} {'v0':>9} {'energy':>11} {'max |x|':>10} {'drift/gap':>10} {'trapped':>8}")
 for r in rep.records:
     print(f"{r.x0:>9.4f} {r.v0:>9.5f} {r.energy:>11.3e} "
-          f"{r.max_excursion:>10.6f} {str(r.trapped):>8}")
+          f"{r.max_excursion:>10.6f} {r.energy_drift / rep.gap(r):>10.1e} {str(r.trapped):>8}")
 print(f"all trapped: {rep.all_trapped}")
+print(f"worst energy drift: {max(r.energy_drift / rep.gap(r) for r in rep.records):.1e} of the "
+      f"gap below the barrier (a trapped run may drift by {TRAP_DRIFT_FRACTION:g})")
 
 print("\nthe 2-d variant: the x coordinate still decouples and stays trapped,")
 print("while the y coordinate is repelled and runs away:")

@@ -177,6 +177,8 @@ def test_criterion_9_stability_contrast():
     for r in rep.records:
         assert r.energy < barrier.height
     margin = barrier.x_right - max(r.max_excursion for r in rep.records)
+    drift = max(r.energy_drift / rep.gap(r) for r in rep.records)
     print(f"PASS 9 stability contrast: barrier {barrier.height:.3e} at "
           f"|x| = {barrier.x_right:.6f}; 10 sub-barrier motions trapped over "
-          f"t in [0, 1e3] (closest approach margin {margin:.3e})")
+          f"t in [0, 1e3] (closest approach margin {margin:.3e}, worst energy "
+          f"drift/gap {drift:.1e})")
