@@ -39,7 +39,6 @@ from .dynamics import (
     confinement_check,
     energy_audit,
     family_from_runs,
-    halving_error,
     integrate_newton,
     integrate_rescaled,
     run_family,

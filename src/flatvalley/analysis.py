@@ -310,11 +310,16 @@ def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
 def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     """Extract the limit curve and its convergence diagnostic.
 
-    Needs at least 3 members.  The default ``tol_limit`` is
-    :func:`limit_tolerance` of the family.
+    Needs at least 3 members and 5 output nodes, the nodes c - 2 to c + 2
+    of the xdot(0) stencil about the middle node c.  The default
+    ``tol_limit`` is :func:`limit_tolerance` of the family.
     """
     if family.count < 3:
         raise InvalidParameterError("limit extraction needs at least 3 family members")
+    if len(family.tau) < 5:
+        raise InvalidParameterError(
+            f"limit extraction needs at least 5 output nodes (n_out >= 5) for its xdot(0) "
+            f"stencil, got n_out = {len(family.tau)}")
     fld = family.potential.field
     eps = family.epsilons
     members = family.members

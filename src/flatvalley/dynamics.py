@@ -11,11 +11,11 @@ from; conservation of H = |xd|^2/2 + U/eps^2 gives sharp a-priori bounds
 (speed, sublevel confinement, ball confinement) that every run is audited
 against.
 
-Runs are batched: ``rescaled_many`` (both halves of every member of a
-family, and for a family the physical twin and the step-error companion
-of every member) and
-``newton_many`` (physical runs) make one lockstep call of
-``integrators.integrate`` each, and a single run is a batch of one.
+Each kind of run makes one lockstep call of ``integrators.integrate``:
+:func:`family_from_runs` (both halves, the physical twin and the
+step-error companion of every member), :func:`integrate_rescaled` (both
+halves of one run) and :func:`newton_many` (physical runs, a single one
+being a batch of one).
 
 The twin of member j is the physical run from (p, eps_j v) to T/eps_j on
 the member's forward output grid scaled by 1/eps_j.  It takes the member's
@@ -230,35 +230,18 @@ def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, floa
     return m, spacing / m, intervals * m
 
 
-def _lockstep(potential, x0, v0, scale, snaps, opts: IntegratorOptions, dense: bool,
-              observe=None):
-    """One ``integrate`` call over rows under xdd = -scale grad U, the row r
-    stepping as ``snaps[r]`` = (m, dt, steps) says: per-row (X, V), every
-    state of a ``dense`` call and every m-th (the output nodes) otherwise,
-    and {row: BlowUpError}.  ``observe`` sees every state (see
-    ``integrate``)."""
+def _lockstep(potential, rows, opts: IntegratorOptions, dense: bool, observe=None):
+    """One ``integrate`` call over ``rows`` of (x0, v0, scale, (m, dt,
+    steps)), row r solving xdd = -scale grad U from (x0, v0) for ``steps``
+    steps of ``dt``: per-row (X, V), every state of a ``dense`` call and
+    every m-th (the output nodes) otherwise, and {row: BlowUpError}.
+    ``observe`` sees every state (see ``integrate``)."""
+    x0, v0, scale, snaps = zip(*rows)
     steps = [s for _, _, s in snaps]
     return integrate(potential.gradient_many, x0, v0, [dt for _, dt, _ in snaps],
                      max(steps), steps=steps, scale=-np.asarray(scale, dtype=float),
                      stride=1 if dense else [m for m, _, _ in snaps], observe=observe,
                      method=opts.method, blowup_radius=BLOWUP_RADIUS)
-
-
-def _newton_snaps(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
-                  intervals: int, step_factors: Sequence[float]) -> List[Tuple[int, float, int]]:
-    """The (m, dt, steps) of physical runs from ``starts[i]`` to ``t_ends[i]``
-    on ``intervals`` output intervals at a step of at most ``step_factors[i]``,
-    each checked before any run starts."""
-    snaps = []
-    for s0, t_end, factor in zip(starts, t_ends, step_factors):
-        if not math.isfinite(t_end):
-            raise InvalidParameterError(f"the horizon t_end must be finite, got {t_end:g}")
-        if t_end <= 0:
-            raise InvalidParameterError("t_end must be positive")
-        if s0.x.size != potential.dim:
-            raise InvalidParameterError("initial state dimension does not match the potential")
-        snaps.append(_snap_step(t_end / intervals, factor, intervals))
-    return snaps
 
 
 def _run(kind: str, eps, first: int, spacing: float, X: Array, V: Array, snap,
@@ -280,42 +263,39 @@ def _run(kind: str, eps, first: int, spacing: float, X: Array, V: Array, snap,
 
 def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float],
                 opts: IntegratorOptions = IntegratorOptions(),
-                epsilons: Optional[Sequence[Optional[float]]] = None,
                 observe=None) -> List[Trajectory]:
     """Integrate xdd = -grad U on [0, t_ends[i]] from each ``starts[i]``, all
-    runs in one lockstep call; ``epsilons[i]`` labels run i.
+    runs in one lockstep call.
 
     The runs are dense, unless ``observe`` (an ``integrate`` observer, run
     i being row i) reads their internal states as they are made: then the
-    runs keep only their output nodes.  Raises the BlowUpError of the
-    first run that fails, the error a loop of :func:`integrate_newton`
-    stops at.
+    runs keep only their output nodes.  Every run is checked before any
+    starts.  Raises the BlowUpError of the first run that fails, the error
+    a loop of :func:`integrate_newton` stops at.
     """
     intervals = opts.n_out - 1
-    snaps = _newton_snaps(potential, starts, t_ends, intervals,
-                          [opts.step_factor] * len(starts))
+    rows = []
+    for s0, t_end in zip(starts, t_ends):
+        if not math.isfinite(t_end):
+            raise InvalidParameterError(f"the horizon t_end must be finite, got {t_end:g}")
+        if t_end <= 0:
+            raise InvalidParameterError("t_end must be positive")
+        if s0.x.size != potential.dim:
+            raise InvalidParameterError("initial state dimension does not match the potential")
+        rows.append((s0.x, s0.v, 1.0, _snap_step(t_end / intervals, opts.step_factor,
+                                                 intervals)))
     dense = observe is None
-    Xs, Vs, failures = _lockstep(potential, [s0.x for s0 in starts], [s0.v for s0 in starts],
-                                 1.0, snaps, opts, dense, observe)
+    Xs, Vs, failures = _lockstep(potential, rows, opts, dense, observe)
     if failures:
         raise failures[min(failures)]
-    labels = [None] * len(starts) if epsilons is None else epsilons
-    return [_run("physical", eps, 0, t_end / intervals, X, V, snap, dense)
-            for snap, t_end, X, V, eps in zip(snaps, t_ends, Xs, Vs, labels)]
+    return [_run("physical", None, 0, t_end / intervals, X, V, row[3], dense)
+            for row, t_end, X, V in zip(rows, t_ends, Xs, Vs)]
 
 
 def integrate_newton(potential, s0: PhaseState, t_end: float,
-                     opts: IntegratorOptions = IntegratorOptions(),
-                     epsilon: Optional[float] = None) -> Trajectory:
+                     opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
     """Integrate xdd = -grad U(x) on [0, t_end] from the given state."""
-    return newton_many(potential, [s0], [t_end], opts, [epsilon])[0]
-
-
-def _check_schedule(T: float, epsilons: Sequence[float]) -> None:
-    if T <= 0:
-        raise InvalidParameterError("horizon T must be positive")
-    if not all(float(eps) > 0 for eps in epsilons):
-        raise InvalidParameterError("eps must be positive")
+    return newton_many(potential, [s0], [t_end], opts)[0]
 
 
 def member_step_factors(T: float, epsilons: Sequence[float],
@@ -329,7 +309,10 @@ def member_step_factors(T: float, epsilons: Sequence[float],
     of the family's steps on its finest members.  A factor is at most GROWTH
     times member 0's effective factor dt_0/eps_0.
     """
-    _check_schedule(T, epsilons)
+    if T <= 0:
+        raise InvalidParameterError("horizon T must be positive")
+    if not all(float(eps) > 0 for eps in epsilons):
+        raise InvalidParameterError("eps must be positive")
     half = (opts.n_out - 1) // 2
     eps0 = float(epsilons[0])
     base = _snap_step(T / half, opts.step_factor * eps0, half)[1] / eps0
@@ -346,146 +329,38 @@ def member_steps(T: float, epsilons: Sequence[float],
             for eps, factor in zip(epsilons, member_step_factors(T, epsilons, opts))]
 
 
-def rescaled_many(potential, p, v, T: float, epsilons: Sequence[float],
-                  step_factors: Sequence[float], opts: IntegratorOptions = IntegratorOptions(),
-                  family: bool = False, audits: Optional["RunAudits"] = None,
-                  dense: bool = False
-                  ) -> Tuple[List[Optional[Trajectory]], Dict[int, BlowUpError],
-                             List[Trajectory], Dict[int, BlowUpError], Array]:
-    """Integrate xdd = -(1/eps_j^2) grad U(x) on [-T, T] from (p, v) at the
-    internal step ``step_factors[j] * eps_j``, both halves of every run in
-    one lockstep call.
-
-    A run keeps only its output nodes (its ``*_int`` arrays are its node
-    arrays), unless ``dense``: then it keeps every internal state, as
-    :func:`integrate_rescaled` returns it, written as the call makes them
-    into one array per run.  ``audits``, a :class:`RunAudits` of the same
-    epsilons, is fed every internal state of both halves of run j, as its
-    run j, while the lockstep call makes them, so no run has to keep its
-    states for its audit.
-
-    With ``family``, two more rows per run ride in the same call.  The
-    physical twin j solves xdd = -grad U from (p, eps_j v) to T/eps_j at a
-    step of at most ``step_factors[j]``, on the forward half's ``half``
-    output intervals (spacing (T/eps_j)/half).  Its nodes are those of the
-    :func:`integrate_newton` run to T/eps_j with n_out = half + 1, bit for
-    bit; it takes the step count of run j, so the lockstep loop runs no
-    longer, and its node i is the physical state at the time of run j's
-    node half + i.  The companion j is run j's forward half at ceil(m_j/2)
-    substeps per output interval (2 when m_j = 1), m_j the run's: the sup
-    distance of its nodes from the forward half's is run j's step error.
-    Twins and companions, like runs, keep only their output nodes.
-
-    Returns (runs, errors, twin_runs, twin_errors, step_errors): the runs
-    and {j: BlowUpError}, each error the one :func:`integrate_rescaled`
-    raises for run j (whose entry is None); then the twins (empty without
-    ``family``) and {j: BlowUpError} of the twins that blew up, each of
-    which keeps the output nodes it reached; then the step errors (empty
-    without ``family``; inf for a run or companion that blew up).  A twin's
-    or a companion's failure touches no run.  Every step count is checked
-    against MAX_STEPS before any run starts.
-    """
-    _check_schedule(T, epsilons)
+def _halves(potential, p, v, T: float, epsilons: Sequence[float], opts: IntegratorOptions):
+    """p and v as arrays, and the lockstep rows (x0, v0, scale, (m, dt,
+    steps)) of the rescaled runs from (p, v) on [-T, T], one per eps, each
+    at its :func:`member_steps` step: row 2j is run j's forward half from
+    (p, v), row 2j + 1 its backward half from (p, -v), both under xdd =
+    -(1/eps_j^2) grad U.  Every step count is checked against MAX_STEPS
+    before any run starts."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.shape != (potential.dim,) or v.shape != (potential.dim,):
         raise InvalidParameterError("p and v must match the potential dimension")
     half = (opts.n_out - 1) // 2
-    spacing = T / half
-    count = len(epsilons)
-    snaps, scales = [], []
-    for eps, factor in zip(epsilons, step_factors):
-        eps = float(eps)
-        snap = _snap_step(spacing, factor * eps, half)
-        snaps += [snap, snap]  # the forward half from (p, v), the backward from (p, -v)
-        scales += [1.0 / (eps * eps)] * 2
-    x0s, v0s = [p] * len(snaps), [v, -v] * count
-    if family:  # rows 2 count + j: the twins; rows 3 count + j: the companions
-        starts = [PhaseState(p, float(eps) * v) for eps in epsilons]
-        t_ends = [T / float(eps) for eps in epsilons]
-        snaps += _newton_snaps(potential, starts, t_ends, half, step_factors)
-        scales += [1.0] * count
-        x0s += [s0.x for s0 in starts]
-        v0s += [s0.v for s0 in starts]
-        for j in range(count):
-            m = snaps[2 * j][0]
-            c = 2 if m == 1 else (m + 1) // 2
-            # a step between spacing/c and spacing/(c - 1/2) snaps to c substeps
-            snaps.append(_snap_step(spacing, spacing / (c - 0.5), half))
-        scales += scales[:2 * count:2]  # each companion at its run's scale
-        x0s += [p] * count
-        v0s += [v] * count
-    if dense:  # run j's states, the backward half reversed, its state 0 the forward half's
-        x_dense = [np.empty((2 * snaps[2 * j][2] + 1, potential.dim)) for j in range(count)]
-        v_dense = [np.empty_like(x) for x in x_dense]
+    batch = []
+    for eps, (m, dt) in zip(epsilons, member_steps(T, epsilons, opts)):
+        scale = 1.0 / (float(eps) * float(eps))
+        batch += [(p, v, scale, (m, dt, half * m)), (p, -v, scale, (m, dt, half * m))]
+    return p, v, batch
 
-    def observe(rows, first, X, V, due):
-        # row 2j is run j's forward half, row 2j + 1 its backward half, whose
-        # steps count down from 0 and whose velocities are negated
-        member = [c for c, r in enumerate(rows.tolist()) if r < 2 * count and due[c]]
-        if dense:
-            for c in member:
-                j, back = divmod(int(rows[c]), 2)
-                mid, lo = snaps[2 * j][2], int(back and first == 0)
-                if back:
-                    if lo < due[c]:
-                        at = slice(mid - first - due[c] + 1, mid - first - lo + 1)
-                        x_dense[j][at] = X[lo:due[c], c][::-1]
-                        v_dense[j][at] = -V[lo:due[c], c][::-1]
-                else:
-                    x_dense[j][mid + first:mid + first + due[c]] = X[:due[c], c]
-                    v_dense[j][mid + first:mid + first + due[c]] = V[:due[c], c]
-        if audits is None:
-            return
-        for length in set(due[c] for c in member):  # one length but in a row's last chunk
-            # the audited quantities are even in v
-            cols = [c for c in member if due[c] == length]
-            rs = rows[cols]
-            k = (1 - 2 * (rs % 2))[:, None] * (first + np.arange(length))
-            audits.feed(rs // 2, k, X[:length].transpose(1, 0, 2)[cols],
-                        V[:length].transpose(1, 0, 2)[cols], [snaps[r][1] for r in rs],
-                        [snaps[r][0] for r in rs])
 
-    # every row keeps its nodes; a dense run's states reach it through the observer
-    Xs, Vs, failures = _lockstep(potential, x0s, v0s, scales, snaps, opts, dense=False,
-                                 observe=observe if dense or audits is not None else None)
-    twin_runs, twin_errors = [], {}
-    for j in range(count if family else 0):
-        row, eps = 2 * count + j, float(epsilons[j])
+def _half_error(failures: Dict[int, BlowUpError], j: int, eps) -> Optional[BlowUpError]:
+    """The error of rescaled run j, whose halves are rows 2j and 2j + 1, or
+    None when neither failed.  The forward half runs first in time, so its
+    error is the one reported."""
+    for row, side, sign in ((2 * j, "forward", 1.0), (2 * j + 1, "backward", -1.0)):
         exc = failures.get(row)
         if exc is not None:
-            twin_errors[j] = BlowUpError(
-                f"physical twin j={j} (eps={eps:g}) blew up: {exc}",
-                last_time=exc.last_time, last_state=exc.last_state)
-        twin_runs.append(_run("physical", eps, 0, t_ends[j] / half, Xs[row], Vs[row],
-                              snaps[row], dense=False))
-    runs, errors, step_errors = [], {}, []
-    for j, eps in enumerate(epsilons):
-        # the forward half runs first in time, so its error is the one reported
-        for row, side, sign in ((2 * j, "forward", 1.0), (2 * j + 1, "backward", -1.0)):
-            exc = failures.get(row)
-            if exc is not None and j not in errors:
-                errors[j] = BlowUpError(
-                    f"rescaled run blew up on the {side} half (eps={eps:g}); the solution "
-                    f"exists globally, so this is an integrator failure: {exc}",
-                    last_time=sign * exc.last_time,
-                    last_state=(exc.last_state[0], sign * exc.last_state[1]))
-        if family:
-            companion = 3 * count + j
-            step_errors.append(
-                np.inf if j in errors or companion in failures
-                else float(np.max(np.linalg.norm(Xs[companion] - Xs[2 * j], axis=1))))
-        if j in errors:
-            runs.append(None)
-            continue
-        if dense:
-            x_int, v_int = x_dense[j], v_dense[j]
-        else:
-            x_int = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
-            v_int = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
-            Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
-        runs.append(_run("rescaled", eps, -half, spacing, x_int, v_int, snaps[2 * j], dense))
-    return runs, errors, twin_runs, twin_errors, np.array(step_errors)
+            return BlowUpError(
+                f"rescaled run blew up on the {side} half (eps={eps:g}); the solution "
+                f"exists globally, so this is an integrator failure: {exc}",
+                last_time=sign * exc.last_time,
+                last_state=(exc.last_state[0], sign * exc.last_state[1]))
+    return None
 
 
 def integrate_rescaled(potential, p, v, eps: float, T: float,
@@ -494,18 +369,40 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     run, with every internal state.
 
     The backward half is obtained by running forward from (p, -v) and
-    reflecting time, so a single stepper code path covers both halves.
-    The solution exists globally for every eps; a blow-up therefore means
-    the step size failed to resolve the stiffness and is reported as an
-    integrator failure.  A family member at the same eps and horizon has
-    this run's nodes, bit for bit, when the options carry the member's
-    factor from :func:`member_step_factors`.
+    reflecting time, so a single stepper code path covers both halves; the
+    lockstep call runs both and writes their states, as it makes them,
+    into one array.  The solution exists globally for every eps; a blow-up
+    therefore means the step size failed to resolve the stiffness and is
+    reported as an integrator failure.  A family member at the same eps and
+    horizon has this run's nodes, bit for bit, when the options carry the
+    member's factor from :func:`member_step_factors`.
     """
-    runs, errors, *_ = rescaled_many(potential, p, v, T, [eps], [opts.step_factor], opts,
-                                     dense=True)
-    if errors:
-        raise errors[0]
-    return runs[0]
+    _, _, batch = _halves(potential, p, v, T, [eps], opts)
+    half, snap = (opts.n_out - 1) // 2, batch[0][3]
+    mid = snap[2]  # the index of tau = 0: the backward half reversed comes first
+    x_int = np.empty((2 * mid + 1, potential.dim))
+    v_int = np.empty_like(x_int)
+
+    def observe(rows, first, X, V, due):
+        # row 1, the backward half, counts its steps down from 0 and has its
+        # velocities negated; its state 0 is the forward half's
+        for c, r in enumerate(rows.tolist()):
+            if r == 0:
+                x_int[mid + first:mid + first + due[c]] = X[:due[c], c]
+                v_int[mid + first:mid + first + due[c]] = V[:due[c], c]
+                continue
+            lo = int(first == 0)
+            if lo < due[c]:
+                at = slice(mid - first - due[c] + 1, mid - first - lo + 1)
+                x_int[at] = X[lo:due[c], c][::-1]
+                v_int[at] = -V[lo:due[c], c][::-1]
+
+    # each half keeps its nodes; the run's states reach it through the observer
+    _, _, failures = _lockstep(potential, batch, opts, dense=False, observe=observe)
+    exc = _half_error(failures, 0, eps)
+    if exc is not None:
+        raise exc
+    return _run("rescaled", eps, -half, T / half, x_int, v_int, snap, dense=True)
 
 
 @dataclass(eq=False)
@@ -761,11 +658,11 @@ class FamilyResult:
     :func:`integrate_rescaled` at its eps, the horizon and the options with
     its :func:`member_step_factors` factor.
     ``twins[j]`` is the physical run from (p, eps_j v) to T/eps_j that was
-    integrated beside member j (see :func:`rescaled_many`); a twin that blew
-    up ends early and has its error in ``twin_errors``.  Member j steps at
-    ``members[j].dt``, ``substeps[j]`` steps per output interval (see
-    :func:`member_step_factors`), and ``step_errors[j]`` is the sup node
-    distance of its forward half from the same run at half its substeps.
+    integrated beside member j (see :func:`family_from_runs`); a twin that
+    blew up ends early and has its error in ``twin_errors``.  Member j steps
+    at ``members[j].dt``, ``substeps[j]`` steps per output interval (see
+    :func:`member_steps`), and ``step_errors[j]`` is the sup node distance
+    of its forward half from the same run at half its substeps.
     """
 
     potential: CompositePotential
@@ -803,34 +700,84 @@ class FamilyResult:
 
 def family_from_runs(potential, p, v, T, epsilons,
                      opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
-    """Integrate one rescaled run per eps at its :func:`member_step_factors`
-    step, its physical twin and its step-error companion, all in one
-    lockstep call, and audit every internal state of each run as it is made.
+    """Integrate one rescaled run per eps at its :func:`member_steps` step,
+    its physical twin and its step-error companion, all in one lockstep
+    call, and audit every internal state of each run as it is made.
+
+    Rows 2j and 2j + 1 of the call are member j's halves.  Row 2 count + j,
+    the twin, solves xdd = -grad U from (p, eps_j v) to T/eps_j on the
+    forward half's ``half`` output intervals at the member's m_j substeps
+    per interval: it takes the member's step count, so the lockstep loop
+    runs no longer, its nodes are those of the :func:`integrate_newton` run
+    to T/eps_j with n_out = half + 1 at the member's factor, bit for bit,
+    and its node i is the physical state at the time of member j's node
+    half + i.  Row 3 count + j, the companion, is member j's forward half
+    at ceil(m_j/2) substeps per interval (2 when m_j = 1): the sup distance
+    of its nodes from the forward half's is member j's step error (inf when
+    the companion blew up).  Every row keeps only its output nodes.
 
     A family any of whose members would take more than MAX_STEPS steps
     fails before any member runs; a failing member aborts the family with
-    the lowest failing index attached.  A failing twin never does: its
-    error waits in ``twin_errors`` for the certificate stage.
+    the lowest failing index attached.  A failing twin or companion touches
+    no member: a twin keeps the nodes it reached, and its error waits in
+    ``twin_errors`` for the certificate stage.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
     epsilons = np.asarray(list(epsilons), dtype=float)
+    p, v, batch = _halves(potential, p, v, T, epsilons, opts)
+    count, half = len(epsilons), (opts.n_out - 1) // 2
+    spacing = T / half
+    forward = batch[::2]
+    batch += [(p, float(eps) * v, 1.0, (m, T / float(eps) / half / m, half * m))
+              for eps, (_, _, _, (m, _, _)) in zip(epsilons, forward)]
+    for _, _, scale, (m, _, _) in forward:
+        c = 2 if m == 1 else (m + 1) // 2
+        batch.append((p, v, scale, (c, spacing / c, half * c)))
     audits = RunAudits(potential, epsilons, p, v, opts.n_out)
-    members, errors, twins, twin_errors, step_errors = rescaled_many(
-        potential, p, v, T, epsilons, member_step_factors(T, epsilons, opts), opts,
-        family=True, audits=audits)
-    if errors:
-        j = min(errors)
-        exc = errors[j]
-        raise BlowUpError(
-            f"family member j={j} (eps={epsilons[j]:g}) failed: {exc}",
-            last_time=exc.last_time, last_state=exc.last_state) from exc
+
+    def observe(rows, first, X, V, due):
+        # the members' halves feed their audits as run j; row 2j + 1, the
+        # backward half, counts its steps down from 0, and the audited
+        # quantities are even in v
+        member = [c for c, r in enumerate(rows.tolist()) if r < 2 * count and due[c]]
+        for length in set(due[c] for c in member):  # one length but in a row's last chunk
+            cols = [c for c in member if due[c] == length]
+            rs = rows[cols]
+            k = (1 - 2 * (rs % 2))[:, None] * (first + np.arange(length))
+            audits.feed(rs // 2, k, X[:length].transpose(1, 0, 2)[cols],
+                        V[:length].transpose(1, 0, 2)[cols], [batch[r][3][1] for r in rs],
+                        [batch[r][3][0] for r in rs])
+
+    Xs, Vs, failures = _lockstep(potential, batch, opts, dense=False, observe=observe)
+    for j, eps in enumerate(epsilons):
+        exc = _half_error(failures, j, eps)
+        if exc is not None:
+            raise BlowUpError(
+                f"family member j={j} (eps={eps:g}) failed: {exc}",
+                last_time=exc.last_time, last_state=exc.last_state) from exc
+    members, twins, twin_errors, step_errors = [], [], {}, []
+    for j, eps in enumerate(epsilons):
+        twin, companion = 2 * count + j, 3 * count + j
+        exc = failures.get(twin)
+        if exc is not None:
+            twin_errors[j] = BlowUpError(
+                f"physical twin j={j} (eps={eps:g}) blew up: {exc}",
+                last_time=exc.last_time, last_state=exc.last_state)
+        twins.append(_run("physical", float(eps), 0, T / float(eps) / half, Xs[twin], Vs[twin],
+                          batch[twin][3], dense=False))
+        step_errors.append(
+            np.inf if companion in failures
+            else float(np.max(np.linalg.norm(Xs[companion] - Xs[2 * j], axis=1))))
+        x_nodes = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
+        v_nodes = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
+        Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
+        members.append(_run("rescaled", eps, -half, spacing, x_nodes, v_nodes, batch[2 * j][3],
+                            dense=False))
     return FamilyResult(
         potential=potential, p=p, v=v, horizon=float(T), options=opts,
         epsilons=epsilons, tau=members[0].tau, members=members,
-        energies=[audits.energy(j) for j in range(len(epsilons))],
-        bounds=[audits.bounds(j) for j in range(len(epsilons))],
-        twins=twins, twin_errors=twin_errors, step_errors=step_errors,
+        energies=[audits.energy(j) for j in range(count)],
+        bounds=[audits.bounds(j) for j in range(count)],
+        twins=twins, twin_errors=twin_errors, step_errors=np.array(step_errors),
     )
 
 
@@ -839,21 +786,3 @@ def run_family(scenario: Scenario) -> FamilyResult:
     return family_from_runs(scenario.potential, scenario.p, scenario.v, scenario.horizon,
                             scenario.epsilons, scenario.options)
 
-
-def halving_error(potential, p, v, eps: float, T: float,
-                  opts: IntegratorOptions = IntegratorOptions()) -> float:
-    """Sup-norm change of a rescaled run when its substeps per output interval double.
-
-    A cheap a-posteriori discretization error estimate used by the
-    two-route consistency checks; it compares nodes, so both runs keep only
-    their nodes.
-    """
-    half = (opts.n_out - 1) // 2
-    m = _snap_step(T / half, opts.step_factor * eps, half)[0]
-    # a step between spacing/(2m) and spacing/(2m - 1) snaps to 2m substeps
-    fine_factor = T / half / (2 * m - 0.5) / eps
-    (coarse, fine), errors, *_ = rescaled_many(potential, p, v, T, [eps, eps],
-                                               [opts.step_factor, fine_factor], opts)
-    if errors:
-        raise errors[min(errors)]
-    return float(np.max(np.linalg.norm(coarse.x - fine.x, axis=1)))

@@ -107,12 +107,11 @@ def certificate_payload(cert) -> dict:
     return dict(vars(cert))
 
 
-def convergence_payload(report, limit=None) -> dict:
+def convergence_payload(report, limit) -> dict:
     payload = dict(vars(report))
-    if limit is not None:
-        payload["initial_velocity_error"] = limit.initial_velocity_error
-        payload["source_epsilon"] = limit.source_epsilon
-        payload["verified"] = limit.verified
+    payload["initial_velocity_error"] = limit.initial_velocity_error
+    payload["source_epsilon"] = limit.source_epsilon
+    payload["verified"] = limit.verified
     return payload
 
 
@@ -125,7 +124,8 @@ def revalidate_from_dir(out_dir) -> dict:
     displacements (re-derived from the physical end states) included.  The
     ``member_steps`` check re-derives every member's ``dt`` and
     ``substeps`` in ``report.json["family"]`` from ``report.json["scenario"]``
-    through :func:`flatvalley.dynamics.member_step_factors`.
+    through :func:`flatvalley.dynamics.member_step_factors`, and the
+    ``finite`` check fails on any non-finite cell of the CSVs it reads.
     Returns a dict with an ``ok`` flag and the per-check booleans, or
     ``ok: False`` and a ``reason`` when a file is missing or malformed;
     never re-runs any integration and never raises on what the files hold.
@@ -137,9 +137,11 @@ def revalidate_from_dir(out_dir) -> dict:
         if not cert or cert.get("verdict") != "UNSTABLE":
             return {"ok": False, "reason": "no UNSTABLE certificate in report.json"}
         n = len(cert["p"])
+        tables = []
 
         def columns(name):
             cols = read_csv_columns(os.path.join(out_dir, name))
+            tables.append(cols)
             return cols, np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
 
         limit_cols, limit_x = columns("limit.csv")
@@ -149,6 +151,8 @@ def revalidate_from_dir(out_dir) -> dict:
                                    dict(zip(evidence_cols["j"].tolist(), ends)),
                                    report["family"]["energy_drifts"],
                                    [cols["H"] for cols, _ in members])
+        checks["finite"] = all(bool(np.all(np.isfinite(column)))
+                               for cols in tables for column in cols.values())
         scn, fam = report["scenario"], report["family"]
         opts = IntegratorOptions(method=scn["integrator"], step_factor=scn["step_factor"],
                                  n_out=scn["n_out"])

@@ -161,9 +161,11 @@ def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
     checks = fv.check_certificate(claims, *args)
     assert all(checks.values())
     # the files also answer for the steps report.json claims, which the
-    # in-memory family is the source of
+    # in-memory family is the source of, and for every cell they hold being
+    # finite
     file_checks = revalidate_from_dir(circle_run_dir.path)["checks"]
     assert file_checks.pop("member_steps") is True
+    assert file_checks.pop("finite") is True
     assert checks == file_checks
     evidence = claims["evidence"]
     # every member from j0 on needs an evidence row

@@ -567,6 +567,36 @@ def test_file_revalidation_rejects_malformed_runs(circle_run_dir, tmp_path, edit
     assert result["ok"] is False and result["reason"]
 
 
+@pytest.mark.parametrize("name, column", [
+    ("limit.csv", "x0"), ("traj_eps0.csv", "v0"), ("evidence.csv", "t"),
+])
+def test_file_revalidation_rejects_non_finite_cells(circle_run_dir, tmp_path, name, column):
+    # the first row of limit.csv and traj_eps0.csv lies at tau = -T < 0, and
+    # no other check reads these cells
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    lines = (clone / name).read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index(column)] = "nan"
+    lines[1] = ",".join(cells)
+    (clone / name).write_text("\n".join(lines) + "\n")
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False
+    assert [check for check, ok in result["checks"].items() if not ok] == ["finite"]
+
+
+@pytest.mark.parametrize("command", ["limit", "certify"])
+def test_too_few_output_nodes_for_the_limit_is_one_error_line(tmp_path, capsys, command):
+    # n_out = 3 is a valid family grid, but the xdot(0) stencil reads 5 nodes
+    with open(CIRCLE) as fh:
+        path = _write(tmp_path, "coarse.json", dict(json.load(fh), n_out=3))
+    assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "out"),
+                     "--no-svg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidParameterError") and "at least 5 output nodes" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["residual", "--member", "10"],
     ["residual", "--member", "-1"],
@@ -755,6 +785,26 @@ def test_member_0_file_is_unchanged(tmp_path, name):
     fv.run_pipeline(scn, str(tmp_path), svg=False, stages=("family",))
     digest = hashlib.sha256((tmp_path / "traj_eps0.csv").read_bytes()).hexdigest()
     assert digest == MEMBER_0_DIGESTS[name]
+
+
+# sha256 of report.json from run_pipeline(..., svg=False) over all four
+# stages on each shipped scenario: a change that claims to keep the verdicts
+# and the numbers keeps these bytes
+REPORT_DIGESTS = {
+    "circle": "b19cb337927e2aeb5940c8aca8c36a500ced8e1fd637e7e317807a49d6a53568",
+    "gutter": "4fece058bc01763364e1f6276535607d9ceb0377c6ec2e343ed828237dec7fe2",
+    "ellipsoid": "584ba9a3270626ddc58e8fd5df6d2c72fefb0edb79c47f30a4c5481e4bcde8b9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_json_is_unchanged(tmp_path, name):
+    import hashlib
+
+    scn = fv.parse_scenario(os.path.join(os.path.dirname(CIRCLE), f"{name}.json"))
+    assert fv.run_pipeline(scn, str(tmp_path), svg=False).exit_code == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS[name]
 
 
 def test_report_records_each_members_step(circle_run_dir):

@@ -90,7 +90,10 @@ def test_two_route_consistency():
     sup = 0.0
     for i in range(0, len(phys.tau), 2):
         sup = max(sup, float(np.linalg.norm(phys.x[i] - direct.x[c + i // 2])))
-    tol = 2.0 * fv.halving_error(C, p, v, eps, T, opts)
+    # the bound: twice the run's change when its substeps per output interval double
+    fine = fv.integrate_rescaled(C, p, v, eps, T, fv.IntegratorOptions(step_factor=0.005))
+    assert fine.steps == 2 * direct.steps
+    tol = 2.0 * float(np.max(np.linalg.norm(direct.x - fine.x, axis=1)))
     assert sup <= max(tol, 1e-12)
 
 
