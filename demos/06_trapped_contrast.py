@@ -8,11 +8,11 @@ The flat-valley potentials have no such barrier along the floor, which is
 exactly the degree of freedom the escape curve exploits.
 """
 import flatvalley as fv
-from flatvalley.contrast import TRAP_DRIFT_FRACTION
+from flatvalley.contrast import BARRIER_WINDOW, TRAP_DRIFT_FRACTION
 
 P = fv.painleve()
-barrier = fv.locate_barrier(P, window=0.25)
-print(f"grid scan of the bump potential on [-0.25, 0.25]:")
+barrier = fv.locate_barrier(P)
+print(f"grid scan of the bump potential on [-{BARRIER_WINDOW:g}, {BARRIER_WINDOW:g}]:")
 print(f"  barrier height {barrier.height:.6e} at x = +-{barrier.x_right:.6f}")
 
 rep = fv.trapped_motion_check(P, barrier, n_traj=5, t_end=500.0)

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .geometry import (  # noqa: F401 (foot_point: flatbench/tracer.py patches it here)
     MChart,
+    MetricMinEstimate,
     flow_steps_for,
     foot_many,
     foot_point,
@@ -68,7 +69,6 @@ class CoordinateTrace:
     rdot: Array
     ydot: Array
     yddot: Array         # NaN at endpoints
-    trajectory: Trajectory
 
 
 def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTrace]:
@@ -92,7 +92,7 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
         yddot[1:-1] = (ys[2:] - 2.0 * ys[1:-1] + ys[:-2]) / (spacing * spacing)
         out.append(CoordinateTrace(
             epsilon=traj.epsilon, tau=traj.tau, r=rvals, y=ys,
-            rdot=rdot, ydot=ydot, yddot=yddot, trajectory=traj))
+            rdot=rdot, ydot=ydot, yddot=yddot))
     return out
 
 
@@ -158,11 +158,9 @@ def _growth(sup_r: Array) -> Array:
 
 
 def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v,
-                             m_estimate) -> CoordinateBoundsReport:
+                             m_estimate: Optional[MetricMinEstimate]) -> CoordinateBoundsReport:
     """The traces' bounds; an ``m_estimate`` of None leaves the velocity diagnostic None."""
-    m_value = getattr(m_estimate, "value", m_estimate)
-    if m_value is not None and m_value <= 0:
-        raise InvalidParameterError("metric minimum must be positive")
+    m_value = None if m_estimate is None else m_estimate.value
     vnorm = float(np.linalg.norm(np.asarray(v, dtype=float)))
     eps = np.array([t.epsilon for t in traces])
     sup_r = np.array([float(np.abs(t.r).max()) for t in traces])

@@ -12,20 +12,20 @@ Scenario files are flat JSON documents::
       "out": "runs/circle"
     }
 
-``simulate``, ``family``, ``limit`` and ``certify`` parse the file once and
-run stages of :func:`run_pipeline` (``family -> coordinates -> limit ->
-certificate``, then ``emit``): ``simulate`` and ``family`` run ``family``
-(``simulate --eps E`` is a family of one member at eps0 = E, under the same
-``min_eps`` cap), ``limit`` runs ``family`` and ``limit``, and ``certify``
-runs all four.  Each writes the files of the stages it ran (traj_eps<j>.csv,
-coords_eps<j>.csv, limit.csv, evidence.csv, figures/*.svg) and report.json
-into ``--out``, else the file's ``out``, else ``out_<name>``.
+``family``, ``limit`` and ``certify`` parse the file once and run stages
+of :func:`run_pipeline` (``family -> coordinates -> limit -> certificate``,
+then ``emit``): ``family`` runs ``family`` (``family --count 1 --eps0 E``
+is the single rescaled run at eps = E), ``limit`` runs ``family`` and
+``limit``, and ``certify`` runs all four.  Each writes the files of the
+stages it ran (traj_eps<j>.csv, coords_eps<j>.csv, limit.csv, evidence.csv,
+figures/*.svg) and report.json into ``--out``, else the file's ``out``,
+else ``out_<name>``.
 
 The family stage integrates every member and its physical twin in one
 lockstep call; the certificate stage reads its evidence off the twins and
 integrates nothing.
 
-Exit codes of all four: 0 when every stage passed (the certificate verdict
+Exit codes of all three: 0 when every stage passed (the certificate verdict
 is UNSTABLE for ``certify``), 2 when a stage's audit stopped the run with an
 INDETERMINATE verdict (a member failed its confinement audit, drifted in
 energy by more than ``dynamics.ENERGY_DRIFT_LIMIT`` = 1e-8 or showed a step
@@ -91,6 +91,7 @@ from .geometry import (
     raise_first,
     residual_convergence,
 )
+from .integrators import METHOD
 from .reporting import (
     bounds_payload,
     certificate_payload,
@@ -103,8 +104,8 @@ from .reporting import (
 )
 from .svgplot import line_plot
 
-#: scenario-file keys that are IntegratorOptions fields, by field name
-_OPTION_KEYS = {"integrator": "method", "step_factor": "step_factor", "n_out": "n_out"}
+#: scenario-file keys that are IntegratorOptions fields of the same name
+_OPTION_KEYS = ("step_factor", "n_out")
 #: scenario-file keys that are Scenario fields of the same name
 _SCENARIO_ARGS = ("horizon", "eps0", "ratio", "count", "min_eps", "out")
 _SCENARIO_KEYS = {"name", "potential", "p", "v", *_OPTION_KEYS, *_SCENARIO_ARGS}
@@ -160,8 +161,7 @@ def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
         v = v - (float(v @ g) / (gn * gn)) * g
     # the file passes only the keys it holds: every default is stated once,
     # in Scenario and IntegratorOptions
-    opts = IntegratorOptions(**{arg: data[key] for key, arg in _OPTION_KEYS.items()
-                                if key in data})
+    opts = IntegratorOptions(**{key: data[key] for key in _OPTION_KEYS if key in data})
     given = {key: data[key] for key in _SCENARIO_ARGS if key in data}
     return Scenario(potential=potential, p=p, v=v, options=opts,
                     name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
@@ -379,7 +379,7 @@ def _scenario_payload(scn: Scenario) -> dict:
         "eps0": scn.eps0,
         "ratio": scn.ratio,
         "count": scn.count,
-        "integrator": scn.options.method,
+        "integrator": METHOD,
         "step_factor": scn.options.step_factor,
         "n_out": scn.options.n_out,
         "slack": SLACK,
@@ -434,13 +434,11 @@ def _scenario_from_args(args) -> Scenario:
         "horizon": args.horizon,
         "step_factor": args.step_factor,
     }
-    if args.command == "simulate":  # a family of one member, at --eps if given
-        overrides.update(count=1, eps0=args.eps if args.eps is not None else args.eps0)
     return parse_scenario(args.scenario, overrides)
 
 
 def _cmd_pipeline(args) -> int:
-    """simulate, family, limit and certify: the command's stages of run_pipeline."""
+    """family, limit and certify: the command's stages of run_pipeline."""
     scn = _scenario_from_args(args)
     report = run_pipeline(scn, args.out or scn.out or f"out_{scn.name}", svg=args.svg,
                           stages=args.stages)
@@ -542,7 +540,7 @@ def _cmd_check(args) -> int:
 def _cmd_gallery(args) -> int:
     potential = gallery_lookup(args.name, {})
     # laloy's first coordinate moves in the painleve bump alone
-    barrier = locate_barrier(gallery_lookup("painleve", {}), window=args.window)
+    barrier = locate_barrier(gallery_lookup("painleve", {}))
     # laloy's second coordinate runs away exponentially: keep its horizon short
     t_end = args.horizon if potential.dim == 1 else min(args.horizon, 12.0)
     rep = trapped_motion_check(potential, barrier, n_traj=args.trajectories, t_end=t_end,
@@ -598,14 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--step-factor", dest="step_factor", type=float, default=None)
     common.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True)
 
-    for name, stages, text in (("simulate", ("family",), "single rescaled run"),
-                               ("family", ("family",), "run the eps family"),
+    for name, stages, text in (("family", ("family",), "run the eps family"),
                                ("limit", ("family", "limit"), "family plus limit extraction"),
                                ("certify", STAGES, "full pipeline")):
         p = sub.add_parser(name, parents=[common], help=text)
         p.set_defaults(fn=_cmd_pipeline, stages=stages)
-        if name == "simulate":
-            p.add_argument("--eps", type=float, default=None)
     p = sub.add_parser("residual", parents=[common],
                        help="tangential equation-of-motion residual")
     p.add_argument("--member", type=int, default=1)
@@ -615,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="field and flow property suite").set_defaults(fn=_cmd_check)
     p = sub.add_parser("gallery", help="stability-contrast demos (trapped orbits)")
     p.add_argument("--name", default="painleve", choices=["painleve", "laloy"])
-    p.add_argument("--window", type=float, default=0.25)
     p.add_argument("--trajectories", type=int, default=10)
     p.add_argument("--horizon", type=float, default=1000.0)
     p.add_argument("--energy-fraction", dest="energy_fraction", type=float, default=0.5)

@@ -23,6 +23,8 @@ from .errors import InvalidParameterError
 
 Array = np.ndarray
 
+#: half-width of the barrier scan: U is scanned on [-BARRIER_WINDOW, BARRIER_WINDOW]
+BARRIER_WINDOW = 0.25
 #: points of the barrier scan
 BARRIER_GRID = 40001
 #: the golden-section search refining each peak stops once its bracket is
@@ -55,8 +57,8 @@ class BarrierInfo:
     height: float
 
 
-def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
-    """Scan U on [-window, window] and return the tallest barrier pair.
+def locate_barrier(potential) -> BarrierInfo:
+    """Scan U on [-BARRIER_WINDOW, BARRIER_WINDOW] and return the tallest barrier pair.
 
     The scan takes the global maximum of U on each side of the origin and
     golden-section refines it to float resolution (BARRIER_XTOL); the
@@ -65,10 +67,7 @@ def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
     """
     if potential.dim != 1:
         raise InvalidParameterError("barrier location is a 1-d diagnostic")
-    if not 0 < 2.0 * window < np.inf:  # the scan spans 2 window
-        raise InvalidParameterError(
-            f"window must be a positive number with a finite span 2 window, got {window!r}")
-    xs = np.linspace(-window, window, BARRIER_GRID)
+    xs = np.linspace(-BARRIER_WINDOW, BARRIER_WINDOW, BARRIER_GRID)
     us = potential.value_many(xs[:, None])
 
     def refine(lo: float, hi: float) -> tuple:
@@ -99,7 +98,7 @@ def locate_barrier(potential, window: float = 0.25) -> BarrierInfo:
     height = min(side["left"][1], side["right"][1])
     if height <= 0:
         raise InvalidParameterError(
-            f"no positive barrier inside the window {window}: peak height {height:g}")
+            f"no positive barrier inside the window {BARRIER_WINDOW}: peak height {height:g}")
     return BarrierInfo(x_left=side["left"][0], x_right=side["right"][0],
                        height=float(height))
 

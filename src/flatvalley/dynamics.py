@@ -64,7 +64,7 @@ import numpy as np
 from .errors import BlowUpError, InvalidParameterError, ScenarioError
 from .fields import CompositePotential
 from .geometry import TOL_CRIT, TOL_ON_M, TOL_TANGENT
-from .integrators import TABLES, integrate
+from .integrators import integrate
 
 Array = np.ndarray
 
@@ -124,7 +124,7 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Stepper choice and resolution knobs.
+    """Resolution knobs of the one stepper, PEFRL (see :mod:`flatvalley.integrators`).
 
     ``step_factor`` is the c in dtau = c * eps for a rescaled run; physical
     runs use dt = c directly, so a rescaled run and its physical twin have
@@ -133,14 +133,10 @@ class IntegratorOptions:
     :func:`member_step_factors` derives from it.
     """
 
-    method: str = "pefrl"
     step_factor: float = 0.01
     n_out: int = 401
 
     def __post_init__(self):
-        if not (isinstance(self.method, str) and self.method in TABLES):
-            raise InvalidParameterError(
-                f"unknown integrator {self.method!r}; known: {sorted(TABLES)}")
         object.__setattr__(self, "step_factor",
                            _number("step_factor", self.step_factor, error=InvalidParameterError))
         object.__setattr__(self, "n_out", _number("n_out", self.n_out, numbers.Integral,
@@ -230,7 +226,7 @@ def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, floa
     return m, spacing / m, intervals * m
 
 
-def _lockstep(potential, rows, opts: IntegratorOptions, dense: bool, observe=None):
+def _lockstep(potential, rows, dense: bool, observe=None):
     """One ``integrate`` call over ``rows`` of (x0, v0, scale, (m, dt,
     steps)), row r solving xdd = -scale grad U from (x0, v0) for ``steps``
     steps of ``dt``: per-row (X, V), every state of a ``dense`` call and
@@ -241,7 +237,7 @@ def _lockstep(potential, rows, opts: IntegratorOptions, dense: bool, observe=Non
     return integrate(potential.gradient_many, x0, v0, [dt for _, dt, _ in snaps],
                      max(steps), steps=steps, scale=-np.asarray(scale, dtype=float),
                      stride=1 if dense else [m for m, _, _ in snaps], observe=observe,
-                     method=opts.method, blowup_radius=BLOWUP_RADIUS)
+                     blowup_radius=BLOWUP_RADIUS)
 
 
 def _run(kind: str, eps, first: int, spacing: float, X: Array, V: Array, snap,
@@ -285,7 +281,7 @@ def newton_many(potential, starts: Sequence[PhaseState], t_ends: Sequence[float]
         rows.append((s0.x, s0.v, 1.0, _snap_step(t_end / intervals, opts.step_factor,
                                                  intervals)))
     dense = observe is None
-    Xs, Vs, failures = _lockstep(potential, rows, opts, dense, observe)
+    Xs, Vs, failures = _lockstep(potential, rows, dense, observe)
     if failures:
         raise failures[min(failures)]
     return [_run("physical", None, 0, t_end / intervals, X, V, row[3], dense)
@@ -398,7 +394,7 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
                 v_int[at] = -V[lo:due[c], c][::-1]
 
     # each half keeps its nodes; the run's states reach it through the observer
-    _, _, failures = _lockstep(potential, batch, opts, dense=False, observe=observe)
+    _, _, failures = _lockstep(potential, batch, dense=False, observe=observe)
     exc = _half_error(failures, 0, eps)
     if exc is not None:
         raise exc
@@ -447,6 +443,29 @@ class BoundsCheck:
     @property
     def passed(self) -> bool:
         return self.speed_ok and self.sublevel_ok and self.ball_ok
+
+    @classmethod
+    def from_maxima(cls, epsilon: float, v_norm: float, max_speed: float,
+                    max_potential: float, max_displacement: float,
+                    worst_ball_ratio: float) -> "BoundsCheck":
+        """The verdicts of a run's maxima against their bounds; a run from
+        rest (v = 0) reads max |x - p| as its ball ratio, which must be 0."""
+        if v_norm == 0.0:
+            worst_ball_ratio = max_displacement
+            ball_ok = worst_ball_ratio == 0.0
+        else:
+            ball_ok = worst_ball_ratio <= 1.0 + SLACK
+        return cls(
+            epsilon=epsilon,
+            v_norm=v_norm,
+            max_speed=max_speed,
+            max_potential=max_potential,
+            max_displacement=max_displacement,
+            worst_ball_ratio=worst_ball_ratio,
+            speed_ok=max_speed <= v_norm * (1.0 + SLACK),
+            sublevel_ok=max_potential <= 0.5 * epsilon * epsilon * v_norm * v_norm * (1.0 + SLACK),
+            ball_ok=ball_ok,
+        )
 
 
 def _squared_norms(a: Array) -> Array:
@@ -518,24 +537,8 @@ class RunAudits:
                             values=self.values[j])
 
     def bounds(self, j: int) -> BoundsCheck:
-        eps, vnorm = float(self.epsilons[j]), self.v_norm
-        max_speed, max_pot, max_disp, worst_ratio = (float(m) for m in self.maxima[j, 1:])
-        if vnorm == 0.0:
-            worst_ratio = max_disp  # must be identically zero
-            ball_ok = worst_ratio == 0.0
-        else:
-            ball_ok = worst_ratio <= 1.0 + SLACK
-        return BoundsCheck(
-            epsilon=eps,
-            v_norm=vnorm,
-            max_speed=max_speed,
-            max_potential=max_pot,
-            max_displacement=max_disp,
-            worst_ball_ratio=worst_ratio,
-            speed_ok=max_speed <= vnorm * (1.0 + SLACK),
-            sublevel_ok=max_pot <= 0.5 * eps * eps * vnorm * vnorm * (1.0 + SLACK),
-            ball_ok=ball_ok,
-        )
+        return BoundsCheck.from_maxima(float(self.epsilons[j]), self.v_norm,
+                                       *(float(m) for m in self.maxima[j, 1:]))
 
 
 def _dense_audit(traj: Trajectory, potential, v, name: str) -> RunAudits:
@@ -747,7 +750,7 @@ def family_from_runs(potential, p, v, T, epsilons,
                         V[:length].transpose(1, 0, 2)[cols], [batch[r][3][1] for r in rs],
                         [batch[r][3][0] for r in rs])
 
-    Xs, Vs, failures = _lockstep(potential, batch, opts, dense=False, observe=observe)
+    Xs, Vs, failures = _lockstep(potential, batch, dense=False, observe=observe)
     for j, eps in enumerate(epsilons):
         exc = _half_error(failures, j, eps)
         if exc is not None:

@@ -549,10 +549,7 @@ def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[
 
     is returned per tangent index k.  It vanishes on exact solutions, so
     what comes back is pure discretization error.
-
-    ``traj`` may be a trajectory or a coordinate trace carrying one.
     """
-    traj = getattr(traj, "trajectory", traj)
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
     H = trace_step if trace_step is not None else 0.5 * float(traj.tau[1] - traj.tau[0])
     if H <= 0:
@@ -589,7 +586,6 @@ def residual_convergence(chart: MChart, traj, tau_samples) -> dict:
     shrink the residual by about 4 when all steps are halved; a factor well
     below that flags a noise floor.
     """
-    traj = getattr(traj, "trajectory", traj)
     H = 0.5 * float(traj.tau[1] - traj.tau[0])
     hf = chart.stencil_step
     coarse = curvilinear_residual(chart, traj, tau_samples, trace_step=H, frame_step=hf)

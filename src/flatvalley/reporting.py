@@ -15,8 +15,10 @@ from typing import Dict, List
 import numpy as np
 
 from .analysis import check_certificate
-from .dynamics import IntegratorOptions, member_steps
+from .dynamics import BoundsCheck, IntegratorOptions, RunAudits, member_steps
 from .errors import FlatValleyError, NonFiniteEvaluationError
+from .fields import gallery_lookup
+from .integrators import METHOD
 
 Array = np.ndarray
 
@@ -115,6 +117,44 @@ def convergence_payload(report, limit) -> dict:
     return payload
 
 
+def _bounds_hold(claims: List[dict], potential, scn: dict, epsilons, steps,
+                members: List[Dict[str, Array]]) -> bool:
+    """The family's confinement claims (``report.json["family"]["bounds"]``)
+    against its member files.
+
+    Member j's output nodes, the columns of its file, are audited by
+    :class:`flatvalley.dynamics.RunAudits` at their step indices (node i at
+    step (i - half) m_j of ``steps[j]``), as the family audited every
+    internal state: the nodes are a subset of those states, so a claimed
+    maximum of |v|, U, |x - p| or the ball ratio below its node maximum is
+    false.  Each claim's verdicts must also hold and follow from its
+    claimed maxima against their SLACK bounds.
+    """
+    def states(var):  # (members, nodes, n)
+        return np.stack([np.stack([cols[f"{var}{i}"] for i in range(len(scn["p"]))], axis=1)
+                         for cols in members])
+
+    x, v = states("x"), states("v")
+    half = (x.shape[1] - 1) // 2
+    m = np.array([m for m, _ in steps])
+    audits = RunAudits(potential, epsilons, scn["p"], scn["v"], x.shape[1])
+    audits.feed(np.arange(len(members)), m[:, None] * np.arange(-half, half + 1), x, v,
+                [dt for _, dt in steps], m)
+    maxima = ("max_speed", "max_potential", "max_displacement", "worst_ball_ratio")
+    verdicts = ("speed_ok", "sublevel_ok", "ball_ok")
+
+    def holds(j, claim):
+        claimed = vars(BoundsCheck.from_maxima(float(epsilons[j]), audits.v_norm,
+                                               *(claim[k] for k in maxima)))
+        at_nodes = vars(audits.bounds(j))
+        # a NaN node maximum exceeds nothing: non-finite cells are the finite check's
+        return (claim["eps"] == epsilons[j]
+                and all(claim[k] is True and claimed[k] for k in verdicts)
+                and not any(at_nodes[k] > claim[k] for k in maxima))
+
+    return len(claims) == len(members) and all(map(holds, range(len(claims)), claims))
+
+
 def revalidate_from_dir(out_dir) -> dict:
     """Re-derive the certificate from the emitted files alone.
 
@@ -124,8 +164,11 @@ def revalidate_from_dir(out_dir) -> dict:
     displacements (re-derived from the physical end states) included.  The
     ``member_steps`` check re-derives every member's ``dt`` and
     ``substeps`` in ``report.json["family"]`` from ``report.json["scenario"]``
-    through :func:`flatvalley.dynamics.member_step_factors`, and the
-    ``finite`` check fails on any non-finite cell of the CSVs it reads.
+    through :func:`flatvalley.dynamics.member_step_factors` (and requires
+    the scenario's integrator to be PEFRL, the one stepper), the
+    ``bounds`` check re-derives the family's confinement claims from the
+    member files (see ``_bounds_hold``), and the ``finite`` check fails
+    on any non-finite cell of the CSVs it reads.
     Returns a dict with an ``ok`` flag and the per-check booleans, or
     ``ok: False`` and a ``reason`` when a file is missing or malformed;
     never re-runs any integration and never raises on what the files hold.
@@ -154,13 +197,16 @@ def revalidate_from_dir(out_dir) -> dict:
         checks["finite"] = all(bool(np.all(np.isfinite(column)))
                                for cols in tables for column in cols.values())
         scn, fam = report["scenario"], report["family"]
-        opts = IntegratorOptions(method=scn["integrator"], step_factor=scn["step_factor"],
-                                 n_out=scn["n_out"])
+        opts = IntegratorOptions(step_factor=scn["step_factor"], n_out=scn["n_out"])
         epsilons = scn["eps0"] * scn["ratio"] ** np.arange(len(cert["epsilons"]))
         steps = member_steps(scn["horizon"], epsilons, opts)
-        checks["member_steps"] = (scn["count"] == len(epsilons)
+        checks["member_steps"] = (scn["integrator"] == METHOD and scn["count"] == len(epsilons)
                                   and [m for m, _ in steps] == fam["substeps"]
                                   and [dt for _, dt in steps] == fam["dt"])
+        spec = scn["potential"]
+        checks["bounds"] = _bounds_hold(
+            fam["bounds"], gallery_lookup(spec["kind"], spec.get("params")), scn, epsilons,
+            steps, [cols for cols, _ in members])
     except OSError as exc:
         return {"ok": False, "reason": f"cannot read the run's files: {exc}"}
     except (LookupError, TypeError, ValueError, AttributeError, FlatValleyError) as exc:

@@ -170,7 +170,7 @@ def test_criterion_8_tangential_residual(circle_bundle):
 
 def test_criterion_9_stability_contrast():
     P = fv.painleve()
-    barrier = fv.locate_barrier(P, window=0.25)
+    barrier = fv.locate_barrier(P)
     rep = fv.trapped_motion_check(P, barrier, n_traj=10, t_end=1e3)
     assert len(rep.records) == 10
     assert rep.all_trapped

@@ -42,7 +42,7 @@ def test_coordinate_bounds_negative_control(circle_bundle):
     traces = circle_bundle.traces
     corrupted = [fv.CoordinateTrace(
         epsilon=t.epsilon, tau=t.tau, r=t.r, y=t.y, rdot=t.rdot,
-        ydot=10.0 * t.ydot, yddot=t.yddot, trajectory=t.trajectory)
+        ydot=10.0 * t.ydot, yddot=t.yddot)
         for t in traces]
     cb = fv.coordinate_bounds_report(corrupted, circle_bundle.scenario.potential,
                                      circle_bundle.scenario.v, circle_bundle.metric)
@@ -160,11 +160,12 @@ def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
             [e.values for e in b.family.energies])
     checks = fv.check_certificate(claims, *args)
     assert all(checks.values())
-    # the files also answer for the steps report.json claims, which the
-    # in-memory family is the source of, and for every cell they hold being
-    # finite
+    # the files also answer for the steps and confinement bounds report.json
+    # claims, which the in-memory family is the source of, and for every
+    # cell they hold being finite
     file_checks = revalidate_from_dir(circle_run_dir.path)["checks"]
     assert file_checks.pop("member_steps") is True
+    assert file_checks.pop("bounds") is True
     assert file_checks.pop("finite") is True
     assert checks == file_checks
     evidence = claims["evidence"]

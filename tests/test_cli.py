@@ -89,8 +89,9 @@ def test_parse_scenario_rejects_plain_potential(tmp_path):
     {"tol_on_m": 5.0},
     {"slack": -1.0},
     {"out": 5},
+    {"integrator": "verlet"},
 ], ids=["p-nan", "horizon-nan", "eps0-inf", "count-string", "count-bool", "tol_on_m",
-        "slack-negative", "out-number"])
+        "slack-negative", "out-number", "integrator"])
 def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     path = _write(tmp_path, "bad.json", dict(BASE, **change))
     code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"), "--no-svg"])
@@ -217,8 +218,10 @@ def test_main_error_exit_code(tmp_path, capsys):
 
 
 def test_main_simulate_family_limit(tiny_scenario_file, tmp_path, capsys):
+    # a single rescaled run is a family of one member
     out = str(tmp_path / "sim")
-    assert cli.main(["simulate", "--scenario", tiny_scenario_file, "--out", out]) == 0
+    assert cli.main(["family", "--count", "1", "--scenario", tiny_scenario_file,
+                     "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "traj_eps0.csv"))
     assert cli.main(["family", "--scenario", tiny_scenario_file, "--out", out]) == 0
     assert cli.main(["limit", "--scenario", tiny_scenario_file, "--out", out]) == 0
@@ -439,8 +442,8 @@ def test_limit_runs_no_coordinates_stage(tmp_path, capsys):
 
 def test_simulate_is_a_one_member_family(tiny_scenario_file, tmp_path, capsys):
     out = tmp_path / "sim"
-    assert cli.main(["simulate", "--scenario", tiny_scenario_file, "--eps", "0.03",
-                     "--out", str(out), "--no-svg"]) == 0
+    assert cli.main(["family", "--count", "1", "--eps0", "0.03", "--scenario",
+                     tiny_scenario_file, "--out", str(out), "--no-svg"]) == 0
     assert _stages_printed(capsys.readouterr().out) == ["family", "emit"]
     scn = fv.parse_scenario(tiny_scenario_file)
     traj = fv.integrate_rescaled(scn.potential, scn.p, scn.v, 0.03, scn.horizon, scn.options)
@@ -448,9 +451,9 @@ def test_simulate_is_a_one_member_family(tiny_scenario_file, tmp_path, capsys):
     write_trajectory_csv(str(direct), traj, fv.energy_audit(traj, scn.potential).values)
     assert (out / "traj_eps0.csv").read_bytes() == direct.read_bytes()
     assert json.loads((out / "report.json").read_text())["scenario"]["count"] == 1
-    # the min_eps cap applies to the simulated eps too
-    assert cli.main(["simulate", "--scenario", tiny_scenario_file, "--eps", "1e-5",
-                     "--out", str(out)]) == 1
+    # the min_eps cap applies to a one-member family too
+    assert cli.main(["family", "--count", "1", "--eps0", "1e-5", "--scenario",
+                     tiny_scenario_file, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ScenarioError")
 
 
@@ -480,16 +483,6 @@ def test_huge_horizon_is_one_error_line(tiny_scenario_file, tmp_path, capsys, ar
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: InvalidParameterError") and reason in err
-    assert len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("window", ["nan", "inf", "1e308"])
-def test_bad_window_is_one_error_line(capsys, window):
-    # 1e308 is finite, but the scan grid from -window to window is not
-    assert cli.main(["gallery", "--window", window, "--trajectories", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: InvalidParameterError")
-    assert "window must be a positive number with a finite span 2 window" in err
     assert len(err.splitlines()) == 1
 
 
@@ -583,6 +576,32 @@ def test_file_revalidation_rejects_non_finite_cells(circle_run_dir, tmp_path, na
     result = revalidate_from_dir(str(clone))
     assert result["ok"] is False
     assert [check for check, ok in result["checks"].items() if not ok] == ["finite"]
+
+
+@pytest.mark.parametrize("tamper", ["v1", "max_speed-low", "max_speed-high", "speed_ok"])
+def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_path, tamper):
+    # the circle's members claim speeds within |v| (1 + slack) = 1 + 1e-6
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    if tamper == "v1":  # a node faster than the claimed maximum
+        lines = (clone / "traj_eps0.csv").read_text().splitlines()
+        cells = lines[10].split(",")
+        cells[lines[0].split(",").index("v1")] = "10.0"
+        lines[10] = ",".join(cells)
+        (clone / "traj_eps0.csv").write_text("\n".join(lines) + "\n")
+    else:
+        report = json.loads((clone / "report.json").read_text())
+        claim = report["family"]["bounds"][0]
+        if tamper == "max_speed-low":  # below the node maximum
+            claim["max_speed"] *= 0.5
+        elif tamper == "max_speed-high":  # past its bound, yet claimed speed_ok
+            claim["max_speed"] = 2.0
+        else:  # a failed verdict claimed beside a certificate
+            claim["speed_ok"] = False
+        (clone / "report.json").write_text(json.dumps(report))
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False
+    assert [check for check, ok in result["checks"].items() if not ok] == ["bounds"]
 
 
 @pytest.mark.parametrize("command", ["limit", "certify"])

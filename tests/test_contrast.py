@@ -13,7 +13,7 @@ from flatvalley.errors import InvalidParameterError
 
 @pytest.fixture(scope="module")
 def barrier():
-    return fv.locate_barrier(fv.painleve(), window=0.25)
+    return fv.locate_barrier(fv.painleve())
 
 
 def test_barrier_location_and_height(barrier):
@@ -34,7 +34,7 @@ def test_barrier_refinement_stops_at_float_resolution():
     P = fv.painleve()
     calls = []
     counted = dataclasses.replace(P, u=lambda x: calls.append(x) or P.u(x))
-    barrier = fv.locate_barrier(counted, window=0.25)
+    barrier = fv.locate_barrier(counted)
     x_peak = 1.0 / (2.25 * np.pi)
     assert abs(barrier.x_right - x_peak) <= 0.5 * BARRIER_XTOL
     assert abs(barrier.x_left + x_peak) <= 0.5 * BARRIER_XTOL

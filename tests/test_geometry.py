@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -244,15 +243,6 @@ def test_residual_rejects_boundary_samples(circle_bundle):
     with pytest.raises(ChartDomainError):
         fv.curvilinear_residual(circle_bundle.chart, circle_bundle.family.members[1],
                                 np.array([1.0]), trace_step=0.01)
-
-
-def test_residual_accepts_coordinate_trace(circle_bundle):
-    taus = np.array([0.1, -0.2])
-    dense = _dense_member(circle_bundle, 1)
-    trace = dataclasses.replace(circle_bundle.traces[1], trajectory=dense)
-    via_trace = fv.curvilinear_residual(circle_bundle.chart, trace, taus)
-    via_traj = fv.curvilinear_residual(circle_bundle.chart, dense, taus)
-    assert np.array_equal(via_trace, via_traj)
 
 
 def test_residual_of_a_member_names_the_dense_run(circle_bundle):
