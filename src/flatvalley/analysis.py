@@ -72,26 +72,36 @@ class CoordinateTrace:
 
 
 def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTrace]:
-    """Read every member through the chart on the family's common grid."""
+    """Read every member through the chart on the family's common grid.
+
+    Every member's nodes are one ``chart.coords_many`` batch, each row at
+    its own member's ``flow_steps_for`` count, so all the foot-point flows
+    march in one lockstep; the batch is then split per member.  The first
+    failed row, in member order, raises, naming its member j and tau.
+    """
     fld = chart.field
+    X = np.concatenate([traj.x for traj in family.members])
+    starts = np.cumsum([0] + [len(traj.x) for traj in family.members])
+    rvals = np.split(fld.value_many(X), starts[1:-1])
+    steps = np.repeat([flow_steps_for(r) for r in rvals], np.diff(starts))
+    _, ys, failures = chart.coords_many(X, steps)
+    if failures:
+        i = min(failures)
+        exc = failures[i]
+        j = int(np.searchsorted(starts, i, side="right")) - 1
+        tau = family.members[j].tau[i - starts[j]]
+        if isinstance(exc, (ChartDomainError, FlowDomainError)):
+            raise ChartDomainError(f"tube violation at member j={j}, tau={tau:g}: {exc}") from exc
+        raise exc
     out = []
     spacing = float(family.tau[1] - family.tau[0])
-    for j, traj in enumerate(family.members):
-        rvals = fld.value_many(traj.x)
-        _, ys, failures = chart.coords_many(traj.x, flow_steps_for(rvals))
-        if failures:
-            i = min(failures)
-            exc = failures[i]
-            if isinstance(exc, (ChartDomainError, FlowDomainError)):
-                raise ChartDomainError(
-                    f"tube violation at member j={j}, tau={traj.tau[i]:g}: {exc}") from exc
-            raise exc
-        rdot = np.gradient(rvals, spacing, edge_order=2)
-        ydot = np.gradient(ys, spacing, axis=0, edge_order=2)
-        yddot = np.full_like(ys, np.nan)
-        yddot[1:-1] = (ys[2:] - 2.0 * ys[1:-1] + ys[:-2]) / (spacing * spacing)
+    for traj, r, y in zip(family.members, rvals, np.split(ys, starts[1:-1])):
+        rdot = np.gradient(r, spacing, edge_order=2)
+        ydot = np.gradient(y, spacing, axis=0, edge_order=2)
+        yddot = np.full_like(y, np.nan)
+        yddot[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (spacing * spacing)
         out.append(CoordinateTrace(
-            epsilon=traj.epsilon, tau=traj.tau, r=rvals, y=ys,
+            epsilon=traj.epsilon, tau=traj.tau, r=r, y=y,
             rdot=rdot, ydot=ydot, yddot=yddot))
     return out
 

@@ -164,7 +164,7 @@ def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
     opts = IntegratorOptions(**{key: data[key] for key in _OPTION_KEYS if key in data})
     given = {key: data[key] for key in _SCENARIO_ARGS if key in data}
     return Scenario(potential=potential, p=p, v=v, options=opts,
-                    name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
+                    name=data.get("name", os.path.splitext(os.path.basename(path))[0]),
                     **given)
 
 

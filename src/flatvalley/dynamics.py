@@ -637,6 +637,8 @@ class Scenario:
                                 f"got {self.count}")
         if not self.min_eps > 0:
             raise ScenarioError(f"min_eps must be positive, got {self.min_eps:g}")
+        if not isinstance(self.name, str):
+            raise ScenarioError(f"name must be a string, got {self.name!r}")
         if not (self.out is None or isinstance(self.out, str)):
             raise ScenarioError(f"out must be a string, got {self.out!r}")
         smallest = self.eps0 * self.ratio ** (self.count - 1)  # the schedule's last entry

@@ -20,14 +20,18 @@ and shared by all of its evaluations.
 
 Batches: every map is one kernel over an (N, n) batch of rows
 (``flow_many``, ``foot_many``, ``MChart.surface_many``/``tube_many``/
-``coords_many``), and the single-point functions are batches of one.  A
-batch shares one flow step count; times, f-values and chart coordinates
-are per row.  Each row rounds exactly as it would alone (elementwise
-arithmetic, ``np.vecdot`` and per-row ``matmul`` only), so a batch and a
-loop of single points agree bit for bit.  A kernel returns its rows and
-``{row: error}`` for the rows that failed, each error what that row alone
-would raise; ``raise_first`` raises the lowest-index one, which is the
-error a loop over the rows would have stopped at.
+``coords_many``), and the single-point functions are batches of one.
+Flow step counts, times, f-values and chart coordinates are per row (a
+scalar count stands for every row).  ``flow_many`` marches the coarse and
+the fine RK4 pass of every row in one lockstep loop, ordered by substep
+count, so a batch costs max(2n) iterations of four gradient batches
+however many rows and counts it holds.  Each row rounds exactly as it
+would alone (elementwise arithmetic, ``np.vecdot`` and per-row ``matmul``
+only), so a batch and a loop of single points agree bit for bit.  A
+kernel returns its rows and ``{row: error}`` for the rows that failed,
+each error what that row alone would raise; ``raise_first`` raises the
+lowest-index one, which is the error a loop over the rows would have
+stopped at.
 """
 from __future__ import annotations
 
@@ -64,6 +68,14 @@ FOOT_MAX_ITER = 50
 #: fixed Newton steps of the chart's graph solve and its residual bound
 CHART_NEWTON_ITERS = 12
 CHART_NEWTON_TOL = 1e-12
+#: largest distance between a foot point and the chart's point over the foot's
+#: chart coordinates.  On one sheet of M the two differ by their solves'
+#: residuals (|f| of about 1e-12) over |grad f|: at most 1.3e-15 on every
+#: shipped node.  Past a fold of the tangent-plane projection the chart's
+#: point lies on another sheet, as far off as the chart is wide (about 2 on
+#: the circle at horizon 3).  1e-6 sits nine orders above the one and six
+#: below the other.
+CHART_FOLD_TOL = 1e-6
 #: largest |f(p)| for a point to count as on the valley floor (scenarios, charts)
 TOL_ON_M = 1e-9
 #: largest cosine between a launch velocity and grad f(p) (scenarios, charts)
@@ -92,24 +104,43 @@ def flow_steps_for(r_values) -> int:
     return default_flow_steps(float(np.max(np.abs(r_values))) + 1e-3)
 
 
-def flow_many(fld, X, t, n_steps: int):
+def flow_many(fld, X, t, n_steps):
     """Flow each row of X along grad f / |grad f|^2 for its own time t[i].
 
-    Fixed-step RK4 with ``n_steps`` substeps shared by the batch, run at n
-    and 2n substeps and Richardson-combined; rows with t = 0 are copied.  A
-    row fails (FlowDomainError) where |grad f| drops to TOL_CRIT, or when
-    its result violates the exact identity f(flow(t, x)) = t + f(x) by more
-    than FLOW_IDENTITY_TOL (1 + |t|), which means its path grazed the
-    critical set.  Returns the flowed rows and {row: error}.
+    Fixed-step RK4 with ``n_steps`` substeps per row (a scalar stands for
+    every row), run at n and 2n substeps and Richardson-combined; rows with
+    t = 0 are copied.  Both passes of every row march in one lockstep loop:
+    the passes are ordered by substep count and a finished pass drops off
+    the end of the live prefix, so the loop runs max(2n) times.  Each pass
+    rounds as it would alone, with its own step t/n or t/2n.  A row fails
+    (FlowDomainError) where |grad f| drops to TOL_CRIT, or when its result
+    violates the exact identity f(flow(t, x)) = t + f(x) by more than
+    FLOW_IDENTITY_TOL (1 + |t|), which means its path grazed the critical
+    set; a row that fails in both passes reports its coarse pass's error.
+    Returns the flowed rows and {row: error}.
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(t, dtype=float)
+    counts = np.broadcast_to(np.asarray(n_steps), t.shape)
+    if counts.dtype.kind not in "iu" or (counts.size and counts.min() < 1):
+        raise InvalidParameterError("per-row flow step counts must be integers of at least 1")
     out = X.copy()
     failures: Dict[int, FlatValleyError] = {}
     rows = np.flatnonzero(t != 0.0)
     if rows.size == 0:
         return out, failures
-    x0, t = X[rows], t[rows]
+    m = rows.size
+    t, counts = t[rows], counts[rows]
+    # passes 0 .. m-1 are the coarse ones, m .. 2m-1 the fine ones
+    n = np.concatenate([counts, 2 * counts])
+    order = np.argsort(-n, kind="stable")
+    h = (np.concatenate([t, t]) / n)[order][:, None]
+    half, sixth = 0.5 * h, h / 6.0
+    n = n[order].tolist()
+    source = rows[order % m]  # the row each pass flows
+    row_of = source.tolist()
+    pass_of = (order >= m).astype(int).tolist()  # 0 coarse, 1 fine
+    errors = ({}, {})  # each pass's first error per row
 
     def rhs(Z):
         G = fld.grad_many(Z)
@@ -118,29 +149,31 @@ def flow_many(fld, X, t, n_steps: int):
             return G / gg[:, None]
         bad = ~(gg > TOL_CRIT * TOL_CRIT)
         for i in np.flatnonzero(bad):
-            failures.setdefault(int(rows[i]), FlowDomainError(
+            errors[pass_of[i]].setdefault(row_of[i], FlowDomainError(
                 f"transversal flow approached the critical set (|grad f|^2 = {gg[i]:.3e})",
                 state=Z[i].copy()))
         K = G / np.where(bad, 1.0, gg)[:, None]
         K[bad] = 0.0  # a failed row stands still
         return K
 
-    def rk4(h, n):
-        h = h[:, None]
-        half, sixth = 0.5 * h, h / 6.0
-        Z = x0
-        for _ in range(n):
-            k1 = rhs(Z)
-            k2 = rhs(Z + half * k1)
-            k3 = rhs(Z + half * k2)
-            k4 = rhs(Z + h * k3)
-            Z = Z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return Z
-
-    coarse = rk4(t / n_steps, n_steps)
-    fine = rk4(t / (2 * n_steps), 2 * n_steps)
+    Z = X[source]
+    live = len(n)
+    for k in range(n[0]):
+        while n[live - 1] <= k:  # finished passes drop off the end of the live prefix
+            live -= 1
+        z, hh, hf = Z[:live], h[:live], half[:live]
+        k1 = rhs(z)
+        k2 = rhs(z + hf * k1)
+        k3 = rhs(z + hf * k2)
+        k4 = rhs(z + hh * k3)
+        Z[:live] = z + sixth[:live] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    Z = Z[np.argsort(order, kind="stable")]
+    coarse, fine = Z[:m], Z[m:]
     end = fine + (fine - coarse) / 15.0
-    err = np.abs(fld.f_many(end) - t - fld.f_many(x0))
+    failures.update(errors[0])
+    for i, exc in errors[1].items():
+        failures.setdefault(i, exc)
+    err = np.abs(fld.f_many(end) - t - fld.f_many(X[rows]))
     for i in np.flatnonzero(~(err <= FLOW_IDENTITY_TOL * (1.0 + np.abs(t)))):
         failures.setdefault(int(rows[i]), FlowDomainError(
             f"flow identity violated by {err[i]:.3e} after time {t[i]:g}; "
@@ -156,9 +189,10 @@ def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None) -> Array:
     return _single(*flow_many(fld, np.asarray(x0, dtype=float)[None], np.array([t], float), n))
 
 
-def foot_many(fld, X, n_steps: int):
+def foot_many(fld, X, n_steps):
     """Project each row of X onto {f = 0}: flow back by -f(x) with
-    ``n_steps`` shared substeps, then Newton-polish along grad f.
+    ``n_steps`` substeps per row (a scalar stands for every row; all rows
+    flow in one :func:`flow_many` lockstep), then Newton-polish along grad f.
 
     The flow lands on M up to integration error; the polish removes it,
     leaving |f| <= FOOT_TOL within FOOT_MAX_ITER steps per row, or that
@@ -308,11 +342,14 @@ class MChart:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return _single(*self.tube_many(np.array([r], float), y[None], n))
 
-    def coords_many(self, X, flow_steps: int):
+    def coords_many(self, X, flow_steps):
         """Tube coordinates of the rows of X: r = f(x), and y the chart
         coordinates of the foot (:func:`foot_many` with ``flow_steps``
-        shared substeps), which must lie within delta.  Returns r, y and
-        {row: error}."""
+        substeps per row, a scalar standing for every row).  The foot must
+        lie within delta, and the chart must map y back to it: a foot
+        farther than CHART_FOLD_TOL from ``surface_many(y)`` sits past a
+        fold of the tangent-plane projection, where y is no coordinate.
+        Returns r, y and {row: error}."""
         X = np.asarray(X, dtype=float)
         feet, failures = foot_many(self.field, X, flow_steps)
         y = (self.basis @ (feet - self.p)[:, :, None])[:, :, 0]
@@ -320,6 +357,15 @@ class MChart:
         for i in np.flatnonzero(norms > self.delta):
             failures.setdefault(int(i), ChartDomainError(
                 f"foot point left the chart: |y| = {norms[i]:.4g} > {self.delta:.4g}"))
+        rows = np.array([i for i in range(len(X)) if i not in failures], dtype=int)
+        surface, surface_failures = self.surface_many(y[rows])
+        gaps = np.sqrt(np.vecdot(surface - feet[rows], surface - feet[rows]))
+        for i, exc in surface_failures.items():
+            failures[int(rows[i])] = exc
+        for i in np.flatnonzero(~(gaps <= CHART_FOLD_TOL)):
+            failures.setdefault(int(rows[i]), ChartDomainError(
+                f"chart coordinates fold: the chart maps y = {y[rows[i]].tolist()} to a "
+                f"point {gaps[i]:.3e} from the foot"))
         return self.field.f_many(X), y, failures
 
     def coords_of(self, x, flow_steps: Optional[int] = None) -> TubularCoords:

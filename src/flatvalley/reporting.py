@@ -25,10 +25,6 @@ Array = np.ndarray
 _FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return _FMT % float(x)
-
-
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
@@ -41,38 +37,40 @@ def _jsonable(obj):
     return obj
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_table(path, header, columns) -> None:
+    """Write the columns side by side: each a (rows,) array or a (rows, k)
+    block of k columns.  The table is one float array, formatted by one
+    ``%.17g`` row template per file."""
+    table = np.column_stack(columns)
+    row = ",".join([_FMT] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_trajectory_csv(path, traj, h_values) -> None:
     """One rescaled member: tau, positions, velocities, energy."""
     n = traj.dim
     header = (["tau"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)] + ["H"])
-    _write_csv(path, header, ([traj.tau[k], *traj.x[k], *traj.v[k], h_values[k]]
-                              for k in range(len(traj.tau))))
+    _write_table(path, header, [traj.tau, traj.x, traj.v, h_values])
 
 
 def write_coords_csv(path, trace) -> None:
     """One coordinate trace: tau, r, tangential chart coordinates."""
     header = ["tau", "r"] + [f"y{i + 1}" for i in range(trace.y.shape[1])]
-    _write_csv(path, header, ([trace.tau[i], trace.r[i], *trace.y[i]]
-                              for i in range(len(trace.tau))))
+    _write_table(path, header, [trace.tau, trace.r, trace.y])
 
 
 def write_limit_csv(path, limit) -> None:
     header = ["tau"] + [f"x{i}" for i in range(limit.x.shape[1])]
-    _write_csv(path, header, ([limit.tau[i], *limit.x[i]] for i in range(len(limit.tau))))
+    _write_table(path, header, [limit.tau, limit.x])
 
 
 def write_evidence_csv(path, runs) -> None:
     """The physical evidence: each run's state at its end, tau*/eps_j."""
     header = ["j", "eps", "t"] + [f"x{i}" for i in range(runs[0].dim)]
-    _write_csv(path, header, ([j, run.epsilon, run.tau[-1], *run.x[-1]]
-                              for j, run in enumerate(runs)))
+    _write_table(path, header, [np.arange(len(runs)), [run.epsilon for run in runs],
+                                [run.tau[-1] for run in runs], [run.x[-1] for run in runs]])
 
 
 def write_report_json(path, payload: dict) -> None:

@@ -106,6 +106,10 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fal
     def py(v):
         return margin_t + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
 
+    def pairs(template, c):  # the template filled with each point's pixel coordinates
+        xy = np.column_stack([px(c["x"]), py(c["y"])])
+        return (template * len(xy)) % tuple(xy.ravel().tolist())
+
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -129,13 +133,13 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fal
     for c in cooked:
         if not c["x"].size:
             continue
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(c["x"], c["y"]))
+        pts = pairs("%.2f,%.2f ", c)[:-1]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{c["color"]}" '
                      'stroke-width="1.5"/>')
         if c["marker"]:
-            for a, b in zip(c["x"], c["y"]):
-                parts.append(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="2.5" '
-                             f'fill="{c["color"]}"/>')
+            color = c["color"].replace("%", "%%")
+            parts.append(pairs(f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>\n',
+                               c)[:-1])
     if title:
         parts.append(f'<text x="{WIDTH / 2:.1f}" y="22" font-size="14" '
                      f'font-family="monospace" text-anchor="middle">{escape(title)}</text>')

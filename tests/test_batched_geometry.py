@@ -5,14 +5,30 @@ functions are batches of one.  A batch must give exactly what a loop of
 single calls gives: the same bits on the rows that succeed, and on the rows
 that fail the same error type, message and state.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flatvalley as fv
-from flatvalley.errors import ChartDomainError, FlatValleyError
-from flatvalley.geometry import flow_many, foot_many, raise_first
+from flatvalley import geometry
+from flatvalley.errors import (
+    ChartDomainError,
+    FlatValleyError,
+    FlowDomainError,
+    InvalidParameterError,
+)
+from flatvalley.geometry import (
+    CHART_NEWTON_ITERS,
+    FLOW_IDENTITY_TOL,
+    TOL_CRIT,
+    flow_many,
+    flow_steps_for,
+    foot_many,
+    raise_first,
+)
 
 
 def _custom():
@@ -117,6 +133,106 @@ def test_flow_many_is_a_loop_of_transversal_flows(data, name, n_steps):
     _assert_matches(out, failures, singles)
 
 
+def _two_pass_flow(fld, x, t, n):
+    """One row's flow as two plain RK4 loops, the coarse one (n substeps)
+    run to its end before the fine one (2n) starts: the reference the
+    lockstep must reproduce bit for bit, errors included."""
+    x = np.asarray(x, dtype=float)[None]
+    if t == 0.0:
+        return x[0].copy()
+    errors = []
+
+    def rhs(Z):
+        G = fld.grad_many(Z)
+        gg = np.vecdot(G, G)
+        if not gg[0] > TOL_CRIT * TOL_CRIT:
+            errors.append(FlowDomainError(
+                f"transversal flow approached the critical set (|grad f|^2 = {gg[0]:.3e})",
+                state=Z[0].copy()))
+            return np.zeros_like(G)
+        return G / gg[:, None]
+
+    def rk4(steps):
+        h = (np.array([t]) / steps)[:, None]
+        half, sixth = 0.5 * h, h / 6.0
+        Z = x
+        for _ in range(steps):
+            k1 = rhs(Z)
+            k2 = rhs(Z + half * k1)
+            k3 = rhs(Z + half * k2)
+            k4 = rhs(Z + h * k3)
+            Z = Z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return Z
+
+    coarse = rk4(n)
+    fine = rk4(2 * n)
+    if errors:
+        raise errors[0]
+    end = fine + (fine - coarse) / 15.0
+    err = np.abs(fld.f_many(end) - np.array([t]) - fld.f_many(x))[0]
+    if not err <= FLOW_IDENTITY_TOL * (1.0 + abs(t)):
+        raise FlowDomainError(f"flow identity violated by {err:.3e} after time {t:g}; "
+                              "the path likely grazed the critical set", state=end[0].copy())
+    return end[0]
+
+
+@SETTINGS
+@given(data=st.data(), name=names)
+def test_flow_many_with_per_row_counts_is_a_loop_of_two_pass_flows(data, name):
+    fld, _ = CHARTS[name]
+    X = data.draw(ambient_points(name, 1.0))
+    t = np.array(data.draw(st.lists(st.sampled_from([0.0, -1.3, 0.4]) | unit,
+                                    min_size=len(X), max_size=len(X))))
+    counts = np.array(data.draw(st.lists(st.integers(1, 12), min_size=len(X),
+                                         max_size=len(X))))
+    out, failures = flow_many(fld, X, t, counts)
+    _assert_matches(out, failures,
+                    _loop(lambda x, ti, n: _two_pass_flow(fld, x, ti, int(n)), zip(X, t, counts)))
+    _assert_matches(out, failures,
+                    _loop(lambda x, ti, n: fv.transversal_flow(fld, x, ti, int(n)),
+                          zip(X, t, counts)))
+
+
+def test_a_row_failing_in_both_passes_reports_its_coarse_error():
+    # f = x0 with its gradient cut off below x0 = 0.5.  Flowing row 1 down
+    # from x0 = 1 for time 1.5 at 2 substeps, the coarse pass (stage points
+    # every 0.375) first meets the cut at x0 = 0.25, the fine pass (every
+    # 0.1875) at 0.4375: the two passes fail at different states
+    def grad_many(X):
+        return np.where(X[:, :1] > 0.5, np.array([1.0, 0.0]), 0.0)
+
+    fld = fv.ScalarField(dim=2, f=lambda x: float(x[0]), grad=lambda x: grad_many(x[None])[0],
+                         f_many=lambda X: X[:, 0].copy(), grad_many=grad_many, name="cut")
+    X = np.array([[2.0, 0.0], [1.0, 0.3], [1.5, 0.0]])
+    t = np.array([-0.5, -1.5, 0.25])
+    counts = np.array([4, 2, 1])
+    out, failures = flow_many(fld, X, t, counts)
+    assert sorted(failures) == [1]
+    assert failures[1].state.tolist() == [0.25, 0.3]
+    assert out[0].tolist() == [1.5, 0.0] and out[2].tolist() == [1.75, 0.0]
+    _assert_matches(out, failures,
+                    _loop(lambda x, ti, n: _two_pass_flow(fld, x, ti, int(n)), zip(X, t, counts)))
+
+
+@pytest.mark.parametrize("n_steps", [0, -2, 2.0, True, [4, 0, 1], np.array([3.0, 1.0, 2.0])],
+                         ids=["zero", "negative", "float", "bool", "row-zero", "row-float"])
+def test_bad_flow_step_counts_are_rejected_before_any_step(n_steps):
+    fld, chart = CHARTS["circle"]
+    calls = []
+
+    def grad_many(X):
+        calls.append(len(X))
+        return fld.grad_many(X)
+
+    counting = dataclasses.replace(fld, grad_many=grad_many)
+    X = np.array([[1.0, 0.0], [1.1, 0.0], [0.9, 0.0]])
+    with pytest.raises(InvalidParameterError, match="flow step counts"):
+        flow_many(counting, X, np.array([0.1, 0.0, -0.1]), n_steps)
+    with pytest.raises(InvalidParameterError, match="flow step counts"):
+        dataclasses.replace(chart, field=counting).coords_many(X, n_steps)
+    assert calls == []
+
+
 @SETTINGS
 @given(data=st.data(), name=names, n_steps=st.integers(1, 12))
 def test_foot_many_is_a_loop_of_foot_points(data, name, n_steps):
@@ -184,3 +300,48 @@ def test_coordinate_traces_name_member_and_tau_on_a_small_chart():
     # the first sample, tau = -0.5, sits about 0.48 from p along the circle
     assert "tube violation at member j=0, tau=-0.5: foot point left the chart" in str(info.value)
     assert isinstance(info.value.__cause__, ChartDomainError)
+
+
+@pytest.mark.parametrize("bundle", ["circle_bundle", "gutter_bundle", "ellipsoid_bundle"])
+def test_coordinate_traces_is_a_loop_of_members(request, bundle):
+    b = request.getfixturevalue(bundle)
+    assert len(b.traces) == len(b.family.members)
+    for traj, trace in zip(b.family.members, b.traces):
+        # the reference: one coords_many call per member at its own count
+        r = b.chart.field.value_many(traj.x)
+        _, y, failures = b.chart.coords_many(traj.x, flow_steps_for(r))
+        assert not failures
+        assert _bits(trace.tau) == _bits(traj.tau)
+        assert _bits(trace.r) == _bits(r) and _bits(trace.y) == _bits(y)
+
+
+@pytest.mark.parametrize("bundle, flow_calls", [("circle_bundle", 64),
+                                                ("ellipsoid_bundle", 624)])
+def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, flow_calls):
+    # the bundles run the shipped circle and ellipsoid scenarios.  Their
+    # members' flows take 8 substeps each on the circle and up to 78 on the
+    # ellipsoid, so one lockstep runs 16 and 156 RK4 iterations of four
+    # grad_many calls (twelve loops, one per member and pass, made 576 and
+    # 2,484); the fold check adds one chart graph solve of CHART_NEWTON_ITERS
+    b = request.getfixturevalue(bundle)
+    fld = b.chart.field
+    calls = {"all": 0, "flow": 0}
+    in_flow = []
+
+    def grad_many(X):
+        calls["all"] += 1
+        calls["flow"] += bool(in_flow)
+        return fld.grad_many(X)
+
+    def flow_many_counted(*args):
+        in_flow.append(True)
+        try:
+            return flow_many(*args)
+        finally:
+            in_flow.pop()
+
+    monkeypatch.setattr(geometry, "flow_many", flow_many_counted)
+    chart = dataclasses.replace(b.chart, field=dataclasses.replace(fld, grad_many=grad_many))
+    traces = fv.coordinate_traces(chart, b.family)
+    assert calls == {"all": flow_calls + CHART_NEWTON_ITERS, "flow": flow_calls}
+    assert all(_bits(t.y) == _bits(ref.y) for t, ref in zip(traces, b.traces))

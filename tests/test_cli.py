@@ -90,8 +90,10 @@ def test_parse_scenario_rejects_plain_potential(tmp_path):
     {"slack": -1.0},
     {"out": 5},
     {"integrator": "verlet"},
+    {"name": {"a": 1}},
+    {"name": 5},
 ], ids=["p-nan", "horizon-nan", "eps0-inf", "count-string", "count-bool", "tol_on_m",
-        "slack-negative", "out-number", "integrator"])
+        "slack-negative", "out-number", "integrator", "name-object", "name-number"])
 def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     path = _write(tmp_path, "bad.json", dict(BASE, **change))
     code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"), "--no-svg"])
@@ -375,6 +377,21 @@ def test_failed_metric_probe_leaves_the_velocity_diagnostic_unavailable(tmp_path
     assert revalidate_from_dir(str(out))["ok"]
 
 
+def test_folded_chart_coordinates_stop_the_coordinates_stage(tmp_path, capsys):
+    # past tau = pi/2 the circle folds over its tangent line at p: the foot's
+    # chart coordinate y1 turns back (to 0.1485 at tau = 3), and the chart
+    # maps it to the point on the near side, about 2 from the foot
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--scenario", CIRCLE, "--horizon", "3.0", "--out", str(out),
+                     "--no-svg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ChartDomainError: tube violation at member j=0, tau=-3: "
+                          "chart coordinates fold") and len(err.splitlines()) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert [e["stage"] for e in rep["errors"]] == ["coordinates"]
+    assert not list(out.glob("coords_eps*.csv"))
+
+
 def test_metric_grid_stencil_stays_in_small_chart(tmp_path):
     # chart radius 0.13125: the metric probe grid is clipped to it, and its
     # finite-difference stencil must not step past it
@@ -654,7 +671,8 @@ def test_launch_point_within_floor_tolerance_certifies(tmp_path):
 def test_evidence_csv_holds_the_physical_end_states(circle_run_dir):
     cols = read_csv_columns(os.path.join(circle_run_dir.path, "evidence.csv"))
     assert list(cols) == ["j", "eps", "t", "x0", "x1"]
-    rep = json.loads(open(os.path.join(circle_run_dir.path, "report.json")).read())
+    with open(os.path.join(circle_run_dir.path, "report.json")) as fh:
+        rep = json.load(fh)
     cert = rep["certificate"]
     assert cols["j"].tolist() == list(range(6))
     assert cols["eps"].tolist() == rep["family"]["epsilons"]
@@ -828,7 +846,8 @@ def test_report_json_is_unchanged(tmp_path, name):
 
 def test_report_records_each_members_step(circle_run_dir):
     fam = circle_run_dir.report.results["family"]
-    rep = json.loads(open(os.path.join(circle_run_dir.path, "report.json")).read())["family"]
+    with open(os.path.join(circle_run_dir.path, "report.json")) as fh:
+        rep = json.load(fh)["family"]
     assert rep["substeps"] == fam.substeps == [5, 8, 10, 15, 20, 29]
     assert rep["dt"] == [m.dt for m in fam.members]
     assert rep["step_errors"] == list(fam.step_errors)
