@@ -92,21 +92,6 @@ def _field(dim: int, f_many, grad_many, name: str) -> ScalarField:
                        f_many=f_many, grad_many=grad_many, name=name)
 
 
-@dataclass(frozen=True, eq=False)
-class Profile:
-    """A scalar profile g with g(0) = 0, g >= 0, vanishing only at zero.
-
-    ``g`` and ``dg`` take a float or an array and round the same for both;
-    ``inverse`` is the inverse of g on [0, inf), which the confinement
-    bound |f| <= g^-1(budget) needs.  :func:`power_profile` builds them.
-    """
-
-    g: Callable[[float], float]
-    dg: Callable[[float], float]
-    inverse: Callable[[float], float]
-    name: str = "profile"
-
-
 def _power(s, k: int):
     """s**k as a chain of multiplications, which rounds the same for a float
     and for each entry of an array (numpy's array ``**`` need not round as
@@ -121,6 +106,32 @@ def _power(s, k: int):
 MAX_EXPONENT = 64
 
 
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """The profile g(s) = s**k of a composite potential, k an even integer
+    from 2 to MAX_EXPONENT, so g is C^2, g(0) = 0 and g > 0 elsewhere.
+
+    ``g`` and ``dg`` take a float or an array and round the same for both;
+    ``inverse`` is the inverse of g on [0, inf), which the confinement
+    bound |f| <= g^-1(budget) needs.  :func:`power_profile` builds them.
+    """
+
+    exponent: int
+
+    @property
+    def name(self) -> str:
+        return f"s^{self.exponent}"
+
+    def g(self, s):
+        return _power(s, self.exponent)
+
+    def dg(self, s):
+        return np.multiply(float(self.exponent), _power(s, self.exponent - 1))
+
+    def inverse(self, t):
+        return t ** (1.0 / self.exponent)
+
+
 def power_profile(exponent: int) -> Profile:
     """g(s) = s**k for even integer k, 2 <= k <= MAX_EXPONENT (so g is C^2
     and nonnegative)."""
@@ -129,20 +140,38 @@ def power_profile(exponent: int) -> Profile:
         raise InvalidParameterError(
             f"profile exponent must be an even integer from 2 to {MAX_EXPONENT}, "
             f"got {exponent!r}")
-    k = int(exponent)
+    return Profile(int(exponent))
+
+
+def _chain_rule(f, grad, k: int):
+    """The gradient k f^(k-1) grad f of U = f**k, as one closure over the
+    field oracles ``f`` and ``grad``: for batch oracles an (N, n) -> (N, n)
+    kernel, for point oracles an (n,) -> (n,) one.  It does the operations
+    of ``Profile.dg`` in their order, so it rounds as ``dg(f(x)) * grad(x)``
+    does.  Bound to the batch oracles it is the lockstep integrator's force
+    call: three Python frames (itself, ``f`` and ``grad``) and no attribute
+    lookup."""
     kf = np.array(float(k))
-    return Profile(
-        g=lambda s: _power(s, k),
-        dg=lambda s: np.multiply(kf, _power(s, k - 1)),
-        inverse=lambda t: t ** (1.0 / k),
-        name=f"s^{k}",
-    )
+    chain = range(k - 2)
+
+    def gradient(X):
+        s = f(X)
+        d = s
+        for _ in chain:
+            d = np.multiply(d, s)
+        return np.multiply(np.multiply(kf, d)[..., None], grad(X))
+
+    return gradient
 
 
 @dataclass(frozen=True, eq=False)
 class CompositePotential:
     """U(x) = g(f(x)) with the chain-rule gradient g'(f(x)) grad f(x).
 
+    Both gradients are :func:`_chain_rule` bound once, in ``__post_init__``,
+    to the field's oracles: ``gradient_many`` to ``f_many``/``grad_many``
+    and ``gradient`` to the single-point ``f``/``grad``, so a
+    ``dataclasses.replace``d potential calls its new field's oracles.
     ``gradient_many`` is the lockstep integrator's acceleration oracle,
     called four times per iteration on a few rows; like the field's batch
     oracles it takes array operands only (see :class:`ScalarField`),
@@ -155,6 +184,11 @@ class CompositePotential:
     name: str = "composite"
     spec_record: Optional[dict] = None
 
+    def __post_init__(self):
+        fld, k = self.field, self.profile.exponent
+        object.__setattr__(self, "_gradient", _chain_rule(fld.f, fld.grad, k))
+        object.__setattr__(self, "gradient_many", _chain_rule(fld.f_many, fld.grad_many, k))
+
     @property
     def dim(self) -> int:
         return self.field.dim
@@ -163,15 +197,7 @@ class CompositePotential:
         return float(self.profile.g(self.field.value(x)))
 
     def gradient(self, x) -> Array:
-        x = _as_point(x, self.dim)
-        return self.profile.dg(self.field.f(x)) * np.asarray(
-            self.field.grad(x), dtype=float
-        )
-
-    def gradient_many(self, X: Array) -> Array:
-        """Gradients of an (N, n) batch; each row rounds as ``gradient`` does."""
-        fld = self.field
-        return np.multiply(self.profile.dg(fld.f_many(X))[:, None], fld.grad_many(X))
+        return self._gradient(_as_point(x, self.dim))
 
     def value_many(self, X: Array) -> Array:
         return np.asarray(self.profile.g(self.field.value_many(X)), dtype=float)
@@ -184,6 +210,8 @@ class PlainPotential:
     ``u_many`` (N, n) -> (N,) and ``grad_u`` (N, n) -> (N, n) are the
     batched value and gradient; ``u`` takes one point (the gallery's is a
     batch of one, see :func:`_plain`), and ``gradient`` is a batch of one.
+    ``gradient_many``, the integrator's force call, is ``grad_u`` itself,
+    bound in ``__post_init__`` as for :class:`CompositePotential`.
     """
 
     dim: int
@@ -192,6 +220,9 @@ class PlainPotential:
     u_many: Callable[[Array], Array]
     label: str = "plain"
     spec_record: Optional[dict] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "gradient_many", self.grad_u)
 
     @property
     def name(self) -> str:
@@ -202,9 +233,6 @@ class PlainPotential:
 
     def gradient(self, x) -> Array:
         return np.asarray(self.grad_u(_as_point(x, self.dim)[None]), dtype=float)[0]
-
-    def gradient_many(self, X: Array) -> Array:
-        return self.grad_u(X)
 
     def value_many(self, X: Array) -> Array:
         return np.asarray(self.u_many(np.asarray(X, dtype=float)), dtype=float)

@@ -112,7 +112,10 @@ def flow_many(fld, X, t, n_steps):
     t = 0 are copied.  Both passes of every row march in one lockstep loop:
     the passes are ordered by substep count and a finished pass drops off
     the end of the live prefix, so the loop runs max(2n) times.  Each pass
-    rounds as it would alone, with its own step t/n or t/2n.  A row fails
+    rounds as it would alone, with its own step t/n or t/2n.  The four
+    slopes and the stage point are buffers allocated once per call and
+    sliced to the live prefix, so an iteration allocates only the field's
+    gradients and their squared norms.  A row fails
     (FlowDomainError) where |grad f| drops to TOL_CRIT, or when its result
     violates the exact identity f(flow(t, x)) = t + f(x) by more than
     FLOW_IDENTITY_TOL (1 + |t|), which means its path grazed the critical
@@ -142,31 +145,39 @@ def flow_many(fld, X, t, n_steps):
     pass_of = (order >= m).astype(int).tolist()  # 0 coarse, 1 fine
     errors = ({}, {})  # each pass's first error per row
 
-    def rhs(Z):
+    def rhs(Z, out):  # the slopes of the rows of Z, written into out
         G = fld.grad_many(Z)
         gg = np.vecdot(G, G)
         if gg.min() > TOL_CRIT * TOL_CRIT:  # also false when a row is NaN
-            return G / gg[:, None]
+            np.divide(G, gg[:, None], out=out)
+            return
         bad = ~(gg > TOL_CRIT * TOL_CRIT)
         for i in np.flatnonzero(bad):
             errors[pass_of[i]].setdefault(row_of[i], FlowDomainError(
                 f"transversal flow approached the critical set (|grad f|^2 = {gg[i]:.3e})",
                 state=Z[i].copy()))
-        K = G / np.where(bad, 1.0, gg)[:, None]
-        K[bad] = 0.0  # a failed row stands still
-        return K
+        np.divide(G, np.where(bad, 1.0, gg)[:, None], out=out)
+        out[bad] = 0.0  # a failed row stands still
 
     Z = X[source]
+    # each in-place update is the operation the plain RK4 expressions do
+    buffers = [Z, h, half, sixth] + [np.empty_like(Z) for _ in range(5)]
+    z, hh, hf, h6, k1, k2, k3, k4, s = buffers
     live = len(n)
     for k in range(n[0]):
-        while n[live - 1] <= k:  # finished passes drop off the end of the live prefix
-            live -= 1
-        z, hh, hf = Z[:live], h[:live], half[:live]
-        k1 = rhs(z)
-        k2 = rhs(z + hf * k1)
-        k3 = rhs(z + hf * k2)
-        k4 = rhs(z + hh * k3)
-        Z[:live] = z + sixth[:live] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if n[live - 1] <= k:  # finished passes drop off the end of the live prefix
+            while n[live - 1] <= k:
+                live -= 1
+            z, hh, hf, h6, k1, k2, k3, k4, s = (b[:live] for b in buffers)
+        rhs(z, k1)
+        rhs(np.add(z, np.multiply(hf, k1, out=s), out=s), k2)
+        rhs(np.add(z, np.multiply(hf, k2, out=s), out=s), k3)
+        rhs(np.add(z, np.multiply(hh, k3, out=s), out=s), k4)
+        # z + sixth (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(z, np.multiply(h6, k1, out=k1), out=z)
     Z = Z[np.argsort(order, kind="stable")]
     coarse, fine = Z[:m], Z[m:]
     end = fine + (fine - coarse) / 15.0

@@ -15,7 +15,13 @@ lockstep: the rows are ordered by step count, so a finished row drops off
 the end of the live prefix and the Python loop runs max(steps) times, not
 sum(steps).  Every operation acts row by row and rounds as it does for one
 row alone (the products c*dt of each row, the acceleration scale * a(x)),
-so a batch gives the same bits as a loop of batches of one.  States are
+so a batch gives the same bits as a loop of batches of one.  One step is
+the table written out, five drifts and four kicks (the last kick
+coefficient is 0): the operations of a loop over the table, in its order,
+without the loop's per-substep Python work (``tests/test_integrators.py``
+keeps that loop as the reference).  Each kick is one call of ``accel``,
+which for a potential is its ``gradient_many`` kernel, bound once per
+potential (see ``fields.CompositePotential``).  States are
 buffered CHUNK steps at a time, tested for blow-up, shown to an optional
 observer and copied, every stride-th one, into one exact-size array per
 row: the blow-up test and the observer see every state, and no (steps,
@@ -97,8 +103,9 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps, scale, blowup_radius: f
         return np.repeat(np.asarray(c, dtype=float)[:, None], n, axis=1)
 
     a_scale = per_row(np.broadcast_to(np.asarray(scale, dtype=float), (rows,))[order])
-    coeffs = [(per_row(dc * h), None if kc == 0.0 else per_row(kc * h))
-              for dc, kc in PEFRL]
+    # PEFRL's five drifts and four kicks (its last kick coefficient is 0)
+    coeffs = [per_row(dc * h) for dc, _ in PEFRL] + [per_row(kc * h) for _, kc in PEFRL[:-1]]
+    d0, d1, d2, d3, d4, k0, k1, k2, k3 = coeffs
     Xs = [np.empty((c // s + 1, n)) for c, s in zip(counts, strides)]
     Vs = [np.empty((c // s + 1, n)) for c, s in zip(counts, strides)]
     for r in range(rows):
@@ -125,14 +132,19 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps, scale, blowup_radius: f
                     while counts[live - 1] < k:
                         live -= 1
                     x, v = x[:live], v[:live]
-                    coeffs = [(dc[:live], None if kc is None else kc[:live])
-                              for dc, kc in coeffs]
+                    coeffs = [c[:live] for c in coeffs]
+                    d0, d1, d2, d3, d4, k0, k1, k2, k3 = coeffs
                     a_scale = a_scale[:live]
-                for dc, kc in coeffs:
-                    x = x + dc * v
-                    if kc is not None:
-                        a = accel(x)
-                        v = v + kc * (a_scale * a)
+                # one PEFRL step, written out: the table's substeps in order
+                x = x + d0 * v
+                v = v + k0 * (a_scale * accel(x))
+                x = x + d1 * v
+                v = v + k1 * (a_scale * accel(x))
+                x = x + d2 * v
+                v = v + k2 * (a_scale * accel(x))
+                x = x + d3 * v
+                v = v + k3 * (a_scale * accel(x))
+                x = x + d4 * v
                 buf_x[i, :live] = x
                 buf_v[i, :live] = v
             bx, bv = buf_x[:steps_here, :live0], buf_v[:steps_here, :live0]

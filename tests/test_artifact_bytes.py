@@ -1,9 +1,11 @@
-"""Byte pins on every file `certify` writes, figures included.
+"""Byte pins on every file `certify` and `gallery` write, figures included.
 
 Each shipped scenario runs all four stages with SVG figures on, and every
 artifact (the member and coordinate CSVs, limit.csv, evidence.csv, the
-three figures and report.json) must keep its sha256.  A change that claims
-to keep the verdicts, the numbers and their formatting keeps these bytes.
+three figures and report.json) must keep its sha256, as must the
+stability-contrast gallery's gallery_report.json for painleve at its
+default horizon and at t = 100, and for laloy.  A change that claims to
+keep the verdicts, the numbers and their formatting keeps these bytes.
 """
 import hashlib
 import os
@@ -11,6 +13,7 @@ import os
 import pytest
 
 import flatvalley as fv
+from flatvalley import cli
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "scenarios")
@@ -143,3 +146,23 @@ def test_every_artifact_is_unchanged(tmp_path, name):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.rglob("*") if path.is_file()}
     assert digests == ARTIFACT_DIGESTS[name]
+
+
+# name -> (gallery arguments, sha256 of gallery_report.json), recorded before
+# each potential's force kernel was bound once and the PEFRL step written out
+GALLERY_DIGESTS = {
+    "painleve": (["--name", "painleve"],
+                 "89aa0e531d5bcbfd15da34d4f092b1156197b9e680cb4cc4d10cc0e5deac5fe6"),
+    "painleve-horizon-100": (["--name", "painleve", "--horizon", "100"],
+                             "9be51cacebbd8458b35b20e65d27cf108e41786649658ceb29b9de74a18a3ef5"),
+    "laloy": (["--name", "laloy"],
+              "14f0ea9865ce5936d95671310a6b6af93e86be852f4a030f16bb93d44f4c9868"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_DIGESTS))
+def test_gallery_report_is_unchanged(tmp_path, capsys, name):
+    argv, digest = GALLERY_DIGESTS[name]
+    assert cli.main(["gallery", *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "gallery_report.json").read_bytes()).hexdigest() == digest

@@ -17,6 +17,7 @@ from flatvalley import dynamics
 from flatvalley.contrast import COMPANION_SPEED, TRAP_OPTIONS
 from flatvalley.dynamics import newton_many
 from flatvalley.errors import BlowUpError, InvalidParameterError
+from flatvalley.fields import MAX_EXPONENT
 from flatvalley.integrators import CHUNK, integrate
 
 
@@ -118,7 +119,7 @@ _REFERENCE_BUMP = {
 }
 
 
-@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("k", [2, 4, 6, MAX_EXPONENT])
 def test_power_profile_rounds_the_same_for_a_point_and_a_batch(k):
     rng = np.random.default_rng(k)
     for P in (fv.circle(exponent=k), fv.ellipsoid(exponent=k), fv.gutter(exponent=k),
@@ -139,6 +140,41 @@ def test_power_profile_rounds_the_same_for_a_point_and_a_batch(k):
         _same_floats(P.value_many(X), _reference_power(f_many(X), k))
         _same_floats(P.gradient_many(X),
                      k * _reference_power(f_many(X), k - 1)[:, None] * grad_many(X))
+
+
+def test_a_replaced_potential_calls_its_new_oracles():
+    # the force kernels are bound to the field's oracles once per potential:
+    # dataclasses.replace binds them again, to the replacement's
+    P = fv.ellipsoid(exponent=4)
+    X = np.random.default_rng(3).uniform(-1.5, 1.5, size=(5, P.dim))
+    calls = []
+
+    def counted(key, fn):
+        def oracle(x):
+            calls.append(key)
+            return fn(x)
+        return oracle
+
+    fld = P.field
+    Q = dataclasses.replace(P, field=dataclasses.replace(
+        fld, **{key: counted(key, getattr(fld, key))
+                for key in ("f", "grad", "f_many", "grad_many")}))
+    P.gradient_many(X)
+    P.gradient(X[0])
+    assert calls == []
+    assert _bits(Q.gradient_many(X)) == _bits(P.gradient_many(X))
+    assert calls == ["f_many", "grad_many"]
+    assert _bits(Q.gradient(X[0])) == _bits(P.gradient(X[0]))
+    assert calls == ["f_many", "grad_many", "f", "grad"]
+    # a new profile rebinds the exponent of the chain k f^(k-1)
+    R = dataclasses.replace(P, profile=fv.power_profile(6))
+    assert _bits(R.gradient_many(X)) == _bits(fv.ellipsoid(exponent=6).gradient_many(X))
+    # a plain potential's force call is its replacement grad_u itself
+    L = fv.laloy()
+    M = dataclasses.replace(L, grad_u=counted("grad_u", L.grad_u))
+    assert M.gradient_many is M.grad_u and L.gradient_many is L.grad_u
+    assert _bits(M.gradient_many(X[:, :2])) == _bits(L.gradient_many(X[:, :2]))
+    assert calls[-1] == "grad_u"
 
 
 # zeros of both signs, inside the cut, on it, and far outside it

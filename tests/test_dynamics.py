@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import tracemalloc
 
@@ -209,6 +210,25 @@ def test_member_substeps_on_the_shipped_scenarios(name, substeps):
     assert [m for m, _ in steps] == substeps
     assert half * max(substeps) == {"circle": 5800, "ellipsoid": 3400}[name]
     assert steps[0] == (5 if name == "circle" else 3, scn.horizon / half / steps[0][0])
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("circle", 23200), ("ellipsoid", 13600), ("gutter", 23200),
+], ids=["circle", "ellipsoid", "gutter"])
+def test_a_family_makes_four_force_calls_per_lockstep_iteration(name, calls):
+    # one PEFRL step makes four force calls, each one grad_many batch: the
+    # 5,800 / 3,400 / 5,800 lockstep iterations of the shipped families
+    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
+    P = scn.potential
+    grad_many, counted = P.field.grad_many, []
+
+    def counting(X):
+        counted.append(len(X))
+        return grad_many(X)
+
+    Q = dataclasses.replace(P, field=dataclasses.replace(P.field, grad_many=counting))
+    fv.family_from_runs(Q, scn.p, scn.v, scn.horizon, scn.epsilons, scn.options)
+    assert len(counted) == calls
 
 
 def test_member_step_factors_keep_member_0_and_cap_the_growth():

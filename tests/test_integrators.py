@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flatvalley.errors import BlowUpError, InvalidParameterError
-from flatvalley.integrators import PEFRL, integrate
+from flatvalley.integrators import CHUNK, PEFRL, integrate
 
 
 def harmonic(x):
@@ -65,3 +65,51 @@ def test_nan_detection():
 def test_bad_arguments():
     with pytest.raises(InvalidParameterError):
         run(harmonic, -0.1, 10)
+
+
+def _pefrl_reference(accel, x, v, dt, steps, scale, blowup_radius):
+    """One row stepped alone by the PEFRL table, substep by substep: its
+    states until the first one outside the box, and that step (or None)."""
+    xs, vs = [x], [v]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, steps + 1):
+            for dc, kc in PEFRL:
+                x = x + (dc * dt) * v
+                if kc != 0.0:
+                    v = v + (kc * dt) * (scale * accel(x[None])[0])
+            if not np.vecdot(x, x) + np.vecdot(v, v) <= 2.0 * blowup_radius ** 2:
+                return np.array(xs), np.array(vs), j
+            xs.append(x)
+            vs.append(v)
+    return np.array(xs), np.array(vs), None
+
+
+CIRCLE_FORCE = (lambda X: 4.0 * (np.vecdot(X, X) - 1.0)[:, None] * X)
+
+
+@pytest.mark.parametrize("accel, dim", [(np.sinh, 3), (CIRCLE_FORCE, 2)],
+                         ids=["sinh", "circle"])
+def test_written_out_step_is_the_pefrl_table(accel, dim):
+    # rows finishing at different steps, on both sides of CHUNK boundaries,
+    # one of no steps, and one pushed outward (scale > 0) that leaves the box
+    # in its second chunk
+    steps = [3, CHUNK - 1, 0, 2 * CHUNK + 5, CHUNK + 1, 2 * CHUNK]
+    dts = [0.05, 0.01, 0.1, 0.02, 0.03, 0.007]
+    scales = [-1.0, -0.5, -2.0, -1.5, -0.25, 1.0]
+    rng = np.random.default_rng(5)
+    x0, v0 = rng.uniform(-0.6, 0.6, (6, dim)), rng.uniform(-0.6, 0.6, (6, dim))
+    x0[5] *= 2.0
+    Xs, Vs, failures = integrate(accel, x0, v0, dts, max(steps), steps=steps, scale=scales,
+                                 blowup_radius=10.0)
+    for r in range(6):
+        X, V, bad = _pefrl_reference(accel, x0[r], v0[r], dts[r], steps[r], scales[r], 10.0)
+        assert Xs[r].tobytes() == X.tobytes() and Vs[r].tobytes() == V.tobytes()
+        if bad is None:
+            assert r not in failures and len(X) == steps[r] + 1
+            continue
+        exc = failures[r]
+        assert str(exc) == f"state left the finite box at step {bad} (t = {bad * dts[r]:.6g})"
+        assert exc.last_time == (bad - 1) * dts[r]
+        assert exc.last_state[0].tobytes() == X[-1].tobytes()
+        assert exc.last_state[1].tobytes() == V[-1].tobytes()
+    assert list(failures) == [5]
