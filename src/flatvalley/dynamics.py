@@ -86,6 +86,7 @@ STEP_ERROR_FRACTION = 1e-3
 GROWTH = 8
 #: a state with |x|^2 + |v|^2 above twice this radius squared has blown up
 BLOWUP_RADIUS = 1e6
+_TINY = float(np.finfo(float).tiny)
 
 
 def _number(name: str, value, kind=numbers.Real, error=ScenarioError):
@@ -96,14 +97,20 @@ def _number(name: str, value, kind=numbers.Real, error=ScenarioError):
 
 
 def launch_vector(name: str, value, dim: int) -> Array:
-    """``value`` as a float ``dim``-vector; its entries must be finite numbers."""
+    """``value`` as a float ``dim``-vector; its entries must be finite numbers,
+    and so must its squared norm."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or arr.shape != (dim,) or not np.all(np.isfinite(arr)):
         raise ScenarioError(f"{name} must be a {dim}-vector of finite numbers, got {value!r}")
-    return arr.astype(float)
+    arr = arr.astype(float)
+    # Python floats: a square or a sum past the largest float is inf, with no
+    # warning and no OverflowError
+    if not sum(x * x for x in arr.tolist()) < math.inf:
+        raise ScenarioError(f"{name} is too large: its squared norm overflows")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,10 +584,13 @@ class Scenario:
     tangent to it there, and every number must be finite and of its type.
     The eps schedule eps_j = eps0 * ratio^j, j < count <= MAX_MEMBERS, is
     capped below by ``min_eps`` > 0, and both are checked before the
-    schedule is built.  Every family records each member's step error and
-    the family stage gates on it; down to eps = 2e-4 (the shipped circle
-    and ellipsoid at count 10) the recorded step errors stay at or below
-    1.3e-9 and 2.8e-12, two and six orders of magnitude under their limits.
+    schedule is built, as are the squares the stages take: the smallest
+    eps squared and the squared output spacing must not fall below the
+    smallest normal float, and the energy budget's eps0^2 |v|^2 must not
+    overflow.  Every family records each member's step error and the family
+    stage gates on it; down to eps = 2e-4 (the shipped circle and ellipsoid
+    at count 10) the recorded step errors stay at or below 1.3e-9 and
+    2.8e-12, two and six orders of magnitude under their limits.
     Once GROWTH caps a member's factor its step count grows like 1/eps
     (64,000 lockstep iterations on the circle at eps = 2e-4), and the cap
     bounds that cost.
@@ -646,6 +656,22 @@ class Scenario:
             raise ScenarioError(
                 f"smallest eps {smallest:.3e} is below the cap {self.min_eps:g}; "
                 "shorten the schedule or lower min_eps explicitly")
+        # a member's force scale is 1/eps^2, the coordinates' second
+        # differences divide by the squared spacing, and the confinement
+        # bounds take the budget eps^2 |v|^2 / 2
+        if not smallest * smallest >= _TINY:
+            raise ScenarioError(
+                f"eps0 {self.eps0:g} is too small: the smallest eps {smallest:.3e} squared "
+                "is below the smallest normal float")
+        spacing = self.horizon / ((self.options.n_out - 1) // 2)
+        if not spacing * spacing >= _TINY:
+            raise ScenarioError(
+                f"horizon {self.horizon:g} is too small: the squared output spacing "
+                f"{spacing * spacing:.3e} is below the smallest normal float")
+        if not self.eps0 * self.eps0 * vnorm * vnorm < math.inf:
+            raise ScenarioError(
+                f"eps0 {self.eps0:g} is too large for |v| = {vnorm:g}: "
+                "eps0^2 |v|^2 overflows")
 
     @property
     def epsilons(self) -> Array:

@@ -36,6 +36,27 @@ _ONE = np.array(1.0)
 _TWO = np.array(2.0)
 
 
+def _tile(row):
+    """The per-axis constant ``row`` as a same-shape operand: a function of a
+    batch's row count N returning N copies of it, an (N, n) slice of one
+    read-only tile.  The tile grows on demand, to the larger of N and twice
+    its size.  A product with the slice is the same elementwise operation as
+    the broadcast product with ``row``, so it rounds the same, but numpy
+    runs it without broadcasting a short trailing axis (see
+    :class:`ScalarField`)."""
+    row = np.array(row, dtype=float)[None]
+    tile = row[:0]
+
+    def rows(n):
+        nonlocal tile
+        if n > len(tile):
+            tile = np.repeat(row, max(n, 2 * len(tile)), axis=0)
+            tile.flags.writeable = False
+        return tile[:n]
+
+    return rows
+
+
 def _as_point(x, dim: int) -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
@@ -63,9 +84,14 @@ class ScalarField:
 
     The batch oracles are the lockstep integrator's inner loop, called on a
     few rows at a time, where a numpy call costs more in converting and
-    broadcasting a Python scalar operand than in the arithmetic.  So they
-    take array operands only (constants as 0-d arrays or hoisted per field,
-    ufuncs called directly, dot products through ``np.vecdot``).
+    broadcasting a Python scalar operand than in the arithmetic, and the
+    tube geometry's flows, called on thousands of rows, where broadcasting a
+    short (n,) constant over an (N, n) batch costs 3-5 times the same
+    product on same-shape operands.  So they take array operands only: a
+    scalar constant is a 0-d array, a per-axis constant that multiplies the
+    flows' batches (the ellipsoid's 2c) comes sliced from its field's
+    read-only tile (:func:`_tile`) in the batch's shape, ufuncs are called
+    directly and dot products go through ``np.vecdot``.
     """
 
     dim: int
@@ -150,7 +176,9 @@ def _chain_rule(f, grad, k: int):
     of ``Profile.dg`` in their order, so it rounds as ``dg(f(x)) * grad(x)``
     does.  Bound to the batch oracles it is the lockstep integrator's force
     call: three Python frames (itself, ``f`` and ``grad``) and no attribute
-    lookup."""
+    lookup.  Its factor k f^(k-1) is made afresh on every call, so it
+    broadcasts over the gradient's columns: unlike a field constant (see
+    :func:`_tile`) there is nothing to spread once."""
     kf = np.array(float(k))
     chain = range(k - 2)
 
@@ -278,9 +306,9 @@ def ellipsoid(coeffs=(1.0, 2.0, 3.0), exponent: int = 4) -> CompositePotential:
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size < 2 or np.any(c <= 0):
         raise InvalidParameterError("ellipsoid coefficients must be positive, >= 2 of them")
-    c2 = 2.0 * c
+    c2 = _tile(2.0 * c)
     fld = _field(c.size, lambda X: np.subtract(np.vecdot(np.multiply(X, X), c), _ONE),
-                 lambda X: np.multiply(c2, X), f"ellipsoid{tuple(c)}")
+                 lambda X: np.multiply(c2(len(X)), X), f"ellipsoid{tuple(c)}")
     return CompositePotential(
         fld,
         power_profile(exponent),

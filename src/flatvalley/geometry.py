@@ -115,7 +115,12 @@ def flow_many(fld, X, t, n_steps):
     rounds as it would alone, with its own step t/n or t/2n.  The four
     slopes and the stage point are buffers allocated once per call and
     sliced to the live prefix, so an iteration allocates only the field's
-    gradients and their squared norms.  A row fails
+    gradients and their squared norms.  The step columns h, h/2 and h/6
+    are spread over the coordinate columns once per call and sliced with
+    those buffers, so each RK4 product multiplies same-shape operands (a
+    broadcast (N, 1) column costs 3-5 times as much on thousands of
+    rows); only the division by |grad f|^2, computed afresh at every
+    stage, still broadcasts.  A row fails
     (FlowDomainError) where |grad f| drops to TOL_CRIT, or when its result
     violates the exact identity f(flow(t, x)) = t + f(x) by more than
     FLOW_IDENTITY_TOL (1 + |t|), which means its path grazed the critical
@@ -137,8 +142,11 @@ def flow_many(fld, X, t, n_steps):
     # passes 0 .. m-1 are the coarse ones, m .. 2m-1 the fine ones
     n = np.concatenate([counts, 2 * counts])
     order = np.argsort(-n, kind="stable")
-    h = (np.concatenate([t, t]) / n)[order][:, None]
-    half, sixth = 0.5 * h, h / 6.0
+    h = (np.concatenate([t, t]) / n)[order]
+    # each pass's step, half step and sixth of a step, spread over the
+    # coordinate columns (no broadcasting in the loop, as in integrators.integrate)
+    dim = X.shape[1]
+    h, half, sixth = (np.repeat(c[:, None], dim, axis=1) for c in (h, 0.5 * h, h / 6.0))
     n = n[order].tolist()
     source = rows[order % m]  # the row each pass flows
     row_of = source.tolist()

@@ -17,7 +17,7 @@ from flatvalley import dynamics
 from flatvalley.contrast import COMPANION_SPEED, TRAP_OPTIONS
 from flatvalley.dynamics import newton_many
 from flatvalley.errors import BlowUpError, InvalidParameterError
-from flatvalley.fields import MAX_EXPONENT
+from flatvalley.fields import MAX_EXPONENT, _tile
 from flatvalley.integrators import CHUNK, integrate
 
 
@@ -140,6 +140,40 @@ def test_power_profile_rounds_the_same_for_a_point_and_a_batch(k):
         _same_floats(P.value_many(X), _reference_power(f_many(X), k))
         _same_floats(P.gradient_many(X),
                      k * _reference_power(f_many(X), k - 1)[:, None] * grad_many(X))
+
+
+# a tile grows to max(N, twice its size) when a batch of N rows outgrows it:
+# 0 rows leave it empty, 1 and 2 grow it to their size, 3 to 4 rows, 4 fits
+# exactly, 5 grows it to 8, 7 fits just below that, 5,000 grows it past
+# doubling and 3 is sliced from the grown tile
+_TILE_BATCHES = [0, 1, 2, 3, 4, 5, 7, 5000, 3]
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 2.0, 3.0), (1.3, 0.7), (0.5, 1.0, 2.0, 4.0)])
+def test_tiled_gradients_are_the_broadcast_products(coeffs):
+    # a fresh potential, so its tile starts empty
+    P = fv.ellipsoid(coeffs=coeffs)
+    _, grad_many = _reference_field(P)
+    rng = np.random.default_rng(11)
+    for rows in _TILE_BATCHES:
+        X = rng.uniform(-1.5, 1.5, size=(rows, P.dim))
+        G = P.field.grad_many(X)
+        _same_floats(G, grad_many(X))
+        # a fresh writable array: writing into it leaves the next call alone
+        assert G.flags.writeable and G.flags.owndata
+        G[...] = np.nan
+        _same_floats(P.field.grad_many(X), grad_many(X))
+
+
+def test_a_field_tile_is_read_only():
+    rows = _tile([2.0, 4.0, 6.0])
+    assert rows(0).shape == (0, 3)
+    for n in _TILE_BATCHES[1:]:
+        T = rows(n)
+        assert T.shape == (n, 3) and not T.flags.writeable
+        assert np.array_equal(T, np.tile([2.0, 4.0, 6.0], (n, 1)))
+        with pytest.raises(ValueError):
+            T[0, 0] = 1.0
 
 
 def test_a_replaced_potential_calls_its_new_oracles():

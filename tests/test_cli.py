@@ -92,8 +92,13 @@ def test_parse_scenario_rejects_plain_potential(tmp_path):
     {"integrator": "verlet"},
     {"name": {"a": 1}},
     {"name": 5},
+    {"horizon": 1e-300},
+    {"eps0": 1e300},
+    {"v": [0.0, 1e154, 1e154]},
+    {"p": [1e154, 1e154, 0.0]},
 ], ids=["p-nan", "horizon-nan", "eps0-inf", "count-string", "count-bool", "tol_on_m",
-        "slack-negative", "out-number", "integrator", "name-object", "name-number"])
+        "slack-negative", "out-number", "integrator", "name-object", "name-number",
+        "horizon-tiny", "eps0-huge", "v-square-overflows", "p-square-overflows"])
 def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     path = _write(tmp_path, "bad.json", dict(BASE, **change))
     code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"), "--no-svg"])
