@@ -12,9 +12,11 @@ concrete evidence that trajectories launched with initial speeds eps_j |v|
 physical time tau*/eps_j.
 
 That evidence comes from physical integrations independent of the
-rescaled members: the family's twins (see :mod:`flatvalley.dynamics`),
-integrated in the family's own lockstep call.  ``physical_evidence_runs``
-only cuts each twin at tau*/eps_j, a node of its grid, so the certificate
+rescaled members: the family's physical runs (see
+:mod:`flatvalley.dynamics`), integrated in the family's own lockstep call
+at a different step from their members, which is what makes them the
+members' step-error reference too.  ``physical_evidence_runs`` only cuts
+each physical run at tau*/eps_j, a node of its grid, so the certificate
 stage integrates nothing.
 """
 from __future__ import annotations
@@ -315,19 +317,25 @@ def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
     return 2.0 * potential.profile.inverse(budget) / gradn
 
 
+def check_limit_shape(count: int, n_out: int) -> None:
+    """Raise InvalidParameterError unless a family of ``count`` members on
+    ``n_out`` output nodes is one :func:`extract_limit` can read."""
+    if count < 3:
+        raise InvalidParameterError("limit extraction needs at least 3 family members")
+    if n_out < 5:
+        raise InvalidParameterError(
+            f"limit extraction needs at least 5 output nodes (n_out >= 5) for its xdot(0) "
+            f"stencil, got n_out = {n_out}")
+
+
 def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     """Extract the limit curve and its convergence diagnostic.
 
-    Needs at least 3 members and 5 output nodes, the nodes c - 2 to c + 2
-    of the xdot(0) stencil about the middle node c.  The default
+    Needs at least 3 members and 5 output nodes (:func:`check_limit_shape`):
+    the xdot(0) stencil reads nodes c - 2 to c + 2.  The default
     ``tol_limit`` is :func:`limit_tolerance` of the family.
     """
-    if family.count < 3:
-        raise InvalidParameterError("limit extraction needs at least 3 family members")
-    if len(family.tau) < 5:
-        raise InvalidParameterError(
-            f"limit extraction needs at least 5 output nodes (n_out >= 5) for its xdot(0) "
-            f"stencil, got n_out = {len(family.tau)}")
+    check_limit_shape(family.count, len(family.tau))
     fld = family.potential.field
     eps = family.epsilons
     members = family.members
@@ -377,12 +385,12 @@ def escape_point(tau: Array, x: Array, p) -> Tuple[int, float, float]:
 def physical_evidence_runs(family: FamilyResult, tau_star: float) -> List[Trajectory]:
     """The physical runs with initial speed eps_j |v|, each up to tau*/eps_j.
 
-    Run j is the family's twin j (the physical run from (p, eps_j v) that
-    the family integrates beside member j) cut at its node i, where
-    tau* = tau[half + i] is a node of the family grid: that node is the
-    physical state at tau*/eps_j, so nothing is integrated or interpolated
-    here.  Raises InvalidParameterError unless tau* is a positive node of
-    the grid, and the BlowUpError of the lowest j whose twin blew up before
+    Run j is the family's physical run j (from (p, eps_j v), integrated
+    beside member j) cut at its node i, where tau* = tau[half + i] is a
+    node of the family grid: that node is the physical state at
+    tau*/eps_j, so nothing is integrated or interpolated here.  Raises
+    InvalidParameterError unless tau* is a positive node of the grid, and
+    the BlowUpError of the lowest j whose physical run blew up before
     reaching node i, the error a run integrated to tau*/eps_j would raise.
     """
     half = (len(family.tau) - 1) // 2
@@ -393,12 +401,12 @@ def physical_evidence_runs(family: FamilyResult, tau_star: float) -> List[Trajec
         raise InvalidParameterError(
             f"tau_star = {tau_star:g} is not a positive node of the family grid")
     runs = []
-    for j, twin in enumerate(family.twins):
-        if len(twin.tau) <= i:
-            raise family.twin_errors[j]
-        tau, x, v = twin.tau[:i + 1], twin.x[:i + 1], twin.v[:i + 1]
-        runs.append(Trajectory(kind="physical", epsilon=twin.epsilon, tau=tau, x=x, v=v,
-                               dt=twin.dt, tau_int=tau, x_int=x, v_int=v))
+    for j, run in enumerate(family.physical):
+        if len(run.tau) <= i:
+            raise family.physical_errors[j]
+        tau, x, v = run.tau[:i + 1], run.x[:i + 1], run.v[:i + 1]
+        runs.append(Trajectory(kind="physical", epsilon=run.epsilon, tau=tau, x=x, v=v,
+                               dt=run.dt, tau_int=tau, x_int=x, v_int=v))
     return runs
 
 

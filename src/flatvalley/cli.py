@@ -21,9 +21,10 @@ stages it ran (traj_eps<j>.csv, coords_eps<j>.csv, limit.csv, evidence.csv,
 figures/*.svg) and report.json into ``--out``, else the file's ``out``,
 else ``out_<name>``.
 
-The family stage integrates every member and its physical twin in one
-lockstep call; the certificate stage reads its evidence off the twins and
-integrates nothing.
+The family stage integrates every member and a physical run beside it in
+one lockstep call; the physical run is the member's step-error reference,
+and the certificate stage cuts its evidence from it and integrates
+nothing.
 
 Exit codes of all three: 0 when every stage passed (the certificate verdict
 is UNSTABLE for ``certify``), 2 when a stage's audit stopped the run with an
@@ -51,6 +52,7 @@ import numpy as np
 from .analysis import (
     acceleration_uniformity,
     certify_instability,
+    check_limit_shape,
     coordinate_bounds_report,
     coordinate_gate,
     coordinate_traces,
@@ -207,12 +209,15 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
     stage needs ``family`` and the certificate needs ``limit``.  Each stage
     records its data and then gates on its own audit, so the files of the
     stages that finished are written even when a later one stops the run.
+    A schedule the limit stage could not read is refused before any stage.
     """
     if not (set(stages) <= set(STAGES) and "family" in stages
             and ("certificate" not in stages or "limit" in stages)):
         raise InvalidParameterError(
             f"stages {tuple(stages)!r} must be drawn from {STAGES}, include 'family', "
             "and include 'limit' with 'certificate'")
+    if "limit" in stages:
+        check_limit_shape(scenario.count, scenario.options.n_out)
     report = RunReport(out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
     payload = {"scenario": _scenario_payload(scenario)}
@@ -246,11 +251,10 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             "epsilons": fam.epsilons,
             "dt": [m.dt for m in fam.members],
             "substeps": fam.substeps,
-            # strict JSON: the infinite step error of a blown-up companion is null
+            # strict JSON: the infinite step error of a blown-up physical run is null
             "step_errors": [float(e) if np.isfinite(e) else None for e in fam.step_errors],
             "energy_drifts": [e.drift for e in fam.energies],
             "bounds": bounds_payload(fam.bounds),
-            "twin_distances": fam.twin_distances,
         }
         failures = state["member_failures"] = _member_failures(fam)
         for reason in failures:

@@ -12,19 +12,18 @@ from; conservation of H = |xd|^2/2 + U/eps^2 gives sharp a-priori bounds
 against.
 
 Each kind of run makes one lockstep call of ``integrators.integrate``:
-:func:`family_from_runs` (both halves, the physical twin and the
-step-error companion of every member), :func:`integrate_rescaled` (both
-halves of one run) and :func:`newton_many` (physical runs, a single one
-being a batch of one).
+:func:`family_from_runs` (both halves and the physical run of every
+member), :func:`integrate_rescaled` (both halves of one run) and
+:func:`newton_many` (physical runs, a single one being a batch of one).
 
-The twin of member j is the physical run from (p, eps_j v) to T/eps_j on
-the member's forward output grid scaled by 1/eps_j.  It takes the member's
-step count, so it costs the lockstep no extra iterations, and its nodes
-are the physical states at tau/eps_j for every node tau >= 0 of the
-family: the certificate's evidence runs are read off the twins, with no
-integration of their own.  Under t = tau/eps_j the twin and the member's
-forward half are the same discrete map up to rounding; their distance is
-the family's two-route cross-check (``FamilyResult.twin_distances``).
+The physical run of member j is xdd = -grad U from (p, eps_j v) to T/eps_j
+on the member's forward output grid scaled by 1/eps_j, at about half the
+member's substeps per output interval.  Under t = tau/eps_j its nodes are
+the forward half's nodes integrated at a coarser step, so their sup
+distance is the member's recorded step error (``FamilyResult.step_errors``,
+which the family stage gates on), and they are the physical states at
+tau/eps_j for every node tau >= 0 of the family: the certificate's
+evidence runs are cut from them, with no integration of their own.
 
 Output grids: every trajectory is reported on an equispaced grid whose
 nodes are exact integrator states (the internal step is snapped to divide
@@ -37,14 +36,11 @@ times member 0's effective factor (:func:`member_step_factors`).  The
 transverse amplitude shrinks like eps^2, so this keeps the members' errors
 level (energy drifts of 1.1e-12 to 1.9e-12 on the shipped circle, where
 dtau = 0.01 eps_j gave 1.9e-12 down to 4.7e-14 and cost the lockstep
-32,000 iterations, now 5,800).  Beside each member's forward half the same
-lockstep call runs a companion at half its substeps per output interval;
-their sup node distance is the member's recorded step error
-(``FamilyResult.step_errors``), which the family stage gates on.
+32,000 iterations, now 5,800).
 
-Memory grows with nodes, not steps.  The members and twins of a family
-keep only their output nodes: the lockstep call stores every m-th state
-of each row and streams every internal state of the members through
+Memory grows with nodes, not steps.  The members and physical runs of a
+family keep only their output nodes: the lockstep call stores every m-th
+state of each row and streams every internal state of the members through
 their conservation audits (:class:`RunAudits`) as it goes, so no (steps +
 1, n) array is allocated per run.  Dense internal states are kept only
 where they are read: :func:`integrate_rescaled` (which writes both halves
@@ -133,11 +129,10 @@ class PhaseState:
 class IntegratorOptions:
     """Resolution knobs of the one stepper, PEFRL (see :mod:`flatvalley.integrators`).
 
-    ``step_factor`` is the c in dtau = c * eps for a rescaled run; physical
-    runs use dt = c directly, so a rescaled run and its physical twin have
-    the same resolution per unit of rescaled time.  In a family it is
-    member 0's factor: the other members step at the factors
-    :func:`member_step_factors` derives from it.
+    ``step_factor`` is the c in dtau = c * eps for a rescaled run and the
+    step dt = c of a physical run.  In a family it is member 0's factor:
+    the other members step at the factors :func:`member_step_factors`
+    derives from it.
     """
 
     step_factor: float = 0.01
@@ -162,8 +157,8 @@ class Trajectory:
     default).  A dense run (from :func:`integrate_rescaled` or
     :func:`integrate_newton`) also holds every internal step in its
     ``*_int`` arrays; output nodes coincide with internal nodes by
-    construction.  The members of a family and their physical twins, and
-    the evidence runs cut from the twins, keep only their output nodes:
+    construction.  The members of a family and their physical runs, and
+    the evidence runs cut from those, keep only their output nodes:
     their ``*_int`` arrays are the node arrays, and ``dt`` is still the
     step they were integrated at.
     """
@@ -586,8 +581,8 @@ class Scenario:
     capped below by ``min_eps`` > 0, and both are checked before the
     schedule is built, as are the squares the stages take: the smallest
     eps squared and the squared output spacing must not fall below the
-    smallest normal float, and the energy budget's eps0^2 |v|^2 must not
-    overflow.  Every family records each member's step error and the family
+    smallest normal float, eps0^2 |v|^2 must not overflow nor member 0's
+    step step_factor * eps0 underflow.  Every family records each member's step error and the family
     stage gates on it; down to eps = 2e-4 (the shipped circle and ellipsoid
     at count 10) the recorded step errors stay at or below 1.3e-9 and
     2.8e-12, two and six orders of magnitude under their limits.
@@ -672,6 +667,10 @@ class Scenario:
             raise ScenarioError(
                 f"eps0 {self.eps0:g} is too large for |v| = {vnorm:g}: "
                 "eps0^2 |v|^2 overflows")
+        if not self.options.step_factor * self.eps0 > 0:
+            raise ScenarioError(
+                f"step_factor {self.options.step_factor:g} is too small for eps0 "
+                f"{self.eps0:g}: member 0's step step_factor * eps0 underflows to 0")
 
     @property
     def epsilons(self) -> Array:
@@ -681,19 +680,18 @@ class Scenario:
 @dataclass(eq=False)
 class FamilyResult:
     """Rescaled trajectories for a geometric eps schedule on one output grid,
-    with their physical twins.
+    with a physical run beside each.
 
-    Members and twins keep only their output nodes; ``energies`` and
-    ``bounds`` audited every internal state of each member as it ran (see
-    :class:`RunAudits`), and a member's dense run is
+    Members and physical runs keep only their output nodes; ``energies``
+    and ``bounds`` audited every internal state of each member as it ran
+    (see :class:`RunAudits`), and a member's dense run is
     :func:`integrate_rescaled` at its eps, the horizon and the options with
-    its :func:`member_step_factors` factor.
-    ``twins[j]`` is the physical run from (p, eps_j v) to T/eps_j that was
-    integrated beside member j (see :func:`family_from_runs`); a twin that
-    blew up ends early and has its error in ``twin_errors``.  Member j steps
-    at ``members[j].dt``, ``substeps[j]`` steps per output interval (see
-    :func:`member_steps`), and ``step_errors[j]`` is the sup node distance
-    of its forward half from the same run at half its substeps.
+    its :func:`member_step_factors` factor.  Member j steps at
+    ``members[j].dt``, ``substeps[j]`` steps per output interval.
+    ``physical[j]`` is the run from (p, eps_j v) to T/eps_j integrated
+    beside it (see :func:`family_from_runs`), and ``step_errors[j]`` is
+    their sup node distance; one that blew up ends early, with its error
+    in ``physical_errors`` and an infinite step error.
     """
 
     potential: CompositePotential
@@ -706,8 +704,8 @@ class FamilyResult:
     members: List[Trajectory]
     energies: List[EnergyReport]
     bounds: List[BoundsCheck]
-    twins: List[Trajectory]
-    twin_errors: Dict[int, BlowUpError]
+    physical: List[Trajectory]
+    physical_errors: Dict[int, BlowUpError]
     step_errors: Array
 
     @property
@@ -719,50 +717,36 @@ class FamilyResult:
         spacing = float(self.tau[1] - self.tau[0])
         return [round(spacing / member.dt) for member in self.members]
 
-    @property
-    def twin_distances(self) -> Array:
-        """Per member, the sup distance between its twin and its forward half
-        on the nodes they share: the two routes to the same discrete map."""
-        half = (len(self.tau) - 1) // 2
-        return np.array([
-            float(np.max(np.linalg.norm(twin.x - member.x[half:half + len(twin.x)], axis=1)))
-            for member, twin in zip(self.members, self.twins)])
-
 
 def family_from_runs(potential, p, v, T, epsilons,
                      opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
-    """Integrate one rescaled run per eps at its :func:`member_steps` step,
-    its physical twin and its step-error companion, all in one lockstep
-    call, and audit every internal state of each run as it is made.
+    """Integrate one rescaled run per eps at its :func:`member_steps` step
+    and a physical run beside it, all in one lockstep call, and audit every
+    internal state of each member as it is made.
 
-    Rows 2j and 2j + 1 of the call are member j's halves.  Row 2 count + j,
-    the twin, solves xdd = -grad U from (p, eps_j v) to T/eps_j on the
-    forward half's ``half`` output intervals at the member's m_j substeps
-    per interval: it takes the member's step count, so the lockstep loop
-    runs no longer, its nodes are those of the :func:`integrate_newton` run
-    to T/eps_j with n_out = half + 1 at the member's factor, bit for bit,
-    and its node i is the physical state at the time of member j's node
-    half + i.  Row 3 count + j, the companion, is member j's forward half
-    at ceil(m_j/2) substeps per interval (2 when m_j = 1): the sup distance
-    of its nodes from the forward half's is member j's step error (inf when
-    the companion blew up).  Every row keeps only its output nodes.
+    Rows 2j and 2j + 1 of the call are member j's halves.  Row 2 count + j
+    solves xdd = -grad U from (p, eps_j v) to T/eps_j on the forward half's
+    ``half`` output intervals scaled by 1/eps_j, at c_j = ceil(m_j/2)
+    substeps per interval (2 when m_j = 1), so the lockstep loop runs no
+    longer: its nodes are those of :func:`integrate_newton` to T/eps_j with
+    n_out = half + 1 at c_j substeps, bit for bit, and its node i is the
+    physical state at the time of member j's node half + i.  As
+    x_phys(tau/eps_j) = x_resc(tau), its sup node distance from the forward
+    half is member j's step error (inf when it blew up).  Every row keeps
+    only its output nodes.
 
     A family any of whose members would take more than MAX_STEPS steps
     fails before any member runs; a failing member aborts the family with
-    the lowest failing index attached.  A failing twin or companion touches
-    no member: a twin keeps the nodes it reached, and its error waits in
-    ``twin_errors`` for the certificate stage.
+    the lowest failing index attached.  A failing physical run touches no
+    member: it keeps the nodes it reached.
     """
     epsilons = np.asarray(list(epsilons), dtype=float)
     p, v, batch = _halves(potential, p, v, T, epsilons, opts)
     count, half = len(epsilons), (opts.n_out - 1) // 2
     spacing = T / half
-    forward = batch[::2]
-    batch += [(p, float(eps) * v, 1.0, (m, T / float(eps) / half / m, half * m))
-              for eps, (_, _, _, (m, _, _)) in zip(epsilons, forward)]
-    for _, _, scale, (m, _, _) in forward:
+    for eps, (_, _, _, (m, _, _)) in zip(epsilons, batch[::2]):
         c = 2 if m == 1 else (m + 1) // 2
-        batch.append((p, v, scale, (c, spacing / c, half * c)))
+        batch.append((p, float(eps) * v, 1.0, (c, T / float(eps) / half / c, half * c)))
     audits = RunAudits(potential, epsilons, p, v, opts.n_out)
 
     def observe(rows, first, X, V, due):
@@ -785,19 +769,19 @@ def family_from_runs(potential, p, v, T, epsilons,
             raise BlowUpError(
                 f"family member j={j} (eps={eps:g}) failed: {exc}",
                 last_time=exc.last_time, last_state=exc.last_state) from exc
-    members, twins, twin_errors, step_errors = [], [], {}, []
+    members, physical, physical_errors, step_errors = [], [], {}, []
     for j, eps in enumerate(epsilons):
-        twin, companion = 2 * count + j, 3 * count + j
-        exc = failures.get(twin)
+        row = 2 * count + j
+        exc = failures.get(row)
         if exc is not None:
-            twin_errors[j] = BlowUpError(
-                f"physical twin j={j} (eps={eps:g}) blew up: {exc}",
+            physical_errors[j] = BlowUpError(
+                f"physical run j={j} (eps={eps:g}) blew up: {exc}",
                 last_time=exc.last_time, last_state=exc.last_state)
-        twins.append(_run("physical", float(eps), 0, T / float(eps) / half, Xs[twin], Vs[twin],
-                          batch[twin][3], dense=False))
+        physical.append(_run("physical", float(eps), 0, T / float(eps) / half, Xs[row], Vs[row],
+                             batch[row][3], dense=False))
         step_errors.append(
-            np.inf if companion in failures
-            else float(np.max(np.linalg.norm(Xs[companion] - Xs[2 * j], axis=1))))
+            np.inf if exc is not None
+            else float(np.max(np.linalg.norm(Xs[row] - Xs[2 * j], axis=1))))
         x_nodes = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
         v_nodes = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
         Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
@@ -808,7 +792,8 @@ def family_from_runs(potential, p, v, T, epsilons,
         epsilons=epsilons, tau=members[0].tau, members=members,
         energies=[audits.energy(j) for j in range(count)],
         bounds=[audits.bounds(j) for j in range(count)],
-        twins=twins, twin_errors=twin_errors, step_errors=np.array(step_errors),
+        physical=physical, physical_errors=physical_errors,
+        step_errors=np.array(step_errors),
     )
 
 

@@ -86,21 +86,22 @@ def tiny_scenario_file(tmp_path):
 
 
 @pytest.fixture()
-def blow_up_twins(monkeypatch):
-    """Make a family's twins blow up: ``blow_up_twins({j: fraction})`` has the
-    family's lockstep call report twin j as leaving the finite box at that
-    fraction of its steps, keeping its nodes before, as ``integrate``
-    reports a row that blew up.  A twin moves eps_j times slower than its
-    member along the same path, so it never blows up while its member runs
-    on: the failure has to be injected."""
+def blow_up_physical_rows(monkeypatch):
+    """Make a family's physical runs blow up: ``blow_up_physical_rows({j:
+    fraction})`` has the family's lockstep call report member j's physical
+    run as leaving the finite box at that fraction of its steps, keeping its
+    nodes before, as ``integrate`` reports a row that blew up.  A physical
+    run moves eps_j times slower than its member along the same path, so it
+    never blows up while its member runs on: the failure has to be
+    injected."""
     real = dynamics.integrate
 
     def install(fractions):
         def integrate(accel, x0, v0, dt, n_steps, *, steps, scale, stride, **kwargs):
-            # both halves of every member, then the twins, then the companions
-            count = len(steps) // 4
+            # both halves of every member, then the physical runs
+            count = len(steps) // 3
             failing = {2 * count + j: fraction for j, fraction in fractions.items()}
-            # a failing twin keeps every state here, to be cut at its failure
+            # a failing row keeps every state here, to be cut at its failure
             # and thinned to its nodes below, as integrate keeps a row's nodes
             Xs, Vs, failures = real(accel, x0, v0, dt, n_steps, steps=steps, scale=scale,
                                     stride=[1 if r in failing else s

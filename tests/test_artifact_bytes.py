@@ -19,7 +19,9 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                          "scenarios")
 
 # name -> {path under the output directory: sha256}, recorded before the
-# table writer and the vectorised SVG coordinates replaced per-cell formatting
+# table writer and the vectorised SVG coordinates replaced per-cell formatting;
+# evidence.csv and report.json re-recorded when each member's physical run,
+# at about half its substeps, replaced its twin as the evidence
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
@@ -35,7 +37,7 @@ ARTIFACT_DIGESTS = {
         "coords_eps5.csv":
             "a00a9465d3df87593e04de1efb7bbf8cf28eeb0760ec3f87530da277694e77da",
         "evidence.csv":
-            "df780faf18171a6473e795f43e05bac61a87602fa8b032e003236a7683151aa6",
+            "fde873488577a3ef1a6d55cee888c6b9038fca7a58a30dcde55a956519bae96b",
         "figures/convergence.svg":
             "f9a1b57df101cfcc35de9652a7d0413c53a0ab00e883e1e7f738e51835a002dc",
         "figures/trajectories.svg":
@@ -45,7 +47,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "25bf83cb2a33adcb2acff9734194e3c6a4d99303e1554cf237aac12f61bd79f2",
         "report.json":
-            "45b72fab63f6f801a1f243aa1c02b9d2200a8c803cc5a53d0028e1507dd6b573",
+            "b206f25fe8a26ce15e8ce7104d0c861bb5c3526699d2e3716cf8873bf6dbdd77",
         "traj_eps0.csv":
             "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
         "traj_eps1.csv":
@@ -73,7 +75,7 @@ ARTIFACT_DIGESTS = {
         "coords_eps5.csv":
             "b508d00c2ad3be50527f813d3bd6c9e326e3529e36b5cc4fabfdf4b8d400c50a",
         "evidence.csv":
-            "248dd15a7585a6cca090730dfb9d5aeaac163b2a42d9d759acde03afbc9f1a2b",
+            "66825644d0e89a51fecb2e9a94b251e7ec0774062ebe57a2e1b17ea3ec04406c",
         "figures/convergence.svg":
             "e51adb68177615739dee14ea7fb8f4661ff5a32a136d20a05e769edbdc588d0e",
         "figures/trajectories.svg":
@@ -83,7 +85,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "b9721ae2ef1c6adccb8b058efcc31981736a183109075ac4bae8eb2eb203ffa4",
         "report.json":
-            "6c26f44dc6a4e6d2d873d128feec8034bc8a0340803b12d34bccc79360a7be1f",
+            "ddcf8fe5c5bc53ae713e4fd5cd3042e95d512b69a535b178db5565ddd5243ca2",
         "traj_eps0.csv":
             "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
         "traj_eps1.csv":
@@ -111,7 +113,7 @@ ARTIFACT_DIGESTS = {
         "coords_eps5.csv":
             "c1fd4d2fbaa6e3d8875e3139e7abc3d47ebde69f40e889fd90fb12d79370e224",
         "evidence.csv":
-            "27b1105773acd4b2d7fba7d990f334da1c98f1e8e2bd7455312d49aeedd7a5b0",
+            "85c0ce8b8fb573a6d04906bde8043485278ac9e22e3a6f67ec063df50646d2a7",
         "figures/convergence.svg":
             "f1ff7480aed3ceadb3360bbfc485524311da446859c8e63bb33a5b2edd55dbac",
         "figures/trajectories.svg":
@@ -121,7 +123,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "471198d968ebde8235bfcfa413fdc568a4b273c47c5fd7d232d01130fc7e0f5c",
         "report.json":
-            "579b06b8ce4b65802b6b0ee0441196d9270ffe8611891a5c45670d6f059e58a9",
+            "3e6dd71a323a6a0f6636750074c6e05ef9e0d5e816933d9c015fd9317c8ebefb",
         "traj_eps0.csv":
             "0605bfeb9d294883f2bdc8302df206521dd25249634a51f5dcae33f1c39321b0",
         "traj_eps1.csv":

@@ -7,6 +7,7 @@ runs gives: the same bits on every stored state, and on a failing row the
 error that row raises alone.
 """
 import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -45,9 +46,11 @@ CASES = {
     "ellipsoid": (fv.ellipsoid(), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
     "custom-polynomial": _custom_case(),
 }
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "scenarios")
 EPSILONS = [0.1, 0.05, 0.025]
 OPTIONS = fv.IntegratorOptions(n_out=101)
-# member j steps at its own factor; its dense run and its twin alone take it too
+# member j steps at its own factor; its dense run alone takes it too
 FACTORS = dynamics.member_step_factors(0.5, EPSILONS, OPTIONS)
 MEMBER_OPTIONS = [fv.IntegratorOptions(n_out=101, step_factor=c) for c in FACTORS]
 
@@ -258,46 +261,67 @@ def test_family_is_a_loop_of_rescaled_runs(name):
         assert member.steps == alone.steps == len(alone.tau_int) - 1
 
 
-def _twin_alone(P, p, v, j, T=0.5):
-    """Twin of member j, integrated alone: the physical run from (p, eps_j v)
-    to T/eps_j on the forward half's output intervals, at the member's
-    step factor."""
+def _physical_alone(P, p, v, j, T=0.5):
+    """Member j's physical run, integrated alone: from (p, eps_j v) to
+    T/eps_j on the forward half's output intervals, at c_j = ceil(m_j/2)
+    substeps per interval (2 when m_j = 1)."""
     half, eps = (OPTIONS.n_out - 1) // 2, EPSILONS[j]
+    m = dynamics.member_steps(T, EPSILONS, OPTIONS)[j][0]
+    c = 2 if m == 1 else (m + 1) // 2
     return fv.integrate_newton(P, fv.PhaseState(p, eps * v), T / eps,
-                               fv.IntegratorOptions(n_out=half + 1, step_factor=FACTORS[j]))
+                               fv.IntegratorOptions(n_out=half + 1,
+                                                    step_factor=T / eps / half / c))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_twins_are_a_loop_of_newton_runs(name):
+def test_physical_rows_are_a_loop_of_newton_runs(name):
     P, p, v = CASES[name]
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
-    assert not fam.twin_errors
-    for j, (member, twin) in enumerate(zip(fam.members, fam.twins)):
-        alone = _twin_alone(P, p, v, j)
-        assert twin.epsilon == EPSILONS[j] and alone.epsilon is None
-        _same_nodes(twin, dataclasses.replace(alone, epsilon=twin.epsilon))
-        # a twin keeps only its nodes, and takes its member's step count:
-        # the lockstep runs no longer
-        assert twin.x_int is twin.x and twin.v_int is twin.v and twin.tau_int is twin.tau
-        assert 2 * alone.steps == member.steps
-    # same discrete map up to rounding: the two routes agree far below any
-    # tolerance the certificate uses
-    assert np.all(fam.twin_distances <= 1e-12)
+    half = (OPTIONS.n_out - 1) // 2
+    assert not fam.physical_errors
+    for j, (member, run) in enumerate(zip(fam.members, fam.physical)):
+        alone = _physical_alone(P, p, v, j)
+        assert run.epsilon == EPSILONS[j] and alone.epsilon is None
+        _same_nodes(run, dataclasses.replace(alone, epsilon=run.epsilon))
+        # a physical run keeps only its nodes, and takes at most the finest
+        # member's half of the steps: the lockstep runs no longer
+        assert run.x_int is run.x and run.v_int is run.v and run.tau_int is run.tau
+        assert alone.steps <= half * max(fam.substeps)
+        # it is member j's step-error reference
+        assert fam.step_errors[j] == float(np.max(np.linalg.norm(
+            alone.x - member.x[half:], axis=1)))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_evidence_runs_are_a_loop_of_newton_runs(name):
-    # evidence run j is twin j cut at tau* = 0.4, node 40 of its 50 intervals
+    # evidence run j is physical run j cut at tau* = 0.4, node 40 of its 50
+    # intervals
     P, p, v = CASES[name]
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
     runs = fv.physical_evidence_runs(fam, 0.4)
     for j, (eps, run) in enumerate(zip(EPSILONS, runs)):
-        alone = _twin_alone(P, p, v, j)
+        alone = _physical_alone(P, p, v, j)
         assert run.kind == "physical" and run.epsilon == eps and run.dt == alone.dt
         assert run.tau[-1] * eps == pytest.approx(0.4, rel=1e-12)
         for name_ in ("tau", "x", "v"):
             assert _bits(getattr(run, name_)) == _bits(getattr(alone, name_)[:41]), name_
         assert run.x_int is run.x
+
+
+@pytest.mark.parametrize("name, iterations", [("circle", 5800), ("ellipsoid", 3400)])
+def test_family_is_one_lockstep_call_of_three_rows_per_member(monkeypatch, name, iterations):
+    # both halves and the physical run of every member; the physical runs
+    # take fewer steps than the finest member, so the loop runs no longer
+    calls, real = [], dynamics.integrate
+
+    def spy(accel, x0, v0, dt, n_steps, **kwargs):
+        calls.append((len(x0), n_steps))
+        return real(accel, x0, v0, dt, n_steps, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", spy)
+    fam = fv.run_family(fv.parse_scenario(os.path.join(SCENARIOS, f"{name}.json")))
+    assert calls == [(3 * fam.count, iterations)]
+    assert iterations == (fam.options.n_out - 1) // 2 * max(fam.substeps)
 
 
 @pytest.mark.parametrize("tau_star", [0.0, -0.4, 0.403, 0.51, np.nan, np.inf])
@@ -308,25 +332,28 @@ def test_evidence_needs_a_positive_node_of_the_family_grid(tau_star):
         fv.physical_evidence_runs(fam, tau_star)
 
 
-def test_a_blown_up_twin_keeps_its_nodes_and_raises_only_before_them(blow_up_twins):
-    # twins 2 and 1 fail at 90 % and 80 % of their runs: evidence up to
-    # tau* = 0.25 is read off their surviving nodes, evidence at tau* = 0.5
-    # raises the error of the lowest j, and no member is touched
+def test_a_blown_up_physical_row_keeps_its_nodes_and_raises_only_before_them(
+        blow_up_physical_rows):
+    # physical runs 2 and 1 fail at 90 % and 80 % of their runs: they have
+    # no step error, evidence up to tau* = 0.25 is read off their surviving
+    # nodes, evidence at tau* = 0.5 raises the error of the lowest j, and no
+    # member is touched
     P, p, v = CASES["circle"]
     alone = [fv.integrate_rescaled(P, p, v, eps, 0.5, opts)
              for eps, opts in zip(EPSILONS, MEMBER_OPTIONS)]
-    blow_up_twins({2: 0.9, 1: 0.8})
+    blow_up_physical_rows({2: 0.9, 1: 0.8})
     fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
-    assert sorted(fam.twin_errors) == [1, 2]
-    assert [len(twin.tau) for twin in fam.twins] == [51, 40, 45]
+    assert sorted(fam.physical_errors) == [1, 2]
+    assert [len(run.tau) for run in fam.physical] == [51, 40, 45]
+    assert np.isfinite(fam.step_errors[0]) and np.all(np.isinf(fam.step_errors[1:]))
     for member, run in zip(fam.members, alone):
         _same_nodes(member, run)  # a member keeps only the nodes of its dense run
     early = fv.physical_evidence_runs(fam, 0.25)
     assert [len(run.tau) for run in early] == [26, 26, 26]
     with pytest.raises(BlowUpError) as info:
         fv.physical_evidence_runs(fam, 0.5)
-    assert info.value is fam.twin_errors[1]
-    assert str(info.value).startswith("physical twin j=1 (eps=0.05) blew up: state left")
+    assert info.value is fam.physical_errors[1]
+    assert str(info.value).startswith("physical run j=1 (eps=0.05) blew up: state left")
 
 
 @pytest.mark.parametrize("P", [fv.painleve(), fv.laloy()], ids=["painleve", "laloy"])

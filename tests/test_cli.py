@@ -108,6 +108,19 @@ def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     assert "Traceback" not in err
 
 
+def test_a_step_that_underflows_names_step_factor(tmp_path, capsys):
+    # the squares of the smallest eps and of the output spacing stay normal
+    # floats, but member 0's step step_factor * eps0 = 1e-350 is 0
+    with open(CIRCLE) as fh:
+        path = _write(tmp_path, "underflow.json", dict(
+            json.load(fh), eps0=1e-150, step_factor=1e-200, horizon=1e-150, min_eps=1e-300))
+    assert cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"),
+                     "--no-svg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ScenarioError: step_factor 1e-200 is too small for eps0 "
+                          "1e-150") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("change", [{"count": 10**12}, {"min_eps": 0}, {"min_eps": -1}],
                          ids=["count-huge", "min_eps-zero", "min_eps-negative"])
 def test_schedule_is_checked_before_it_is_built(tmp_path, capsys, change):
@@ -633,9 +646,26 @@ def test_too_few_output_nodes_for_the_limit_is_one_error_line(tmp_path, capsys, 
         path = _write(tmp_path, "coarse.json", dict(json.load(fh), n_out=3))
     assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "out"),
                      "--no-svg"]) == 1
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
     assert err.startswith("error: InvalidParameterError") and "at least 5 output nodes" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    # refused before any stage ran
+    assert _stages_printed(printed) == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["limit", "certify"])
+def test_too_few_members_for_the_limit_are_refused_before_any_stage(
+        tmp_path, capsys, monkeypatch, command):
+    # the limit stage's own check, run before the family stage: no member
+    # is integrated and no file is written
+    monkeypatch.setattr(cli, "run_family", lambda scn: pytest.fail("the family stage ran"))
+    with open(CIRCLE) as fh:
+        path = _write(tmp_path, "short.json", dict(json.load(fh), count=2))
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", path, "--out", str(out), "--no-svg"]) == 1
+    printed, err = capsys.readouterr()
+    assert err == "error: InvalidParameterError: limit extraction needs at least 3 family members\n"
+    assert _stages_printed(printed) == [] and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -686,9 +716,6 @@ def test_evidence_csv_holds_the_physical_end_states(circle_run_dir):
         j = row["j"]
         moved = float(np.hypot(cols["x0"][j] - cert["p"][0], cols["x1"][j] - cert["p"][1]))
         assert moved == pytest.approx(row["displacement"], rel=1e-15)
-    # the two-route cross-check: each twin against its member's forward half
-    assert len(rep["family"]["twin_distances"]) == 6
-    assert max(rep["family"]["twin_distances"]) <= 1e-12
 
 
 def _tamper_evidence_coordinate(clone, rep):
@@ -771,42 +798,27 @@ def test_velocity_clause_is_a_diagnostic(tiny_scenario_file, tmp_path, monkeypat
     assert rep["certificate"]["verdict"] == "UNSTABLE"
 
 
-def test_twin_blow_up_before_tau_star_stops_the_certificate_stage(
-        tiny_scenario_file, tmp_path, capsys, blow_up_twins):
-    # tau* is the last node here, so both twins fail before it; the lowest j
-    # is the error the certificate stage raises, and the family stage is not
-    # stopped by either
-    blow_up_twins({2: 0.5, 1: 0.9})
-    assert cli.main(["family", "--scenario", tiny_scenario_file, "--out",
-                     str(tmp_path / "family"), "--no-svg"]) == 0
-    out = tmp_path / "certify"
-    assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
-                     "--no-svg"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: BlowUpError: physical twin j=1 (eps=0.05) blew up: "
-                          "state left the finite box at step ")
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["errors"][0]["stage"] == "certificate"
-    assert "evidence.csv" not in rep["manifest"]
-
-
-def test_twin_blow_up_after_tau_star_still_certifies(tmp_path, capsys, blow_up_twins):
-    # a circle run past its farthest point: tau* = 3.12 < T = 4, so twin 1
-    # failing at 95 % of T/eps_1 leaves every node the evidence needs
-    # (without the coordinates stage: the graph chart reaches only a
-    # quarter of the circle)
+@pytest.mark.parametrize("fractions", [{2: 0.5, 1: 0.3}, {1: 0.95}],
+                         ids=["before-tau-star", "after-tau-star"])
+def test_physical_row_blow_up_stops_the_family_stage(tmp_path, capsys, blow_up_physical_rows,
+                                                      fractions):
+    # a circle run past its farthest point, tau* = 3.12 < T = 4: a physical
+    # run that fails before tau*/eps_j or after it has no step error either
+    # way, so the family stage stops on the lowest such member
     path = _write(tmp_path, "long.json", {
         "potential": {"kind": "circle"}, "p": [1.0, 0.0], "v": [0.0, 1.0],
         "horizon": 4.0, "count": 3, "n_out": 101})
-    blow_up_twins({1: 0.95})
-    assert cli.main(["family", "--scenario", path, "--out", str(tmp_path / "family"),
-                     "--no-svg"]) == 0
-    report = fv.run_pipeline(fv.parse_scenario(path), str(tmp_path / "certify"), svg=False,
-                             stages=("family", "limit", "certificate"))
-    assert report.verdict == "UNSTABLE" and report.exit_code == 0
-    assert sorted(report.results["family"].twin_errors) == [1]
-    assert report.results["certificate"].tau_star < 0.95 * 4.0
-    assert revalidate_from_dir(str(tmp_path / "certify"))["ok"]
+    blow_up_physical_rows(fractions)
+    out = tmp_path / "certify"
+    assert cli.main(["certify", "--scenario", path, "--out", str(out), "--no-svg"]) == 2
+    printed = capsys.readouterr().out
+    assert _stages_printed(printed) == ["family", "emit"]
+    assert "verdict: INDETERMINATE (family member j=1 (eps=0.05) failed its step-error " \
+           "audit: step error inf > " in printed
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["certificate"]["verdict"] == "INDETERMINATE"
+    assert [e is None for e in rep["family"]["step_errors"]] == [False, True, 2 in fractions]
+    assert "evidence.csv" not in rep["manifest"]
 
 
 # sha256 of traj_eps0.csv from `family` on each shipped scenario, recorded
@@ -830,12 +842,13 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 
 
 # sha256 of report.json from run_pipeline(..., svg=False) over all four
-# stages on each shipped scenario: a change that claims to keep the verdicts
-# and the numbers keeps these bytes
+# stages on each shipped scenario, re-recorded when each member's physical
+# run replaced its twin as the evidence: a change that claims to keep the
+# verdicts and the numbers keeps these bytes
 REPORT_DIGESTS = {
-    "circle": "b19cb337927e2aeb5940c8aca8c36a500ced8e1fd637e7e317807a49d6a53568",
-    "gutter": "4fece058bc01763364e1f6276535607d9ceb0377c6ec2e343ed828237dec7fe2",
-    "ellipsoid": "584ba9a3270626ddc58e8fd5df6d2c72fefb0edb79c47f30a4c5481e4bcde8b9",
+    "circle": "15e02c2dbe1bd9e038be046661aebed890d7c37a7e70bab509a517ad1c77efd4",
+    "gutter": "f1a093a2326f6bce21f23d4e46f733c2d1c6794cc1442eab4ad9f908d04de641",
+    "ellipsoid": "69360177698e0029e73d3a20098ff8fa40adc82ad25bfb8304f876657e657f76",
 }
 
 

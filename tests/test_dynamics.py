@@ -308,9 +308,10 @@ def test_schedule_cap_and_smallest_eps_are_checked_as_scalars():
 
 
 def test_family_memory_grows_with_nodes_not_steps():
-    # members and twins keep only their output nodes, and the audits stream
-    # the internal states: on the shipped circle, four members peak near
-    # 0.4 MB, and near 1.7 MB when the members keep their dense states
+    # members and physical runs keep only their output nodes, and the
+    # audits stream the internal states: on the shipped circle, four
+    # members peak near 0.4 MB, and near 1.7 MB when the members keep
+    # their dense states
     def peak(count):
         scn = fv.parse_scenario(str(SCENARIOS / "circle.json"), {"count": count})
         tracemalloc.start()
