@@ -5,7 +5,7 @@ The flow of grad f / |grad f|^2 raises f at exactly unit rate, so flowing a
 chart of the floor produces coordinates (r, y) with r = f: the potential
 depends on r alone, and the floor is {r = 0}.  This script exercises the
 flow identity, foot-point projection, the graph chart, frame data, and the
-pullback-metric minimum that calibrates velocity bounds.
+pullback-metric minimum (the smallest stretch of the tube map).
 """
 import numpy as np
 

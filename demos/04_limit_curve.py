@@ -34,13 +34,11 @@ print(f"initial velocity recovered: xdot(0) = {np.round(limit.xdot0, 6).tolist()
 print("\ncoordinate diagnostics in the tube:")
 chart = fv.chart_for_scenario(scn)
 traces = fv.coordinate_traces(chart, family)
-metric = fv.metric_min_for_traces(chart, traces)
-cb = fv.coordinate_bounds_report(traces, scn.potential, scn.v, metric)
+cb = fv.coordinate_bounds_report(traces, scn.potential, scn.v)
 acc = fv.acceleration_uniformity(traces)
 print(f"  sup |r| per member : {[f'{s:.2e}' for s in cb.sup_r]}")
 print(f"  conservation bounds: {[f'{b:.2e}' for b in cb.r_bounds]}")
-print(f"  metric min {cb.metric_min:.4f} -> velocity bound {cb.velocity_bound:.4f}; "
-      f"max |ydot| = {cb.max_ydot.max():.6f}")
+print(f"  max |rdot| = {cb.max_rdot.max():.2e}; max |ydot| = {cb.max_ydot.max():.6f}")
 print(f"  tangential acceleration per member: "
       f"{[f'{a:.3f}' for a in acc.per_member]} (max/min = {acc.ratio:.2f})")
 

@@ -70,7 +70,6 @@ from .analysis import (
     coordinate_traces,
     escape_point,
     extract_limit,
-    metric_min_for_traces,
     physical_evidence_runs,
     revalidate_certificate,
 )

@@ -3,13 +3,13 @@
 The pipeline here is: read each family member in tube coordinates
 (``coordinate_traces``), check the transverse coordinate shrinks at the
 conservation-law rate and the coordinate accelerations stay bounded
-uniformly in eps (``coordinate_gate`` stops on either; the coordinate
-velocity bound is a diagnostic), extract the uniform limit curve from the
-smallest-eps member (``extract_limit``) with a Cauchy diagnostic standing
-in for compactness, and finally assemble an :class:`InstabilityCertificate`:
-concrete evidence that trajectories launched with initial speeds eps_j |v|
-(going to zero) still reach distance R/2 from the equilibrium point p at
-physical time tau*/eps_j.
+uniformly in eps (``coordinate_gate`` stops on either; the measured
+coordinate speeds are recorded, not gated on), extract the uniform limit
+curve from the smallest-eps member (``extract_limit``) with a Cauchy
+diagnostic standing in for compactness, and finally assemble an
+:class:`InstabilityCertificate`: concrete evidence that trajectories
+launched with initial speeds eps_j |v| (going to zero) still reach
+distance R/2 from the equilibrium point p at physical time tau*/eps_j.
 
 That evidence comes from physical integrations independent of the
 rescaled members: the family's physical runs (see
@@ -42,13 +42,12 @@ from .errors import (
     ScheduleTooShortError,
     UnverifiedLimitError,
 )
-from .geometry import (  # noqa: F401 (foot_point: flatbench/tracer.py patches it here)
+from .geometry import (
     MChart,
-    MetricMinEstimate,
     flow_steps_for,
     foot_many,
-    foot_point,
-    pullback_metric_min,
+    foot_point,  # noqa: F401 (flatbench/tracer.py patches it here)
+    pullback_metric_min,  # noqa: F401 (flatbench/tracer.py patches it here)
     raise_first,
 )
 
@@ -108,43 +107,15 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
     return out
 
 
-#: points per axis of the metric probe grid, and the padding of its box
-METRIC_GRID = 7
-METRIC_PAD = 1.1
-
-
-def metric_min_for_traces(chart: MChart, traces: List[CoordinateTrace]):
-    """Pullback-metric minimum over the coordinate box the traces visit,
-    padded by METRIC_PAD, on METRIC_GRID points per axis."""
-    r_lo = min(float(t.r.min()) for t in traces)
-    r_hi = max(float(t.r.max()) for t in traces)
-    mid, half = 0.5 * (r_lo + r_hi), 0.5 * (r_hi - r_lo)
-    half = max(half * METRIC_PAD, 1e-3)
-    y_box = np.zeros(chart.dim - 1)
-    for t in traces:
-        y_box = np.maximum(y_box, np.abs(t.y).max(axis=0))
-    y_box = y_box * METRIC_PAD + 1e-3
-    corner = float(np.linalg.norm(y_box))
-    # keep the probe grid and its finite-difference stencil inside the chart
-    reach = min(0.999 * chart.delta, chart.delta - 2.0 * chart.stencil_step)
-    if corner > reach:
-        y_box *= reach / corner
-    return pullback_metric_min(chart, r_range=(mid - half, mid + half),
-                               y_box=y_box, n_grid=METRIC_GRID)
-
-
 @dataclass(eq=False)
 class CoordinateBoundsReport:
-    """Transverse-coordinate and coordinate-velocity bounds per member.
+    """Transverse-coordinate bounds and measured coordinate speeds per member.
 
     The transverse coordinate must shrink with eps (``shrinking``) and stay
     below the conservation budget g^-1(eps^2 |v|^2 / 2) (``r_bounds_ok``):
     these are bounds of the proof, and :func:`coordinate_gate` stops the
-    pipeline when one fails.  ``velocity_ok`` (coordinate velocities below
-    |v|/sqrt(m), m the pullback-metric minimum) is a diagnostic only: m is
-    a grid estimate, not a certified minimum, so it is recorded and never
-    gated on; when there is no estimate, ``metric_min``, ``velocity_bound``
-    and ``velocity_ok`` are None.
+    pipeline when one fails.  ``max_rdot`` and ``max_ydot`` are the largest
+    measured coordinate speeds per member, recorded and not gated on.
     """
 
     epsilons: Array
@@ -152,11 +123,8 @@ class CoordinateBoundsReport:
     r_bounds: Array
     r_bounds_ok: bool
     shrinking: bool
-    metric_min: Optional[float]
-    velocity_bound: Optional[float]
     max_rdot: Array
     max_ydot: Array
-    velocity_ok: Optional[bool]
 
 
 def _r_excess(sup_r: Array, r_bounds: Array) -> Array:
@@ -169,10 +137,8 @@ def _growth(sup_r: Array) -> Array:
     return np.concatenate([[False], ~(sup_r[1:] <= sup_r[:-1] * (1.0 + 1e-9) + 1e-15)])
 
 
-def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v,
-                             m_estimate: Optional[MetricMinEstimate]) -> CoordinateBoundsReport:
-    """The traces' bounds; an ``m_estimate`` of None leaves the velocity diagnostic None."""
-    m_value = None if m_estimate is None else m_estimate.value
+def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v) -> CoordinateBoundsReport:
+    """The traces' transverse bounds and measured coordinate speeds."""
     vnorm = float(np.linalg.norm(np.asarray(v, dtype=float)))
     eps = np.array([t.epsilon for t in traces])
     sup_r = np.array([float(np.abs(t.r).max()) for t in traces])
@@ -181,15 +147,9 @@ def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v,
     shrinking = not _growth(sup_r).any()
     max_rdot = np.array([float(np.abs(t.rdot).max()) for t in traces])
     max_ydot = np.array([float(np.abs(t.ydot).max()) for t in traces])
-    vb = velocity_ok = None
-    if m_value is not None:
-        vb = float(vnorm / np.sqrt(m_value))
-        velocity_ok = bool(np.all(max_rdot <= vb * (1.0 + SLACK))
-                           and np.all(max_ydot <= vb * (1.0 + SLACK)))
     return CoordinateBoundsReport(
         epsilons=eps, sup_r=sup_r, r_bounds=bounds, r_bounds_ok=r_ok,
-        shrinking=shrinking, metric_min=None if m_value is None else float(m_value),
-        velocity_bound=vb, max_rdot=max_rdot, max_ydot=max_ydot, velocity_ok=velocity_ok)
+        shrinking=shrinking, max_rdot=max_rdot, max_ydot=max_ydot)
 
 
 @dataclass(eq=False)
@@ -242,7 +202,7 @@ def coordinate_gate(bounds: CoordinateBoundsReport, acceleration: AccelerationRe
     """Stop as INDETERMINATE when a proof bound of the coordinates fails: the
     transverse bound, the shrinking of sup |r| with eps, or the uniformity of
     the tangential accelerations.  The reason names the first failing member
-    j and its eps.  ``velocity_ok`` is a diagnostic and never stops.
+    j and its eps.
     """
     eps, sup_r = bounds.epsilons, bounds.sup_r
     if not bounds.r_bounds_ok:

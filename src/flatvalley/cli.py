@@ -59,7 +59,6 @@ from .analysis import (
     escape_point,
     extract_limit,
     limit_tolerance,
-    metric_min_for_traces,
     physical_evidence_runs,
     revalidate_certificate,
 )
@@ -76,9 +75,7 @@ from .dynamics import (
     run_family,
 )
 from .errors import (
-    ChartDomainError,
     FlatValleyError,
-    FlowDomainError,
     IndeterminateCertificateError,
     InvalidParameterError,
     ScenarioError,
@@ -265,31 +262,21 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
         fam = state["family"]
         chart = chart_for_scenario(scenario)
         traces = coordinate_traces(chart, fam)
-        try:
-            metric, probe_error = metric_min_for_traces(chart, traces), None
-        except (ChartDomainError, FlowDomainError) as exc:  # a diagnostic's probe: go on
-            metric, probe_error = None, f"{type(exc).__name__}: {exc}"
-        cb = coordinate_bounds_report(traces, scenario.potential, scenario.v, metric)
+        cb = coordinate_bounds_report(traces, scenario.potential, scenario.v)
         acc = acceleration_uniformity(traces)
-        state.update(chart=chart, traces=traces, metric=metric, coord_bounds=cb,
-                     acceleration=acc)
+        state.update(chart=chart, traces=traces, coord_bounds=cb, acceleration=acc)
         payload["coordinates"] = {
             "sup_r": cb.sup_r,
             "r_bounds": cb.r_bounds,
             "r_bounds_ok": cb.r_bounds_ok,
             "shrinking": cb.shrinking,
-            "metric_min": cb.metric_min,
-            "velocity_bound": cb.velocity_bound,
             "max_rdot": cb.max_rdot,
             "max_ydot": cb.max_ydot,
-            "velocity_ok": cb.velocity_ok,
             "acceleration_per_member": acc.per_member,
             "acceleration_bound": acc.bound,
             "acceleration_ratio": acc.ratio,
             "acceleration_uniform_ok": acc.uniform_ok,
         }
-        if probe_error is not None:
-            payload["coordinates"]["metric_error"] = probe_error
         coordinate_gate(cb, acc)
 
     def stage_limit():
@@ -352,7 +339,8 @@ def _member_failures(fam) -> List[str]:
     """Per member, in order, why it fails the family stage's audits ('' when
     it passes): its confinement audit, its energy drift against
     ENERGY_DRIFT_LIMIT, then its step error against STEP_ERROR_FRACTION of
-    the limit tolerance."""
+    the limit tolerance; a physical run that blew up appends its
+    ``BlowUpError``, which says where and when it left the finite box."""
     step_limit = STEP_ERROR_FRACTION * limit_tolerance(fam.potential, fam.p, fam.v,
                                                        fam.epsilons)
     reasons = []
@@ -366,8 +354,10 @@ def _member_failures(fam) -> List[str]:
             reasons.append(f"{member} failed its energy audit: drift {e.drift:.3e} > "
                            f"ENERGY_DRIFT_LIMIT = {ENERGY_DRIFT_LIMIT:g}")
         elif not err <= step_limit:
+            blow_up = fam.physical_errors.get(j)
             reasons.append(f"{member} failed its step-error audit: step error {err:.3e} > "
-                           f"STEP_ERROR_FRACTION * tol_limit = {step_limit:.3e}")
+                           f"STEP_ERROR_FRACTION * tol_limit = {step_limit:.3e}"
+                           + ("" if blow_up is None else f": {blow_up}"))
         else:
             reasons.append("")
     return reasons

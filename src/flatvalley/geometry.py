@@ -541,8 +541,8 @@ def frame_data(chart: MChart, rc: TubularCoords, h_step: Optional[float] = None)
 class MetricMinEstimate:
     """Grid estimate of the smallest eigenvalue of dPsi^T dPsi on a region.
 
-    A diagnostic lower bound for the pullback metric, not a certified
-    minimum; used to scale velocity bounds in the coordinate reports.
+    A geometry tool for inspecting a chart, not a certified minimum: the
+    pipeline reads no value of it.
     """
 
     value: float

@@ -21,7 +21,8 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # name -> {path under the output directory: sha256}, recorded before the
 # table writer and the vectorised SVG coordinates replaced per-cell formatting;
 # evidence.csv and report.json re-recorded when each member's physical run,
-# at about half its substeps, replaced its twin as the evidence
+# at about half its substeps, replaced its twin as the evidence, and
+# report.json again when the coordinates stage's metric probe was removed
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
@@ -47,7 +48,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "25bf83cb2a33adcb2acff9734194e3c6a4d99303e1554cf237aac12f61bd79f2",
         "report.json":
-            "b206f25fe8a26ce15e8ce7104d0c861bb5c3526699d2e3716cf8873bf6dbdd77",
+            "05b35bf3b4e79f715f77c48312e40daf54745e6a5b035fb9b68e7c509e0546d1",
         "traj_eps0.csv":
             "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
         "traj_eps1.csv":
@@ -85,7 +86,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "b9721ae2ef1c6adccb8b058efcc31981736a183109075ac4bae8eb2eb203ffa4",
         "report.json":
-            "ddcf8fe5c5bc53ae713e4fd5cd3042e95d512b69a535b178db5565ddd5243ca2",
+            "5f3fe1a2b66cdff1cd45a91a7a0212ac466a840dfaf5c0f074eee5353abcff63",
         "traj_eps0.csv":
             "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
         "traj_eps1.csv":
@@ -123,7 +124,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "471198d968ebde8235bfcfa413fdc568a4b273c47c5fd7d232d01130fc7e0f5c",
         "report.json":
-            "3e6dd71a323a6a0f6636750074c6e05ef9e0d5e816933d9c015fd9317c8ebefb",
+            "37c3041e644c5cb6e8d944a7078f570a00b54e9a6b8db77022f256d3bbe98007",
         "traj_eps0.csv":
             "0605bfeb9d294883f2bdc8302df206521dd25249634a51f5dcae33f1c39321b0",
         "traj_eps1.csv":

@@ -371,14 +371,17 @@ def test_step_error_of_a_blown_up_companion_is_infinite(tmp_path, monkeypatch):
     assert report.results["family"].step_errors[2] == np.inf
     assert report.reason.startswith("family member j=2 (eps=0.025) failed its step-error "
                                     "audit: step error inf > ")
+    # the physical run's blow-up says where and when it left the finite box
+    assert report.reason.endswith(": physical run j=2 (eps=0.025) blew up: "
+                                  "state left the finite box")
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["family"]["step_errors"][2] is None
 
 
-def test_failed_metric_probe_leaves_the_velocity_diagnostic_unavailable(tmp_path):
-    # at horizon 1.2 the circle's traces reach |y| = 0.93, and the padded
-    # metric probe box passes |y| = 1, where the circle stops being a graph
-    # over its tangent line; the diagnostic is never gated, so the run goes on
+def test_coordinates_report_has_one_shape_near_the_chart_edge(tmp_path, circle_run_dir):
+    # at horizon 1.2 the circle's traces reach |y| = 0.93, near |y| = 1 where
+    # the circle stops being a graph over its tangent line: the coordinates
+    # report still holds measured values only, under the shipped run's keys
     out = tmp_path / "out"
     assert cli.main(["certify", "--scenario", CIRCLE, "--horizon", "1.2", "--out", str(out),
                      "--no-svg"]) == 0
@@ -389,8 +392,9 @@ def test_failed_metric_probe_leaves_the_velocity_diagnostic_unavailable(tmp_path
     with open(out / "report.json") as fh:
         rep = json.load(fh, parse_constant=refuse)
     coords = rep["coordinates"]
-    assert [coords[k] for k in ("metric_min", "velocity_bound", "velocity_ok")] == [None] * 3
-    assert coords["metric_error"].startswith("ChartDomainError: graph solve failed")
+    assert None not in coords.values() and "metric_error" not in coords
+    with open(os.path.join(circle_run_dir.path, "report.json")) as fh:
+        assert sorted(coords) == sorted(json.load(fh)["coordinates"])
     assert rep["certificate"]["verdict"] == "UNSTABLE"
     assert revalidate_from_dir(str(out))["ok"]
 
@@ -410,15 +414,19 @@ def test_folded_chart_coordinates_stop_the_coordinates_stage(tmp_path, capsys):
     assert not list(out.glob("coords_eps*.csv"))
 
 
-def test_metric_grid_stencil_stays_in_small_chart(tmp_path):
-    # chart radius 0.13125: the metric probe grid is clipped to it, and its
-    # finite-difference stencil must not step past it
+def test_small_chart_certify_passes_coordinates_and_ends_at_the_cauchy_diagnostic(
+        tmp_path, capsys):
+    # chart radius 0.13125: the traces stay inside it, so the coordinates
+    # stage passes, and the slow ellipsoid then fails its Cauchy diagnostic
     path = _write(tmp_path, "slow.json",
                   dict(BASE, v=[0.0, 0.25, 0.0], eps0=0.05, count=3, n_out=101))
     out = tmp_path / "out"
     assert cli.main(["certify", "--scenario", path, "--out", str(out), "--no-svg"]) == 2
+    assert _stages_printed(capsys.readouterr().out) == ["family", "coordinates", "limit",
+                                                        "emit"]
     rep = json.loads((out / "report.json").read_text())
     assert "errors" not in rep and rep["certificate"]["verdict"] == "INDETERMINATE"
+    assert rep["certificate"]["reason"] == str(UnverifiedLimitError())
 
 
 def _stages_printed(out):
@@ -786,16 +794,6 @@ def test_coordinate_proof_bound_failure_is_indeterminate(tiny_scenario_file, tmp
     assert "coords_eps2.csv" in rep["manifest"] and "limit.csv" not in rep["manifest"]
 
 
-def test_velocity_clause_is_a_diagnostic(tiny_scenario_file, tmp_path, monkeypatch):
-    real = cli.coordinate_bounds_report
-    monkeypatch.setattr(cli, "coordinate_bounds_report",
-                        lambda *args: dataclasses.replace(real(*args), velocity_ok=False))
-    out = tmp_path / "out"
-    assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
-                     "--no-svg"]) == 0
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["coordinates"]["velocity_ok"] is False
-    assert rep["certificate"]["verdict"] == "UNSTABLE"
 
 
 @pytest.mark.parametrize("fractions", [{2: 0.5, 1: 0.3}, {1: 0.95}],
@@ -843,12 +841,13 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 
 # sha256 of report.json from run_pipeline(..., svg=False) over all four
 # stages on each shipped scenario, re-recorded when each member's physical
-# run replaced its twin as the evidence: a change that claims to keep the
-# verdicts and the numbers keeps these bytes
+# run replaced its twin as the evidence and when the coordinates stage's
+# metric probe was removed: a change that claims to keep the verdicts and
+# the numbers keeps these bytes
 REPORT_DIGESTS = {
-    "circle": "15e02c2dbe1bd9e038be046661aebed890d7c37a7e70bab509a517ad1c77efd4",
-    "gutter": "f1a093a2326f6bce21f23d4e46f733c2d1c6794cc1442eab4ad9f908d04de641",
-    "ellipsoid": "69360177698e0029e73d3a20098ff8fa40adc82ad25bfb8304f876657e657f76",
+    "circle": "6e5c2f0eaaf595ea7060c705c981288273477f5311ad2bba17f7c6e68062b839",
+    "gutter": "480e1ae391ede29eae9794cd89a57c9f0268c86ad529e5ed5ea8aa36e1a8e4d7",
+    "ellipsoid": "020795c011c71d6c9e2eba2fcccdaaceb9a0fb2884b803e09f1514d9666c4030",
 }
 
 
