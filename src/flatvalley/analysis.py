@@ -13,8 +13,8 @@ distance R/2 from the equilibrium point p at physical time tau*/eps_j.
 
 That evidence comes from physical integrations independent of the
 rescaled members: the family's physical runs (see
-:mod:`flatvalley.dynamics`), integrated in the family's own lockstep call
-at a different step from their members, which is what makes them the
+:mod:`flatvalley.dynamics`), each integrated in the lockstep call of its
+member at a different step from it, which is what makes them the
 members' step-error reference too.  ``physical_evidence_runs`` only cuts
 each physical run at tau*/eps_j, a node of its grid, so the certificate
 stage integrates nothing.
@@ -32,6 +32,7 @@ from .dynamics import (
     Trajectory,
     energy_drift,
     integrate_newton,  # noqa: F401 (flatbench/tracer.py patches it here)
+    limit_tolerance,
 )
 from .errors import (
     ChartDomainError,
@@ -252,7 +253,8 @@ class ConvergenceReport:
     (one pre-asymptotic pair is allowed), up to the rounding the members
     carry, and the last one is below ``tol_limit``.  ``rate_estimates`` are
     the measured consecutive ratios, reported without asserting any order
-    of convergence.
+    of convergence; a ratio is NaN (null in report.json) when either of its
+    distances is at or below the rounding floor the monotone check allows.
     """
 
     epsilons: Array
@@ -262,19 +264,6 @@ class ConvergenceReport:
     cauchy_ok: bool
     violation_max: Array
     rate_estimates: Array
-
-
-def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
-    """Twice the ambient half-width of the conservation tube of the
-    second-smallest member (of the only member of a family of one),
-    2 g^-1(eps^2 |v|^2 / 2) / |grad f(p)|: consecutive members agreeing to
-    the width the theory confines them to is exactly what the Cauchy
-    diagnostic can demand without assuming a convergence rate."""
-    eps = np.asarray(epsilons, dtype=float)
-    vnorm = float(np.linalg.norm(v))
-    budget = 0.5 * eps[-2 if len(eps) > 1 else -1] ** 2 * vnorm * vnorm
-    gradn = float(np.linalg.norm(potential.field.gradient(p)))
-    return 2.0 * potential.profile.inverse(budget) / gradn
 
 
 def check_limit_shape(count: int, n_out: int) -> None:
@@ -329,7 +318,8 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     report = ConvergenceReport(
         epsilons=eps, distances=d, monotone=monotone, tol_limit=float(tol_limit),
         cauchy_ok=cauchy_ok, violation_max=violations,
-        rate_estimates=np.array([d[j] / max(d[j + 1], 1e-300) for j in range(len(d) - 1)]))
+        rate_estimates=np.array([d[j] / d[j + 1] if min(d[j], d[j + 1]) > floor else np.nan
+                                 for j in range(len(d) - 1)]))
     return limit, report
 
 

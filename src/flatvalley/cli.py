@@ -22,9 +22,11 @@ figures/*.svg) and report.json into ``--out``, else the file's ``out``,
 else ``out_<name>``.
 
 The family stage integrates every member and a physical run beside it in
-one lockstep call; the physical run is the member's step-error reference,
-and the certificate stage cuts its evidence from it and integrates
-nothing.
+lockstep calls, a probe and the re-runs it asks for, each member at the
+substeps its gates choose and at most its ceiling, the scenario's
+``step_factor`` (see :mod:`flatvalley.dynamics`); the physical run is the
+member's step-error reference, and the certificate stage cuts its
+evidence from it and integrates nothing.
 
 Exit codes of all three: 0 when every stage passed (the certificate verdict
 is UNSTABLE for ``certify``), 2 when a stage's audit stopped the run with an
@@ -58,19 +60,17 @@ from .analysis import (
     coordinate_traces,
     escape_point,
     extract_limit,
-    limit_tolerance,
     physical_evidence_runs,
     revalidate_certificate,
 )
 from .contrast import TRAP_DRIFT_FRACTION, locate_barrier, trapped_motion_check
 from .dynamics import (
-    ENERGY_DRIFT_LIMIT,
     SLACK,
-    STEP_ERROR_FRACTION,
     IntegratorOptions,
     Scenario,
     integrate_rescaled,
     launch_vector,
+    member_failures,
     member_step_factors,
     run_family,
 )
@@ -244,6 +244,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
 
     def stage_family():
         fam = state["family"] = run_family(scenario)
+        plan = fam.plan
         payload["family"] = {
             "epsilons": fam.epsilons,
             "dt": [m.dt for m in fam.members],
@@ -252,8 +253,18 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             "step_errors": [float(e) if np.isfinite(e) else None for e in fam.step_errors],
             "energy_drifts": [e.drift for e in fam.energies],
             "bounds": bounds_payload(fam.bounds),
+            # how the substeps were chosen (see dynamics.family_for_gates)
+            "ceilings": plan.ceilings,
+            "probe": {
+                "substeps": plan.probe,
+                "step_errors": [float(e) if np.isfinite(e) else None
+                                for e in plan.probe_step_errors],
+                "energy_drifts": plan.probe_drifts,
+                "confined": plan.probe_confined,
+            },
+            "lockstep_iterations": plan.iterations,
         }
-        failures = state["member_failures"] = _member_failures(fam)
+        failures = state["member_failures"] = member_failures(fam)
         for reason in failures:
             if reason:
                 raise IndeterminateCertificateError(reason)
@@ -335,34 +346,6 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
     return report
 
 
-def _member_failures(fam) -> List[str]:
-    """Per member, in order, why it fails the family stage's audits ('' when
-    it passes): its confinement audit, its energy drift against
-    ENERGY_DRIFT_LIMIT, then its step error against STEP_ERROR_FRACTION of
-    the limit tolerance; a physical run that blew up appends its
-    ``BlowUpError``, which says where and when it left the finite box."""
-    step_limit = STEP_ERROR_FRACTION * limit_tolerance(fam.potential, fam.p, fam.v,
-                                                       fam.epsilons)
-    reasons = []
-    for j, (e, b, err) in enumerate(zip(fam.energies, fam.bounds, fam.step_errors)):
-        member = f"family member j={j} (eps={b.epsilon:g})"
-        if not b.passed:
-            reasons.append(
-                f"{member} failed its confinement audit (speed_ok={b.speed_ok}, "
-                f"sublevel_ok={b.sublevel_ok}, ball_ok={b.ball_ok})")
-        elif not e.drift <= ENERGY_DRIFT_LIMIT:
-            reasons.append(f"{member} failed its energy audit: drift {e.drift:.3e} > "
-                           f"ENERGY_DRIFT_LIMIT = {ENERGY_DRIFT_LIMIT:g}")
-        elif not err <= step_limit:
-            blow_up = fam.physical_errors.get(j)
-            reasons.append(f"{member} failed its step-error audit: step error {err:.3e} > "
-                           f"STEP_ERROR_FRACTION * tol_limit = {step_limit:.3e}"
-                           + ("" if blow_up is None else f": {blow_up}"))
-        else:
-            reasons.append("")
-    return reasons
-
-
 def _scenario_payload(scn: Scenario) -> dict:
     return {
         "name": scn.name,
@@ -439,11 +422,14 @@ def _cmd_pipeline(args) -> int:
     fam = report.results.get("family")
     if fam is not None:
         print(f"speed bound |v| (1 + slack) = {fam.bounds[0].v_norm * (1 + SLACK):.9f}")
-        print(f"{'j':>2} {'eps':>10} {'drift':>10} {'max|xd|':>12} {'maxU':>12} {'pass':>5}")
+        print(f"{'j':>2} {'eps':>10} {'drift':>10} {'max|xd|':>12} {'maxU':>12} {'m':>4} "
+              f"{'ceil':>4} {'pass':>5}")
         failures = report.results["member_failures"]
-        for j, (e, b) in enumerate(zip(fam.energies, fam.bounds)):
-            print(f"{j:>2} {fam.epsilons[j]:>10.4g} {e.drift:>10.2e} "
-                  f"{b.max_speed:>12.9f} {b.max_potential:>12.4e} {str(not failures[j]):>5}")
+        for j, (e, b, m) in enumerate(zip(fam.energies, fam.bounds, fam.substeps)):
+            print(f"{j:>2} {fam.epsilons[j]:>10.4g} {e.drift:>10.2e} {b.max_speed:>12.9f} "
+                  f"{b.max_potential:>12.4e} {m:>4} {fam.plan.ceilings[j]:>4} "
+                  f"{str(not failures[j]):>5}")
+        print(f"lockstep iterations = {fam.plan.iterations} (probe call included)")
     conv = report.results.get("convergence")
     if conv is not None:
         print("consecutive sup distances:", ", ".join(f"{d:.3e}" for d in conv.distances))
@@ -467,7 +453,8 @@ def _cmd_residual(args) -> int:
     if args.samples < 1:
         raise InvalidParameterError(f"--samples must be at least 1, got {args.samples}")
     eps = float(scn.epsilons[args.member])
-    # the member's dense run: its eps at its own step factor
+    # the member's dense run at its eps and its ceiling factor, whatever step
+    # the family chose, so the residual does not move with the probe
     factor = member_step_factors(scn.horizon, scn.epsilons, scn.options)[args.member]
     traj = integrate_rescaled(scn.potential, scn.p, scn.v, eps, scn.horizon,
                               replace(scn.options, step_factor=factor))
@@ -581,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility and must be at least 1; every run "
-                             "is serial (the family runs in one lockstep batch), so it "
+                             "is serial (the family runs in lockstep batches), so it "
                              "changes nothing")
     common.add_argument("--eps0", type=float, default=None)
     common.add_argument("--ratio", type=float, default=None)

@@ -15,6 +15,8 @@ Each kind of run makes one lockstep call of ``integrators.integrate``:
 :func:`family_from_runs` (both halves and the physical run of every
 member), :func:`integrate_rescaled` (both halves of one run) and
 :func:`newton_many` (physical runs, a single one being a batch of one).
+A family whose steps are chosen from its gates (:func:`family_for_gates`,
+what :func:`run_family` runs) makes two or three such calls.
 
 The physical run of member j is xdd = -grad U from (p, eps_j v) to T/eps_j
 on the member's forward output grid scaled by 1/eps_j, at about half the
@@ -30,13 +32,22 @@ nodes are exact integrator states (the internal step is snapped to divide
 the output spacing), so audits and cross-member comparisons never see
 interpolation error.
 
-Steps: member 0 of a family steps at dtau = step_factor * eps_0, snapped
-to dt_0; member j at dt_0 sqrt(eps_j/eps_0), snapped, and at most GROWTH
-times member 0's effective factor (:func:`member_step_factors`).  The
-transverse amplitude shrinks like eps^2, so this keeps the members' errors
-level (energy drifts of 1.1e-12 to 1.9e-12 on the shipped circle, where
-dtau = 0.01 eps_j gave 1.9e-12 down to 4.7e-14 and cost the lockstep
-32,000 iterations, now 5,800).
+Steps: member j of a family takes a constant m_j substeps per output
+interval, chosen from the gates it must pass.  Its ceiling, the finest
+step it may take, is the scenario's: member 0 at dtau = step_factor *
+eps_0, snapped to dt_0, member j at dt_0 sqrt(eps_j/eps_0), snapped, and at
+most GROWTH times member 0's effective factor (:func:`member_step_factors`,
+:func:`member_steps`).  The transverse amplitude shrinks like eps^2, so
+that rule keeps the members' errors level.  A probe call runs the same
+rule from one substep for member 0 (:func:`probe_substeps`); a member
+whose step error and energy drift each read at most PROBE_FRACTION of
+their gates keeps its probe rows, and every other member re-runs once at
+the substeps PEFRL's fourth order predicts from its readings
+(:func:`planned_substeps`), or at its ceiling should that re-run still fail
+a gate.  On the shipped circle the ceilings take 5,800 lockstep iterations
+(dtau = 0.01 eps_j took 32,000); the probe takes 1,200 and the re-run of
+members 0, 2 and 4 1,000 more, for drifts of at most 9.7e-10 and step
+errors of at most 2.8e-7, against gates of 1e-8 and 4.4e-6.
 
 Memory grows with nodes, not steps.  The members and physical runs of a
 family keep only their output nodes: the lockstep call stores every m-th
@@ -52,7 +63,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,8 +86,11 @@ SLACK = 1e-6
 #: largest relative energy drift a family member may show
 ENERGY_DRIFT_LIMIT = 1e-8
 #: largest step error a family member may show, as a fraction of the limit
-#: tolerance (``analysis.limit_tolerance``)
+#: tolerance (:func:`limit_tolerance`)
 STEP_ERROR_FRACTION = 1e-3
+#: a family member keeps its probe step when its step error and its energy
+#: drift are each at most this fraction of their gates (:func:`family_for_gates`)
+PROBE_FRACTION = 0.1
 #: most a family member's step factor may exceed member 0's effective one
 #: under :func:`member_step_factors`
 GROWTH = 8
@@ -130,9 +144,10 @@ class IntegratorOptions:
     """Resolution knobs of the one stepper, PEFRL (see :mod:`flatvalley.integrators`).
 
     ``step_factor`` is the c in dtau = c * eps for a rescaled run and the
-    step dt = c of a physical run.  In a family it is member 0's factor:
-    the other members step at the factors :func:`member_step_factors`
-    derives from it.
+    step dt = c of a physical run.  In a family it is member 0's finest
+    factor: the members' ceilings are the factors :func:`member_step_factors`
+    derives from it, and :func:`family_for_gates` steps each member at its
+    ceiling or coarser.
     """
 
     step_factor: float = 0.01
@@ -321,28 +336,78 @@ def member_step_factors(T: float, epsilons: Sequence[float],
 def member_steps(T: float, epsilons: Sequence[float],
                  opts: IntegratorOptions = IntegratorOptions()) -> List[Tuple[int, float]]:
     """(substeps per output interval, dt) of every member of a family on
-    [-T, T] under :func:`member_step_factors`."""
+    [-T, T] under :func:`member_step_factors`: each member's ceiling, the
+    finest step :func:`family_for_gates` may give it."""
     half = (opts.n_out - 1) // 2
     return [_snap_step(T / half, factor * float(eps), half)[:2]
             for eps, factor in zip(epsilons, member_step_factors(T, epsilons, opts))]
 
 
-def _halves(potential, p, v, T: float, epsilons: Sequence[float], opts: IntegratorOptions):
+def probe_substeps(T: float, epsilons: Sequence[float],
+                   opts: IntegratorOptions = IntegratorOptions()) -> List[int]:
+    """Every member's probe substeps: the :func:`member_step_factors` rule
+    with member 0 at one substep per output interval, each clipped to its
+    :func:`member_steps` ceiling."""
+    half = (opts.n_out - 1) // 2
+    coarse = replace(opts, step_factor=T / half / float(epsilons[0]))
+    return [min(ceiling, m) for (ceiling, _), (m, _) in zip(member_steps(T, epsilons, opts),
+                                                           member_steps(T, epsilons, coarse))]
+
+
+def planned_substeps(probe: Sequence[int], ceilings: Sequence[int], step_errors, drifts,
+                     confined, step_limit: float) -> List[int]:
+    """Each member's substeps after the probe read its step error, energy
+    drift and confinement verdict (a step error of None or inf has no
+    reading).  A confined member whose readings are each at most
+    PROBE_FRACTION of their gates, ``step_limit`` and ENERGY_DRIFT_LIMIT,
+    keeps its probe substeps m; any other steps at min(ceiling, ceil(m
+    r^(1/4))), r its worse reading-to-target ratio, as PEFRL's error is
+    fourth order in the step; one with no finite ratio at its ceiling."""
+    target = PROBE_FRACTION * step_limit
+    plan = []
+    for m, ceiling, err, drift, ok in zip(probe, ceilings, step_errors, drifts, confined):
+        err = math.inf if err is None or not target > 0 else err / target
+        r = max(err, drift / (PROBE_FRACTION * ENERGY_DRIFT_LIMIT))
+        if ok and r <= 1.0:
+            plan.append(m)
+        else:
+            plan.append(min(ceiling, math.ceil(m * r ** 0.25)) if ok and r < math.inf
+                        else ceiling)
+    return plan
+
+
+def _physical_substeps(m: int) -> int:
+    """Substeps per output interval of the physical run beside a member at
+    m: about half, and 2 when m = 1."""
+    return 2 if m == 1 else (m + 1) // 2
+
+
+def lockstep_iterations(half: int, substeps: Sequence[int]) -> int:
+    """Iterations of one family lockstep call of members at ``substeps`` on
+    ``half`` output intervals a side: its longest row's steps."""
+    return half * max(max(m, _physical_substeps(m)) for m in substeps)
+
+
+def _halves(potential, p, v, T: float, epsilons: Sequence[float], opts: IntegratorOptions,
+            substeps: Optional[Sequence[int]] = None):
     """p and v as arrays, and the lockstep rows (x0, v0, scale, (m, dt,
     steps)) of the rescaled runs from (p, v) on [-T, T], one per eps, each
-    at its :func:`member_steps` step: row 2j is run j's forward half from
-    (p, v), row 2j + 1 its backward half from (p, -v), both under xdd =
-    -(1/eps_j^2) grad U.  Every step count is checked against MAX_STEPS
-    before any run starts."""
+    at its ``substeps`` (default its :func:`member_steps` step): row 2j is
+    run j's forward half from (p, v), row 2j + 1 its backward half from
+    (p, -v), both under xdd = -(1/eps_j^2) grad U.  Every step count is
+    checked against MAX_STEPS before any run starts."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.shape != (potential.dim,) or v.shape != (potential.dim,):
         raise InvalidParameterError("p and v must match the potential dimension")
     half = (opts.n_out - 1) // 2
+    if substeps is None:
+        substeps = [m for m, _ in member_steps(T, epsilons, opts)]
     batch = []
-    for eps, (m, dt) in zip(epsilons, member_steps(T, epsilons, opts)):
+    for eps, m in zip(epsilons, substeps):
+        m, dt, steps = _snap_step(T / half, T / half / m, half)
         scale = 1.0 / (float(eps) * float(eps))
-        batch += [(p, v, scale, (m, dt, half * m)), (p, -v, scale, (m, dt, half * m))]
+        batch += [(p, v, scale, (m, dt, steps)), (p, -v, scale, (m, dt, steps))]
     return p, v, batch
 
 
@@ -584,11 +649,11 @@ class Scenario:
     smallest normal float, eps0^2 |v|^2 must not overflow nor member 0's
     step step_factor * eps0 underflow.  Every family records each member's step error and the family
     stage gates on it; down to eps = 2e-4 (the shipped circle and ellipsoid
-    at count 10) the recorded step errors stay at or below 1.3e-9 and
-    2.8e-12, two and six orders of magnitude under their limits.
-    Once GROWTH caps a member's factor its step count grows like 1/eps
-    (64,000 lockstep iterations on the circle at eps = 2e-4), and the cap
-    bounds that cost.
+    at count 10) the recorded step errors stay at or below 5.3e-8 and
+    1.4e-10, a fifth of their limit and five orders of magnitude under it.
+    Once GROWTH caps a member's factor its ceiling grows like 1/eps (64,000
+    lockstep iterations on the circle at eps = 2e-4, where the chosen steps
+    take 19,800), and the cap bounds that cost.
     """
 
     potential: CompositePotential
@@ -677,6 +742,36 @@ class Scenario:
         return self.eps0 * self.ratio ** np.arange(self.count)
 
 
+def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
+    """Twice the ambient half-width of the conservation tube of the
+    second-smallest member (of the only member of a family of one),
+    2 g^-1(eps^2 |v|^2 / 2) / |grad f(p)|: consecutive members agreeing to
+    the width the theory confines them to is exactly what the Cauchy
+    diagnostic can demand without assuming a convergence rate.  The
+    family's step-error gate is STEP_ERROR_FRACTION of it."""
+    eps = np.asarray(epsilons, dtype=float)
+    vnorm = float(np.linalg.norm(v))
+    budget = 0.5 * eps[-2 if len(eps) > 1 else -1] ** 2 * vnorm * vnorm
+    gradn = float(np.linalg.norm(potential.field.gradient(p)))
+    return 2.0 * potential.profile.inverse(budget) / gradn
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """How :func:`family_for_gates` chose its members' substeps: each
+    member's ceiling (its :func:`member_steps` count) and probe substeps,
+    the probe's readings that :func:`planned_substeps` read (step error,
+    inf when it has none, energy drift and confinement verdict) and the
+    iterations of every lockstep call the family made, probe included."""
+
+    ceilings: List[int]
+    probe: List[int]
+    probe_step_errors: List[float]
+    probe_drifts: List[float]
+    probe_confined: List[bool]
+    iterations: int
+
+
 @dataclass(eq=False)
 class FamilyResult:
     """Rescaled trajectories for a geometric eps schedule on one output grid,
@@ -686,12 +781,14 @@ class FamilyResult:
     and ``bounds`` audited every internal state of each member as it ran
     (see :class:`RunAudits`), and a member's dense run is
     :func:`integrate_rescaled` at its eps, the horizon and the options with
-    its :func:`member_step_factors` factor.  Member j steps at
+    step factor ``members[j].dt / eps_j``.  Member j steps at
     ``members[j].dt``, ``substeps[j]`` steps per output interval.
     ``physical[j]`` is the run from (p, eps_j v) to T/eps_j integrated
     beside it (see :func:`family_from_runs`), and ``step_errors[j]`` is
     their sup node distance; one that blew up ends early, with its error
-    in ``physical_errors`` and an infinite step error.
+    in ``physical_errors`` and an infinite step error.  ``plan`` records
+    how :func:`family_for_gates` chose the substeps (None for one lockstep
+    call at given substeps).
     """
 
     potential: CompositePotential
@@ -707,6 +804,7 @@ class FamilyResult:
     physical: List[Trajectory]
     physical_errors: Dict[int, BlowUpError]
     step_errors: Array
+    plan: Optional[StepPlan] = None
 
     @property
     def count(self) -> int:
@@ -718,39 +816,47 @@ class FamilyResult:
         return [round(spacing / member.dt) for member in self.members]
 
 
-def family_from_runs(potential, p, v, T, epsilons,
-                     opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
-    """Integrate one rescaled run per eps at its :func:`member_steps` step
-    and a physical run beside it, all in one lockstep call, and audit every
-    internal state of each member as it is made.
+@dataclass(eq=False)
+class _MemberRun:
+    """One member of a family lockstep call: its nodes and audits, its
+    physical run (with its BlowUpError, if any), its step error (inf when
+    either run blew up) and the error of its halves, if one blew up."""
 
-    Rows 2j and 2j + 1 of the call are member j's halves.  Row 2 count + j
-    solves xdd = -grad U from (p, eps_j v) to T/eps_j on the forward half's
-    ``half`` output intervals scaled by 1/eps_j, at c_j = ceil(m_j/2)
-    substeps per interval (2 when m_j = 1), so the lockstep loop runs no
-    longer: its nodes are those of :func:`integrate_newton` to T/eps_j with
-    n_out = half + 1 at c_j substeps, bit for bit, and its node i is the
-    physical state at the time of member j's node half + i.  As
-    x_phys(tau/eps_j) = x_resc(tau), its sup node distance from the forward
-    half is member j's step error (inf when it blew up).  Every row keeps
-    only its output nodes.
+    member: Trajectory
+    energy: EnergyReport
+    bounds: BoundsCheck
+    physical: Trajectory
+    physical_error: Optional[BlowUpError]
+    step_error: float
+    error: Optional[BlowUpError]
 
-    A family any of whose members would take more than MAX_STEPS steps
-    fails before any member runs; a failing member aborts the family with
-    the lowest failing index attached.  A failing physical run touches no
-    member: it keeps the nodes it reached.
+
+def _member_runs(potential, p, v, T, epsilons, opts: IntegratorOptions,
+                 substeps: Sequence[int], labels: Sequence[int]) -> List[_MemberRun]:
+    """Members ``labels`` of a family, at ``epsilons`` and ``substeps``, in
+    one lockstep call, every internal state of each member audited as it is
+    made.
+
+    Rows 2i and 2i + 1 of the call are the halves of the i-th member.  Row
+    2 count + i solves xdd = -grad U from (p, eps_i v) to T/eps_i on the
+    forward half's ``half`` output intervals scaled by 1/eps_i, at c_i =
+    ceil(m_i/2) substeps per interval (2 when m_i = 1), so the lockstep
+    loop runs no longer: its nodes are those of :func:`integrate_newton` to
+    T/eps_i with n_out = half + 1 at c_i substeps, bit for bit, and its node
+    k is the physical state at the time of the member's node half + k.  As
+    x_phys(tau/eps_i) = x_resc(tau), its sup node distance from the forward
+    half is the member's step error.  Every row keeps only its output
+    nodes.  Errors name members by their label j.
     """
-    epsilons = np.asarray(list(epsilons), dtype=float)
-    p, v, batch = _halves(potential, p, v, T, epsilons, opts)
+    p, v, batch = _halves(potential, p, v, T, epsilons, opts, substeps)
     count, half = len(epsilons), (opts.n_out - 1) // 2
-    spacing = T / half
-    for eps, (_, _, _, (m, _, _)) in zip(epsilons, batch[::2]):
-        c = 2 if m == 1 else (m + 1) // 2
+    for eps, m in zip(epsilons, substeps):
+        c = _physical_substeps(m)
         batch.append((p, float(eps) * v, 1.0, (c, T / float(eps) / half / c, half * c)))
     audits = RunAudits(potential, epsilons, p, v, opts.n_out)
 
     def observe(rows, first, X, V, due):
-        # the members' halves feed their audits as run j; row 2j + 1, the
+        # the members' halves feed their audits as run i; row 2i + 1, the
         # backward half, counts its steps down from 0, and the audited
         # quantities are even in v
         member = [c for c, r in enumerate(rows.tolist()) if r < 2 * count and due[c]]
@@ -763,42 +869,143 @@ def family_from_runs(potential, p, v, T, epsilons,
                         [batch[r][3][0] for r in rs])
 
     Xs, Vs, failures = _lockstep(potential, batch, dense=False, observe=observe)
-    for j, eps in enumerate(epsilons):
-        exc = _half_error(failures, j, eps)
+    runs = []
+    for i, (j, eps) in enumerate(zip(labels, epsilons)):
+        row = 2 * count + i
+        error, exc = _half_error(failures, i, eps), failures.get(row)
         if exc is not None:
+            exc = BlowUpError(f"physical run j={j} (eps={eps:g}) blew up: {exc}",
+                              last_time=exc.last_time, last_state=exc.last_state)
+        step_error = (np.inf if exc is not None or error is not None
+                      else float(np.max(np.linalg.norm(Xs[row] - Xs[2 * i], axis=1))))
+        x_nodes = np.concatenate([Xs[2 * i + 1][:0:-1], Xs[2 * i]])
+        v_nodes = np.concatenate([-Vs[2 * i + 1][:0:-1], Vs[2 * i]])
+        Xs[2 * i] = Xs[2 * i + 1] = Vs[2 * i] = Vs[2 * i + 1] = None  # free the halves
+        runs.append(_MemberRun(
+            member=_run("rescaled", eps, -half, T / half, x_nodes, v_nodes, batch[2 * i][3],
+                        dense=False),
+            energy=audits.energy(i), bounds=audits.bounds(i),
+            physical=_run("physical", float(eps), 0, T / float(eps) / half, Xs[row], Vs[row],
+                          batch[row][3], dense=False),
+            physical_error=exc, step_error=step_error, error=error))
+    return runs
+
+
+def _family(potential, p, v, T, epsilons, opts, runs: List[_MemberRun],
+            plan: Optional[StepPlan] = None) -> FamilyResult:
+    """The family of ``runs``, or the BlowUpError of the lowest member
+    whose halves blew up."""
+    for j, (eps, run) in enumerate(zip(epsilons, runs)):
+        if run.error is not None:
             raise BlowUpError(
-                f"family member j={j} (eps={eps:g}) failed: {exc}",
-                last_time=exc.last_time, last_state=exc.last_state) from exc
-    members, physical, physical_errors, step_errors = [], [], {}, []
-    for j, eps in enumerate(epsilons):
-        row = 2 * count + j
-        exc = failures.get(row)
-        if exc is not None:
-            physical_errors[j] = BlowUpError(
-                f"physical run j={j} (eps={eps:g}) blew up: {exc}",
-                last_time=exc.last_time, last_state=exc.last_state)
-        physical.append(_run("physical", float(eps), 0, T / float(eps) / half, Xs[row], Vs[row],
-                             batch[row][3], dense=False))
-        step_errors.append(
-            np.inf if exc is not None
-            else float(np.max(np.linalg.norm(Xs[row] - Xs[2 * j], axis=1))))
-        x_nodes = np.concatenate([Xs[2 * j + 1][:0:-1], Xs[2 * j]])
-        v_nodes = np.concatenate([-Vs[2 * j + 1][:0:-1], Vs[2 * j]])
-        Xs[2 * j] = Xs[2 * j + 1] = Vs[2 * j] = Vs[2 * j + 1] = None  # free the halves
-        members.append(_run("rescaled", eps, -half, spacing, x_nodes, v_nodes, batch[2 * j][3],
-                            dense=False))
+                f"family member j={j} (eps={eps:g}) failed: {run.error}",
+                last_time=run.error.last_time, last_state=run.error.last_state) from run.error
     return FamilyResult(
-        potential=potential, p=p, v=v, horizon=float(T), options=opts,
-        epsilons=epsilons, tau=members[0].tau, members=members,
-        energies=[audits.energy(j) for j in range(count)],
-        bounds=[audits.bounds(j) for j in range(count)],
-        physical=physical, physical_errors=physical_errors,
-        step_errors=np.array(step_errors),
-    )
+        potential=potential, p=np.asarray(p, dtype=float), v=np.asarray(v, dtype=float),
+        horizon=float(T), options=opts, epsilons=epsilons, tau=runs[0].member.tau,
+        members=[run.member for run in runs], energies=[run.energy for run in runs],
+        bounds=[run.bounds for run in runs], physical=[run.physical for run in runs],
+        physical_errors={j: run.physical_error for j, run in enumerate(runs)
+                         if run.physical_error is not None},
+        step_errors=np.array([run.step_error for run in runs]), plan=plan)
+
+
+def family_from_runs(potential, p, v, T, epsilons,
+                     opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
+    """Integrate one rescaled run per eps at its :func:`member_steps` step
+    and a physical run beside it, all in one lockstep call, and audit every
+    internal state of each member as it is made (see :func:`_member_runs`).
+
+    A family any of whose members would take more than MAX_STEPS steps
+    fails before any member runs; a failing member aborts the family with
+    the lowest failing index attached.  A failing physical run touches no
+    member: it keeps the nodes it reached.
+    """
+    epsilons = np.asarray(list(epsilons), dtype=float)
+    substeps = [m for m, _ in member_steps(T, epsilons, opts)]
+    runs = _member_runs(potential, p, v, T, epsilons, opts, substeps, range(len(epsilons)))
+    return _family(potential, p, v, T, epsilons, opts, runs)
+
+
+def _failure(j: int, energy: EnergyReport, bounds: BoundsCheck, step_error: float,
+             physical_error: Optional[BlowUpError], step_limit: float) -> str:
+    """Why member j fails the family stage's audits, or '' when it passes:
+    its confinement audit, its energy drift against ENERGY_DRIFT_LIMIT, then
+    its step error against ``step_limit``; a physical run that blew up
+    appends its ``BlowUpError``, which says where and when it left the
+    finite box."""
+    member = f"family member j={j} (eps={bounds.epsilon:g})"
+    if not bounds.passed:
+        return (f"{member} failed its confinement audit (speed_ok={bounds.speed_ok}, "
+                f"sublevel_ok={bounds.sublevel_ok}, ball_ok={bounds.ball_ok})")
+    if not energy.drift <= ENERGY_DRIFT_LIMIT:
+        return (f"{member} failed its energy audit: drift {energy.drift:.3e} > "
+                f"ENERGY_DRIFT_LIMIT = {ENERGY_DRIFT_LIMIT:g}")
+    if not step_error <= step_limit:
+        return (f"{member} failed its step-error audit: step error {step_error:.3e} > "
+                f"STEP_ERROR_FRACTION * tol_limit = {step_limit:.3e}"
+                + ("" if physical_error is None else f": {physical_error}"))
+    return ""
+
+
+def member_failures(fam: FamilyResult) -> List[str]:
+    """Per member, in order, why it fails the family stage's audits ('' when
+    it passes): its confinement audit, its energy drift against
+    ENERGY_DRIFT_LIMIT, then its step error against STEP_ERROR_FRACTION of
+    the :func:`limit_tolerance`."""
+    step_limit = STEP_ERROR_FRACTION * limit_tolerance(fam.potential, fam.p, fam.v,
+                                                       fam.epsilons)
+    return [_failure(j, e, b, err, fam.physical_errors.get(j), step_limit)
+            for j, (e, b, err) in enumerate(zip(fam.energies, fam.bounds, fam.step_errors))]
+
+
+def family_for_gates(potential, p, v, T, epsilons,
+                     opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
+    """The family with each member at a constant substep count chosen from
+    the gates it must pass, in two or three lockstep calls.
+
+    The probe call runs every member at its :func:`probe_substeps`.  A
+    member whose probe readings :func:`planned_substeps` accepts keeps its
+    probe rows; every other member re-runs once, in a second call of only
+    its rows, at its planned substeps.  A re-run member that then fails a
+    gate of :func:`member_failures` (or whose halves blew up) runs a third
+    time at its ceiling, its :func:`member_steps` count, which is the step
+    the family stage would have gated it at alone.  Each run keeps one step
+    throughout, so PEFRL keeps its long-time behaviour.
+    """
+    epsilons = np.asarray(list(epsilons), dtype=float)
+    ceilings = [m for m, _ in member_steps(T, epsilons, opts)]  # MAX_STEPS, before any run
+    probe = probe_substeps(T, epsilons, opts)
+    step_limit = STEP_ERROR_FRACTION * limit_tolerance(potential, p, v, epsilons)
+    half = (opts.n_out - 1) // 2
+    iterations = 0
+
+    def lockstep(js, substeps):
+        nonlocal iterations
+        iterations += lockstep_iterations(half, substeps)
+        return _member_runs(potential, p, v, T, epsilons[js], opts, substeps, js)
+
+    runs = lockstep(list(range(len(epsilons))), probe)
+    readings = ([run.step_error for run in runs], [run.energy.drift for run in runs],
+                [run.bounds.passed for run in runs])
+    plan = planned_substeps(probe, ceilings, *readings, step_limit)
+    rerun = [j for j, m in enumerate(probe) if plan[j] != m]
+    if rerun:
+        for j, run in zip(rerun, lockstep(rerun, [plan[j] for j in rerun])):
+            runs[j] = run
+    # a run whose halves blew up has an infinite step error, so it fails too
+    fallback = [j for j in rerun if plan[j] < ceilings[j] and _failure(
+        j, runs[j].energy, runs[j].bounds, runs[j].step_error, None, step_limit)]
+    if fallback:
+        for j, run in zip(fallback, lockstep(fallback, [ceilings[j] for j in fallback])):
+            runs[j] = run
+    return _family(potential, p, v, T, epsilons, opts, runs, StepPlan(
+        ceilings=ceilings, probe=probe, probe_step_errors=readings[0],
+        probe_drifts=readings[1], probe_confined=readings[2], iterations=iterations))
 
 
 def run_family(scenario: Scenario) -> FamilyResult:
-    """Run the scenario's eps family with its own options."""
-    return family_from_runs(scenario.potential, scenario.p, scenario.v, scenario.horizon,
+    """Run the scenario's eps family with its own options, each member at
+    the substeps :func:`family_for_gates` chooses."""
+    return family_for_gates(scenario.potential, scenario.p, scenario.v, scenario.horizon,
                             scenario.epsilons, scenario.options)
-

@@ -15,7 +15,17 @@ from typing import Dict, List
 import numpy as np
 
 from .analysis import check_certificate
-from .dynamics import BoundsCheck, IntegratorOptions, RunAudits, member_steps
+from .dynamics import (
+    STEP_ERROR_FRACTION,
+    BoundsCheck,
+    IntegratorOptions,
+    RunAudits,
+    limit_tolerance,
+    lockstep_iterations,
+    member_steps,
+    planned_substeps,
+    probe_substeps,
+)
 from .errors import FlatValleyError, NonFiniteEvaluationError
 from .fields import gallery_lookup
 from .integrators import METHOD
@@ -109,6 +119,8 @@ def certificate_payload(cert) -> dict:
 
 def convergence_payload(report, limit) -> dict:
     payload = dict(vars(report))
+    # strict JSON: a rate with a distance at the rounding floor is null
+    payload["rate_estimates"] = [None if np.isnan(r) else r for r in report.rate_estimates.tolist()]
     payload["initial_velocity_error"] = limit.initial_velocity_error
     payload["source_epsilon"] = limit.source_epsilon
     payload["verified"] = limit.verified
@@ -153,6 +165,43 @@ def _bounds_hold(claims: List[dict], potential, scn: dict, epsilons, steps,
     return len(claims) == len(members) and all(map(holds, range(len(claims)), claims))
 
 
+def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
+    """Every member's (substeps, dt), re-derived from the scenario and the
+    probe readings ``report.json["family"]`` records, and whether the
+    family's step claims hold.
+
+    The ceilings and probe substeps follow from the scenario
+    (:func:`flatvalley.dynamics.member_steps` and ``probe_substeps``), and
+    :func:`flatvalley.dynamics.planned_substeps` maps the probe readings
+    to each member's substeps.  A member that keeps its probe substeps
+    must record its probe readings as its own; one recorded at its ceiling
+    where the plan was finer is a fallback.  The recorded lockstep
+    iterations must be those of the calls this implies: the probe, the
+    re-run of every member the plan moved, and the fallbacks.
+    """
+    opts = IntegratorOptions(step_factor=scn["step_factor"], n_out=scn["n_out"])
+    T, half = scn["horizon"], (scn["n_out"] - 1) // 2
+    ceilings = [m for m, _ in member_steps(T, epsilons, opts)]
+    probe = probe_substeps(T, epsilons, opts)
+    readings = fam["probe"]
+    step_limit = STEP_ERROR_FRACTION * limit_tolerance(potential, scn["p"], scn["v"], epsilons)
+    plan = planned_substeps(probe, ceilings, readings["step_errors"], readings["energy_drifts"],
+                            readings["confined"], step_limit)
+    rerun = [j for j, m in enumerate(probe) if plan[j] != m]
+    fallback = [j for j in rerun if plan[j] < ceilings[j] == fam["substeps"][j]]
+    chosen = [ceilings[j] if j in fallback else m for j, m in enumerate(plan)]
+    calls = [probe, [plan[j] for j in rerun], [ceilings[j] for j in fallback]]
+    kept = [j for j in range(len(probe)) if j not in rerun]
+    holds = (scn["integrator"] == METHOD and scn["count"] == len(epsilons)
+             and fam["ceilings"] == ceilings and readings["substeps"] == probe
+             and fam["substeps"] == chosen and fam["dt"] == [T / half / m for m in chosen]
+             and all(fam[key][j] == readings[key][j]
+                     for key in ("step_errors", "energy_drifts") for j in kept)
+             and fam["lockstep_iterations"] == sum(lockstep_iterations(half, c)
+                                                   for c in calls if c))
+    return [(m, T / half / m) for m in chosen], holds
+
+
 def revalidate_from_dir(out_dir) -> dict:
     """Re-derive the certificate from the emitted files alone.
 
@@ -162,8 +211,8 @@ def revalidate_from_dir(out_dir) -> dict:
     displacements (re-derived from the physical end states) included.  The
     ``member_steps`` check re-derives every member's ``dt`` and
     ``substeps`` in ``report.json["family"]`` from ``report.json["scenario"]``
-    through :func:`flatvalley.dynamics.member_step_factors` (and requires
-    the scenario's integrator to be PEFRL, the one stepper), the
+    and the recorded probe readings (see ``_member_steps_hold``; it
+    requires the scenario's integrator to be PEFRL, the one stepper), the
     ``bounds`` check re-derives the family's confinement claims from the
     member files (see ``_bounds_hold``), and the ``finite`` check fails
     on any non-finite cell of the CSVs it reads.
@@ -195,16 +244,12 @@ def revalidate_from_dir(out_dir) -> dict:
         checks["finite"] = all(bool(np.all(np.isfinite(column)))
                                for cols in tables for column in cols.values())
         scn, fam = report["scenario"], report["family"]
-        opts = IntegratorOptions(step_factor=scn["step_factor"], n_out=scn["n_out"])
-        epsilons = scn["eps0"] * scn["ratio"] ** np.arange(len(cert["epsilons"]))
-        steps = member_steps(scn["horizon"], epsilons, opts)
-        checks["member_steps"] = (scn["integrator"] == METHOD and scn["count"] == len(epsilons)
-                                  and [m for m, _ in steps] == fam["substeps"]
-                                  and [dt for _, dt in steps] == fam["dt"])
         spec = scn["potential"]
-        checks["bounds"] = _bounds_hold(
-            fam["bounds"], gallery_lookup(spec["kind"], spec.get("params")), scn, epsilons,
-            steps, [cols for cols, _ in members])
+        potential = gallery_lookup(spec["kind"], spec.get("params"))
+        epsilons = scn["eps0"] * scn["ratio"] ** np.arange(len(cert["epsilons"]))
+        steps, checks["member_steps"] = _member_steps_hold(fam, scn, potential, epsilons)
+        checks["bounds"] = _bounds_hold(fam["bounds"], potential, scn, epsilons, steps,
+                                        [cols for cols, _ in members])
     except OSError as exc:
         return {"ok": False, "reason": f"cannot read the run's files: {exc}"}
     except (LookupError, TypeError, ValueError, AttributeError, FlatValleyError) as exc:

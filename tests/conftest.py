@@ -87,19 +87,27 @@ def tiny_scenario_file(tmp_path):
 @pytest.fixture()
 def blow_up_physical_rows(monkeypatch):
     """Make a family's physical runs blow up: ``blow_up_physical_rows({j:
-    fraction})`` has the family's lockstep call report member j's physical
-    run as leaving the finite box at that fraction of its steps, keeping its
-    nodes before, as ``integrate`` reports a row that blew up.  A physical
-    run moves eps_j times slower than its member along the same path, so it
-    never blows up while its member runs on: the failure has to be
-    injected."""
+    fraction})`` has every family lockstep call that runs member j report
+    its physical run as leaving the finite box at that fraction of its
+    steps, keeping its nodes before, as ``integrate`` reports a row that
+    blew up.  A call may run only some of the members (the re-runs of
+    ``family_for_gates``): member j's physical run is the one launched at
+    eps_j |v|, eps_j = 0.1 * 0.5^j, the schedule of every family this
+    fixture serves.  A physical run moves eps_j times slower than its
+    member along the same path, so it never blows up while its member runs
+    on: the failure has to be injected."""
     real = dynamics.integrate
 
     def install(fractions):
         def integrate(accel, x0, v0, dt, n_steps, *, steps, scale, stride, **kwargs):
-            # both halves of every member, then the physical runs
+            # both halves of every member, then the physical runs; row 0
+            # is a forward half, launched at v
             count = len(steps) // 3
-            failing = {2 * count + j: fraction for j, fraction in fractions.items()}
+            speed = np.linalg.norm(v0[0])
+            eps = [np.linalg.norm(v0[r]) / speed for r in range(2 * count, 3 * count)]
+            member = [round(np.log(e / 0.1) / np.log(0.5)) for e in eps]
+            failing = {2 * count + i: fractions[j] for i, j in enumerate(member)
+                       if j in fractions}
             # a failing row keeps every state here, to be cut at its failure
             # and thinned to its nodes below, as integrate keeps a row's nodes
             Xs, Vs, failures = real(accel, x0, v0, dt, n_steps, steps=steps, scale=scale,
@@ -107,6 +115,9 @@ def blow_up_physical_rows(monkeypatch):
                                             for r, s in enumerate(stride)], **kwargs)
             for r, fraction in failing.items():
                 h, bad = dt[r], int(fraction * steps[r])
+                if len(Xs[r]) <= bad:  # the row blew up on its own before (a coarse probe)
+                    Xs[r], Vs[r] = Xs[r][::stride[r]], Vs[r][::stride[r]]
+                    continue
                 failures[r] = BlowUpError(
                     f"state left the finite box at step {bad} (t = {bad * h:.6g})",
                     last_time=(bad - 1) * h,

@@ -154,7 +154,8 @@ def test_criterion_7_coordinate_uniformity(circle_bundle):
 
 def test_criterion_8_tangential_residual(circle_bundle):
     # member j = 1 (eps = 0.05) keeps only its nodes: its dense run, at its
-    # own step factor
+    # ceiling factor, whatever step the family chose, so these numbers do
+    # not move with the probe
     scn = circle_bundle.scenario
     factor = fv.dynamics.member_step_factors(scn.horizon, scn.epsilons, scn.options)[1]
     member = fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[1], scn.horizon,

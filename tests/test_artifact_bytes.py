@@ -21,62 +21,64 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # name -> {path under the output directory: sha256}, recorded before the
 # table writer and the vectorised SVG coordinates replaced per-cell formatting;
 # evidence.csv and report.json re-recorded when each member's physical run,
-# at about half its substeps, replaced its twin as the evidence, and
-# report.json again when the coordinates stage's metric probe was removed
+# at about half its substeps, replaced its twin as the evidence,
+# report.json again when the coordinates stage's metric probe was removed,
+# and every file but some figures when each member's substeps came from
+# its gates (a probe call and one re-run) instead of a fixed factor
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
-            "4149e4ae04ccc1d8f62fba28333a7870fdfff6911453f2d97b2e68f2351ea430",
+            "c9996388a0b4d793ffc7f3d531b100d10aac410f81e7c5acd1ba3369c9a748bf",
         "coords_eps1.csv":
-            "3fd04b4e443a1d93efa99de15f5362a18accc012ee0f38241673136c3c4fb432",
+            "20f7bc13f68ca48b448233db794e18e7d4f06a2bfbd350764b747979be33a8b0",
         "coords_eps2.csv":
-            "cf39fe087169001a8aed9878fdcd9652ee86c6be14dded4ac6fdd0c40d695767",
+            "f9397e3695a1c7e2e9e0aa5ad45c09412d9f27101b89cbcd1e13c1142495a416",
         "coords_eps3.csv":
-            "cc524b3b6e574132a9f971306f15a39db691b55d1e78c4e15465e9846cb5ec79",
+            "f9e9e2954ab6a2d056dfa98beef6aa65e64aa36a01fa77328f7fc4fd148e73f7",
         "coords_eps4.csv":
-            "a19b7b2460013f93b1e352a3effd8cde870468f006b1375bc1bef66a25ad0bef",
+            "840690fa00cb8b1cb27ac431f6519a85abc3ccd58c2abd1028927d737d4e3930",
         "coords_eps5.csv":
-            "a00a9465d3df87593e04de1efb7bbf8cf28eeb0760ec3f87530da277694e77da",
+            "fc2769739b9a4b32afd377153b2e5f11083a54110a208955af2e912c6fae203f",
         "evidence.csv":
-            "fde873488577a3ef1a6d55cee888c6b9038fca7a58a30dcde55a956519bae96b",
+            "0c0045f8063f945fa2d3e1753344eb9832e452d3981d606a72358524f3a7a913",
         "figures/convergence.svg":
             "f9a1b57df101cfcc35de9652a7d0413c53a0ab00e883e1e7f738e51835a002dc",
         "figures/trajectories.svg":
-            "f02c3ff365b6705741a5f7d4960c97a0b949e9fb7aab01eeaaad5b3f130199e3",
+            "d45a9a668a75dbfa004c71d17a14ccec7a2a600c506de5183e2a09f7231de6de",
         "figures/violation.svg":
-            "311cc74fc756ffb0f46dc106e52c5dd54db996699de3de871ac28fbdff7e0a11",
+            "394a1eec44255e4b847719e1520358e5c274857bcf2569612ff23d78276b48d9",
         "limit.csv":
-            "25bf83cb2a33adcb2acff9734194e3c6a4d99303e1554cf237aac12f61bd79f2",
+            "e1d71c9f6be8dcfeae687a468ff23e055d230840a486fd66ece14991756c3bd3",
         "report.json":
-            "05b35bf3b4e79f715f77c48312e40daf54745e6a5b035fb9b68e7c509e0546d1",
+            "66fd799875a44b07db6973ac10b74c8348630ad8e42da53b5f1d59a2eb96a2c2",
         "traj_eps0.csv":
-            "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
+            "7ca7df915474329c6a14d87b62b4e185b93b04672d953f6f4a4dec4722e72a97",
         "traj_eps1.csv":
-            "f758c50cc9d977cdd757cde9b8825d8f0785ff4327a5722572ac329bd60a655a",
+            "d3e0148bd6daf89d1067953909656387d214d047f399938ce51766a992304a9f",
         "traj_eps2.csv":
-            "76234661d5e5ce255ce960109ff767fe33fcef9f18a7b26a9da7d87a23b506ec",
+            "c9e5d816c20422487b420b8b9803fa5af71574f71a68d5b83056ad1f0efead37",
         "traj_eps3.csv":
-            "26e7024312dd1692a14f4e144ebe5d71efdc671f2b2737d80e19cc00140fc071",
+            "46566ad0cd76f4782711c658fcf84ce0bd7a01df032cc9edad0fabbbcfe62b52",
         "traj_eps4.csv":
-            "16047e20eab5fb9809b044f1d7f12595f7894d351803c2d667d39b47f220a65e",
+            "a5cf135530063d2e371f4a2e1edacc06225e75077d96a3aa27c6a6213a28a49b",
         "traj_eps5.csv":
-            "5044b5511b2cf044db563136376129d73f6ab49f6cf8deff5c6776135210ba03",
+            "e60765c0145e33c3c503858a8f58ea6cffa30ebc8e61379556ec7cd7daf34993",
     },
     "ellipsoid": {
         "coords_eps0.csv":
-            "6dfc0ccb1f6a3b805bcac39910558d8ee3081164beb960e27b7d7c36f0bfc8be",
+            "2050a256bb3402bf069c1091b6654e790197243a050b56e5fea6254919f78914",
         "coords_eps1.csv":
-            "03cf534f2027a74abd0c5eeab8a4641ccd0bb5fa8e58ed8343061bc0eb6cecad",
+            "4a35aa739cd5c40228a05b97f8466f02b0a3496130d526993970171cbd2fd532",
         "coords_eps2.csv":
-            "48c68a63fa1770ad1fc39a76c208b5cab3b390d044c4f9f2630f0e1e1e91e68c",
+            "829bb7afa348410139fee66ab54e07b7853f19ed1bf68c369472c28c39b4d5d7",
         "coords_eps3.csv":
-            "a2f26fcfd411b9e128d93941e9a2d944f2900a57e85d7ddfbee101f7eddbc5f1",
+            "3af93a4b4c397011427c55a44a00c7b21b11d98aeddfcb671fad25a8f3a95f53",
         "coords_eps4.csv":
-            "6c21701457d8b1d5865660ecba9a26c08244e5ffd95d85379f1f3ef23a27173e",
+            "fe578d53e3eb6a800aabb254a41b4db04b81fb46c2d0246700038a55feea6128",
         "coords_eps5.csv":
-            "b508d00c2ad3be50527f813d3bd6c9e326e3529e36b5cc4fabfdf4b8d400c50a",
+            "6c8e28894cfe0279dfedb8031006fca0ea77b298a82b66582ad3fb19ed56d0cd",
         "evidence.csv":
-            "66825644d0e89a51fecb2e9a94b251e7ec0774062ebe57a2e1b17ea3ec04406c",
+            "452415ba0e63e7640b202373b2157d53aff366d712aeb9025f22571089b6bcb1",
         "figures/convergence.svg":
             "e51adb68177615739dee14ea7fb8f4661ff5a32a136d20a05e769edbdc588d0e",
         "figures/trajectories.svg":
@@ -84,59 +86,59 @@ ARTIFACT_DIGESTS = {
         "figures/violation.svg":
             "7d886c03303eb0a82182312e2df8b57ff365463a987b779f1715780de5a1c685",
         "limit.csv":
-            "b9721ae2ef1c6adccb8b058efcc31981736a183109075ac4bae8eb2eb203ffa4",
+            "c5033c9333f1166f6453e0ef6d88cd66b1b467bebfc2f6625f0ccca24d94807a",
         "report.json":
-            "5f3fe1a2b66cdff1cd45a91a7a0212ac466a840dfaf5c0f074eee5353abcff63",
+            "2a6c5b6e344e42133797b60bd62c3f5c830af1572e87e7b1a462c2f3098db031",
         "traj_eps0.csv":
-            "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
+            "9879e9164d65caac7d0fee7c44f1b23afa7072f44cb6dce85b09ed584e35024f",
         "traj_eps1.csv":
-            "c20a9237da2f85fc04b5e08aaa2695ee0bc8eb33203472c2c4bca8c4bd0a046c",
+            "52b0b64fd55fcc6e7af5ac3974a1d3b80082a97e0deeb7ff5399e740d68863ba",
         "traj_eps2.csv":
-            "5e43ecc34aa74230a1210dfcd3dabca3c8662973f5acb9f9214fb44ec10c30a0",
+            "ac191463c42a3a0064babafa3aa16def1383d18e431d43942bbd740a9bc8bfc5",
         "traj_eps3.csv":
-            "320e076d3859c8c3c35c1cc50ef32345bab3be1fbb79d4381888938b78e34faf",
+            "6d5f8680e968da9a05d780089ec55b57585279047af6194e9661682b40d538b0",
         "traj_eps4.csv":
-            "d25add427db0251f80ad6951d1465c8777b49a005a8dcf0a2282fc1281fcad53",
+            "0225736eb22bb36845e14ce588e98facfcc33dd96288ff2910ce363ca6f5cfe3",
         "traj_eps5.csv":
-            "1002174a8d0651e04d5ca82622ce14c2b7ceab050cc2a357d03b17f326632cb4",
+            "bdf09e5b141c7fdfaf1bdddc0836f02759b96b17f76371382cc617a49e56b6cf",
     },
     "gutter": {
         "coords_eps0.csv":
-            "8c57d7ebc8420834d094894b3ff5669c2af9a5abe7c3c9bcdaf06126e207d709",
+            "8be8a4f6cf613ca72b5265d1defbb0ee3102b14898b195d268beb17812e22c12",
         "coords_eps1.csv":
-            "468b3932364d87d5dabb22be2e5a362b1c38521c16bed15c30b96c7a07e1bae8",
+            "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
         "coords_eps2.csv":
-            "3d0da96ce62baae4e2b3c9884d44e5137f663474e1c36e7049c9c564464f3b81",
+            "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
         "coords_eps3.csv":
-            "ba0d74ca5ba97e88ea8cd9e852d662af756b42f3d334f475409daab78c187734",
+            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
         "coords_eps4.csv":
-            "1006665f50c4eb791d3b9485f2622d793a2a1557cefa5121259e4bff5c46dc78",
+            "2983ec4cacd0b5cf9edc3ac2f3e0a79eb14d07c4172d607bc21bb041acdce4d7",
         "coords_eps5.csv":
-            "c1fd4d2fbaa6e3d8875e3139e7abc3d47ebde69f40e889fd90fb12d79370e224",
+            "0761f44255bacb9392c3688f6372c0c81824eb5887e726cb3a740b043a9c5a9d",
         "evidence.csv":
-            "85c0ce8b8fb573a6d04906bde8043485278ac9e22e3a6f67ec063df50646d2a7",
+            "395fded1cdbc061a1f2a2be57ae531eb710fd505d7281f915596040b5b6d6f90",
         "figures/convergence.svg":
-            "f1ff7480aed3ceadb3360bbfc485524311da446859c8e63bb33a5b2edd55dbac",
+            "dae0de387bdfd929cd7517bd198f3f1a83a232a3631d1234efc1053e18c50f0d",
         "figures/trajectories.svg":
             "2da33c10761e2071c37845a94d2f57a56c1644cde2e58e77f89f9024afaa2769",
         "figures/violation.svg":
             "2ebcb59181dcb456d6fb742148ab57ba934e62fef28aebb83f60d1e4dc154f4d",
         "limit.csv":
-            "471198d968ebde8235bfcfa413fdc568a4b273c47c5fd7d232d01130fc7e0f5c",
+            "d70cf1fce50ef3057c78ddf46ff37371dc8b64233f17fd1718ee0c9d62bf399b",
         "report.json":
-            "37c3041e644c5cb6e8d944a7078f570a00b54e9a6b8db77022f256d3bbe98007",
+            "3c3458d131e612846287b19596cd040bf265535e1ff3296aa8b9b6c5f34f2774",
         "traj_eps0.csv":
-            "0605bfeb9d294883f2bdc8302df206521dd25249634a51f5dcae33f1c39321b0",
+            "c1ce983cc2067bdd9df33faf59583fb62d6673e33276c7d91ca2e0b3df0cceaa",
         "traj_eps1.csv":
-            "8b02e38ebf4867e8ba8ef605eeb4eb7cbf09355a2b51b5b36f236e092c24b6af",
+            "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
         "traj_eps2.csv":
-            "159ec7add609a7bb2c4c472c0f4ad220f8e1b97e7b3d7049b35ab117dc7505c9",
+            "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
         "traj_eps3.csv":
-            "5b2b0f46feba20fc4308bc77026423dd623dc5cf9658635247e4df8e23bf7ca3",
+            "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
         "traj_eps4.csv":
-            "3832893ae2ac0dac43ff1e121d24305737dce3f5927cc243c5a99b91dc268ce9",
+            "cab3ecaf3081ec6c832a352bf65893290c760f86b61d6c04bae8a2fa03d408db",
         "traj_eps5.csv":
-            "da550edbc15f349b5a7c43a31eaea3c39075da2d87d42dd1024d7c8d7060ff83",
+            "3279ae339a8379a19f803180e0ab4e9194b9b5a1b55be66b93f387666561c619",
     },
 }
 

@@ -308,20 +308,27 @@ def test_evidence_runs_are_a_loop_of_newton_runs(name):
         assert run.x_int is run.x
 
 
-@pytest.mark.parametrize("name, iterations", [("circle", 5800), ("ellipsoid", 3400)])
-def test_family_is_one_lockstep_call_of_three_rows_per_member(monkeypatch, name, iterations):
-    # both halves and the physical run of every member; the physical runs
-    # take fewer steps than the finest member, so the loop runs no longer
-    calls, real = [], dynamics.integrate
+@pytest.mark.parametrize("name, calls", [
+    ("circle", [(18, 1200), (9, 1000)]),
+    ("ellipsoid", [(18, 1200)]),
+], ids=["circle-2200", "ellipsoid-1200"])
+def test_family_lockstep_calls_hold_three_rows_per_member(monkeypatch, name, calls):
+    # the probe call runs both halves and the physical run of every member;
+    # on the circle a second call re-runs members 0, 2 and 4.  The physical
+    # runs take no more steps than the finest member (2 when it takes 1),
+    # so each call's loop runs no longer
+    seen, real = [], dynamics.integrate
 
     def spy(accel, x0, v0, dt, n_steps, **kwargs):
-        calls.append((len(x0), n_steps))
+        seen.append((len(x0), n_steps))
         return real(accel, x0, v0, dt, n_steps, **kwargs)
 
     monkeypatch.setattr(dynamics, "integrate", spy)
     fam = fv.run_family(fv.parse_scenario(os.path.join(SCENARIOS, f"{name}.json")))
-    assert calls == [(3 * fam.count, iterations)]
-    assert iterations == (fam.options.n_out - 1) // 2 * max(fam.substeps)
+    assert seen == calls
+    assert fam.plan.iterations == sum(n for _, n in calls)
+    half = (fam.options.n_out - 1) // 2
+    assert calls[0][1] == half * max(fam.plan.probe)
 
 
 @pytest.mark.parametrize("tau_star", [0.0, -0.4, 0.403, 0.51, np.nan, np.inf])

@@ -10,7 +10,7 @@ import pytest
 import flatvalley as fv
 from flatvalley import cli
 from flatvalley.analysis import limit_tolerance
-from flatvalley.dynamics import ENERGY_DRIFT_LIMIT, STEP_ERROR_FRACTION
+from flatvalley.dynamics import ENERGY_DRIFT_LIMIT, PROBE_FRACTION, STEP_ERROR_FRACTION
 from flatvalley.errors import BlowUpError, ScenarioError, UnverifiedLimitError
 from flatvalley.reporting import read_csv_columns, revalidate_from_dir, write_trajectory_csv
 
@@ -489,11 +489,15 @@ def test_simulate_is_a_one_member_family(tiny_scenario_file, tmp_path, capsys):
                      tiny_scenario_file, "--out", str(out), "--no-svg"]) == 0
     assert _stages_printed(capsys.readouterr().out) == ["family", "emit"]
     scn = fv.parse_scenario(tiny_scenario_file)
-    traj = fv.integrate_rescaled(scn.potential, scn.p, scn.v, 0.03, scn.horizon, scn.options)
+    rep = json.loads((out / "report.json").read_text())
+    # the single run at the step its gates chose, the dt report.json records
+    opts = dataclasses.replace(scn.options, step_factor=rep["family"]["dt"][0] / 0.03)
+    traj = fv.integrate_rescaled(scn.potential, scn.p, scn.v, 0.03, scn.horizon, opts)
+    assert traj.dt == rep["family"]["dt"][0]
     direct = tmp_path / "direct.csv"
     write_trajectory_csv(str(direct), traj, fv.energy_audit(traj, scn.potential).values)
     assert (out / "traj_eps0.csv").read_bytes() == direct.read_bytes()
-    assert json.loads((out / "report.json").read_text())["scenario"]["count"] == 1
+    assert rep["scenario"]["count"] == 1
     # the min_eps cap applies to a one-member family too
     assert cli.main(["family", "--count", "1", "--eps0", "1e-5", "--scenario",
                      tiny_scenario_file, "--out", str(out)]) == 1
@@ -819,13 +823,74 @@ def test_physical_row_blow_up_stops_the_family_stage(tmp_path, capsys, blow_up_p
     assert "evidence.csv" not in rep["manifest"]
 
 
+def _set(path, value):
+    """A change of report.json's ``family`` that sets the entry at ``path``."""
+    def change(fam):
+        *keys, last = path
+        for key in keys:
+            fam = fam[key]
+        fam[last] = value(fam[last])
+    return change
+
+
+@pytest.mark.parametrize("changes", [
+    [_set(("probe", "step_errors", 1), lambda e: e * (1.0 + 1e-15))],
+    [_set(("probe", "energy_drifts", 0), lambda d: 0.5 * d)],
+    [_set(("probe", "substeps", 5), lambda m: m + 1)],
+    [_set(("probe", "confined", 3), lambda ok: False)],
+    [_set(("ceilings", 2), lambda m: m + 1)],
+    [_set(("lockstep_iterations",), lambda n: n - 200)],
+    # member 2, re-run at 3 substeps, passed as a fallback to its ceiling:
+    # the fallback call is missing from the iterations
+    [_set(("substeps", 2), lambda m: 10), _set(("dt", 2), lambda dt: 1.0 / 200 / 10)],
+], ids=["probe-step-error", "probe-drift", "probe-substeps", "probe-confined", "ceiling",
+        "iterations", "fallback"])
+def test_file_revalidation_rederives_the_step_plan(circle_run_dir, tmp_path, changes):
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    rep = json.loads((clone / "report.json").read_text())
+    for change in changes:
+        change(rep["family"])
+    (clone / "report.json").write_text(json.dumps(rep))
+    result = revalidate_from_dir(str(clone))
+    assert not result["ok"] and not result["checks"]["member_steps"]
+
+
+def test_certify_prints_each_members_substeps_and_the_lockstep_work(tmp_path, capsys):
+    assert cli.main(["certify", "--scenario", CIRCLE, "--out", str(tmp_path),
+                     "--no-svg"]) == 0
+    printed = capsys.readouterr().out
+    rows = printed.split("pass\n", 1)[1].split("\n")[:6]
+    # the chosen and ceiling substeps sit before the pass column
+    assert [row.split()[-3:-1] for row in rows] == [
+        ["2", "5"], ["2", "8"], ["3", "10"], ["3", "15"], ["5", "20"], ["6", "29"]]
+    assert "lockstep iterations = 2200 (probe call included)" in printed
+
+
+def test_rates_at_the_rounding_floor_are_null(tmp_path):
+    # the gutter's members differ only by rounding (one distance is 0 at
+    # factor 0.05): no rate is read off them, and the report stays strict JSON
+    out = tmp_path / "gutter"
+    assert cli.main(["certify", "--scenario", os.path.join(os.path.dirname(CIRCLE), "gutter.json"),
+                     "--step-factor", "0.05", "--out", str(out), "--no-svg"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    with open(out / "report.json") as fh:
+        rep = json.load(fh, parse_constant=refuse)
+    assert 0.0 in rep["convergence"]["distances"]
+    assert rep["convergence"]["rate_estimates"] == [None] * 4
+
+
 # sha256 of traj_eps0.csv from `family` on each shipped scenario, recorded
-# before members stepped at their own factors: member 0 keeps its step, so
-# its file keeps its bytes
+# before members stepped at their own factors (member 0 kept its step
+# then), and re-recorded when member 0's substeps came from its gates: 2
+# on the circle and 1 on the ellipsoid and gutter, from 5, 3 and 5
 MEMBER_0_DIGESTS = {
-    "circle": "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
-    "gutter": "0605bfeb9d294883f2bdc8302df206521dd25249634a51f5dcae33f1c39321b0",
-    "ellipsoid": "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
+    "circle": "7ca7df915474329c6a14d87b62b4e185b93b04672d953f6f4a4dec4722e72a97",
+    "gutter": "c1ce983cc2067bdd9df33faf59583fb62d6673e33276c7d91ca2e0b3df0cceaa",
+    "ellipsoid": "9879e9164d65caac7d0fee7c44f1b23afa7072f44cb6dce85b09ed584e35024f",
 }
 
 
@@ -841,13 +906,14 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 
 # sha256 of report.json from run_pipeline(..., svg=False) over all four
 # stages on each shipped scenario, re-recorded when each member's physical
-# run replaced its twin as the evidence and when the coordinates stage's
-# metric probe was removed: a change that claims to keep the verdicts and
-# the numbers keeps these bytes
+# run replaced its twin as the evidence, when the coordinates stage's
+# metric probe was removed and when each member's substeps came from its
+# gates: a change that claims to keep the verdicts and the numbers keeps
+# these bytes
 REPORT_DIGESTS = {
-    "circle": "6e5c2f0eaaf595ea7060c705c981288273477f5311ad2bba17f7c6e68062b839",
-    "gutter": "480e1ae391ede29eae9794cd89a57c9f0268c86ad529e5ed5ea8aa36e1a8e4d7",
-    "ellipsoid": "020795c011c71d6c9e2eba2fcccdaaceb9a0fb2884b803e09f1514d9666c4030",
+    "circle": "a2ac827da4faf86cfdf8687c330c738e43345444c4fe8cc7216ed5df987ef62c",
+    "gutter": "3edaeb5027bd45088e1b8cbc785fd419652a5d3efb89012a851d686f14e543dc",
+    "ellipsoid": "eeb3dc2544c03d59c6418c4fbf77524534c3ff66b60cbf8e992284935a06af8e",
 }
 
 
@@ -865,12 +931,20 @@ def test_report_records_each_members_step(circle_run_dir):
     fam = circle_run_dir.report.results["family"]
     with open(os.path.join(circle_run_dir.path, "report.json")) as fh:
         rep = json.load(fh)["family"]
-    assert rep["substeps"] == fam.substeps == [5, 8, 10, 15, 20, 29]
+    assert rep["substeps"] == fam.substeps == [2, 2, 3, 3, 5, 6]
+    assert rep["ceilings"] == [5, 8, 10, 15, 20, 29]
+    assert rep["probe"]["substeps"] == [1, 2, 2, 3, 4, 6]
+    assert rep["probe"]["step_errors"] == fam.plan.probe_step_errors
+    assert rep["probe"]["energy_drifts"] == fam.plan.probe_drifts
+    assert rep["probe"]["confined"] == [True] * 6
+    assert rep["lockstep_iterations"] == 2200
     assert rep["dt"] == [m.dt for m in fam.members]
     assert rep["step_errors"] == list(fam.step_errors)
-    # every member's step error sits far below its limit
+    # every member's step error and drift sit within the fraction of their
+    # gates that the probe accepts
     limit = STEP_ERROR_FRACTION * limit_tolerance(fam.potential, fam.p, fam.v, fam.epsilons)
-    assert 0.0 < max(rep["step_errors"]) < 0.01 * limit
+    assert 0.0 < max(rep["step_errors"]) <= PROBE_FRACTION * limit
+    assert max(rep["energy_drifts"]) <= PROBE_FRACTION * ENERGY_DRIFT_LIMIT
 
 
 @pytest.mark.parametrize("key, j, change", [

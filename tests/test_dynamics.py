@@ -196,28 +196,37 @@ def test_step_count_cap_fails_before_allocating():
         fv.family_from_runs(C, [1.0, 0.0], [0.0, 1.0], 1.0, [0.1, 1e-6])
 
 
-@pytest.mark.parametrize("name, substeps", [
-    ("circle", [5, 8, 10, 15, 20, 29]),
-    ("ellipsoid", [3, 5, 6, 9, 12, 17]),
+@pytest.mark.parametrize("name, ceilings, substeps", [
+    ("circle", [5, 8, 10, 15, 20, 29], [2, 2, 3, 3, 5, 6]),
+    ("ellipsoid", [3, 5, 6, 9, 12, 17], [1, 2, 2, 3, 4, 6]),
 ], ids=["circle", "ellipsoid"])
-def test_member_substeps_on_the_shipped_scenarios(name, substeps):
-    # member j targets dt_0 sqrt(eps_j / eps_0): the finest member, and so
-    # the lockstep, takes 5,800 iterations on the circle and 3,400 on the
-    # ellipsoid (32,000 and 16,000 at dtau = 0.01 eps_j)
+def test_member_substeps_on_the_shipped_scenarios(name, ceilings, substeps):
+    # the ceilings, member j at dt_0 sqrt(eps_j / eps_0), would take 5,800
+    # lockstep iterations on the circle and 3,400 on the ellipsoid; the
+    # probe, the same rule from one substep, takes 1,200, and the circle
+    # re-runs members 0, 2 and 4 in 1,000 more
     scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
     steps = dynamics.member_steps(scn.horizon, scn.epsilons, scn.options)
     half = (scn.options.n_out - 1) // 2
-    assert [m for m, _ in steps] == substeps
-    assert half * max(substeps) == {"circle": 5800, "ellipsoid": 3400}[name]
+    assert [m for m, _ in steps] == ceilings
+    assert half * max(ceilings) == {"circle": 5800, "ellipsoid": 3400}[name]
     assert steps[0] == (5 if name == "circle" else 3, scn.horizon / half / steps[0][0])
+    probe = dynamics.probe_substeps(scn.horizon, scn.epsilons, scn.options)
+    assert probe == [1, 2, 2, 3, 4, 6]
+    fam = fv.run_family(scn)
+    assert fam.substeps == substeps
+    assert fam.plan.ceilings == ceilings and fam.plan.probe == probe
+    assert fam.plan.iterations == {"circle": 2200, "ellipsoid": 1200}[name]
+    assert [m.dt for m in fam.members] == [scn.horizon / half / m for m in substeps]
 
 
 @pytest.mark.parametrize("name, calls", [
-    ("circle", 23200), ("ellipsoid", 13600), ("gutter", 23200),
+    ("circle", 8800), ("ellipsoid", 4800), ("gutter", 4800),
 ], ids=["circle", "ellipsoid", "gutter"])
 def test_a_family_makes_four_force_calls_per_lockstep_iteration(name, calls):
     # one PEFRL step makes four force calls, each one grad_many batch: the
-    # 5,800 / 3,400 / 5,800 lockstep iterations of the shipped families
+    # 2,200 / 1,200 / 1,200 lockstep iterations of the shipped families,
+    # probe included
     scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
     P = scn.potential
     grad_many, counted = P.field.grad_many, []
@@ -227,8 +236,65 @@ def test_a_family_makes_four_force_calls_per_lockstep_iteration(name, calls):
         return grad_many(X)
 
     Q = dataclasses.replace(P, field=dataclasses.replace(P.field, grad_many=counting))
-    fv.family_from_runs(Q, scn.p, scn.v, scn.horizon, scn.epsilons, scn.options)
-    assert len(counted) == calls
+    fam = dynamics.family_for_gates(Q, scn.p, scn.v, scn.horizon, scn.epsilons, scn.options)
+    assert len(counted) == calls == 4 * fam.plan.iterations
+
+
+@pytest.mark.parametrize("name", ["circle", "gutter", "ellipsoid"])
+def test_chosen_substeps_stay_within_their_ceilings(name):
+    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
+    fam = fv.run_family(scn)
+    assert all(p <= m <= c for p, m, c in zip(fam.plan.probe, fam.substeps, fam.plan.ceilings))
+    # the n_out = 201 grid at factor 3.0 clips every probe to its ceiling
+    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"), {"n_out": 201, "step_factor": 3.0})
+    fam = fv.run_family(scn)
+    assert fam.substeps == fam.plan.ceilings == fam.plan.probe
+
+
+@pytest.mark.parametrize("name", ["circle", "gutter", "ellipsoid"])
+def test_step_error_reads_at_least_the_true_error(name):
+    # each member's true error is its sup node distance from the same
+    # member run at four times its substeps: the chosen steps keep it under
+    # PROBE_FRACTION of the step-error gate, and the recorded step error,
+    # against a reference at about half the substeps (twice them when
+    # m_j = 1), reads at least 0.9 of it.  The gutter's members move in a
+    # straight line, and their distances are rounding: below the rounding
+    # floor of extract_limit's monotone check there is no error to read.
+    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
+    fam = fv.run_family(scn)
+    step_limit = dynamics.STEP_ERROR_FRACTION * dynamics.limit_tolerance(
+        scn.potential, scn.p, scn.v, scn.epsilons)
+    for j, (eps, member) in enumerate(zip(scn.epsilons, fam.members)):
+        fine = fv.integrate_rescaled(scn.potential, scn.p, scn.v, eps, scn.horizon,
+                                     dataclasses.replace(scn.options,
+                                                         step_factor=member.dt / 4 / eps))
+        assert fine.dt == member.dt / 4
+        true = float(np.max(np.linalg.norm(fine.x - member.x, axis=1)))
+        floor = np.finfo(float).eps * fine.steps * float(np.abs(fine.x).max())
+        assert true <= dynamics.PROBE_FRACTION * step_limit, (j, true)
+        assert fam.step_errors[j] >= 0.9 * true or true <= floor, (j, fam.step_errors[j], true)
+
+
+def test_a_rerun_member_that_fails_a_gate_falls_back_to_its_ceiling(monkeypatch):
+    # the circle re-runs members 0, 2 and 4 in a second call; make member
+    # 2's physical run there blow up, so its re-run fails its step-error
+    # gate: a third call runs member 2 alone at its ceiling
+    real, calls = dynamics.integrate, []
+
+    def integrate(accel, x0, v0, dt, n_steps, **kwargs):
+        calls.append((len(x0), n_steps))
+        Xs, Vs, failures = real(accel, x0, v0, dt, n_steps, **kwargs)
+        if len(calls) == 2:
+            failures[7] = BlowUpError("state left the finite box", last_time=0.0,
+                                      last_state=(Xs[7][0], Vs[7][0]))
+        return Xs, Vs, failures
+
+    monkeypatch.setattr(dynamics, "integrate", integrate)
+    scn = fv.parse_scenario(str(SCENARIOS / "circle.json"))
+    fam = fv.run_family(scn)
+    assert calls == [(18, 1200), (9, 1000), (3, 2000)]
+    assert fam.substeps == [2, 2, 10, 3, 5, 6] and fam.plan.iterations == 4200
+    assert not any(dynamics.member_failures(fam)) and not fam.physical_errors
 
 
 def test_member_step_factors_keep_member_0_and_cap_the_growth():
