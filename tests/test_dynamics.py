@@ -9,6 +9,7 @@ import flatvalley as fv
 from flatvalley import dynamics
 from flatvalley.dynamics import MAX_MEMBERS, MAX_STEPS
 from flatvalley.errors import BlowUpError, InvalidParameterError, ScenarioError
+from flatvalley.reporting import revalidate_from_dir
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -275,10 +276,11 @@ def test_step_error_reads_at_least_the_true_error(name):
         assert fam.step_errors[j] >= 0.9 * true or true <= floor, (j, fam.step_errors[j], true)
 
 
-def test_a_rerun_member_that_fails_a_gate_falls_back_to_its_ceiling(monkeypatch):
+def test_a_rerun_member_that_fails_a_gate_falls_back_to_its_ceiling(monkeypatch, tmp_path):
     # the circle re-runs members 0, 2 and 4 in a second call; make member
     # 2's physical run there blow up, so its re-run fails its step-error
-    # gate: a third call runs member 2 alone at its ceiling
+    # gate: a third call runs member 2 alone at its ceiling, and the files
+    # revalidate with member 2 read as a fallback
     real, calls = dynamics.integrate, []
 
     def integrate(accel, x0, v0, dt, n_steps, **kwargs):
@@ -291,10 +293,13 @@ def test_a_rerun_member_that_fails_a_gate_falls_back_to_its_ceiling(monkeypatch)
 
     monkeypatch.setattr(dynamics, "integrate", integrate)
     scn = fv.parse_scenario(str(SCENARIOS / "circle.json"))
-    fam = fv.run_family(scn)
+    report = fv.run_pipeline(scn, str(tmp_path), svg=False)
+    assert report.verdict == "UNSTABLE", report.reason
+    fam = report.results["family"]
     assert calls == [(18, 1200), (9, 1000), (3, 2000)]
     assert fam.substeps == [2, 2, 10, 3, 5, 6] and fam.plan.iterations == 4200
     assert not any(dynamics.member_failures(fam)) and not fam.physical_errors
+    assert revalidate_from_dir(str(tmp_path))["ok"]
 
 
 def test_member_step_factors_keep_member_0_and_cap_the_growth():
