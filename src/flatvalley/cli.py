@@ -464,7 +464,8 @@ def _cmd_residual(args) -> int:
     print(f"member j={args.member} (eps={eps:g}), {args.samples} interior samples")
     print(f"  max residual        = {result['coarse_max']:.3e}")
     print(f"  max at halved steps = {result['fine_max']:.3e}")
-    print(f"  shrink factor       = {result['shrink_factor']:.2f}")
+    shrink = result["shrink_factor"]
+    print(f"  shrink factor       = {'undefined' if shrink is None else f'{shrink:.2f}'}")
     return 0
 
 

@@ -56,8 +56,8 @@ their conservation audits (:class:`RunAudits`) as it goes, so no (steps +
 1, n) array is allocated per run.  Dense internal states are kept only
 where they are read: :func:`integrate_rescaled` (which writes both halves
 into one array as the call makes them) and :func:`integrate_newton`
-return them, and ``Trajectory.sample`` interpolates them with a cubic
-spline.
+return them, and ``geometry.curvilinear_residual`` reads its stencils
+from them.
 """
 from __future__ import annotations
 
@@ -188,9 +188,6 @@ class Trajectory:
     x_int: Array
     v_int: Array
 
-    def __post_init__(self):
-        self._sampler = None
-
     @property
     def dim(self) -> int:
         return self.x.shape[1]
@@ -204,24 +201,6 @@ class Trajectory:
     def steps(self) -> int:
         """Internal steps from the first node to the last."""
         return round(float(self.tau[-1] - self.tau[0]) / self.dt)
-
-    def sample(self, taus):
-        """Cubic-spline positions and velocities at arbitrary interior times
-        of a dense run."""
-        if not self.dense:
-            raise InvalidParameterError(
-                "this run kept only its output nodes; sample a dense run from "
-                "integrate_rescaled (or integrate_newton) at the same eps, horizon and options")
-        if self._sampler is None:
-            from scipy.interpolate import CubicSpline
-
-            self._sampler = (
-                CubicSpline(self.tau_int, self.x_int, axis=0),
-                CubicSpline(self.tau_int, self.v_int, axis=0),
-            )
-        sx, sv = self._sampler
-        taus = np.asarray(taus, dtype=float)
-        return sx(taus), sv(taus)
 
 
 def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, float, int]:

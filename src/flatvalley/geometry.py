@@ -600,12 +600,15 @@ def pullback_metric_min(chart: MChart, r_range: tuple, y_box,
 
 def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[float] = None,
                          frame_step: Optional[float] = None) -> Array:
-    """Residual of the tangential equations of motion along a trajectory.
+    """Residual of the tangential equations of motion along a dense run.
 
-    At each sample the trajectory is read in tube coordinates, (rdot, ydot,
-    yddot) are formed by central differences with step ``trace_step``
-    (default: half the trajectory's output spacing), the frame is evaluated
-    at the centre coordinates, and the combination
+    Each sample tau is snapped to the nearest internal step of the run, and
+    ``trace_step`` (default: half the run's output spacing) to the nearest
+    whole number of its steps, at least one.  The run's own states at the
+    snapped tau and one snapped step either side are read in tube
+    coordinates, (rdot, ydot, yddot) are formed from them by central
+    differences, the frame is evaluated at the centre coordinates, and the
+    combination
 
         (h_r/h_k) <e^k, de_r/dr> rdot^2
       + (1/h_k)   <e^k, d2Psi/dy_a dy_b> ydot_a ydot_b
@@ -616,17 +619,23 @@ def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[
     what comes back is pure discretization error.
     """
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
-    H = trace_step if trace_step is not None else 0.5 * float(traj.tau[1] - traj.tau[0])
-    if H <= 0:
+    if trace_step is None:
+        trace_step = 0.5 * float(traj.tau[1] - traj.tau[0])
+    if not trace_step > 0:
         raise InvalidParameterError("trace step must be positive")
-    lo, hi = float(traj.tau_int[0]), float(traj.tau_int[-1])
+    h = max(1, round(trace_step / traj.dt))
+    H = h * traj.dt
     out = np.empty((taus.size, chart.dim - 1))
     for i, t0 in enumerate(taus):
-        if t0 - H < lo or t0 + H > hi:
+        c = round((t0 - float(traj.tau_int[0])) / traj.dt)
+        if c - h < 0 or c + h > traj.steps:
             raise ChartDomainError(
                 f"sample tau = {t0:g} is too close to the grid boundary for step {H:g}")
-        stencil = np.array([t0 - H, t0, t0 + H])
-        xs, _ = traj.sample(stencil)
+        if not traj.dense:
+            raise InvalidParameterError(
+                "this run kept only its output nodes; take the residual of a dense run "
+                "from integrate_rescaled at the same eps, horizon and options")
+        xs = traj.x_int[[c - h, c, c + h]]
         r, y, failures = chart.coords_many(xs, flow_steps_for(chart.field.f_many(xs)))
         raise_first(failures)
         rdot = (r[2] - r[0]) / (2.0 * H)
@@ -646,12 +655,15 @@ def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[
 def residual_convergence(chart: MChart, traj, tau_samples) -> dict:
     """Residuals at the default steps and at half of them, with the shrink factor.
 
-    The default steps are half the trajectory's output spacing for the trace
-    and ``chart.stencil_step`` for the frame.  Second-order stencils should
-    shrink the residual by about 4 when all steps are halved; a factor well
-    below that flags a noise floor.
+    The coarse trace step is the even number of the run's steps nearest to
+    half its output spacing (ties up), at least two, and the fine one half
+    of it, so both are whole steps; the frame steps are ``chart.stencil_step``
+    and half of it.  Second-order stencils should shrink the residual by
+    about 4 when all steps are halved; a factor well below that flags a
+    noise floor.  The factor is None when the halved-step residual is 0.
     """
-    H = 0.5 * float(traj.tau[1] - traj.tau[0])
+    per_interval = round(float(traj.tau[1] - traj.tau[0]) / traj.dt)
+    H = 2 * max(1, math.floor(per_interval / 4 + 0.5)) * traj.dt
     hf = chart.stencil_step
     coarse = curvilinear_residual(chart, traj, tau_samples, trace_step=H, frame_step=hf)
     fine = curvilinear_residual(chart, traj, tau_samples, trace_step=H / 2.0, frame_step=hf / 2.0)
@@ -662,5 +674,5 @@ def residual_convergence(chart: MChart, traj, tau_samples) -> dict:
         "fine": fine,
         "coarse_max": cmax,
         "fine_max": fmax,
-        "shrink_factor": cmax / max(fmax, 1e-300),
+        "shrink_factor": cmax / fmax if fmax > 0 else None,
     }

@@ -449,8 +449,7 @@ def test_a_member_keeps_only_its_nodes_and_names_its_dense_run():
     P, p, v = CASES["circle"]
     member = fv.family_from_runs(P, p, v, 0.5, EPSILONS[:1], OPTIONS).members[0]
     assert not member.dense and member.x_int is member.x
-    for call in (lambda: member.sample([0.1]), lambda: fv.energy_audit(member, P),
-                 lambda: fv.confinement_check(member, P, v)):
+    for call in (lambda: fv.energy_audit(member, P), lambda: fv.confinement_check(member, P, v)):
         with pytest.raises(InvalidParameterError, match="integrate_rescaled"):
             call()
 

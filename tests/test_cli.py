@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import sys
 import tracemalloc
 
 import numpy as np
@@ -297,6 +298,47 @@ CIRCLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 def _circle_file(tmp_path, **changes):
     with open(CIRCLE) as fh:
         return _write(tmp_path, "circle.json", {**json.load(fh), **changes})
+
+
+GUTTER = os.path.join(os.path.dirname(CIRCLE), "gutter.json")
+
+
+def _ceiling_residual(scn, j):
+    """``residual_convergence`` on member j's dense run at its ceiling factor,
+    at the 20 interior samples ``flatvalley residual`` reads by default."""
+    factor = fv.dynamics.member_step_factors(scn.horizon, scn.epsilons, scn.options)[j]
+    traj = fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[j], scn.horizon,
+                                 dataclasses.replace(scn.options, step_factor=factor))
+    taus = np.linspace(-0.85 * scn.horizon, 0.85 * scn.horizon, 20)
+    return fv.residual_convergence(fv.chart_for_scenario(scn), traj, taus)
+
+
+def test_residual_prints_the_convergence_of_the_members_ceiling_run(capsys):
+    assert cli.main(["residual", "--scenario", CIRCLE, "--member", "1"]) == 0
+    res = _ceiling_residual(fv.parse_scenario(CIRCLE), 1)
+    assert capsys.readouterr().out.splitlines() == [
+        "member j=1 (eps=0.05), 20 interior samples",
+        f"  max residual        = {res['coarse_max']:.3e}",
+        f"  max at halved steps = {res['fine_max']:.3e}",
+        f"  shrink factor       = {res['shrink_factor']:.2f}",
+    ]
+    assert 0 < res["coarse_max"] <= 1e-3 and res["shrink_factor"] >= 3.0
+
+
+def test_residual_on_the_gutter_has_no_shrink_factor(capsys):
+    # the gutter's runs are straight lines: every stencil reads exactly 0
+    res = _ceiling_residual(fv.parse_scenario(GUTTER), 1)
+    assert res["coarse_max"] == res["fine_max"] == 0.0 and res["shrink_factor"] is None
+    assert cli.main(["residual", "--scenario", GUTTER]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  shrink factor       = undefined"
+
+
+def test_the_residual_never_needs_scipy(monkeypatch, capsys, circle_bundle):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+    assert _ceiling_residual(circle_bundle.scenario, 1)["shrink_factor"] >= 3.0
+    assert cli.main(["residual", "--scenario", CIRCLE, "--member", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _table_passes(out):

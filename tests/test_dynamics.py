@@ -411,11 +411,3 @@ def test_integrator_options_validation():
         fv.IntegratorOptions(step_factor=0.0)
     with pytest.raises(InvalidParameterError):
         fv.IntegratorOptions(n_out=400)  # must be odd
-
-
-def test_trajectory_sampler_matches_nodes():
-    C = fv.circle()
-    traj = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 0.5)
-    xs, vs = traj.sample(traj.tau[5:10])
-    assert np.allclose(xs, traj.x[5:10], atol=1e-12)
-    assert np.allclose(vs, traj.v[5:10], atol=1e-12)

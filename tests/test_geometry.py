@@ -219,7 +219,10 @@ def test_metric_min_shrinking_region_reaches_center_value():
 
 
 def _dense_member(bundle, j):
-    """Family member j keeps only its nodes: its dense run, the same nodes."""
+    """A dense run at member j's eps and the scenario's horizon and options.
+
+    Family members keep only their nodes, and member j's step is chosen from
+    its gates, so this run's nodes are not member j's."""
     scn = bundle.scenario
     return fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[j], scn.horizon,
                                  scn.options)
@@ -237,6 +240,15 @@ def test_residual_zero_velocity_trace():
     still = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 0.0], 0.05, 1.0)
     res = fv.curvilinear_residual(chart, still, np.array([0.0, 0.3]), trace_step=0.02)
     assert np.max(np.abs(res)) <= 1e-12
+
+
+def test_off_grid_samples_read_the_whole_step_stencil(circle_bundle):
+    traj = _dense_member(circle_bundle, 1)
+    taus = traj.tau_int[[101, 555, 1203]]  # internal steps, not all of them nodes
+    on = fv.curvilinear_residual(circle_bundle.chart, traj, taus, trace_step=2 * traj.dt)
+    off = fv.curvilinear_residual(circle_bundle.chart, traj, taus + 0.3 * traj.dt,
+                                  trace_step=2.4 * traj.dt)
+    assert np.max(np.abs(on)) > 0 and on.tobytes() == off.tobytes()
 
 
 def test_residual_rejects_boundary_samples(circle_bundle):
