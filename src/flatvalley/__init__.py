@@ -38,7 +38,6 @@ from .dynamics import (
     Trajectory,
     confinement_check,
     energy_audit,
-    family_from_runs,
     integrate_newton,
     integrate_rescaled,
     run_family,

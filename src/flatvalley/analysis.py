@@ -448,15 +448,15 @@ REVALIDATION_RTOL = 1e-12
 
 def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
                       members_x: Sequence[Array],
-                      physical_ends: Mapping[int, Array] | Sequence[Array],
+                      physical_ends: Mapping[int, Array],
                       drifts: Sequence[float], members_h: Sequence[Array]) -> Dict[str, bool]:
     """Re-derive a certificate from arrays: one boolean per named check.
 
     ``claims`` are the certificate fields by name (``vars`` of an
     :class:`InstabilityCertificate`, or report.json's ``certificate``);
     positions lie on the grid ``tau``.  The evidence displacements are
-    re-derived from the physical runs' final states ``physical_ends``
-    (indexed by member j).  ``drifts`` are the members' claimed energy
+    re-derived from the physical runs' final states ``physical_ends``, by
+    member j.  ``drifts`` are the members' claimed energy
     drifts and ``members_h`` their H on the output grid: the output grid is
     a subset of the internal steps each claim was taken over, so a claim
     below the drift re-derived from H is false.
@@ -495,7 +495,7 @@ def revalidate_certificate(cert: InstabilityCertificate, family: FamilyResult,
                            limit: LimitCurve, physical_runs: List[Trajectory]) -> bool:
     """Re-derive every certificate number from the in-memory trajectories."""
     checks = check_certificate(vars(cert), limit.tau, limit.x, [m.x for m in family.members],
-                               [run.x[-1] for run in physical_runs],
+                               {j: run.x[-1] for j, run in enumerate(physical_runs)},
                                [e.drift for e in family.energies],
                                [e.values for e in family.energies])
     return all(checks.values())

@@ -108,6 +108,9 @@ _OPTION_KEYS = ("step_factor", "n_out")
 #: scenario-file keys that are Scenario fields of the same name
 _SCENARIO_ARGS = ("horizon", "eps0", "ratio", "count", "min_eps", "out")
 _SCENARIO_KEYS = {"name", "potential", "p", "v", *_OPTION_KEYS, *_SCENARIO_ARGS}
+#: most samples ``residual --samples`` may ask for: a hundred times its
+#: default of 20, checked before any array is built
+MAX_SAMPLES = 2000
 
 
 def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
@@ -450,8 +453,9 @@ def _cmd_residual(args) -> int:
         raise InvalidParameterError(
             f"--member must name one of the {scn.count} members (0 to {scn.count - 1}), "
             f"got {args.member}")
-    if args.samples < 1:
-        raise InvalidParameterError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"--samples must lie in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {args.samples}")
     eps = float(scn.epsilons[args.member])
     # the member's dense run at its eps and its ceiling factor, whatever step
     # the family chose, so the residual does not move with the probe

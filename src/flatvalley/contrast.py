@@ -46,6 +46,9 @@ TRAP_OPTIONS = IntegratorOptions(n_out=1001, step_factor=0.05)
 TRAP_DRIFT_FRACTION = 1e-3
 #: initial velocity of every coordinate past the first
 COMPANION_SPEED = 1e-3
+#: most motions one trapped-motion check may launch: a hundred times the
+#: gallery's default of 10, checked before any run's array is built
+MAX_TRAJECTORIES = 1000
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,9 @@ def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
     """
     if not (0.0 < energy_fraction < 1.0):
         raise InvalidParameterError("energy_fraction must lie in (0, 1)")
-    if n_traj < 1:
-        raise InvalidParameterError(f"n_traj must be at least 1, got {n_traj}")
+    if not 1 <= n_traj <= MAX_TRAJECTORIES:
+        raise InvalidParameterError(
+            f"n_traj must lie in [1, MAX_TRAJECTORIES = {MAX_TRAJECTORIES}], got {n_traj}")
     inner = 0.6 * min(-barrier.x_left, barrier.x_right)
     x0s = np.linspace(-inner, inner, n_traj)
     target = energy_fraction * barrier.height

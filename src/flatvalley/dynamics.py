@@ -11,12 +11,12 @@ from; conservation of H = |xd|^2/2 + U/eps^2 gives sharp a-priori bounds
 (speed, sublevel confinement, ball confinement) that every run is audited
 against.
 
-Each kind of run makes one lockstep call of ``integrators.integrate``:
-:func:`family_from_runs` (both halves and the physical run of every
-member), :func:`integrate_rescaled` (both halves of one run) and
-:func:`newton_many` (physical runs, a single one being a batch of one).
-A family whose steps are chosen from its gates (:func:`family_for_gates`,
-what :func:`run_family` runs) makes two or three such calls.
+Every run is a row of a lockstep call of ``integrators.integrate``:
+:func:`integrate_rescaled` makes one (both halves of one run), as does
+:func:`newton_many` (physical runs, a single one being a batch of one),
+and a family (:func:`family_for_gates`, what :func:`run_family` runs)
+makes the one to three calls of its step plan (:func:`step_calls`), each
+running both halves and the physical run of some of its members.
 
 The physical run of member j is xdd = -grad U from (p, eps_j v) to T/eps_j
 on the member's forward output grid scaled by 1/eps_j, at about half the
@@ -36,18 +36,19 @@ Steps: member j of a family takes a constant m_j substeps per output
 interval, chosen from the gates it must pass.  Its ceiling, the finest
 step it may take, is the scenario's: member 0 at dtau = step_factor *
 eps_0, snapped to dt_0, member j at dt_0 sqrt(eps_j/eps_0), snapped, and at
-most GROWTH times member 0's effective factor (:func:`member_step_factors`,
-:func:`member_steps`).  The transverse amplitude shrinks like eps^2, so
-that rule keeps the members' errors level.  A probe call runs the same
-rule from one substep for member 0 (:func:`probe_substeps`); a member
-whose step error and energy drift each read at most PROBE_FRACTION of
-their gates keeps its probe rows, and every other member re-runs once at
-the substeps PEFRL's fourth order predicts from its readings
+most GROWTH times member 0's effective factor (:func:`member_step_factors`).
+The transverse amplitude shrinks like eps^2, so that rule keeps the
+members' errors level.  A probe call runs the same rule from one substep
+for member 0 (:func:`member_substeps` gives both counts); a member whose
+step error and energy drift each read at most PROBE_FRACTION of their
+gates keeps its probe rows, and every other member re-runs once at the
+substeps PEFRL's fourth order predicts from its readings
 (:func:`planned_substeps`), or at its ceiling should that re-run still fail
-a gate.  On the shipped circle the ceilings take 5,800 lockstep iterations
-(dtau = 0.01 eps_j took 32,000); the probe takes 1,200 and the re-run of
-members 0, 2 and 4 1,000 more, for drifts of at most 9.7e-10 and step
-errors of at most 2.8e-7, against gates of 1e-8 and 4.4e-6.
+a gate (:func:`step_calls`).  On the shipped circle the ceilings take
+5,800 lockstep iterations (dtau = 0.01 eps_j took 32,000); the probe takes
+1,200 and the re-run of members 0, 2 and 4 1,000 more, for drifts of at
+most 9.7e-10 and step errors of at most 2.8e-7, against gates of 1e-8 and
+4.4e-6.
 
 Memory grows with nodes, not steps.  The members and physical runs of a
 family keep only their output nodes: the lockstep call stores every m-th
@@ -312,25 +313,24 @@ def member_step_factors(T: float, epsilons: Sequence[float],
                                  for eps in epsilons[1:]]
 
 
-def member_steps(T: float, epsilons: Sequence[float],
-                 opts: IntegratorOptions = IntegratorOptions()) -> List[Tuple[int, float]]:
-    """(substeps per output interval, dt) of every member of a family on
-    [-T, T] under :func:`member_step_factors`: each member's ceiling, the
-    finest step :func:`family_for_gates` may give it."""
+def member_substeps(T: float, epsilons: Sequence[float],
+                    opts: IntegratorOptions = IntegratorOptions()
+                    ) -> Tuple[List[int], List[int]]:
+    """Every member's ceiling and probe substeps per output interval in a
+    family on [-T, T]: the ceiling is its :func:`member_step_factors` step,
+    the finest :func:`family_for_gates` may give it, checked against
+    MAX_STEPS; the probe is that rule from one substep for member 0,
+    clipped to the ceiling."""
     half = (opts.n_out - 1) // 2
-    return [_snap_step(T / half, factor * float(eps), half)[:2]
-            for eps, factor in zip(epsilons, member_step_factors(T, epsilons, opts))]
 
+    def substeps(step_factor):
+        factors = member_step_factors(T, epsilons, replace(opts, step_factor=step_factor))
+        return [_snap_step(T / half, factor * float(eps), half)[0]
+                for eps, factor in zip(epsilons, factors)]
 
-def probe_substeps(T: float, epsilons: Sequence[float],
-                   opts: IntegratorOptions = IntegratorOptions()) -> List[int]:
-    """Every member's probe substeps: the :func:`member_step_factors` rule
-    with member 0 at one substep per output interval, each clipped to its
-    :func:`member_steps` ceiling."""
-    half = (opts.n_out - 1) // 2
-    coarse = replace(opts, step_factor=T / half / float(epsilons[0]))
-    return [min(ceiling, m) for (ceiling, _), (m, _) in zip(member_steps(T, epsilons, opts),
-                                                           member_steps(T, epsilons, coarse))]
+    ceilings = substeps(opts.step_factor)
+    return ceilings, [min(c, m) for c, m in zip(ceilings,
+                                                substeps(T / half / float(epsilons[0])))]
 
 
 def planned_substeps(probe: Sequence[int], ceilings: Sequence[int], step_errors, drifts,
@@ -361,27 +361,41 @@ def _physical_substeps(m: int) -> int:
     return 2 if m == 1 else (m + 1) // 2
 
 
-def lockstep_iterations(half: int, substeps: Sequence[int]) -> int:
-    """Iterations of one family lockstep call of members at ``substeps`` on
-    ``half`` output intervals a side: its longest row's steps."""
-    return half * max(max(m, _physical_substeps(m)) for m in substeps)
+def step_calls(probe: Sequence[int], plan: Sequence[int], ceilings: Sequence[int],
+               failed=()) -> List[Tuple[List[int], List[int]]]:
+    """The lockstep calls of a family's step plan, in order, each a list of
+    members and their substeps: the probe of every member at ``probe``,
+    the re-run of every member whose ``plan`` differs from its probe, and
+    the fallback to its ceiling of every re-run member planned below it
+    that is in ``failed``.  A call of no member is left out.  A member's
+    substeps are those of the last call that runs it."""
+    rerun = [j for j, m in enumerate(probe) if plan[j] != m]
+    fallback = [j for j in rerun if plan[j] < ceilings[j] and j in failed]
+    calls = [(list(range(len(probe))), list(probe)), (rerun, [plan[j] for j in rerun]),
+             (fallback, [ceilings[j] for j in fallback])]
+    return [call for call in calls if call[0]]
+
+
+def lockstep_iterations(half: int, calls) -> int:
+    """Iterations of family lockstep ``calls`` (see :func:`step_calls`) on
+    ``half`` output intervals a side: each call's longest row's steps."""
+    return sum(half * max(max(m, _physical_substeps(m)) for m in substeps)
+               for _, substeps in calls)
 
 
 def _halves(potential, p, v, T: float, epsilons: Sequence[float], opts: IntegratorOptions,
-            substeps: Optional[Sequence[int]] = None):
+            substeps: Sequence[int]):
     """p and v as arrays, and the lockstep rows (x0, v0, scale, (m, dt,
     steps)) of the rescaled runs from (p, v) on [-T, T], one per eps, each
-    at its ``substeps`` (default its :func:`member_steps` step): row 2j is
-    run j's forward half from (p, v), row 2j + 1 its backward half from
-    (p, -v), both under xdd = -(1/eps_j^2) grad U.  Every step count is
-    checked against MAX_STEPS before any run starts."""
+    at its ``substeps``: row 2j is run j's forward half from (p, v), row
+    2j + 1 its backward half from (p, -v), both under xdd = -(1/eps_j^2)
+    grad U.  Every step count is checked against MAX_STEPS before any run
+    starts."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.shape != (potential.dim,) or v.shape != (potential.dim,):
         raise InvalidParameterError("p and v must match the potential dimension")
     half = (opts.n_out - 1) // 2
-    if substeps is None:
-        substeps = [m for m, _ in member_steps(T, epsilons, opts)]
     batch = []
     for eps, m in zip(epsilons, substeps):
         m, dt, steps = _snap_step(T / half, T / half / m, half)
@@ -417,9 +431,10 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     therefore means the step size failed to resolve the stiffness and is
     reported as an integrator failure.  A family member at the same eps and
     horizon has this run's nodes, bit for bit, when the options carry the
-    member's factor from :func:`member_step_factors`.
+    member's factor from :func:`member_step_factors`: the run steps at the
+    ceiling of a family of one.
     """
-    _, _, batch = _halves(potential, p, v, T, [eps], opts)
+    _, _, batch = _halves(potential, p, v, T, [eps], opts, member_substeps(T, [eps], opts)[0])
     half, snap = (opts.n_out - 1) // 2, batch[0][3]
     mid = snap[2]  # the index of tau = 0: the backward half reversed comes first
     x_int = np.empty((2 * mid + 1, potential.dim))
@@ -738,10 +753,11 @@ def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
 @dataclass(frozen=True)
 class StepPlan:
     """How :func:`family_for_gates` chose its members' substeps: each
-    member's ceiling (its :func:`member_steps` count) and probe substeps,
-    the probe's readings that :func:`planned_substeps` read (step error,
-    inf when it has none, energy drift and confinement verdict) and the
-    iterations of every lockstep call the family made, probe included."""
+    member's ceiling and probe substeps (:func:`member_substeps`), the
+    probe's readings that :func:`planned_substeps` read (step error, inf
+    when it has none, energy drift and confinement verdict) and the
+    iterations of every lockstep call the family made (:func:`step_calls`),
+    probe included."""
 
     ceilings: List[int]
     probe: List[int]
@@ -763,11 +779,10 @@ class FamilyResult:
     step factor ``members[j].dt / eps_j``.  Member j steps at
     ``members[j].dt``, ``substeps[j]`` steps per output interval.
     ``physical[j]`` is the run from (p, eps_j v) to T/eps_j integrated
-    beside it (see :func:`family_from_runs`), and ``step_errors[j]`` is
-    their sup node distance; one that blew up ends early, with its error
-    in ``physical_errors`` and an infinite step error.  ``plan`` records
-    how :func:`family_for_gates` chose the substeps (None for one lockstep
-    call at given substeps).
+    beside it (see :func:`_member_runs`), and ``step_errors[j]`` is their
+    sup node distance; one that blew up ends early, with its error in
+    ``physical_errors`` and an infinite step error.  ``plan`` records how
+    :func:`family_for_gates` chose the substeps.
     """
 
     potential: CompositePotential
@@ -783,7 +798,7 @@ class FamilyResult:
     physical: List[Trajectory]
     physical_errors: Dict[int, BlowUpError]
     step_errors: Array
-    plan: Optional[StepPlan] = None
+    plan: StepPlan
 
     @property
     def count(self) -> int:
@@ -870,42 +885,6 @@ def _member_runs(potential, p, v, T, epsilons, opts: IntegratorOptions,
     return runs
 
 
-def _family(potential, p, v, T, epsilons, opts, runs: List[_MemberRun],
-            plan: Optional[StepPlan] = None) -> FamilyResult:
-    """The family of ``runs``, or the BlowUpError of the lowest member
-    whose halves blew up."""
-    for j, (eps, run) in enumerate(zip(epsilons, runs)):
-        if run.error is not None:
-            raise BlowUpError(
-                f"family member j={j} (eps={eps:g}) failed: {run.error}",
-                last_time=run.error.last_time, last_state=run.error.last_state) from run.error
-    return FamilyResult(
-        potential=potential, p=np.asarray(p, dtype=float), v=np.asarray(v, dtype=float),
-        horizon=float(T), options=opts, epsilons=epsilons, tau=runs[0].member.tau,
-        members=[run.member for run in runs], energies=[run.energy for run in runs],
-        bounds=[run.bounds for run in runs], physical=[run.physical for run in runs],
-        physical_errors={j: run.physical_error for j, run in enumerate(runs)
-                         if run.physical_error is not None},
-        step_errors=np.array([run.step_error for run in runs]), plan=plan)
-
-
-def family_from_runs(potential, p, v, T, epsilons,
-                     opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
-    """Integrate one rescaled run per eps at its :func:`member_steps` step
-    and a physical run beside it, all in one lockstep call, and audit every
-    internal state of each member as it is made (see :func:`_member_runs`).
-
-    A family any of whose members would take more than MAX_STEPS steps
-    fails before any member runs; a failing member aborts the family with
-    the lowest failing index attached.  A failing physical run touches no
-    member: it keeps the nodes it reached.
-    """
-    epsilons = np.asarray(list(epsilons), dtype=float)
-    substeps = [m for m, _ in member_steps(T, epsilons, opts)]
-    runs = _member_runs(potential, p, v, T, epsilons, opts, substeps, range(len(epsilons)))
-    return _family(potential, p, v, T, epsilons, opts, runs)
-
-
 def _failure(j: int, energy: EnergyReport, bounds: BoundsCheck, step_error: float,
              physical_error: Optional[BlowUpError], step_limit: float) -> str:
     """Why member j fails the family stage's audits, or '' when it passes:
@@ -941,46 +920,57 @@ def member_failures(fam: FamilyResult) -> List[str]:
 def family_for_gates(potential, p, v, T, epsilons,
                      opts: IntegratorOptions = IntegratorOptions()) -> FamilyResult:
     """The family with each member at a constant substep count chosen from
-    the gates it must pass, in two or three lockstep calls.
+    the gates it must pass, in the lockstep calls of :func:`step_calls`.
 
-    The probe call runs every member at its :func:`probe_substeps`.  A
-    member whose probe readings :func:`planned_substeps` accepts keeps its
-    probe rows; every other member re-runs once, in a second call of only
-    its rows, at its planned substeps.  A re-run member that then fails a
-    gate of :func:`member_failures` (or whose halves blew up) runs a third
-    time at its ceiling, its :func:`member_steps` count, which is the step
-    the family stage would have gated it at alone.  Each run keeps one step
-    throughout, so PEFRL keeps its long-time behaviour.
+    The probe call runs every member at its :func:`member_substeps` probe.
+    A member whose probe readings :func:`planned_substeps` accepts keeps
+    its probe rows; every other member re-runs once, in a second call of
+    only its rows, at its planned substeps.  A re-run member that then
+    fails a gate of :func:`member_failures` (or whose halves blew up) runs
+    a third time at its ceiling, which is the step the family stage would
+    have gated it at alone.  Each run keeps one step throughout, so PEFRL
+    keeps its long-time behaviour.  A ceiling past MAX_STEPS fails before
+    any run; a member whose halves blew up aborts the family, the lowest
+    such j named; a physical run that blew up keeps the nodes it reached.
     """
     epsilons = np.asarray(list(epsilons), dtype=float)
-    ceilings = [m for m, _ in member_steps(T, epsilons, opts)]  # MAX_STEPS, before any run
-    probe = probe_substeps(T, epsilons, opts)
+    ceilings, probe = member_substeps(T, epsilons, opts)  # MAX_STEPS, before any run
     step_limit = STEP_ERROR_FRACTION * limit_tolerance(potential, p, v, epsilons)
     half = (opts.n_out - 1) // 2
-    iterations = 0
-
-    def lockstep(js, substeps):
-        nonlocal iterations
-        iterations += lockstep_iterations(half, substeps)
-        return _member_runs(potential, p, v, T, epsilons[js], opts, substeps, js)
-
-    runs = lockstep(list(range(len(epsilons))), probe)
+    # call 0 of step_calls, the probe of every member
+    runs = _member_runs(potential, p, v, T, epsilons, opts, probe, range(len(epsilons)))
     readings = ([run.step_error for run in runs], [run.energy.drift for run in runs],
                 [run.bounds.passed for run in runs])
     plan = planned_substeps(probe, ceilings, *readings, step_limit)
-    rerun = [j for j, m in enumerate(probe) if plan[j] != m]
-    if rerun:
-        for j, run in zip(rerun, lockstep(rerun, [plan[j] for j in rerun])):
-            runs[j] = run
+
+    def rerun(calls):  # each member keeps the runs of its last call
+        for js, substeps in calls:
+            for j, member in zip(js, _member_runs(potential, p, v, T, epsilons[js], opts,
+                                                  substeps, js)):
+                runs[j] = member
+
+    rerun(step_calls(probe, plan, ceilings)[1:])  # call 1, the re-run, if any
     # a run whose halves blew up has an infinite step error, so it fails too
-    fallback = [j for j in rerun if plan[j] < ceilings[j] and _failure(
-        j, runs[j].energy, runs[j].bounds, runs[j].step_error, None, step_limit)]
-    if fallback:
-        for j, run in zip(fallback, lockstep(fallback, [ceilings[j] for j in fallback])):
-            runs[j] = run
-    return _family(potential, p, v, T, epsilons, opts, runs, StepPlan(
-        ceilings=ceilings, probe=probe, probe_step_errors=readings[0],
-        probe_drifts=readings[1], probe_confined=readings[2], iterations=iterations))
+    failed = [j for j, run in enumerate(runs) if _failure(
+        j, run.energy, run.bounds, run.step_error, None, step_limit)]
+    calls = step_calls(probe, plan, ceilings, failed)
+    rerun(calls[2:])  # call 2, the fallback, if any
+    for j, (eps, run) in enumerate(zip(epsilons, runs)):
+        if run.error is not None:
+            raise BlowUpError(
+                f"family member j={j} (eps={eps:g}) failed: {run.error}",
+                last_time=run.error.last_time, last_state=run.error.last_state) from run.error
+    return FamilyResult(
+        potential=potential, p=np.asarray(p, dtype=float), v=np.asarray(v, dtype=float),
+        horizon=float(T), options=opts, epsilons=epsilons, tau=runs[0].member.tau,
+        members=[run.member for run in runs], energies=[run.energy for run in runs],
+        bounds=[run.bounds for run in runs], physical=[run.physical for run in runs],
+        physical_errors={j: run.physical_error for j, run in enumerate(runs)
+                         if run.physical_error is not None},
+        step_errors=np.array([run.step_error for run in runs]),
+        plan=StepPlan(ceilings=ceilings, probe=probe, probe_step_errors=readings[0],
+                      probe_drifts=readings[1], probe_confined=readings[2],
+                      iterations=lockstep_iterations(half, calls)))
 
 
 def run_family(scenario: Scenario) -> FamilyResult:

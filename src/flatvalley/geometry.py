@@ -479,7 +479,7 @@ def frame_data(chart: MChart, rc: TubularCoords, h_step: Optional[float] = None)
     r = rc.r
     y = np.asarray(rc.y, dtype=float)
     k = y.size
-    n_flow = max(8, int(math.ceil((abs(r) + 2.5 * h) / FLOW_BASE_STEP)))
+    n_flow = default_flow_steps(abs(r) + 2.5 * h)
     ey = np.eye(k)
     plus_y = [y + h * ey[a] for a in range(k)]
     minus_y = [y - h * ey[a] for a in range(k)]

@@ -22,9 +22,9 @@ from .dynamics import (
     RunAudits,
     limit_tolerance,
     lockstep_iterations,
-    member_steps,
+    member_substeps,
     planned_substeps,
-    probe_substeps,
+    step_calls,
 )
 from .errors import FlatValleyError, NonFiniteEvaluationError
 from .fields import gallery_lookup
@@ -171,34 +171,34 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
     family's step claims hold.
 
     The ceilings and probe substeps follow from the scenario
-    (:func:`flatvalley.dynamics.member_steps` and ``probe_substeps``), and
+    (:func:`flatvalley.dynamics.member_substeps`), and
     :func:`flatvalley.dynamics.planned_substeps` maps the probe readings
-    to each member's substeps.  A member that keeps its probe substeps
-    must record its probe readings as its own; one recorded at its ceiling
-    where the plan was finer is a fallback.  The recorded lockstep
-    iterations must be those of the calls this implies: the probe, the
-    re-run of every member the plan moved, and the fallbacks.
+    to each member's plan.  A re-run member recorded at its ceiling where
+    the plan was finer is a fallback, and
+    :func:`flatvalley.dynamics.step_calls` gives the lockstep calls this
+    implies: each member's substeps are those of its last call, a member
+    that only the probe ran must record its probe readings as its own, and
+    the recorded lockstep iterations must be those of the calls.
     """
     opts = IntegratorOptions(step_factor=scn["step_factor"], n_out=scn["n_out"])
     T, half = scn["horizon"], (scn["n_out"] - 1) // 2
-    ceilings = [m for m, _ in member_steps(T, epsilons, opts)]
-    probe = probe_substeps(T, epsilons, opts)
+    ceilings, probe = member_substeps(T, epsilons, opts)
     readings = fam["probe"]
     step_limit = STEP_ERROR_FRACTION * limit_tolerance(potential, scn["p"], scn["v"], epsilons)
     plan = planned_substeps(probe, ceilings, readings["step_errors"], readings["energy_drifts"],
                             readings["confined"], step_limit)
-    rerun = [j for j, m in enumerate(probe) if plan[j] != m]
-    fallback = [j for j in rerun if plan[j] < ceilings[j] == fam["substeps"][j]]
-    chosen = [ceilings[j] if j in fallback else m for j, m in enumerate(plan)]
-    calls = [probe, [plan[j] for j in rerun], [ceilings[j] for j in fallback]]
-    kept = [j for j in range(len(probe)) if j not in rerun]
+    calls = step_calls(probe, plan, ceilings,
+                       [j for j, (m, c) in enumerate(zip(fam["substeps"], ceilings)) if m == c])
+    # the probe call runs every member in order, and later calls overwrite
+    chosen = list({j: m for js, substeps in calls for j, m in zip(js, substeps)}.values())
+    moved = {j for js, _ in calls[1:] for j in js}
     holds = (scn["integrator"] == METHOD and scn["count"] == len(epsilons)
              and fam["ceilings"] == ceilings and readings["substeps"] == probe
              and fam["substeps"] == chosen and fam["dt"] == [T / half / m for m in chosen]
              and all(fam[key][j] == readings[key][j]
-                     for key in ("step_errors", "energy_drifts") for j in kept)
-             and fam["lockstep_iterations"] == sum(lockstep_iterations(half, c)
-                                                   for c in calls if c))
+                     for key in ("step_errors", "energy_drifts")
+                     for j in range(len(probe)) if j not in moved)
+             and fam["lockstep_iterations"] == lockstep_iterations(half, calls))
     return [(m, T / half / m) for m in chosen], holds
 
 
@@ -209,7 +209,7 @@ def revalidate_from_dir(out_dir) -> dict:
     and runs :func:`flatvalley.analysis.check_certificate` on them, energy
     drifts (re-derived from each member's H column) and evidence
     displacements (re-derived from the physical end states) included.  The
-    ``member_steps`` check re-derives every member's ``dt`` and
+    ``step_plan`` check re-derives every member's ``dt`` and
     ``substeps`` in ``report.json["family"]`` from ``report.json["scenario"]``
     and the recorded probe readings (see ``_member_steps_hold``; it
     requires the scenario's integrator to be PEFRL, the one stepper), the
@@ -247,7 +247,7 @@ def revalidate_from_dir(out_dir) -> dict:
         spec = scn["potential"]
         potential = gallery_lookup(spec["kind"], spec.get("params"))
         epsilons = scn["eps0"] * scn["ratio"] ** np.arange(len(cert["epsilons"]))
-        steps, checks["member_steps"] = _member_steps_hold(fam, scn, potential, epsilons)
+        steps, checks["step_plan"] = _member_steps_hold(fam, scn, potential, epsilons)
         checks["bounds"] = _bounds_hold(fam["bounds"], potential, scn, epsilons, steps,
                                         [cols for cols, _ in members])
     except OSError as exc:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import flatvalley as fv
+from flatvalley import dynamics
 from flatvalley.errors import (
     DegenerateLimitError,
     IndeterminateCertificateError,
@@ -21,7 +22,7 @@ def test_gutter_traces_are_straight(gutter_bundle):
 
 def test_zero_velocity_traces_are_constant():
     C = fv.circle()
-    fam = fv.family_from_runs(C, [1.0, 0.0], [0.0, 0.0], 0.5, [0.1, 0.05, 0.025])
+    fam = dynamics.family_for_gates(C, [1.0, 0.0], [0.0, 0.0], 0.5, [0.1, 0.05, 0.025])
     chart = fv.build_m_chart(C.field, np.array([1.0, 0.0]), None, delta=1.0)
     traces = fv.coordinate_traces(chart, fam)
     for t in traces:
@@ -68,14 +69,14 @@ def test_limit_starts_at_p_exactly(circle_bundle):
 
 def test_limit_needs_three_members():
     C = fv.circle()
-    fam = fv.family_from_runs(C, [1.0, 0.0], [0.0, 1.0], 0.5, [0.1, 0.05])
+    fam = dynamics.family_for_gates(C, [1.0, 0.0], [0.0, 1.0], 0.5, [0.1, 0.05])
     with pytest.raises(InvalidParameterError):
         fv.extract_limit(fam)
 
 
 def test_degenerate_limit_is_rejected():
     C = fv.circle()
-    fam = fv.family_from_runs(C, [1.0, 0.0], [0.0, 0.0], 0.5, [0.1, 0.05, 0.025])
+    fam = dynamics.family_for_gates(C, [1.0, 0.0], [0.0, 0.0], 0.5, [0.1, 0.05, 0.025])
     limit, conv = fv.extract_limit(fam, tol_limit=1e-6)
     assert conv.cauchy_ok          # all members sit at p: distances vanish
     assert np.allclose(limit.x, [1.0, 0.0])
@@ -150,7 +151,7 @@ def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
     # claims, which the in-memory family is the source of, and for every
     # cell they hold being finite
     file_checks = revalidate_from_dir(circle_run_dir.path)["checks"]
-    assert file_checks.pop("member_steps") is True
+    assert file_checks.pop("step_plan") is True
     assert file_checks.pop("bounds") is True
     assert file_checks.pop("finite") is True
     assert checks == file_checks

@@ -50,9 +50,16 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                          "scenarios")
 EPSILONS = [0.1, 0.05, 0.025]
 OPTIONS = fv.IntegratorOptions(n_out=101)
-# member j steps at its own factor; its dense run alone takes it too
-FACTORS = dynamics.member_step_factors(0.5, EPSILONS, OPTIONS)
-MEMBER_OPTIONS = [fv.IntegratorOptions(n_out=101, step_factor=c) for c in FACTORS]
+
+
+def _run_family(P, p, v, epsilons=EPSILONS):
+    """The family on [-0.5, 0.5], each member at the substeps its gates choose."""
+    return dynamics.family_for_gates(P, p, v, 0.5, epsilons, OPTIONS)
+
+
+def _own_options(member):
+    """The options of a member's dense run alone: its own step factor."""
+    return dataclasses.replace(OPTIONS, step_factor=member.dt / member.epsilon)
 
 
 def _same_run(a, b):
@@ -253,20 +260,19 @@ def test_kernel_batch_is_a_loop_of_batches_of_one():
 def test_family_is_a_loop_of_rescaled_runs(name):
     # a member keeps only its nodes, those of the dense run at its eps
     P, p, v = CASES[name]
-    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
-    for eps, opts, member in zip(EPSILONS, MEMBER_OPTIONS, fam.members):
-        alone = fv.integrate_rescaled(P, p, v, eps, 0.5, opts)
+    fam = _run_family(P, p, v)
+    for eps, member in zip(EPSILONS, fam.members):
+        alone = fv.integrate_rescaled(P, p, v, eps, 0.5, _own_options(member))
         _same_nodes(member, alone)
         assert member.x_int is member.x and member.v_int is member.v
         assert member.steps == alone.steps == len(alone.tau_int) - 1
 
 
-def _physical_alone(P, p, v, j, T=0.5):
+def _physical_alone(P, p, v, j, m, T=0.5):
     """Member j's physical run, integrated alone: from (p, eps_j v) to
     T/eps_j on the forward half's output intervals, at c_j = ceil(m_j/2)
-    substeps per interval (2 when m_j = 1)."""
+    substeps per interval (2 when m_j = 1), m_j the member's substeps."""
     half, eps = (OPTIONS.n_out - 1) // 2, EPSILONS[j]
-    m = dynamics.member_steps(T, EPSILONS, OPTIONS)[j][0]
     c = 2 if m == 1 else (m + 1) // 2
     return fv.integrate_newton(P, fv.PhaseState(p, eps * v), T / eps,
                                fv.IntegratorOptions(n_out=half + 1,
@@ -276,11 +282,11 @@ def _physical_alone(P, p, v, j, T=0.5):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_physical_rows_are_a_loop_of_newton_runs(name):
     P, p, v = CASES[name]
-    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    fam = _run_family(P, p, v)
     half = (OPTIONS.n_out - 1) // 2
     assert not fam.physical_errors
     for j, (member, run) in enumerate(zip(fam.members, fam.physical)):
-        alone = _physical_alone(P, p, v, j)
+        alone = _physical_alone(P, p, v, j, fam.substeps[j])
         assert run.epsilon == EPSILONS[j] and alone.epsilon is None
         _same_nodes(run, dataclasses.replace(alone, epsilon=run.epsilon))
         # a physical run keeps only its nodes, and takes at most the finest
@@ -297,10 +303,10 @@ def test_evidence_runs_are_a_loop_of_newton_runs(name):
     # evidence run j is physical run j cut at tau* = 0.4, node 40 of its 50
     # intervals
     P, p, v = CASES[name]
-    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    fam = _run_family(P, p, v)
     runs = fv.physical_evidence_runs(fam, 0.4)
     for j, (eps, run) in enumerate(zip(EPSILONS, runs)):
-        alone = _physical_alone(P, p, v, j)
+        alone = _physical_alone(P, p, v, j, fam.substeps[j])
         assert run.kind == "physical" and run.epsilon == eps and run.dt == alone.dt
         assert run.tau[-1] * eps == pytest.approx(0.4, rel=1e-12)
         for name_ in ("tau", "x", "v"):
@@ -334,7 +340,7 @@ def test_family_lockstep_calls_hold_three_rows_per_member(monkeypatch, name, cal
 @pytest.mark.parametrize("tau_star", [0.0, -0.4, 0.403, 0.51, np.nan, np.inf])
 def test_evidence_needs_a_positive_node_of_the_family_grid(tau_star):
     P, p, v = CASES["circle"]
-    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS[:1], OPTIONS)
+    fam = _run_family(P, p, v, EPSILONS[:1])
     with pytest.raises(InvalidParameterError, match="not a positive node"):
         fv.physical_evidence_runs(fam, tau_star)
 
@@ -346,15 +352,14 @@ def test_a_blown_up_physical_row_keeps_its_nodes_and_raises_only_before_them(
     # nodes, evidence at tau* = 0.5 raises the error of the lowest j, and no
     # member is touched
     P, p, v = CASES["circle"]
-    alone = [fv.integrate_rescaled(P, p, v, eps, 0.5, opts)
-             for eps, opts in zip(EPSILONS, MEMBER_OPTIONS)]
     blow_up_physical_rows({2: 0.9, 1: 0.8})
-    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
+    fam = _run_family(P, p, v)
     assert sorted(fam.physical_errors) == [1, 2]
     assert [len(run.tau) for run in fam.physical] == [51, 40, 45]
     assert np.isfinite(fam.step_errors[0]) and np.all(np.isinf(fam.step_errors[1:]))
-    for member, run in zip(fam.members, alone):
-        _same_nodes(member, run)  # a member keeps only the nodes of its dense run
+    for eps, member in zip(EPSILONS, fam.members):
+        # a member keeps only the nodes of its dense run
+        _same_nodes(member, fv.integrate_rescaled(P, p, v, eps, 0.5, _own_options(member)))
     early = fv.physical_evidence_runs(fam, 0.25)
     assert [len(run.tau) for run in early] == [26, 26, 26]
     with pytest.raises(BlowUpError) as info:
@@ -410,16 +415,18 @@ def test_a_blown_up_row_keeps_its_states_before_the_failure():
     assert _bits(failures[1].last_state) == _bits((X[-1], V[-1]))
 
 
-def test_family_blow_up_names_the_lowest_member_and_its_forward_half():
-    # U = -|x|^4 repels; the smaller eps escapes first in lockstep time, but a
-    # loop over the members stops at j = 0, on its forward half
-    P = fv.PlainPotential(dim=2, u=lambda x: -float(x @ x) ** 2,
-                          grad_u=lambda X: -4.0 * np.vecdot(X, X)[:, None] * X,
-                          u_many=lambda X: -np.vecdot(X, X) ** 2, label="repulsive")
-    p, v = np.array([1.0, 0.0]), np.array([0.0, 0.0])
+def test_family_blow_up_names_the_lowest_member_and_its_forward_half(monkeypatch):
+    # along the gutter floor x(tau) = p + tau v: a blow-up radius of 1.3
+    # stops the forward half of every member near y = 1.54 and lets the
+    # backward halves run down to (0, 0); a loop over the members stops at
+    # j = 0, on its forward half
+    P, p, v = fv.gutter(), np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    monkeypatch.setattr(dynamics, "BLOWUP_RADIUS", 1.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = _single_error(lambda: fv.family_from_runs(P, p, v, 1.0, [0.1, 0.05]))
+        batch = _single_error(lambda: dynamics.family_for_gates(P, p, v, 1.0, [0.1, 0.05]))
+    # a member that blew up has no step error, so it re-ran at its ceiling:
+    # member 0's ceiling is the step of its run alone
     single = _single_error(lambda: fv.integrate_rescaled(P, p, v, 0.1, 1.0))
     assert "forward half" in str(single)
     assert str(batch) == f"family member j=0 (eps=0.1) failed: {single}"
@@ -432,9 +439,9 @@ def test_streamed_audits_are_the_dense_audits(name):
     # a member's audits read its internal states chunk by chunk as the
     # lockstep call makes them; on its dense run they read them as one block
     P, p, v = CASES[name]
-    fam = fv.family_from_runs(P, p, v, 0.5, EPSILONS, OPTIONS)
-    for eps, opts, energy, bounds in zip(EPSILONS, MEMBER_OPTIONS, fam.energies, fam.bounds):
-        dense = fv.integrate_rescaled(P, p, v, eps, 0.5, opts)
+    fam = _run_family(P, p, v)
+    for eps, member, energy, bounds in zip(EPSILONS, fam.members, fam.energies, fam.bounds):
+        dense = fv.integrate_rescaled(P, p, v, eps, 0.5, _own_options(member))
         want_energy, want_bounds = fv.energy_audit(dense, P), fv.confinement_check(dense, P, v)
         for field in ("epsilon", "h0", "drift", "values"):
             assert _bits(getattr(energy, field)) == _bits(getattr(want_energy, field)), field
@@ -447,7 +454,7 @@ def test_streamed_audits_are_the_dense_audits(name):
 
 def test_a_member_keeps_only_its_nodes_and_names_its_dense_run():
     P, p, v = CASES["circle"]
-    member = fv.family_from_runs(P, p, v, 0.5, EPSILONS[:1], OPTIONS).members[0]
+    member = _run_family(P, p, v, EPSILONS[:1]).members[0]
     assert not member.dense and member.x_int is member.x
     for call in (lambda: fv.energy_audit(member, P), lambda: fv.confinement_check(member, P, v)):
         with pytest.raises(InvalidParameterError, match="integrate_rescaled"):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flatvalley as fv
-from flatvalley import geometry
+from flatvalley import dynamics, geometry
 from flatvalley.errors import (
     ChartDomainError,
     FlatValleyError,
@@ -291,8 +291,8 @@ def test_failing_rows_raise_the_lowest_rows_single_error():
 
 def test_coordinate_traces_name_member_and_tau_on_a_small_chart():
     potential = fv.circle()
-    fam = fv.family_from_runs(potential, [1.0, 0.0], [0.0, 1.0], 0.5, [0.1, 0.05],
-                              fv.IntegratorOptions(n_out=101))
+    fam = dynamics.family_for_gates(potential, [1.0, 0.0], [0.0, 1.0], 0.5, [0.1, 0.05],
+                                    fv.IntegratorOptions(n_out=101))
     chart = fv.build_m_chart(potential.field, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                              delta=0.3)
     with pytest.raises(ChartDomainError) as info:

@@ -6,6 +6,7 @@ the CLI generated command lines.  A refactor that renames one of them
 would only crash a benchmark run; here it fails in milliseconds.  The
 benchmark modules are imported from their files and never modified.
 """
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -110,3 +111,45 @@ def test_every_benchmark_workload_command_line_parses(tmp_path, workloads):
 def test_benchmark_drift_gate_is_the_pipeline_gate(workloads):
     # the benchmark gates certify on its own copy of the drift limit
     assert workloads.ENERGY_DRIFT_LIMIT == dynamics.ENERGY_DRIFT_LIMIT
+
+
+def _imported_and_read(tree):
+    """The names a module's imports bind, and the names it reads: loaded
+    names, and the names of its string annotations."""
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return imported, read
+
+
+def test_every_import_is_read_or_patched_by_the_tracer():
+    # a module may import a name it never reads only so the tracer can patch
+    # it there; once the tracer stops patching one, its re-import must go
+    package = pathlib.Path(fields.__file__).resolve().parent
+    problems = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = f"flatvalley.{path.stem}"
+        patched = {attr for owner, attr, _, _ in tracer.PATCHES if owner.__name__ == module}
+        imported, read = _imported_and_read(ast.parse(path.read_text(encoding="utf-8")))
+        problems += [f"{module} imports {name} and never reads it"
+                     for name in sorted(imported - read - patched)]
+    assert not problems

@@ -727,7 +727,12 @@ def test_too_few_members_for_the_limit_are_refused_before_any_stage(
     ["residual", "--member", "-1"],
     ["residual", "--samples", "0"],
     ["gallery", "--trajectories", "0"],
-], ids=["member-past-count", "member-negative", "samples-zero", "trajectories-zero"])
+    # past MAX_TRAJECTORIES and MAX_SAMPLES: refused before any array of
+    # that size (7.28 TiB) is asked for
+    ["gallery", "--trajectories", "1000000000000"],
+    ["residual", "--samples", "1000000000000"],
+], ids=["member-past-count", "member-negative", "samples-zero", "trajectories-zero",
+        "trajectories-huge", "samples-huge"])
 def test_out_of_range_counts_are_one_error_line(tiny_scenario_file, capsys, argv):
     if argv[0] == "residual":
         argv = argv + ["--scenario", tiny_scenario_file]
@@ -895,7 +900,7 @@ def test_file_revalidation_rederives_the_step_plan(circle_run_dir, tmp_path, cha
         change(rep["family"])
     (clone / "report.json").write_text(json.dumps(rep))
     result = revalidate_from_dir(str(clone))
-    assert not result["ok"] and not result["checks"]["member_steps"]
+    assert not result["ok"] and not result["checks"]["step_plan"]
 
 
 def test_certify_prints_each_members_substeps_and_the_lockstep_work(tmp_path, capsys):
@@ -994,13 +999,14 @@ def test_report_records_each_members_step(circle_run_dir):
     ("dt", 3, lambda dt: dt * (1.0 + 1e-15)),
     ("substeps", 0, lambda m: None),
 ], ids=["substeps", "dt", "substeps-null"])
-def test_file_revalidation_rederives_member_steps(circle_run_dir, tmp_path, key, j, change):
+def test_file_revalidation_rederives_each_members_step(circle_run_dir, tmp_path, key, j,
+                                                      change):
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     rep = json.loads((clone / "report.json").read_text())
     rep["family"][key][j] = change(rep["family"][key][j])
     (clone / "report.json").write_text(json.dumps(rep))
     result = revalidate_from_dir(str(clone))
-    assert not result["ok"] and not result["checks"]["member_steps"]
-    assert all(ok for name, ok in result["checks"].items() if name != "member_steps")
-    assert revalidate_from_dir(circle_run_dir.path)["checks"]["member_steps"]
+    assert not result["ok"] and not result["checks"]["step_plan"]
+    assert all(ok for name, ok in result["checks"].items() if name != "step_plan")
+    assert revalidate_from_dir(circle_run_dir.path)["checks"]["step_plan"]

@@ -19,18 +19,6 @@ def free_potential(dim=2):
                              u_many=lambda X: np.zeros(len(X)), label="free")
 
 
-def repulsive_potential():
-    # U = -(x^2 + y^2)^2: the force pushes outward, trajectories escape fast
-    def u(x):
-        return -float(x @ x) ** 2
-
-    def grad(X):
-        return -4.0 * np.vecdot(X, X)[:, None] * X
-
-    return fv.PlainPotential(dim=2, u=u, grad_u=grad,
-                             u_many=lambda X: -np.vecdot(X, X) ** 2, label="repulsive")
-
-
 def test_gutter_rescaled_is_exact():
     P = fv.gutter()
     traj = fv.integrate_rescaled(P, [0.0, 0.0], [0.0, 1.0], 0.05, 1.0)
@@ -138,10 +126,12 @@ def test_confinement_bounds_and_negative_control():
 
 def test_family_single_member_passthrough():
     C = fv.circle()
-    fam = fv.family_from_runs(C, [1.0, 0.0], [0.0, 1.0], 0.5, [0.1])
-    direct = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 0.5)
+    fam = dynamics.family_for_gates(C, [1.0, 0.0], [0.0, 1.0], 0.5, [0.1])
+    member = fam.members[0]
+    direct = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 0.5,
+                                   fv.IntegratorOptions(step_factor=member.dt / 0.1))
     assert fam.count == 1
-    assert np.array_equal(fam.members[0].x, direct.x)
+    assert np.array_equal(member.x, direct.x)
 
 
 def test_family_gutter_members_identical(gutter_bundle):
@@ -159,10 +149,12 @@ def test_family_nested_sublevel_bounds(circle_bundle):
         assert b.passed
 
 
-def test_family_abort_reports_member():
-    P = repulsive_potential()
+def test_family_abort_reports_member(monkeypatch):
+    # along the gutter floor x(tau) = p + tau v, every member's forward half
+    # leaves the box of radius 1.3 near y = 1.54
+    monkeypatch.setattr(dynamics, "BLOWUP_RADIUS", 1.3)
     with pytest.raises(BlowUpError) as info:
-        fv.family_from_runs(P, [1.0, 0.0], [0.0, 0.0], 1.0, [0.1, 0.05])
+        dynamics.family_for_gates(fv.gutter(), [0.0, 1.0], [0.0, 1.0], 1.0, [0.1, 0.05])
     assert "j=0" in str(info.value)
 
 
@@ -194,7 +186,7 @@ def test_step_count_cap_fails_before_allocating():
         fv.integrate_newton(C, fv.PhaseState([1.0, 0.0], [0.0, 0.1]), 1e308)
     # a family fails on its finest member before running any member
     with pytest.raises(InvalidParameterError, match="MAX_STEPS"):
-        fv.family_from_runs(C, [1.0, 0.0], [0.0, 1.0], 1.0, [0.1, 1e-6])
+        dynamics.family_for_gates(C, [1.0, 0.0], [0.0, 1.0], 1.0, [0.1, 1e-6])
 
 
 @pytest.mark.parametrize("name, ceilings, substeps", [
@@ -207,12 +199,10 @@ def test_member_substeps_on_the_shipped_scenarios(name, ceilings, substeps):
     # probe, the same rule from one substep, takes 1,200, and the circle
     # re-runs members 0, 2 and 4 in 1,000 more
     scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
-    steps = dynamics.member_steps(scn.horizon, scn.epsilons, scn.options)
+    member_ceilings, probe = dynamics.member_substeps(scn.horizon, scn.epsilons, scn.options)
     half = (scn.options.n_out - 1) // 2
-    assert [m for m, _ in steps] == ceilings
+    assert member_ceilings == ceilings
     assert half * max(ceilings) == {"circle": 5800, "ellipsoid": 3400}[name]
-    assert steps[0] == (5 if name == "circle" else 3, scn.horizon / half / steps[0][0])
-    probe = dynamics.probe_substeps(scn.horizon, scn.epsilons, scn.options)
     assert probe == [1, 2, 2, 3, 4, 6]
     fam = fv.run_family(scn)
     assert fam.substeps == substeps
