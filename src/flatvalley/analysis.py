@@ -77,16 +77,16 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
     """Read every member through the chart on the family's common grid.
 
     Every member's nodes are one ``chart.coords_many`` batch, each row at
-    its own member's ``flow_steps_for`` count, so all the foot-point flows
-    march in one lockstep; the batch is then split per member.  The first
-    failed row, in member order, raises, naming its member j and tau.
+    its own ``flow_steps_for`` count, so all the foot-point flows march in
+    one lockstep; the batch is then split per member.  The first failed
+    row, in member order, raises, naming its member j and tau.
     """
     fld = chart.field
     X = np.concatenate([traj.x for traj in family.members])
     starts = np.cumsum([0] + [len(traj.x) for traj in family.members])
-    rvals = np.split(fld.value_many(X), starts[1:-1])
-    steps = np.repeat([flow_steps_for(r) for r in rvals], np.diff(starts))
-    _, ys, failures = chart.coords_many(X, steps)
+    r_all = fld.value_many(X)
+    rvals = np.split(r_all, starts[1:-1])
+    _, ys, failures = chart.coords_many(X, flow_steps_for(r_all))
     if failures:
         i = min(failures)
         exc = failures[i]

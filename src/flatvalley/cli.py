@@ -63,7 +63,12 @@ from .analysis import (
     physical_evidence_runs,
     revalidate_certificate,
 )
-from .contrast import TRAP_DRIFT_FRACTION, locate_barrier, trapped_motion_check
+from .contrast import (
+    MAX_TRAJECTORIES,
+    TRAP_DRIFT_FRACTION,
+    locate_barrier,
+    trapped_motion_check,
+)
 from .dynamics import (
     SLACK,
     IntegratorOptions,
@@ -501,7 +506,7 @@ def _cmd_check(args) -> int:
               float(rng.uniform(-r_box, r_box)), float(rng.uniform(-0.3, 0.3)))
              for _ in range(200)]
     y, r, t = (np.array(column) for column in zip(*draws))
-    # one batch per map, each with the flow steps its farthest row needs
+    # one batch per map, each row with the flow steps it needs
     x, errors = chart.tube_many(r, y, flow_steps_for(r))
     raise_first(errors)
     end, errors = flow_many(fld, x, t, flow_steps_for(t))
@@ -524,6 +529,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
+    # each flag is checked before locate_barrier's scan
+    if not 1 <= args.trajectories <= MAX_TRAJECTORIES:
+        raise InvalidParameterError(
+            f"--trajectories must lie in [1, MAX_TRAJECTORIES = {MAX_TRAJECTORIES}], "
+            f"got {args.trajectories}")
+    if not 0.0 < args.energy_fraction < 1.0:
+        raise InvalidParameterError(
+            f"--energy-fraction must lie in (0, 1), got {args.energy_fraction:g}")
+    if not np.isfinite(args.horizon):
+        raise InvalidParameterError(f"--horizon must be finite, got {args.horizon:g}")
+    if not args.horizon > 0:
+        raise InvalidParameterError(f"--horizon must be positive, got {args.horizon:g}")
     potential = gallery_lookup(args.name, {})
     # laloy's first coordinate moves in the painleve bump alone
     barrier = locate_barrier(gallery_lookup("painleve", {}))

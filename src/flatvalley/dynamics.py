@@ -38,17 +38,24 @@ step it may take, is the scenario's: member 0 at dtau = step_factor *
 eps_0, snapped to dt_0, member j at dt_0 sqrt(eps_j/eps_0), snapped, and at
 most GROWTH times member 0's effective factor (:func:`member_step_factors`).
 The transverse amplitude shrinks like eps^2, so that rule keeps the
-members' errors level.  A probe call runs the same rule from one substep
-for member 0 (:func:`member_substeps` gives both counts); a member whose
-step error and energy drift each read at most PROBE_FRACTION of their
-gates keeps its probe rows, and every other member re-runs once at the
-substeps PEFRL's fourth order predicts from its readings
-(:func:`planned_substeps`), or at its ceiling should that re-run still fail
-a gate (:func:`step_calls`).  On the shipped circle the ceilings take
+members' errors level.  A probe call runs member 0 at one substep and
+member j at ceil(max(rho^(1/k), rho^(2/k)/GROWTH)), rho = eps_0/eps_j and
+k the profile exponent, clipped to its ceiling: a valley f^k confines
+|f| to a multiple of eps^(2/k), so the transverse frequency grows like
+rho^(2/k), and at k = 2 this is the ceilings' rule from one substep
+(:func:`member_substeps` gives both counts).  A member whose step error
+and energy drift each read at most PROBE_FRACTION of their gates keeps
+its probe rows, and every other member re-runs once at the substeps
+PEFRL's fourth order predicts from its readings (:func:`planned_substeps`),
+or at its ceiling should that re-run still fail a gate
+(:func:`step_calls`).  On the shipped circle (k = 2) the ceilings take
 5,800 lockstep iterations (dtau = 0.01 eps_j took 32,000); the probe takes
 1,200 and the re-run of members 0, 2 and 4 1,000 more, for drifts of at
 most 9.7e-10 and step errors of at most 2.8e-7, against gates of 1e-8 and
-4.4e-6.
+4.4e-6.  On the shipped ellipsoid (k = 4) the probe, at 1, 2, 2, 2, 2, 3
+substeps, takes 600 iterations and every member keeps it, for drifts of
+at most 5.7e-10 and step errors of at most 6.2e-10, against gates of 1e-8
+and 6.6e-5.
 
 Memory grows with nodes, not steps.  The members and physical runs of a
 family keep only their output nodes: the lockstep call stores every m-th
@@ -64,7 +71,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -314,23 +321,34 @@ def member_step_factors(T: float, epsilons: Sequence[float],
 
 
 def member_substeps(T: float, epsilons: Sequence[float],
-                    opts: IntegratorOptions = IntegratorOptions()
+                    opts: IntegratorOptions = IntegratorOptions(), *, exponent: int
                     ) -> Tuple[List[int], List[int]]:
     """Every member's ceiling and probe substeps per output interval in a
-    family on [-T, T]: the ceiling is its :func:`member_step_factors` step,
-    the finest :func:`family_for_gates` may give it, checked against
-    MAX_STEPS; the probe is that rule from one substep for member 0,
-    clipped to the ceiling."""
+    family on [-T, T] whose profile is s^``exponent``.
+
+    The ceiling is the member's :func:`member_step_factors` step, the
+    finest :func:`family_for_gates` may give it, checked against
+    MAX_STEPS.  The probe runs member 0 at one substep and member j, rho =
+    eps_0/eps_j, at m_j = ceil(max(rho^(1/k), rho^(2/k)/GROWTH)) for k =
+    ``exponent``, clipped to its ceiling.  A member of a valley U = f^k is
+    confined to |f| <= g^-1(eps^2 |v|^2/2), which scales like eps^(2/k),
+    so its transverse frequency omega in rescaled time grows like
+    rho^(2/k): the first term grows the count like the square root of
+    omega, as the ceilings' sqrt(eps) steps do at k = 2, and the second
+    keeps dt omega at most GROWTH times member 0's, PEFRL's stability
+    condition.  At k = 2 this is the ceilings' rule from one substep; at
+    k >= 4 it asks fewer substeps of the small-eps members.
+    """
     half = (opts.n_out - 1) // 2
-
-    def substeps(step_factor):
-        factors = member_step_factors(T, epsilons, replace(opts, step_factor=step_factor))
-        return [_snap_step(T / half, factor * float(eps), half)[0]
-                for eps, factor in zip(epsilons, factors)]
-
-    ceilings = substeps(opts.step_factor)
-    return ceilings, [min(c, m) for c, m in zip(ceilings,
-                                                substeps(T / half / float(epsilons[0])))]
+    spacing, eps0 = T / half, float(epsilons[0])
+    ceilings = [_snap_step(spacing, factor * float(eps), half)[0]
+                for eps, factor in zip(epsilons, member_step_factors(T, epsilons, opts))]
+    probe = []
+    for eps, ceiling in zip(epsilons, ceilings):
+        rho = eps0 / float(eps)
+        growth = max(rho ** (1.0 / exponent), rho ** (2.0 / exponent) / GROWTH)
+        probe.append(min(ceiling, _snap_step(spacing, spacing / growth, half)[0]))
+    return ceilings, probe
 
 
 def planned_substeps(probe: Sequence[int], ceilings: Sequence[int], step_errors, drifts,
@@ -434,8 +452,11 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     member's factor from :func:`member_step_factors`: the run steps at the
     ceiling of a family of one.
     """
-    _, _, batch = _halves(potential, p, v, T, [eps], opts, member_substeps(T, [eps], opts)[0])
-    half, snap = (opts.n_out - 1) // 2, batch[0][3]
+    half = (opts.n_out - 1) // 2
+    factor = member_step_factors(T, [eps], opts)[0]  # checks T and eps
+    _, _, batch = _halves(potential, p, v, T, [eps], opts,
+                          [_snap_step(T / half, factor * float(eps), half)[0]])
+    snap = batch[0][3]
     mid = snap[2]  # the index of tau = 0: the backward half reversed comes first
     x_int = np.empty((2 * mid + 1, potential.dim))
     v_int = np.empty_like(x_int)
@@ -644,10 +665,11 @@ class Scenario:
     step step_factor * eps0 underflow.  Every family records each member's step error and the family
     stage gates on it; down to eps = 2e-4 (the shipped circle and ellipsoid
     at count 10) the recorded step errors stay at or below 5.3e-8 and
-    1.4e-10, a fifth of their limit and five orders of magnitude under it.
+    6.7e-10, a fifth of their limit and five orders of magnitude under it.
     Once GROWTH caps a member's factor its ceiling grows like 1/eps (64,000
     lockstep iterations on the circle at eps = 2e-4, where the chosen steps
-    take 19,800), and the cap bounds that cost.
+    take 19,800, and 38,400 on the ellipsoid, where they take 1,000), and
+    the cap bounds that cost.
     """
 
     potential: CompositePotential
@@ -934,7 +956,8 @@ def family_for_gates(potential, p, v, T, epsilons,
     such j named; a physical run that blew up keeps the nodes it reached.
     """
     epsilons = np.asarray(list(epsilons), dtype=float)
-    ceilings, probe = member_substeps(T, epsilons, opts)  # MAX_STEPS, before any run
+    ceilings, probe = member_substeps(T, epsilons, opts,  # MAX_STEPS, before any run
+                                      exponent=potential.profile.exponent)
     step_limit = STEP_ERROR_FRACTION * limit_tolerance(potential, p, v, epsilons)
     half = (opts.n_out - 1) // 2
     # call 0 of step_calls, the probe of every member

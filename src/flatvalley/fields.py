@@ -484,7 +484,8 @@ REGULAR_VALUE_TOL = 1e-3
 def check_regular_value(fld: ScalarField, seeds) -> RegularityReport:
     """Project seeds onto {f = 0} and report the smallest gradient norm found
     (it must exceed REGULAR_VALUE_TOL); the projection is one ``foot_many``
-    batch at the flow steps of the seed farthest from the floor.
+    batch, each seed at the flow steps its own distance from the floor
+    needs.
 
     A projection that dies approaching the critical set is itself evidence
     against regularity: the gradient norm at the failure point is recorded

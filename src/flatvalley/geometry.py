@@ -98,10 +98,12 @@ def default_flow_steps(t: float) -> int:
     return max(8, int(math.ceil(abs(t) / FLOW_BASE_STEP)))
 
 
-def flow_steps_for(r_values) -> int:
-    """Flow substeps shared by a batch of points with f-values ``r_values``:
-    enough for the farthest of them from M, with a 1e-3 margin."""
-    return default_flow_steps(float(np.max(np.abs(r_values))) + 1e-3)
+def flow_steps_for(r_values) -> Array:
+    """Flow substeps of each point of a batch with f-values ``r_values``:
+    ``default_flow_steps`` of its own |r| with a 1e-3 margin, so a point
+    near M takes no more than the floor of 8 whatever its batch holds."""
+    r = np.abs(np.asarray(r_values, dtype=float)) + 1e-3
+    return np.maximum(8, np.ceil(r / FLOW_BASE_STEP)).astype(int)
 
 
 def flow_many(fld, X, t, n_steps):
@@ -333,11 +335,11 @@ class MChart:
     def surface_point(self, y) -> Array:
         return _single(*self.surface_many(np.atleast_1d(np.asarray(y, dtype=float))[None]))
 
-    def tube_many(self, r, Y, flow_steps: int):
+    def tube_many(self, r, Y, flow_steps):
         """Psi(r, y) per row: flow the surface point for time r with
-        ``flow_steps`` shared substeps, then pin f(x) = r with three Newton
-        steps (rows with r = 0 are the surface points).  Returns the points
-        and {row: error}."""
+        ``flow_steps`` substeps per row (a scalar stands for every row),
+        then pin f(x) = r with three Newton steps (rows with r = 0 are the
+        surface points).  Returns the points and {row: error}."""
         r = np.asarray(r, dtype=float)
         fld = self.field
         X, failures = self.surface_many(Y)

@@ -182,7 +182,7 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
     """
     opts = IntegratorOptions(step_factor=scn["step_factor"], n_out=scn["n_out"])
     T, half = scn["horizon"], (scn["n_out"] - 1) // 2
-    ceilings, probe = member_substeps(T, epsilons, opts)
+    ceilings, probe = member_substeps(T, epsilons, opts, exponent=potential.profile.exponent)
     readings = fam["probe"]
     step_limit = STEP_ERROR_FRACTION * limit_tolerance(potential, scn["p"], scn["v"], epsilons)
     plan = planned_substeps(probe, ceilings, readings["step_errors"], readings["energy_drifts"],

@@ -76,7 +76,7 @@ def test_criterion_4_flow_and_tube_identities():
                   float(RNG.uniform(-r_box, r_box)),
                   float(RNG.uniform(-t_box, t_box))) for _ in range(1000)]
         y, r, t = (np.array(column) for column in zip(*draws))
-        # one batch per map, with the step count its farthest row needs
+        # one batch per map, each row with the step count it needs
         x, failures = chart.tube_many(r, y, flow_steps_for(r))
         raise_first(failures)
         end, failures = flow_many(fld, x, t, flow_steps_for(t))

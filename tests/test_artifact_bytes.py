@@ -23,8 +23,11 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # evidence.csv and report.json re-recorded when each member's physical run,
 # at about half its substeps, replaced its twin as the evidence,
 # report.json again when the coordinates stage's metric probe was removed,
-# and every file but some figures when each member's substeps came from
-# its gates (a probe call and one re-run) instead of a fixed factor
+# every file but some figures when each member's substeps came from its
+# gates (a probe call and one re-run) instead of a fixed factor, and the
+# ellipsoid's and gutter's files again when the probe followed each
+# field's profile exponent and each foot-point flow row took its own
+# substeps (the circle's bytes did not move)
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
@@ -66,19 +69,19 @@ ARTIFACT_DIGESTS = {
     },
     "ellipsoid": {
         "coords_eps0.csv":
-            "2050a256bb3402bf069c1091b6654e790197243a050b56e5fea6254919f78914",
+            "95ba74cd8776bdcaa63912a1b1a0237879e069456e52e1a1d48209217ab60036",
         "coords_eps1.csv":
-            "4a35aa739cd5c40228a05b97f8466f02b0a3496130d526993970171cbd2fd532",
+            "d49c2f87456babca08a283929e0f148f54711a8c3c72cf6152d819e463e07c1f",
         "coords_eps2.csv":
-            "829bb7afa348410139fee66ab54e07b7853f19ed1bf68c369472c28c39b4d5d7",
+            "98e3c04fae9982c85a617b10efbc1d91caaf141876c6eac7c150ac7f222f073b",
         "coords_eps3.csv":
-            "3af93a4b4c397011427c55a44a00c7b21b11d98aeddfcb671fad25a8f3a95f53",
+            "f2f0b2284df83e89fcc51846fefdb0282315a4ab6dd903b48a3eaf42c299ab92",
         "coords_eps4.csv":
-            "fe578d53e3eb6a800aabb254a41b4db04b81fb46c2d0246700038a55feea6128",
+            "7e9f5663d281d1dfbb08a180ee8292d3fd35696740799854d1f0bfeb31a42fc2",
         "coords_eps5.csv":
-            "6c8e28894cfe0279dfedb8031006fca0ea77b298a82b66582ad3fb19ed56d0cd",
+            "58fd241eee5a57bc00fbbad874e77e50667d5f6edb305b0b3c934483477a2662",
         "evidence.csv":
-            "452415ba0e63e7640b202373b2157d53aff366d712aeb9025f22571089b6bcb1",
+            "4d27fd2b9bede10edf6185075b92544074fda52a89b0b7ccbaf48362de060e03",
         "figures/convergence.svg":
             "e51adb68177615739dee14ea7fb8f4661ff5a32a136d20a05e769edbdc588d0e",
         "figures/trajectories.svg":
@@ -86,9 +89,9 @@ ARTIFACT_DIGESTS = {
         "figures/violation.svg":
             "7d886c03303eb0a82182312e2df8b57ff365463a987b779f1715780de5a1c685",
         "limit.csv":
-            "c5033c9333f1166f6453e0ef6d88cd66b1b467bebfc2f6625f0ccca24d94807a",
+            "74ae002a44d8c9e3e0e8fd5577bf974b8f9ff491c8509858eeddddf06a6b7524",
         "report.json":
-            "2a6c5b6e344e42133797b60bd62c3f5c830af1572e87e7b1a462c2f3098db031",
+            "f575ddbf6917751a850d05fb0bdf23cf807619430b6b65c8afe9dafe13b4a664",
         "traj_eps0.csv":
             "9879e9164d65caac7d0fee7c44f1b23afa7072f44cb6dce85b09ed584e35024f",
         "traj_eps1.csv":
@@ -96,11 +99,11 @@ ARTIFACT_DIGESTS = {
         "traj_eps2.csv":
             "ac191463c42a3a0064babafa3aa16def1383d18e431d43942bbd740a9bc8bfc5",
         "traj_eps3.csv":
-            "6d5f8680e968da9a05d780089ec55b57585279047af6194e9661682b40d538b0",
+            "305b6a3b0eb304f6129e8b3bdccb593a8bc7e26daa7e59bd7ae5819d39ddd1aa",
         "traj_eps4.csv":
-            "0225736eb22bb36845e14ce588e98facfcc33dd96288ff2910ce363ca6f5cfe3",
+            "28999af247cb9ec41d39fe224ea7d517208d1c41ab400b1ad764b43a1f04b101",
         "traj_eps5.csv":
-            "bdf09e5b141c7fdfaf1bdddc0836f02759b96b17f76371382cc617a49e56b6cf",
+            "c89217a4f4b8ad1c8fe8b2ee49b1ca072e853c0193f4af2e66fb71362baae079",
     },
     "gutter": {
         "coords_eps0.csv":
@@ -110,23 +113,23 @@ ARTIFACT_DIGESTS = {
         "coords_eps2.csv":
             "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
         "coords_eps3.csv":
-            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
+            "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
         "coords_eps4.csv":
-            "2983ec4cacd0b5cf9edc3ac2f3e0a79eb14d07c4172d607bc21bb041acdce4d7",
+            "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
         "coords_eps5.csv":
-            "0761f44255bacb9392c3688f6372c0c81824eb5887e726cb3a740b043a9c5a9d",
+            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
         "evidence.csv":
-            "395fded1cdbc061a1f2a2be57ae531eb710fd505d7281f915596040b5b6d6f90",
+            "6380aed6a7767b46ab45490b64313f313284ba5cb4b736b3954d846750a15dee",
         "figures/convergence.svg":
-            "dae0de387bdfd929cd7517bd198f3f1a83a232a3631d1234efc1053e18c50f0d",
+            "263e0d12d4ea66179aa4b3e68bf5b527dea38e388be3cffe8947a35dbc521298",
         "figures/trajectories.svg":
-            "2da33c10761e2071c37845a94d2f57a56c1644cde2e58e77f89f9024afaa2769",
+            "dde127bef6d522c71dcb5ee071ec31afda459f0e2456e0856aaaaa1a643d0c52",
         "figures/violation.svg":
             "2ebcb59181dcb456d6fb742148ab57ba934e62fef28aebb83f60d1e4dc154f4d",
         "limit.csv":
-            "d70cf1fce50ef3057c78ddf46ff37371dc8b64233f17fd1718ee0c9d62bf399b",
+            "36e62eebc0b2c385fb5c53a3a7f819740a98134bc29d65ef354de0b5df1ce47a",
         "report.json":
-            "3c3458d131e612846287b19596cd040bf265535e1ff3296aa8b9b6c5f34f2774",
+            "3d8614f17d2c7b797d3c8d8f1d81fe1efd02eef553a8b144f1bfa47b06a665ee",
         "traj_eps0.csv":
             "c1ce983cc2067bdd9df33faf59583fb62d6673e33276c7d91ca2e0b3df0cceaa",
         "traj_eps1.csv":
@@ -134,11 +137,11 @@ ARTIFACT_DIGESTS = {
         "traj_eps2.csv":
             "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
         "traj_eps3.csv":
-            "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
+            "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
         "traj_eps4.csv":
-            "cab3ecaf3081ec6c832a352bf65893290c760f86b61d6c04bae8a2fa03d408db",
+            "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
         "traj_eps5.csv":
-            "3279ae339a8379a19f803180e0ab4e9194b9b5a1b55be66b93f387666561c619",
+            "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
     },
 }
 

@@ -316,8 +316,8 @@ def test_evidence_runs_are_a_loop_of_newton_runs(name):
 
 @pytest.mark.parametrize("name, calls", [
     ("circle", [(18, 1200), (9, 1000)]),
-    ("ellipsoid", [(18, 1200)]),
-], ids=["circle-2200", "ellipsoid-1200"])
+    ("ellipsoid", [(18, 600)]),
+], ids=["circle-2200", "ellipsoid-600"])
 def test_family_lockstep_calls_hold_three_rows_per_member(monkeypatch, name, calls):
     # the probe call runs both halves and the physical run of every member;
     # on the circle a second call re-runs members 0, 2 and 4.  The physical

@@ -307,7 +307,8 @@ def test_coordinate_traces_is_a_loop_of_members(request, bundle):
     b = request.getfixturevalue(bundle)
     assert len(b.traces) == len(b.family.members)
     for traj, trace in zip(b.family.members, b.traces):
-        # the reference: one coords_many call per member at its own count
+        # the reference: one coords_many call per member, each row at its
+        # own count
         r = b.chart.field.value_many(traj.x)
         _, y, failures = b.chart.coords_many(traj.x, flow_steps_for(r))
         assert not failures

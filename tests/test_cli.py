@@ -731,14 +731,27 @@ def test_too_few_members_for_the_limit_are_refused_before_any_stage(
     # that size (7.28 TiB) is asked for
     ["gallery", "--trajectories", "1000000000000"],
     ["residual", "--samples", "1000000000000"],
+    ["gallery", "--energy-fraction", "0"],
+    ["gallery", "--energy-fraction", "1"],
+    ["gallery", "--energy-fraction", "nan"],
+    ["gallery", "--horizon", "0"],
+    ["gallery", "--horizon", "-1"],
+    ["gallery", "--horizon", "inf"],
+    ["gallery", "--horizon", "nan"],
 ], ids=["member-past-count", "member-negative", "samples-zero", "trajectories-zero",
-        "trajectories-huge", "samples-huge"])
-def test_out_of_range_counts_are_one_error_line(tiny_scenario_file, capsys, argv):
+        "trajectories-huge", "samples-huge", "energy-fraction-zero", "energy-fraction-one",
+        "energy-fraction-nan", "horizon-zero", "horizon-negative", "horizon-inf",
+        "horizon-nan"])
+def test_out_of_range_counts_are_one_error_line(tiny_scenario_file, capsys, monkeypatch,
+                                                argv):
+    # each refusal names its flag; gallery refuses before the barrier scan
+    # (the bump at 40,001 points) runs
+    monkeypatch.setattr(cli, "locate_barrier", lambda potential: pytest.fail("the scan ran"))
     if argv[0] == "residual":
         argv = argv + ["--scenario", tiny_scenario_file]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: InvalidParameterError")
+    assert captured.err.startswith(f"error: InvalidParameterError: {argv[1]} ")
     assert len(captured.err.splitlines()) == 1
     assert "trapped" not in captured.out
 
@@ -954,13 +967,14 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 # sha256 of report.json from run_pipeline(..., svg=False) over all four
 # stages on each shipped scenario, re-recorded when each member's physical
 # run replaced its twin as the evidence, when the coordinates stage's
-# metric probe was removed and when each member's substeps came from its
-# gates: a change that claims to keep the verdicts and the numbers keeps
-# these bytes
+# metric probe was removed, when each member's substeps came from its
+# gates and, for the ellipsoid and gutter, when the probe followed the
+# profile exponent: a change that claims to keep the verdicts and the
+# numbers keeps these bytes
 REPORT_DIGESTS = {
     "circle": "a2ac827da4faf86cfdf8687c330c738e43345444c4fe8cc7216ed5df987ef62c",
-    "gutter": "3edaeb5027bd45088e1b8cbc785fd419652a5d3efb89012a851d686f14e543dc",
-    "ellipsoid": "eeb3dc2544c03d59c6418c4fbf77524534c3ff66b60cbf8e992284935a06af8e",
+    "gutter": "a9d60b87d3a64b3a5f0cf3d71a64653602616584f0eb5ed2dcd6bbab3c9bc96c",
+    "ellipsoid": "6c41bcf4f5ef32b7f12e89990c4fb7b699714a027c0f23c3225de92ecfea7650",
 }
 
 
@@ -1010,3 +1024,21 @@ def test_file_revalidation_rederives_each_members_step(circle_run_dir, tmp_path,
     assert not result["ok"] and not result["checks"]["step_plan"]
     assert all(ok for name, ok in result["checks"].items() if name != "step_plan")
     assert revalidate_from_dir(circle_run_dir.path)["checks"]["step_plan"]
+
+
+def test_file_revalidation_rederives_the_probe_from_the_profile_exponent(tmp_path):
+    # the ellipsoid's field has profile exponent 4, so its members probe at
+    # [1, 2, 2, 2, 2, 3], not at the circle's [1, 2, 2, 3, 4, 6]: the files
+    # revalidate, and a file that records member 5's probe at the circle's
+    # 6 fails the step plan alone
+    scn = fv.parse_scenario(os.path.join(os.path.dirname(CIRCLE), "ellipsoid.json"))
+    out = tmp_path / "run"
+    assert fv.run_pipeline(scn, str(out), svg=False).exit_code == 0
+    assert revalidate_from_dir(str(out))["ok"]
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["family"]["probe"]["substeps"] == [1, 2, 2, 2, 2, 3]
+    rep["family"]["probe"]["substeps"][5] = 6
+    (out / "report.json").write_text(json.dumps(rep))
+    result = revalidate_from_dir(str(out))
+    assert not result["ok"] and not result["checks"]["step_plan"]
+    assert all(ok for name, ok in result["checks"].items() if name != "step_plan")

@@ -189,35 +189,81 @@ def test_step_count_cap_fails_before_allocating():
         dynamics.family_for_gates(C, [1.0, 0.0], [0.0, 1.0], 1.0, [0.1, 1e-6])
 
 
-@pytest.mark.parametrize("name, ceilings, substeps", [
-    ("circle", [5, 8, 10, 15, 20, 29], [2, 2, 3, 3, 5, 6]),
-    ("ellipsoid", [3, 5, 6, 9, 12, 17], [1, 2, 2, 3, 4, 6]),
+#: the shipped fields at other profile exponents than their scenarios'
+#: (the circle's k = 2 and the ellipsoid's k = 4)
+FIELDS = {"circle": fv.circle, "ellipsoid": lambda k: fv.ellipsoid(exponent=k)}
+EXPONENT_SWEEP = pytest.mark.parametrize("name, exponent", [
+    ("circle", None), ("gutter", None), ("ellipsoid", None),
+    ("ellipsoid", 6), ("ellipsoid", 8), ("circle", 4), ("circle", 8),
+], ids=["circle", "gutter", "ellipsoid", "ellipsoid-k6", "ellipsoid-k8", "circle-k4",
+        "circle-k8"])
+
+
+def _scenario(name, exponent=None, overrides=None):
+    """A shipped scenario, its field at profile exponent ``exponent`` when given."""
+    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"), overrides)
+    return scn if exponent is None else dataclasses.replace(scn,
+                                                            potential=FIELDS[name](exponent))
+
+
+def _member_substeps(scn):
+    return dynamics.member_substeps(scn.horizon, scn.epsilons, scn.options,
+                                    exponent=scn.potential.profile.exponent)
+
+
+@pytest.mark.parametrize("name, ceilings, probe, substeps, iterations", [
+    ("circle", [5, 8, 10, 15, 20, 29], [1, 2, 2, 3, 4, 6], [2, 2, 3, 3, 5, 6], 2200),
+    ("ellipsoid", [3, 5, 6, 9, 12, 17], [1, 2, 2, 2, 2, 3], [1, 2, 2, 2, 2, 3], 600),
 ], ids=["circle", "ellipsoid"])
-def test_member_substeps_on_the_shipped_scenarios(name, ceilings, substeps):
+def test_member_substeps_on_the_shipped_scenarios(name, ceilings, probe, substeps,
+                                                  iterations):
     # the ceilings, member j at dt_0 sqrt(eps_j / eps_0), would take 5,800
-    # lockstep iterations on the circle and 3,400 on the ellipsoid; the
-    # probe, the same rule from one substep, takes 1,200, and the circle
-    # re-runs members 0, 2 and 4 in 1,000 more
-    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
-    member_ceilings, probe = dynamics.member_substeps(scn.horizon, scn.epsilons, scn.options)
+    # lockstep iterations on the circle and 3,400 on the ellipsoid.  The
+    # probe grows like rho^(1/k), rho = eps_0/eps_j: 1,200 iterations on the
+    # circle (k = 2), which re-runs members 0, 2 and 4 in 1,000 more, and
+    # 600 on the ellipsoid (k = 4), which keeps every probe
+    scn = _scenario(name)
+    member_ceilings, member_probe = _member_substeps(scn)
     half = (scn.options.n_out - 1) // 2
     assert member_ceilings == ceilings
     assert half * max(ceilings) == {"circle": 5800, "ellipsoid": 3400}[name]
-    assert probe == [1, 2, 2, 3, 4, 6]
+    assert member_probe == probe
     fam = fv.run_family(scn)
     assert fam.substeps == substeps
     assert fam.plan.ceilings == ceilings and fam.plan.probe == probe
-    assert fam.plan.iterations == {"circle": 2200, "ellipsoid": 1200}[name]
+    assert fam.plan.iterations == iterations
     assert [m.dt for m in fam.members] == [scn.horizon / half / m for m in substeps]
 
 
+@pytest.mark.parametrize("count", [6, 10])
+def test_the_probe_follows_the_profile_exponent(count):
+    # at k = 2 the probe is the ceilings' rule from one substep, member j at
+    # sqrt(eps_0/eps_j) times member 0's one step, its factor at most GROWTH
+    # times member 0's; at k = 4 it grows like (eps_0/eps_j)^(1/4)
+    circle = _scenario("circle", overrides={"count": count})
+    ellipsoid = _scenario("ellipsoid", overrides={"count": count})
+    opts, half = circle.options, (circle.options.n_out - 1) // 2
+    spacing = circle.horizon / half
+    factors = dynamics.member_step_factors(
+        circle.horizon, circle.epsilons,
+        dataclasses.replace(opts, step_factor=spacing / circle.epsilons[0]))
+    ceilings, probe = _member_substeps(circle)
+    assert probe == [min(c, dynamics._snap_step(spacing, f * eps, half)[0])
+                     for c, f, eps in zip(ceilings, factors, circle.epsilons)]
+    assert probe == [1, 2, 2, 3, 4, 6, 8, 16, 32, 64][:count]  # GROWTH caps from member 6
+    assert _member_substeps(ellipsoid)[1] == [1, 2, 2, 2, 2, 3, 3, 4, 4, 5][:count]
+    if count == 10:
+        assert fv.run_family(circle).plan.iterations == 19800
+        assert fv.run_family(ellipsoid).plan.iterations == 1000
+
+
 @pytest.mark.parametrize("name, calls", [
-    ("circle", 8800), ("ellipsoid", 4800), ("gutter", 4800),
+    ("circle", 8800), ("ellipsoid", 2400), ("gutter", 2400),
 ], ids=["circle", "ellipsoid", "gutter"])
 def test_a_family_makes_four_force_calls_per_lockstep_iteration(name, calls):
     # one PEFRL step makes four force calls, each one grad_many batch: the
-    # 2,200 / 1,200 / 1,200 lockstep iterations of the shipped families,
-    # probe included
+    # 2,200 / 600 / 600 lockstep iterations of the shipped families, probe
+    # included
     scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
     P = scn.potential
     grad_many, counted = P.field.grad_many, []
@@ -231,19 +277,25 @@ def test_a_family_makes_four_force_calls_per_lockstep_iteration(name, calls):
     assert len(counted) == calls == 4 * fam.plan.iterations
 
 
-@pytest.mark.parametrize("name", ["circle", "gutter", "ellipsoid"])
-def test_chosen_substeps_stay_within_their_ceilings(name):
-    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
+@EXPONENT_SWEEP
+def test_chosen_substeps_stay_within_their_ceilings(name, exponent):
+    scn = _scenario(name, exponent)
     fam = fv.run_family(scn)
     assert all(p <= m <= c for p, m, c in zip(fam.plan.probe, fam.substeps, fam.plan.ceilings))
     # the n_out = 201 grid at factor 3.0 clips every probe to its ceiling
-    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"), {"n_out": 201, "step_factor": 3.0})
+    # at k = 2, where the probe is the ceilings' rule; at k >= 4 the probe
+    # grows more slowly and stays at or below them
+    scn = _scenario(name, exponent, {"n_out": 201, "step_factor": 3.0})
     fam = fv.run_family(scn)
-    assert fam.substeps == fam.plan.ceilings == fam.plan.probe
+    if scn.potential.profile.exponent == 2:
+        assert fam.substeps == fam.plan.ceilings == fam.plan.probe
+    else:
+        assert all(p <= c for p, c in zip(fam.plan.probe, fam.plan.ceilings))
+        assert fam.plan.probe != fam.plan.ceilings
 
 
-@pytest.mark.parametrize("name", ["circle", "gutter", "ellipsoid"])
-def test_step_error_reads_at_least_the_true_error(name):
+@EXPONENT_SWEEP
+def test_step_error_reads_at_least_the_true_error(name, exponent):
     # each member's true error is its sup node distance from the same
     # member run at four times its substeps: the chosen steps keep it under
     # PROBE_FRACTION of the step-error gate, and the recorded step error,
@@ -251,7 +303,7 @@ def test_step_error_reads_at_least_the_true_error(name):
     # m_j = 1), reads at least 0.9 of it.  The gutter's members move in a
     # straight line, and their distances are rounding: below the rounding
     # floor of extract_limit's monotone check there is no error to read.
-    scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
+    scn = _scenario(name, exponent)
     fam = fv.run_family(scn)
     step_limit = dynamics.STEP_ERROR_FRACTION * dynamics.limit_tolerance(
         scn.potential, scn.p, scn.v, scn.epsilons)
