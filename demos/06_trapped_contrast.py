@@ -16,11 +16,13 @@ print(f"grid scan of the bump potential on [-{BARRIER_WINDOW:g}, {BARRIER_WINDOW
 print(f"  barrier height {barrier.height:.6e} at x = +-{barrier.x_right:.6f}")
 
 rep = fv.trapped_motion_check(P, barrier, n_traj=5, t_end=500.0)
-print(f"\nfive sub-barrier motions, t in [0, {rep.t_end:g}] at dt = {rep.dt:g}:")
-print(f"{'x0':>9} {'v0':>9} {'energy':>11} {'max |x|':>10} {'drift/gap':>10} {'trapped':>8}")
+print(f"\nfive sub-barrier motions, t in [0, {rep.t_end:g}], each stepped from its drift budget:")
+print(f"{'x0':>9} {'v0':>9} {'energy':>11} {'max |x|':>10} {'drift/gap':>10} {'dt':>7} "
+      f"{'trapped':>8}")
 for r in rep.records:
-    print(f"{r.x0:>9.4f} {r.v0:>9.5f} {r.energy:>11.3e} "
-          f"{r.max_excursion:>10.6f} {r.energy_drift / rep.gap(r):>10.1e} {str(r.trapped):>8}")
+    print(f"{r.x0:>9.4f} {r.v0:>9.5f} {r.energy:>11.3e} {r.max_excursion:>10.6f} "
+          f"{r.energy_drift / rep.gap(r):>10.1e} {r.dt:>7.4g} {str(r.trapped):>8}")
+print(f"lockstep steps: {' + '.join(map(str, rep.call_steps))} (probe call first)")
 print(f"all trapped: {rep.all_trapped}")
 print(f"worst energy drift: {max(r.energy_drift / rep.gap(r) for r in rep.records):.1e} of the "
       f"gap below the barrier (a trapped run may drift by {TRAP_DRIFT_FRACTION:g})")

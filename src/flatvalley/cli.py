@@ -553,23 +553,21 @@ def _cmd_gallery(args) -> int:
     for r in rep.records:
         print(f"  x0={r.x0:+.4f} v0={r.v0:.5f} E={r.energy:.3e} "
               f"max|x|={r.max_excursion:.6f} drift/gap={r.energy_drift / rep.gap(r):.1e} "
-              f"trapped={r.trapped}")
+              f"dt={r.dt:.4g} trapped={r.trapped}")
     for i, r in enumerate(rep.records):
         if not r.trapped:
             print(f"run {i} (x0={r.x0:+.6f}) is not trapped: max|x| = {r.max_excursion:.6f} "
                   f"against the barrier at |x| = {min(-b.x_left, b.x_right):.6f}, energy drift "
                   f"{r.energy_drift:.3e} against its budget {TRAP_DRIFT_FRACTION:g} x gap = "
                   f"{TRAP_DRIFT_FRACTION * rep.gap(r):.3e}")
-    print(f"all trapped over t in [0, {rep.t_end:g}] at dt = {rep.dt:g} ({rep.steps} steps "
-          f"per run): {rep.all_trapped}")
+    print(f"lockstep steps = {' + '.join(map(str, rep.call_steps))} (probe call first)")
+    print(f"all trapped over t in [0, {rep.t_end:g}]: {rep.all_trapped}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         payload = {
             "name": args.name,
             "barrier": {"x_left": b.x_left, "x_right": b.x_right, "height": b.height},
             "t_end": rep.t_end,
-            "dt": rep.dt,
-            "steps": rep.steps,
             "records": [vars(r) for r in rep.records],
             "all_trapped": rep.all_trapped,
         }

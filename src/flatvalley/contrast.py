@@ -8,12 +8,15 @@ barrier exists and trajectories escape along the floor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (  # noqa: F401 (integrate_newton: flatbench/tracer.py patches it here)
+    PROBE_FRACTION,
     IntegratorOptions,
     PhaseState,
     integrate_newton,
@@ -31,16 +34,19 @@ BARRIER_GRID = 40001
 #: this narrow relative to max(|x|, 1): a flat maximum is located only to
 #: about sqrt(machine eps) of its scale, so narrower brackets refine noise
 BARRIER_XTOL = float(np.sqrt(np.finfo(float).eps))
-#: integrator settings of every trapped-motion run: dt = 0.05 (at most; the
-#: gallery's t = 100 and t = 1000 take it exactly, 2,000 and 20,000 steps).
-#: PEFRL's energy error stays O(dt^4) over long times, so the step is set
-#: by the drift gate below, not by the excursion: measured on ten painleve
-#: runs, drift/gap is at most 1.6e-7 at energy fractions 0.3 to 0.7, 7.3e-7
-#: at 0.9 and 8.7e-6 at 0.99, at t = 100 and t = 1000.  Against dt = 0.01,
-#: max |x| rises by at most 1.1e-9 and falls by at most 1.3e-6: it is a
-#: maximum over the visited states, which can straddle a turning point and
-#: miss it by up to |U'| (dt/2)^2 / 2, about 7e-6 here
-TRAP_OPTIONS = IntegratorOptions(n_out=1001, step_factor=0.05)
+#: integrator settings of every trapped-motion probe: dt = 0.1 (at most; the
+#: gallery's t = 100 and t = 1000 take it exactly, 1,000 and 10,000 steps,
+#: and laloy's t = 12 takes 0.012).  PEFRL's energy error stays O(dt^4)
+#: over long times, so the step is set by the drift gate below, not by the
+#: excursion: measured on ten painleve probes, drift/gap is 2.5e-7, 8.1e-7,
+#: 2.5e-6, 1.2e-5, 1.4e-4 and 1.4e-3 at energy fractions 0.3, 0.5, 0.7,
+#: 0.9, 0.99 and 0.999, at t = 100 and t = 1000, and a probe reading more
+#: than PROBE_FRACTION of its budget re-runs finer (trapped_motion_check).
+#: Against dt = 0.01, max |x| rises by at most 3.8e-8 and falls by at most
+#: 2.2e-6 at those fractions: it is a maximum over the visited states,
+#: which can straddle a turning point and miss it by up to |U'| (dt/2)^2 /
+#: 2, about 3e-5 here
+TRAP_OPTIONS = IntegratorOptions(n_out=1001, step_factor=0.1)
 #: largest energy drift a trapped run may show, as a fraction of its gap
 #: below the barrier: conservation is what keeps a 1-d motion inside
 TRAP_DRIFT_FRACTION = 1e-3
@@ -115,6 +121,8 @@ class TrapRecord:
     trapped: bool
     companion_excursion: float  # largest |x_i| of the other coordinates; 0.0 in 1-d
     energy_drift: float  # max |E1 - energy| over every internal state
+    dt: float  # the internal step the verdict was read at
+    steps: int  # the internal steps of that run
 
 
 @dataclass(eq=False)
@@ -123,9 +131,8 @@ class TrapReport:
 
     barrier: BarrierInfo
     t_end: float
-    dt: float     # the internal step of every run
-    steps: int    # internal steps per run
     records: List[TrapRecord]
+    call_steps: List[int]  # the steps of each lockstep call, the probe's first
 
     @property
     def all_trapped(self) -> bool:
@@ -136,11 +143,35 @@ class TrapReport:
         return self.barrier.height - record.energy
 
 
+def _streamed_runs(potential, starts, energies: Array, t_end: float, opts: IntegratorOptions):
+    """The runs from ``starts`` to ``t_end``, in one lockstep call at
+    ``opts``, and per run its largest |x_i| over every internal state, per
+    coordinate i, and its largest |E1 - energy|, streamed as the call makes
+    the states."""
+    dim = potential.dim
+    reach = np.zeros((len(starts), dim))
+    drift = np.zeros(len(starts))
+
+    def observe(rows, first, X, V, due):
+        valid = np.arange(len(X))[:, None] < np.asarray(due)
+        reach[rows] = np.maximum(reach[rows], np.max(np.abs(X), axis=0, where=valid[:, :, None],
+                                                     initial=0.0))
+        axis = np.zeros((np.count_nonzero(valid), dim))  # (x1, 0, ...)
+        axis[:, 0] = X[..., 0][valid]
+        v1 = V[..., 0][valid]
+        error = np.zeros(valid.shape)
+        error[valid] = np.abs(0.5 * v1 * v1 + potential.value_many(axis)
+                              - np.broadcast_to(energies[rows], valid.shape)[valid])
+        drift[rows] = np.maximum(drift[rows], error.max(axis=0))
+
+    runs = newton_many(potential, starts, [t_end] * len(starts), opts, observe=observe)
+    return runs, reach, drift
+
+
 def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
                          t_end: float = 1e3, energy_fraction: float = 0.5) -> TrapReport:
-    """Launch sub-barrier motions along the first coordinate, all in one
-    lockstep call at TRAP_OPTIONS, and verify that it never crosses the
-    barrier.
+    """Launch sub-barrier motions along the first coordinate and verify that
+    it never crosses the barrier, each run stepped from its drift budget.
 
     Each motion starts at x0 with the speed that puts its energy at
     ``energy_fraction`` of the barrier height; the other coordinates start
@@ -155,8 +186,16 @@ def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
     ``energy_drift``, the largest |E1 - energy| over every internal state of
     the first-coordinate energy E1 = v1^2/2 + U(x1, 0, ...) (H itself in
     1-d, the decoupled x-energy for ``laloy``), is at most
-    TRAP_DRIFT_FRACTION of its gap below the barrier.  At dt = 0.05 the
-    drift is at most 8.7e-6 of the gap (energy fraction 0.99).
+    TRAP_DRIFT_FRACTION of its gap below the barrier.
+
+    Every run is probed in one lockstep call at TRAP_OPTIONS, m substeps
+    per output interval.  A run whose drift is at most PROBE_FRACTION of
+    its budget keeps its probe.  Every other run re-runs in one second call
+    at ceil(m r^(1/4)) substeps, r the worst drift-to-target ratio among
+    them, as PEFRL's energy error is fourth order in the step, clipped to
+    the finest step MAX_STEPS allows; its verdict, drift and excursion are
+    read from the re-run.  A re-run clipped to the probe's own step would
+    repeat the probe, so it is left out.
     """
     if not (0.0 < energy_fraction < 1.0):
         raise InvalidParameterError("energy_fraction must lie in (0, 1)")
@@ -171,34 +210,32 @@ def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
     u0s = [potential.value(start) for start in starts]  # for laloy, the 1-d bump alone
     v0s = [float(np.sqrt(max(0.0, 2.0 * (target - u0)))) for u0 in u0s]
     energies = np.array([0.5 * v0 * v0 + u0 for v0, u0 in zip(v0s, u0s)])
-    # the largest |x_i| of each run over every internal state, per
-    # coordinate i, and its largest |E1 - energy|, streamed as the
-    # lockstep call makes the states
-    reach = np.zeros((n_traj, potential.dim))
-    drift = np.zeros(n_traj)
-
-    def observe(rows, first, X, V, due):
-        valid = np.arange(len(X))[:, None] < np.asarray(due)
-        reach[rows] = np.maximum(reach[rows], np.max(np.abs(X), axis=0, where=valid[:, :, None],
-                                                     initial=0.0))
-        axis = np.zeros((np.count_nonzero(valid), potential.dim))  # (x1, 0, ...)
-        axis[:, 0] = X[..., 0][valid]
-        v1 = V[..., 0][valid]
-        error = np.zeros(valid.shape)
-        error[valid] = np.abs(0.5 * v1 * v1 + potential.value_many(axis)
-                              - np.broadcast_to(energies[rows], valid.shape)[valid])
-        drift[rows] = np.maximum(drift[rows], error.max(axis=0))
-
-    runs = newton_many(potential, [PhaseState(start, [v0] + [COMPANION_SPEED] * rest)
-                                   for start, v0 in zip(starts, v0s)],
-                       [t_end] * n_traj, TRAP_OPTIONS, observe=observe)
+    states = [PhaseState(start, [v0] + [COMPANION_SPEED] * rest)
+              for start, v0 in zip(starts, v0s)]
+    runs, reach, drift = _streamed_runs(potential, states, energies, t_end, TRAP_OPTIONS)
+    call_steps = [runs[0].steps]
+    drift_target = PROBE_FRACTION * TRAP_DRIFT_FRACTION * (barrier.height - energies)
+    rerun = np.flatnonzero(drift > drift_target)
+    if rerun.size:
+        intervals = TRAP_OPTIONS.n_out - 1
+        m = runs[0].steps // intervals
+        r = float(np.max(drift[rerun] / drift_target[rerun]))
+        plan = math.ceil(min(m * r ** 0.25, dynamics.MAX_STEPS // intervals))
+        if plan > m:
+            spacing = t_end / intervals
+            opts = IntegratorOptions(n_out=TRAP_OPTIONS.n_out, step_factor=spacing / plan)
+            again, reach[rerun], drift[rerun] = _streamed_runs(
+                potential, [states[i] for i in rerun], energies[rerun], t_end, opts)
+            for i, run in zip(rerun, again):
+                runs[i] = run
+            call_steps.append(again[0].steps)
     records = []
-    for x0, v0, energy, (exc, *others), run_drift in zip(x0s, v0s, energies.tolist(),
-                                                         reach.tolist(), drift.tolist()):
+    for x0, v0, energy, (exc, *others), run_drift, run in zip(
+            x0s, v0s, energies.tolist(), reach.tolist(), drift.tolist(), runs):
         inside = barrier.x_left < -exc and exc < barrier.x_right
         records.append(TrapRecord(
             x0=float(x0), v0=v0, energy=energy, max_excursion=exc,
             trapped=bool(inside and run_drift <= TRAP_DRIFT_FRACTION * (barrier.height - energy)),
-            companion_excursion=max(others, default=0.0), energy_drift=run_drift))
-    return TrapReport(barrier=barrier, t_end=t_end, dt=runs[0].dt, steps=runs[0].steps,
-                      records=records)
+            companion_excursion=max(others, default=0.0), energy_drift=run_drift,
+            dt=run.dt, steps=run.steps))
+    return TrapReport(barrier=barrier, t_end=t_end, records=records, call_steps=call_steps)

@@ -156,15 +156,16 @@ def test_every_artifact_is_unchanged(tmp_path, name):
     assert digests == ARTIFACT_DIGESTS[name]
 
 
-# name -> (gallery arguments, sha256 of gallery_report.json), recorded before
-# each potential's force kernel was bound once and the PEFRL step written out
+# name -> (gallery arguments, sha256 of gallery_report.json), recorded once
+# every record carried the dt and steps of its own run and painleve's probe
+# stepped at dt = 0.1
 GALLERY_DIGESTS = {
     "painleve": (["--name", "painleve"],
-                 "89aa0e531d5bcbfd15da34d4f092b1156197b9e680cb4cc4d10cc0e5deac5fe6"),
+                 "f272056502330640c8f693e9b553b798fe7309e359e6098ca86537838c4086b3"),
     "painleve-horizon-100": (["--name", "painleve", "--horizon", "100"],
-                             "9be51cacebbd8458b35b20e65d27cf108e41786649658ceb29b9de74a18a3ef5"),
+                             "97b93e29260c394bf956a2b342c9764f332f17874312a9cab17f3233647f02af"),
     "laloy": (["--name", "laloy"],
-              "14f0ea9865ce5936d95671310a6b6af93e86be852f4a030f16bb93d44f4c9868"),
+              "752a1ff7079628817b77446bc8b0eac4a555da2a83267a73801de4337da31c47"),
 }
 
 

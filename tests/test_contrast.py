@@ -45,8 +45,9 @@ def test_sub_barrier_motions_stay_trapped(barrier):
     P = fv.painleve()
     rep = fv.trapped_motion_check(P, barrier, n_traj=4, t_end=200.0)
     assert rep.all_trapped
-    assert (rep.dt, rep.steps) == (0.05, 4000)
+    assert rep.call_steps == [2000]  # every run keeps its probe
     for r in rep.records:
+        assert (r.dt, r.steps) == (0.1, 2000)
         assert r.energy < barrier.height
         assert r.max_excursion < barrier.x_right
         assert r.energy_drift <= TRAP_DRIFT_FRACTION * rep.gap(r)
@@ -70,49 +71,98 @@ def _dense_drift(P, run, energy):
     return float(np.max(np.abs(0.5 * v1 * v1 + P.value_many(axis) - energy)))
 
 
-@pytest.mark.parametrize("P, t_end, steps", [(fv.painleve(), 100.0, 2000),
-                                             (fv.laloy(), 12.0, 1000)],
-                         ids=["painleve", "laloy"])
-def test_streamed_drift_is_the_dense_drift(barrier, P, t_end, steps):
+@pytest.mark.parametrize("P, t_end, fraction, calls",
+                         [(fv.painleve(), 100.0, 0.5, [1000]),
+                          (fv.laloy(), 12.0, 0.5, [1000]),
+                          (fv.painleve(), 100.0, 0.999, [1000, 2000])],
+                         ids=["painleve", "laloy", "painleve-rerun"])
+def test_streamed_drift_is_the_dense_drift(barrier, P, t_end, fraction, calls):
     # the check folds each run's energy drift chunk by chunk as the lockstep
-    # call makes the states; the dense run of the same start at TRAP_OPTIONS
-    # gives the same bits read as one block
-    rep = fv.trapped_motion_check(P, barrier, n_traj=3, t_end=t_end)
-    assert (rep.dt, rep.steps) == (min(0.05, t_end / 1000), steps)
+    # call makes the states; the dense run of the same start at the record's
+    # own step gives the same bits read as one block.  At fraction 0.999 the
+    # probe reads drift/gap 1.4e-3, fourteen times its target, so every run
+    # re-runs at ceil(14^(1/4)) = 2 substeps and is read from the re-run
+    rep = fv.trapped_motion_check(P, barrier, n_traj=3, t_end=t_end, energy_fraction=fraction)
+    assert rep.call_steps == calls
     rest = P.dim - 1
     for r in rep.records:
+        assert (r.dt, r.steps) == (t_end / calls[-1], calls[-1])
         run = fv.integrate_newton(P, fv.PhaseState([r.x0] + [0.0] * rest,
                                                    [r.v0] + [COMPANION_SPEED] * rest),
-                                  t_end, TRAP_OPTIONS)
-        assert len(run.x_int) == steps + 1
+                                  t_end, fv.IntegratorOptions(n_out=TRAP_OPTIONS.n_out,
+                                                              step_factor=r.dt))
+        assert len(run.x_int) == r.steps + 1
         assert r.energy_drift == _dense_drift(P, run, r.energy)
         assert r.max_excursion == float(np.max(np.abs(run.x_int[:, 0])))
-    # the gallery's default horizon takes ten times the steps of t = 100
-    assert dynamics._snap_step(1.0, TRAP_OPTIONS.step_factor, 1000) == (20, 0.05, 20000)
+    # the gallery's default horizon probes at ten times the steps of t = 100
+    assert dynamics._snap_step(1.0, TRAP_OPTIONS.step_factor, 1000) == (10, 0.1, 10000)
+
+
+def _report(tmp_path):
+    with open(tmp_path / "gallery_report.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_a_near_barrier_run_is_stepped_to_its_budget(tmp_path, capsys):
+    # at 0.99999 of the barrier the budget is 6.0e-12: at dt = 0.05 every run
+    # drifted by 3.0e-11 to 5.3e-11 and was called not trapped; the probe at
+    # dt = 0.1 reads about 1,700 times its target, so all ten re-run at
+    # ceil(m r^(1/4)) = 7 substeps and conserve their energy well inside it
+    code = cli.main(["gallery", "--name", "painleve", "--horizon", "100",
+                     "--energy-fraction", "0.99999", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    report = _report(tmp_path)
+    height = report["barrier"]["height"]
+    assert report["all_trapped"] is True
+    for r in report["records"]:
+        assert (r["dt"], r["steps"]) == (0.1 / 7, 7000)
+        assert r["energy_drift"] / (height - r["energy"]) <= 5.9e-5
+    assert "lockstep steps = 1000 + 7000 (probe call first)" in out
 
 
 def test_a_run_whose_drift_eats_its_gap_is_not_trapped(monkeypatch, tmp_path, capsys):
-    # at dt = 0.5 every excursion stays inside the barrier, yet the energy
-    # drifts by up to 9e-3 of the gap: conservation, the proof of trapping,
-    # is not shown, and the gallery says which run failed and by how much
-    monkeypatch.setattr(contrast, "TRAP_OPTIONS", fv.IntegratorOptions(n_out=1001,
-                                                                       step_factor=0.5))
-    code = cli.main(["gallery", "--name", "painleve", "--energy-fraction", "0.9",
-                     "--out", str(tmp_path)])
+    # with MAX_STEPS at 2,000 the near-barrier re-run above is clipped to 2
+    # substeps, dt = 0.05: every excursion stays inside the barrier, yet the
+    # energy drifts by up to 8.8e-3 of the gap: conservation, the proof of
+    # trapping, is not shown, and the gallery says which run failed and by
+    # how much
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 2000)
+    code = cli.main(["gallery", "--name", "painleve", "--horizon", "100",
+                     "--energy-fraction", "0.99999", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 2
-    with open(tmp_path / "gallery_report.json", encoding="utf-8") as fh:
-        report = json.load(fh)
-    assert (report["dt"], report["steps"], report["all_trapped"]) == (0.5, 2000, False)
+    report = _report(tmp_path)
+    assert report["all_trapped"] is False
     gap = report["barrier"]["height"] - report["records"][0]["energy"]
     first = report["records"][0]
+    assert (first["dt"], first["steps"]) == (0.05, 2000)
     assert first["max_excursion"] < report["barrier"]["x_right"]
-    assert first["energy_drift"] / gap == pytest.approx(9.0e-3, rel=0.01)
+    assert first["energy_drift"] / gap == pytest.approx(8.8e-3, rel=0.01)
     assert first["trapped"] is False
     assert (f"run 0 (x0={first['x0']:+.6f}) is not trapped: max|x| = "
             f"{first['max_excursion']:.6f}") in out
     assert (f"energy drift {first['energy_drift']:.3e} against its budget "
             f"{TRAP_DRIFT_FRACTION:g} x gap = {TRAP_DRIFT_FRACTION * gap:.3e}") in out
+    assert "lockstep steps = 1000 + 2000 (probe call first)" in out
+
+
+@pytest.mark.parametrize("t_end, steps", [(100.0, 1000), (1e3, 10000)],
+                         ids=["benchmark", "criterion-9"])
+def test_the_trapped_check_makes_one_lockstep_call(monkeypatch, barrier, t_end, steps):
+    # ten runs at fraction 0.5 keep their probe: one call, at dt = 0.1 (the
+    # step of 0.05 took 2,000 and 20,000 steps)
+    calls = []
+    integrate = dynamics.integrate
+
+    def counted(accel, x0, v0, dt, n_steps, **kwargs):
+        calls.append((len(x0), n_steps))
+        return integrate(accel, x0, v0, dt, n_steps, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", counted)
+    rep = fv.trapped_motion_check(fv.painleve(), barrier, n_traj=10, t_end=t_end)
+    assert rep.all_trapped
+    assert calls == [(10, steps)]
 
 
 def test_barrier_requires_1d():
