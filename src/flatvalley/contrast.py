@@ -8,7 +8,6 @@ barrier exists and trajectories escape along the floor.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
 
@@ -191,9 +190,9 @@ def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
     Every run is probed in one lockstep call at TRAP_OPTIONS, m substeps
     per output interval.  A run whose drift is at most PROBE_FRACTION of
     its budget keeps its probe.  Every other run re-runs in one second call
-    at ceil(m r^(1/4)) substeps, r the worst drift-to-target ratio among
-    them, as PEFRL's energy error is fourth order in the step, clipped to
-    the finest step MAX_STEPS allows; its verdict, drift and excursion are
+    at :func:`flatvalley.dynamics.fourth_order_substeps` from m, r the
+    worst drift-to-target ratio among them, clipped to the finest step
+    MAX_STEPS allows; its verdict, drift and excursion are
     read from the re-run.  A re-run clipped to the probe's own step would
     repeat the probe, so it is left out.
     """
@@ -220,7 +219,7 @@ def trapped_motion_check(potential, barrier: BarrierInfo, n_traj: int = 10,
         intervals = TRAP_OPTIONS.n_out - 1
         m = runs[0].steps // intervals
         r = float(np.max(drift[rerun] / drift_target[rerun]))
-        plan = math.ceil(min(m * r ** 0.25, dynamics.MAX_STEPS // intervals))
+        plan = dynamics.fourth_order_substeps(m, r, dynamics.MAX_STEPS // intervals)
         if plan > m:
             spacing = t_end / intervals
             opts = IntegratorOptions(n_out=TRAP_OPTIONS.n_out, step_factor=spacing / plan)

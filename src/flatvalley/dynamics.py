@@ -38,24 +38,26 @@ step it may take, is the scenario's: member 0 at dtau = step_factor *
 eps_0, snapped to dt_0, member j at dt_0 sqrt(eps_j/eps_0), snapped, and at
 most GROWTH times member 0's effective factor (:func:`member_step_factors`).
 The transverse amplitude shrinks like eps^2, so that rule keeps the
-members' errors level.  A probe call runs member 0 at one substep and
-member j at ceil(max(rho^(1/k), rho^(2/k)/GROWTH)), rho = eps_0/eps_j and
+members' errors level.  The rho law asks member 0 for one substep and
+member j for ceil(max(rho^(1/k), rho^(2/k)/GROWTH)), rho = eps_0/eps_j and
 k the profile exponent, clipped to its ceiling: a valley f^k confines
 |f| to a multiple of eps^(2/k), so the transverse frequency grows like
-rho^(2/k), and at k = 2 this is the ceilings' rule from one substep
+rho^(2/k), and at k = 2 this is the ceilings' rule from one substep.  A
+probe call runs every member at min(ceiling, M), M the longest row the
+rho law puts in that call, for no more iterations than the rho law
 (:func:`member_substeps` gives both counts).  A member whose step error
 and energy drift each read at most PROBE_FRACTION of their gates keeps
 its probe rows, and every other member re-runs once at the substeps
 PEFRL's fourth order predicts from its readings (:func:`planned_substeps`),
 or at its ceiling should that re-run still fail a gate
 (:func:`step_calls`).  On the shipped circle (k = 2) the ceilings take
-5,800 lockstep iterations (dtau = 0.01 eps_j took 32,000); the probe takes
-1,200 and the re-run of members 0, 2 and 4 1,000 more, for drifts of at
-most 9.7e-10 and step errors of at most 2.8e-7, against gates of 1e-8 and
-4.4e-6.  On the shipped ellipsoid (k = 4) the probe, at 1, 2, 2, 2, 2, 3
-substeps, takes 600 iterations and every member keeps it, for drifts of
-at most 5.7e-10 and step errors of at most 6.2e-10, against gates of 1e-8
-and 6.6e-5.
+5,800 lockstep iterations (dtau = 0.01 eps_j took 32,000); the probe, at
+5, 6, 6, 6, 6, 6 substeps, takes 1,200 and every member keeps it, for
+drifts of at most 9.7e-10 and step errors of at most 2.8e-7, against
+gates of 1e-8 and 4.4e-6.  On the shipped ellipsoid (k = 4) the probe, at
+3 substeps each, takes 600 iterations and every member keeps it, for
+drifts of at most 7.2e-11 and step errors of at most 6.7e-11, against
+gates of 1e-8 and 6.6e-5.
 
 Memory grows with nodes, not steps.  The members and physical runs of a
 family keep only their output nodes: the lockstep call stores every m-th
@@ -328,27 +330,44 @@ def member_substeps(T: float, epsilons: Sequence[float],
 
     The ceiling is the member's :func:`member_step_factors` step, the
     finest :func:`family_for_gates` may give it, checked against
-    MAX_STEPS.  The probe runs member 0 at one substep and member j, rho =
-    eps_0/eps_j, at m_j = ceil(max(rho^(1/k), rho^(2/k)/GROWTH)) for k =
-    ``exponent``, clipped to its ceiling.  A member of a valley U = f^k is
-    confined to |f| <= g^-1(eps^2 |v|^2/2), which scales like eps^(2/k),
-    so its transverse frequency omega in rescaled time grows like
-    rho^(2/k): the first term grows the count like the square root of
+    MAX_STEPS.  The rho-law probe runs member 0 at one substep and member
+    j, rho = eps_0/eps_j, at m_j = ceil(max(rho^(1/k), rho^(2/k)/GROWTH))
+    for k = ``exponent``, clipped to its ceiling.  A member of a valley U =
+    f^k is confined to |f| <= g^-1(eps^2 |v|^2/2), which scales like
+    eps^(2/k), so its transverse frequency omega in rescaled time grows
+    like rho^(2/k): the first term grows the count like the square root of
     omega, as the ceilings' sqrt(eps) steps do at k = 2, and the second
     keeps dt omega at most GROWTH times member 0's, PEFRL's stability
     condition.  At k = 2 this is the ceilings' rule from one substep; at
     k >= 4 it asks fewer substeps of the small-eps members.
+
+    The rho law fixes the probe call's longest row, M
+    (:func:`longest_row`), and a call's iterations are its longest row's
+    steps.  So every member probes at min(ceiling_j, M): the call still
+    takes ``half`` M iterations, as M >= 2 and a physical run takes at most
+    its member's substeps from 2 on, and no member probes coarser than its
+    rho law asks.  On the shipped circle the rho law's 1, 2, 2, 3, 4, 6
+    probe at 5, 6, 6, 6, 6, 6.
     """
     half = (opts.n_out - 1) // 2
     spacing, eps0 = T / half, float(epsilons[0])
     ceilings = [_snap_step(spacing, factor * float(eps), half)[0]
                 for eps, factor in zip(epsilons, member_step_factors(T, epsilons, opts))]
-    probe = []
+    rho_law = []
     for eps, ceiling in zip(epsilons, ceilings):
         rho = eps0 / float(eps)
         growth = max(rho ** (1.0 / exponent), rho ** (2.0 / exponent) / GROWTH)
-        probe.append(min(ceiling, _snap_step(spacing, spacing / growth, half)[0]))
-    return ceilings, probe
+        rho_law.append(min(ceiling, _snap_step(spacing, spacing / growth, half)[0]))
+    longest = longest_row(rho_law)
+    return ceilings, [min(ceiling, longest) for ceiling in ceilings]
+
+
+def fourth_order_substeps(m: int, r: float, finest: int) -> int:
+    """Substeps per interval that bring a reading r times its target at m
+    substeps down to the target, min(finest, ceil(m r^(1/4))), as PEFRL's
+    step and energy errors are fourth order in the step (Omelyan, Mryglod
+    and Folk, CPC 146 (2002) 188); ``finest`` when r has no finite value."""
+    return min(finest, math.ceil(m * r ** 0.25)) if r < math.inf else finest
 
 
 def planned_substeps(probe: Sequence[int], ceilings: Sequence[int], step_errors, drifts,
@@ -357,9 +376,9 @@ def planned_substeps(probe: Sequence[int], ceilings: Sequence[int], step_errors,
     drift and confinement verdict (a step error of None or inf has no
     reading).  A confined member whose readings are each at most
     PROBE_FRACTION of their gates, ``step_limit`` and ENERGY_DRIFT_LIMIT,
-    keeps its probe substeps m; any other steps at min(ceiling, ceil(m
-    r^(1/4))), r its worse reading-to-target ratio, as PEFRL's error is
-    fourth order in the step; one with no finite ratio at its ceiling."""
+    keeps its probe substeps m; any other steps at
+    :func:`fourth_order_substeps` clipped to its ceiling, r its worse
+    reading-to-target ratio (its ceiling when r has no finite value)."""
     target = PROBE_FRACTION * step_limit
     plan = []
     for m, ceiling, err, drift, ok in zip(probe, ceilings, step_errors, drifts, confined):
@@ -368,8 +387,7 @@ def planned_substeps(probe: Sequence[int], ceilings: Sequence[int], step_errors,
         if ok and r <= 1.0:
             plan.append(m)
         else:
-            plan.append(min(ceiling, math.ceil(m * r ** 0.25)) if ok and r < math.inf
-                        else ceiling)
+            plan.append(fourth_order_substeps(m, r, ceiling) if ok else ceiling)
     return plan
 
 
@@ -377,6 +395,13 @@ def _physical_substeps(m: int) -> int:
     """Substeps per output interval of the physical run beside a member at
     m: about half, and 2 when m = 1."""
     return 2 if m == 1 else (m + 1) // 2
+
+
+def longest_row(substeps: Sequence[int]) -> int:
+    """Substeps per output interval of the longest row of a family lockstep
+    call running members at ``substeps``: max_j max(m_j, c_j), c_j the
+    substeps of member j's physical run."""
+    return max(max(m, _physical_substeps(m)) for m in substeps)
 
 
 def step_calls(probe: Sequence[int], plan: Sequence[int], ceilings: Sequence[int],
@@ -397,8 +422,7 @@ def step_calls(probe: Sequence[int], plan: Sequence[int], ceilings: Sequence[int
 def lockstep_iterations(half: int, calls) -> int:
     """Iterations of family lockstep ``calls`` (see :func:`step_calls`) on
     ``half`` output intervals a side: each call's longest row's steps."""
-    return sum(half * max(max(m, _physical_substeps(m)) for m in substeps)
-               for _, substeps in calls)
+    return sum(half * longest_row(substeps) for _, substeps in calls)
 
 
 def _halves(potential, p, v, T: float, epsilons: Sequence[float], opts: IntegratorOptions,
@@ -944,10 +968,12 @@ def family_for_gates(potential, p, v, T, epsilons,
     """The family with each member at a constant substep count chosen from
     the gates it must pass, in the lockstep calls of :func:`step_calls`.
 
-    The probe call runs every member at its :func:`member_substeps` probe.
-    A member whose probe readings :func:`planned_substeps` accepts keeps
-    its probe rows; every other member re-runs once, in a second call of
-    only its rows, at its planned substeps.  A re-run member that then
+    The probe call runs every member at its :func:`member_substeps` probe,
+    min(ceiling, M), M the call's longest row under the rho law: no member
+    steps coarser than the iterations the call pays for anyway.  A member
+    whose probe readings :func:`planned_substeps` accepts keeps its probe
+    rows; every other member re-runs once, in a second call of only its
+    rows, at its planned substeps.  A re-run member that then
     fails a gate of :func:`member_failures` (or whose halves blew up) runs
     a third time at its ceiling, which is the step the family stage would
     have gated it at alone.  Each run keeps one step throughout, so PEFRL

@@ -27,23 +27,25 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # gates (a probe call and one re-run) instead of a fixed factor, and the
 # ellipsoid's and gutter's files again when the probe followed each
 # field's profile exponent and each foot-point flow row took its own
-# substeps (the circle's bytes did not move)
+# substeps (the circle's bytes did not move), and members 0 to 4's files,
+# the evidence and the report (with the gutter's two rounding-level
+# figures) when every member probed at the probe call's longest row
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
-            "c9996388a0b4d793ffc7f3d531b100d10aac410f81e7c5acd1ba3369c9a748bf",
+            "4149e4ae04ccc1d8f62fba28333a7870fdfff6911453f2d97b2e68f2351ea430",
         "coords_eps1.csv":
-            "20f7bc13f68ca48b448233db794e18e7d4f06a2bfbd350764b747979be33a8b0",
+            "5123d19880765011c6ddf66fe547010a033a6adea3459c9ca0c0d15addba0633",
         "coords_eps2.csv":
-            "f9397e3695a1c7e2e9e0aa5ad45c09412d9f27101b89cbcd1e13c1142495a416",
+            "9fabcb44d4e4a1fd51c765d591ff3e23a8c6e9fb848f8ab4a8ef2a991e0ce174",
         "coords_eps3.csv":
-            "f9e9e2954ab6a2d056dfa98beef6aa65e64aa36a01fa77328f7fc4fd148e73f7",
+            "8d2d43cec40c1c3d80319091b4401db3c0f3e43c9bdef2bcd2c58805b3406a2b",
         "coords_eps4.csv":
-            "840690fa00cb8b1cb27ac431f6519a85abc3ccd58c2abd1028927d737d4e3930",
+            "67ec804d59763a69734b603426c0cf3fb122218e38fea2201636991a4065c18b",
         "coords_eps5.csv":
             "fc2769739b9a4b32afd377153b2e5f11083a54110a208955af2e912c6fae203f",
         "evidence.csv":
-            "0c0045f8063f945fa2d3e1753344eb9832e452d3981d606a72358524f3a7a913",
+            "9be823da60c373d5fc0167e9eaab1583363a02f968c15b884105540de7731435",
         "figures/convergence.svg":
             "f9a1b57df101cfcc35de9652a7d0413c53a0ab00e883e1e7f738e51835a002dc",
         "figures/trajectories.svg":
@@ -53,35 +55,35 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "e1d71c9f6be8dcfeae687a468ff23e055d230840a486fd66ece14991756c3bd3",
         "report.json":
-            "66fd799875a44b07db6973ac10b74c8348630ad8e42da53b5f1d59a2eb96a2c2",
+            "202751a123adff65e8ec1c2ca4f2902306a2c4711bf26c8924e42ce6ae41bade",
         "traj_eps0.csv":
-            "7ca7df915474329c6a14d87b62b4e185b93b04672d953f6f4a4dec4722e72a97",
+            "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
         "traj_eps1.csv":
-            "d3e0148bd6daf89d1067953909656387d214d047f399938ce51766a992304a9f",
+            "02405346101d4a3103696010ffe8b297fa2ff49e48ceacf93b6b8490cb438092",
         "traj_eps2.csv":
-            "c9e5d816c20422487b420b8b9803fa5af71574f71a68d5b83056ad1f0efead37",
+            "eb60dd198d370a91a9773156858b8fa75a32f056284f23092d83d4be85b73f06",
         "traj_eps3.csv":
-            "46566ad0cd76f4782711c658fcf84ce0bd7a01df032cc9edad0fabbbcfe62b52",
+            "cb4d547ac50ea05fd1f5da94321167678c594a64ef2cb3b066602df3dca966ba",
         "traj_eps4.csv":
-            "a5cf135530063d2e371f4a2e1edacc06225e75077d96a3aa27c6a6213a28a49b",
+            "198a8ec85df2e22dcac547f8f1d60195fdbfcc2138ff286494de0a34d58fda9e",
         "traj_eps5.csv":
             "e60765c0145e33c3c503858a8f58ea6cffa30ebc8e61379556ec7cd7daf34993",
     },
     "ellipsoid": {
         "coords_eps0.csv":
-            "95ba74cd8776bdcaa63912a1b1a0237879e069456e52e1a1d48209217ab60036",
+            "b2e8e15acc68685bf770983a448f61a4746080f58f65a759a4b2acb49c48cfc0",
         "coords_eps1.csv":
-            "d49c2f87456babca08a283929e0f148f54711a8c3c72cf6152d819e463e07c1f",
+            "efe6a0452b38ae48e8b02886e9381928d87aeb82403d317b4805d6ee82d9cd4e",
         "coords_eps2.csv":
-            "98e3c04fae9982c85a617b10efbc1d91caaf141876c6eac7c150ac7f222f073b",
+            "153fb59a516c6f942fa5f195cebc9396e7c8d6280c36b7288e0333cd11808577",
         "coords_eps3.csv":
-            "f2f0b2284df83e89fcc51846fefdb0282315a4ab6dd903b48a3eaf42c299ab92",
+            "a96fd56c96a66c9e7b8c7366bb30b7712817297ff498502f9474e9d4d0ce7596",
         "coords_eps4.csv":
-            "7e9f5663d281d1dfbb08a180ee8292d3fd35696740799854d1f0bfeb31a42fc2",
+            "0dba588f71545ac204cd43fc6e695959dca34029d70d087818573cf460058e39",
         "coords_eps5.csv":
             "58fd241eee5a57bc00fbbad874e77e50667d5f6edb305b0b3c934483477a2662",
         "evidence.csv":
-            "4d27fd2b9bede10edf6185075b92544074fda52a89b0b7ccbaf48362de060e03",
+            "fcb550aec5ba1fd80629c66dd466334bfa498cfe90e98d59db8ffbbf50aa2167",
         "figures/convergence.svg":
             "e51adb68177615739dee14ea7fb8f4661ff5a32a136d20a05e769edbdc588d0e",
         "figures/trajectories.svg":
@@ -91,55 +93,55 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "74ae002a44d8c9e3e0e8fd5577bf974b8f9ff491c8509858eeddddf06a6b7524",
         "report.json":
-            "f575ddbf6917751a850d05fb0bdf23cf807619430b6b65c8afe9dafe13b4a664",
+            "c4821cefb500b07e1cf8133e05315a274ae9e1e615c155f4b26082cffa6e53a0",
         "traj_eps0.csv":
-            "9879e9164d65caac7d0fee7c44f1b23afa7072f44cb6dce85b09ed584e35024f",
+            "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
         "traj_eps1.csv":
-            "52b0b64fd55fcc6e7af5ac3974a1d3b80082a97e0deeb7ff5399e740d68863ba",
+            "e90863373e8ed667cb9fb00d709f4132eaf5cec08057aeb8d43231a542cd1d69",
         "traj_eps2.csv":
-            "ac191463c42a3a0064babafa3aa16def1383d18e431d43942bbd740a9bc8bfc5",
+            "893f7050a0e05cf103bb469563bf93eea6f3377743408bac40fbbac526fd2d0e",
         "traj_eps3.csv":
-            "305b6a3b0eb304f6129e8b3bdccb593a8bc7e26daa7e59bd7ae5819d39ddd1aa",
+            "6d5f8680e968da9a05d780089ec55b57585279047af6194e9661682b40d538b0",
         "traj_eps4.csv":
-            "28999af247cb9ec41d39fe224ea7d517208d1c41ab400b1ad764b43a1f04b101",
+            "0336cf7a3d1fc96eef00466390ca1bb61ec298abd597aa64b4d0a5730bf86b6d",
         "traj_eps5.csv":
             "c89217a4f4b8ad1c8fe8b2ee49b1ca072e853c0193f4af2e66fb71362baae079",
     },
     "gutter": {
         "coords_eps0.csv":
-            "8be8a4f6cf613ca72b5265d1defbb0ee3102b14898b195d268beb17812e22c12",
+            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
         "coords_eps1.csv":
-            "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
+            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
         "coords_eps2.csv":
-            "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
+            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
         "coords_eps3.csv":
-            "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
+            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
         "coords_eps4.csv":
-            "d02729dc30a73ad9fa461afc0b69de341394f9ccc21e535a59e2403cf1d7ac56",
+            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
         "coords_eps5.csv":
             "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
         "evidence.csv":
-            "6380aed6a7767b46ab45490b64313f313284ba5cb4b736b3954d846750a15dee",
+            "3021bfefa650295befebf69d9ede7e0b13cc468b42e2bbf9a581d23e2a00f76c",
         "figures/convergence.svg":
-            "263e0d12d4ea66179aa4b3e68bf5b527dea38e388be3cffe8947a35dbc521298",
+            "37b3f5722d91378add02f32e16501926fee50576844b669f82d013ac32faf2b6",
         "figures/trajectories.svg":
-            "dde127bef6d522c71dcb5ee071ec31afda459f0e2456e0856aaaaa1a643d0c52",
+            "44ebe9341e0ca054d1def0b2000c5d1f555330f21d7eaf1eada4a80f516dd5f7",
         "figures/violation.svg":
             "2ebcb59181dcb456d6fb742148ab57ba934e62fef28aebb83f60d1e4dc154f4d",
         "limit.csv":
             "36e62eebc0b2c385fb5c53a3a7f819740a98134bc29d65ef354de0b5df1ce47a",
         "report.json":
-            "3d8614f17d2c7b797d3c8d8f1d81fe1efd02eef553a8b144f1bfa47b06a665ee",
+            "873721982b2786980aeda8a7ab1b02337047a60d53c31e961bcda4db9d3dafc8",
         "traj_eps0.csv":
-            "c1ce983cc2067bdd9df33faf59583fb62d6673e33276c7d91ca2e0b3df0cceaa",
+            "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
         "traj_eps1.csv":
-            "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
+            "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
         "traj_eps2.csv":
-            "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
+            "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
         "traj_eps3.csv":
-            "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
+            "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
         "traj_eps4.csv":
-            "1e63ca0a370d925ae4c3b3519706dd8b420b87f94620120e70f135596ff50090",
+            "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
         "traj_eps5.csv":
             "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
     },

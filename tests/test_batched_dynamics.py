@@ -314,15 +314,17 @@ def test_evidence_runs_are_a_loop_of_newton_runs(name):
         assert run.x_int is run.x
 
 
-@pytest.mark.parametrize("name, calls", [
-    ("circle", [(18, 1200), (9, 1000)]),
-    ("ellipsoid", [(18, 600)]),
-], ids=["circle-2200", "ellipsoid-600"])
-def test_family_lockstep_calls_hold_three_rows_per_member(monkeypatch, name, calls):
+@pytest.mark.parametrize("name, overrides, calls", [
+    ("circle", None, [(18, 1200)]),
+    ("ellipsoid", None, [(18, 600)]),
+    ("ellipsoid", {"n_out": 101}, [(18, 150), (18, 350)]),
+], ids=["circle-1200", "ellipsoid-600", "ellipsoid-n_out-101-500"])
+def test_family_lockstep_calls_hold_three_rows_per_member(monkeypatch, name, overrides,
+                                                          calls):
     # the probe call runs both halves and the physical run of every member;
-    # on the circle a second call re-runs members 0, 2 and 4.  The physical
-    # runs take no more steps than the finest member (2 when it takes 1),
-    # so each call's loop runs no longer
+    # the ellipsoid on 101 nodes re-runs all six in a second call.  The
+    # physical runs take no more steps than the finest member (2 when it
+    # takes 1), so each call's loop runs no longer
     seen, real = [], dynamics.integrate
 
     def spy(accel, x0, v0, dt, n_steps, **kwargs):
@@ -330,7 +332,7 @@ def test_family_lockstep_calls_hold_three_rows_per_member(monkeypatch, name, cal
         return real(accel, x0, v0, dt, n_steps, **kwargs)
 
     monkeypatch.setattr(dynamics, "integrate", spy)
-    fam = fv.run_family(fv.parse_scenario(os.path.join(SCENARIOS, f"{name}.json")))
+    fam = fv.run_family(fv.parse_scenario(os.path.join(SCENARIOS, f"{name}.json"), overrides))
     assert seen == calls
     assert fam.plan.iterations == sum(n for _, n in calls)
     half = (fam.options.n_out - 1) // 2

@@ -900,8 +900,8 @@ def _set(path, value):
     [_set(("probe", "confined", 3), lambda ok: False)],
     [_set(("ceilings", 2), lambda m: m + 1)],
     [_set(("lockstep_iterations",), lambda n: n - 200)],
-    # member 2, re-run at 3 substeps, passed as a fallback to its ceiling:
-    # the fallback call is missing from the iterations
+    # member 2, which kept its probe of 6 substeps, passed as a fallback to
+    # its ceiling: no call ran it there
     [_set(("substeps", 2), lambda m: 10), _set(("dt", 2), lambda dt: 1.0 / 200 / 10)],
 ], ids=["probe-step-error", "probe-drift", "probe-substeps", "probe-confined", "ceiling",
         "iterations", "fallback"])
@@ -923,8 +923,8 @@ def test_certify_prints_each_members_substeps_and_the_lockstep_work(tmp_path, ca
     rows = printed.split("pass\n", 1)[1].split("\n")[:6]
     # the chosen and ceiling substeps sit before the pass column
     assert [row.split()[-3:-1] for row in rows] == [
-        ["2", "5"], ["2", "8"], ["3", "10"], ["3", "15"], ["5", "20"], ["6", "29"]]
-    assert "lockstep iterations = 2200 (probe call included)" in printed
+        ["5", "5"], ["6", "8"], ["6", "10"], ["6", "15"], ["6", "20"], ["6", "29"]]
+    assert "lockstep iterations = 1200 (probe call included)" in printed
 
 
 def test_rates_at_the_rounding_floor_are_null(tmp_path):
@@ -945,12 +945,13 @@ def test_rates_at_the_rounding_floor_are_null(tmp_path):
 
 # sha256 of traj_eps0.csv from `family` on each shipped scenario, recorded
 # before members stepped at their own factors (member 0 kept its step
-# then), and re-recorded when member 0's substeps came from its gates: 2
-# on the circle and 1 on the ellipsoid and gutter, from 5, 3 and 5
+# then), re-recorded when member 0's substeps came from its gates: 2 on
+# the circle and 1 on the ellipsoid and gutter, from 5, 3 and 5, and again
+# when every member probed at the probe call's longest row: 5, 3 and 3
 MEMBER_0_DIGESTS = {
-    "circle": "7ca7df915474329c6a14d87b62b4e185b93b04672d953f6f4a4dec4722e72a97",
-    "gutter": "c1ce983cc2067bdd9df33faf59583fb62d6673e33276c7d91ca2e0b3df0cceaa",
-    "ellipsoid": "9879e9164d65caac7d0fee7c44f1b23afa7072f44cb6dce85b09ed584e35024f",
+    "circle": "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
+    "gutter": "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
+    "ellipsoid": "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
 }
 
 
@@ -968,13 +969,14 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 # stages on each shipped scenario, re-recorded when each member's physical
 # run replaced its twin as the evidence, when the coordinates stage's
 # metric probe was removed, when each member's substeps came from its
-# gates and, for the ellipsoid and gutter, when the probe followed the
-# profile exponent: a change that claims to keep the verdicts and the
-# numbers keeps these bytes
+# gates, for the ellipsoid and gutter when the probe followed the profile
+# exponent, and when every member probed at the probe call's longest row:
+# a change that claims to keep the verdicts and the numbers keeps these
+# bytes
 REPORT_DIGESTS = {
-    "circle": "a2ac827da4faf86cfdf8687c330c738e43345444c4fe8cc7216ed5df987ef62c",
-    "gutter": "a9d60b87d3a64b3a5f0cf3d71a64653602616584f0eb5ed2dcd6bbab3c9bc96c",
-    "ellipsoid": "6c41bcf4f5ef32b7f12e89990c4fb7b699714a027c0f23c3225de92ecfea7650",
+    "circle": "4b430d45513288a2f454370a4ab2ab99bd635855627119bd0845b0c2beee5825",
+    "gutter": "56e6651a0ca63d8d88d616aff59fe2c2bc3ea4988d63e037e5d0bed90996cc59",
+    "ellipsoid": "6faecc6e511458af4524313dc34ec1ac92f3700a64b36a1823a34ff6c82172a0",
 }
 
 
@@ -992,13 +994,13 @@ def test_report_records_each_members_step(circle_run_dir):
     fam = circle_run_dir.report.results["family"]
     with open(os.path.join(circle_run_dir.path, "report.json")) as fh:
         rep = json.load(fh)["family"]
-    assert rep["substeps"] == fam.substeps == [2, 2, 3, 3, 5, 6]
+    assert rep["substeps"] == fam.substeps == [5, 6, 6, 6, 6, 6]
     assert rep["ceilings"] == [5, 8, 10, 15, 20, 29]
-    assert rep["probe"]["substeps"] == [1, 2, 2, 3, 4, 6]
+    assert rep["probe"]["substeps"] == [5, 6, 6, 6, 6, 6]
     assert rep["probe"]["step_errors"] == fam.plan.probe_step_errors
     assert rep["probe"]["energy_drifts"] == fam.plan.probe_drifts
     assert rep["probe"]["confined"] == [True] * 6
-    assert rep["lockstep_iterations"] == 2200
+    assert rep["lockstep_iterations"] == 1200
     assert rep["dt"] == [m.dt for m in fam.members]
     assert rep["step_errors"] == list(fam.step_errors)
     # every member's step error and drift sit within the fraction of their
@@ -1027,16 +1029,17 @@ def test_file_revalidation_rederives_each_members_step(circle_run_dir, tmp_path,
 
 
 def test_file_revalidation_rederives_the_probe_from_the_profile_exponent(tmp_path):
-    # the ellipsoid's field has profile exponent 4, so its members probe at
-    # [1, 2, 2, 2, 2, 3], not at the circle's [1, 2, 2, 3, 4, 6]: the files
-    # revalidate, and a file that records member 5's probe at the circle's
-    # 6 fails the step plan alone
+    # the ellipsoid's field has profile exponent 4, so its rho law asks
+    # [1, 2, 2, 2, 2, 3], not the circle's [1, 2, 2, 3, 4, 6], and its
+    # members probe at that call's longest row of 3, not at the circle's 6:
+    # the files revalidate, and a file that records member 5's probe at 6
+    # fails the step plan alone
     scn = fv.parse_scenario(os.path.join(os.path.dirname(CIRCLE), "ellipsoid.json"))
     out = tmp_path / "run"
     assert fv.run_pipeline(scn, str(out), svg=False).exit_code == 0
     assert revalidate_from_dir(str(out))["ok"]
     rep = json.loads((out / "report.json").read_text())
-    assert rep["family"]["probe"]["substeps"] == [1, 2, 2, 2, 2, 3]
+    assert rep["family"]["probe"]["substeps"] == [3, 3, 3, 3, 3, 3]
     rep["family"]["probe"]["substeps"][5] = 6
     (out / "report.json").write_text(json.dumps(rep))
     result = revalidate_from_dir(str(out))

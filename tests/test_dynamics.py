@@ -211,17 +211,31 @@ def _member_substeps(scn):
                                     exponent=scn.potential.profile.exponent)
 
 
-@pytest.mark.parametrize("name, ceilings, probe, substeps, iterations", [
-    ("circle", [5, 8, 10, 15, 20, 29], [1, 2, 2, 3, 4, 6], [2, 2, 3, 3, 5, 6], 2200),
-    ("ellipsoid", [3, 5, 6, 9, 12, 17], [1, 2, 2, 2, 2, 3], [1, 2, 2, 2, 2, 3], 600),
+def _rho_law(scn):
+    """The rho-law probe, from its formula: member j, rho = eps_0/eps_j, at
+    ceil(max(rho^(1/k), rho^(2/k)/GROWTH)) substeps, k the profile
+    exponent, at most its ceiling."""
+    k, half = scn.potential.profile.exponent, (scn.options.n_out - 1) // 2
+    spacing = scn.horizon / half
+    rhos = [scn.epsilons[0] / eps for eps in scn.epsilons]
+    return [min(c, dynamics._snap_step(
+                spacing, spacing / max(rho ** (1 / k), rho ** (2 / k) / dynamics.GROWTH),
+                half)[0])
+            for c, rho in zip(_member_substeps(scn)[0], rhos)]
+
+
+@pytest.mark.parametrize("name, ceilings, probe, iterations", [
+    ("circle", [5, 8, 10, 15, 20, 29], [5, 6, 6, 6, 6, 6], 1200),
+    ("ellipsoid", [3, 5, 6, 9, 12, 17], [3, 3, 3, 3, 3, 3], 600),
 ], ids=["circle", "ellipsoid"])
-def test_member_substeps_on_the_shipped_scenarios(name, ceilings, probe, substeps,
-                                                  iterations):
+def test_member_substeps_on_the_shipped_scenarios(name, ceilings, probe, iterations):
     # the ceilings, member j at dt_0 sqrt(eps_j / eps_0), would take 5,800
     # lockstep iterations on the circle and 3,400 on the ellipsoid.  The
-    # probe grows like rho^(1/k), rho = eps_0/eps_j: 1,200 iterations on the
-    # circle (k = 2), which re-runs members 0, 2 and 4 in 1,000 more, and
-    # 600 on the ellipsoid (k = 4), which keeps every probe
+    # rho law, growing like rho^(1/k), rho = eps_0/eps_j, asks 1, 2, 2, 3,
+    # 4, 6 substeps on the circle (k = 2) and 1, 2, 2, 2, 2, 3 on the
+    # ellipsoid (k = 4); every member probes at its call's longest row, 6
+    # and 3, member 0 of the circle at its ceiling of 5.  Every member keeps
+    # its probe: one call of 1,200 and of 600 iterations
     scn = _scenario(name)
     member_ceilings, member_probe = _member_substeps(scn)
     half = (scn.options.n_out - 1) // 2
@@ -229,17 +243,19 @@ def test_member_substeps_on_the_shipped_scenarios(name, ceilings, probe, substep
     assert half * max(ceilings) == {"circle": 5800, "ellipsoid": 3400}[name]
     assert member_probe == probe
     fam = fv.run_family(scn)
-    assert fam.substeps == substeps
+    assert fam.substeps == probe
     assert fam.plan.ceilings == ceilings and fam.plan.probe == probe
     assert fam.plan.iterations == iterations
-    assert [m.dt for m in fam.members] == [scn.horizon / half / m for m in substeps]
+    assert [m.dt for m in fam.members] == [scn.horizon / half / m for m in probe]
 
 
 @pytest.mark.parametrize("count", [6, 10])
 def test_the_probe_follows_the_profile_exponent(count):
-    # at k = 2 the probe is the ceilings' rule from one substep, member j at
-    # sqrt(eps_0/eps_j) times member 0's one step, its factor at most GROWTH
-    # times member 0's; at k = 4 it grows like (eps_0/eps_j)^(1/4)
+    # at k = 2 the rho law is the ceilings' rule from one substep, member j
+    # at sqrt(eps_0/eps_j) times member 0's one step, its factor at most
+    # GROWTH times member 0's; at k = 4 it grows like (eps_0/eps_j)^(1/4).
+    # Its longest row M fixes the probe call, and each member probes at
+    # min(ceiling, M)
     circle = _scenario("circle", overrides={"count": count})
     ellipsoid = _scenario("ellipsoid", overrides={"count": count})
     opts, half = circle.options, (circle.options.n_out - 1) // 2
@@ -247,23 +263,69 @@ def test_the_probe_follows_the_profile_exponent(count):
     factors = dynamics.member_step_factors(
         circle.horizon, circle.epsilons,
         dataclasses.replace(opts, step_factor=spacing / circle.epsilons[0]))
-    ceilings, probe = _member_substeps(circle)
-    assert probe == [min(c, dynamics._snap_step(spacing, f * eps, half)[0])
-                     for c, f, eps in zip(ceilings, factors, circle.epsilons)]
-    assert probe == [1, 2, 2, 3, 4, 6, 8, 16, 32, 64][:count]  # GROWTH caps from member 6
-    assert _member_substeps(ellipsoid)[1] == [1, 2, 2, 2, 2, 3, 3, 4, 4, 5][:count]
+    ceilings = _member_substeps(circle)[0]
+    assert _rho_law(circle) == [min(c, dynamics._snap_step(spacing, f * eps, half)[0])
+                                for c, f, eps in zip(ceilings, factors, circle.epsilons)]
+    assert _rho_law(circle) == [1, 2, 2, 3, 4, 6, 8, 16, 32, 64][:count]  # GROWTH caps from 6
+    assert _rho_law(ellipsoid) == [1, 2, 2, 2, 2, 3, 3, 4, 4, 5][:count]
+    for scn in (circle, ellipsoid):
+        ceilings, probe = _member_substeps(scn)
+        assert probe == [min(c, dynamics.longest_row(_rho_law(scn))) for c in ceilings]
     if count == 10:
-        assert fv.run_family(circle).plan.iterations == 19800
         assert fv.run_family(ellipsoid).plan.iterations == 1000
 
 
+def _spied_family(monkeypatch, scn):
+    """The scenario's family and its lockstep calls, each (rows, steps)."""
+    real, calls = dynamics.integrate, []
+
+    def spy(accel, x0, v0, dt, n_steps, **kwargs):
+        calls.append((len(x0), n_steps))
+        return real(accel, x0, v0, dt, n_steps, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", spy)
+    return fv.run_family(scn), calls
+
+
+@EXPONENT_SWEEP
+@pytest.mark.parametrize("count", [6, 10])
+def test_the_lifted_probe_costs_no_iteration(monkeypatch, name, exponent, count):
+    # the probe call's longest row is the rho law's, M: lifting every
+    # member to min(ceiling, M) substeps adds rows of no more steps, as a
+    # physical run takes at most its member's substeps from 2 on
+    scn = _scenario(name, exponent, {"count": count})
+    ceilings, probe = _member_substeps(scn)
+    longest = dynamics.longest_row(_rho_law(scn))
+    assert probe == [min(c, longest) for c in ceilings]
+    assert dynamics.longest_row(probe) == longest
+    fam, calls = _spied_family(monkeypatch, scn)
+    assert fam.plan.probe == probe
+    assert calls[0] == (3 * count, (scn.options.n_out - 1) // 2 * longest)
+
+
+def test_the_count_10_circle_probes_in_one_call(monkeypatch):
+    # at the rho law's 8, 16 and 32 substeps, members 6 to 8 re-ran in a
+    # second call of 7,000 iterations and still read step errors of 3.8e-8
+    # to 5.3e-8, over their 2.8e-8 target.  At the probe call's longest row
+    # of 64 they read at most 1.2e-8, so every member keeps its probe
+    scn = _scenario("circle", overrides={"count": 10})
+    fam, calls = _spied_family(monkeypatch, scn)
+    assert calls == [(30, 12800)] and fam.plan.iterations == 12800
+    assert fam.substeps == fam.plan.probe == [5, 8, 10, 15, 20, 29, 40, 64, 64, 64]
+    step_limit = dynamics.STEP_ERROR_FRACTION * dynamics.limit_tolerance(
+        scn.potential, scn.p, scn.v, scn.epsilons)
+    assert max(fam.plan.probe_step_errors) <= dynamics.PROBE_FRACTION * step_limit
+    assert max(fam.plan.probe_drifts) <= dynamics.PROBE_FRACTION * dynamics.ENERGY_DRIFT_LIMIT
+    assert all(fam.plan.probe_confined)
+
+
 @pytest.mark.parametrize("name, calls", [
-    ("circle", 8800), ("ellipsoid", 2400), ("gutter", 2400),
+    ("circle", 4800), ("ellipsoid", 2400), ("gutter", 2400),
 ], ids=["circle", "ellipsoid", "gutter"])
 def test_a_family_makes_four_force_calls_per_lockstep_iteration(name, calls):
     # one PEFRL step makes four force calls, each one grad_many batch: the
-    # 2,200 / 600 / 600 lockstep iterations of the shipped families, probe
-    # included
+    # 1,200 / 600 / 600 lockstep iterations of the shipped families, each
+    # one probe call
     scn = fv.parse_scenario(str(SCENARIOS / f"{name}.json"))
     P = scn.potential
     grad_many, counted = P.field.grad_many, []
@@ -319,27 +381,29 @@ def test_step_error_reads_at_least_the_true_error(name, exponent):
 
 
 def test_a_rerun_member_that_fails_a_gate_falls_back_to_its_ceiling(monkeypatch, tmp_path):
-    # the circle re-runs members 0, 2 and 4 in a second call; make member
-    # 2's physical run there blow up, so its re-run fails its step-error
-    # gate: a third call runs member 2 alone at its ceiling, and the files
-    # revalidate with member 2 read as a fallback
+    # the ellipsoid at n_out = 101 probes every member at 3 substeps and
+    # re-runs all six at 4, 4, 5, 5, 6, 7 in a second call; make member 2's
+    # physical run there (row 12 + 2) blow up, so its re-run fails its
+    # step-error gate: a third call runs member 2 alone at its ceiling of
+    # 20, and the files revalidate with member 2 read as a fallback
     real, calls = dynamics.integrate, []
 
     def integrate(accel, x0, v0, dt, n_steps, **kwargs):
         calls.append((len(x0), n_steps))
         Xs, Vs, failures = real(accel, x0, v0, dt, n_steps, **kwargs)
         if len(calls) == 2:
-            failures[7] = BlowUpError("state left the finite box", last_time=0.0,
-                                      last_state=(Xs[7][0], Vs[7][0]))
+            failures[14] = BlowUpError("state left the finite box", last_time=0.0,
+                                       last_state=(Xs[14][0], Vs[14][0]))
         return Xs, Vs, failures
 
     monkeypatch.setattr(dynamics, "integrate", integrate)
-    scn = fv.parse_scenario(str(SCENARIOS / "circle.json"))
+    scn = fv.parse_scenario(str(SCENARIOS / "ellipsoid.json"), {"n_out": 101})
     report = fv.run_pipeline(scn, str(tmp_path), svg=False)
     assert report.verdict == "UNSTABLE", report.reason
     fam = report.results["family"]
-    assert calls == [(18, 1200), (9, 1000), (3, 2000)]
-    assert fam.substeps == [2, 2, 10, 3, 5, 6] and fam.plan.iterations == 4200
+    assert calls[:3] == [(18, 150), (18, 350), (3, 1000)]
+    assert fam.plan.probe == [3] * 6 and fam.plan.ceilings == [10, 15, 20, 29, 40, 57]
+    assert fam.substeps == [4, 4, 20, 5, 6, 7] and fam.plan.iterations == 1500
     assert not any(dynamics.member_failures(fam)) and not fam.physical_errors
     assert revalidate_from_dir(str(tmp_path))["ok"]
 
