@@ -332,6 +332,19 @@ def escape_point(tau: Array, x: Array, p) -> Tuple[int, float, float]:
     return c + i, float(dist[i]), float(tau[c + i])
 
 
+def limit_escape(family: FamilyResult, limit: LimitCurve) -> Tuple[int, float, float, float]:
+    """The limit curve's :func:`escape_point` (k, R, tau*) and tol_r, the
+    noise ball of ten output steps at speed |v|.  Raises DegenerateLimitError,
+    before any run is cut at tau*, when R <= tol_r: the limit shows no escape."""
+    spacing = float(limit.tau[1] - limit.tau[0])
+    tol_r = 10.0 * spacing * float(np.linalg.norm(family.v))
+    k, radius, tau_star = escape_point(limit.tau, limit.x, family.p)
+    if radius <= tol_r:
+        raise DegenerateLimitError(
+            f"limit curve never leaves the noise ball: R = {radius:.3e} <= tol {tol_r:.3e}")
+    return k, radius, tau_star, tol_r
+
+
 def physical_evidence_runs(family: FamilyResult, tau_star: float) -> List[Trajectory]:
     """The physical runs with initial speed eps_j |v|, each up to tau*/eps_j.
 
@@ -396,12 +409,7 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
         raise UnverifiedLimitError()
     p = family.p
     vnorm = float(np.linalg.norm(family.v))
-    spacing = float(limit.tau[1] - limit.tau[0])
-    tol_r = 10.0 * spacing * vnorm  # the noise ball: ten output steps at speed |v|
-    k, radius, tau_star = escape_point(limit.tau, limit.x, p)
-    if radius <= tol_r:
-        raise DegenerateLimitError(
-            f"limit curve never leaves the noise ball: R = {radius:.3e} <= tol {tol_r:.3e}")
+    k, radius, tau_star, tol_r = limit_escape(family, limit)
     member_d = np.array([float(np.linalg.norm(m.x[k] - limit.x[k])) for m in family.members])
     close = member_d < 0.5 * radius
     j0 = None

@@ -58,8 +58,8 @@ from .analysis import (
     coordinate_bounds_report,
     coordinate_gate,
     coordinate_traces,
-    escape_point,
     extract_limit,
+    limit_escape,
     physical_evidence_runs,
     revalidate_certificate,
 )
@@ -76,7 +76,7 @@ from .dynamics import (
     integrate_rescaled,
     launch_vector,
     member_failures,
-    member_step_factors,
+    member_substeps,
     run_family,
 )
 from .errors import (
@@ -307,7 +307,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
 
     def stage_certificate():
         fam, limit = state["family"], state["limit"]
-        _, _, tau_star = escape_point(limit.tau, limit.x, fam.p)
+        _, _, tau_star, _ = limit_escape(fam, limit)  # the noise ball, before the cut
         runs = state["physical_runs"] = physical_evidence_runs(fam, tau_star)
         cert = certify_instability(fam, limit, runs)
         ok = revalidate_certificate(cert, fam, limit, runs)
@@ -462,11 +462,13 @@ def _cmd_residual(args) -> int:
         raise InvalidParameterError(
             f"--samples must lie in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {args.samples}")
     eps = float(scn.epsilons[args.member])
-    # the member's dense run at its eps and its ceiling factor, whatever step
-    # the family chose, so the residual does not move with the probe
-    factor = member_step_factors(scn.horizon, scn.epsilons, scn.options)[args.member]
+    # the member's dense run at its eps and its ceiling, whatever step the
+    # family chose, so the residual does not move with the probe
+    ceiling = member_substeps(scn.horizon, scn.epsilons, scn.options,
+                              exponent=scn.potential.profile.exponent)[0][args.member]
+    spacing = scn.horizon / ((scn.options.n_out - 1) // 2)
     traj = integrate_rescaled(scn.potential, scn.p, scn.v, eps, scn.horizon,
-                              replace(scn.options, step_factor=factor))
+                              replace(scn.options, step_factor=spacing / ceiling / eps))
     chart = chart_for_scenario(scn)
     taus = np.linspace(-0.85 * scn.horizon, 0.85 * scn.horizon, args.samples)
     result = residual_convergence(chart, traj, taus)

@@ -33,31 +33,27 @@ the output spacing), so audits and cross-member comparisons never see
 interpolation error.
 
 Steps: member j of a family takes a constant m_j substeps per output
-interval, chosen from the gates it must pass.  Its ceiling, the finest
-step it may take, is the scenario's: member 0 at dtau = step_factor *
-eps_0, snapped to dt_0, member j at dt_0 sqrt(eps_j/eps_0), snapped, and at
-most GROWTH times member 0's effective factor (:func:`member_step_factors`).
-The transverse amplitude shrinks like eps^2, so that rule keeps the
-members' errors level.  The rho law asks member 0 for one substep and
-member j for ceil(max(rho^(1/k), rho^(2/k)/GROWTH)), rho = eps_0/eps_j and
-k the profile exponent, clipped to its ceiling: a valley f^k confines
-|f| to a multiple of eps^(2/k), so the transverse frequency grows like
-rho^(2/k), and at k = 2 this is the ceilings' rule from one substep.  A
-probe call runs every member at min(ceiling, M), M the longest row the
-rho law puts in that call, for no more iterations than the rho law
-(:func:`member_substeps` gives both counts).  A member whose step error
-and energy drift each read at most PROBE_FRACTION of their gates keeps
-its probe rows, and every other member re-runs once at the substeps
-PEFRL's fourth order predicts from its readings (:func:`planned_substeps`),
-or at its ceiling should that re-run still fail a gate
-(:func:`step_calls`).  On the shipped circle (k = 2) the ceilings take
-5,800 lockstep iterations (dtau = 0.01 eps_j took 32,000); the probe, at
-5, 6, 6, 6, 6, 6 substeps, takes 1,200 and every member keeps it, for
-drifts of at most 9.7e-10 and step errors of at most 2.8e-7, against
-gates of 1e-8 and 4.4e-6.  On the shipped ellipsoid (k = 4) the probe, at
-3 substeps each, takes 600 iterations and every member keeps it, for
-drifts of at most 7.2e-11 and step errors of at most 6.7e-11, against
-gates of 1e-8 and 6.6e-5.
+interval, chosen from the gates it must pass under one step law
+(:func:`member_substeps`).  With rho = eps_0/eps_j and k the profile
+exponent, member j's step is member 0's divided by g_j = max(rho^(1/k),
+rho^(2/k)/GROWTH): a valley f^k confines |f| to a multiple of eps^(2/k),
+so the transverse frequency grows like rho^(2/k).  Its ceiling, the
+finest step it may take, is member 0's at dtau = step_factor * eps_0,
+snapped to dt_0, divided by g_j and snapped; the rho law is the same law
+from one substep.  A probe call runs every member at min(ceiling, M), M
+the rho law's longest row in that call, for the rho law's iterations.
+A member whose step error and energy drift each read at most
+PROBE_FRACTION of their gates keeps its probe rows, and every other
+member re-runs once at the substeps PEFRL's fourth order predicts from
+its readings (:func:`planned_substeps`), or at its ceiling should that
+re-run still fail a gate (:func:`step_calls`).  On the shipped circle
+(k = 2) the ceilings take 5,800 lockstep iterations; the probe, at 5, 6,
+6, 6, 6, 6 substeps, takes 1,200 and every member keeps it, for drifts
+of at most 9.7e-10 and step errors of at most 2.8e-7, against gates of
+1e-8 and 4.4e-6.  On the shipped ellipsoid (k = 4) the ceilings take
+1,600; the probe, at 3 substeps each, takes 600 and every member keeps
+it, for drifts of at most 7.2e-11 and step errors of at most 6.7e-11,
+against gates of 1e-8 and 6.6e-5.
 
 Memory grows with nodes, not steps.  The members and physical runs of a
 family keep only their output nodes: the lockstep call stores every m-th
@@ -101,8 +97,8 @@ STEP_ERROR_FRACTION = 1e-3
 #: a family member keeps its probe step when its step error and its energy
 #: drift are each at most this fraction of their gates (:func:`family_for_gates`)
 PROBE_FRACTION = 0.1
-#: most a family member's step factor may exceed member 0's effective one
-#: under :func:`member_step_factors`
+#: most a family member's dt omega, its step times its transverse
+#: frequency, may exceed member 0's under :func:`member_substeps`
 GROWTH = 8
 #: a state with |x|^2 + |v|^2 above twice this radius squared has blown up
 BLOWUP_RADIUS = 1e6
@@ -155,9 +151,9 @@ class IntegratorOptions:
 
     ``step_factor`` is the c in dtau = c * eps for a rescaled run and the
     step dt = c of a physical run.  In a family it is member 0's finest
-    factor: the members' ceilings are the factors :func:`member_step_factors`
-    derives from it, and :func:`family_for_gates` steps each member at its
-    ceiling or coarser.
+    factor: :func:`member_substeps` derives the members' ceilings from it,
+    and :func:`family_for_gates` steps each member at its ceiling or
+    coarser.
     """
 
     step_factor: float = 0.01
@@ -213,12 +209,14 @@ class Trajectory:
         return round(float(self.tau[-1] - self.tau[0]) / self.dt)
 
 
-def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, float, int]:
+def _snap_step(spacing: float, target: float, intervals: int, run: str = "a run",
+               remedy: str = "shorten the horizon or raise the step") -> Tuple[int, float, int]:
     """Substeps m per output interval, the internal step spacing / m (at most
     ``target`` up to rounding) and the step count of ``intervals`` intervals.
 
     Raises InvalidParameterError, before any array is allocated, when the
-    run would take more than MAX_STEPS steps.
+    run would take more than MAX_STEPS steps, naming it ``run`` and ending
+    on ``remedy``.
     """
     if not target > 0:
         raise InvalidParameterError(f"step must be positive, got {target!r}")
@@ -226,9 +224,8 @@ def _snap_step(spacing: float, target: float, intervals: int) -> Tuple[int, floa
     m = max(1, math.ceil(per)) if math.isfinite(per) else math.inf
     if intervals * m > MAX_STEPS:
         raise InvalidParameterError(
-            f"a run of {intervals} output intervals of {spacing:g} at step {target:g} "
-            f"needs more than MAX_STEPS = {MAX_STEPS:g} steps; shorten the horizon or "
-            "raise the step")
+            f"{run} of {intervals} output intervals of {spacing:g} at step {target:g} "
+            f"needs more than MAX_STEPS = {MAX_STEPS:g} steps; {remedy}")
     return m, spacing / m, intervals * m
 
 
@@ -300,65 +297,50 @@ def integrate_newton(potential, s0: PhaseState, t_end: float,
     return newton_many(potential, [s0], [t_end], opts)[0]
 
 
-def member_step_factors(T: float, epsilons: Sequence[float],
-                        opts: IntegratorOptions = IntegratorOptions()) -> List[float]:
-    """The step factor of every member of a family on [-T, T].
+def member_substeps(T: float, epsilons: Sequence[float],
+                    opts: IntegratorOptions = IntegratorOptions(), *, exponent: int
+                    ) -> Tuple[List[int], List[int]]:
+    """Every member's ceiling and probe substeps per output interval in a
+    family on [-T, T] whose profile is s^``exponent``: the family's one
+    step law.
 
-    Member 0 steps at ``opts.step_factor``, which snaps to dt_0 = spacing/m_0.
-    Member j targets dt_0 sqrt(eps_j/eps_0): the transverse amplitude shrinks
-    like eps^2, so a step proportional to sqrt(eps) keeps the step error of
-    the members roughly level, where a step proportional to eps spends most
-    of the family's steps on its finest members.  A factor is at most GROWTH
-    times member 0's effective factor dt_0/eps_0.
+    Member j, rho = eps_0/eps_j, steps at member 0's step divided by g_j =
+    max(rho^(1/k), rho^(2/k)/GROWTH), k = ``exponent``.  A member of a
+    valley U = f^k is confined to |f| <= g^-1(eps^2 |v|^2/2), which scales
+    like eps^(2/k), so its transverse frequency omega in rescaled time
+    grows like rho^(2/k): the first term grows the count like the square
+    root of omega, which keeps the members' errors level, and the second
+    keeps dt omega at most GROWTH times member 0's, PEFRL's stability
+    condition.  The ceiling, the finest step :func:`family_for_gates` may
+    give a member, starts from member 0 at ``opts.step_factor``, snapped
+    to dt_0; the rho law starts from one substep.  Every ceiling is
+    checked against MAX_STEPS, and a refusal names its member.
+
+    The rho law fixes the probe call's longest row, M
+    (:func:`longest_row`), and a call's iterations are its longest row's
+    steps.  So every member probes at min(ceiling_j, M): the call still
+    takes ``half`` M iterations, as M >= 2 and a physical run takes at most
+    its member's substeps from 2 on.  On the shipped circle the rho law's
+    1, 2, 2, 3, 4, 6 probe at 5, 6, 6, 6, 6, 6.
     """
     if T <= 0:
         raise InvalidParameterError("horizon T must be positive")
     if not all(float(eps) > 0 for eps in epsilons):
         raise InvalidParameterError("eps must be positive")
     half = (opts.n_out - 1) // 2
-    eps0 = float(epsilons[0])
-    base = _snap_step(T / half, opts.step_factor * eps0, half)[1] / eps0
-    return [opts.step_factor] + [base * min(math.sqrt(eps0 / float(eps)), GROWTH)
-                                 for eps in epsilons[1:]]
-
-
-def member_substeps(T: float, epsilons: Sequence[float],
-                    opts: IntegratorOptions = IntegratorOptions(), *, exponent: int
-                    ) -> Tuple[List[int], List[int]]:
-    """Every member's ceiling and probe substeps per output interval in a
-    family on [-T, T] whose profile is s^``exponent``.
-
-    The ceiling is the member's :func:`member_step_factors` step, the
-    finest :func:`family_for_gates` may give it, checked against
-    MAX_STEPS.  The rho-law probe runs member 0 at one substep and member
-    j, rho = eps_0/eps_j, at m_j = ceil(max(rho^(1/k), rho^(2/k)/GROWTH))
-    for k = ``exponent``, clipped to its ceiling.  A member of a valley U =
-    f^k is confined to |f| <= g^-1(eps^2 |v|^2/2), which scales like
-    eps^(2/k), so its transverse frequency omega in rescaled time grows
-    like rho^(2/k): the first term grows the count like the square root of
-    omega, as the ceilings' sqrt(eps) steps do at k = 2, and the second
-    keeps dt omega at most GROWTH times member 0's, PEFRL's stability
-    condition.  At k = 2 this is the ceilings' rule from one substep; at
-    k >= 4 it asks fewer substeps of the small-eps members.
-
-    The rho law fixes the probe call's longest row, M
-    (:func:`longest_row`), and a call's iterations are its longest row's
-    steps.  So every member probes at min(ceiling_j, M): the call still
-    takes ``half`` M iterations, as M >= 2 and a physical run takes at most
-    its member's substeps from 2 on, and no member probes coarser than its
-    rho law asks.  On the shipped circle the rho law's 1, 2, 2, 3, 4, 6
-    probe at 5, 6, 6, 6, 6, 6.
-    """
-    half = (opts.n_out - 1) // 2
     spacing, eps0 = T / half, float(epsilons[0])
-    ceilings = [_snap_step(spacing, factor * float(eps), half)[0]
-                for eps, factor in zip(epsilons, member_step_factors(T, epsilons, opts))]
-    rho_law = []
-    for eps, ceiling in zip(epsilons, ceilings):
-        rho = eps0 / float(eps)
-        growth = max(rho ** (1.0 / exponent), rho ** (2.0 / exponent) / GROWTH)
-        rho_law.append(min(ceiling, _snap_step(spacing, spacing / growth, half)[0]))
-    longest = longest_row(rho_law)
+    runs = [f"family member j={j} (eps={float(eps):g}): a run" for j, eps in enumerate(epsilons)]
+    m0, dt0, _ = _snap_step(spacing, opts.step_factor * eps0, half, runs[0],
+                            "shorten the horizon or raise step_factor")
+    # at one substep member 0 can step no coarser: only fewer output
+    # intervals or a shorter schedule then shrink a ceiling
+    remedy = ("lower n_out or shorten the eps schedule" if m0 == 1
+              else "shorten the horizon, raise step_factor or shorten the eps schedule")
+    growths = [max(rho ** (1.0 / exponent), rho ** (2.0 / exponent) / GROWTH)
+               for rho in (eps0 / float(eps) for eps in epsilons)]
+    ceilings = [_snap_step(spacing, dt0 / g, half, run, remedy)[0]
+                for run, g in zip(runs, growths)]
+    longest = longest_row([_snap_step(spacing, spacing / g, half)[0] for g in growths])
     return ceilings, [min(ceiling, longest) for ceiling in ceilings]
 
 
@@ -473,13 +455,17 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     therefore means the step size failed to resolve the stiffness and is
     reported as an integrator failure.  A family member at the same eps and
     horizon has this run's nodes, bit for bit, when the options carry the
-    member's factor from :func:`member_step_factors`: the run steps at the
-    ceiling of a family of one.
+    step factor spacing / (m eps) of its substeps m (its ceiling from
+    :func:`member_substeps`, say): the run steps at the ceiling of a family
+    of one.
     """
+    if T <= 0:
+        raise InvalidParameterError("horizon T must be positive")
+    if not float(eps) > 0:
+        raise InvalidParameterError("eps must be positive")
     half = (opts.n_out - 1) // 2
-    factor = member_step_factors(T, [eps], opts)[0]  # checks T and eps
     _, _, batch = _halves(potential, p, v, T, [eps], opts,
-                          [_snap_step(T / half, factor * float(eps), half)[0]])
+                          [_snap_step(T / half, opts.step_factor * float(eps), half)[0]])
     snap = batch[0][3]
     mid = snap[2]  # the index of tau = 0: the backward half reversed comes first
     x_int = np.empty((2 * mid + 1, potential.dim))
@@ -686,14 +672,15 @@ class Scenario:
     schedule is built, as are the squares the stages take: the smallest
     eps squared and the squared output spacing must not fall below the
     smallest normal float, eps0^2 |v|^2 must not overflow nor member 0's
-    step step_factor * eps0 underflow.  Every family records each member's step error and the family
-    stage gates on it; down to eps = 2e-4 (the shipped circle and ellipsoid
-    at count 10) the recorded step errors stay at or below 5.3e-8 and
-    6.7e-10, a fifth of their limit and five orders of magnitude under it.
-    Once GROWTH caps a member's factor its ceiling grows like 1/eps (64,000
-    lockstep iterations on the circle at eps = 2e-4, where the chosen steps
-    take 19,800, and 38,400 on the ellipsoid, where they take 1,000), and
-    the cap bounds that cost.
+    step step_factor * eps0 underflow.  Every family records each member's
+    step error and the family stage gates on it; down to eps = 2e-4 (the
+    shipped circle and ellipsoid at count 10) the recorded step errors stay
+    at or below 1.2e-8 and 2.5e-10, a twentieth of their limit and five
+    orders of magnitude under it.  A member's ceiling grows like rho^(1/k),
+    rho = eps0/eps, and like rho^(2/k) past rho = GROWTH^k
+    (:func:`member_substeps`): 64,000 lockstep iterations on the circle at
+    eps = 2e-4, where the chosen steps take 12,800, and 3,000 on the
+    ellipsoid, where they take 1,000.
     """
 
     potential: CompositePotential

@@ -154,12 +154,15 @@ def test_criterion_7_coordinate_uniformity(circle_bundle):
 
 def test_criterion_8_tangential_residual(circle_bundle):
     # member j = 1 (eps = 0.05) keeps only its nodes: its dense run, at its
-    # ceiling factor, whatever step the family chose, so these numbers do
-    # not move with the probe
+    # ceiling, whatever step the family chose, so these numbers do not move
+    # with the probe
     scn = circle_bundle.scenario
-    factor = fv.dynamics.member_step_factors(scn.horizon, scn.epsilons, scn.options)[1]
+    ceiling = fv.dynamics.member_substeps(scn.horizon, scn.epsilons, scn.options,
+                                          exponent=scn.potential.profile.exponent)[0][1]
+    spacing = scn.horizon / ((scn.options.n_out - 1) // 2)
     member = fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[1], scn.horizon,
-                                   fv.IntegratorOptions(step_factor=factor))
+                                   fv.IntegratorOptions(step_factor=spacing / ceiling
+                                                        / scn.epsilons[1]))
     taus = np.linspace(-0.85, 0.85, 20)
     res = fv.residual_convergence(circle_bundle.chart, member, taus)
     assert res["coarse_max"] <= 1e-3

@@ -29,7 +29,9 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # field's profile exponent and each foot-point flow row took its own
 # substeps (the circle's bytes did not move), and members 0 to 4's files,
 # the evidence and the report (with the gutter's two rounding-level
-# figures) when every member probed at the probe call's longest row
+# figures) when every member probed at the probe call's longest row, and
+# the ellipsoid's and gutter's report.json (only its recorded ceilings)
+# when the ceilings followed the probe's rho^(2/k) law
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
@@ -93,7 +95,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "74ae002a44d8c9e3e0e8fd5577bf974b8f9ff491c8509858eeddddf06a6b7524",
         "report.json":
-            "c4821cefb500b07e1cf8133e05315a274ae9e1e615c155f4b26082cffa6e53a0",
+            "c378378dde8debf659014ab9557964b004f36f45e6d83d96661db518bed1eacc",
         "traj_eps0.csv":
             "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
         "traj_eps1.csv":
@@ -131,7 +133,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "36e62eebc0b2c385fb5c53a3a7f819740a98134bc29d65ef354de0b5df1ce47a",
         "report.json":
-            "873721982b2786980aeda8a7ab1b02337047a60d53c31e961bcda4db9d3dafc8",
+            "8d0d119465ca3bad0597f98a0844b5bb4c1f438ec56512404f6f312cd48e24c1",
         "traj_eps0.csv":
             "8ceed2ad581aecb005ec3590dbd6d5277964769c652673281c874f9ffe5443f5",
         "traj_eps1.csv":

@@ -304,11 +304,14 @@ GUTTER = os.path.join(os.path.dirname(CIRCLE), "gutter.json")
 
 
 def _ceiling_residual(scn, j):
-    """``residual_convergence`` on member j's dense run at its ceiling factor,
-    at the 20 interior samples ``flatvalley residual`` reads by default."""
-    factor = fv.dynamics.member_step_factors(scn.horizon, scn.epsilons, scn.options)[j]
+    """``residual_convergence`` on member j's dense run at its ceiling, at
+    the 20 interior samples ``flatvalley residual`` reads by default."""
+    ceiling = fv.dynamics.member_substeps(scn.horizon, scn.epsilons, scn.options,
+                                          exponent=scn.potential.profile.exponent)[0][j]
+    spacing = scn.horizon / ((scn.options.n_out - 1) // 2)
     traj = fv.integrate_rescaled(scn.potential, scn.p, scn.v, scn.epsilons[j], scn.horizon,
-                                 dataclasses.replace(scn.options, step_factor=factor))
+                                 dataclasses.replace(scn.options, step_factor=spacing / ceiling
+                                                     / scn.epsilons[j]))
     taus = np.linspace(-0.85 * scn.horizon, 0.85 * scn.horizon, 20)
     return fv.residual_convergence(fv.chart_for_scenario(scn), traj, taus)
 
@@ -970,13 +973,14 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 # run replaced its twin as the evidence, when the coordinates stage's
 # metric probe was removed, when each member's substeps came from its
 # gates, for the ellipsoid and gutter when the probe followed the profile
-# exponent, and when every member probed at the probe call's longest row:
-# a change that claims to keep the verdicts and the numbers keeps these
-# bytes
+# exponent, when every member probed at the probe call's longest row, and
+# for the ellipsoid and gutter (only their recorded ceilings) when the
+# ceilings followed the probe's rho^(2/k) law: a change that claims to
+# keep the verdicts and the numbers keeps these bytes
 REPORT_DIGESTS = {
     "circle": "4b430d45513288a2f454370a4ab2ab99bd635855627119bd0845b0c2beee5825",
-    "gutter": "56e6651a0ca63d8d88d616aff59fe2c2bc3ea4988d63e037e5d0bed90996cc59",
-    "ellipsoid": "6faecc6e511458af4524313dc34ec1ac92f3700a64b36a1823a34ff6c82172a0",
+    "gutter": "444d035635d434e88ccba0a820839655b52a9980ea3cdac98924fbc860275b90",
+    "ellipsoid": "bf0b5c5c1b12d7bddaa8f15efab65be1242ea9ec8028730149f32362cd984707",
 }
 
 
@@ -1045,3 +1049,39 @@ def test_file_revalidation_rederives_the_probe_from_the_profile_exponent(tmp_pat
     result = revalidate_from_dir(str(out))
     assert not result["ok"] and not result["checks"]["step_plan"]
     assert all(ok for name, ok in result["checks"].items() if name != "step_plan")
+
+
+@pytest.mark.parametrize("kind", ["gutter", "circle"])
+def test_a_limit_that_never_leaves_p_is_indeterminate(tmp_path, capsys, kind):
+    # every distance from p underflows to 0, so R = 0 and tau* = 0: the
+    # noise-ball verdict comes before the evidence runs are cut at tau*,
+    # which a tau* of 0 would fail with an InvalidParameterError (exit 1)
+    p = {"gutter": [0, 0], "circle": [1, 0]}[kind]
+    path = _write(tmp_path, "flat.json", {
+        "potential": {"kind": kind}, "p": p, "v": [0, 1e-160], "horizon": 1e-3,
+        "count": 3, "n_out": 41, "min_eps": 1e-300})
+    out = str(tmp_path / "out")
+    assert cli.main(["certify", "--scenario", path, "--out", out, "--no-svg"]) == 2
+    assert "limit curve never leaves the noise ball: R = 0.000e+00" in capsys.readouterr().out
+    with open(os.path.join(out, "report.json")) as fh:
+        rep = json.load(fh)
+    assert rep["certificate"]["verdict"] == "INDETERMINATE"
+    assert rep["certificate"]["reason"].startswith("limit curve never leaves the noise ball")
+    assert "evidence.csv" not in rep["manifest"]  # no run was cut
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "gutter"])
+def test_a_flat_valley_at_ratio_a_quarter_certifies(tmp_path, capsys, name):
+    # k = 4, count 10, ratio 0.25 (eps down to 3.8e-7), n_out 41: the k = 2
+    # ceilings, up to 32,768 times member 0's substeps, needed more than
+    # MAX_STEPS; the rho^(2/k) law's reach 64 times, and the family's
+    # chosen steps certify
+    with open(os.path.join(os.path.dirname(CIRCLE), f"{name}.json")) as fh:
+        scenario = {**json.load(fh), "count": 10, "ratio": 0.25, "n_out": 41,
+                    "min_eps": 1e-300}
+    scenario.pop("out")
+    out = str(tmp_path / "out")
+    assert cli.main(["certify", "--scenario", _write(tmp_path, f"{name}.json", scenario),
+                     "--out", out, "--no-svg"]) == 0
+    assert "verdict: UNSTABLE" in capsys.readouterr().out
+    assert revalidate_from_dir(out)["ok"]

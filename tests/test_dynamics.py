@@ -211,27 +211,31 @@ def _member_substeps(scn):
                                     exponent=scn.potential.profile.exponent)
 
 
-def _rho_law(scn):
-    """The rho-law probe, from its formula: member j, rho = eps_0/eps_j, at
-    ceil(max(rho^(1/k), rho^(2/k)/GROWTH)) substeps, k the profile
-    exponent, at most its ceiling."""
+def _snapped_law(scn, step):
+    """Every member's substeps at ``step`` divided by its g_j =
+    max(rho^(1/k), rho^(2/k)/GROWTH), rho = eps_0/eps_j and k the profile
+    exponent, from the formula."""
     k, half = scn.potential.profile.exponent, (scn.options.n_out - 1) // 2
-    spacing = scn.horizon / half
     rhos = [scn.epsilons[0] / eps for eps in scn.epsilons]
-    return [min(c, dynamics._snap_step(
-                spacing, spacing / max(rho ** (1 / k), rho ** (2 / k) / dynamics.GROWTH),
-                half)[0])
-            for c, rho in zip(_member_substeps(scn)[0], rhos)]
+    return [dynamics._snap_step(scn.horizon / half,
+                                step / max(rho ** (1 / k), rho ** (2 / k) / dynamics.GROWTH),
+                                half)[0]
+            for rho in rhos]
+
+
+def _rho_law(scn):
+    """The rho-law probe: member j at ceil(g_j) substeps."""
+    return _snapped_law(scn, scn.horizon / ((scn.options.n_out - 1) // 2))
 
 
 @pytest.mark.parametrize("name, ceilings, probe, iterations", [
     ("circle", [5, 8, 10, 15, 20, 29], [5, 6, 6, 6, 6, 6], 1200),
-    ("ellipsoid", [3, 5, 6, 9, 12, 17], [3, 3, 3, 3, 3, 3], 600),
+    ("ellipsoid", [3, 4, 5, 6, 6, 8], [3, 3, 3, 3, 3, 3], 600),
 ], ids=["circle", "ellipsoid"])
 def test_member_substeps_on_the_shipped_scenarios(name, ceilings, probe, iterations):
-    # the ceilings, member j at dt_0 sqrt(eps_j / eps_0), would take 5,800
-    # lockstep iterations on the circle and 3,400 on the ellipsoid.  The
-    # rho law, growing like rho^(1/k), rho = eps_0/eps_j, asks 1, 2, 2, 3,
+    # the ceilings, member j at dt_0/g_j, would take 5,800 lockstep
+    # iterations on the circle and 1,600 on the ellipsoid.  The rho law,
+    # the same law from one substep, growing like rho^(1/k), asks 1, 2, 2, 3,
     # 4, 6 substeps on the circle (k = 2) and 1, 2, 2, 2, 2, 3 on the
     # ellipsoid (k = 4); every member probes at its call's longest row, 6
     # and 3, member 0 of the circle at its ceiling of 5.  Every member keeps
@@ -240,7 +244,7 @@ def test_member_substeps_on_the_shipped_scenarios(name, ceilings, probe, iterati
     member_ceilings, member_probe = _member_substeps(scn)
     half = (scn.options.n_out - 1) // 2
     assert member_ceilings == ceilings
-    assert half * max(ceilings) == {"circle": 5800, "ellipsoid": 3400}[name]
+    assert half * max(ceilings) == {"circle": 5800, "ellipsoid": 1600}[name]
     assert member_probe == probe
     fam = fv.run_family(scn)
     assert fam.substeps == probe
@@ -251,21 +255,18 @@ def test_member_substeps_on_the_shipped_scenarios(name, ceilings, probe, iterati
 
 @pytest.mark.parametrize("count", [6, 10])
 def test_the_probe_follows_the_profile_exponent(count):
-    # at k = 2 the rho law is the ceilings' rule from one substep, member j
+    # the rho law is the ceilings' law from one substep: at k = 2 member j
     # at sqrt(eps_0/eps_j) times member 0's one step, its factor at most
     # GROWTH times member 0's; at k = 4 it grows like (eps_0/eps_j)^(1/4).
     # Its longest row M fixes the probe call, and each member probes at
     # min(ceiling, M)
     circle = _scenario("circle", overrides={"count": count})
     ellipsoid = _scenario("ellipsoid", overrides={"count": count})
-    opts, half = circle.options, (circle.options.n_out - 1) // 2
-    spacing = circle.horizon / half
-    factors = dynamics.member_step_factors(
-        circle.horizon, circle.epsilons,
-        dataclasses.replace(opts, step_factor=spacing / circle.epsilons[0]))
-    ceilings = _member_substeps(circle)[0]
-    assert _rho_law(circle) == [min(c, dynamics._snap_step(spacing, f * eps, half)[0])
-                                for c, f, eps in zip(ceilings, factors, circle.epsilons)]
+    for scn in (circle, ellipsoid):
+        spacing = scn.horizon / ((scn.options.n_out - 1) // 2)
+        one_substep = dataclasses.replace(scn, options=dataclasses.replace(
+            scn.options, step_factor=spacing / scn.epsilons[0]))
+        assert _rho_law(scn) == _member_substeps(one_substep)[0]
     assert _rho_law(circle) == [1, 2, 2, 3, 4, 6, 8, 16, 32, 64][:count]  # GROWTH caps from 6
     assert _rho_law(ellipsoid) == [1, 2, 2, 2, 2, 3, 3, 4, 4, 5][:count]
     for scn in (circle, ellipsoid):
@@ -344,16 +345,11 @@ def test_chosen_substeps_stay_within_their_ceilings(name, exponent):
     scn = _scenario(name, exponent)
     fam = fv.run_family(scn)
     assert all(p <= m <= c for p, m, c in zip(fam.plan.probe, fam.substeps, fam.plan.ceilings))
-    # the n_out = 201 grid at factor 3.0 clips every probe to its ceiling
-    # at k = 2, where the probe is the ceilings' rule; at k >= 4 the probe
-    # grows more slowly and stays at or below them
+    # the n_out = 201 grid at factor 3.0 puts member 0 at one substep, where
+    # the ceilings are the rho law: every probe is clipped to its ceiling
     scn = _scenario(name, exponent, {"n_out": 201, "step_factor": 3.0})
     fam = fv.run_family(scn)
-    if scn.potential.profile.exponent == 2:
-        assert fam.substeps == fam.plan.ceilings == fam.plan.probe
-    else:
-        assert all(p <= c for p, c in zip(fam.plan.probe, fam.plan.ceilings))
-        assert fam.plan.probe != fam.plan.ceilings
+    assert fam.substeps == fam.plan.ceilings == fam.plan.probe == _rho_law(scn)
 
 
 @EXPONENT_SWEEP
@@ -385,7 +381,7 @@ def test_a_rerun_member_that_fails_a_gate_falls_back_to_its_ceiling(monkeypatch,
     # re-runs all six at 4, 4, 5, 5, 6, 7 in a second call; make member 2's
     # physical run there (row 12 + 2) blow up, so its re-run fails its
     # step-error gate: a third call runs member 2 alone at its ceiling of
-    # 20, and the files revalidate with member 2 read as a fallback
+    # 15, and the files revalidate with member 2 read as a fallback
     real, calls = dynamics.integrate, []
 
     def integrate(accel, x0, v0, dt, n_steps, **kwargs):
@@ -401,24 +397,66 @@ def test_a_rerun_member_that_fails_a_gate_falls_back_to_its_ceiling(monkeypatch,
     report = fv.run_pipeline(scn, str(tmp_path), svg=False)
     assert report.verdict == "UNSTABLE", report.reason
     fam = report.results["family"]
-    assert calls[:3] == [(18, 150), (18, 350), (3, 1000)]
-    assert fam.plan.probe == [3] * 6 and fam.plan.ceilings == [10, 15, 20, 29, 40, 57]
-    assert fam.substeps == [4, 4, 20, 5, 6, 7] and fam.plan.iterations == 1500
+    assert calls[:3] == [(18, 150), (18, 350), (3, 750)]
+    assert fam.plan.probe == [3] * 6 and fam.plan.ceilings == [10, 12, 15, 17, 20, 24]
+    assert fam.substeps == [4, 4, 15, 5, 6, 7] and fam.plan.iterations == 1250
     assert not any(dynamics.member_failures(fam)) and not fam.physical_errors
     assert revalidate_from_dir(str(tmp_path))["ok"]
 
 
-def test_member_step_factors_keep_member_0_and_cap_the_growth():
-    opts = fv.IntegratorOptions(step_factor=0.03)
-    factors = dynamics.member_step_factors(1.0, [0.1, 0.05, 0.025, 1e-5], opts)
-    # member 0 keeps its factor; its step snaps to 0.005 / 2
-    assert factors[0] == 0.03
-    base = 0.0025 / 0.1
-    assert factors[1:3] == pytest.approx([base * 2 ** 0.5, base * 2.0], rel=1e-15)
-    assert factors[3] == dynamics.GROWTH * base  # sqrt(1e4) = 100 is capped at 8
+@EXPONENT_SWEEP
+@pytest.mark.parametrize("count", [6, 10])
+def test_the_ceilings_follow_the_probes_law(name, exponent, count):
+    # one step law: member j's ceiling is member 0's snapped step dt_0
+    # divided by g_j = max(rho^(1/k), rho^(2/k)/GROWTH) and snapped, and
+    # the rho law is the same law from one substep, so it never asks for
+    # more.  At k = 2, dt_0/g_j = dt_0 min(sqrt(rho), GROWTH)/rho, the
+    # sqrt(eps) rule capped at GROWTH, and the ceilings keep its values
+    scn = _scenario(name, exponent, {"count": count})
+    half = (scn.options.n_out - 1) // 2
+    m0, dt0, _ = dynamics._snap_step(scn.horizon / half,
+                                     scn.options.step_factor * scn.epsilons[0], half)
+    ceilings = _member_substeps(scn)[0]
+    assert ceilings == _snapped_law(scn, dt0)
+    assert all(c >= m for c, m in zip(ceilings, _rho_law(scn)))
+    assert ceilings[0] == m0
+    if scn.potential.profile.exponent == 2:
+        assert ceilings == [5, 8, 10, 15, 20, 29, 40, 80, 160, 320][:count]
+
+
+def test_the_step_law_refuses_a_horizon_or_an_eps_at_or_below_0():
+    C = fv.circle()
+    for T in (0.0, -1.0):
+        with pytest.raises(InvalidParameterError, match="horizon T must be positive"):
+            dynamics.member_substeps(T, [0.1, 0.05], exponent=2)
+        with pytest.raises(InvalidParameterError, match="horizon T must be positive"):
+            fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, T)
     for bad in ([0.1, 0.0], [0.1, -0.05]):
         with pytest.raises(InvalidParameterError, match="eps must be positive"):
-            dynamics.member_step_factors(1.0, bad, opts)
+            dynamics.member_substeps(1.0, bad, exponent=2)
+        with pytest.raises(InvalidParameterError, match="eps must be positive"):
+            fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], bad[1], 1.0)
+
+
+def test_a_family_past_max_steps_names_its_member():
+    # at count 10 and ratio 0.25, member 7 (rho = 4^7, g = rho/GROWTH =
+    # 2,048) needs 2,048 times member 0's 5 substeps; at one substep of
+    # member 0 a coarser step_factor can no longer help, and member 8
+    # alone still needs 8,192
+    scn = _scenario("circle", overrides={"count": 10, "ratio": 0.25, "min_eps": 1e-300})
+    with pytest.raises(InvalidParameterError) as info:
+        fv.run_family(scn)
+    assert str(info.value) == (
+        "family member j=7 (eps=6.10352e-06): a run of 200 output intervals of 0.005 at "
+        "step 4.88281e-07 needs more than MAX_STEPS = 1e+06 steps; shorten the horizon, "
+        "raise step_factor or shorten the eps schedule")
+    with pytest.raises(InvalidParameterError) as info:
+        fv.run_family(dataclasses.replace(scn, options=dataclasses.replace(
+            scn.options, step_factor=1.0)))
+    assert str(info.value) == (
+        "family member j=8 (eps=1.52588e-06): a run of 200 output intervals of 0.005 at "
+        "step 6.10352e-07 needs more than MAX_STEPS = 1e+06 steps; lower n_out or "
+        "shorten the eps schedule")
 
 
 def test_dense_run_peaks_near_what_it_keeps():

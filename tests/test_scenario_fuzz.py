@@ -7,7 +7,8 @@ number in any file it wrote, and the files of every certificate must
 revalidate.  The generated files vary the composite
 potential, the magnitude and direction of v, the horizon, eps0, the ratio,
 the member count, the step factor and the output grid over the whole float
-range.
+range, and the profile exponent k over 2, 4, 6 and 8, so that the step law
+meets the flat valleys k >= 4 at every scenario magnitude.
 """
 import json
 import math
@@ -46,6 +47,7 @@ def value(lo, hi, extreme):
 @st.composite
 def scenarios(draw):
     potential, p, tangents, normal = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    potential = dict(potential, exponent=draw(st.sampled_from([2, 4, 6, 8])))
     speed = draw(value(0.5, 2.0, magnitude(-300, 300)))
     # a direction spread over every axis: a weight on each tangent and a
     # tilt off the floor, none (tangent), small (the reader projects it
@@ -111,6 +113,9 @@ CIRCLE = {"potential": {"kind": "circle"}, "p": [1.0, 0.0], "v": [0.0, 1.0]}
 @example(scenario={"potential": {"kind": "ellipsoid"}, "p": [1.0, 0.0, 0.0],
                    "v": [0.0, 1e154, 1e154]})
 @example(scenario=dict(CIRCLE, v=[1e154, 1e154]))
+# every distance from p underflows to 0: the noise ball holds the limit, exit 2
+@example(scenario={"potential": {"kind": "gutter"}, "p": [0, 0], "v": [0, 1e-160],
+                   "horizon": 1e-3, "count": 3, "n_out": 41, "min_eps": 1e-300})
 def test_every_scenario_ends_in_one_of_three_outcomes(tmp_path, capsys, scenario):
     work = tempfile.mkdtemp(dir=tmp_path)  # one directory per example
     path, out = os.path.join(work, "fuzz.json"), os.path.join(work, "out")
