@@ -31,7 +31,6 @@ Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
 
 # Constants of the batched oracles, as 0-d arrays (see ScalarField).
-_ZERO = np.array(0.0)
 _ONE = np.array(1.0)
 _TWO = np.array(2.0)
 
@@ -359,26 +358,22 @@ def custom_polynomial(
 
 # Oscillating bump used by the classical 1-D and 2-D stable counterexamples,
 # one vectorised function for single points and batches alike.  The value at
-# the essential singularity is 0 by continuity; evaluation inside
-# |s| < 1e-12 returns 0 to avoid overflow of 1/|s|.
+# the essential singularity is 0 by continuity; inside |s| < 1e-12, 1/|s| is
+# held at 1e12, where exp(-1e12) underflows, so both return a 0 (signed).
 _BUMP_CUT = np.array(1e-12)
 
 
 def _bump(s: Array) -> Array:
-    a = np.abs(s)
-    near = np.less(a, _BUMP_CUT)
-    u = np.divide(_ONE, np.where(near, _ONE, a))
-    return np.where(near, _ZERO, np.exp(-u) * np.sin(u))
+    u = np.divide(_ONE, np.maximum(np.abs(s), _BUMP_CUT))
+    return np.exp(-u) * np.sin(u)
 
 
 def _bump_prime(s: Array) -> Array:
     # the bump is even, so its derivative extends oddly through 0: the sign
     # of s (+-1 outside the cut) flips val exactly as negation does
-    a = np.abs(s)
-    near = np.less(a, _BUMP_CUT)
-    u = np.divide(_ONE, np.where(near, _ONE, a))
+    u = np.divide(_ONE, np.maximum(np.abs(s), _BUMP_CUT))
     val = np.exp(-u) * u * u * (np.sin(u) - np.cos(u))
-    return np.where(near, _ZERO, np.multiply(val, np.sign(s)))
+    return np.multiply(val, np.sign(s))
 
 
 def _plain(dim: int, u_many, grad_u, label: str) -> PlainPotential:

@@ -161,15 +161,15 @@ def test_every_artifact_is_unchanged(tmp_path, name):
 
 
 # name -> (gallery arguments, sha256 of gallery_report.json), recorded once
-# every record carried the dt and steps of its own run and painleve's probe
-# stepped at dt = 0.1
+# every record carried the dt and steps of its own run and every probe
+# stepped at dt = 0.2 on one interior output node, at t/2
 GALLERY_DIGESTS = {
     "painleve": (["--name", "painleve"],
-                 "f272056502330640c8f693e9b553b798fe7309e359e6098ca86537838c4086b3"),
+                 "f6ff6a62c1484e4dcf39cf2771c43739215689f0f5c5edd64aee103faa102611"),
     "painleve-horizon-100": (["--name", "painleve", "--horizon", "100"],
-                             "97b93e29260c394bf956a2b342c9764f332f17874312a9cab17f3233647f02af"),
+                             "6b14c601c213c32d0d6bd9be141efffbdc78afa94a77fce8047665e42ab1e1a2"),
     "laloy": (["--name", "laloy"],
-              "752a1ff7079628817b77446bc8b0eac4a555da2a83267a73801de4337da31c47"),
+              "e36d012ce2a72f3d3c7559a9da804f2ab5a6d6be840c4b54ed7f52f8f97ad2af"),
 }
 
 

@@ -18,7 +18,7 @@ from flatvalley import dynamics
 from flatvalley.contrast import COMPANION_SPEED, TRAP_OPTIONS
 from flatvalley.dynamics import newton_many
 from flatvalley.errors import BlowUpError, InvalidParameterError
-from flatvalley.fields import MAX_EXPONENT, _tile
+from flatvalley.fields import MAX_EXPONENT, _bump, _bump_prime, _tile
 from flatvalley.integrators import CHUNK, integrate
 
 
@@ -104,6 +104,10 @@ def _reference_field(P):
             lambda X: lv + 2.0 * qv * X)
 
 
+# The bump and its derivative with the cut masked out: 0 inside |s| < 1e-12,
+# the formula in 1/|s| outside it, negated for s < 0 in the derivative.  The
+# kernels hold 1/|s| at 1e12 inside the cut instead, where exp(-1e12)
+# underflows to a zero whose sign may differ from this one.
 def _reference_bump_parts(s):
     a = np.abs(s)
     near = a < 1e-12
@@ -119,6 +123,12 @@ def _reference_bump_prime(s):
     near, u = _reference_bump_parts(s)
     val = np.exp(-u) * u * u * (np.sin(u) - np.cos(u))
     return np.where(near, 0.0, np.where(s > 0, val, -val))
+
+
+def _same_outside_cut(a, b, inside):
+    """Same floats on rows outside the cut; inside it, equal values, any sign of zero."""
+    _same_floats(a[~inside], b[~inside])
+    assert np.array_equal(a[inside], b[inside])
 
 
 _REFERENCE_BUMP = {
@@ -233,9 +243,28 @@ def test_bump_rounds_the_same_for_a_point_and_a_batch(P):
     assert _bits(P.value_many(X)) == _bits([P.value(x) for x in X])
     assert _bits(P.gradient_many(X)) == _bits([P.gradient(x) for x in X])
     X[:len(_BUMP_ROWS)] = np.array(_BUMP_ROWS)[:, None]
+    inside = np.any(np.abs(X) < 1e-12, axis=1)
     u_many, grad_u = _REFERENCE_BUMP[P.name]
-    _same_floats(P.value_many(X), u_many(X))
-    _same_floats(P.gradient_many(X), grad_u(X))
+    _same_outside_cut(P.value_many(X), u_many(X), inside)
+    _same_outside_cut(P.gradient_many(X), grad_u(X), inside)
+
+
+def test_bump_kernels_keep_their_bits():
+    # on a grid over the cut, +-0, the wells and the barrier, every bit
+    # outside the cut is the masked formula's, and inside it both kernels
+    # read a zero
+    cut = 1e-12
+    edge = [cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0), 1e-13, 5e-324]
+    peak = 1.0 / (2.25 * np.pi)  # the barrier
+    wells = [1.0 / (1.25 * np.pi), 1.0 / (3.25 * np.pi), 1.0 / (5.25 * np.pi)]
+    pos = np.concatenate([edge, [peak, np.nextafter(peak, 0.0)], wells,
+                          np.linspace(1e-3, 0.25, 997), np.logspace(-12, 1, 1001),
+                          [1e200, np.inf]])
+    s = np.concatenate([[0.0, -0.0], pos, -pos])
+    inside = np.abs(s) < cut
+    assert np.count_nonzero(inside) == 8 and np.any(np.abs(s) == cut)
+    for new, old in ((_bump(s), _reference_bump(s)), (_bump_prime(s), _reference_bump_prime(s))):
+        _same_outside_cut(new, old, inside)
 
 
 def test_kernel_batch_is_a_loop_of_batches_of_one():
@@ -372,12 +401,15 @@ def test_a_blown_up_physical_row_keeps_its_nodes_and_raises_only_before_them(
 
 @pytest.mark.parametrize("P", [fv.painleve(), fv.laloy()], ids=["painleve", "laloy"])
 def test_contrast_batch_is_a_loop_of_newton_runs(P):
+    # 1,000 steps across three CHUNK boundaries on 1,001 nodes, and the
+    # trapped check's own 50 steps on 3 nodes
     rest = P.dim - 1
     starts = [fv.PhaseState([x0] + [0.0] * rest, [v0] + [COMPANION_SPEED] * rest)
               for x0, v0 in ((-0.08, 0.02), (0.0, 0.03), (0.05, 0.01))]
-    runs = newton_many(P, starts, [10.0] * len(starts), TRAP_OPTIONS)
-    for s0, run in zip(starts, runs):
-        _same_run(run, fv.integrate_newton(P, s0, 10.0, TRAP_OPTIONS))
+    for options in (fv.IntegratorOptions(n_out=1001, step_factor=0.1), TRAP_OPTIONS):
+        runs = newton_many(P, starts, [10.0] * len(starts), options)
+        for s0, run in zip(starts, runs):
+            _same_run(run, fv.integrate_newton(P, s0, 10.0, options))
 
 
 def _single_error(call):
