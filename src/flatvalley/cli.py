@@ -86,9 +86,10 @@ from .errors import (
     ScenarioError,
     UnverifiedLimitError,
 )
-from .fields import CompositePotential, check_regular_value, fd_gradient_check, gallery_lookup
+from .fields import CompositePotential, fd_gradient_check, gallery_lookup
 from .geometry import (
     build_m_chart,
+    check_regular_value,
     flow_many,
     flow_steps_for,
     foot_point,

@@ -108,7 +108,9 @@ _TINY = float(np.finfo(float).tiny)
 def _number(name: str, value, kind=numbers.Real, error=ScenarioError):
     """``value`` as a float (an int for numbers.Integral); a bool is no number."""
     if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-        raise error(f"{name} must be a finite {kind.__name__.lower()} number, got {value!r}")
+        what = ("a JSON integer, written with no decimal point or exponent"
+                if kind is numbers.Integral else "a finite real number")
+        raise error(f"{name} must be {what}, got {value!r}")
     return int(value) if kind is numbers.Integral else float(value)
 
 

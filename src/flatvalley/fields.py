@@ -12,7 +12,7 @@ fit the composite form; they are used by the stability-contrast demos only.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,11 +20,9 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
-    NewtonConvergenceError,
     NonFiniteEvaluationError,
     UnknownPotentialError,
 )
-from .geometry import flow_steps_for, foot_many
 
 Array = np.ndarray
 
@@ -322,7 +320,8 @@ def custom_polynomial(
     """f(x) = l.x + q.(x*x) - offset with profile s**k.
 
     Generalises the fixed gallery shapes; the caller asserts that 0 is a
-    regular value of f (``check_regular_value`` can probe it numerically).
+    regular value of f (``geometry.check_regular_value`` can probe it
+    numerically).
     """
     if linear is None and quadratic is None:
         raise InvalidParameterError("need at least one of linear/quadratic coefficients")
@@ -453,58 +452,3 @@ def fd_gradient_check(potential, x, h: Optional[float] = None) -> float:
         )
     fd = (fp - fm) / (2.0 * h)
     return float(np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))))
-
-
-@dataclass(eq=False)
-class RegularityReport:
-    """Evidence that 0 is (or is not) a regular value of a field."""
-
-    tol: float
-    grad_norms: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-
-    @property
-    def min_grad_norm(self) -> float:
-        return float(min(self.grad_norms)) if self.grad_norms else float("nan")
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.grad_norms) and self.min_grad_norm > self.tol and not self.notes
-
-
-#: smallest |grad f| on the floor for 0 to count as a regular value of f
-REGULAR_VALUE_TOL = 1e-3
-
-
-def check_regular_value(fld: ScalarField, seeds) -> RegularityReport:
-    """Project seeds onto {f = 0} and report the smallest gradient norm found
-    (it must exceed REGULAR_VALUE_TOL); the projection is one ``foot_many``
-    batch, each seed at the flow steps its own distance from the floor
-    needs.
-
-    A projection that dies approaching the critical set is itself evidence
-    against regularity: the gradient norm at the failure point is recorded
-    and the verdict fails.  A polish that does not converge raises, the
-    lowest seed's first.  No seeds give a report that does not pass.
-    """
-    report = RegularityReport(tol=REGULAR_VALUE_TOL)
-    X = np.array([_as_point(seed, fld.dim) for seed in seeds]).reshape(-1, fld.dim)
-    if not len(X):
-        return report
-    where, failures = foot_many(fld, X, flow_steps_for(fld.f_many(X)))
-    stuck = [i for i in sorted(failures) if isinstance(failures[i], NewtonConvergenceError)]
-    if stuck:
-        i = stuck[0]
-        raise NewtonConvergenceError(
-            f"seed {X[i].tolist()} failed to project onto the zero set: {failures[i]}"
-        ) from failures[i]
-    for i, exc in failures.items():  # FlowDomainError: it approached the critical set
-        where[i] = X[i] if exc.state is None else exc.state
-    G = fld.grad_many(where)
-    report.grad_norms = np.sqrt(np.vecdot(G, G)).tolist()
-    for i in sorted(failures):
-        report.notes.append(
-            f"projection of seed {X[i].tolist()} approached the critical set "
-            f"(|grad f| = {report.grad_norms[i]:.3e})"
-        )
-    return report

@@ -3,7 +3,8 @@
 The unit-rate transversal flow (the flow of grad f / |grad f|^2) increments
 f at exactly one unit per unit time, so it fibres a tube around M:
 
-* ``foot_point`` projects x onto M by flowing back for time f(x),
+* ``foot_point`` projects x onto M by flowing back for time f(x), and
+  ``check_regular_value`` reads |grad f| at the feet of a batch of seeds,
 * an :class:`MChart` parametrises M near p as a graph over its tangent
   plane, and the tube map Psi(r, y) = flow(r, psi(y)) yields coordinates
   (r, y) in which r equals f and the potential depends on r alone,
@@ -36,8 +37,8 @@ stopped at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -48,9 +49,7 @@ from .errors import (
     InvalidParameterError,
     NewtonConvergenceError,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .fields import ScalarField
+from .fields import ScalarField, _as_point
 
 Array = np.ndarray
 
@@ -250,6 +249,61 @@ def foot_point(fld, x, n_steps: Optional[int] = None) -> Array:
     return _single(*foot_many(fld, x, n))
 
 
+@dataclass(eq=False)
+class RegularityReport:
+    """Evidence that 0 is (or is not) a regular value of a field."""
+
+    tol: float
+    grad_norms: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+
+    @property
+    def min_grad_norm(self) -> float:
+        return float(min(self.grad_norms)) if self.grad_norms else float("nan")
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.grad_norms) and self.min_grad_norm > self.tol and not self.notes
+
+
+#: smallest |grad f| on the floor for 0 to count as a regular value of f
+REGULAR_VALUE_TOL = 1e-3
+
+
+def check_regular_value(fld: ScalarField, seeds) -> RegularityReport:
+    """Project seeds onto {f = 0} and report the smallest gradient norm found
+    (it must exceed REGULAR_VALUE_TOL); the projection is one ``foot_many``
+    batch, each seed at the flow steps its own distance from the floor
+    needs.
+
+    A projection that dies approaching the critical set is itself evidence
+    against regularity: the gradient norm at the failure point is recorded
+    and the verdict fails.  A polish that does not converge raises, the
+    lowest seed's first.  No seeds give a report that does not pass.
+    """
+    report = RegularityReport(tol=REGULAR_VALUE_TOL)
+    X = np.array([_as_point(seed, fld.dim) for seed in seeds]).reshape(-1, fld.dim)
+    if not len(X):
+        return report
+    where, failures = foot_many(fld, X, flow_steps_for(fld.f_many(X)))
+    stuck = [i for i in sorted(failures) if isinstance(failures[i], NewtonConvergenceError)]
+    if stuck:
+        i = stuck[0]
+        raise NewtonConvergenceError(
+            f"seed {X[i].tolist()} failed to project onto the zero set: {failures[i]}"
+        ) from failures[i]
+    for i, exc in failures.items():  # FlowDomainError: it approached the critical set
+        where[i] = X[i] if exc.state is None else exc.state
+    G = fld.grad_many(where)
+    report.grad_norms = np.sqrt(np.vecdot(G, G)).tolist()
+    for i in sorted(failures):
+        report.notes.append(
+            f"projection of seed {X[i].tolist()} approached the critical set "
+            f"(|grad f| = {report.grad_norms[i]:.3e})"
+        )
+    return report
+
+
 @dataclass(frozen=True)
 class TubularCoords:
     """Tube coordinates of a point: r is the f-value, y the foot's chart coords."""
@@ -278,7 +332,7 @@ class MChart:
     (see the module docstring); the single-point methods are batches of one.
     """
 
-    field: "ScalarField"
+    field: ScalarField
     p: Array
     normal: Array
     basis: Array

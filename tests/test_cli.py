@@ -109,6 +109,20 @@ def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("change, error", [({"n_out": 401.0}, "InvalidParameterError"),
+                                           ({"count": 6.0}, "ScenarioError")],
+                         ids=["n_out", "count"])
+def test_an_integer_written_as_a_float_is_refused_as_not_a_json_integer(tmp_path, capsys,
+                                                                       change, error):
+    path = _write(tmp_path, "float.json", dict(BASE, **change))
+    code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"), "--no-svg"])
+    [(name, value)] = change.items()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {error}: {name} must be a JSON integer, written with no decimal point "
+        f"or exponent, got {value!r}\n")
+
+
 def test_a_step_that_underflows_names_step_factor(tmp_path, capsys):
     # the squares of the smallest eps and of the output spacing stay normal
     # floats, but member 0's step step_factor * eps0 = 1e-350 is 0

@@ -17,7 +17,7 @@ def test_escape_matches_saxutils():
 
 def test_import_leaves_out_the_network_stack():
     # xml.sax.saxutils alone would pull in urllib.request, http.client and ssl
-    code = ("import sys, flatvalley; print(sorted(m for m in "
+    code = ("import sys, flatvalley.cli; print(sorted(m for m in "
             "('xml.sax', 'urllib.request', 'http.client', 'ssl') if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(flatvalley.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
