@@ -168,8 +168,11 @@ def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
     if gn > 0.0 and abs(float(g @ v)) <= 0.1 * gn * float(np.linalg.norm(v)):
         v = v - (float(v @ g) / (gn * gn)) * g
     # the file passes only the keys it holds: every default is stated once,
-    # in Scenario and IntegratorOptions
-    opts = IntegratorOptions(**{key: data[key] for key in _OPTION_KEYS if key in data})
+    # in Scenario and IntegratorOptions; a bad option is a bad scenario value
+    try:
+        opts = IntegratorOptions(**{key: data[key] for key in _OPTION_KEYS if key in data})
+    except InvalidParameterError as exc:
+        raise ScenarioError(str(exc)) from exc
     given = {key: data[key] for key in _SCENARIO_ARGS if key in data}
     return Scenario(potential=potential, p=p, v=v, options=opts,
                     name=data.get("name", os.path.splitext(os.path.basename(path))[0]),

@@ -53,9 +53,13 @@ from .fields import ScalarField, _as_point
 
 Array = np.ndarray
 
-#: target substep of the transversal flow for high-accuracy (frame) work
+#: target substep of the transversal flow for frame stencils and single-point
+#: calls: ``frame_data`` takes second differences of the tube map over
+#: ``chart.stencil_step`` (about 2e-4), which divide a flow's error by h^2
 FLOW_BASE_STEP = 2.5e-3
-#: coarser substep for first-derivative-only diagnostics (metric estimates)
+#: target substep of every batch position read (``flow_steps_for``) and of
+#: the metric estimate's first differences: at this step the
+#: Richardson-combined RK4 already reads a position to rounding
 FLOW_COARSE_STEP = 1e-2
 #: |grad f| guard below which the flow refuses to continue
 TOL_CRIT = 1e-7
@@ -99,10 +103,16 @@ def default_flow_steps(t: float) -> int:
 
 def flow_steps_for(r_values) -> Array:
     """Flow substeps of each point of a batch with f-values ``r_values``:
-    ``default_flow_steps`` of its own |r| with a 1e-3 margin, so a point
-    near M takes no more than the floor of 8 whatever its batch holds."""
+    ``max(8, ceil((|r| + 1e-3) / FLOW_COARSE_STEP))``, per row, so a point
+    near M takes no more than the floor of 8 whatever its batch holds.
+
+    This is the law of position reads (tube coordinates, feet, round
+    trips): RK4 at n and 2n substeps, Richardson-combined, reads the
+    shipped nodes' y at this step within 1e-15 of a flow with 8x the
+    substeps, i.e. to rounding.  Frame stencils, which difference the tube
+    map over steps of about 2e-4, keep the finer ``FLOW_BASE_STEP``."""
     r = np.abs(np.asarray(r_values, dtype=float)) + 1e-3
-    return np.maximum(8, np.ceil(r / FLOW_BASE_STEP)).astype(int)
+    return np.maximum(8, np.ceil(r / FLOW_COARSE_STEP)).astype(int)
 
 
 def flow_many(fld, X, t, n_steps):

@@ -31,7 +31,9 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # the evidence and the report (with the gutter's two rounding-level
 # figures) when every member probed at the probe call's longest row, and
 # the ellipsoid's and gutter's report.json (only its recorded ceilings)
-# when the ceilings followed the probe's rho^(2/k) law
+# when the ceilings followed the probe's rho^(2/k) law, and the
+# ellipsoid's coordinates, limit and report (cells by at most 6.1e-16) when
+# position reads flowed at FLOW_COARSE_STEP
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
@@ -73,17 +75,17 @@ ARTIFACT_DIGESTS = {
     },
     "ellipsoid": {
         "coords_eps0.csv":
-            "b2e8e15acc68685bf770983a448f61a4746080f58f65a759a4b2acb49c48cfc0",
+            "c8612677ae2d7dcdebf8316020926cdc87bccb80f303440e196ca60bff181ff9",
         "coords_eps1.csv":
-            "efe6a0452b38ae48e8b02886e9381928d87aeb82403d317b4805d6ee82d9cd4e",
+            "75a4ea14b911d50236e7bee3ad32120287d417c903292c5fd68e07ae6c986cae",
         "coords_eps2.csv":
-            "153fb59a516c6f942fa5f195cebc9396e7c8d6280c36b7288e0333cd11808577",
+            "93c29f34d803be93c163bfea36cefdbd294f69143524f030bc35affc0fe58f66",
         "coords_eps3.csv":
-            "a96fd56c96a66c9e7b8c7366bb30b7712817297ff498502f9474e9d4d0ce7596",
+            "1e5f399f3ed0c04f0567fc41982844e9cb8bb8e3818f18b49fde86d05c2f533c",
         "coords_eps4.csv":
-            "0dba588f71545ac204cd43fc6e695959dca34029d70d087818573cf460058e39",
+            "bc53f218a0b6e2a38572860c9f2a5cb80e3db5f8407034ca2a69c4976aa1986b",
         "coords_eps5.csv":
-            "58fd241eee5a57bc00fbbad874e77e50667d5f6edb305b0b3c934483477a2662",
+            "04550deb13aedf8125886312497414614f7fc354b555c3460b5c1b8cf80a010e",
         "evidence.csv":
             "fcb550aec5ba1fd80629c66dd466334bfa498cfe90e98d59db8ffbbf50aa2167",
         "figures/convergence.svg":
@@ -93,9 +95,9 @@ ARTIFACT_DIGESTS = {
         "figures/violation.svg":
             "7d886c03303eb0a82182312e2df8b57ff365463a987b779f1715780de5a1c685",
         "limit.csv":
-            "74ae002a44d8c9e3e0e8fd5577bf974b8f9ff491c8509858eeddddf06a6b7524",
+            "c188ba803f00782964e6046b9505b049d000008915b095e5342ab1ca4ced14e8",
         "report.json":
-            "c378378dde8debf659014ab9557964b004f36f45e6d83d96661db518bed1eacc",
+            "24061d1414e217c5a816c17d3ae433b33d6671e53ca13de6ae873a46f7a7a140",
         "traj_eps0.csv":
             "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
         "traj_eps1.csv":

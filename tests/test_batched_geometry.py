@@ -317,13 +317,13 @@ def test_coordinate_traces_is_a_loop_of_members(request, bundle):
 
 
 @pytest.mark.parametrize("bundle, flow_calls", [("circle_bundle", 64),
-                                                ("ellipsoid_bundle", 624)])
+                                                ("ellipsoid_bundle", 160)])
 def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, flow_calls):
     # the bundles run the shipped circle and ellipsoid scenarios.  Their
-    # members' flows take 8 substeps each on the circle and up to 78 on the
-    # ellipsoid, so one lockstep runs 16 and 156 RK4 iterations of four
-    # grad_many calls (twelve loops, one per member and pass, made 576 and
-    # 2,484); the fold check adds one chart graph solve of CHART_NEWTON_ITERS
+    # members' flows take 8 substeps each on the circle and up to 20 on the
+    # ellipsoid, so one lockstep runs 16 and 40 RK4 iterations of four
+    # grad_many calls; the fold check adds one chart graph solve of
+    # CHART_NEWTON_ITERS
     b = request.getfixturevalue(bundle)
     fld = b.chart.field
     calls = {"all": 0, "flow": 0}
@@ -346,3 +346,21 @@ def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, fl
     traces = fv.coordinate_traces(chart, b.family)
     assert calls == {"all": flow_calls + CHART_NEWTON_ITERS, "flow": flow_calls}
     assert all(_bits(t.y) == _bits(ref.y) for t, ref in zip(traces, b.traces))
+
+
+def test_position_reads_match_four_times_the_substeps(ellipsoid_bundle):
+    # flow_steps_for steps position reads at FLOW_COARSE_STEP.  On the
+    # shipped ellipsoid, whose nodes sit up to |r| = 0.19 off M, four times
+    # the substeps per row must read the same y and feet to rounding
+    b = ellipsoid_bundle
+    fld = b.chart.field
+    X = np.concatenate([traj.x for traj in b.family.members])
+    n = flow_steps_for(fld.value_many(X))
+    assert n.max() > 8
+    _, y_fine, failures = b.chart.coords_many(X, 4 * n)
+    assert not failures
+    assert np.abs(np.concatenate([t.y for t in b.traces]) - y_fine).max() <= 1e-14
+    best = b.family.members[-1]
+    feet, failures = foot_many(fld, best.x, 4 * flow_steps_for(fld.value_many(best.x)))
+    assert not failures
+    assert np.abs(b.limit.x - feet).max() <= 1e-14

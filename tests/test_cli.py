@@ -12,7 +12,12 @@ import flatvalley as fv
 from flatvalley import cli
 from flatvalley.analysis import limit_tolerance
 from flatvalley.dynamics import ENERGY_DRIFT_LIMIT, PROBE_FRACTION, STEP_ERROR_FRACTION
-from flatvalley.errors import BlowUpError, ScenarioError, UnverifiedLimitError
+from flatvalley.errors import (
+    BlowUpError,
+    InvalidParameterError,
+    ScenarioError,
+    UnverifiedLimitError,
+)
 from flatvalley.reporting import read_csv_columns, revalidate_from_dir, write_trajectory_csv
 
 
@@ -97,9 +102,12 @@ def test_parse_scenario_rejects_plain_potential(tmp_path):
     {"eps0": 1e300},
     {"v": [0.0, 1e154, 1e154]},
     {"p": [1e154, 1e154, 0.0]},
+    {"n_out": 401.0},
+    {"step_factor": "x"},
 ], ids=["p-nan", "horizon-nan", "eps0-inf", "count-string", "count-bool", "tol_on_m",
         "slack-negative", "out-number", "integrator", "name-object", "name-number",
-        "horizon-tiny", "eps0-huge", "v-square-overflows", "p-square-overflows"])
+        "horizon-tiny", "eps0-huge", "v-square-overflows", "p-square-overflows",
+        "n_out-float", "step_factor-string"])
 def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     path = _write(tmp_path, "bad.json", dict(BASE, **change))
     code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"), "--no-svg"])
@@ -109,7 +117,7 @@ def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("change, error", [({"n_out": 401.0}, "InvalidParameterError"),
+@pytest.mark.parametrize("change, error", [({"n_out": 401.0}, "ScenarioError"),
                                            ({"count": 6.0}, "ScenarioError")],
                          ids=["n_out", "count"])
 def test_an_integer_written_as_a_float_is_refused_as_not_a_json_integer(tmp_path, capsys,
@@ -121,6 +129,18 @@ def test_an_integer_written_as_a_float_is_refused_as_not_a_json_integer(tmp_path
     assert capsys.readouterr().err == (
         f"error: {error}: {name} must be a JSON integer, written with no decimal point "
         f"or exponent, got {value!r}\n")
+
+
+@pytest.mark.parametrize("change", [{"n_out": 401.0}, {"step_factor": "x"}],
+                         ids=["n_out", "step_factor"])
+def test_integrator_options_built_in_python_keep_their_error_class(tmp_path, change):
+    # parse_scenario re-raises the refusal as ScenarioError with its message
+    with pytest.raises(InvalidParameterError) as direct:
+        fv.IntegratorOptions(**change)
+    with pytest.raises(ScenarioError) as parsed:
+        fv.parse_scenario(_write(tmp_path, "options.json", dict(BASE, **change)))
+    assert str(parsed.value) == str(direct.value)
+    assert parsed.value.__cause__ is not None
 
 
 def test_a_step_that_underflows_names_step_factor(tmp_path, capsys):
@@ -275,6 +295,19 @@ def test_main_check(tiny_scenario_file, capsys):
     assert cli.main(["check", "--scenario", tiny_scenario_file]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("name", ["circle", "gutter", "ellipsoid"])
+def test_main_check_passes_on_the_shipped_scenarios(capsys, name):
+    # the round trips start up to |r| = 0.14 (circle) or 0.53 off M and flow
+    # for up to |t| = 0.3, so most rows step past flow_steps_for's floor of 8
+    path = os.path.join(os.path.dirname(CIRCLE), f"{name}.json")
+    assert cli.main(["check", "--scenario", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS gradient-vs-central-differences", "PASS potential-nonnegative",
+        "PASS flow-identity", "PASS potential-separation", "PASS tube-roundtrip",
+        "PASS regular-value"]
 
 
 def test_certify_reports_family_failure(tiny_scenario_file, tmp_path, monkeypatch, capsys):
@@ -989,12 +1022,14 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 # gates, for the ellipsoid and gutter when the probe followed the profile
 # exponent, when every member probed at the probe call's longest row, and
 # for the ellipsoid and gutter (only their recorded ceilings) when the
-# ceilings followed the probe's rho^(2/k) law: a change that claims to
-# keep the verdicts and the numbers keeps these bytes
+# ceilings followed the probe's rho^(2/k) law, and for the ellipsoid
+# (only its coordinates' acceleration fields) when position reads flowed
+# at FLOW_COARSE_STEP: a change that claims to keep the verdicts and the
+# numbers keeps these bytes
 REPORT_DIGESTS = {
     "circle": "4b430d45513288a2f454370a4ab2ab99bd635855627119bd0845b0c2beee5825",
     "gutter": "444d035635d434e88ccba0a820839655b52a9980ea3cdac98924fbc860275b90",
-    "ellipsoid": "bf0b5c5c1b12d7bddaa8f15efab65be1242ea9ec8028730149f32362cd984707",
+    "ellipsoid": "0bbc8a1e73f75191a0df6048df020c96b4021e32b286af20c50df105b12ec4c5",
 }
 
 
