@@ -30,6 +30,7 @@ from .dynamics import (
     SLACK,
     FamilyResult,
     Trajectory,
+    _tube_half_width,
     energy_drift,
     integrate_newton,  # noqa: F401 (flatbench/tracer.py patches it here)
     limit_tolerance,
@@ -45,7 +46,6 @@ from .errors import (
 )
 from .geometry import (
     MChart,
-    flow_steps_for,
     foot_many,
     foot_point,  # noqa: F401 (flatbench/tracer.py patches it here)
     pullback_metric_min,  # noqa: F401 (flatbench/tracer.py patches it here)
@@ -76,17 +76,14 @@ class CoordinateTrace:
 def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTrace]:
     """Read every member through the chart on the family's common grid.
 
-    Every member's nodes are one ``chart.coords_many`` batch, each row at
-    its own ``flow_steps_for`` count, so all the foot-point flows march in
-    one lockstep; the batch is then split per member.  The first failed
-    row, in member order, raises, naming its member j and tau.
+    Every member's nodes are one ``chart.coords_many`` batch, which reads r
+    and flows each row back by it, all in one lockstep; the batch is then
+    split per member.  The first failed row, in member order, raises,
+    naming its member j and tau.
     """
-    fld = chart.field
     X = np.concatenate([traj.x for traj in family.members])
     starts = np.cumsum([0] + [len(traj.x) for traj in family.members])
-    r_all = fld.value_many(X)
-    rvals = np.split(r_all, starts[1:-1])
-    _, ys, failures = chart.coords_many(X, flow_steps_for(r_all))
+    rs, ys, failures = chart.coords_many(X)
     if failures:
         i = min(failures)
         exc = failures[i]
@@ -97,7 +94,7 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
         raise exc
     out = []
     spacing = float(family.tau[1] - family.tau[0])
-    for traj, r, y in zip(family.members, rvals, np.split(ys, starts[1:-1])):
+    for traj, r, y in zip(family.members, np.split(rs, starts[1:-1]), np.split(ys, starts[1:-1])):
         rdot = np.gradient(r, spacing, edge_order=2)
         ydot = np.gradient(y, spacing, axis=0, edge_order=2)
         yddot = np.full_like(y, np.nan)
@@ -140,10 +137,9 @@ def _growth(sup_r: Array) -> Array:
 
 def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v) -> CoordinateBoundsReport:
     """The traces' transverse bounds and measured coordinate speeds."""
-    vnorm = float(np.linalg.norm(np.asarray(v, dtype=float)))
     eps = np.array([t.epsilon for t in traces])
     sup_r = np.array([float(np.abs(t.r).max()) for t in traces])
-    bounds = np.array([potential.profile.inverse(0.5 * e * e * vnorm * vnorm) for e in eps])
+    bounds = np.array([_tube_half_width(potential, v, e) for e in eps])
     r_ok = not _r_excess(sup_r, bounds).any()
     shrinking = not _growth(sup_r).any()
     max_rdot = np.array([float(np.abs(t.rdot).max()) for t in traces])
@@ -236,7 +232,6 @@ class LimitCurve:
 
     tau: Array
     x: Array
-    velocity: Array
     xdot0: Array
     p: Array
     verified: bool
@@ -301,17 +296,16 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
         tol_limit = limit_tolerance(family.potential, family.p, family.v, eps)
     cauchy_ok = bool(all(monotone) and d[-1] <= tol_limit)
 
-    x_lim, failures = foot_many(fld, best.x, flow_steps_for(fld.value_many(best.x)))
+    x_lim, failures = foot_many(fld, best.x)
     raise_first(failures)
     resid = float(np.abs(fld.value_many(x_lim)).max())
     if resid > 1e-10:
         raise FlowDomainError(f"projection left |f| = {resid:.3e} > 1e-10 on the limit")
     spacing = float(best.tau[1] - best.tau[0])
-    velocity = np.gradient(x_lim, spacing, axis=0, edge_order=2)
     c = (len(best.tau) - 1) // 2
     xdot0 = (-x_lim[c + 2] + 8.0 * x_lim[c + 1] - 8.0 * x_lim[c - 1] + x_lim[c - 2]) / (12.0 * spacing)
     limit = LimitCurve(
-        tau=best.tau, x=x_lim, velocity=velocity, xdot0=xdot0, p=family.p,
+        tau=best.tau, x=x_lim, xdot0=xdot0, p=family.p,
         verified=cauchy_ok, source_epsilon=float(eps[-1]),
         initial_velocity_error=float(np.linalg.norm(xdot0 - family.v)))
     violations = np.array([float(np.abs(fld.value_many(m.x)).max()) for m in members])

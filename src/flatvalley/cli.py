@@ -36,8 +36,8 @@ error above ``dynamics.STEP_ERROR_FRACTION`` = 1e-3 of the limit
 tolerance, a proof bound of the tube coordinates failed, the limit failed
 its Cauchy diagnostic, a degenerate limit, a schedule too short, a failed
 in-memory revalidation),
-1 on hard errors, bad input included: every failure is a
-``FlatValleyError``, reported on one ``error: ...`` line.
+1 on hard errors, bad input and malformed command lines included: every
+failure is a ``FlatValleyError``, reported on one ``error: ...`` line.
 """
 from __future__ import annotations
 
@@ -73,6 +73,7 @@ from .dynamics import (
     SLACK,
     IntegratorOptions,
     Scenario,
+    _tube_half_width,
     integrate_rescaled,
     launch_vector,
     member_failures,
@@ -91,7 +92,6 @@ from .geometry import (
     build_m_chart,
     check_regular_value,
     flow_many,
-    flow_steps_for,
     foot_point,
     raise_first,
     residual_convergence,
@@ -399,8 +399,7 @@ def _figures(out_dir: str, scn: Scenario, state: dict) -> List[str]:
                   title=f"{scn.name}: consecutive-member distances",
                   xlabel="pair index j", ylabel="log10 sup distance", logy=True)
         written.append(name)
-        bound = [scn.potential.profile.inverse(0.5 * e * e * float(np.linalg.norm(scn.v)) ** 2)
-                 for e in fam.epsilons]
+        bound = [_tube_half_width(scn.potential, scn.v, e) for e in fam.epsilons]
         series = [{"x": fam.epsilons, "y": conv.violation_max, "label": "max |f|",
                    "marker": True}, {"x": fam.epsilons, "y": bound, "label": "budget bound"}]
         name = os.path.join(fig_dir, "violation.svg")
@@ -506,22 +505,22 @@ def _cmd_check(args) -> int:
     verdict("potential-nonnegative", umin >= 0.0, f"min U = {umin:.2e}")
 
     vnorm = float(np.linalg.norm(scn.v))
-    r_box = 2.0 * P.profile.inverse(0.5 * scn.eps0 ** 2 * vnorm ** 2)
+    r_box = 2.0 * _tube_half_width(P, scn.v, scn.eps0)
     chart = chart_for_scenario(scn)
     draws = [(rng.uniform(-0.4, 0.4, size=fld.dim - 1) * scn.horizon * vnorm,
               float(rng.uniform(-r_box, r_box)), float(rng.uniform(-0.3, 0.3)))
              for _ in range(200)]
     y, r, t = (np.array(column) for column in zip(*draws))
-    # one batch per map, each row with the flow steps it needs
-    x, errors = chart.tube_many(r, y, flow_steps_for(r))
+    # one batch per map, each row at the flow steps the map's law gives it
+    x, errors = chart.tube_many(r, y)
     raise_first(errors)
-    end, errors = flow_many(fld, x, t, flow_steps_for(t))
+    end, errors = flow_many(fld, x, t)
     raise_first(errors)
     worst_flow = float(np.max(np.abs(fld.f_many(end) - t - fld.f_many(x))))
     worst_sep = float(np.max(np.abs(P.value_many(x) - P.profile.g(r))))
-    rc, yc, errors = chart.coords_many(x, flow_steps_for(fld.f_many(x)))
+    rc, yc, errors = chart.coords_many(x)
     raise_first(errors)
-    back, errors = chart.tube_many(rc, yc, flow_steps_for(rc))
+    back, errors = chart.tube_many(rc, yc)
     raise_first(errors)
     worst_round = float(np.max(np.linalg.norm(back - x, axis=1)))
     verdict("flow-identity", worst_flow <= 1e-9, f"max residual {worst_flow:.2e}")
@@ -581,9 +580,16 @@ def _cmd_gallery(args) -> int:
     return 0 if rep.all_trapped else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser of every subcommand."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flatvalley",
         description="Escape-from-a-flat-valley laboratory: rescaled dynamics, "
                     "limit curves, and instability certificates.")
@@ -626,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             raise InvalidParameterError(f"--jobs must be at least 1, got {args.jobs}")
         return args.fn(args)

@@ -771,6 +771,12 @@ class Scenario:
         return self.eps0 * self.ratio ** np.arange(self.count)
 
 
+def _tube_half_width(potential, v, eps) -> float:
+    """g^-1(0.5 eps eps |v| |v|), the conservation tube's half-width in r."""
+    vnorm = float(np.linalg.norm(v))
+    return potential.profile.inverse(0.5 * eps * eps * vnorm * vnorm)
+
+
 def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
     """Twice the ambient half-width of the conservation tube of the
     second-smallest member (of the only member of a family of one),
@@ -779,10 +785,8 @@ def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
     diagnostic can demand without assuming a convergence rate.  The
     family's step-error gate is STEP_ERROR_FRACTION of it."""
     eps = np.asarray(epsilons, dtype=float)
-    vnorm = float(np.linalg.norm(v))
-    budget = 0.5 * eps[-2 if len(eps) > 1 else -1] ** 2 * vnorm * vnorm
     gradn = float(np.linalg.norm(potential.field.gradient(p)))
-    return 2.0 * potential.profile.inverse(budget) / gradn
+    return 2.0 * _tube_half_width(potential, v, eps[-2 if len(eps) > 1 else -1]) / gradn
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,18 @@ and shared by all of its evaluations.
 
 Batches: every map is one kernel over an (N, n) batch of rows
 (``flow_many``, ``foot_many``, ``MChart.surface_many``/``tube_many``/
-``coords_many``), and the single-point functions are batches of one.
-Flow step counts, times, f-values and chart coordinates are per row (a
-scalar count stands for every row).  ``flow_many`` marches the coarse and
+``coords_many``), and the single-point functions are batches of one.  Flow
+step counts, times, f-values and chart coordinates are per row (a scalar
+count stands for every row; without one, each row takes ``flow_steps_for``
+of its flow time, given or read as f).  ``flow_many`` marches the coarse and
 the fine RK4 pass of every row in one lockstep loop, ordered by substep
-count, so a batch costs max(2n) iterations of four gradient batches
-however many rows and counts it holds.  Each row rounds exactly as it
-would alone (elementwise arithmetic, ``np.vecdot`` and per-row ``matmul``
-only), so a batch and a loop of single points agree bit for bit.  A
-kernel returns its rows and ``{row: error}`` for the rows that failed,
-each error what that row alone would raise; ``raise_first`` raises the
-lowest-index one, which is the error a loop over the rows would have
-stopped at.
+count, so a batch costs max(2n) iterations of four gradient batches however
+many rows and counts it holds.  Each row rounds exactly as it would alone
+(elementwise arithmetic, ``np.vecdot`` and per-row ``matmul`` only), so a
+batch and a loop of single points agree bit for bit.  A kernel returns its
+rows and ``{row: error}`` for the rows that failed, each error what that
+row alone would raise; ``raise_first`` raises the lowest-index one, which
+is the error a loop over the rows would have stopped at.
 """
 from __future__ import annotations
 
@@ -53,12 +53,12 @@ from .fields import ScalarField, _as_point
 
 Array = np.ndarray
 
-#: target substep of the transversal flow for frame stencils and single-point
-#: calls: ``frame_data`` takes second differences of the tube map over
-#: ``chart.stencil_step`` (about 2e-4), which divide a flow's error by h^2
+#: target substep of the transversal flow for frame stencils, ``transversal_flow``
+#: and ``tube_point``: ``frame_data`` takes second differences of the tube map
+#: over ``chart.stencil_step`` (about 2e-4), which divide a flow's error by h^2
 FLOW_BASE_STEP = 2.5e-3
-#: target substep of every batch position read (``flow_steps_for``) and of
-#: the metric estimate's first differences: at this step the
+#: target substep of every position read (``flow_steps_for``) and of the
+#: metric estimate's first differences: at this step the
 #: Richardson-combined RK4 already reads a position to rounding
 FLOW_COARSE_STEP = 1e-2
 #: |grad f| guard below which the flow refuses to continue
@@ -102,45 +102,44 @@ def default_flow_steps(t: float) -> int:
 
 
 def flow_steps_for(r_values) -> Array:
-    """Flow substeps of each point of a batch with f-values ``r_values``:
+    """Flow substeps of each row of a batch with flow times ``r_values``:
     ``max(8, ceil((|r| + 1e-3) / FLOW_COARSE_STEP))``, per row, so a point
     near M takes no more than the floor of 8 whatever its batch holds.
 
-    This is the law of position reads (tube coordinates, feet, round
-    trips): RK4 at n and 2n substeps, Richardson-combined, reads the
-    shipped nodes' y at this step within 1e-15 of a flow with 8x the
-    substeps, i.e. to rounding.  Frame stencils, which difference the tube
-    map over steps of about 2e-4, keep the finer ``FLOW_BASE_STEP``."""
+    This is the law of position reads and the batch kernels' default: RK4
+    at n and 2n substeps, Richardson-combined, reads the shipped nodes' y at
+    this step within 1e-15 of a flow with 8x the substeps, i.e. to rounding.
+    Frame stencils, which difference over about 2e-4, keep FLOW_BASE_STEP."""
     r = np.abs(np.asarray(r_values, dtype=float)) + 1e-3
     return np.maximum(8, np.ceil(r / FLOW_COARSE_STEP)).astype(int)
 
 
-def flow_many(fld, X, t, n_steps):
+def flow_many(fld, X, t, n_steps=None):
     """Flow each row of X along grad f / |grad f|^2 for its own time t[i].
 
     Fixed-step RK4 with ``n_steps`` substeps per row (a scalar stands for
-    every row), run at n and 2n substeps and Richardson-combined; rows with
-    t = 0 are copied.  Both passes of every row march in one lockstep loop:
-    the passes are ordered by substep count and a finished pass drops off
-    the end of the live prefix, so the loop runs max(2n) times.  Each pass
-    rounds as it would alone, with its own step t/n or t/2n.  The four
-    slopes and the stage point are buffers allocated once per call and
-    sliced to the live prefix, so an iteration allocates only the field's
-    gradients and their squared norms.  The step columns h, h/2 and h/6
-    are spread over the coordinate columns once per call and sliced with
-    those buffers, so each RK4 product multiplies same-shape operands (a
-    broadcast (N, 1) column costs 3-5 times as much on thousands of
-    rows); only the division by |grad f|^2, computed afresh at every
-    stage, still broadcasts.  A row fails
-    (FlowDomainError) where |grad f| drops to TOL_CRIT, or when its result
-    violates the exact identity f(flow(t, x)) = t + f(x) by more than
-    FLOW_IDENTITY_TOL (1 + |t|), which means its path grazed the critical
-    set; a row that fails in both passes reports its coarse pass's error.
+    every row; by default ``flow_steps_for(t)``), run at n and 2n substeps
+    and Richardson-combined; rows with t = 0 are copied.  Both passes of
+    every row march in one lockstep loop: the passes are ordered by substep
+    count and a finished pass drops off the end of the live prefix, so the
+    loop runs max(2n) times.  Each pass rounds as it would alone, with its
+    own step t/n or t/2n.  The four slopes and the stage point are buffers
+    allocated once per call and sliced to the live prefix, so an iteration
+    allocates only the field's gradients and their squared norms.  The step
+    columns h, h/2 and h/6 are spread over the coordinate columns once per
+    call and sliced with those buffers, so each RK4 product multiplies
+    same-shape operands (a broadcast (N, 1) column costs 3-5 times as much
+    on thousands of rows); only the division by |grad f|^2, computed afresh
+    at every stage, still broadcasts.  A row fails (FlowDomainError) where
+    |grad f| drops to TOL_CRIT, or when its result violates the exact
+    identity f(flow(t, x)) = t + f(x) by more than FLOW_IDENTITY_TOL
+    (1 + |t|), which means its path grazed the critical set; a row that
+    fails in both passes reports its coarse pass's error.
     Returns the flowed rows and {row: error}.
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(t, dtype=float)
-    counts = np.broadcast_to(np.asarray(n_steps), t.shape)
+    counts = np.broadcast_to(flow_steps_for(t) if n_steps is None else n_steps, t.shape)
     if counts.dtype.kind not in "iu" or (counts.size and counts.min() < 1):
         raise InvalidParameterError("per-row flow step counts must be integers of at least 1")
     out = X.copy()
@@ -219,17 +218,20 @@ def transversal_flow(fld, x0, t: float, n_steps: Optional[int] = None) -> Array:
     return _single(*flow_many(fld, np.asarray(x0, dtype=float)[None], np.array([t], float), n))
 
 
-def foot_many(fld, X, n_steps):
+def foot_many(fld, X, n_steps=None):
     """Project each row of X onto {f = 0}: flow back by -f(x) with
-    ``n_steps`` substeps per row (a scalar stands for every row; all rows
-    flow in one :func:`flow_many` lockstep), then Newton-polish along grad f.
-
-    The flow lands on M up to integration error; the polish removes it,
-    leaving |f| <= FOOT_TOL within FOOT_MAX_ITER steps per row, or that
-    row fails.  Returns the feet and {row: error}.
-    """
+    ``n_steps`` substeps per row (a scalar stands for every row, by default
+    ``flow_steps_for(f(x))``; all rows flow in one :func:`flow_many`
+    lockstep), then Newton-polish along grad f to |f| <= FOOT_TOL within
+    FOOT_MAX_ITER steps per row, or that row fails.  Returns the feet and
+    {row: error}."""
     X = np.asarray(X, dtype=float)
-    Y, failures = flow_many(fld, X, -fld.f_many(X), n_steps)
+    return _feet(fld, X, fld.f_many(X), n_steps)
+
+
+def _feet(fld, X, r, n_steps):
+    """:func:`foot_many` of the rows X, whose f-values ``r`` are known."""
+    Y, failures = flow_many(fld, X, -r, n_steps)
     live = np.array([i for i in range(len(X)) if i not in failures], dtype=int)
     for _ in range(FOOT_MAX_ITER):
         fv = fld.f_many(Y[live])
@@ -252,11 +254,8 @@ def foot_many(fld, X, n_steps):
 
 
 def foot_point(fld, x, n_steps: Optional[int] = None) -> Array:
-    """Project x onto {f = 0}: :func:`foot_many` on one row, with
-    ``default_flow_steps(f(x))`` substeps unless ``n_steps`` is given."""
-    x = np.asarray(x, dtype=float)[None]
-    n = n_steps if n_steps is not None else default_flow_steps(float(fld.f_many(x)[0]))
-    return _single(*foot_many(fld, x, n))
+    """Project x onto {f = 0}: :func:`foot_many` on one row."""
+    return _single(*foot_many(fld, np.asarray(x, dtype=float)[None], n_steps))
 
 
 @dataclass(eq=False)
@@ -281,10 +280,8 @@ REGULAR_VALUE_TOL = 1e-3
 
 
 def check_regular_value(fld: ScalarField, seeds) -> RegularityReport:
-    """Project seeds onto {f = 0} and report the smallest gradient norm found
-    (it must exceed REGULAR_VALUE_TOL); the projection is one ``foot_many``
-    batch, each seed at the flow steps its own distance from the floor
-    needs.
+    """Project seeds onto {f = 0} in one ``foot_many`` batch and report the
+    smallest gradient norm found (it must exceed REGULAR_VALUE_TOL).
 
     A projection that dies approaching the critical set is itself evidence
     against regularity: the gradient norm at the failure point is recorded
@@ -295,7 +292,7 @@ def check_regular_value(fld: ScalarField, seeds) -> RegularityReport:
     X = np.array([_as_point(seed, fld.dim) for seed in seeds]).reshape(-1, fld.dim)
     if not len(X):
         return report
-    where, failures = foot_many(fld, X, flow_steps_for(fld.f_many(X)))
+    where, failures = foot_many(fld, X)
     stuck = [i for i in sorted(failures) if isinstance(failures[i], NewtonConvergenceError)]
     if stuck:
         i = stuck[0]
@@ -399,11 +396,11 @@ class MChart:
     def surface_point(self, y) -> Array:
         return _single(*self.surface_many(np.atleast_1d(np.asarray(y, dtype=float))[None]))
 
-    def tube_many(self, r, Y, flow_steps):
+    def tube_many(self, r, Y, flow_steps=None):
         """Psi(r, y) per row: flow the surface point for time r with
-        ``flow_steps`` substeps per row (a scalar stands for every row),
-        then pin f(x) = r with three Newton steps (rows with r = 0 are the
-        surface points).  Returns the points and {row: error}."""
+        ``flow_steps`` substeps per row (a scalar stands for every row, by
+        default ``flow_steps_for(r)``), then pin f(x) = r with three Newton
+        steps (rows with r = 0 are the surface points)."""
         r = np.asarray(r, dtype=float)
         fld = self.field
         X, failures = self.surface_many(Y)
@@ -427,16 +424,17 @@ class MChart:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return _single(*self.tube_many(np.array([r], float), y[None], n))
 
-    def coords_many(self, X, flow_steps):
-        """Tube coordinates of the rows of X: r = f(x), and y the chart
-        coordinates of the foot (:func:`foot_many` with ``flow_steps``
-        substeps per row, a scalar standing for every row).  The foot must
-        lie within delta, and the chart must map y back to it: a foot
-        farther than CHART_FOLD_TOL from ``surface_many(y)`` sits past a
-        fold of the tangent-plane projection, where y is no coordinate.
+    def coords_many(self, X, flow_steps=None):
+        """Tube coordinates of the rows of X: r = f(x), read once, and y
+        the chart coordinates of the foot (:func:`foot_many` by r, with
+        ``flow_steps`` substeps per row, by default ``flow_steps_for(r)``).
+        The foot must lie within delta, and the chart must map y back to it:
+        a foot farther than CHART_FOLD_TOL from ``surface_many(y)`` sits past
+        a fold of the tangent-plane projection, where y is no coordinate.
         Returns r, y and {row: error}."""
         X = np.asarray(X, dtype=float)
-        feet, failures = foot_many(self.field, X, flow_steps)
+        r = self.field.f_many(X)
+        feet, failures = _feet(self.field, X, r, flow_steps)
         y = (self.basis @ (feet - self.p)[:, :, None])[:, :, 0]
         norms = np.sqrt(np.vecdot(y, y))
         for i in np.flatnonzero(norms > self.delta):
@@ -451,14 +449,11 @@ class MChart:
             failures.setdefault(int(rows[i]), ChartDomainError(
                 f"chart coordinates fold: the chart maps y = {y[rows[i]].tolist()} to a "
                 f"point {gaps[i]:.3e} from the foot"))
-        return self.field.f_many(X), y, failures
+        return r, y, failures
 
     def coords_of(self, x, flow_steps: Optional[int] = None) -> TubularCoords:
-        """Tube coordinates (r, y) of an ambient point: r = f(x), y from the foot."""
-        x = np.asarray(x, dtype=float)[None]
-        n = (flow_steps if flow_steps is not None
-             else default_flow_steps(float(self.field.f_many(x)[0])))
-        r, y, failures = self.coords_many(x, n)
+        """Tube coordinates (r, y) of a point: :meth:`coords_many` on one row."""
+        r, y, failures = self.coords_many(np.asarray(x, dtype=float)[None], flow_steps)
         raise_first(failures)
         return TubularCoords(r=float(r[0]), y=y[0])
 
@@ -702,7 +697,7 @@ def curvilinear_residual(chart: MChart, traj, tau_samples, trace_step: Optional[
                 "this run kept only its output nodes; take the residual of a dense run "
                 "from integrate_rescaled at the same eps, horizon and options")
         xs = traj.x_int[[c - h, c, c + h]]
-        r, y, failures = chart.coords_many(xs, flow_steps_for(chart.field.f_many(xs)))
+        r, y, failures = chart.coords_many(xs)
         raise_first(failures)
         rdot = (r[2] - r[0]) / (2.0 * H)
         ydot = (y[2] - y[0]) / (2.0 * H)

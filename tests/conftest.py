@@ -7,7 +7,7 @@ import pytest
 import flatvalley as fv
 from flatvalley import dynamics
 from flatvalley.errors import BlowUpError
-from flatvalley.geometry import flow_steps_for, foot_many, raise_first
+from flatvalley.geometry import foot_many, raise_first
 
 
 def _pipeline_bundle(scn):
@@ -52,7 +52,7 @@ def ellipsoid_reference():
     """Brute-force small-eps rescaled run projected to the floor."""
     E = fv.ellipsoid()
     traj = fv.integrate_rescaled(E, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, 0.5)
-    x_proj, failures = foot_many(E.field, traj.x, flow_steps_for(E.field.value_many(traj.x)))
+    x_proj, failures = foot_many(E.field, traj.x)
     raise_first(failures)
     return SimpleNamespace(trajectory=traj, x=x_proj, tau=traj.tau)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import flatvalley as fv
-from flatvalley.geometry import flow_many, flow_steps_for, raise_first
+from flatvalley.geometry import flow_many, raise_first
 from flatvalley.reporting import revalidate_from_dir
 
 RNG = np.random.default_rng(20240611)
@@ -76,10 +76,10 @@ def test_criterion_4_flow_and_tube_identities():
                   float(RNG.uniform(-r_box, r_box)),
                   float(RNG.uniform(-t_box, t_box))) for _ in range(1000)]
         y, r, t = (np.array(column) for column in zip(*draws))
-        # one batch per map, each row with the step count it needs
-        x, failures = chart.tube_many(r, y, flow_steps_for(r))
+        # one batch per map, each row at the step count its flow time needs
+        x, failures = chart.tube_many(r, y)
         raise_first(failures)
-        end, failures = flow_many(fld, x, t, flow_steps_for(t))
+        end, failures = flow_many(fld, x, t)
         raise_first(failures)
         worst_flow = max(worst_flow, float(np.max(np.abs(fld.f_many(end) - t - fld.f_many(x)))))
         worst_sep = max(worst_sep, float(np.max(np.abs(P.value_many(x) - P.profile.g(r)))))

@@ -100,7 +100,7 @@ def test_schedule_too_short_when_limit_is_wrong(circle_bundle):
     # a reflected fake limit sits ~2R away from every member at tau*
     fake = fv.LimitCurve(
         tau=real.tau, x=2.0 * circle_bundle.scenario.p - real.x,
-        velocity=-real.velocity, xdot0=-real.xdot0, p=real.p, verified=True,
+        xdot0=-real.xdot0, p=real.p, verified=True,
         source_epsilon=real.source_epsilon, initial_velocity_error=0.0)
     with pytest.raises(ScheduleTooShortError):
         fv.certify_instability(fam, fake, circle_bundle.physical_runs)

@@ -323,16 +323,25 @@ def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, fl
     # members' flows take 8 substeps each on the circle and up to 20 on the
     # ellipsoid, so one lockstep runs 16 and 40 RK4 iterations of four
     # grad_many calls; the fold check adds one chart graph solve of
-    # CHART_NEWTON_ITERS
+    # CHART_NEWTON_ITERS.  f is read once at the nodes, twice by the flow
+    # identity, once by the foot polish (every row settles at once) and
+    # CHART_NEWTON_ITERS + 1 times by the graph solve: 17 f_many calls.
+    # extract_limit's foot projection reads it four times in the same way,
+    # the limit's residual once and the floor violations once per member:
+    # 11 on the bundles' 6 members
     b = request.getfixturevalue(bundle)
     fld = b.chart.field
-    calls = {"all": 0, "flow": 0}
+    calls = {"all": 0, "flow": 0, "f": 0}
     in_flow = []
 
     def grad_many(X):
         calls["all"] += 1
         calls["flow"] += bool(in_flow)
         return fld.grad_many(X)
+
+    def f_many(X):
+        calls["f"] += 1
+        return fld.f_many(X)
 
     def flow_many_counted(*args):
         in_flow.append(True)
@@ -342,10 +351,19 @@ def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, fl
             in_flow.pop()
 
     monkeypatch.setattr(geometry, "flow_many", flow_many_counted)
-    chart = dataclasses.replace(b.chart, field=dataclasses.replace(fld, grad_many=grad_many))
+    counting = dataclasses.replace(fld, grad_many=grad_many, f_many=f_many)
+    chart = dataclasses.replace(b.chart, field=counting)
     traces = fv.coordinate_traces(chart, b.family)
-    assert calls == {"all": flow_calls + CHART_NEWTON_ITERS, "flow": flow_calls}
-    assert all(_bits(t.y) == _bits(ref.y) for t, ref in zip(traces, b.traces))
+    assert calls == {"all": flow_calls + CHART_NEWTON_ITERS, "flow": flow_calls,
+                     "f": 17}
+    assert all(_bits(t.y) == _bits(ref.y) and _bits(t.r) == _bits(ref.r)
+               for t, ref in zip(traces, b.traces))
+    calls["f"] = 0
+    family = dataclasses.replace(
+        b.family, potential=dataclasses.replace(b.family.potential, field=counting))
+    limit, _ = fv.extract_limit(family)
+    assert b.family.count == 6 and calls["f"] == 11
+    assert _bits(limit.x) == _bits(b.limit.x)
 
 
 def test_position_reads_match_four_times_the_substeps(ellipsoid_bundle):

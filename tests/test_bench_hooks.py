@@ -153,3 +153,24 @@ def test_every_import_is_read_or_patched_by_the_tracer():
         problems += [f"{module} imports {name} and never reads it"
                      for name in sorted(imported - read - patched)]
     assert not problems
+
+
+def test_only_geometry_states_the_flow_step_laws():
+    # geometry's kernels take their flow substeps from the times and
+    # f-values they already hold, so no other module restates a law
+    laws = {"flow_steps_for", "default_flow_steps"}
+    package = pathlib.Path(fields.__file__).resolve().parent
+    problems = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "geometry":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "id", getattr(node.func, "attr", None))]
+            else:
+                continue
+            problems += [f"flatvalley.{path.stem} line {node.lineno} names {name}"
+                         for name in names if name in laws]
+    assert not problems

@@ -272,6 +272,28 @@ def test_main_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--scenario", "s.json", "--count", "abc"],
+     "argument --count: invalid int value: 'abc'"),
+    (["certify", "--scenario", "s.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["certify"], "the following arguments are required: --scenario"),
+    ([], "the following arguments are required: command"),
+], ids=["count-abc", "unknown-flag", "no-scenario", "no-subcommand"])
+def test_a_malformed_command_line_is_bad_input(capsys, argv, message):
+    # argparse would print its usage block and exit 2, the INDETERMINATE code
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: InvalidParameterError: {message}\n"
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["certify", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: flatvalley certify")
+
+
 def test_main_simulate_family_limit(tiny_scenario_file, tmp_path, capsys):
     # a single rescaled run is a family of one member
     out = str(tmp_path / "sim")
