@@ -34,13 +34,14 @@ print(f"initial velocity recovered: xdot(0) = {np.round(limit.xdot0, 6).tolist()
 print("\ncoordinate diagnostics in the tube:")
 chart = fv.chart_for_scenario(scn)
 traces = fv.coordinate_traces(chart, family)
-cb = fv.coordinate_bounds_report(traces, scn.potential, scn.v)
-acc = fv.acceleration_uniformity(traces)
-print(f"  sup |r| per member : {[f'{s:.2e}' for s in cb.sup_r]}")
-print(f"  conservation bounds: {[f'{b:.2e}' for b in cb.r_bounds]}")
-print(f"  max |rdot| = {cb.max_rdot.max():.2e}; max |ydot| = {cb.max_ydot.max():.6f}")
+coords, reason = fv.coordinate_report(traces, scn.potential, scn.v)
+print(f"  sup |r| per member : {[f'{s:.2e}' for s in coords.sup_r]}")
+print(f"  conservation bounds: {[f'{b:.2e}' for b in coords.r_bounds]}")
+print(f"  max |rdot| = {coords.max_rdot.max():.2e}; max |ydot| = {coords.max_ydot.max():.6f}")
 print(f"  tangential acceleration per member: "
-      f"{[f'{a:.3f}' for a in acc.per_member]} (max/min = {acc.ratio:.2f})")
+      f"{[f'{a:.3f}' for a in coords.acceleration_per_member]} "
+      f"(max/min = {coords.acceleration_ratio:.2f})")
+print(f"  stop reason: {reason or 'none, every proof bound holds'}")
 
 print("\ntangential equations of motion, residual check (eps = 0.05):")
 # family members keep only their output nodes; the residual reads the dense run

@@ -38,9 +38,8 @@ _EXPORTS = {
         "frame_data", "pullback_metric_min", "residual_convergence", "transversal_flow",
     ),
     "analysis": (
-        "AccelerationReport", "ConvergenceReport", "CoordinateBoundsReport", "CoordinateTrace",
-        "InstabilityCertificate", "LimitCurve", "acceleration_uniformity",
-        "certify_instability", "check_certificate", "coordinate_bounds_report",
+        "ConvergenceReport", "CoordinateReport", "CoordinateTrace", "InstabilityCertificate",
+        "LimitCurve", "certify_instability", "check_certificate", "coordinate_report",
         "coordinate_traces", "escape_point", "extract_limit", "physical_evidence_runs",
         "revalidate_certificate",
     ),

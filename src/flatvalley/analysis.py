@@ -3,13 +3,14 @@
 The pipeline here is: read each family member in tube coordinates
 (``coordinate_traces``), check the transverse coordinate shrinks at the
 conservation-law rate and the coordinate accelerations stay bounded
-uniformly in eps (``coordinate_gate`` stops on either; the measured
-coordinate speeds are recorded, not gated on), extract the uniform limit
-curve from the smallest-eps member (``extract_limit``) with a Cauchy
-diagnostic standing in for compactness, and finally assemble an
-:class:`InstabilityCertificate`: concrete evidence that trajectories
-launched with initial speeds eps_j |v| (going to zero) still reach
-distance R/2 from the equilibrium point p at physical time tau*/eps_j.
+uniformly in eps (``coordinate_report`` records these bounds and names the
+first that fails; the measured coordinate speeds are recorded, not gated
+on), extract the uniform limit curve from the smallest-eps member
+(``extract_limit``) with a Cauchy diagnostic standing in for compactness,
+and finally assemble an :class:`InstabilityCertificate`: concrete
+evidence that trajectories launched with initial speeds eps_j |v| (going
+to zero) still reach distance R/2 from the equilibrium point p at
+physical time tau*/eps_j.
 
 That evidence comes from physical integrations independent of the
 rescaled members: the family's physical runs (see
@@ -105,68 +106,6 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
     return out
 
 
-@dataclass(eq=False)
-class CoordinateBoundsReport:
-    """Transverse-coordinate bounds and measured coordinate speeds per member.
-
-    The transverse coordinate must shrink with eps (``shrinking``) and stay
-    below the conservation budget g^-1(eps^2 |v|^2 / 2) (``r_bounds_ok``):
-    these are bounds of the proof, and :func:`coordinate_gate` stops the
-    pipeline when one fails.  ``max_rdot`` and ``max_ydot`` are the largest
-    measured coordinate speeds per member, recorded and not gated on.
-    """
-
-    epsilons: Array
-    sup_r: Array
-    r_bounds: Array
-    r_bounds_ok: bool
-    shrinking: bool
-    max_rdot: Array
-    max_ydot: Array
-
-
-def _r_excess(sup_r: Array, r_bounds: Array) -> Array:
-    """Per member: sup |r| above its conservation bound."""
-    return ~(sup_r <= r_bounds * (1.0 + SLACK))
-
-
-def _growth(sup_r: Array) -> Array:
-    """Per member: sup |r| above the previous member's (False for j = 0)."""
-    return np.concatenate([[False], ~(sup_r[1:] <= sup_r[:-1] * (1.0 + 1e-9) + 1e-15)])
-
-
-def coordinate_bounds_report(traces: List[CoordinateTrace], potential, v) -> CoordinateBoundsReport:
-    """The traces' transverse bounds and measured coordinate speeds."""
-    eps = np.array([t.epsilon for t in traces])
-    sup_r = np.array([float(np.abs(t.r).max()) for t in traces])
-    bounds = np.array([_tube_half_width(potential, v, e) for e in eps])
-    r_ok = not _r_excess(sup_r, bounds).any()
-    shrinking = not _growth(sup_r).any()
-    max_rdot = np.array([float(np.abs(t.rdot).max()) for t in traces])
-    max_ydot = np.array([float(np.abs(t.ydot).max()) for t in traces])
-    return CoordinateBoundsReport(
-        epsilons=eps, sup_r=sup_r, r_bounds=bounds, r_bounds_ok=r_ok,
-        shrinking=shrinking, max_rdot=max_rdot, max_ydot=max_ydot)
-
-
-@dataclass(eq=False)
-class AccelerationReport:
-    """Uniform bound on the tangential coordinate accelerations.
-
-    ``bound`` is the largest interior |yddot| over all members; the family
-    is uniform when the per-member maxima stay within ``ratio_bound`` of
-    each other (accelerations must not blow up as eps shrinks).  Members
-    with negligible acceleration make the ratio vacuous (None) and pass
-    trivially.
-    """
-
-    per_member: Array
-    bound: float
-    ratio: Optional[float]
-    ratio_bound: float
-    uniform_ok: bool
-
-
 #: second differences of O(1) coordinates on the common grid cannot be
 #: trusted below this scale (rounding alone contributes ~4 eps / spacing^2)
 _ACCEL_NOISE_FLOOR = 1e-8
@@ -174,51 +113,65 @@ _ACCEL_NOISE_FLOOR = 1e-8
 ACCEL_RATIO_BOUND = 4.0
 
 
-def _accel_floor(per: Array) -> float:
-    return max(float(per.min()), _ACCEL_NOISE_FLOOR)
-
-
-def acceleration_uniformity(traces: List[CoordinateTrace]) -> AccelerationReport:
-    per = []
-    for t in traces:
-        norms = np.linalg.norm(t.yddot[1:-1], axis=1)
-        per.append(float(norms.max()))
-    per = np.array(per)
-    c = float(per.max())
-    if c <= _ACCEL_NOISE_FLOOR:
-        # straight-line families: every acceleration is below measurement noise
-        return AccelerationReport(per_member=per, bound=c, ratio=None,
-                                  ratio_bound=ACCEL_RATIO_BOUND, uniform_ok=True)
-    ratio = c / _accel_floor(per)
-    return AccelerationReport(per_member=per, bound=c, ratio=ratio,
-                              ratio_bound=ACCEL_RATIO_BOUND,
-                              uniform_ok=ratio <= ACCEL_RATIO_BOUND)
-
-
-def coordinate_gate(bounds: CoordinateBoundsReport, acceleration: AccelerationReport) -> None:
-    """Stop as INDETERMINATE when a proof bound of the coordinates fails: the
-    transverse bound, the shrinking of sup |r| with eps, or the uniformity of
-    the tangential accelerations.  The reason names the first failing member
-    j and its eps.
+@dataclass(eq=False)
+class CoordinateReport:
+    """The proof bounds of the tube coordinates, report.json's ``coordinates``
+    block field for field: per member, sup |r| stays below g^-1(eps^2 |v|^2 / 2)
+    (``r_bounds_ok``) and shrinks with eps (``shrinking``), and the largest
+    interior |y''| stays within ACCEL_RATIO_BOUND of the smallest member's
+    (``acceleration_uniform_ok``; the ratio is vacuous, None, when every
+    acceleration is below measurement noise).  The largest coordinate speeds
+    ``max_rdot`` and ``max_ydot`` are recorded, not gated on.
     """
-    eps, sup_r = bounds.epsilons, bounds.sup_r
-    if not bounds.r_bounds_ok:
-        j = int(np.argmax(_r_excess(sup_r, bounds.r_bounds)))
-        raise IndeterminateCertificateError(
-            f"member j={j} (eps={eps[j]:g}) leaves the conservation tube: sup |r| = "
-            f"{sup_r[j]:.6g} > g^-1(eps^2 |v|^2 / 2) = {bounds.r_bounds[j]:.6g}")
-    if not bounds.shrinking:
-        j = int(np.argmax(_growth(sup_r)))
-        raise IndeterminateCertificateError(
-            f"member j={j} (eps={eps[j]:g}) does not shrink: sup |r| = {sup_r[j]:.6g} > "
-            f"{sup_r[j - 1]:.6g} of member j={j - 1}")
-    if not acceleration.uniform_ok:
-        ratios = acceleration.per_member / _accel_floor(acceleration.per_member)
-        j = int(np.argmax(ratios > acceleration.ratio_bound))
-        raise IndeterminateCertificateError(
-            f"member j={j} (eps={eps[j]:g}) breaks acceleration uniformity: max |y''| = "
-            f"{acceleration.per_member[j]:.6g} is {ratios[j]:.6g} times the smallest member "
-            f"maximum, above {acceleration.ratio_bound:g}")
+
+    sup_r: Array
+    r_bounds: Array
+    r_bounds_ok: bool
+    shrinking: bool
+    max_rdot: Array
+    max_ydot: Array
+    acceleration_per_member: Array
+    acceleration_bound: float
+    acceleration_ratio: Optional[float]
+    acceleration_uniform_ok: bool
+
+
+def coordinate_report(traces: List[CoordinateTrace], potential,
+                      v) -> Tuple[CoordinateReport, str]:
+    """The traces' :class:`CoordinateReport` and why the run stops on it:
+    '' when every bound holds, else the first failing bound (the tube, the
+    shrinking of sup |r| with eps, then acceleration uniformity) with its
+    first failing member j and eps."""
+    eps = np.array([t.epsilon for t in traces])
+    sup_r = np.array([float(np.abs(t.r).max()) for t in traces])
+    bounds = np.array([_tube_half_width(potential, v, e) for e in eps])
+    accel = np.array([float(np.linalg.norm(t.yddot[1:-1], axis=1).max()) for t in traces])
+    # below the noise floor every ratio is at most 1: nothing breaks uniformity
+    ratios = accel / max(float(accel.min()), _ACCEL_NOISE_FLOOR)
+    outside = ~(sup_r <= bounds * (1.0 + SLACK))
+    growing = np.concatenate([[False], ~(sup_r[1:] <= sup_r[:-1] * (1.0 + 1e-9) + 1e-15)])
+    breaking = ~(ratios <= ACCEL_RATIO_BOUND)
+    report = CoordinateReport(
+        sup_r=sup_r, r_bounds=bounds, r_bounds_ok=not outside.any(), shrinking=not growing.any(),
+        max_rdot=np.array([float(np.abs(t.rdot).max()) for t in traces]),
+        max_ydot=np.array([float(np.abs(t.ydot).max()) for t in traces]),
+        acceleration_per_member=accel, acceleration_bound=float(accel.max()),
+        acceleration_ratio=None if accel.max() <= _ACCEL_NOISE_FLOOR else float(ratios.max()),
+        acceleration_uniform_ok=not breaking.any())
+    if outside.any():
+        j = int(np.argmax(outside))
+        return report, (f"member j={j} (eps={eps[j]:g}) leaves the conservation tube: sup |r| = "
+                        f"{sup_r[j]:.6g} > g^-1(eps^2 |v|^2 / 2) = {bounds[j]:.6g}")
+    if growing.any():
+        j = int(np.argmax(growing))
+        return report, (f"member j={j} (eps={eps[j]:g}) does not shrink: sup |r| = "
+                        f"{sup_r[j]:.6g} > {sup_r[j - 1]:.6g} of member j={j - 1}")
+    if breaking.any():
+        j = int(np.argmax(breaking))
+        return report, (f"member j={j} (eps={eps[j]:g}) breaks acceleration uniformity: "
+                        f"max |y''| = {accel[j]:.6g} is {ratios[j]:.6g} times the smallest "
+                        f"member maximum, above {ACCEL_RATIO_BOUND:g}")
+    return report, ""
 
 
 @dataclass(eq=False)

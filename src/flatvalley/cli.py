@@ -52,11 +52,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .analysis import (
-    acceleration_uniformity,
     certify_instability,
     check_limit_shape,
-    coordinate_bounds_report,
-    coordinate_gate,
+    coordinate_report,
     coordinate_traces,
     extract_limit,
     limit_escape,
@@ -96,11 +94,11 @@ from .geometry import (
     raise_first,
     residual_convergence,
 )
-from .integrators import METHOD
 from .reporting import (
-    bounds_payload,
     certificate_payload,
     convergence_payload,
+    family_payload,
+    scenario_payload,
     write_coords_csv,
     write_evidence_csv,
     write_limit_csv,
@@ -229,7 +227,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
         check_limit_shape(scenario.count, scenario.options.n_out)
     report = RunReport(out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    payload = {"scenario": _scenario_payload(scenario)}
+    payload = {"scenario": scenario_payload(scenario)}
     state = report.results
 
     def run_stage(name, fn):
@@ -256,26 +254,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
 
     def stage_family():
         fam = state["family"] = run_family(scenario)
-        plan = fam.plan
-        payload["family"] = {
-            "epsilons": fam.epsilons,
-            "dt": [m.dt for m in fam.members],
-            "substeps": fam.substeps,
-            # strict JSON: the infinite step error of a blown-up physical run is null
-            "step_errors": [float(e) if np.isfinite(e) else None for e in fam.step_errors],
-            "energy_drifts": [e.drift for e in fam.energies],
-            "bounds": bounds_payload(fam.bounds),
-            # how the substeps were chosen (see dynamics.family_for_gates)
-            "ceilings": plan.ceilings,
-            "probe": {
-                "substeps": plan.probe,
-                "step_errors": [float(e) if np.isfinite(e) else None
-                                for e in plan.probe_step_errors],
-                "energy_drifts": plan.probe_drifts,
-                "confined": plan.probe_confined,
-            },
-            "lockstep_iterations": plan.iterations,
-        }
+        payload["family"] = family_payload(fam)
         failures = state["member_failures"] = member_failures(fam)
         for reason in failures:
             if reason:
@@ -285,22 +264,11 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
         fam = state["family"]
         chart = chart_for_scenario(scenario)
         traces = coordinate_traces(chart, fam)
-        cb = coordinate_bounds_report(traces, scenario.potential, scenario.v)
-        acc = acceleration_uniformity(traces)
-        state.update(chart=chart, traces=traces, coord_bounds=cb, acceleration=acc)
-        payload["coordinates"] = {
-            "sup_r": cb.sup_r,
-            "r_bounds": cb.r_bounds,
-            "r_bounds_ok": cb.r_bounds_ok,
-            "shrinking": cb.shrinking,
-            "max_rdot": cb.max_rdot,
-            "max_ydot": cb.max_ydot,
-            "acceleration_per_member": acc.per_member,
-            "acceleration_bound": acc.bound,
-            "acceleration_ratio": acc.ratio,
-            "acceleration_uniform_ok": acc.uniform_ok,
-        }
-        coordinate_gate(cb, acc)
+        coords, reason = coordinate_report(traces, scenario.potential, scenario.v)
+        state.update(chart=chart, traces=traces, coordinates=coords)
+        payload["coordinates"] = dict(vars(coords))
+        if reason:
+            raise IndeterminateCertificateError(reason)
 
     def stage_limit():
         limit, conv = extract_limit(state["family"])
@@ -356,23 +324,6 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             break
     run_stage("emit", stage_emit)
     return report
-
-
-def _scenario_payload(scn: Scenario) -> dict:
-    return {
-        "name": scn.name,
-        "potential": scn.potential.spec_record or {"kind": scn.potential.name},
-        "p": scn.p,
-        "v": scn.v,
-        "horizon": scn.horizon,
-        "eps0": scn.eps0,
-        "ratio": scn.ratio,
-        "count": scn.count,
-        "integrator": METHOD,
-        "step_factor": scn.options.step_factor,
-        "n_out": scn.options.n_out,
-        "slack": SLACK,
-    }
 
 
 def _figures(out_dir: str, scn: Scenario, state: dict) -> List[str]:

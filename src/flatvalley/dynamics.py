@@ -782,11 +782,16 @@ def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:
     second-smallest member (of the only member of a family of one),
     2 g^-1(eps^2 |v|^2 / 2) / |grad f(p)|: consecutive members agreeing to
     the width the theory confines them to is exactly what the Cauchy
-    diagnostic can demand without assuming a convergence rate.  The
-    family's step-error gate is STEP_ERROR_FRACTION of it."""
+    diagnostic can demand without assuming a convergence rate."""
     eps = np.asarray(epsilons, dtype=float)
     gradn = float(np.linalg.norm(potential.field.gradient(p)))
     return 2.0 * _tube_half_width(potential, v, eps[-2 if len(eps) > 1 else -1]) / gradn
+
+
+def step_error_limit(potential, p, v, epsilons: Sequence[float]) -> float:
+    """The family's step-error gate: STEP_ERROR_FRACTION of the
+    :func:`limit_tolerance`."""
+    return STEP_ERROR_FRACTION * limit_tolerance(potential, p, v, epsilons)
 
 
 @dataclass(frozen=True)
@@ -948,10 +953,8 @@ def _failure(j: int, energy: EnergyReport, bounds: BoundsCheck, step_error: floa
 def member_failures(fam: FamilyResult) -> List[str]:
     """Per member, in order, why it fails the family stage's audits ('' when
     it passes): its confinement audit, its energy drift against
-    ENERGY_DRIFT_LIMIT, then its step error against STEP_ERROR_FRACTION of
-    the :func:`limit_tolerance`."""
-    step_limit = STEP_ERROR_FRACTION * limit_tolerance(fam.potential, fam.p, fam.v,
-                                                       fam.epsilons)
+    ENERGY_DRIFT_LIMIT, then its step error against :func:`step_error_limit`."""
+    step_limit = step_error_limit(fam.potential, fam.p, fam.v, fam.epsilons)
     return [_failure(j, e, b, err, fam.physical_errors.get(j), step_limit)
             for j, (e, b, err) in enumerate(zip(fam.energies, fam.bounds, fam.step_errors))]
 
@@ -977,7 +980,7 @@ def family_for_gates(potential, p, v, T, epsilons,
     epsilons = np.asarray(list(epsilons), dtype=float)
     ceilings, probe = member_substeps(T, epsilons, opts,  # MAX_STEPS, before any run
                                       exponent=potential.profile.exponent)
-    step_limit = STEP_ERROR_FRACTION * limit_tolerance(potential, p, v, epsilons)
+    step_limit = step_error_limit(potential, p, v, epsilons)
     half = (opts.n_out - 1) // 2
     # call 0 of step_calls, the probe of every member
     runs = _member_runs(potential, p, v, T, epsilons, opts, probe, range(len(epsilons)))

@@ -4,7 +4,8 @@ CSV columns use '.' decimals and 17 significant digits, which round-trips
 float64 exactly: revalidation from files reproduces in-memory numbers to
 the bit.  report.json contains only deterministic content (no wall-clock),
 so identical scenarios produce identical bytes, and it is strict JSON (RFC
-8259): a non-finite number is an error, never a bare NaN token.
+8259): a non-finite number is an error, never a bare NaN token.  Every
+block the file checks read back is built here, beside those checks.
 """
 from __future__ import annotations
 
@@ -16,15 +17,15 @@ import numpy as np
 
 from .analysis import check_certificate
 from .dynamics import (
-    STEP_ERROR_FRACTION,
+    SLACK,
     BoundsCheck,
     IntegratorOptions,
     RunAudits,
-    limit_tolerance,
     lockstep_iterations,
     member_substeps,
     planned_substeps,
     step_calls,
+    step_error_limit,
 )
 from .errors import FlatValleyError, NonFiniteEvaluationError
 from .fields import gallery_lookup
@@ -99,17 +100,54 @@ def read_csv_columns(path) -> Dict[str, Array]:
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def bounds_payload(bounds) -> List[dict]:
-    return [{
-        "eps": b.epsilon,
-        "max_speed": b.max_speed,
-        "max_potential": b.max_potential,
-        "max_displacement": b.max_displacement,
-        "worst_ball_ratio": b.worst_ball_ratio,
-        "speed_ok": b.speed_ok,
-        "sublevel_ok": b.sublevel_ok,
-        "ball_ok": b.ball_ok,
-    } for b in bounds]
+#: the BoundsCheck fields report.json records per member beside its eps:
+#: the maxima the confinement audit measured, then the verdicts they imply
+_MAXIMA = ("max_speed", "max_potential", "max_displacement", "worst_ball_ratio")
+_VERDICTS = ("speed_ok", "sublevel_ok", "ball_ok")
+
+
+def scenario_payload(scn) -> dict:
+    """report.json's ``scenario``: what ``_member_steps_hold`` re-derives from."""
+    return {
+        "name": scn.name,
+        "potential": scn.potential.spec_record or {"kind": scn.potential.name},
+        "p": scn.p,
+        "v": scn.v,
+        "horizon": scn.horizon,
+        "eps0": scn.eps0,
+        "ratio": scn.ratio,
+        "count": scn.count,
+        "integrator": METHOD,
+        "step_factor": scn.options.step_factor,
+        "n_out": scn.options.n_out,
+        "slack": SLACK,
+    }
+
+
+def family_payload(fam) -> dict:
+    """report.json's ``family``: each member's step, audits and confinement
+    claims (read back by ``_member_steps_hold`` and ``_bounds_hold``), and
+    how the substeps were chosen (see ``dynamics.family_for_gates``)."""
+    plan = fam.plan
+    return {
+        "epsilons": fam.epsilons,
+        "dt": [m.dt for m in fam.members],
+        "substeps": fam.substeps,
+        # strict JSON: the infinite step error of a blown-up physical run is null
+        "step_errors": [float(e) if np.isfinite(e) else None for e in fam.step_errors],
+        "energy_drifts": [e.drift for e in fam.energies],
+        "bounds": [{"eps": b.epsilon, **{k: getattr(b, k) for k in _MAXIMA + _VERDICTS}}
+                   for b in fam.bounds],
+        "ceilings": plan.ceilings,
+        "probe": {
+            "substeps": plan.probe,
+            "step_errors": [float(e) if np.isfinite(e) else None
+                            for e in plan.probe_step_errors],
+            "energy_drifts": plan.probe_drifts,
+            "confined": plan.probe_confined,
+        },
+        "lockstep_iterations": plan.iterations,
+    }
 
 
 def certificate_payload(cert) -> dict:
@@ -150,17 +188,15 @@ def _bounds_hold(claims: List[dict], potential, scn: dict, epsilons, steps,
     audits = RunAudits(potential, epsilons, scn["p"], scn["v"], x.shape[1])
     audits.feed(np.arange(len(members)), m[:, None] * np.arange(-half, half + 1), x, v,
                 [dt for _, dt in steps], m)
-    maxima = ("max_speed", "max_potential", "max_displacement", "worst_ball_ratio")
-    verdicts = ("speed_ok", "sublevel_ok", "ball_ok")
 
     def holds(j, claim):
         claimed = vars(BoundsCheck.from_maxima(float(epsilons[j]), audits.v_norm,
-                                               *(claim[k] for k in maxima)))
+                                               *(claim[k] for k in _MAXIMA)))
         at_nodes = vars(audits.bounds(j))
         # a NaN node maximum exceeds nothing: non-finite cells are the finite check's
         return (claim["eps"] == epsilons[j]
-                and all(claim[k] is True and claimed[k] for k in verdicts)
-                and not any(at_nodes[k] > claim[k] for k in maxima))
+                and all(claim[k] is True and claimed[k] for k in _VERDICTS)
+                and not any(at_nodes[k] > claim[k] for k in _MAXIMA))
 
     return len(claims) == len(members) and all(map(holds, range(len(claims)), claims))
 
@@ -184,9 +220,9 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
     T, half = scn["horizon"], (scn["n_out"] - 1) // 2
     ceilings, probe = member_substeps(T, epsilons, opts, exponent=potential.profile.exponent)
     readings = fam["probe"]
-    step_limit = STEP_ERROR_FRACTION * limit_tolerance(potential, scn["p"], scn["v"], epsilons)
     plan = planned_substeps(probe, ceilings, readings["step_errors"], readings["energy_drifts"],
-                            readings["confined"], step_limit)
+                            readings["confined"],
+                            step_error_limit(potential, scn["p"], scn["v"], epsilons))
     calls = step_calls(probe, plan, ceilings,
                        [j for j, (m, c) in enumerate(zip(fam["substeps"], ceilings)) if m == c])
     # the probe call runs every member in order, and later calls overwrite

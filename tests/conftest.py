@@ -15,15 +15,14 @@ def _pipeline_bundle(scn):
     fam = fv.run_family(scn)
     chart = fv.chart_for_scenario(scn)
     traces = fv.coordinate_traces(chart, fam)
-    coord_bounds = fv.coordinate_bounds_report(traces, scn.potential, scn.v)
-    acceleration = fv.acceleration_uniformity(traces)
+    coordinates, _ = fv.coordinate_report(traces, scn.potential, scn.v)
     limit, convergence = fv.extract_limit(fam)
     _, _, tau_star = fv.escape_point(limit.tau, limit.x, scn.p)
     runs = fv.physical_evidence_runs(fam, tau_star)
     cert = fv.certify_instability(fam, limit, runs)
     return SimpleNamespace(
         scenario=scn, family=fam, chart=chart, traces=traces,
-        coord_bounds=coord_bounds, acceleration=acceleration, limit=limit,
+        coordinates=coordinates, limit=limit,
         convergence=convergence, tau_star=tau_star, physical_runs=runs,
         certificate=cert)
 

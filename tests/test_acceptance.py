@@ -144,12 +144,12 @@ def test_criterion_7_coordinate_uniformity(circle_bundle):
     for eps, trace in zip(fam.epsilons, circle_bundle.traces):
         bound = eps / np.sqrt(2.0) * (1.0 + 1e-6)
         assert float(np.abs(trace.r).max()) <= bound, eps
-    acc = circle_bundle.acceleration
-    assert acc.uniform_ok and acc.ratio <= 4.0
+    coords = circle_bundle.coordinates
+    assert coords.acceleration_uniform_ok and coords.acceleration_ratio <= 4.0
     sup_r = [float(np.abs(t.r).max()) for t in circle_bundle.traces]
     print(f"PASS 7 coordinate uniformity: sup|r| per member "
           f"({', '.join(f'{s:.2e}' for s in sup_r)}) within eps/sqrt(2); "
-          f"acceleration max-by-min ratio {acc.ratio:.2f} <= 4")
+          f"acceleration max-by-min ratio {coords.acceleration_ratio:.2f} <= 4")
 
 
 def test_criterion_8_tangential_residual(circle_bundle):

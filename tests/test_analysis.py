@@ -31,22 +31,24 @@ def test_zero_velocity_traces_are_constant():
 
 
 def test_coordinate_bounds_gutter_equality_pattern(gutter_bundle):
-    cb = gutter_bundle.coord_bounds
+    cb = gutter_bundle.coordinates
     # speed along the floor is exactly |v|: the bound is attained
     assert np.allclose(cb.max_ydot, 1.0, atol=1e-7)
     assert np.allclose(cb.max_rdot, 0.0, atol=1e-10)
 
 
 def test_acceleration_uniformity_gutter(gutter_bundle):
-    acc = gutter_bundle.acceleration
-    assert acc.bound <= 1e-8
-    assert acc.uniform_ok  # trivially: accelerations vanish
+    coords = gutter_bundle.coordinates
+    assert coords.acceleration_bound <= 1e-8
+    assert coords.acceleration_ratio is None  # vacuous: accelerations vanish
+    assert coords.acceleration_uniform_ok
 
 
 def test_acceleration_uniformity_single_member(circle_bundle):
-    acc = fv.acceleration_uniformity(circle_bundle.traces[:1])
-    assert acc.uniform_ok
-    assert acc.ratio == pytest.approx(1.0)
+    scn = circle_bundle.scenario
+    coords, reason = fv.coordinate_report(circle_bundle.traces[:1], scn.potential, scn.v)
+    assert coords.acceleration_uniform_ok and reason == ""
+    assert coords.acceleration_ratio == pytest.approx(1.0)
 
 
 def test_extract_limit_gutter(gutter_bundle):
@@ -177,7 +179,7 @@ def test_transverse_coordinate_at_least_halves(circle_bundle):
     for a, b in zip(sup_r, sup_r[1:]):
         assert b <= 0.5 * a * (1.0 + 1e-6)
     # and the conservation bounds themselves halve exactly with eps
-    cb = circle_bundle.coord_bounds
+    cb = circle_bundle.coordinates
     assert np.allclose(cb.r_bounds[1:] / cb.r_bounds[:-1], 0.5, atol=1e-12)
 
 

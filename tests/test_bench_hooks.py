@@ -174,3 +174,24 @@ def test_only_geometry_states_the_flow_step_laws():
             problems += [f"flatvalley.{path.stem} line {node.lineno} names {name}"
                          for name in names if name in laws]
     assert not problems
+
+
+def test_one_module_states_the_step_gate_and_one_builds_the_report_blocks():
+    # dynamics.step_error_limit is the family's step-error gate, and every
+    # report.json block is built in reporting, beside the checks that read
+    # the blocks back
+    package = pathlib.Path(fields.__file__).resolve().parent
+    problems = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            if path.stem != "dynamics" and "STEP_ERROR_FRACTION" in names:
+                problems.append(f"flatvalley.{path.stem} line {node.lineno} reads "
+                                "STEP_ERROR_FRACTION")
+            if (path.stem != "reporting" and isinstance(node, ast.FunctionDef)
+                    and node.name.endswith("_payload")):
+                problems.append(f"flatvalley.{path.stem} line {node.lineno} defines {node.name}")
+    assert not problems

@@ -358,6 +358,8 @@ def test_report_json_is_strict_json(tmp_path):
     with open(tmp_path / "report.json") as fh:
         rep = json.load(fh, parse_constant=refuse)
     assert rep["coordinates"]["acceleration_ratio"] is None
+    # the coordinates block is the stage's record, field for field
+    assert set(rep["coordinates"]) == {f.name for f in dataclasses.fields(fv.CoordinateReport)}
 
 
 CIRCLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -886,47 +888,53 @@ def test_file_revalidation_rederives_evidence(circle_run_dir, tmp_path, tamper):
 
 
 def _scale_r(member, factor):
-    """Wrap the coordinate bounds so they see member's r scaled by factor."""
-    real = cli.coordinate_bounds_report
-
-    def bounds(traces, *args):
-        traces = [dataclasses.replace(t, r=t.r * factor) if j == member else t
-                  for j, t in enumerate(traces)]
-        return real(traces, *args)
-    return "coordinate_bounds_report", bounds
+    """Wrap a coordinate report so it sees member's r scaled by factor."""
+    def wrap(report):
+        return lambda traces, *args: report(
+            [dataclasses.replace(t, r=t.r * factor) if j == member else t
+             for j, t in enumerate(traces)], *args)
+    return wrap
 
 
 def _scale_yddot(factors):
-    """Wrap the acceleration report so it sees member j's y'' scaled by factors[j]."""
-    real = cli.acceleration_uniformity
-
-    def uniformity(traces):
-        return real([dataclasses.replace(t, yddot=t.yddot * factors.get(j, 1.0))
-                     for j, t in enumerate(traces)])
-    return "acceleration_uniformity", uniformity
+    """Wrap a coordinate report so it sees member j's y'' scaled by factors[j]."""
+    def wrap(report):
+        return lambda traces, *args: report(
+            [dataclasses.replace(t, yddot=t.yddot * factors.get(j, 1.0))
+             for j, t in enumerate(traces)], *args)
+    return wrap
 
 
 COORDINATE_GATES = ("r_bounds_ok", "shrinking", "acceleration_uniform_ok")
+#: the opening words of each gate's INDETERMINATE reason
+GATE_REASONS = {"r_bounds_ok": "leaves the conservation tube", "shrinking": "does not shrink",
+                "acceleration_uniform_ok": "breaks acceleration uniformity"}
 
 
-@pytest.mark.parametrize("flag, member, patch", [
-    ("r_bounds_ok", 0, _scale_r(0, 1e3)),          # far outside the conservation tube
-    ("shrinking", 2, _scale_r(1, 0.1)),            # member 2 now wider than member 1
-    ("acceleration_uniform_ok", 1, _scale_yddot({1: 10.0, 2: 20.0})),  # first, not worst
-], ids=COORDINATE_GATES)
+@pytest.mark.parametrize("flags, member, patches", [
+    (["r_bounds_ok"], 0, [_scale_r(0, 1e3)]),       # far outside the conservation tube
+    (["shrinking"], 2, [_scale_r(1, 0.1)]),         # member 2 now wider than member 1
+    (["acceleration_uniform_ok"], 1, [_scale_yddot({1: 10.0, 2: 20.0})]),  # first, not worst
+    # two bounds fail: the tube is checked first, whatever member breaks the other
+    (["r_bounds_ok", "acceleration_uniform_ok"], 0, [_scale_r(0, 1e3), _scale_yddot({1: 10.0})]),
+], ids=[*COORDINATE_GATES, "tube-before-acceleration"])
 def test_coordinate_proof_bound_failure_is_indeterminate(tiny_scenario_file, tmp_path,
-                                                         monkeypatch, capsys, flag, member,
-                                                         patch):
-    monkeypatch.setattr(cli, *patch)
+                                                         monkeypatch, capsys, flags, member,
+                                                         patches):
+    report = cli.coordinate_report
+    for wrap in patches:
+        report = wrap(report)
+    monkeypatch.setattr(cli, "coordinate_report", report)
     out = tmp_path / "out"
     assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
                      "--no-svg"]) == 2
     assert _stages_printed(capsys.readouterr().out) == ["family", "coordinates", "emit"]
     rep = json.loads((out / "report.json").read_text())
-    assert [name for name in COORDINATE_GATES if not rep["coordinates"][name]] == [flag]
+    assert [name for name in COORDINATE_GATES if not rep["coordinates"][name]] == flags
     assert rep["certificate"]["verdict"] == "INDETERMINATE"
     eps = 0.1 * 0.5 ** member
-    assert f"member j={member} (eps={eps:g})" in rep["certificate"]["reason"]
+    assert rep["certificate"]["reason"].startswith(
+        f"member j={member} (eps={eps:g}) {GATE_REASONS[flags[0]]}: ")
     assert "coords_eps2.csv" in rep["manifest"] and "limit.csv" not in rep["manifest"]
 
 

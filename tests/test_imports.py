@@ -26,11 +26,11 @@ EXPORTS = {
                  "TubularCoords", "build_m_chart", "check_regular_value",
                  "curvilinear_residual", "foot_point", "frame_data", "pullback_metric_min",
                  "residual_convergence", "transversal_flow"],
-    "analysis": ["AccelerationReport", "ConvergenceReport", "CoordinateBoundsReport",
-                 "CoordinateTrace", "InstabilityCertificate", "LimitCurve",
-                 "acceleration_uniformity", "certify_instability", "check_certificate",
-                 "coordinate_bounds_report", "coordinate_traces", "escape_point",
-                 "extract_limit", "physical_evidence_runs", "revalidate_certificate"],
+    "analysis": ["ConvergenceReport", "CoordinateReport", "CoordinateTrace",
+                 "InstabilityCertificate", "LimitCurve", "certify_instability",
+                 "check_certificate", "coordinate_report", "coordinate_traces",
+                 "escape_point", "extract_limit", "physical_evidence_runs",
+                 "revalidate_certificate"],
     "contrast": ["BarrierInfo", "TrapReport", "locate_barrier", "trapped_motion_check"],
     "cli": ["chart_for_scenario", "parse_scenario", "run_pipeline"],
 }
@@ -78,7 +78,7 @@ def test_a_submodule_is_an_attribute_before_it_is_imported():
 
 def test_dir_and_all_list_every_export_and_the_version():
     exports = {n for names in EXPORTS.values() for n in names}
-    assert len(exports) == 60 and set(flatvalley.__all__) == exports
+    assert len(exports) == 58 and set(flatvalley.__all__) == exports
     names = set(dir(flatvalley))
     assert exports <= names
     assert "__version__" in names and flatvalley.__version__ == "0.1.0"
