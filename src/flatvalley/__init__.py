@@ -13,7 +13,8 @@ diagnostics for the geometry that makes the argument work.
 Importing the package loads none of its modules: each public name below
 imports the one module that defines it on first access (PEP 562), so a
 caller that needs only a gallery potential never loads the geometry, the
-dynamics or the CLI.
+dynamics or the CLI, and one that parses a scenario file loads only
+``errors``, ``fields`` and ``scenario``.
 """
 
 import sys
@@ -27,10 +28,11 @@ _EXPORTS = {
         "custom_polynomial", "ellipsoid", "fd_gradient_check", "gallery_lookup", "gutter",
         "laloy", "painleve", "power_profile",
     ),
+    "scenario": ("IntegratorOptions", "Scenario", "parse_scenario"),
     "dynamics": (
-        "BoundsCheck", "EnergyReport", "FamilyResult", "IntegratorOptions", "PhaseState",
-        "Scenario", "Trajectory", "confinement_check", "energy_audit", "integrate_newton",
-        "integrate_rescaled", "run_family",
+        "BoundsCheck", "EnergyReport", "FamilyResult", "PhaseState", "Trajectory",
+        "confinement_check", "energy_audit", "integrate_newton", "integrate_rescaled",
+        "run_family",
     ),
     "geometry": (
         "FrameData", "MChart", "MetricMinEstimate", "RegularityReport", "TubularCoords",
@@ -44,12 +46,12 @@ _EXPORTS = {
         "revalidate_certificate",
     ),
     "contrast": ("BarrierInfo", "TrapReport", "locate_barrier", "trapped_motion_check"),
-    "cli": ("chart_for_scenario", "parse_scenario", "run_pipeline"),
+    "cli": ("chart_for_scenario", "run_pipeline"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)
 _MODULES = ("analysis", "cli", "contrast", "dynamics", "errors", "fields", "geometry",
-            "integrators", "reporting", "svgplot")
+            "integrators", "reporting", "scenario", "svgplot")
 
 
 def _load(module: str):

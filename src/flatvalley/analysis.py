@@ -93,17 +93,21 @@ def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTra
         if isinstance(exc, (ChartDomainError, FlowDomainError)):
             raise ChartDomainError(f"tube violation at member j={j}, tau={tau:g}: {exc}") from exc
         raise exc
-    out = []
-    spacing = float(family.tau[1] - family.tau[0])
-    for traj, r, y in zip(family.members, np.split(rs, starts[1:-1]), np.split(ys, starts[1:-1])):
-        rdot = np.gradient(r, spacing, edge_order=2)
-        ydot = np.gradient(y, spacing, axis=0, edge_order=2)
-        yddot = np.full_like(y, np.nan)
-        yddot[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (spacing * spacing)
-        out.append(CoordinateTrace(
-            epsilon=traj.epsilon, tau=traj.tau, r=r, y=y,
-            rdot=rdot, ydot=ydot, yddot=yddot))
-    return out
+    return [coordinate_trace(traj.epsilon, traj.tau, r, y) for traj, r, y in
+            zip(family.members, np.split(rs, starts[1:-1]), np.split(ys, starts[1:-1]))]
+
+
+def coordinate_trace(epsilon: float, tau: Array, r: Array, y: Array) -> CoordinateTrace:
+    """One member's r and y on its equispaced grid ``tau``, with their
+    finite-difference derivatives: what the coordinates stage reads and
+    what file revalidation rebuilds from ``coords_eps<j>.csv``."""
+    spacing = float(tau[1] - tau[0])
+    rdot = np.gradient(r, spacing, edge_order=2)
+    ydot = np.gradient(y, spacing, axis=0, edge_order=2)
+    yddot = np.full_like(y, np.nan)
+    yddot[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (spacing * spacing)
+    return CoordinateTrace(epsilon=epsilon, tau=tau, r=r, y=y, rdot=rdot, ydot=ydot,
+                           yddot=yddot)
 
 
 #: second differences of O(1) coordinates on the common grid cannot be

@@ -1,19 +1,8 @@
-"""Command line: scenario files, the pipeline, and artifact emission.
+"""Command line: the pipeline, its subcommands and artifact emission.
 
-Scenario files are flat JSON documents::
-
-    {
-      "potential": {"kind": "circle", "exponent": 2},
-      "p": [1.0, 0.0],
-      "v": [0.0, 1.0],
-      "horizon": 1.0,
-      "eps0": 0.1, "ratio": 0.5, "count": 6,
-      "step_factor": 0.01,
-      "out": "runs/circle"
-    }
-
-``family``, ``limit`` and ``certify`` parse the file once and run stages
-of :func:`run_pipeline` (``family -> coordinates -> limit -> certificate``,
+``family``, ``limit`` and ``certify`` parse the scenario file once (its
+format is in :mod:`flatvalley.scenario`) and run stages of
+:func:`run_pipeline` (``family -> coordinates -> limit -> certificate``,
 then ``emit``): ``family`` runs ``family`` (``family --count 1 --eps0 E``
 is the single rescaled run at eps = E), ``limit`` runs ``family`` and
 ``limit``, and ``certify`` runs all four.  Each writes the files of the
@@ -42,12 +31,11 @@ failure is a ``FlatValleyError``, reported on one ``error: ...`` line.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -69,11 +57,8 @@ from .contrast import (
 )
 from .dynamics import (
     SLACK,
-    IntegratorOptions,
-    Scenario,
     _tube_half_width,
     integrate_rescaled,
-    launch_vector,
     member_failures,
     member_substeps,
     run_family,
@@ -82,15 +67,14 @@ from .errors import (
     FlatValleyError,
     IndeterminateCertificateError,
     InvalidParameterError,
-    ScenarioError,
     UnverifiedLimitError,
 )
-from .fields import CompositePotential, fd_gradient_check, gallery_lookup
+from .fields import fd_gradient_check, gallery_lookup
 from .geometry import (
     build_m_chart,
     check_regular_value,
     flow_many,
-    foot_point,
+    foot_point,  # noqa: F401 (flatbench/tracer.py patches it here)
     raise_first,
     residual_convergence,
 )
@@ -105,76 +89,12 @@ from .reporting import (
     write_report_json,
     write_trajectory_csv,
 )
+from .scenario import Scenario, parse_scenario
 from .svgplot import line_plot
 
-#: scenario-file keys that are IntegratorOptions fields of the same name
-_OPTION_KEYS = ("step_factor", "n_out")
-#: scenario-file keys that are Scenario fields of the same name
-_SCENARIO_ARGS = ("horizon", "eps0", "ratio", "count", "min_eps", "out")
-_SCENARIO_KEYS = {"name", "potential", "p", "v", *_OPTION_KEYS, *_SCENARIO_ARGS}
 #: most samples ``residual --samples`` may ask for: a hundred times its
 #: default of 20, checked before any array is built
 MAX_SAMPLES = 2000
-
-
-def parse_scenario(path, overrides: Optional[dict] = None) -> Scenario:
-    """Load a scenario file; :class:`Scenario` validates what it holds.
-
-    The file format is lenient in two ways: p is snapped onto the valley
-    floor when |f(p)| <= 1e-4, and v is projected onto the tangent plane at
-    p when its cosine with grad f(p) is at most 0.1.  Beyond those limits
-    the values reach the validator as written and are rejected there.
-    ``overrides`` (CLI flags) replace file values before validation.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"scenario parse error in {path} at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario file must contain a JSON object")
-    unknown = set(raw) - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-    data = dict(raw)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            data[key] = val
-    for key in ("potential", "p", "v"):
-        if key not in data:
-            raise ScenarioError(f"scenario is missing the required field {key!r}")
-    pot_spec = data["potential"]
-    if not isinstance(pot_spec, dict) or not isinstance(pot_spec.get("kind"), str):
-        raise ScenarioError("field 'potential' must be an object with a string 'kind'")
-    params = {k: v for k, v in pot_spec.items() if k != "kind"}
-    potential = gallery_lookup(pot_spec["kind"], params)
-    if not isinstance(potential, CompositePotential):
-        raise ScenarioError(
-            f"potential kind {pot_spec['kind']!r} is not a composite potential; "
-            "plain gallery entries run through the 'gallery' subcommand")
-    fld = potential.field
-    p = launch_vector("p", data["p"], fld.dim)
-    v = launch_vector("v", data["v"], fld.dim)
-    if 0.0 < abs(fld.value(p)) <= 1e-4:
-        p = foot_point(fld, p)
-    g = fld.gradient(p)
-    gn = float(np.linalg.norm(g))
-    if gn > 0.0 and abs(float(g @ v)) <= 0.1 * gn * float(np.linalg.norm(v)):
-        v = v - (float(v @ g) / (gn * gn)) * g
-    # the file passes only the keys it holds: every default is stated once,
-    # in Scenario and IntegratorOptions; a bad option is a bad scenario value
-    try:
-        opts = IntegratorOptions(**{key: data[key] for key in _OPTION_KEYS if key in data})
-    except InvalidParameterError as exc:
-        raise ScenarioError(str(exc)) from exc
-    given = {key: data[key] for key in _SCENARIO_ARGS if key in data}
-    return Scenario(potential=potential, p=p, v=v, options=opts,
-                    name=data.get("name", os.path.splitext(os.path.basename(path))[0]),
-                    **given)
 
 
 def chart_for_scenario(scn: Scenario):
@@ -373,7 +293,8 @@ def _scenario_from_args(args) -> Scenario:
         "horizon": args.horizon,
         "step_factor": args.step_factor,
     }
-    return parse_scenario(args.scenario, overrides)
+    # this module's gallery_lookup, which flatbench/tracer.py patches to count field calls
+    return parse_scenario(args.scenario, overrides, lookup=gallery_lookup)
 
 
 def _cmd_pipeline(args) -> int:

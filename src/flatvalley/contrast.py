@@ -16,12 +16,12 @@ import numpy as np
 from . import dynamics
 from .dynamics import (  # noqa: F401 (integrate_newton: flatbench/tracer.py patches it here)
     PROBE_FRACTION,
-    IntegratorOptions,
     PhaseState,
     integrate_newton,
     newton_many,
 )
 from .errors import InvalidParameterError
+from .scenario import IntegratorOptions
 
 Array = np.ndarray
 

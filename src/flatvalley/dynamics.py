@@ -68,25 +68,21 @@ from them.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidParameterError, ScenarioError
+from .errors import BlowUpError, InvalidParameterError
 from .fields import CompositePotential
-from .geometry import TOL_CRIT, TOL_ON_M, TOL_TANGENT
 from .integrators import integrate
+from .scenario import IntegratorOptions, Scenario
 
 Array = np.ndarray
 
 #: most steps one ``integrate`` call may take: ten times the largest run a
 #: shipped scenario, gallery default or test asks for (10^5 steps)
 MAX_STEPS = 10**6
-#: most members a scenario's eps schedule may have: ten times the shipped
-#: count of 6, checked before the schedule is built
-MAX_MEMBERS = 64
 #: relative slack of the speed, sublevel and ball bounds: room for rounding only
 SLACK = 1e-6
 #: largest relative energy drift a family member may show
@@ -102,33 +98,6 @@ PROBE_FRACTION = 0.1
 GROWTH = 8
 #: a state with |x|^2 + |v|^2 above twice this radius squared has blown up
 BLOWUP_RADIUS = 1e6
-_TINY = float(np.finfo(float).tiny)
-
-
-def _number(name: str, value, kind=numbers.Real, error=ScenarioError):
-    """``value`` as a float (an int for numbers.Integral); a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-        what = ("a JSON integer, written with no decimal point or exponent"
-                if kind is numbers.Integral else "a finite real number")
-        raise error(f"{name} must be {what}, got {value!r}")
-    return int(value) if kind is numbers.Integral else float(value)
-
-
-def launch_vector(name: str, value, dim: int) -> Array:
-    """``value`` as a float ``dim``-vector; its entries must be finite numbers,
-    and so must its squared norm."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or arr.shape != (dim,) or not np.all(np.isfinite(arr)):
-        raise ScenarioError(f"{name} must be a {dim}-vector of finite numbers, got {value!r}")
-    arr = arr.astype(float)
-    # Python floats: a square or a sum past the largest float is inf, with no
-    # warning and no OverflowError
-    if not sum(x * x for x in arr.tolist()) < math.inf:
-        raise ScenarioError(f"{name} is too large: its squared norm overflows")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,31 +114,6 @@ class PhaseState:
             raise InvalidParameterError("position and velocity must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))):
             raise InvalidParameterError("phase state entries must be finite")
-
-
-@dataclass(frozen=True)
-class IntegratorOptions:
-    """Resolution knobs of the one stepper, PEFRL (see :mod:`flatvalley.integrators`).
-
-    ``step_factor`` is the c in dtau = c * eps for a rescaled run and the
-    step dt = c of a physical run.  In a family it is member 0's finest
-    factor: :func:`member_substeps` derives the members' ceilings from it,
-    and :func:`family_for_gates` steps each member at its ceiling or
-    coarser.
-    """
-
-    step_factor: float = 0.01
-    n_out: int = 401
-
-    def __post_init__(self):
-        object.__setattr__(self, "step_factor",
-                           _number("step_factor", self.step_factor, error=InvalidParameterError))
-        object.__setattr__(self, "n_out", _number("n_out", self.n_out, numbers.Integral,
-                                                  InvalidParameterError))
-        if self.step_factor <= 0:
-            raise InvalidParameterError("step_factor must be positive")
-        if self.n_out < 3 or self.n_out % 2 != 1:
-            raise InvalidParameterError("n_out must be an odd integer >= 3")
 
 
 @dataclass(eq=False)
@@ -661,114 +605,6 @@ def confinement_check(traj: Trajectory, potential, v) -> BoundsCheck:
     """Check the a-priori speed/sublevel/ball bounds on every internal step
     of a dense rescaled run."""
     return _dense_audit(traj, potential, v, "confinement_check").bounds(0)
-
-
-@dataclass(eq=False)
-class Scenario:
-    """A validated experiment description; the one scenario validator.
-
-    p must lie on the valley floor at a regular point of f, v must be
-    tangent to it there, and every number must be finite and of its type.
-    The eps schedule eps_j = eps0 * ratio^j, j < count <= MAX_MEMBERS, is
-    capped below by ``min_eps`` > 0, and both are checked before the
-    schedule is built, as are the squares the stages take: the smallest
-    eps squared and the squared output spacing must not fall below the
-    smallest normal float, eps0^2 |v|^2 must not overflow nor member 0's
-    step step_factor * eps0 underflow.  Every family records each member's
-    step error and the family stage gates on it; down to eps = 2e-4 (the
-    shipped circle and ellipsoid at count 10) the recorded step errors stay
-    at or below 1.2e-8 and 2.5e-10, a twentieth of their limit and five
-    orders of magnitude under it.  A member's ceiling grows like rho^(1/k),
-    rho = eps0/eps, and like rho^(2/k) past rho = GROWTH^k
-    (:func:`member_substeps`): 64,000 lockstep iterations on the circle at
-    eps = 2e-4, where the chosen steps take 12,800, and 3,000 on the
-    ellipsoid, where they take 1,000.
-    """
-
-    potential: CompositePotential
-    p: Array
-    v: Array
-    horizon: float = 1.0
-    eps0: float = 0.1
-    ratio: float = 0.5
-    count: int = 6
-    options: IntegratorOptions = field(default_factory=IntegratorOptions)
-    min_eps: float = 1e-4
-    name: str = "scenario"
-    out: Optional[str] = None  # output directory named by the scenario file
-
-    def __post_init__(self):
-        P = self.potential
-        if not isinstance(P, CompositePotential):
-            raise ScenarioError("scenario potentials must be composite (g of f)")
-        self.p = launch_vector("p", self.p, P.dim)
-        self.v = launch_vector("v", self.v, P.dim)
-        fval = abs(P.field.value(self.p))
-        if not fval <= TOL_ON_M:
-            raise ScenarioError(
-                f"p is not on the valley floor: |f(p)| = {fval:.3e} > {TOL_ON_M:g}")
-        vnorm = float(np.linalg.norm(self.v))
-        if vnorm == 0.0:
-            raise ScenarioError("v must be nonzero")
-        g = P.field.gradient(self.p)
-        gn = float(np.linalg.norm(g))
-        if not gn > TOL_CRIT:
-            raise ScenarioError(f"p is a critical point of f: |grad f(p)| = {gn:.3e}")
-        cosine = abs(float(g @ self.v)) / (gn * vnorm)
-        if not cosine <= TOL_TANGENT:
-            raise ScenarioError(
-                f"v is not tangent to the valley floor at p: cosine = {cosine:.3e}")
-        self.horizon = _number("horizon", self.horizon)
-        self.eps0 = _number("eps0", self.eps0)
-        self.ratio = _number("ratio", self.ratio)
-        self.count = _number("count", self.count, numbers.Integral)
-        self.min_eps = _number("min_eps", self.min_eps)
-        if self.horizon <= 0:
-            raise ScenarioError("horizon must be positive")
-        if self.eps0 <= 0:
-            raise ScenarioError("eps0 must be positive")
-        if not (0.0 < self.ratio < 1.0):
-            raise ScenarioError("ratio must lie in (0, 1)")
-        if self.count < 1:
-            raise ScenarioError("count must be at least 1")
-        if self.count > MAX_MEMBERS:
-            raise ScenarioError(f"count must be at most MAX_MEMBERS = {MAX_MEMBERS}, "
-                                f"got {self.count}")
-        if not self.min_eps > 0:
-            raise ScenarioError(f"min_eps must be positive, got {self.min_eps:g}")
-        if not isinstance(self.name, str):
-            raise ScenarioError(f"name must be a string, got {self.name!r}")
-        if not (self.out is None or isinstance(self.out, str)):
-            raise ScenarioError(f"out must be a string, got {self.out!r}")
-        smallest = self.eps0 * self.ratio ** (self.count - 1)  # the schedule's last entry
-        if smallest < self.min_eps:
-            raise ScenarioError(
-                f"smallest eps {smallest:.3e} is below the cap {self.min_eps:g}; "
-                "shorten the schedule or lower min_eps explicitly")
-        # a member's force scale is 1/eps^2, the coordinates' second
-        # differences divide by the squared spacing, and the confinement
-        # bounds take the budget eps^2 |v|^2 / 2
-        if not smallest * smallest >= _TINY:
-            raise ScenarioError(
-                f"eps0 {self.eps0:g} is too small: the smallest eps {smallest:.3e} squared "
-                "is below the smallest normal float")
-        spacing = self.horizon / ((self.options.n_out - 1) // 2)
-        if not spacing * spacing >= _TINY:
-            raise ScenarioError(
-                f"horizon {self.horizon:g} is too small: the squared output spacing "
-                f"{spacing * spacing:.3e} is below the smallest normal float")
-        if not self.eps0 * self.eps0 * vnorm * vnorm < math.inf:
-            raise ScenarioError(
-                f"eps0 {self.eps0:g} is too large for |v| = {vnorm:g}: "
-                "eps0^2 |v|^2 overflows")
-        if not self.options.step_factor * self.eps0 > 0:
-            raise ScenarioError(
-                f"step_factor {self.options.step_factor:g} is too small for eps0 "
-                f"{self.eps0:g}: member 0's step step_factor * eps0 underflows to 0")
-
-    @property
-    def epsilons(self) -> Array:
-        return self.eps0 * self.ratio ** np.arange(self.count)
 
 
 def _tube_half_width(potential, v, eps) -> float:

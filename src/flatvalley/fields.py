@@ -28,6 +28,16 @@ Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
 
+# Tolerances of the valley floor, stated here, in the leaf module, for the
+# scenario validator and the tube geometry alike.
+#: |grad f| guard below which the flow refuses to continue, and a launch
+#: point counts as critical
+TOL_CRIT = 1e-7
+#: largest |f(p)| for a point to count as on the valley floor (scenarios, charts)
+TOL_ON_M = 1e-9
+#: largest cosine between a launch velocity and grad f(p) (scenarios, charts)
+TOL_TANGENT = 1e-8
+
 # Constants of the batched oracles, as 0-d arrays (see ScalarField).
 _ONE = np.array(1.0)
 _TWO = np.array(2.0)

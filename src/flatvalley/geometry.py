@@ -49,7 +49,7 @@ from .errors import (
     InvalidParameterError,
     NewtonConvergenceError,
 )
-from .fields import ScalarField, _as_point
+from .fields import TOL_CRIT, TOL_ON_M, TOL_TANGENT, ScalarField, _as_point
 
 Array = np.ndarray
 
@@ -61,8 +61,6 @@ FLOW_BASE_STEP = 2.5e-3
 #: metric estimate's first differences: at this step the
 #: Richardson-combined RK4 already reads a position to rounding
 FLOW_COARSE_STEP = 1e-2
-#: |grad f| guard below which the flow refuses to continue
-TOL_CRIT = 1e-7
 #: largest |f(flow(t, x)) - t - f(x)| / (1 + |t|) a flow may leave
 FLOW_IDENTITY_TOL = 1e-6
 #: |f| the foot-point polish must reach, within this many Newton steps
@@ -79,10 +77,6 @@ CHART_NEWTON_TOL = 1e-12
 #: the circle at horizon 3).  1e-6 sits nine orders above the one and six
 #: below the other.
 CHART_FOLD_TOL = 1e-6
-#: largest |f(p)| for a point to count as on the valley floor (scenarios, charts)
-TOL_ON_M = 1e-9
-#: largest cosine between a launch velocity and grad f(p) (scenarios, charts)
-TOL_TANGENT = 1e-8
 
 
 def raise_first(failures: Dict[int, FlatValleyError]) -> None:

@@ -15,11 +15,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from .analysis import check_certificate
+from .analysis import check_certificate, coordinate_report, coordinate_trace
 from .dynamics import (
     SLACK,
     BoundsCheck,
-    IntegratorOptions,
     RunAudits,
     lockstep_iterations,
     member_substeps,
@@ -30,6 +29,7 @@ from .dynamics import (
 from .errors import FlatValleyError, NonFiniteEvaluationError
 from .fields import gallery_lookup
 from .integrators import METHOD
+from .scenario import IntegratorOptions
 
 Array = np.ndarray
 
@@ -241,17 +241,21 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
 def revalidate_from_dir(out_dir) -> dict:
     """Re-derive the certificate from the emitted files alone.
 
-    Reads report.json, limit.csv, every traj_eps<j>.csv and evidence.csv
-    and runs :func:`flatvalley.analysis.check_certificate` on them, energy
-    drifts (re-derived from each member's H column) and evidence
-    displacements (re-derived from the physical end states) included.  The
+    Reads report.json, limit.csv, every traj_eps<j>.csv and coords_eps<j>.csv
+    and evidence.csv, and runs :func:`flatvalley.analysis.check_certificate`
+    on them, energy drifts (re-derived from each member's H column) and
+    evidence displacements (re-derived from the physical end states)
+    included.  The
     ``step_plan`` check re-derives every member's ``dt`` and
     ``substeps`` in ``report.json["family"]`` from ``report.json["scenario"]``
     and the recorded probe readings (see ``_member_steps_hold``; it
     requires the scenario's integrator to be PEFRL, the one stepper), the
     ``bounds`` check re-derives the family's confinement claims from the
-    member files (see ``_bounds_hold``), and the ``finite`` check fails
-    on any non-finite cell of the CSVs it reads.
+    member files (see ``_bounds_hold``), the ``coordinates`` check rebuilds
+    every member's trace from its coords_eps<j>.csv and requires
+    :func:`flatvalley.analysis.coordinate_report` of them to equal
+    ``report.json["coordinates"]`` and to name no failing bound, and the
+    ``finite`` check fails on any non-finite cell of the CSVs it reads.
     Returns a dict with an ``ok`` flag and the per-check booleans, or
     ``ok: False`` and a ``reason`` when a file is missing or malformed;
     never re-runs any integration and never raises on what the files hold.
@@ -265,9 +269,13 @@ def revalidate_from_dir(out_dir) -> dict:
         n = len(cert["p"])
         tables = []
 
-        def columns(name):
+        def table(name):
             cols = read_csv_columns(os.path.join(out_dir, name))
             tables.append(cols)
+            return cols
+
+        def columns(name):
+            cols = table(name)
             return cols, np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
 
         limit_cols, limit_x = columns("limit.csv")
@@ -277,8 +285,6 @@ def revalidate_from_dir(out_dir) -> dict:
                                    dict(zip(evidence_cols["j"].tolist(), ends)),
                                    report["family"]["energy_drifts"],
                                    [cols["H"] for cols, _ in members])
-        checks["finite"] = all(bool(np.all(np.isfinite(column)))
-                               for cols in tables for column in cols.values())
         scn, fam = report["scenario"], report["family"]
         spec = scn["potential"]
         potential = gallery_lookup(spec["kind"], spec.get("params"))
@@ -286,6 +292,14 @@ def revalidate_from_dir(out_dir) -> dict:
         steps, checks["step_plan"] = _member_steps_hold(fam, scn, potential, epsilons)
         checks["bounds"] = _bounds_hold(fam["bounds"], potential, scn, epsilons, steps,
                                         [cols for cols, _ in members])
+        coords = [table(f"coords_eps{j}.csv") for j in range(len(epsilons))]
+        record, reason = coordinate_report(
+            [coordinate_trace(eps, cols["tau"], cols["r"],
+                              np.stack([cols[f"y{i}"] for i in range(1, n)], axis=1))
+             for eps, cols in zip(epsilons, coords)], potential, scn["v"])
+        checks["coordinates"] = not reason and _jsonable(vars(record)) == report["coordinates"]
+        checks["finite"] = all(bool(np.all(np.isfinite(column)))
+                               for cols in tables for column in cols.values())
     except OSError as exc:
         return {"ok": False, "reason": f"cannot read the run's files: {exc}"}
     except (LookupError, TypeError, ValueError, AttributeError, FlatValleyError) as exc:

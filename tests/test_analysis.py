@@ -149,12 +149,13 @@ def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
             [e.values for e in b.family.energies])
     checks = fv.check_certificate(claims, *args)
     assert all(checks.values())
-    # the files also answer for the steps and confinement bounds report.json
-    # claims, which the in-memory family is the source of, and for every
-    # cell they hold being finite
+    # the files also answer for the steps, confinement bounds and coordinate
+    # bounds report.json claims, which the in-memory family and traces are
+    # the source of, and for every cell they hold being finite
     file_checks = revalidate_from_dir(circle_run_dir.path)["checks"]
     assert file_checks.pop("step_plan") is True
     assert file_checks.pop("bounds") is True
+    assert file_checks.pop("coordinates") is True
     assert file_checks.pop("finite") is True
     assert checks == file_checks
     evidence = claims["evidence"]

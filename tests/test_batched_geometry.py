@@ -20,10 +20,10 @@ from flatvalley.errors import (
     FlowDomainError,
     InvalidParameterError,
 )
+from flatvalley.fields import TOL_CRIT
 from flatvalley.geometry import (
     CHART_NEWTON_ITERS,
     FLOW_IDENTITY_TOL,
-    TOL_CRIT,
     flow_many,
     flow_steps_for,
     foot_many,

@@ -86,34 +86,41 @@ def test_parse_scenario_rejects_plain_potential(tmp_path):
         fv.parse_scenario(_write(tmp_path, "plain.json", data))
 
 
-@pytest.mark.parametrize("change", [
-    {"p": [float("nan"), 0.0, 0.0]},
-    {"horizon": float("nan")},
-    {"eps0": float("inf")},
-    {"count": "3"},
-    {"count": True},
-    {"tol_on_m": 5.0},
-    {"slack": -1.0},
-    {"out": 5},
-    {"integrator": "verlet"},
-    {"name": {"a": 1}},
-    {"name": 5},
-    {"horizon": 1e-300},
-    {"eps0": 1e300},
-    {"v": [0.0, 1e154, 1e154]},
-    {"p": [1e154, 1e154, 0.0]},
-    {"n_out": 401.0},
-    {"step_factor": "x"},
+@pytest.mark.parametrize("change, message", [
+    ({"p": [float("nan"), 0.0, 0.0]}, "p must be a 3-vector of finite numbers"),
+    ({"horizon": float("nan")}, "horizon must be a finite real number, got nan"),
+    ({"eps0": float("inf")}, "eps0 must be a finite real number, got inf"),
+    ({"count": "3"}, "count must be a JSON integer"),
+    ({"count": True}, "count must be a JSON integer"),
+    ({"tol_on_m": 5.0}, "unknown scenario fields: ['tol_on_m']"),
+    ({"slack": -1.0}, "unknown scenario fields: ['slack']"),
+    ({"out": 5}, "out must be a string, got 5"),
+    ({"integrator": "verlet"}, "unknown scenario fields: ['integrator']"),
+    ({"name": {"a": 1}}, "name must be a string, got {'a': 1}"),
+    ({"name": 5}, "name must be a string, got 5"),
+    ({"horizon": 1e-300}, "the squared output spacing 0.000e+00 is below the smallest normal"),
+    ({"eps0": 1e300}, "eps0^2 |v|^2 overflows"),
+    ({"v": [0.0, 1e154, 1e154]}, "v is too large: its squared norm overflows"),
+    ({"p": [1e154, 1e154, 0.0]}, "p is too large: its squared norm overflows"),
+    ({"n_out": 401.0}, "n_out must be a JSON integer"),
+    ({"step_factor": "x"}, "step_factor must be a finite real number, got 'x'"),
+    # |v| underflows to 0, yet v is not zero
+    ({"v": [0, 1e-170, 0]}, "v is too small: the confinement budget eps^2 |v|^2 / 2 of the "
+                            "smallest eps 3.125e-03 underflows to 0.000e+00"),
+    # |v|^2 and the budget are subnormal
+    ({"v": [0, 1e-155, 0]}, "v is too small: the confinement budget eps^2 |v|^2 / 2 of the "
+                            "smallest eps 3.125e-03 underflows to 4.883e-316"),
 ], ids=["p-nan", "horizon-nan", "eps0-inf", "count-string", "count-bool", "tol_on_m",
         "slack-negative", "out-number", "integrator", "name-object", "name-number",
         "horizon-tiny", "eps0-huge", "v-square-overflows", "p-square-overflows",
-        "n_out-float", "step_factor-string"])
-def test_main_rejects_bad_scenario_values(tmp_path, capsys, change):
+        "n_out-float", "step_factor-string", "v-norm-underflows", "v-budget-underflows"])
+def test_main_rejects_bad_scenario_values(tmp_path, capsys, change, message):
     path = _write(tmp_path, "bad.json", dict(BASE, **change))
     code = cli.main(["certify", "--scenario", path, "--out", str(tmp_path / "out"), "--no-svg"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ScenarioError") and len(err.splitlines()) == 1
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -741,6 +748,45 @@ def test_file_revalidation_rejects_non_finite_cells(circle_run_dir, tmp_path, na
     assert [check for check, ok in result["checks"].items() if not ok] == ["finite"]
 
 
+@pytest.mark.parametrize("name", ["circle", "gutter", "ellipsoid"])
+def test_file_revalidation_rederives_the_coordinates_block(tmp_path, name):
+    scn = fv.parse_scenario(os.path.join(os.path.dirname(CIRCLE), f"{name}.json"))
+    out = str(tmp_path / "run")
+    assert fv.run_pipeline(scn, out, svg=False).exit_code == 0
+    result = revalidate_from_dir(out)
+    assert result["ok"] and result["checks"]["coordinates"], result
+
+
+def _tamper_sup_r(clone):
+    # the claim grows a hundredfold, and the run still claims it shrinks
+    rep = json.loads((clone / "report.json").read_text())
+    rep["coordinates"]["sup_r"][2] *= 100
+    (clone / "report.json").write_text(json.dumps(rep))
+
+
+def _tamper_coords_cell(clone):
+    # member 1's largest |r|, doubled
+    path = clone / "coords_eps1.csv"
+    lines = path.read_text().splitlines()
+    row = 1 + int(np.argmax(np.abs(read_csv_columns(str(path))["r"])))
+    cells = lines[row].split(",")
+    cells[1] = repr(2.0 * float(cells[1]))
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("tamper", [_tamper_sup_r, _tamper_coords_cell],
+                         ids=["sup_r", "coords-cell"])
+def test_file_revalidation_rejects_a_tampered_coordinates_claim(circle_run_dir, tmp_path,
+                                                                tamper):
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    tamper(clone)
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False
+    assert [check for check, ok in result["checks"].items() if not ok] == ["coordinates"]
+
+
 @pytest.mark.parametrize("tamper", ["v1", "max_speed-low", "max_speed-high", "speed_ok"])
 def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_path, tamper):
     # the circle's members claim speeds within |v| (1 + slack) = 1 + 1e-6
@@ -1132,12 +1178,14 @@ def test_file_revalidation_rederives_the_probe_from_the_profile_exponent(tmp_pat
 
 @pytest.mark.parametrize("kind", ["gutter", "circle"])
 def test_a_limit_that_never_leaves_p_is_indeterminate(tmp_path, capsys, kind):
-    # every distance from p underflows to 0, so R = 0 and tau* = 0: the
-    # noise-ball verdict comes before the evidence runs are cut at tau*,
-    # which a tau* of 0 would fail with an InvalidParameterError (exit 1)
+    # every distance from p, at most |v| T = 1e-170, underflows to 0 when
+    # squared, so R = 0 and tau* = 0: the noise-ball verdict comes before
+    # the evidence runs are cut at tau*, which a tau* of 0 would fail with
+    # an InvalidParameterError (exit 1).  |v| is large enough that the
+    # confinement budget eps^2 |v|^2 / 2 stays a normal float
     p = {"gutter": [0, 0], "circle": [1, 0]}[kind]
     path = _write(tmp_path, "flat.json", {
-        "potential": {"kind": kind}, "p": p, "v": [0, 1e-160], "horizon": 1e-3,
+        "potential": {"kind": kind}, "p": p, "v": [0, 1e-150], "horizon": 1e-20,
         "count": 3, "n_out": 41, "min_eps": 1e-300})
     out = str(tmp_path / "out")
     assert cli.main(["certify", "--scenario", path, "--out", out, "--no-svg"]) == 2

@@ -7,9 +7,10 @@ import pytest
 
 import flatvalley as fv
 from flatvalley import dynamics
-from flatvalley.dynamics import MAX_MEMBERS, MAX_STEPS
+from flatvalley.dynamics import MAX_STEPS
 from flatvalley.errors import BlowUpError, InvalidParameterError, ScenarioError
 from flatvalley.reporting import revalidate_from_dir
+from flatvalley.scenario import MAX_MEMBERS
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -13,15 +13,18 @@ import pytest
 import flatvalley
 
 SRC = os.path.dirname(os.path.dirname(flatvalley.__file__))
+CIRCLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "scenarios", "circle.json")
 
 #: every public name of the package, by the module that defines it
 EXPORTS = {
     "fields": ["CompositePotential", "PlainPotential", "Profile", "ScalarField", "circle",
                "custom_polynomial", "ellipsoid", "fd_gradient_check", "gallery_lookup",
                "gutter", "laloy", "painleve", "power_profile"],
-    "dynamics": ["BoundsCheck", "EnergyReport", "FamilyResult", "IntegratorOptions",
-                 "PhaseState", "Scenario", "Trajectory", "confinement_check", "energy_audit",
-                 "integrate_newton", "integrate_rescaled", "run_family"],
+    "scenario": ["IntegratorOptions", "Scenario", "parse_scenario"],
+    "dynamics": ["BoundsCheck", "EnergyReport", "FamilyResult", "PhaseState", "Trajectory",
+                 "confinement_check", "energy_audit", "integrate_newton", "integrate_rescaled",
+                 "run_family"],
     "geometry": ["FrameData", "MChart", "MetricMinEstimate", "RegularityReport",
                  "TubularCoords", "build_m_chart", "check_regular_value",
                  "curvilinear_residual", "foot_point", "frame_data", "pullback_metric_min",
@@ -32,7 +35,7 @@ EXPORTS = {
                  "escape_point", "extract_limit", "physical_evidence_runs",
                  "revalidate_certificate"],
     "contrast": ["BarrierInfo", "TrapReport", "locate_barrier", "trapped_motion_check"],
-    "cli": ["chart_for_scenario", "parse_scenario", "run_pipeline"],
+    "cli": ["chart_for_scenario", "run_pipeline"],
 }
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('flatvalley.'))))\n"
 
@@ -58,6 +61,29 @@ def test_a_name_loads_only_the_modules_its_module_imports():
     # fields is a leaf over errors; geometry now stands on fields
     code = "from flatvalley import check_regular_value\n" + LOADED
     assert _fresh(code) == ["flatvalley.errors", "flatvalley.fields", "flatvalley.geometry"]
+
+
+def test_parsing_a_scenario_loads_only_errors_fields_and_scenario():
+    # checking the theorem's hypotheses needs only the field
+    code = f"import flatvalley\nflatvalley.parse_scenario({CIRCLE!r})\n" + LOADED
+    assert _fresh(code) == ["flatvalley.errors", "flatvalley.fields", "flatvalley.scenario"]
+
+
+def test_a_scenario_whose_p_is_snapped_also_loads_geometry(tmp_path):
+    # |f(p)| = 2e-6: the file's p is snapped onto the floor by the one projector
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps({"potential": {"kind": "circle"}, "p": [1.000001, 0.0],
+                                "v": [0.0, 1.0]}))
+    code = (f"import flatvalley\nscn = flatvalley.parse_scenario({str(path)!r})\n"
+            "assert scn.p[0] != 1.000001\n" + LOADED)
+    assert _fresh(code) == ["flatvalley.errors", "flatvalley.fields", "flatvalley.geometry",
+                            "flatvalley.scenario"]
+
+
+def test_the_family_loads_no_geometry():
+    code = "from flatvalley import run_family\n" + LOADED
+    assert _fresh(code) == ["flatvalley.dynamics", "flatvalley.errors", "flatvalley.fields",
+                            "flatvalley.integrators", "flatvalley.scenario"]
 
 
 def test_every_export_is_its_module_attribute_on_first_access():

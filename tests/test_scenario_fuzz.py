@@ -114,6 +114,9 @@ CIRCLE = {"potential": {"kind": "circle"}, "p": [1.0, 0.0], "v": [0.0, 1.0]}
                    "v": [0.0, 1e154, 1e154]})
 @example(scenario=dict(CIRCLE, v=[1e154, 1e154]))
 # every distance from p underflows to 0: the noise ball holds the limit, exit 2
+@example(scenario={"potential": {"kind": "gutter"}, "p": [0, 0], "v": [0, 1e-150],
+                   "horizon": 1e-20, "count": 3, "n_out": 41, "min_eps": 1e-300})
+# the confinement budget eps^2 |v|^2 / 2 underflows: refused, exit 1
 @example(scenario={"potential": {"kind": "gutter"}, "p": [0, 0], "v": [0, 1e-160],
                    "horizon": 1e-3, "count": 3, "n_out": 41, "min_eps": 1e-300})
 def test_every_scenario_ends_in_one_of_three_outcomes(tmp_path, capsys, scenario):
