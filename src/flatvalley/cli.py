@@ -136,7 +136,8 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
     stage needs ``family`` and the certificate needs ``limit``.  Each stage
     records its data and then gates on its own audit, so the files of the
     stages that finished are written even when a later one stops the run.
-    A schedule the limit stage could not read is refused before any stage.
+    A schedule the limit stage could not read, and an ``out_dir`` the run
+    could not write its files into, are refused before any stage.
     """
     if not (set(stages) <= set(STAGES) and "family" in stages
             and ("certificate" not in stages or "limit" in stages)):
@@ -145,8 +146,12 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             "and include 'limit' with 'certificate'")
     if "limit" in stages:
         check_limit_shape(scenario.count, scenario.options.n_out)
+    files = ["report.json", "limit.csv", "evidence.csv"] + [
+        f"{kind}_eps{j}.csv" for kind in ("traj", "coords") for j in range(scenario.count)]
+    if svg:
+        files += [os.path.join("figures", name) for name in FIGURES]
+    _usable_out_dir(out_dir, files)
     report = RunReport(out_dir=out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     payload = {"scenario": scenario_payload(scenario)}
     state = report.results
 
@@ -246,9 +251,31 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
     return report
 
 
+def _usable_out_dir(out_dir: str, files: Sequence[str]) -> None:
+    """Make ``out_dir`` and the directories of ``files`` (paths under it),
+    or refuse it before any work runs: a path through a file, or one of
+    ``files`` that is a directory, would stop the run at its first write."""
+    for name in files:
+        path = os.path.join(out_dir, name)
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        except OSError as exc:
+            raise InvalidParameterError(
+                f"output directory {out_dir!r} is unusable: {exc.strerror}: "
+                f"{exc.filename!r}") from None
+        if os.path.isdir(path):
+            raise InvalidParameterError(
+                f"output directory {out_dir!r} is unusable: {name!r} in it is a "
+                "directory, where the run writes a file")
+
+
+#: the figures run_pipeline draws under ``figures/`` with ``svg`` on
+FIGURES = ("trajectories.svg", "convergence.svg", "violation.svg")
+
+
 def _figures(out_dir: str, scn: Scenario, state: dict) -> List[str]:
-    fig_dir = os.path.join(out_dir, "figures")
-    os.makedirs(fig_dir, exist_ok=True)
+    trajectories, convergence, violation = (os.path.join(out_dir, "figures", n)
+                                            for n in FIGURES)
     written = []
     fam = state.get("family")
     if fam is None:
@@ -258,25 +285,22 @@ def _figures(out_dir: str, scn: Scenario, state: dict) -> List[str]:
     if "limit" in state:
         series.append({"x": state["limit"].x[:, 0], "y": state["limit"].x[:, 1],
                        "label": "limit", "color": "#000000"})
-    name = os.path.join(fig_dir, "trajectories.svg")
-    line_plot(name, series, title=f"{scn.name}: rescaled trajectories",
+    line_plot(trajectories, series, title=f"{scn.name}: rescaled trajectories",
               xlabel="x0", ylabel="x1")
-    written.append(name)
+    written.append(trajectories)
     if "convergence" in state:
         conv = state["convergence"]
-        name = os.path.join(fig_dir, "convergence.svg")
-        line_plot(name, [{"x": np.arange(len(conv.distances)), "y": conv.distances,
-                          "label": "sup distance", "marker": True}],
+        line_plot(convergence, [{"x": np.arange(len(conv.distances)), "y": conv.distances,
+                                 "label": "sup distance", "marker": True}],
                   title=f"{scn.name}: consecutive-member distances",
                   xlabel="pair index j", ylabel="log10 sup distance", logy=True)
-        written.append(name)
+        written.append(convergence)
         bound = [_tube_half_width(scn.potential, scn.v, e) for e in fam.epsilons]
         series = [{"x": fam.epsilons, "y": conv.violation_max, "label": "max |f|",
                    "marker": True}, {"x": fam.epsilons, "y": bound, "label": "budget bound"}]
-        name = os.path.join(fig_dir, "violation.svg")
-        line_plot(name, series, title=f"{scn.name}: floor violation vs eps",
+        line_plot(violation, series, title=f"{scn.name}: floor violation vs eps",
                   xlabel="log10 eps", ylabel="log10 max |f|", logx=True, logy=True)
-        written.append(name)
+        written.append(violation)
     return written
 
 
@@ -418,6 +442,8 @@ def _cmd_gallery(args) -> int:
         raise InvalidParameterError(f"--horizon must be finite, got {args.horizon:g}")
     if not args.horizon > 0:
         raise InvalidParameterError(f"--horizon must be positive, got {args.horizon:g}")
+    if args.out:
+        _usable_out_dir(args.out, ["gallery_report.json"])
     potential = gallery_lookup(args.name, {})
     # laloy's first coordinate moves in the painleve bump alone
     barrier = locate_barrier(gallery_lookup("painleve", {}))
@@ -440,7 +466,6 @@ def _cmd_gallery(args) -> int:
     print(f"lockstep steps = {' + '.join(map(str, rep.call_steps))} (probe call first)")
     print(f"all trapped over t in [0, {rep.t_end:g}]: {rep.all_trapped}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         payload = {
             "name": args.name,
             "barrier": {"x_left": b.x_left, "x_right": b.x_right, "height": b.height},

@@ -92,20 +92,25 @@ def _single(rows: Array, failures: Dict[int, FlatValleyError]) -> Array:
 
 
 def default_flow_steps(t: float) -> int:
+    """Flow substeps of a frame stencil's flows of time t:
+    ``max(8, ceil(|t| / FLOW_BASE_STEP))``.  The stencil divides differences
+    of nearby flows by its spacing (about 2e-4) or its square, which
+    magnifies each flow's truncation error, so short flows keep a floor of
+    8 substeps rather than the single one a position read takes."""
     return max(8, int(math.ceil(abs(t) / FLOW_BASE_STEP)))
 
 
 def flow_steps_for(r_values) -> Array:
     """Flow substeps of each row of a batch with flow times ``r_values``:
-    ``max(8, ceil((|r| + 1e-3) / FLOW_COARSE_STEP))``, per row, so a point
-    near M takes no more than the floor of 8 whatever its batch holds.
+    ``ceil((|r| + 1e-3) / FLOW_COARSE_STEP)``, per row, at least 1, so a
+    point near M takes a single substep whatever its batch holds.
 
     This is the law of position reads and the batch kernels' default: RK4
-    at n and 2n substeps, Richardson-combined, reads the shipped nodes' y at
-    this step within 1e-15 of a flow with 8x the substeps, i.e. to rounding.
-    Frame stencils, which difference over about 2e-4, keep FLOW_BASE_STEP."""
+    at n and 2n substeps, Richardson-combined, reads the shipped nodes' y
+    and feet at this step within 1e-14 of a flow with 4x the substeps, i.e.
+    to rounding.  Frame stencils keep ``default_flow_steps``."""
     r = np.abs(np.asarray(r_values, dtype=float)) + 1e-3
-    return np.maximum(8, np.ceil(r / FLOW_COARSE_STEP)).astype(int)
+    return np.ceil(r / FLOW_COARSE_STEP).astype(int)
 
 
 def flow_many(fld, X, t, n_steps=None):

@@ -33,21 +33,23 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # the ellipsoid's and gutter's report.json (only its recorded ceilings)
 # when the ceilings followed the probe's rho^(2/k) law, and the
 # ellipsoid's coordinates, limit and report (cells by at most 6.1e-16) when
-# position reads flowed at FLOW_COARSE_STEP
+# position reads flowed at FLOW_COARSE_STEP, and the circle's and the
+# ellipsoid's coordinates, limit and report (cells by at most 1.0e-15)
+# when position reads dropped their floor of 8 substeps
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
-            "4149e4ae04ccc1d8f62fba28333a7870fdfff6911453f2d97b2e68f2351ea430",
+            "208f2c04b42263aa593f3c46fbf28b1524b0a893b6c5f279446ff1bcf9a437ef",
         "coords_eps1.csv":
-            "5123d19880765011c6ddf66fe547010a033a6adea3459c9ca0c0d15addba0633",
+            "519f1c7d84d6446741f690e3322d212d7402bcd56f81dda2a740eea74845172d",
         "coords_eps2.csv":
-            "9fabcb44d4e4a1fd51c765d591ff3e23a8c6e9fb848f8ab4a8ef2a991e0ce174",
+            "b8715021bd3d401246811b526617c30a1f4db00698758ad60c491bd3d01b2371",
         "coords_eps3.csv":
-            "8d2d43cec40c1c3d80319091b4401db3c0f3e43c9bdef2bcd2c58805b3406a2b",
+            "d78f9e13041bc2f9842ababaa7113fafd7016494f030a6a5bd002a3bd58ea366",
         "coords_eps4.csv":
-            "67ec804d59763a69734b603426c0cf3fb122218e38fea2201636991a4065c18b",
+            "47edc74f90e0f7e4a66aefc4e63055cf29e1b11ee3029b13a0376742942f69fe",
         "coords_eps5.csv":
-            "fc2769739b9a4b32afd377153b2e5f11083a54110a208955af2e912c6fae203f",
+            "00fe5785daa8f2d8d6d8a0472ba6041f8837e5e9406582b448a86a98acf8e535",
         "evidence.csv":
             "9be823da60c373d5fc0167e9eaab1583363a02f968c15b884105540de7731435",
         "figures/convergence.svg":
@@ -57,9 +59,9 @@ ARTIFACT_DIGESTS = {
         "figures/violation.svg":
             "394a1eec44255e4b847719e1520358e5c274857bcf2569612ff23d78276b48d9",
         "limit.csv":
-            "e1d71c9f6be8dcfeae687a468ff23e055d230840a486fd66ece14991756c3bd3",
+            "8d4a6c84ca4d99f85bbd5b2b99d26bdf8240d46b281514d0a3a354446e215d41",
         "report.json":
-            "202751a123adff65e8ec1c2ca4f2902306a2c4711bf26c8924e42ce6ae41bade",
+            "161a69b1a4c7924da91705bb422d00691947dc3719a14a08c68bb0e277040699",
         "traj_eps0.csv":
             "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
         "traj_eps1.csv":
@@ -75,17 +77,17 @@ ARTIFACT_DIGESTS = {
     },
     "ellipsoid": {
         "coords_eps0.csv":
-            "c8612677ae2d7dcdebf8316020926cdc87bccb80f303440e196ca60bff181ff9",
+            "c35c51e4e79eb04fed3770e1c5b5f4b27b8c87de874ed308622f07b0c10bf4a0",
         "coords_eps1.csv":
-            "75a4ea14b911d50236e7bee3ad32120287d417c903292c5fd68e07ae6c986cae",
+            "8625f52befa9ae3dea81a3ac87f0dcfc314cdc197c13a18f530d06c8e483006c",
         "coords_eps2.csv":
-            "93c29f34d803be93c163bfea36cefdbd294f69143524f030bc35affc0fe58f66",
+            "858114ccf4b31e0e6165514e563c13e2c3c775435137c7131b3b793cc0122c55",
         "coords_eps3.csv":
-            "1e5f399f3ed0c04f0567fc41982844e9cb8bb8e3818f18b49fde86d05c2f533c",
+            "6cad830b86b323a42430d1f6b4be37cf72fb4793cce35d70ae76072568ad0fa3",
         "coords_eps4.csv":
-            "bc53f218a0b6e2a38572860c9f2a5cb80e3db5f8407034ca2a69c4976aa1986b",
+            "5bc117ea6a0e0ddf899b2f9b7ab1bf056b569591d8f94a7ce5952bc6f815b9af",
         "coords_eps5.csv":
-            "04550deb13aedf8125886312497414614f7fc354b555c3460b5c1b8cf80a010e",
+            "af16457a36e8dcb9c3124e238324dfeb4e82ab5ee70c590f994ed91f0035dd09",
         "evidence.csv":
             "fcb550aec5ba1fd80629c66dd466334bfa498cfe90e98d59db8ffbbf50aa2167",
         "figures/convergence.svg":
@@ -95,9 +97,9 @@ ARTIFACT_DIGESTS = {
         "figures/violation.svg":
             "7d886c03303eb0a82182312e2df8b57ff365463a987b779f1715780de5a1c685",
         "limit.csv":
-            "c188ba803f00782964e6046b9505b049d000008915b095e5342ab1ca4ced14e8",
+            "43cf8f26fa442cbaecde1682267b1ef6e3fc19cb7d7f23864cf9e1cdfb81549e",
         "report.json":
-            "24061d1414e217c5a816c17d3ae433b33d6671e53ca13de6ae873a46f7a7a140",
+            "88071fac9e95e236f50cc1ed480f55fb193be02317d8277a366d52a811911445",
         "traj_eps0.csv":
             "0810b3e8ea1db0253e9d124fab09cab0e3e993e7ef45657a02115b9f443cc851",
         "traj_eps1.csv":

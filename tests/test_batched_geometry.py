@@ -316,13 +316,17 @@ def test_coordinate_traces_is_a_loop_of_members(request, bundle):
         assert _bits(trace.r) == _bits(r) and _bits(trace.y) == _bits(y)
 
 
-@pytest.mark.parametrize("bundle, flow_calls", [("circle_bundle", 64),
-                                                ("ellipsoid_bundle", 160)])
-def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, flow_calls):
+@pytest.mark.parametrize("bundle, flow_calls, row_substeps", [
+    pytest.param("circle_bundle", 8, 7200, id="circle_bundle-8"),
+    pytest.param("ellipsoid_bundle", 160, 33246, id="ellipsoid_bundle-160")])
+def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, flow_calls,
+                                                row_substeps):
     # the bundles run the shipped circle and ellipsoid scenarios.  Their
-    # members' flows take 8 substeps each on the circle and up to 20 on the
-    # ellipsoid, so one lockstep runs 16 and 40 RK4 iterations of four
-    # grad_many calls; the fold check adds one chart graph solve of
+    # members' flows take 1 substep each on the circle and up to 20 on the
+    # ellipsoid, so one lockstep runs 2 and 40 RK4 iterations of four
+    # grad_many calls, and the coarse and fine passes of the 2,400 moving
+    # rows (p itself, at tau = 0 in each member, is copied) step 3n
+    # row-substeps each; the fold check adds one chart graph solve of
     # CHART_NEWTON_ITERS.  f is read once at the nodes, twice by the flow
     # identity, once by the foot polish (every row settles at once) and
     # CHART_NEWTON_ITERS + 1 times by the graph solve: 17 f_many calls.
@@ -331,6 +335,8 @@ def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, fl
     # 11 on the bundles' 6 members
     b = request.getfixturevalue(bundle)
     fld = b.chart.field
+    r = fld.value_many(np.concatenate([traj.x for traj in b.family.members]))
+    assert 3 * flow_steps_for(r[r != 0.0]).sum() == row_substeps
     calls = {"all": 0, "flow": 0, "f": 0}
     in_flow = []
 
@@ -366,15 +372,19 @@ def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, fl
     assert _bits(limit.x) == _bits(b.limit.x)
 
 
-def test_position_reads_match_four_times_the_substeps(ellipsoid_bundle):
-    # flow_steps_for steps position reads at FLOW_COARSE_STEP.  On the
-    # shipped ellipsoid, whose nodes sit up to |r| = 0.19 off M, four times
-    # the substeps per row must read the same y and feet to rounding
-    b = ellipsoid_bundle
+@pytest.mark.parametrize("bundle, most_substeps", [("circle_bundle", 1),
+                                                   ("ellipsoid_bundle", 20)])
+def test_position_reads_match_four_times_the_substeps(request, bundle, most_substeps):
+    # flow_steps_for steps position reads at FLOW_COARSE_STEP.  The shipped
+    # circle's nodes sit within |r| = 0.005 of M, so each row takes a single
+    # substep; the ellipsoid's sit up to |r| = 0.19 off M and take up to 20.
+    # Four times the substeps per row must read the same y, and the same
+    # feet as extract_limit's, to rounding
+    b = request.getfixturevalue(bundle)
     fld = b.chart.field
     X = np.concatenate([traj.x for traj in b.family.members])
     n = flow_steps_for(fld.value_many(X))
-    assert n.max() > 8
+    assert n.max() == most_substeps
     _, y_fine, failures = b.chart.coords_many(X, 4 * n)
     assert not failures
     assert np.abs(np.concatenate([t.y for t in b.traces]) - y_fine).max() <= 1e-14

@@ -329,7 +329,8 @@ def test_main_check(tiny_scenario_file, capsys):
 @pytest.mark.parametrize("name", ["circle", "gutter", "ellipsoid"])
 def test_main_check_passes_on_the_shipped_scenarios(capsys, name):
     # the round trips start up to |r| = 0.14 (circle) or 0.53 off M and flow
-    # for up to |t| = 0.3, so most rows step past flow_steps_for's floor of 8
+    # for up to |t| = 0.3, at flow_steps_for's 1 substep per FLOW_COARSE_STEP
+    # of |r| + 1e-3
     path = os.path.join(os.path.dirname(CIRCLE), f"{name}.json")
     assert cli.main(["check", "--scenario", path]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -677,6 +678,42 @@ def test_jobs_below_one_is_one_error_line(tiny_scenario_file, tmp_path, capsys, 
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidParameterError") and f"got {jobs}" in err
         assert len(err.splitlines()) == 1
+
+
+def _a_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    return path
+
+
+def _report_json_is_a_directory(tmp_path):
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize("command, out, reason", [
+    ("certify", _a_file, "File exists"),
+    ("certify", lambda tmp_path: _a_file(tmp_path) / "sub", "Not a directory"),
+    ("certify", _report_json_is_a_directory,
+     "'report.json' in it is a directory, where the run writes a file"),
+    ("family", _report_json_is_a_directory, "'report.json' in it is a directory"),
+    ("gallery", _a_file, "File exists"),
+], ids=["certify-file", "certify-under-a-file", "certify-report-json-dir",
+        "family-report-json-dir", "gallery-file"])
+def test_unusable_out_is_one_error_line(tiny_scenario_file, tmp_path, capsys, monkeypatch,
+                                        command, out, reason):
+    # refused before the first stage or trapped-motion run
+    monkeypatch.setattr(cli, "run_family", lambda scn: pytest.fail("the family stage ran"))
+    monkeypatch.setattr(cli, "locate_barrier", lambda *a, **k: pytest.fail("gallery ran"))
+    out = out(tmp_path)
+    argv = [command, "--out", str(out)]
+    if command != "gallery":
+        argv += ["--scenario", tiny_scenario_file]
+    assert cli.main(argv) == 1
+    printed, err = capsys.readouterr()
+    assert err.startswith(f"error: InvalidParameterError: output directory {str(out)!r} is "
+                          "unusable: ") and reason in err
+    assert len(err.splitlines()) == 1 and printed == ""
 
 
 def test_file_revalidation_rederives_energy_drift(circle_run_dir, tmp_path):
@@ -1100,12 +1137,14 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 # for the ellipsoid and gutter (only their recorded ceilings) when the
 # ceilings followed the probe's rho^(2/k) law, and for the ellipsoid
 # (only its coordinates' acceleration fields) when position reads flowed
-# at FLOW_COARSE_STEP: a change that claims to keep the verdicts and the
-# numbers keeps these bytes
+# at FLOW_COARSE_STEP, and for the circle and the ellipsoid (rounding-level
+# coordinates, limit and certificate fields) when position reads dropped
+# their floor of 8 substeps: a change that claims to keep the verdicts and
+# the numbers keeps these bytes
 REPORT_DIGESTS = {
-    "circle": "4b430d45513288a2f454370a4ab2ab99bd635855627119bd0845b0c2beee5825",
+    "circle": "c13d0f0a418791b596d140cce3dff92a00fd2d5394ac688213a019e849bde5a1",
     "gutter": "444d035635d434e88ccba0a820839655b52a9980ea3cdac98924fbc860275b90",
-    "ellipsoid": "0bbc8a1e73f75191a0df6048df020c96b4021e32b286af20c50df105b12ec4c5",
+    "ellipsoid": "62643dde327e302d4a9507df4e940c0a34d22dfc8c22a0f5a33627f6fa48356e",
 }
 
 
