@@ -494,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="scenario JSON file")
-    common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility and must be at least 1; every run "
                              "is serial (the family runs in lockstep batches), so it "
@@ -504,12 +503,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--count", type=int, default=None)
     common.add_argument("--horizon", type=float, default=None)
     common.add_argument("--step-factor", dest="step_factor", type=float, default=None)
-    common.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True)
+    # only the stages of run_pipeline write files
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", default=None, help="output directory")
+    writes.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True)
 
     for name, stages, text in (("family", ("family",), "run the eps family"),
                                ("limit", ("family", "limit"), "family plus limit extraction"),
                                ("certify", STAGES, "full pipeline")):
-        p = sub.add_parser(name, parents=[common], help=text)
+        p = sub.add_parser(name, parents=[common, writes], help=text)
         p.set_defaults(fn=_cmd_pipeline, stages=stages)
     p = sub.add_parser("residual", parents=[common],
                        help="tangential equation-of-motion residual")

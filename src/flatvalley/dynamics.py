@@ -12,7 +12,8 @@ from; conservation of H = |xd|^2/2 + U/eps^2 gives sharp a-priori bounds
 against.
 
 Every run is a row of a lockstep call of ``integrators.integrate``:
-:func:`integrate_rescaled` makes one (both halves of one run), as does
+:func:`integrate_rescaled` makes one (both halves of one run, from (p,
+v), the backward one at the negated step), as does
 :func:`newton_many` (physical runs, a single one being a batch of one),
 and a family (:func:`family_for_gates`, what :func:`run_family` runs)
 makes the one to three calls of its step plan (:func:`step_calls`), each
@@ -357,10 +358,10 @@ def _halves(potential, p, v, T: float, epsilons: Sequence[float], opts: Integrat
             substeps: Sequence[int]):
     """p and v as arrays, and the lockstep rows (x0, v0, scale, (m, dt,
     steps)) of the rescaled runs from (p, v) on [-T, T], one per eps, each
-    at its ``substeps``: row 2j is run j's forward half from (p, v), row
-    2j + 1 its backward half from (p, -v), both under xdd = -(1/eps_j^2)
-    grad U.  Every step count is checked against MAX_STEPS before any run
-    starts."""
+    at its ``substeps`` m, which the caller has checked against MAX_STEPS:
+    row 2j is run j's forward half, at step spacing / m, and row 2j + 1
+    its backward half, at step -spacing / m, both from (p, v) under xdd =
+    -(1/eps_j^2) grad U."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.shape != (potential.dim,) or v.shape != (potential.dim,):
@@ -368,9 +369,8 @@ def _halves(potential, p, v, T: float, epsilons: Sequence[float], opts: Integrat
     half = (opts.n_out - 1) // 2
     batch = []
     for eps, m in zip(epsilons, substeps):
-        m, dt, steps = _snap_step(T / half, T / half / m, half)
-        scale = 1.0 / (float(eps) * float(eps))
-        batch += [(p, v, scale, (m, dt, steps)), (p, -v, scale, (m, dt, steps))]
+        dt, scale = T / half / m, 1.0 / (float(eps) * float(eps))
+        batch += [(p, v, scale, (m, dt, half * m)), (p, v, scale, (m, -dt, half * m))]
     return p, v, batch
 
 
@@ -378,14 +378,13 @@ def _half_error(failures: Dict[int, BlowUpError], j: int, eps) -> Optional[BlowU
     """The error of rescaled run j, whose halves are rows 2j and 2j + 1, or
     None when neither failed.  The forward half runs first in time, so its
     error is the one reported."""
-    for row, side, sign in ((2 * j, "forward", 1.0), (2 * j + 1, "backward", -1.0)):
+    for row, side in ((2 * j, "forward"), (2 * j + 1, "backward")):
         exc = failures.get(row)
         if exc is not None:
             return BlowUpError(
                 f"rescaled run blew up on the {side} half (eps={eps:g}); the solution "
                 f"exists globally, so this is an integrator failure: {exc}",
-                last_time=sign * exc.last_time,
-                last_state=(exc.last_state[0], sign * exc.last_state[1]))
+                last_time=exc.last_time, last_state=exc.last_state)
     return None
 
 
@@ -394,10 +393,9 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     """Integrate xdd = -(1/eps^2) grad U(x) on [-T, T] from (p, v): a dense
     run, with every internal state.
 
-    The backward half is obtained by running forward from (p, -v) and
-    reflecting time, so a single stepper code path covers both halves; the
-    lockstep call runs both and writes their states, as it makes them,
-    into one array.  The solution exists globally for every eps; a blow-up
+    The lockstep call runs both halves from (p, v), the backward one at
+    the negated step, and writes their states, as it makes them, into one
+    array.  The solution exists globally for every eps; a blow-up
     therefore means the step size failed to resolve the stiffness and is
     reported as an integrator failure.  A family member at the same eps and
     horizon has this run's nodes, bit for bit, when the options carry the
@@ -413,23 +411,17 @@ def integrate_rescaled(potential, p, v, eps: float, T: float,
     _, _, batch = _halves(potential, p, v, T, [eps], opts,
                           [_snap_step(T / half, opts.step_factor * float(eps), half)[0]])
     snap = batch[0][3]
-    mid = snap[2]  # the index of tau = 0: the backward half reversed comes first
+    mid = snap[2]  # the index of tau = 0
     x_int = np.empty((2 * mid + 1, potential.dim))
     v_int = np.empty_like(x_int)
 
     def observe(rows, first, X, V, due):
-        # row 1, the backward half, counts its steps down from 0 and has its
-        # velocities negated; its state 0 is the forward half's
+        # state i of row 0 (the forward half) lies at tau = (first + i) dt, of
+        # row 1 (the backward half) at -(first + i) dt; both start at (p, v)
         for c, r in enumerate(rows.tolist()):
-            if r == 0:
-                x_int[mid + first:mid + first + due[c]] = X[:due[c], c]
-                v_int[mid + first:mid + first + due[c]] = V[:due[c], c]
-                continue
-            lo = int(first == 0)
-            if lo < due[c]:
-                at = slice(mid - first - due[c] + 1, mid - first - lo + 1)
-                x_int[at] = X[lo:due[c], c][::-1]
-                v_int[at] = -V[lo:due[c], c][::-1]
+            at = mid + (1 - 2 * r) * (first + np.arange(due[c]))
+            x_int[at] = X[:due[c], c]
+            v_int[at] = V[:due[c], c]
 
     # each half keeps its nodes; the run's states reach it through the observer
     _, _, failures = _lockstep(potential, batch, dense=False, observe=observe)
@@ -544,8 +536,9 @@ class RunAudits:
     def feed(self, runs, k: Array, x: Array, v: Array, dt, stride) -> None:
         """Audit a block of states: row c of the (cols, steps, n) states
         (x, v) holds states of run ``runs[c]`` at the signed step indices
-        ``k[c]`` of a step ``dt[c]`` (tau = k dt), whose output nodes are
-        every ``stride[c]``-th step."""
+        ``k[c]`` (negative before tau = 0) of a step ``dt[c]`` of either
+        sign (|tau| = |k dt|), whose output nodes are every
+        ``stride[c]``-th step."""
         cols, steps, n = x.shape
         runs = np.asarray(runs)
         dt, stride = np.asarray(dt, dtype=float)[:, None], np.asarray(stride)[:, None]
@@ -558,7 +551,7 @@ class RunAudits:
         node = k % stride == 0
         self.values[runs[np.nonzero(node)[0]],
                     (self.values.shape[1] - 1) // 2 + (k // stride)[node]] = H[node]
-        taus = np.abs(k) * dt
+        taus = np.abs(k * dt)
         disps = np.sqrt(_squared_norms(x - self.p))
         ratios = np.zeros_like(disps)
         if self.v_norm > 0:  # a run from rest reads max |x - p| for its ball bound
@@ -731,8 +724,7 @@ def _member_runs(potential, p, v, T, epsilons, opts: IntegratorOptions,
 
     def observe(rows, first, X, V, due):
         # the members' halves feed their audits as run i; row 2i + 1, the
-        # backward half, counts its steps down from 0, and the audited
-        # quantities are even in v
+        # backward half, counts its steps down from 0
         member = [c for c, r in enumerate(rows.tolist()) if r < 2 * count and due[c]]
         for length in set(due[c] for c in member):  # one length but in a row's last chunk
             cols = [c for c in member if due[c] == length]
@@ -753,7 +745,7 @@ def _member_runs(potential, p, v, T, epsilons, opts: IntegratorOptions,
         step_error = (np.inf if exc is not None or error is not None
                       else float(np.max(np.linalg.norm(Xs[row] - Xs[2 * i], axis=1))))
         x_nodes = np.concatenate([Xs[2 * i + 1][:0:-1], Xs[2 * i]])
-        v_nodes = np.concatenate([-Vs[2 * i + 1][:0:-1], Vs[2 * i]])
+        v_nodes = np.concatenate([Vs[2 * i + 1][:0:-1], Vs[2 * i]])
         Xs[2 * i] = Xs[2 * i + 1] = Vs[2 * i] = Vs[2 * i + 1] = None  # free the halves
         runs.append(_MemberRun(
             member=_run("rescaled", eps, -half, T / half, x_nodes, v_nodes, batch[2 * i][3],

@@ -13,9 +13,13 @@ shipped circle's member 0 drifts by 2.5e-7 under velocity Verlet).
 each with its own step ``dt``, step count and acceleration scale, in
 lockstep: the rows are ordered by step count, so a finished row drops off
 the end of the live prefix and the Python loop runs max(steps) times, not
-sum(steps).  Every operation acts row by row and rounds as it does for one
-row alone (the products c*dt of each row, the acceleration scale * a(x)),
-so a batch gives the same bits as a loop of batches of one.  One step is
+sum(steps).  A row's step may have either sign, its direction of time:
+every substep is linear in dt and rounding is symmetric in sign, so a
+row at -dt from (x, v) has the positions of the row at dt from (x, -v),
+bit for bit, and its velocities negated, up to the sign of a zero.
+Every operation acts row by row and rounds as it does for one row alone
+(the products c*dt of each row, the acceleration scale * a(x)), so a
+batch gives the same bits as a loop of batches of one.  One step is
 the table written out, five drifts and four kicks (the last kick
 coefficient is 0): the operations of a loop over the table, in its order,
 without the loop's per-substep Python work (``tests/test_integrators.py``
@@ -57,8 +61,9 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps, scale, blowup_radius: f
     """March the rows of (x0, v0) under xdd = scale * accel(x) in lockstep.
 
     ``x0`` and ``v0`` are (rows, n); ``dt``, ``steps``, ``scale`` and
-    ``stride`` are per row, a scalar standing for every row; ``n_steps`` is
-    the largest of ``steps``.  ``accel`` maps an (m, n) block of positions
+    ``stride`` are per row, a scalar standing for every row.  A step is
+    finite and nonzero, and a negative one runs its row backward in time.
+    ``n_steps`` is the largest of ``steps``.  ``accel`` maps an (m, n) block of positions
     to its accelerations row by row.  Row r keeps its states at steps 0,
     stride_r, 2 stride_r, ... (a stride of 1 keeps every state), so a row
     that keeps only its output nodes never holds its internal states.
@@ -76,8 +81,8 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps, scale, blowup_radius: f
     Returns (Xs, Vs, failures): per row the (steps // stride + 1, n) kept
     states, and {row: BlowUpError} for the rows that reached a non-finite
     state or one with |x|^2 + |v|^2 > 2 ``blowup_radius``^2, each carrying
-    its last valid time and state (a failed row's Xs/Vs hold its kept
-    states before the first bad one).
+    its last valid time (negative on a backward row) and state (a failed
+    row's Xs/Vs hold its kept states before the first bad one).
     """
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
@@ -86,8 +91,8 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps, scale, blowup_radius: f
     h = np.broadcast_to(np.asarray(dt, dtype=float), (rows,))
     counts = np.broadcast_to(np.asarray(steps), (rows,))
     strides = np.broadcast_to(np.asarray(stride), (rows,))
-    if not np.all(h > 0):
-        raise InvalidParameterError("step size must be positive")
+    if not np.all(np.isfinite(h) & (h != 0)):
+        raise InvalidParameterError("step size must be finite and nonzero")
     if counts.dtype.kind not in "iu" or counts.min() < 0 or counts.max() != n_steps:
         raise InvalidParameterError(
             f"per-row step counts must be nonnegative integers with maximum n_steps = {n_steps}")

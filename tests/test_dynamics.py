@@ -89,12 +89,19 @@ def test_two_route_consistency():
 
 
 def test_time_symmetry():
-    C = fv.circle()
-    fwd = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, 1.0], 0.1, 1.0)
-    bwd = fv.integrate_rescaled(C, [1.0, 0.0], [0.0, -1.0], 0.1, 1.0)
-    # reflecting tau maps one run onto the other exactly (same stepper path)
-    assert np.array_equal(bwd.x[::-1], fwd.x)
-    assert np.array_equal(bwd.v[::-1], -fwd.v)
+    # reflecting tau maps the run from (p, -v) onto the run from (p, v)
+    # exactly, nodes and internal states, on each shipped valley: each half
+    # of one steps as the other half of the other at the negated step
+    for P, p, v, T in ((fv.circle(), [1.0, 0.0], [0.0, 1.0], 1.0),
+                       (fv.gutter(), [0.0, 0.0], [0.0, 1.0], 1.0),
+                       (fv.ellipsoid(), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.5)):
+        for eps in (0.1, 0.0125):
+            fwd = fv.integrate_rescaled(P, p, v, eps, T)
+            bwd = fv.integrate_rescaled(P, p, -np.array(v), eps, T)
+            assert fwd.dense and len(fwd.x_int) > len(fwd.x)
+            for sign, a, b in ((1.0, fwd.x, bwd.x), (1.0, fwd.x_int, bwd.x_int),
+                               (-1.0, fwd.v, bwd.v), (-1.0, fwd.v_int, bwd.v_int)):
+                assert np.array_equal(b[::-1], sign * a)
 
 
 def test_energy_audit_basics():

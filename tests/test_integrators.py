@@ -63,8 +63,10 @@ def test_nan_detection():
 
 
 def test_bad_arguments():
-    with pytest.raises(InvalidParameterError):
-        run(harmonic, -0.1, 10)
+    # a negative step is a row run backward in time, not a bad one
+    for dt in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+            run(harmonic, dt, 10)
 
 
 def _pefrl_reference(accel, x, v, dt, steps, scale, blowup_radius):
@@ -89,16 +91,21 @@ CIRCLE_FORCE = (lambda X: 4.0 * (np.vecdot(X, X) - 1.0)[:, None] * X)
 
 @pytest.mark.parametrize("accel, dim", [(np.sinh, 3), (CIRCLE_FORCE, 2)],
                          ids=["sinh", "circle"])
-def test_written_out_step_is_the_pefrl_table(accel, dim):
-    # rows finishing at different steps, on both sides of CHUNK boundaries,
-    # one of no steps, and one pushed outward (scale > 0) that leaves the box
-    # in its second chunk
-    steps = [3, CHUNK - 1, 0, 2 * CHUNK + 5, CHUNK + 1, 2 * CHUNK]
-    dts = [0.05, 0.01, 0.1, 0.02, 0.03, 0.007]
-    scales = [-1.0, -0.5, -2.0, -1.5, -0.25, 1.0]
+def _mixed_rows(dim):
+    """Rows finishing at different steps, on both sides of CHUNK
+    boundaries, one of no steps, and one pushed outward (scale > 0) that
+    leaves the box in its second chunk: (steps, dts, scales, x0, v0)."""
     rng = np.random.default_rng(5)
     x0, v0 = rng.uniform(-0.6, 0.6, (6, dim)), rng.uniform(-0.6, 0.6, (6, dim))
     x0[5] *= 2.0
+    return ([3, CHUNK - 1, 0, 2 * CHUNK + 5, CHUNK + 1, 2 * CHUNK],
+            [0.05, 0.01, 0.1, 0.02, 0.03, 0.007], [-1.0, -0.5, -2.0, -1.5, -0.25, 1.0], x0, v0)
+
+
+@pytest.mark.parametrize("accel, dim", [(np.sinh, 3), (CIRCLE_FORCE, 2)],
+                         ids=["sinh", "circle"])
+def test_written_out_step_is_the_pefrl_table(accel, dim):
+    steps, dts, scales, x0, v0 = _mixed_rows(dim)
     Xs, Vs, failures = integrate(accel, x0, v0, dts, max(steps), steps=steps, scale=scales,
                                  blowup_radius=10.0)
     for r in range(6):
@@ -113,3 +120,23 @@ def test_written_out_step_is_the_pefrl_table(accel, dim):
         assert exc.last_state[0].tobytes() == X[-1].tobytes()
         assert exc.last_state[1].tobytes() == V[-1].tobytes()
     assert list(failures) == [5]
+
+
+@pytest.mark.parametrize("accel, dim", [(np.sinh, 3), (CIRCLE_FORCE, 2)],
+                         ids=["sinh", "circle"])
+def test_a_negative_step_runs_the_reflected_row(accel, dim):
+    # every substep is linear in dt and rounding is symmetric in sign: a row
+    # at -dt from (x, v) has the positions of the row at dt from (x, -v) and
+    # its velocities negated, and the row that blows up does so at the same
+    # step, at the negated time, with its true velocity
+    steps, dts, scales, x0, v0 = _mixed_rows(dim)
+    kwargs = dict(steps=steps, scale=scales, blowup_radius=10.0)
+    Xs, Vs, failures = integrate(accel, x0, v0, -np.array(dts), max(steps), **kwargs)
+    Xr, Vr, reflected = integrate(accel, x0, -v0, dts, max(steps), **kwargs)
+    for r in range(6):
+        assert np.array_equal(Xs[r], Xr[r]) and np.array_equal(Vs[r], -Vr[r])
+    assert list(failures) == list(reflected) == [5]
+    exc, ref = failures[5], reflected[5]
+    assert exc.last_time == -ref.last_time < 0
+    assert np.array_equal(exc.last_state[0], ref.last_state[0])
+    assert np.array_equal(exc.last_state[1], -ref.last_state[1])

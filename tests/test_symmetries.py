@@ -8,10 +8,10 @@ pipeline takes sum the same squares in an order that, with two terms,
 cannot matter.  So the mirrored or turned scenario must give the same step
 plan and every certificate scalar bit for bit, and the mapped limit curve.
 
-Time rescaling by a power of 2 is exact as well: the scenario (eps0 / 2,
-2 v, T / 2) launches every physical run at the same speed eps_j |v|, and
-its rescaled members run the same steps in half the rescaled time.  Its
-certificate keeps R's bits and halves tau* exactly.
+Time rescaling by a power of 2 is exact as well: the scenario (2^m eps0,
+2^-m v, 2^m T) launches every physical run at the same speed eps_j |v|,
+and its rescaled members run the same steps in 2^m times the rescaled
+time.  Its certificate keeps R's bits and scales tau* by 2^m exactly.
 """
 import json
 
@@ -75,18 +75,23 @@ def test_a_symmetry_of_the_potential_maps_the_certificate(base_runs, tmp_path, s
     assert np.array_equal(x, _mapped(base_x, perm, signs))
 
 
+@pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3], ids=lambda m: f"m={m}")
 @pytest.mark.parametrize("name", sorted(BASE))
-def test_halving_eps0_and_the_horizon_at_twice_v_halves_tau_star(base_runs, tmp_path, name):
+def test_scaling_eps0_and_the_horizon_by_2_to_the_m_scales_tau_star(base_runs, tmp_path,
+                                                                      name, m):
     potential, p, v, horizon = BASE[name]
-    report, tau, x = _certify(tmp_path, potential, p, 2.0 * np.asarray(v), horizon / 2,
-                              eps0=0.05)
+    scale = 2.0 ** m
+    report, tau, x = _certify(tmp_path, potential, p, np.asarray(v) / scale, horizon * scale,
+                              eps0=0.1 * scale)
     base, base_tau, base_x = base_runs[name]
     cert, base_cert = report["certificate"], base["certificate"]
     assert cert["escape_radius"] == base_cert["escape_radius"]
-    assert cert["tau_star"] == base_cert["tau_star"] / 2
-    # every other scalar and every evidence run is the same; eps halves
-    assert dict(cert, tau_star=2 * cert["tau_star"], v=[c / 2 for c in cert["v"]],
-                epsilons=[2 * e for e in cert["epsilons"]],
-                evidence=[dict(row, eps=2 * row["eps"]) for row in cert["evidence"]]) == base_cert
-    assert report["family"]["substeps"] == base["family"]["substeps"]
-    assert np.array_equal(tau, base_tau / 2) and np.array_equal(x, base_x)
+    assert cert["tau_star"] == base_cert["tau_star"] * scale
+    # every other scalar and every evidence run is the same; eps scales by 2^m
+    assert dict(cert, tau_star=cert["tau_star"] / scale, v=[c * scale for c in cert["v"]],
+                epsilons=[e / scale for e in cert["epsilons"]],
+                evidence=[dict(row, eps=row["eps"] / scale)
+                          for row in cert["evidence"]]) == base_cert
+    for key in ("substeps", "lockstep_iterations"):
+        assert report["family"][key] == base["family"][key]
+    assert np.array_equal(tau, base_tau * scale) and np.array_equal(x, base_x)
