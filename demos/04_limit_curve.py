@@ -22,14 +22,15 @@ for j in range(family.count):
     d = f"{conv.distances[j]:.3e}" if j < len(conv.distances) else ""
     print(f"{j:>2} {family.epsilons[j]:>9.4g} {family.energies[j].drift:>9.1e} "
           f"{conv.violation_max[j]:>10.3e} {d:>17}")
+rates = [rate if rate is None else round(rate, 2) for rate in conv.rate_estimates]
 print(f"convergence verdict: {conv.cauchy_ok} (tolerance {conv.tol_limit:.2e}); "
-      f"measured rates {np.round(conv.rate_estimates, 2).tolist()}")
+      f"measured rates {rates}")
 
 ref = np.stack([np.cos(limit.tau), np.sin(limit.tau)], axis=1)
 print(f"\nlimit vs closed-form (cos tau, sin tau): sup distance "
       f"{np.max(np.linalg.norm(limit.x - ref, axis=1)):.2e}")
 print(f"initial velocity recovered: xdot(0) = {np.round(limit.xdot0, 6).tolist()} "
-      f"(error {limit.initial_velocity_error:.2e})")
+      f"(error {conv.initial_velocity_error:.2e})")
 
 print("\ncoordinate diagnostics in the tube:")
 chart = fv.chart_for_scenario(scn)

@@ -26,14 +26,17 @@ print(f"verdict: {report.verdict}")
 
 with open(os.path.join(out, "report.json")) as fh:
     data = json.load(fh)
-cert = data["certificate"]
+cert, scenario = data["certificate"], data["scenario"]
 print(f"\nescape radius R = {cert['escape_radius']:.6f} "
       f"(closed form 2 sin(1/2) = {2 * np.sin(0.5):.6f}) at tau* = {cert['tau_star']}")
 print(f"threshold R/2 = {cert['threshold']:.6f}, first good index j0 = {cert['j0']}")
+# report.json states the eps schedule and v once, in its scenario block
+speed = float(np.linalg.norm(scenario["v"]))
 print(f"\n{'j':>2} {'eps':>9} {'initial speed':>14} {'escape time':>12} {'displacement':>13}")
 for row in cert["evidence"]:
-    print(f"{row['j']:>2} {row['eps']:>9.4g} {row['initial_speed']:>14.4g} "
-          f"{row['escape_time']:>12.4g} {row['displacement']:>13.6f}")
+    eps = scenario["eps0"] * scenario["ratio"] ** row["j"]
+    print(f"{row['j']:>2} {eps:>9.4g} {eps * speed:>14.4g} "
+          f"{cert['tau_star'] / eps:>12.4g} {row['displacement']:>13.6f}")
 
 print(f"\nre-deriving every number from the emitted files alone:")
 check = revalidate_from_dir(out)

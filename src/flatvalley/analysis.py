@@ -190,32 +190,32 @@ class LimitCurve:
     tau: Array
     x: Array
     xdot0: Array
-    p: Array
     verified: bool
-    source_epsilon: float
-    initial_velocity_error: float
 
 
 @dataclass(eq=False)
 class ConvergenceReport:
-    """Cauchy diagnostic for the family on its fixed grid.
+    """Cauchy diagnostic for the family on its fixed grid, report.json's
+    ``convergence`` block field for field.
 
     ``distances[j]`` is the sup distance between members j and j+1.  The
     verdict passes when the distances are non-increasing from j = 1 on
     (one pre-asymptotic pair is allowed), up to the rounding the members
     carry, and the last one is below ``tol_limit``.  ``rate_estimates`` are
     the measured consecutive ratios, reported without asserting any order
-    of convergence; a ratio is NaN (null in report.json) when either of its
+    of convergence; a ratio is None (null in report.json) when either of its
     distances is at or below the rounding floor the monotone check allows.
+    ``violation_max[j]`` is member j's largest |f|; ``initial_velocity_error``
+    is |xdot(0) - v| of the limit curve.
     """
 
-    epsilons: Array
     distances: Array
     monotone: List[bool]
     tol_limit: float
     cauchy_ok: bool
     violation_max: Array
-    rate_estimates: Array
+    rate_estimates: List[Optional[float]]
+    initial_velocity_error: float
 
 
 def check_limit_shape(count: int, n_out: int) -> None:
@@ -229,8 +229,41 @@ def check_limit_shape(count: int, n_out: int) -> None:
             f"stencil, got n_out = {n_out}")
 
 
+def initial_velocity(tau: Array, x: Array) -> Array:
+    """xdot(0) of nodes ``x`` on the grid ``tau``: the stencil of nodes c - 2 to c + 2."""
+    spacing = float(tau[1] - tau[0])
+    c = (len(tau) - 1) // 2
+    return (-x[c + 2] + 8.0 * x[c + 1] - 8.0 * x[c - 1] + x[c - 2]) / (12.0 * spacing)
+
+
+def convergence_report(potential, tau: Array, members_x: Sequence[Array], limit_x: Array,
+                       p, v, epsilons, steps: int,
+                       tol_limit: Optional[float] = None) -> ConvergenceReport:
+    """The :class:`ConvergenceReport` of the members' and the limit's nodes
+    on the grid ``tau``, the scenario's p, v and eps schedule and ``steps``,
+    the finest member's internal step count (it sets the rounding floor),
+    as the limit stage records it and file revalidation rebuilds it.  The
+    default ``tol_limit`` is :func:`limit_tolerance` of the scenario."""
+    d = np.array([float(np.max(np.linalg.norm(a - b, axis=1)))
+                  for a, b in zip(members_x[:-1], members_x[1:])])
+    # rounding floor of a distance: one unit roundoff of the position scale
+    # per internal step of the finest member
+    floor = np.finfo(float).eps * steps * float(np.abs(members_x[-1]).max())
+    monotone = [bool(d[j] <= d[j - 1] * (1.0 + 1e-3) + floor) for j in range(1, len(d))]
+    if tol_limit is None:
+        tol_limit = limit_tolerance(potential, p, v, epsilons)
+    return ConvergenceReport(
+        distances=d, monotone=monotone, tol_limit=float(tol_limit),
+        cauchy_ok=bool(all(monotone) and d[-1] <= tol_limit),
+        violation_max=np.array([float(np.abs(potential.field.value_many(x)).max())
+                                for x in members_x]),
+        rate_estimates=[float(d[j] / d[j + 1]) if min(d[j], d[j + 1]) > floor else None
+                        for j in range(len(d) - 1)],
+        initial_velocity_error=float(np.linalg.norm(initial_velocity(tau, limit_x) - v)))
+
+
 def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
-    """Extract the limit curve and its convergence diagnostic.
+    """Extract the limit curve and its :func:`convergence_report`.
 
     Needs at least 3 members and 5 output nodes (:func:`check_limit_shape`):
     the xdot(0) stencil reads nodes c - 2 to c + 2.  The default
@@ -238,39 +271,17 @@ def extract_limit(family: FamilyResult, tol_limit: Optional[float] = None):
     """
     check_limit_shape(family.count, len(family.tau))
     fld = family.potential.field
-    eps = family.epsilons
-    members = family.members
-    d = np.array([
-        float(np.max(np.linalg.norm(members[j].x - members[j + 1].x, axis=1)))
-        for j in range(len(members) - 1)
-    ])
-    # rounding floor of a distance: one unit roundoff of the position scale
-    # per internal step of the finest member
-    best = members[-1]
-    floor = np.finfo(float).eps * best.steps * float(np.abs(best.x).max())
-    monotone = [bool(d[j] <= d[j - 1] * (1.0 + 1e-3) + floor) for j in range(1, len(d))]
-    if tol_limit is None:
-        tol_limit = limit_tolerance(family.potential, family.p, family.v, eps)
-    cauchy_ok = bool(all(monotone) and d[-1] <= tol_limit)
-
+    best = family.members[-1]
     x_lim, failures = foot_many(fld, best.x)
     raise_first(failures)
     resid = float(np.abs(fld.value_many(x_lim)).max())
     if resid > 1e-10:
         raise FlowDomainError(f"projection left |f| = {resid:.3e} > 1e-10 on the limit")
-    spacing = float(best.tau[1] - best.tau[0])
-    c = (len(best.tau) - 1) // 2
-    xdot0 = (-x_lim[c + 2] + 8.0 * x_lim[c + 1] - 8.0 * x_lim[c - 1] + x_lim[c - 2]) / (12.0 * spacing)
-    limit = LimitCurve(
-        tau=best.tau, x=x_lim, xdot0=xdot0, p=family.p,
-        verified=cauchy_ok, source_epsilon=float(eps[-1]),
-        initial_velocity_error=float(np.linalg.norm(xdot0 - family.v)))
-    violations = np.array([float(np.abs(fld.value_many(m.x)).max()) for m in members])
-    report = ConvergenceReport(
-        epsilons=eps, distances=d, monotone=monotone, tol_limit=float(tol_limit),
-        cauchy_ok=cauchy_ok, violation_max=violations,
-        rate_estimates=np.array([d[j] / d[j + 1] if min(d[j], d[j + 1]) > floor else np.nan
-                                 for j in range(len(d) - 1)]))
+    report = convergence_report(family.potential, best.tau, [m.x for m in family.members],
+                                x_lim, family.p, family.v, family.epsilons, best.steps,
+                                tol_limit)
+    limit = LimitCurve(tau=best.tau, x=x_lim, xdot0=initial_velocity(best.tau, x_lim),
+                       verified=report.cauchy_ok)
     return limit, report
 
 
@@ -283,12 +294,16 @@ def escape_point(tau: Array, x: Array, p) -> Tuple[int, float, float]:
     return c + i, float(dist[i]), float(tau[c + i])
 
 
+def noise_ball(tau: Array, v) -> float:
+    """tol_r, the noise ball of ten output steps of the grid ``tau`` at speed |v|."""
+    return 10.0 * float(tau[1] - tau[0]) * float(np.linalg.norm(v))
+
+
 def limit_escape(family: FamilyResult, limit: LimitCurve) -> Tuple[int, float, float, float]:
-    """The limit curve's :func:`escape_point` (k, R, tau*) and tol_r, the
-    noise ball of ten output steps at speed |v|.  Raises DegenerateLimitError,
-    before any run is cut at tau*, when R <= tol_r: the limit shows no escape."""
-    spacing = float(limit.tau[1] - limit.tau[0])
-    tol_r = 10.0 * spacing * float(np.linalg.norm(family.v))
+    """The limit curve's :func:`escape_point` (k, R, tau*) and its
+    :func:`noise_ball` tol_r.  Raises DegenerateLimitError, before any run
+    is cut at tau*, when R <= tol_r: the limit shows no escape."""
+    tol_r = noise_ball(limit.tau, family.v)
     k, radius, tau_star = escape_point(limit.tau, limit.x, family.p)
     if radius <= tol_r:
         raise DegenerateLimitError(
@@ -326,13 +341,15 @@ def physical_evidence_runs(family: FamilyResult, tau_star: float) -> List[Trajec
 
 @dataclass(eq=False)
 class InstabilityCertificate:
-    """Checkable escape evidence for the equilibrium (p, 0).
+    """Checkable escape evidence for the equilibrium (p, 0), report.json's
+    ``certificate`` block field for field.
 
     ``escape_radius`` R is the largest distance the limit curve reaches
     from p on [0, T], at rescaled time ``tau_star``; from index ``j0`` on,
     every member sits within R/2 of the limit there, so each physical
     trajectory, despite its initial speed eps_j |v| -> 0, is at distance
-    at least R/2 from p at time tau*/eps_j.
+    at least R/2 from p at time tau*/eps_j: ``evidence`` row {j,
+    displacement} per member from j0 on.
     """
 
     verdict: str
@@ -340,12 +357,9 @@ class InstabilityCertificate:
     tau_star: float
     threshold: float
     j0: int
-    epsilons: Array
     member_distances: Array
     evidence: List[dict]
     tol_r: float
-    p: Array
-    v: Array
 
 
 def certify_instability(family: FamilyResult, limit: LimitCurve,
@@ -359,15 +373,10 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
     if not limit.verified:
         raise UnverifiedLimitError()
     p = family.p
-    vnorm = float(np.linalg.norm(family.v))
     k, radius, tau_star, tol_r = limit_escape(family, limit)
     member_d = np.array([float(np.linalg.norm(m.x[k] - limit.x[k])) for m in family.members])
     close = member_d < 0.5 * radius
-    j0 = None
-    for j in range(len(close)):
-        if np.all(close[j:]):
-            j0 = j
-            break
+    j0 = next((j for j in range(len(close)) if np.all(close[j:])), None)
     if j0 is None:
         raise ScheduleTooShortError(
             "no index from which every member stays within R/2 of the limit at tau*; "
@@ -386,18 +395,11 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
         if disp < 0.5 * radius:
             raise IndeterminateCertificateError(
                 f"physical displacement at j={j} is {disp:.6g} < R/2 = {0.5 * radius:.6g}")
-        evidence.append({
-            "j": j,
-            "eps": eps,
-            "initial_speed": eps * vnorm,
-            "escape_time": tau_star / eps,
-            "displacement": disp,
-        })
+        evidence.append({"j": j, "displacement": disp})
     return InstabilityCertificate(
         verdict="UNSTABLE", escape_radius=radius, tau_star=tau_star,
-        threshold=0.5 * radius, j0=j0, epsilons=family.epsilons,
-        member_distances=member_d, evidence=evidence, tol_r=float(tol_r),
-        p=p.copy(), v=family.v.copy())
+        threshold=0.5 * radius, j0=j0, member_distances=member_d, evidence=evidence,
+        tol_r=float(tol_r))
 
 
 #: relative tolerance of revalidation: numbers are recomputed as they were
@@ -405,46 +407,49 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
 REVALIDATION_RTOL = 1e-12
 
 
-def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
-                      members_x: Sequence[Array],
-                      physical_ends: Mapping[int, Array],
+def _close(value: float, claim: float) -> bool:
+    """Whether ``claim`` is ``value`` within REVALIDATION_RTOL."""
+    return abs(value - claim) <= REVALIDATION_RTOL * max(1.0, abs(value))
+
+
+def check_certificate(claims: Mapping, p, v, tau: Array, limit_x: Array,
+                      members_x: Sequence[Array], physical_ends: Sequence[Array],
                       drifts: Sequence[float], members_h: Sequence[Array]) -> Dict[str, bool]:
     """Re-derive a certificate from arrays: one boolean per named check.
 
     ``claims`` are the certificate fields by name (``vars`` of an
-    :class:`InstabilityCertificate`, or report.json's ``certificate``);
-    positions lie on the grid ``tau``.  The evidence displacements are
-    re-derived from the physical runs' final states ``physical_ends``, by
-    member j.  ``drifts`` are the members' claimed energy
-    drifts and ``members_h`` their H on the output grid: the output grid is
-    a subset of the internal steps each claim was taken over, so a claim
-    below the drift re-derived from H is false.
+    :class:`InstabilityCertificate`, or report.json's ``certificate``) of a
+    run from (p, v); positions lie on the grid ``tau``, one array of
+    ``members_x`` per member.  The evidence displacements are re-derived
+    from the physical runs' final states ``physical_ends``, by member j.
+    ``drifts`` are the members' claimed energy drifts and ``members_h``
+    their H on the output grid: the output grid is a subset of the internal
+    steps each claim was taken over, so a claim below the drift re-derived
+    from H is false.
     """
-    def close(value, claim):
-        return abs(value - claim) <= REVALIDATION_RTOL * max(1.0, abs(value))
-
-    p = np.asarray(claims["p"], dtype=float)
     k, radius, tau_star = escape_point(tau, limit_x, p)
+    tol_r = noise_ball(tau, v)
     threshold, j0, claimed = claims["threshold"], claims["j0"], claims["member_distances"]
     dist = [float(np.linalg.norm(x[k] - limit_x[k])) for x in members_x]
     # from j0 on, each member is within R/2 of the limit at tau* and, being
     # the physical state at tau*/eps, at least R/2 away from p
-    members = (len(claimed) == len(dist) and all(map(close, dist, claimed))
+    members = (len(claimed) == len(dist) and all(map(_close, dist, claimed))
                and all(d < threshold <= float(np.linalg.norm(x[k] - p))
                        for d, x in zip(dist[j0:], members_x[j0:])))
     # one evidence row for every member from j0 on
     evidence = [row["j"] for row in claims["evidence"]] == list(range(j0, len(dist)))
     for row in claims["evidence"]:
         moved = float(np.linalg.norm(physical_ends[row["j"]] - p))
-        evidence = (evidence and close(moved, row["displacement"]) and moved >= threshold
+        evidence = (evidence and _close(moved, row["displacement"]) and moved >= threshold
                     and row["displacement"] >= threshold)
     return {
-        "escape_radius": close(radius, claims["escape_radius"]),
-        "tau_star": close(tau_star, claims["tau_star"]),
-        "threshold": close(0.5 * radius, threshold),
+        "escape_radius": _close(radius, claims["escape_radius"]),
+        "tau_star": _close(tau_star, claims["tau_star"]),
+        "threshold": _close(0.5 * radius, threshold),
+        "tol_r": _close(tol_r, claims["tol_r"]) and radius > tol_r,
         "members": members,
         "evidence": evidence,
-        "j0_covers_schedule": 0 <= j0 < len(claims["epsilons"]),
+        "j0_covers_schedule": 0 <= j0 < len(members_x),
         "energy_drift": (len(drifts) == len(members_h)
                          and all(energy_drift(h) <= d for d, h in zip(drifts, members_h))),
     }
@@ -453,8 +458,9 @@ def check_certificate(claims: Mapping, tau: Array, limit_x: Array,
 def revalidate_certificate(cert: InstabilityCertificate, family: FamilyResult,
                            limit: LimitCurve, physical_runs: List[Trajectory]) -> bool:
     """Re-derive every certificate number from the in-memory trajectories."""
-    checks = check_certificate(vars(cert), limit.tau, limit.x, [m.x for m in family.members],
-                               {j: run.x[-1] for j, run in enumerate(physical_runs)},
+    checks = check_certificate(vars(cert), family.p, family.v, limit.tau, limit.x,
+                               [m.x for m in family.members],
+                               [run.x[-1] for run in physical_runs],
                                [e.drift for e in family.energies],
                                [e.values for e in family.energies])
     return all(checks.values())

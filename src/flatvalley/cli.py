@@ -79,8 +79,6 @@ from .geometry import (
     residual_convergence,
 )
 from .reporting import (
-    certificate_payload,
-    convergence_payload,
     family_payload,
     scenario_payload,
     write_coords_csv,
@@ -198,7 +196,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
     def stage_limit():
         limit, conv = extract_limit(state["family"])
         state.update(limit=limit, convergence=conv)
-        payload["convergence"] = convergence_payload(conv, limit)
+        payload["convergence"] = dict(vars(conv))
         if not conv.cauchy_ok:
             raise UnverifiedLimitError()
 
@@ -209,8 +207,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
         cert = certify_instability(fam, limit, runs)
         ok = revalidate_certificate(cert, fam, limit, runs)
         state["certificate"] = cert
-        payload["certificate"] = certificate_payload(cert)
-        payload["certificate"]["revalidated_in_memory"] = bool(ok)
+        payload["certificate"] = dict(vars(cert))
         if not ok:
             raise IndeterminateCertificateError(
                 "the certificate failed its in-memory revalidation")
@@ -341,7 +338,7 @@ def _cmd_pipeline(args) -> int:
     if conv is not None:
         print("consecutive sup distances:", ", ".join(f"{d:.3e}" for d in conv.distances))
         print(f"cauchy_ok = {conv.cauchy_ok} (tol {conv.tol_limit:.3e})")
-        print(f"|xdot(0) - v| = {report.results['limit'].initial_velocity_error:.3e}")
+        print(f"|xdot(0) - v| = {conv.initial_velocity_error:.3e}")
     for st in report.stages:
         print(f"stage {st['name']:<12} {st['status']:<14} {st['seconds']:.2f}s")
     print(f"verdict: {report.verdict}" + (f" ({report.reason})" if report.reason else ""))

@@ -4,8 +4,8 @@ CSV columns use '.' decimals and 17 significant digits, which round-trips
 float64 exactly: revalidation from files reproduces in-memory numbers to
 the bit.  report.json contains only deterministic content (no wall-clock),
 so identical scenarios produce identical bytes, and it is strict JSON (RFC
-8259): a non-finite number is an error, never a bare NaN token.  Every
-block the file checks read back is built here, beside those checks.
+8259): a non-finite number is an error, never a bare NaN token.  Each of
+its blocks is built here or is an analysis record, field for field.
 """
 from __future__ import annotations
 
@@ -15,9 +15,14 @@ from typing import Dict, List
 
 import numpy as np
 
-from .analysis import check_certificate, coordinate_report, coordinate_trace
+from .analysis import (
+    _close,
+    check_certificate,
+    convergence_report,
+    coordinate_report,
+    coordinate_trace,
+)
 from .dynamics import (
-    SLACK,
     BoundsCheck,
     RunAudits,
     lockstep_iterations,
@@ -28,6 +33,7 @@ from .dynamics import (
 )
 from .errors import FlatValleyError, NonFiniteEvaluationError
 from .fields import gallery_lookup
+from .geometry import foot_many, raise_first
 from .integrators import METHOD
 from .scenario import IntegratorOptions
 
@@ -100,8 +106,8 @@ def read_csv_columns(path) -> Dict[str, Array]:
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-#: the BoundsCheck fields report.json records per member beside its eps:
-#: the maxima the confinement audit measured, then the verdicts they imply
+#: the BoundsCheck fields report.json records per member: the maxima the
+#: confinement audit measured, then the verdicts they imply
 _MAXIMA = ("max_speed", "max_potential", "max_displacement", "worst_ball_ratio")
 _VERDICTS = ("speed_ok", "sublevel_ok", "ball_ok")
 
@@ -120,7 +126,6 @@ def scenario_payload(scn) -> dict:
         "integrator": METHOD,
         "step_factor": scn.options.step_factor,
         "n_out": scn.options.n_out,
-        "slack": SLACK,
     }
 
 
@@ -130,14 +135,12 @@ def family_payload(fam) -> dict:
     how the substeps were chosen (see ``dynamics.family_for_gates``)."""
     plan = fam.plan
     return {
-        "epsilons": fam.epsilons,
         "dt": [m.dt for m in fam.members],
         "substeps": fam.substeps,
         # strict JSON: the infinite step error of a blown-up physical run is null
         "step_errors": [float(e) if np.isfinite(e) else None for e in fam.step_errors],
         "energy_drifts": [e.drift for e in fam.energies],
-        "bounds": [{"eps": b.epsilon, **{k: getattr(b, k) for k in _MAXIMA + _VERDICTS}}
-                   for b in fam.bounds],
+        "bounds": [{k: getattr(b, k) for k in _MAXIMA + _VERDICTS} for b in fam.bounds],
         "ceilings": plan.ceilings,
         "probe": {
             "substeps": plan.probe,
@@ -150,25 +153,10 @@ def family_payload(fam) -> dict:
     }
 
 
-def certificate_payload(cert) -> dict:
-    """Every certificate field by name: what ``check_certificate`` reads back."""
-    return dict(vars(cert))
-
-
-def convergence_payload(report, limit) -> dict:
-    payload = dict(vars(report))
-    # strict JSON: a rate with a distance at the rounding floor is null
-    payload["rate_estimates"] = [None if np.isnan(r) else r for r in report.rate_estimates.tolist()]
-    payload["initial_velocity_error"] = limit.initial_velocity_error
-    payload["source_epsilon"] = limit.source_epsilon
-    payload["verified"] = limit.verified
-    return payload
-
-
-def _bounds_hold(claims: List[dict], potential, scn: dict, epsilons, steps,
-                members: List[Dict[str, Array]]) -> bool:
+def _bounds_hold(claims: List[dict], potential, p, v, epsilons, steps, x: Array,
+                 vel: Array) -> bool:
     """The family's confinement claims (``report.json["family"]["bounds"]``)
-    against its member files.
+    against its member files: ``x`` and ``vel``, each (members, nodes, n).
 
     Member j's output nodes, the columns of its file, are audited by
     :class:`flatvalley.dynamics.RunAudits` at their step indices (node i at
@@ -178,15 +166,10 @@ def _bounds_hold(claims: List[dict], potential, scn: dict, epsilons, steps,
     false.  Each claim's verdicts must also hold and follow from its
     claimed maxima against their SLACK bounds.
     """
-    def states(var):  # (members, nodes, n)
-        return np.stack([np.stack([cols[f"{var}{i}"] for i in range(len(scn["p"]))], axis=1)
-                         for cols in members])
-
-    x, v = states("x"), states("v")
     half = (x.shape[1] - 1) // 2
     m = np.array([m for m, _ in steps])
-    audits = RunAudits(potential, epsilons, scn["p"], scn["v"], x.shape[1])
-    audits.feed(np.arange(len(members)), m[:, None] * np.arange(-half, half + 1), x, v,
+    audits = RunAudits(potential, epsilons, p, v, x.shape[1])
+    audits.feed(np.arange(len(x)), m[:, None] * np.arange(-half, half + 1), x, vel,
                 [dt for _, dt in steps], m)
 
     def holds(j, claim):
@@ -194,11 +177,10 @@ def _bounds_hold(claims: List[dict], potential, scn: dict, epsilons, steps,
                                                *(claim[k] for k in _MAXIMA)))
         at_nodes = vars(audits.bounds(j))
         # a NaN node maximum exceeds nothing: non-finite cells are the finite check's
-        return (claim["eps"] == epsilons[j]
-                and all(claim[k] is True and claimed[k] for k in _VERDICTS)
+        return (all(claim[k] is True and claimed[k] for k in _VERDICTS)
                 and not any(at_nodes[k] > claim[k] for k in _MAXIMA))
 
-    return len(claims) == len(members) and all(map(holds, range(len(claims)), claims))
+    return len(claims) == len(x) and all(map(holds, range(len(claims)), claims))
 
 
 def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
@@ -239,23 +221,23 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
 
 
 def revalidate_from_dir(out_dir) -> dict:
-    """Re-derive the certificate from the emitted files alone.
+    """Re-derive the certificate and every report.json block from the
+    emitted files alone, reading p, v and the eps schedule from its
+    scenario block.
 
-    Reads report.json, limit.csv, every traj_eps<j>.csv and coords_eps<j>.csv
-    and evidence.csv, and runs :func:`flatvalley.analysis.check_certificate`
-    on them, energy drifts (re-derived from each member's H column) and
-    evidence displacements (re-derived from the physical end states)
-    included.  The
-    ``step_plan`` check re-derives every member's ``dt`` and
-    ``substeps`` in ``report.json["family"]`` from ``report.json["scenario"]``
-    and the recorded probe readings (see ``_member_steps_hold``; it
-    requires the scenario's integrator to be PEFRL, the one stepper), the
-    ``bounds`` check re-derives the family's confinement claims from the
-    member files (see ``_bounds_hold``), the ``coordinates`` check rebuilds
-    every member's trace from its coords_eps<j>.csv and requires
-    :func:`flatvalley.analysis.coordinate_report` of them to equal
-    ``report.json["coordinates"]`` and to name no failing bound, and the
-    ``finite`` check fails on any non-finite cell of the CSVs it reads.
+    Beside :func:`flatvalley.analysis.check_certificate`'s checks
+    (``evidence`` also ties evidence.csv's row j to eps_j and tau*/eps_j),
+    ``step_plan`` and ``bounds`` re-derive the family block
+    (``_member_steps_hold``, whose integrator must be PEFRL, and
+    ``_bounds_hold``); ``launch`` puts every traj, coords and limit file on
+    the scenario's grid and each member at (p, v) at tau = 0; ``limit``
+    requires limit.csv to be ``foot_many`` of the finest member; and
+    ``coordinates`` (also r = f at each member's nodes) and ``convergence``
+    require :func:`flatvalley.analysis.coordinate_report` and
+    :func:`flatvalley.analysis.convergence_report` of the files to equal
+    their blocks and name no failing bound.  File ties hold bit for bit.
+    ``finite`` fails on any non-finite cell.
+
     Returns a dict with an ``ok`` flag and the per-check booleans, or
     ``ok: False`` and a ``reason`` when a file is missing or malformed;
     never re-runs any integration and never raises on what the files hold.
@@ -266,7 +248,9 @@ def revalidate_from_dir(out_dir) -> dict:
         cert = report.get("certificate")
         if not cert or cert.get("verdict") != "UNSTABLE":
             return {"ok": False, "reason": "no UNSTABLE certificate in report.json"}
-        n = len(cert["p"])
+        scn, fam = report["scenario"], report["family"]
+        potential = gallery_lookup(scn["potential"]["kind"], scn["potential"].get("params"))
+        p, v = np.asarray(scn["p"], dtype=float), np.asarray(scn["v"], dtype=float)
         tables = []
 
         def table(name):
@@ -274,30 +258,43 @@ def revalidate_from_dir(out_dir) -> dict:
             tables.append(cols)
             return cols
 
-        def columns(name):
-            cols = table(name)
-            return cols, np.stack([cols[f"x{i}"] for i in range(n)], axis=1)
+        def states(cols, var, dims=range(len(p))):
+            return np.stack([cols[f"{var}{i}"] for i in dims], axis=-1)
 
-        limit_cols, limit_x = columns("limit.csv")
-        members = [columns(f"traj_eps{j}.csv") for j in range(len(cert["epsilons"]))]
-        evidence_cols, ends = columns("evidence.csv")
-        checks = check_certificate(cert, limit_cols["tau"], limit_x, [x for _, x in members],
-                                   dict(zip(evidence_cols["j"].tolist(), ends)),
-                                   report["family"]["energy_drifts"],
-                                   [cols["H"] for cols, _ in members])
-        scn, fam = report["scenario"], report["family"]
-        spec = scn["potential"]
-        potential = gallery_lookup(spec["kind"], spec.get("params"))
-        epsilons = scn["eps0"] * scn["ratio"] ** np.arange(len(cert["epsilons"]))
+        limit_cols, evidence_cols = table("limit.csv"), table("evidence.csv")
+        members = [table(f"traj_eps{j}.csv") for j in range(scn["count"])]
+        coords = [table(f"coords_eps{j}.csv") for j in range(scn["count"])]
+        epsilons = scn["eps0"] * scn["ratio"] ** np.arange(len(members))
+        limit_x = states(limit_cols, "x")
+        x, vel = (np.stack([states(cols, var) for cols in members]) for var in "xv")
+        checks = check_certificate(cert, p, v, limit_cols["tau"], limit_x, list(x),
+                                   states(evidence_cols, "x"), fam["energy_drifts"],
+                                   [cols["H"] for cols in members])
+        # evidence.csv's row j is physical run j, at eps_j, cut at tau*/eps_j
+        j, eps, t = (evidence_cols[name] for name in ("j", "eps", "t"))
+        checks["evidence"] &= (j.tolist() == list(range(len(members)))
+                               and eps.tolist() == epsilons.tolist()
+                               and all(_close(cert["tau_star"], end) for end in t * eps))
         steps, checks["step_plan"] = _member_steps_hold(fam, scn, potential, epsilons)
-        checks["bounds"] = _bounds_hold(fam["bounds"], potential, scn, epsilons, steps,
-                                        [cols for cols, _ in members])
-        coords = [table(f"coords_eps{j}.csv") for j in range(len(epsilons))]
+        checks["bounds"] = _bounds_hold(fam["bounds"], potential, p, v, epsilons, steps, x, vel)
+        half = (scn["n_out"] - 1) // 2
+        grid = np.arange(-half, half + 1) * (scn["horizon"] / half)
+        checks["launch"] = (all(np.array_equal(cols["tau"], grid)
+                                for cols in [limit_cols, *members, *coords])
+                            and bool(np.all(x[:, half] == p) and np.all(vel[:, half] == v)))
+        feet, failures = foot_many(potential.field, x[-1])
+        raise_first(failures)
+        checks["limit"] = np.array_equal(feet, limit_x)
         record, reason = coordinate_report(
-            [coordinate_trace(eps, cols["tau"], cols["r"],
-                              np.stack([cols[f"y{i}"] for i in range(1, n)], axis=1))
-             for eps, cols in zip(epsilons, coords)], potential, scn["v"])
-        checks["coordinates"] = not reason and _jsonable(vars(record)) == report["coordinates"]
+            [coordinate_trace(eps, cols["tau"], cols["r"], states(cols, "y", range(1, len(p))))
+             for eps, cols in zip(epsilons, coords)], potential, v)
+        checks["coordinates"] = (
+            all(np.array_equal(c["r"], potential.field.f_many(xj)) for c, xj in zip(coords, x))
+            and not reason and _jsonable(vars(record)) == report["coordinates"])
+        record = convergence_report(potential, limit_cols["tau"], list(x), limit_x, p, v,
+                                    epsilons, 2 * half * steps[-1][0])
+        checks["convergence"] = (record.cauchy_ok
+                                 and _jsonable(vars(record)) == report["convergence"])
         checks["finite"] = all(bool(np.all(np.isfinite(column)))
                                for cols in tables for column in cols.values())
     except OSError as exc:

@@ -102,8 +102,7 @@ def test_schedule_too_short_when_limit_is_wrong(circle_bundle):
     # a reflected fake limit sits ~2R away from every member at tau*
     fake = fv.LimitCurve(
         tau=real.tau, x=2.0 * circle_bundle.scenario.p - real.x,
-        xdot0=-real.xdot0, p=real.p, verified=True,
-        source_epsilon=real.source_epsilon, initial_velocity_error=0.0)
+        xdot0=-real.xdot0, verified=True)
     with pytest.raises(ScheduleTooShortError):
         fv.certify_instability(fam, fake, circle_bundle.physical_runs)
 
@@ -114,12 +113,14 @@ def test_certificate_contents(circle_bundle):
     assert cert.escape_radius > cert.tol_r
     assert cert.threshold == pytest.approx(cert.escape_radius / 2.0)
     assert 0 <= cert.j0 < circle_bundle.family.count
+    assert [row["j"] for row in cert.evidence] == list(range(cert.j0, 6))
+    # run j starts at speed eps_j |v| and ends at tau*/eps_j, R/2 or more from p
     for row in cert.evidence:
         assert row["displacement"] >= cert.threshold
-        eps = row["eps"]
-        assert row["initial_speed"] == pytest.approx(eps * 1.0)
-        assert row["escape_time"] == pytest.approx(cert.tau_star / eps)
-    speeds = [row["initial_speed"] for row in cert.evidence]
+        run, eps = circle_bundle.physical_runs[row["j"]], circle_bundle.family.epsilons[row["j"]]
+        assert np.linalg.norm(run.v[0]) == pytest.approx(eps * 1.0)
+        assert run.tau[-1] == pytest.approx(cert.tau_star / eps)
+    speeds = [np.linalg.norm(run.v[0]) for run in circle_bundle.physical_runs]
     assert np.allclose(np.diff(np.log(speeds)), np.log(0.5), atol=1e-12)
 
 
@@ -134,8 +135,7 @@ def test_revalidate_detects_tampering(circle_bundle):
     tampered = fv.InstabilityCertificate(
         verdict=cert.verdict, escape_radius=cert.escape_radius * 1.01,
         tau_star=cert.tau_star, threshold=cert.threshold, j0=cert.j0,
-        epsilons=cert.epsilons, member_distances=cert.member_distances,
-        evidence=cert.evidence, tol_r=cert.tol_r, p=cert.p, v=cert.v)
+        member_distances=cert.member_distances, evidence=cert.evidence, tol_r=cert.tol_r)
     assert not fv.revalidate_certificate(
         tampered, circle_bundle.family, circle_bundle.limit,
         circle_bundle.physical_runs)
@@ -144,19 +144,19 @@ def test_revalidate_detects_tampering(circle_bundle):
 def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
     b = circle_bundle
     claims = dict(vars(b.certificate))
-    args = (b.limit.tau, b.limit.x, [m.x for m in b.family.members],
-            [run.x[-1] for run in b.physical_runs], [e.drift for e in b.family.energies],
-            [e.values for e in b.family.energies])
+    args = (b.scenario.p, b.scenario.v, b.limit.tau, b.limit.x,
+            [m.x for m in b.family.members], [run.x[-1] for run in b.physical_runs],
+            [e.drift for e in b.family.energies], [e.values for e in b.family.energies])
     checks = fv.check_certificate(claims, *args)
     assert all(checks.values())
-    # the files also answer for the steps, confinement bounds and coordinate
-    # bounds report.json claims, which the in-memory family and traces are
-    # the source of, and for every cell they hold being finite
+    # the files also answer for the steps, confinement bounds, launch, limit,
+    # coordinate bounds and convergence report.json claims, which the
+    # in-memory family, limit and traces are the source of, and for every
+    # cell they hold being finite
     file_checks = revalidate_from_dir(circle_run_dir.path)["checks"]
-    assert file_checks.pop("step_plan") is True
-    assert file_checks.pop("bounds") is True
-    assert file_checks.pop("coordinates") is True
-    assert file_checks.pop("finite") is True
+    for name in ("step_plan", "bounds", "launch", "limit", "coordinates", "convergence",
+                 "finite"):
+        assert file_checks.pop(name) is True, name
     assert checks == file_checks
     evidence = claims["evidence"]
     # every member from j0 on needs an evidence row
@@ -166,6 +166,24 @@ def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
     claims["evidence"] = [dict(row, displacement=row["displacement"] * (1 + 1e-9))
                           for row in evidence]
     assert not fv.check_certificate(claims, *args)["evidence"]
+
+
+def test_check_certificate_rederives_the_noise_ball(circle_bundle):
+    b = circle_bundle
+    claims, p, v = dict(vars(b.certificate)), b.scenario.p, b.scenario.v
+    args = (b.limit.tau, b.limit.x, [m.x for m in b.family.members],
+            [run.x[-1] for run in b.physical_runs], [e.drift for e in b.family.energies],
+            [e.values for e in b.family.energies])
+    assert fv.check_certificate(claims, p, v, *args)["tol_r"]
+    for factor in (0.5, 1.5):
+        tampered = dict(claims, tol_r=claims["tol_r"] * factor)
+        assert not fv.check_certificate(tampered, p, v, *args)["tol_r"]
+    # at twice the speed that puts R on the noise ball, a claim restating the
+    # ball still fails: the limit shows no escape
+    fast = v * 2.0 * claims["escape_radius"] / claims["tol_r"]
+    ball = fv.analysis.noise_ball(b.limit.tau, fast)
+    checks = fv.check_certificate(dict(claims, tol_r=ball), p, fast, *args)
+    assert ball > claims["escape_radius"] and checks["escape_radius"] and not checks["tol_r"]
 
 
 def test_physical_runs_must_match_tau_star(circle_bundle):
@@ -187,7 +205,7 @@ def test_transverse_coordinate_at_least_halves(circle_bundle):
 def test_initial_velocity_recovery_bound(circle_bundle, ellipsoid_bundle):
     for b in (circle_bundle, ellipsoid_bundle):
         allowed = max(1e-2, 5.0 * float(b.convergence.distances[-1]))
-        assert b.limit.initial_velocity_error <= allowed
+        assert b.convergence.initial_velocity_error <= allowed
 
 
 def test_convergence_report_rates(circle_bundle):
@@ -195,7 +213,7 @@ def test_convergence_report_rates(circle_bundle):
     # measured rates are reported, not asserted; for this family they hover
     # around the eps^2 scaling of the transverse excursion
     assert len(conv.rate_estimates) == len(conv.distances) - 1
-    assert np.all(conv.rate_estimates > 1.0)
+    assert all(rate > 1.0 for rate in conv.rate_estimates)
 
 
 def test_monotone_check_floor_is_the_rounding_scale(tmp_path, circle_bundle, gutter_bundle,

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import os
+import re
 import shutil
 import sys
 import tracemalloc
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import flatvalley as fv
-from flatvalley import cli
+from flatvalley import cli, reporting
 from flatvalley.analysis import limit_tolerance
 from flatvalley.dynamics import ENERGY_DRIFT_LIMIT, PROBE_FRACTION, STEP_ERROR_FRACTION
 from flatvalley.errors import (
@@ -205,10 +207,16 @@ def test_report_json_content(circle_run_dir):
     with open(os.path.join(circle_run_dir.path, "report.json")) as fh:
         rep = json.load(fh)
     assert rep["certificate"]["verdict"] == "UNSTABLE"
-    assert rep["certificate"]["revalidated_in_memory"] is True
     assert rep["convergence"]["cauchy_ok"] is True
-    assert len(rep["family"]["epsilons"]) == 6
+    assert len(rep["family"]["dt"]) == rep["scenario"]["count"] == 6
     assert all(d <= 1e-8 for d in rep["family"]["energy_drifts"])
+    # each fact once: the eps schedule, p and v only in the scenario, the
+    # in-memory revalidation in the exit code
+    assert "slack" not in rep["scenario"] and "epsilons" not in rep["family"]
+    assert not {"epsilons", "p", "v", "revalidated_in_memory"} & set(rep["certificate"])
+    assert not {"epsilons", "source_epsilon", "verified"} & set(rep["convergence"])
+    assert all(set(row) == {"j", "displacement"} for row in rep["certificate"]["evidence"])
+    assert all("eps" not in claim for claim in rep["family"]["bounds"])
 
 
 def test_trajectory_csv_roundtrip(circle_run_dir):
@@ -752,18 +760,18 @@ def _set_claim(key, value):
     return edit
 
 
-def _drop_claim(key):
+def _drop(block, key):
     def edit(rep):
-        del rep["certificate"][key]
+        del rep[block][key]
         return rep
     return edit
 
 
 @pytest.mark.parametrize("edit", [
     _set_claim("j0", "1"),
-    _drop_claim("p"),
+    _drop("scenario", "p"),
     _set_claim("threshold", None),
-    _drop_claim("epsilons"),
+    _drop("scenario", "eps0"),
     lambda rep: [rep],
     None,
     "evidence.csv",
@@ -783,22 +791,33 @@ def test_file_revalidation_rejects_malformed_runs(circle_run_dir, tmp_path, edit
     assert result["ok"] is False and result["reason"]
 
 
-@pytest.mark.parametrize("name, column", [
-    ("limit.csv", "x0"), ("traj_eps0.csv", "v0"), ("evidence.csv", "t"),
-])
-def test_file_revalidation_rejects_non_finite_cells(circle_run_dir, tmp_path, name, column):
-    # the first row of limit.csv and traj_eps0.csv lies at tau = -T < 0, and
-    # no other check reads these cells
+def _tamper_cell(clone, name, row, column, change):
+    """Replace the cell of ``name``'s data row ``row`` in ``column`` by
+    ``change`` of its value, written as a float literal."""
+    lines = (clone / name).read_text().splitlines()
+    cells = lines[1 + row].split(",")
+    i = lines[0].split(",").index(column)
+    cells[i] = repr(change(float(cells[i])))
+    lines[1 + row] = ",".join(cells)
+    (clone / name).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name, column, failing", [
+    ("limit.csv", "x0", ["limit", "finite"]),
+    ("traj_eps0.csv", "v0", ["finite"]),
+    ("evidence.csv", "t", ["evidence", "finite"]),
+], ids=["limit.csv-x0", "traj_eps0.csv-v0", "evidence.csv-t"])
+def test_file_revalidation_rejects_non_finite_cells(circle_run_dir, tmp_path, name, column,
+                                                    failing):
+    # the first row of limit.csv and traj_eps0.csv lies at tau = -T < 0: only
+    # the limit check reads that limit.csv cell and no check but finite the
+    # member's; evidence.csv's t is run 0's tau*/eps_0
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
-    lines = (clone / name).read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[lines[0].split(",").index(column)] = "nan"
-    lines[1] = ",".join(cells)
-    (clone / name).write_text("\n".join(lines) + "\n")
+    _tamper_cell(clone, name, 0, column, lambda value: float("nan"))
     result = revalidate_from_dir(str(clone))
     assert result["ok"] is False
-    assert [check for check, ok in result["checks"].items() if not ok] == ["finite"]
+    assert [check for check, ok in result["checks"].items() if not ok] == failing
 
 
 @pytest.mark.parametrize("name", ["circle", "gutter", "ellipsoid"])
@@ -819,13 +838,8 @@ def _tamper_sup_r(clone):
 
 def _tamper_coords_cell(clone):
     # member 1's largest |r|, doubled
-    path = clone / "coords_eps1.csv"
-    lines = path.read_text().splitlines()
-    row = 1 + int(np.argmax(np.abs(read_csv_columns(str(path))["r"])))
-    cells = lines[row].split(",")
-    cells[1] = repr(2.0 * float(cells[1]))
-    lines[row] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    row = int(np.argmax(np.abs(read_csv_columns(str(clone / "coords_eps1.csv"))["r"])))
+    _tamper_cell(clone, "coords_eps1.csv", row, "r", lambda r: 2.0 * r)
 
 
 @pytest.mark.parametrize("tamper", [_tamper_sup_r, _tamper_coords_cell],
@@ -846,11 +860,7 @@ def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     if tamper == "v1":  # a node faster than the claimed maximum
-        lines = (clone / "traj_eps0.csv").read_text().splitlines()
-        cells = lines[10].split(",")
-        cells[lines[0].split(",").index("v1")] = "10.0"
-        lines[10] = ",".join(cells)
-        (clone / "traj_eps0.csv").write_text("\n".join(lines) + "\n")
+        _tamper_cell(clone, "traj_eps0.csv", 9, "v1", lambda v: 10.0)
     else:
         report = json.loads((clone / "report.json").read_text())
         claim = report["family"]["bounds"][0]
@@ -864,6 +874,91 @@ def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_
     result = revalidate_from_dir(str(clone))
     assert result["ok"] is False
     assert [check for check, ok in result["checks"].items() if not ok] == ["bounds"]
+
+
+@pytest.mark.parametrize("name, row, column, change, failing", [
+    ("evidence.csv", 3, "eps", lambda eps: 1.5 * eps, ["evidence"]),
+    ("evidence.csv", 3, "t", lambda t: 1.5 * t, ["evidence"]),
+    ("coords_eps1.csv", 100, "r", lambda r: r * (1.0 + 1e-9), ["coordinates"]),
+    ("coords_eps1.csv", 100, "tau", lambda tau: tau + 1e-3, ["launch"]),
+    ("traj_eps2.csv", 200, "x0", lambda x: x + 1e-12, ["launch", "coordinates"]),
+    ("limit.csv", 50, "x1", lambda x: x * (1.0 + 1e-9), ["limit"]),
+], ids=["evidence-eps", "evidence-t", "coords-r", "coords-tau", "member-launch",
+        "limit-cell"])
+def test_file_revalidation_ties_every_file_to_the_scenario(circle_run_dir, tmp_path, name,
+                                                           row, column, change, failing):
+    # evidence.csv's eps is the schedule and t is tau*/eps; coords_eps<j>.csv
+    # holds its member's tau and r = f; every member leaves (p, v) at tau = 0
+    # (row 200); limit.csv is the feet of the finest member (row 50 is far
+    # from the escape node, the last)
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    _tamper_cell(clone, name, row, column, change)
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False
+    assert [check for check, ok in result["checks"].items() if not ok] == failing
+
+
+def _leaves(node, path=()):
+    """(path, value) of every number and boolean under ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    elif isinstance(node, (bool, int, float)):
+        yield path, node
+
+
+def _tampered(value):
+    """A boolean flipped, an integer plus 1, a float times 1 + 1e-6 (a zero
+    set to 1e-6, which scaling would not move)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value * (1.0 + 1e-6) if value else 1e-6
+
+
+#: the circle report's leaves that revalidate after their tamper, each
+#: pattern with why no file can tell
+TAMPER_SURVIVORS = {
+    r"family\.bounds\.\d\.(max_speed|max_potential|max_displacement|worst_ball_ratio)":
+        "a maximum over every internal step, which the output nodes bound only from below",
+    r"family\.probe\.confined\.0":
+        "member 0 probes at its ceiling, so its plan is the ceiling whatever the verdict",
+    r"scenario\.step_factor": "the step plan reads it through ceil, which 1e-6 does not move",
+    r"certificate\.member_distances\.5":
+        "5.6e-8: REVALIDATION_RTOL compares below 1 absolutely, and 5.6e-14 < 1e-12",
+}
+
+
+def test_every_report_leaf_is_rederived_from_the_files(circle_run_dir, tmp_path, monkeypatch):
+    # each leaf tampered alone must fail file revalidation, or be allowed;
+    # only report.json changes, so each CSV is parsed once
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    monkeypatch.setattr(reporting, "read_csv_columns",
+                        functools.lru_cache(maxsize=None)(reporting.read_csv_columns))
+    text = (clone / "report.json").read_text()
+    survivors, count = [], 0
+    for path, value in _leaves(json.loads(text)):
+        report = json.loads(text)
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = _tampered(value)
+        (clone / "report.json").write_text(json.dumps(report))
+        count += 1
+        if revalidate_from_dir(str(clone))["ok"]:
+            survivors.append(".".join(map(str, path)))
+    allowed = {pattern: [leaf for leaf in survivors if re.fullmatch(pattern, leaf)]
+               for pattern in TAMPER_SURVIVORS}
+    assert count == 188
+    assert sorted(sum(allowed.values(), [])) == sorted(survivors)
+    # and no allowance is stale
+    assert all(allowed.values()), allowed
 
 
 @pytest.mark.parametrize("command", ["limit", "certify"])
@@ -953,21 +1048,18 @@ def test_evidence_csv_holds_the_physical_end_states(circle_run_dir):
     assert list(cols) == ["j", "eps", "t", "x0", "x1"]
     with open(os.path.join(circle_run_dir.path, "report.json")) as fh:
         rep = json.load(fh)
-    cert = rep["certificate"]
+    cert, p = rep["certificate"], rep["scenario"]["p"]
     assert cols["j"].tolist() == list(range(6))
-    assert cols["eps"].tolist() == rep["family"]["epsilons"]
+    assert cols["eps"].tolist() == circle_run_dir.report.results["family"].epsilons.tolist()
     assert np.allclose(cols["t"] * cols["eps"], cert["tau_star"], rtol=1e-12, atol=0)
     for row in cert["evidence"]:
         j = row["j"]
-        moved = float(np.hypot(cols["x0"][j] - cert["p"][0], cols["x1"][j] - cert["p"][1]))
+        moved = float(np.hypot(cols["x0"][j] - p[0], cols["x1"][j] - p[1]))
         assert moved == pytest.approx(row["displacement"], rel=1e-15)
 
 
 def _tamper_evidence_coordinate(clone, rep):
-    lines = (clone / "evidence.csv").read_text().splitlines()
-    row = lines[-1].split(",")
-    row[3] = repr(float(row[3]) * (1.0 + 1e-9))
-    (clone / "evidence.csv").write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+    _tamper_cell(clone, "evidence.csv", 5, "x0", lambda x: x * (1.0 + 1e-9))
 
 
 def _tamper_displacement(clone, rep):
@@ -1157,12 +1249,14 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 # (only its coordinates' acceleration fields) when position reads flowed
 # at FLOW_COARSE_STEP, and for the circle and the ellipsoid (rounding-level
 # coordinates, limit and certificate fields) when position reads dropped
-# their floor of 8 substeps: a change that claims to keep the verdicts and
-# the numbers keeps these bytes
+# their floor of 8 substeps, and for all three when report.json came to state
+# each fact once (the eps schedule, p and v only in the scenario; every
+# other key and value kept its bytes): a change that claims to keep the
+# verdicts and the numbers keeps these bytes
 REPORT_DIGESTS = {
-    "circle": "c13d0f0a418791b596d140cce3dff92a00fd2d5394ac688213a019e849bde5a1",
-    "gutter": "444d035635d434e88ccba0a820839655b52a9980ea3cdac98924fbc860275b90",
-    "ellipsoid": "62643dde327e302d4a9507df4e940c0a34d22dfc8c22a0f5a33627f6fa48356e",
+    "circle": "af47bf2056278b23d66e1a2629830dfd0d11b8af39a76dfc1f783fd15ecccdc5",
+    "gutter": "bcc97db112fb72b67e5d77a2a3349547601b8aee513c96b94cbdb9741f02ed06",
+    "ellipsoid": "36005cfc247757a463c4dc1f91abc24b033555aa8d99ffaaa915fcb656bbf045",
 }
 
 
