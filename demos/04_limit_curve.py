@@ -36,7 +36,8 @@ print("\ncoordinate diagnostics in the tube:")
 chart = fv.chart_for_scenario(scn)
 traces = fv.coordinate_traces(chart, family)
 coords, reason = fv.coordinate_report(traces, scn.potential, scn.v)
-print(f"  sup |r| per member : {[f'{s:.2e}' for s in coords.sup_r]}")
+# r = f at the nodes, so sup |r| is the max |f| column above
+print(f"  sup |r| per member : {[f'{s:.2e}' for s in conv.violation_max]}")
 print(f"  conservation bounds: {[f'{b:.2e}' for b in coords.r_bounds]}")
 print(f"  max |rdot| = {coords.max_rdot.max():.2e}; max |ydot| = {coords.max_ydot.max():.6f}")
 print(f"  tangential acceleration per member: "

@@ -10,7 +10,10 @@ on), extract the uniform limit curve from the smallest-eps member
 and finally assemble an :class:`InstabilityCertificate`: concrete
 evidence that trajectories launched with initial speeds eps_j |v| (going
 to zero) still reach distance R/2 from the equilibrium point p at
-physical time tau*/eps_j.
+physical time tau*/eps_j.  ``instability_certificate`` states that law
+once, on arrays: ``certify_instability`` applies it to the run objects,
+and ``check_certificate`` rebuilds the certificate with it and compares
+every claimed field bit for bit.
 
 That evidence comes from physical integrations independent of the
 rescaled members: the family's physical runs (see
@@ -22,7 +25,7 @@ stage integrates nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +42,7 @@ from .dynamics import (
 from .errors import (
     ChartDomainError,
     DegenerateLimitError,
+    FlatValleyError,
     FlowDomainError,
     IndeterminateCertificateError,
     InvalidParameterError,
@@ -125,10 +129,11 @@ class CoordinateReport:
     interior |y''| stays within ACCEL_RATIO_BOUND of the smallest member's
     (``acceleration_uniform_ok``; the ratio is vacuous, None, when every
     acceleration is below measurement noise).  The largest coordinate speeds
-    ``max_rdot`` and ``max_ydot`` are recorded, not gated on.
+    ``max_rdot`` and ``max_ydot`` are recorded, not gated on.  sup |r| itself
+    is not: r = f at the nodes, so it is :class:`ConvergenceReport`'s
+    ``violation_max``.
     """
 
-    sup_r: Array
     r_bounds: Array
     r_bounds_ok: bool
     shrinking: bool
@@ -156,7 +161,7 @@ def coordinate_report(traces: List[CoordinateTrace], potential,
     growing = np.concatenate([[False], ~(sup_r[1:] <= sup_r[:-1] * (1.0 + 1e-9) + 1e-15)])
     breaking = ~(ratios <= ACCEL_RATIO_BOUND)
     report = CoordinateReport(
-        sup_r=sup_r, r_bounds=bounds, r_bounds_ok=not outside.any(), shrinking=not growing.any(),
+        r_bounds=bounds, r_bounds_ok=not outside.any(), shrinking=not growing.any(),
         max_rdot=np.array([float(np.abs(t.rdot).max()) for t in traces]),
         max_ydot=np.array([float(np.abs(t.ydot).max()) for t in traces]),
         acceleration_per_member=accel, acceleration_bound=float(accel.max()),
@@ -299,12 +304,12 @@ def noise_ball(tau: Array, v) -> float:
     return 10.0 * float(tau[1] - tau[0]) * float(np.linalg.norm(v))
 
 
-def limit_escape(family: FamilyResult, limit: LimitCurve) -> Tuple[int, float, float, float]:
+def limit_escape(tau: Array, limit_x: Array, p, v) -> Tuple[int, float, float, float]:
     """The limit curve's :func:`escape_point` (k, R, tau*) and its
     :func:`noise_ball` tol_r.  Raises DegenerateLimitError, before any run
     is cut at tau*, when R <= tol_r: the limit shows no escape."""
-    tol_r = noise_ball(limit.tau, family.v)
-    k, radius, tau_star = escape_point(limit.tau, limit.x, family.p)
+    tol_r = noise_ball(tau, v)
+    k, radius, tau_star = escape_point(tau, limit_x, p)
     if radius <= tol_r:
         raise DegenerateLimitError(
             f"limit curve never leaves the noise ball: R = {radius:.3e} <= tol {tol_r:.3e}")
@@ -342,14 +347,12 @@ def physical_evidence_runs(family: FamilyResult, tau_star: float) -> List[Trajec
 @dataclass(eq=False)
 class InstabilityCertificate:
     """Checkable escape evidence for the equilibrium (p, 0), report.json's
-    ``certificate`` block field for field.
-
-    ``escape_radius`` R is the largest distance the limit curve reaches
-    from p on [0, T], at rescaled time ``tau_star``; from index ``j0`` on,
-    every member sits within R/2 of the limit there, so each physical
-    trajectory, despite its initial speed eps_j |v| -> 0, is at distance
-    at least R/2 from p at time tau*/eps_j: ``evidence`` row {j,
-    displacement} per member from j0 on.
+    ``certificate`` block field for field: the limit curve strays farthest
+    from p on [0, T], to ``escape_radius`` R, at rescaled time ``tau_star``;
+    every member from ``j0`` on sits within R/2 of the limit there; so each
+    physical run from j0 on, despite its initial speed eps_j |v| -> 0, ends
+    at least R/2 from p at time tau*/eps_j (``evidence`` row {j,
+    displacement}).
     """
 
     verdict: str
@@ -357,102 +360,93 @@ class InstabilityCertificate:
     tau_star: float
     threshold: float
     j0: int
-    member_distances: Array
+    member_distances: List[float]
     evidence: List[dict]
     tol_r: float
 
 
-def certify_instability(family: FamilyResult, limit: LimitCurve,
-                        physical_runs: List[Trajectory]) -> InstabilityCertificate:
-    """Assemble the certificate, or raise an indeterminate-certificate error.
+def instability_certificate(p, v, tau: Array, limit_x: Array, members_x: Sequence[Array],
+                            ends: Sequence[Array]) -> InstabilityCertificate:
+    """The certificate law: the :class:`InstabilityCertificate` of a run
+    from (p, v) whose limit and members have nodes ``limit_x`` and
+    ``members_x`` on the grid ``tau``, and whose physical run j is at
+    ``ends[j]`` at tau*/eps_j.
 
-    Preconditions: the limit passed its convergence diagnostic, and
-    ``physical_runs[j]`` is the physical solution with initial velocity
-    eps_j v integrated exactly to tau*/eps_j.
+    Raises DegenerateLimitError when the limit never leaves its noise ball
+    (:func:`limit_escape`), ScheduleTooShortError when no j0 puts every
+    member from j0 on within R/2 of the limit at tau* (j0 is the smallest
+    that does), and IndeterminateCertificateError at the first physical
+    run from j0 on that ends less than R/2 from p.  Members from j0 on
+    also lie at least R/2 from p at tau*, with no check of their own:
+    |x_j - p| >= |x_lim - p| - |x_j - x_lim| = R - d_j > R/2.
     """
-    if not limit.verified:
-        raise UnverifiedLimitError()
-    p = family.p
-    k, radius, tau_star, tol_r = limit_escape(family, limit)
-    member_d = np.array([float(np.linalg.norm(m.x[k] - limit.x[k])) for m in family.members])
-    close = member_d < 0.5 * radius
-    j0 = next((j for j in range(len(close)) if np.all(close[j:])), None)
+    k, radius, tau_star, tol_r = limit_escape(tau, limit_x, p, v)
+    threshold = 0.5 * radius
+    member_d = [float(np.linalg.norm(x[k] - limit_x[k])) for x in members_x]
+    j0 = next((j for j in range(len(member_d)) if all(d < threshold for d in member_d[j:])),
+              None)
     if j0 is None:
         raise ScheduleTooShortError(
             "no index from which every member stays within R/2 of the limit at tau*; "
             "extend the eps schedule")
+    evidence = []
+    for j in range(j0, len(member_d)):
+        disp = float(np.linalg.norm(ends[j] - p))
+        if disp < threshold:
+            raise IndeterminateCertificateError(
+                f"physical displacement at j={j} is {disp:.6g} < R/2 = {threshold:.6g}")
+        evidence.append({"j": j, "displacement": disp})
+    return InstabilityCertificate(
+        verdict="UNSTABLE", escape_radius=radius, tau_star=tau_star, threshold=threshold,
+        j0=j0, member_distances=member_d, evidence=evidence, tol_r=tol_r)
+
+
+def certify_instability(family: FamilyResult, limit: LimitCurve,
+                        physical_runs: List[Trajectory]) -> InstabilityCertificate:
+    """The :func:`instability_certificate` of the family, its limit and
+    ``physical_runs[j]``, the physical solution with initial velocity
+    eps_j v integrated exactly to tau*/eps_j.
+
+    Raises UnverifiedLimitError unless the limit passed its convergence
+    diagnostic, and InvalidParameterError unless there is one run per
+    member, each ending at tau*/eps_j.
+    """
+    if not limit.verified:
+        raise UnverifiedLimitError()
+    _, _, tau_star, _ = limit_escape(limit.tau, limit.x, family.p, family.v)
     if len(physical_runs) != family.count:
         raise InvalidParameterError("need one physical run per family member")
-    evidence = []
-    for j in range(j0, family.count):
-        eps = float(family.epsilons[j])
-        run = physical_runs[j]
+    for j, (eps, run) in enumerate(zip(family.epsilons, physical_runs)):
         t_end = float(run.tau[-1])
         if abs(t_end * eps - tau_star) > 1e-9 * max(1.0, tau_star):
             raise InvalidParameterError(
                 f"physical run j={j} ends at t={t_end:g}, expected tau*/eps = {tau_star / eps:g}")
-        disp = float(np.linalg.norm(run.x[-1] - p))
-        if disp < 0.5 * radius:
-            raise IndeterminateCertificateError(
-                f"physical displacement at j={j} is {disp:.6g} < R/2 = {0.5 * radius:.6g}")
-        evidence.append({"j": j, "displacement": disp})
-    return InstabilityCertificate(
-        verdict="UNSTABLE", escape_radius=radius, tau_star=tau_star,
-        threshold=0.5 * radius, j0=j0, member_distances=member_d, evidence=evidence,
-        tol_r=float(tol_r))
-
-
-#: relative tolerance of revalidation: numbers are recomputed as they were
-#: first computed and CSVs round-trip float64, so only a changed number fails
-REVALIDATION_RTOL = 1e-12
-
-
-def _close(value: float, claim: float) -> bool:
-    """Whether ``claim`` is ``value`` within REVALIDATION_RTOL."""
-    return abs(value - claim) <= REVALIDATION_RTOL * max(1.0, abs(value))
+    return instability_certificate(family.p, family.v, limit.tau, limit.x,
+                                   [m.x for m in family.members],
+                                   [run.x[-1] for run in physical_runs])
 
 
 def check_certificate(claims: Mapping, p, v, tau: Array, limit_x: Array,
                       members_x: Sequence[Array], physical_ends: Sequence[Array],
                       drifts: Sequence[float], members_h: Sequence[Array]) -> Dict[str, bool]:
-    """Re-derive a certificate from arrays: one boolean per named check.
-
-    ``claims`` are the certificate fields by name (``vars`` of an
-    :class:`InstabilityCertificate`, or report.json's ``certificate``) of a
-    run from (p, v); positions lie on the grid ``tau``, one array of
-    ``members_x`` per member.  The evidence displacements are re-derived
-    from the physical runs' final states ``physical_ends``, by member j.
-    ``drifts`` are the members' claimed energy drifts and ``members_h``
-    their H on the output grid: the output grid is a subset of the internal
-    steps each claim was taken over, so a claim below the drift re-derived
-    from H is false.
+    """Rebuild the certificate with :func:`instability_certificate` from
+    the arrays it takes and compare it with ``claims``, its fields by name
+    (``vars`` of an :class:`InstabilityCertificate`, or report.json's
+    ``certificate``): one check per field, named after it, that its claim
+    is the rebuilt field bit for bit; a rebuild that raises fails them all.
+    ``energy_drift`` fails when a member's claimed drift (``drifts``) is
+    below the drift re-derived from its H on the output grid
+    (``members_h``), a subset of the internal steps the claim covers.
     """
-    k, radius, tau_star = escape_point(tau, limit_x, p)
-    tol_r = noise_ball(tau, v)
-    threshold, j0, claimed = claims["threshold"], claims["j0"], claims["member_distances"]
-    dist = [float(np.linalg.norm(x[k] - limit_x[k])) for x in members_x]
-    # from j0 on, each member is within R/2 of the limit at tau* and, being
-    # the physical state at tau*/eps, at least R/2 away from p
-    members = (len(claimed) == len(dist) and all(map(_close, dist, claimed))
-               and all(d < threshold <= float(np.linalg.norm(x[k] - p))
-                       for d, x in zip(dist[j0:], members_x[j0:])))
-    # one evidence row for every member from j0 on
-    evidence = [row["j"] for row in claims["evidence"]] == list(range(j0, len(dist)))
-    for row in claims["evidence"]:
-        moved = float(np.linalg.norm(physical_ends[row["j"]] - p))
-        evidence = (evidence and _close(moved, row["displacement"]) and moved >= threshold
-                    and row["displacement"] >= threshold)
-    return {
-        "escape_radius": _close(radius, claims["escape_radius"]),
-        "tau_star": _close(tau_star, claims["tau_star"]),
-        "threshold": _close(0.5 * radius, threshold),
-        "tol_r": _close(tol_r, claims["tol_r"]) and radius > tol_r,
-        "members": members,
-        "evidence": evidence,
-        "j0_covers_schedule": 0 <= j0 < len(members_x),
-        "energy_drift": (len(drifts) == len(members_h)
-                         and all(energy_drift(h) <= d for d, h in zip(drifts, members_h))),
-    }
+    try:
+        rebuilt = vars(instability_certificate(p, v, tau, limit_x, members_x, physical_ends))
+    except FlatValleyError:
+        rebuilt = {}
+    checks = {field.name: field.name in rebuilt and claims.get(field.name) == rebuilt[field.name]
+              for field in fields(InstabilityCertificate)}
+    checks["energy_drift"] = (len(drifts) == len(members_h)
+                              and all(energy_drift(h) <= d for d, h in zip(drifts, members_h)))
+    return checks
 
 
 def revalidate_certificate(cert: InstabilityCertificate, family: FamilyResult,

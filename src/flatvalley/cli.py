@@ -202,7 +202,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
 
     def stage_certificate():
         fam, limit = state["family"], state["limit"]
-        _, _, tau_star, _ = limit_escape(fam, limit)  # the noise ball, before the cut
+        _, _, tau_star, _ = limit_escape(limit.tau, limit.x, fam.p, fam.v)  # before the cut
         runs = state["physical_runs"] = physical_evidence_runs(fam, tau_star)
         cert = certify_instability(fam, limit, runs)
         ok = revalidate_certificate(cert, fam, limit, runs)

@@ -16,7 +16,6 @@ from typing import Dict, List
 import numpy as np
 
 from .analysis import (
-    _close,
     check_certificate,
     convergence_report,
     coordinate_report,
@@ -195,8 +194,9 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
     the plan was finer is a fallback, and
     :func:`flatvalley.dynamics.step_calls` gives the lockstep calls this
     implies: each member's substeps are those of its last call, a member
-    that only the probe ran must record its probe readings as its own, and
-    the recorded lockstep iterations must be those of the calls.
+    that only the probe ran must record its probe readings as its own (its
+    probe's confinement verdict being its bounds' verdicts), and the
+    recorded lockstep iterations must be those of the calls.
     """
     opts = IntegratorOptions(step_factor=scn["step_factor"], n_out=scn["n_out"])
     T, half = scn["horizon"], (scn["n_out"] - 1) // 2
@@ -213,8 +213,9 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
     holds = (scn["integrator"] == METHOD and scn["count"] == len(epsilons)
              and fam["ceilings"] == ceilings and readings["substeps"] == probe
              and fam["substeps"] == chosen and fam["dt"] == [T / half / m for m in chosen]
-             and all(fam[key][j] == readings[key][j]
-                     for key in ("step_errors", "energy_drifts")
+             and all(fam["step_errors"][j] == readings["step_errors"][j]
+                     and fam["energy_drifts"][j] == readings["energy_drifts"][j]
+                     and readings["confined"][j] == all(fam["bounds"][j][k] for k in _VERDICTS)
                      for j in range(len(probe)) if j not in moved)
              and fam["lockstep_iterations"] == lockstep_iterations(half, calls))
     return [(m, T / half / m) for m in chosen], holds
@@ -226,7 +227,8 @@ def revalidate_from_dir(out_dir) -> dict:
     scenario block.
 
     Beside :func:`flatvalley.analysis.check_certificate`'s checks
-    (``evidence`` also ties evidence.csv's row j to eps_j and tau*/eps_j),
+    (``evidence`` also ties evidence.csv's row j to eps_j and to the time
+    tau*/eps_j as physical run j computed it),
     ``step_plan`` and ``bounds`` re-derive the family block
     (``_member_steps_hold``, whose integrator must be PEFRL, and
     ``_bounds_hold``); ``launch`` puts every traj, coords and limit file on
@@ -270,15 +272,17 @@ def revalidate_from_dir(out_dir) -> dict:
         checks = check_certificate(cert, p, v, limit_cols["tau"], limit_x, list(x),
                                    states(evidence_cols, "x"), fam["energy_drifts"],
                                    [cols["H"] for cols in members])
-        # evidence.csv's row j is physical run j, at eps_j, cut at tau*/eps_j
+        # evidence.csv's row j is physical run j at eps_j, cut at its node i
+        # (tau* = i T/half) and timed as the run computed it, i (T/eps_j/half)
+        T, half = scn["horizon"], (scn["n_out"] - 1) // 2
         j, eps, t = (evidence_cols[name] for name in ("j", "eps", "t"))
         checks["evidence"] &= (j.tolist() == list(range(len(members)))
                                and eps.tolist() == epsilons.tolist()
-                               and all(_close(cert["tau_star"], end) for end in t * eps))
+                               and t.tolist() == (np.rint(cert["tau_star"] / (T / half))
+                                                  * (T / epsilons / half)).tolist())
         steps, checks["step_plan"] = _member_steps_hold(fam, scn, potential, epsilons)
         checks["bounds"] = _bounds_hold(fam["bounds"], potential, p, v, epsilons, steps, x, vel)
-        half = (scn["n_out"] - 1) // 2
-        grid = np.arange(-half, half + 1) * (scn["horizon"] / half)
+        grid = np.arange(-half, half + 1) * (T / half)
         checks["launch"] = (all(np.array_equal(cols["tau"], grid)
                                 for cols in [limit_cols, *members, *coords])
                             and bool(np.all(x[:, half] == p) and np.all(vel[:, half] == v)))
@@ -299,6 +303,7 @@ def revalidate_from_dir(out_dir) -> dict:
                                for cols in tables for column in cols.values())
     except OSError as exc:
         return {"ok": False, "reason": f"cannot read the run's files: {exc}"}
-    except (LookupError, TypeError, ValueError, AttributeError, FlatValleyError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
+            FlatValleyError) as exc:
         return {"ok": False, "reason": f"malformed run files: {type(exc).__name__}: {exc}"}
     return {"ok": all(checks.values()), "checks": checks}

@@ -1,4 +1,5 @@
 import json
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +63,17 @@ def circle_run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("circle_pipeline")
     scn = fv.Scenario(fv.circle(), [1.0, 0.0], [0.0, 1.0], 1.0, name="circle")
     report = fv.run_pipeline(scn, str(out), svg=True)
+    assert report.exit_code == 0, report.reason
+    return SimpleNamespace(path=str(out), report=report)
+
+
+@pytest.fixture(scope="session")
+def ellipsoid_run_dir(tmp_path_factory):
+    """The shipped ellipsoid scenario's full pipeline, figures left out."""
+    out = tmp_path_factory.mktemp("ellipsoid_pipeline")
+    scn = fv.parse_scenario(str(pathlib.Path(__file__).parent.parent / "scenarios" /
+                                "ellipsoid.json"))
+    report = fv.run_pipeline(scn, str(out), svg=False)
     assert report.exit_code == 0, report.reason
     return SimpleNamespace(path=str(out), report=report)
 

@@ -176,6 +176,33 @@ def test_only_geometry_states_the_flow_step_laws():
     assert not problems
 
 
+def _calls(node, owner=None):
+    """(innermost enclosing function, called name) of every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, getattr(child.func, "id", getattr(child.func, "attr", None))
+        yield from _calls(child, owner)
+
+
+def test_one_function_states_the_certificate_law():
+    # one function of the package builds an InstabilityCertificate, and
+    # check_certificate rebuilds the certificate through it, so the law the
+    # certificate stage states is the law revalidation checks
+    package = pathlib.Path(fields.__file__).resolve().parent
+    builders, checker_calls = [], set()
+    for path in sorted(package.glob("*.py")):
+        for owner, name in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if name == "InstabilityCertificate":
+                builders.append(f"flatvalley.{path.stem}.{owner}")
+            if path.stem == "analysis" and owner == "check_certificate":
+                checker_calls.add(name)
+    assert builders == ["flatvalley.analysis.instability_certificate"]
+    assert "instability_certificate" in checker_calls
+
+
 def test_one_module_states_the_step_gate_and_one_builds_the_report_blocks():
     # dynamics.step_error_limit is the family's step-error gate, and every
     # report.json block is built in reporting, beside the checks that read

@@ -215,6 +215,7 @@ def test_report_json_content(circle_run_dir):
     assert "slack" not in rep["scenario"] and "epsilons" not in rep["family"]
     assert not {"epsilons", "p", "v", "revalidated_in_memory"} & set(rep["certificate"])
     assert not {"epsilons", "source_epsilon", "verified"} & set(rep["convergence"])
+    assert "sup_r" not in rep["coordinates"]  # r = f at the nodes: violation_max
     assert all(set(row) == {"j", "displacement"} for row in rep["certificate"]["evidence"])
     assert all("eps" not in claim for claim in rep["family"]["bounds"])
 
@@ -767,17 +768,21 @@ def _drop(block, key):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    _set_claim("j0", "1"),
-    _drop("scenario", "p"),
-    _set_claim("threshold", None),
-    _drop("scenario", "eps0"),
-    lambda rep: [rep],
-    None,
-    "evidence.csv",
-], ids=["j0-string", "p-missing", "threshold-null", "epsilons-missing", "top-level-list",
-        "csv-missing", "evidence-missing"])
-def test_file_revalidation_rejects_malformed_runs(circle_run_dir, tmp_path, edit):
+@pytest.mark.parametrize("edit, failing", [
+    (_set_claim("j0", "1"), ["j0"]),
+    (_drop("scenario", "p"), None),
+    (_set_claim("threshold", None), ["threshold"]),
+    (_drop("scenario", "eps0"), None),
+    # json reads Infinity: eps_1 = inf divides a step by zero
+    (lambda rep: rep["scenario"].update(ratio=float("inf")) or rep, None),
+    (lambda rep: [rep], None),
+    (None, None),
+    ("evidence.csv", None),
+], ids=["j0-string", "p-missing", "threshold-null", "epsilons-missing", "ratio-infinite",
+        "top-level-list", "csv-missing", "evidence-missing"])
+def test_file_revalidation_rejects_malformed_runs(circle_run_dir, tmp_path, edit, failing):
+    # a mistyped certificate claim differs from the rebuilt field, so it fails
+    # the check named after it; what no check can read gives a reason
     import shutil
 
     clone = tmp_path / "tampered"
@@ -788,7 +793,11 @@ def test_file_revalidation_rejects_malformed_runs(circle_run_dir, tmp_path, edit
         rep = json.loads((clone / "report.json").read_text())
         (clone / "report.json").write_text(json.dumps(edit(rep)))
     result = revalidate_from_dir(str(clone))
-    assert result["ok"] is False and result["reason"]
+    assert result["ok"] is False
+    if failing is None:
+        assert result["reason"]
+    else:
+        assert [check for check, ok in result["checks"].items() if not ok] == failing
 
 
 def _tamper_cell(clone, name, row, column, change):
@@ -830,9 +839,9 @@ def test_file_revalidation_rederives_the_coordinates_block(tmp_path, name):
 
 
 def _tamper_sup_r(clone):
-    # the claim grows a hundredfold, and the run still claims it shrinks
+    # member 2's sup |r| = max |f| claim grows a hundredfold, past member 1's
     rep = json.loads((clone / "report.json").read_text())
-    rep["coordinates"]["sup_r"][2] *= 100
+    rep["convergence"]["violation_max"][2] *= 100
     (clone / "report.json").write_text(json.dumps(rep))
 
 
@@ -842,21 +851,25 @@ def _tamper_coords_cell(clone):
     _tamper_cell(clone, "coords_eps1.csv", row, "r", lambda r: 2.0 * r)
 
 
-@pytest.mark.parametrize("tamper", [_tamper_sup_r, _tamper_coords_cell],
+@pytest.mark.parametrize("tamper, failing", [(_tamper_sup_r, ["convergence"]),
+                                             (_tamper_coords_cell, ["coordinates"])],
                          ids=["sup_r", "coords-cell"])
 def test_file_revalidation_rejects_a_tampered_coordinates_claim(circle_run_dir, tmp_path,
-                                                                tamper):
+                                                                tamper, failing):
+    # report.json states sup |r| once, as the convergence block's violation_max
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     tamper(clone)
     result = revalidate_from_dir(str(clone))
     assert result["ok"] is False
-    assert [check for check, ok in result["checks"].items() if not ok] == ["coordinates"]
+    assert [check for check, ok in result["checks"].items() if not ok] == failing
 
 
 @pytest.mark.parametrize("tamper", ["v1", "max_speed-low", "max_speed-high", "speed_ok"])
 def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_path, tamper):
-    # the circle's members claim speeds within |v| (1 + slack) = 1 + 1e-6
+    # the circle's members claim speeds within |v| (1 + slack) = 1 + 1e-6; a
+    # failed verdict of member 0, which only the probe ran, also contradicts
+    # its probe's confinement verdict
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     if tamper == "v1":  # a node faster than the claimed maximum
@@ -873,21 +886,24 @@ def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_
         (clone / "report.json").write_text(json.dumps(report))
     result = revalidate_from_dir(str(clone))
     assert result["ok"] is False
-    assert [check for check, ok in result["checks"].items() if not ok] == ["bounds"]
+    failing = ["step_plan", "bounds"] if tamper == "speed_ok" else ["bounds"]
+    assert [check for check, ok in result["checks"].items() if not ok] == failing
 
 
 @pytest.mark.parametrize("name, row, column, change, failing", [
     ("evidence.csv", 3, "eps", lambda eps: 1.5 * eps, ["evidence"]),
     ("evidence.csv", 3, "t", lambda t: 1.5 * t, ["evidence"]),
+    ("evidence.csv", 3, "t", lambda t: t * (1.0 + 1e-15), ["evidence"]),
     ("coords_eps1.csv", 100, "r", lambda r: r * (1.0 + 1e-9), ["coordinates"]),
     ("coords_eps1.csv", 100, "tau", lambda tau: tau + 1e-3, ["launch"]),
     ("traj_eps2.csv", 200, "x0", lambda x: x + 1e-12, ["launch", "coordinates"]),
     ("limit.csv", 50, "x1", lambda x: x * (1.0 + 1e-9), ["limit"]),
-], ids=["evidence-eps", "evidence-t", "coords-r", "coords-tau", "member-launch",
-        "limit-cell"])
+], ids=["evidence-eps", "evidence-t", "evidence-t-ulp", "coords-r", "coords-tau",
+        "member-launch", "limit-cell"])
 def test_file_revalidation_ties_every_file_to_the_scenario(circle_run_dir, tmp_path, name,
                                                            row, column, change, failing):
-    # evidence.csv's eps is the schedule and t is tau*/eps; coords_eps<j>.csv
+    # evidence.csv's eps is the schedule and t is tau*/eps as the run computed
+    # it, to the last bit; coords_eps<j>.csv
     # holds its member's tau and r = f; every member leaves (p, v) at tau = 0
     # (row 200); limit.csv is the feet of the finest member (row 50 is far
     # from the escape node, the last)
@@ -921,26 +937,24 @@ def _tampered(value):
     return value * (1.0 + 1e-6) if value else 1e-6
 
 
-#: the circle report's leaves that revalidate after their tamper, each
-#: pattern with why no file can tell
+#: the report leaves that revalidate after their tamper, each pattern with
+#: why no file can tell
 TAMPER_SURVIVORS = {
     r"family\.bounds\.\d\.(max_speed|max_potential|max_displacement|worst_ball_ratio)":
         "a maximum over every internal step, which the output nodes bound only from below",
-    r"family\.probe\.confined\.0":
-        "member 0 probes at its ceiling, so its plan is the ceiling whatever the verdict",
     r"scenario\.step_factor": "the step plan reads it through ceil, which 1e-6 does not move",
-    r"certificate\.member_distances\.5":
-        "5.6e-8: REVALIDATION_RTOL compares below 1 absolutely, and 5.6e-14 < 1e-12",
+}
+#: the ellipsoid's further survivors
+ELLIPSOID_SURVIVORS = {
+    r"scenario\.potential\.params\.coeffs\.2":
+        "its runs keep x2 = 0, where the third coefficient multiplies nothing",
 }
 
 
-def test_every_report_leaf_is_rederived_from_the_files(circle_run_dir, tmp_path, monkeypatch):
-    # each leaf tampered alone must fail file revalidation, or be allowed;
-    # only report.json changes, so each CSV is parsed once
-    clone = tmp_path / "tampered"
-    shutil.copytree(circle_run_dir.path, clone)
-    monkeypatch.setattr(reporting, "read_csv_columns",
-                        functools.lru_cache(maxsize=None)(reporting.read_csv_columns))
+def _survivors(run_dir, clone):
+    """The number of leaves of ``run_dir``'s report.json, and those that
+    still revalidate when tampered alone in a copy at ``clone``."""
+    shutil.copytree(run_dir, clone)
     text = (clone / "report.json").read_text()
     survivors, count = [], 0
     for path, value in _leaves(json.loads(text)):
@@ -953,12 +967,40 @@ def test_every_report_leaf_is_rederived_from_the_files(circle_run_dir, tmp_path,
         count += 1
         if revalidate_from_dir(str(clone))["ok"]:
             survivors.append(".".join(map(str, path)))
-    allowed = {pattern: [leaf for leaf in survivors if re.fullmatch(pattern, leaf)]
-               for pattern in TAMPER_SURVIVORS}
-    assert count == 188
-    assert sorted(sum(allowed.values(), [])) == sorted(survivors)
-    # and no allowance is stale
-    assert all(allowed.values()), allowed
+    return count, survivors
+
+
+def test_every_report_leaf_is_rederived_from_the_files(circle_run_dir, ellipsoid_run_dir,
+                                                       tmp_path, monkeypatch):
+    # each leaf tampered alone must fail file revalidation, or be allowed;
+    # only report.json changes, so each CSV is parsed once
+    monkeypatch.setattr(reporting, "read_csv_columns",
+                        functools.lru_cache(maxsize=None)(reporting.read_csv_columns))
+    for name, run_dir, leaves, allowances in [
+            ("circle", circle_run_dir, 182, TAMPER_SURVIVORS),
+            ("ellipsoid", ellipsoid_run_dir, 187, {**TAMPER_SURVIVORS, **ELLIPSOID_SURVIVORS})]:
+        count, survivors = _survivors(run_dir.path, tmp_path / name)
+        allowed = {pattern: [leaf for leaf in survivors if re.fullmatch(pattern, leaf)]
+                   for pattern in allowances}
+        assert count == leaves, name
+        assert sorted(sum(allowed.values(), [])) == sorted(survivors), name
+        # and no allowance is stale
+        assert all(allowed.values()), (name, allowed)
+
+
+def test_file_revalidation_ties_each_probe_only_verdict_to_its_bounds(circle_run_dir,
+                                                                       tmp_path):
+    # member 0 probes at its ceiling, so only the probe ran it and its plan is
+    # the ceiling whatever its verdict: that verdict must be its bounds' own
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    rep = json.loads((clone / "report.json").read_text())
+    assert rep["family"]["substeps"][0] == rep["family"]["ceilings"][0]
+    rep["family"]["probe"]["confined"][0] = False
+    (clone / "report.json").write_text(json.dumps(rep))
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False
+    assert [check for check, ok in result["checks"].items() if not ok] == ["step_plan"]
 
 
 @pytest.mark.parametrize("command", ["limit", "certify"])
@@ -1251,12 +1293,13 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 # coordinates, limit and certificate fields) when position reads dropped
 # their floor of 8 substeps, and for all three when report.json came to state
 # each fact once (the eps schedule, p and v only in the scenario; every
-# other key and value kept its bytes): a change that claims to keep the
-# verdicts and the numbers keeps these bytes
+# other key and value kept its bytes), and again when coordinates.sup_r left
+# it (convergence.violation_max states the same numbers): a change that
+# claims to keep the verdicts and the numbers keeps these bytes
 REPORT_DIGESTS = {
-    "circle": "af47bf2056278b23d66e1a2629830dfd0d11b8af39a76dfc1f783fd15ecccdc5",
-    "gutter": "bcc97db112fb72b67e5d77a2a3349547601b8aee513c96b94cbdb9741f02ed06",
-    "ellipsoid": "36005cfc247757a463c4dc1f91abc24b033555aa8d99ffaaa915fcb656bbf045",
+    "circle": "64d8676e05dea113b764a0ea491b1f804cb6d30a4be39691dc4e4113e0bfc2a1",
+    "gutter": "f75ebfb4eeb0272975e6ad7a0f5baafa3a3656ce76abc996b16230940b3027e9",
+    "ellipsoid": "91318fc5ec78911c7403dd7eab60e0b5c303dc512f1ff7bbee68152b57aa3838",
 }
 
 
@@ -1308,15 +1351,15 @@ def test_file_revalidation_rederives_each_members_step(circle_run_dir, tmp_path,
     assert revalidate_from_dir(circle_run_dir.path)["checks"]["step_plan"]
 
 
-def test_file_revalidation_rederives_the_probe_from_the_profile_exponent(tmp_path):
+def test_file_revalidation_rederives_the_probe_from_the_profile_exponent(ellipsoid_run_dir,
+                                                                         tmp_path):
     # the ellipsoid's field has profile exponent 4, so its rho law asks
     # [1, 2, 2, 2, 2, 3], not the circle's [1, 2, 2, 3, 4, 6], and its
     # members probe at that call's longest row of 3, not at the circle's 6:
     # the files revalidate, and a file that records member 5's probe at 6
     # fails the step plan alone
-    scn = fv.parse_scenario(os.path.join(os.path.dirname(CIRCLE), "ellipsoid.json"))
     out = tmp_path / "run"
-    assert fv.run_pipeline(scn, str(out), svg=False).exit_code == 0
+    shutil.copytree(ellipsoid_run_dir.path, out)
     assert revalidate_from_dir(str(out))["ok"]
     rep = json.loads((out / "report.json").read_text())
     assert rep["family"]["probe"]["substeps"] == [3, 3, 3, 3, 3, 3]
