@@ -15,6 +15,7 @@ import numpy as np
 
 import flatvalley as fv
 from flatvalley.reporting import revalidate_from_dir
+from flatvalley.scenario import read_scenario
 
 scn = fv.Scenario(fv.circle(), [1.0, 0.0], [0.0, 1.0], 1.0, name="circle-demo")
 out = "out_demo"
@@ -30,11 +31,17 @@ cert, scenario = data["certificate"], data["scenario"]
 print(f"\nescape radius R = {cert['escape_radius']:.6f} "
       f"(closed form 2 sin(1/2) = {2 * np.sin(0.5):.6f}) at tau* = {cert['tau_star']}")
 print(f"threshold R/2 = {cert['threshold']:.6f}, first good index j0 = {cert['j0']}")
-# report.json states the eps schedule and v once, in its scenario block
-speed = float(np.linalg.norm(scenario["v"]))
+# report.json states the eps schedule and v once, in its scenario block: a
+# scenario file (the potential as {"kind": ..., **params}, min_eps stated),
+# which the strict reader turns back into the Scenario it states; the
+# stepper is recorded beside the step law, in the family block
+print(f"\nscenario block: potential {scenario['potential']}, min_eps {scenario['min_eps']}, "
+      f"integrator {data['family']['integrator']}")
+stated = read_scenario(scenario)
+speed = float(np.linalg.norm(stated.v))
 print(f"\n{'j':>2} {'eps':>9} {'initial speed':>14} {'escape time':>12} {'displacement':>13}")
 for row in cert["evidence"]:
-    eps = scenario["eps0"] * scenario["ratio"] ** row["j"]
+    eps = stated.epsilons[row["j"]]
     print(f"{row['j']:>2} {eps:>9.4g} {eps * speed:>14.4g} "
           f"{cert['tau_star'] / eps:>12.4g} {row['displacement']:>13.6f}")
 

@@ -323,15 +323,14 @@ def physical_evidence_runs(family: FamilyResult, tau_star: float) -> List[Trajec
     beside member j) cut at its node i, where tau* = tau[half + i] is a
     node of the family grid: that node is the physical state at
     tau*/eps_j, so nothing is integrated or interpolated here.  Raises
-    InvalidParameterError unless tau* is a positive node of the grid, and
-    the BlowUpError of the lowest j whose physical run blew up before
-    reaching node i, the error a run integrated to tau*/eps_j would raise.
+    InvalidParameterError unless tau* is a positive node, i T/half bit for
+    bit, and the BlowUpError of the lowest j whose physical run blew up
+    before reaching node i, the error a run integrated to tau*/eps_j would
+    raise.
     """
     half = (len(family.tau) - 1) // 2
-    spacing = float(family.tau[1] - family.tau[0])
-    i = round(tau_star / spacing) if 0 < tau_star < np.inf else 0
-    if not (0 < i <= half
-            and abs(family.tau[half + i] - tau_star) <= 1e-9 * max(1.0, tau_star)):
+    i = round(tau_star / (family.horizon / half)) if 0 < tau_star < np.inf else 0
+    if not (0 < i <= half and family.tau[half + i] == tau_star):
         raise InvalidParameterError(
             f"tau_star = {tau_star:g} is not a positive node of the family grid")
     runs = []
@@ -401,6 +400,11 @@ def instability_certificate(p, v, tau: Array, limit_x: Array, members_x: Sequenc
         j0=j0, member_distances=member_d, evidence=evidence, tol_r=tol_r)
 
 
+def evidence_times(tau_star: float, T: float, half: int, epsilons) -> Array:
+    """Run j's time at tau*/eps_j as it computes it, i (T/eps_j/half), tau* = i T/half."""
+    return round(tau_star / (T / half)) * (T / np.asarray(epsilons, dtype=float) / half)
+
+
 def certify_instability(family: FamilyResult, limit: LimitCurve,
                         physical_runs: List[Trajectory]) -> InstabilityCertificate:
     """The :func:`instability_certificate` of the family, its limit and
@@ -409,18 +413,19 @@ def certify_instability(family: FamilyResult, limit: LimitCurve,
 
     Raises UnverifiedLimitError unless the limit passed its convergence
     diagnostic, and InvalidParameterError unless there is one run per
-    member, each ending at tau*/eps_j.
+    member, each ending at tau*/eps_j (:func:`evidence_times`, bit for bit).
     """
     if not limit.verified:
         raise UnverifiedLimitError()
     _, _, tau_star, _ = limit_escape(limit.tau, limit.x, family.p, family.v)
     if len(physical_runs) != family.count:
         raise InvalidParameterError("need one physical run per family member")
-    for j, (eps, run) in enumerate(zip(family.epsilons, physical_runs)):
-        t_end = float(run.tau[-1])
-        if abs(t_end * eps - tau_star) > 1e-9 * max(1.0, tau_star):
-            raise InvalidParameterError(
-                f"physical run j={j} ends at t={t_end:g}, expected tau*/eps = {tau_star / eps:g}")
+    half = (len(family.tau) - 1) // 2
+    for j, (t, run) in enumerate(zip(evidence_times(tau_star, family.horizon, half,
+                                                     family.epsilons), physical_runs)):
+        if not run.tau[-1] == t:
+            raise InvalidParameterError(f"physical run j={j} ends at t = "
+                                        f"{float(run.tau[-1])!r}, not tau*/eps_j = {float(t)!r}")
     return instability_certificate(family.p, family.v, limit.tau, limit.x,
                                    [m.x for m in family.members],
                                    [run.x[-1] for run in physical_runs])

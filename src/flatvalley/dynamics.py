@@ -603,7 +603,7 @@ def confinement_check(traj: Trajectory, potential, v) -> BoundsCheck:
 def _tube_half_width(potential, v, eps) -> float:
     """g^-1(0.5 eps eps |v| |v|), the conservation tube's half-width in r."""
     vnorm = float(np.linalg.norm(v))
-    return potential.profile.inverse(0.5 * eps * eps * vnorm * vnorm)
+    return float(potential.profile.inverse(0.5 * eps * eps * vnorm * vnorm))
 
 
 def limit_tolerance(potential, p, v, epsilons: Sequence[float]) -> float:

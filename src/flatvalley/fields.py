@@ -254,7 +254,6 @@ class PlainPotential:
     grad_u: Callable[[Array], Array]
     u_many: Callable[[Array], Array]
     label: str = "plain"
-    spec_record: Optional[dict] = None
 
     def __post_init__(self):
         object.__setattr__(self, "gradient_many", self.grad_u)
@@ -288,7 +287,7 @@ def gutter(exponent: int = 4) -> CompositePotential:
         fld,
         power_profile(exponent),
         name=f"gutter(k={exponent})",
-        spec_record={"kind": "gutter", "params": {"exponent": exponent}},
+        spec_record={"kind": "gutter", "exponent": exponent},
     )
 
 
@@ -304,7 +303,7 @@ def circle(exponent: int = 2) -> CompositePotential:
         fld,
         power_profile(exponent),
         name=f"circle(k={exponent})",
-        spec_record={"kind": "circle", "params": {"exponent": exponent}},
+        spec_record={"kind": "circle", "exponent": exponent},
     )
 
 
@@ -320,7 +319,7 @@ def ellipsoid(coeffs=(1.0, 2.0, 3.0), exponent: int = 4) -> CompositePotential:
         fld,
         power_profile(exponent),
         name=f"ellipsoid(k={exponent})",
-        spec_record={"kind": "ellipsoid", "params": {"coeffs": list(map(float, c)), "exponent": exponent}},
+        spec_record={"kind": "ellipsoid", "coeffs": list(map(float, c)), "exponent": exponent},
     )
 
 
@@ -353,15 +352,8 @@ def custom_polynomial(
         fld,
         power_profile(exponent),
         name=f"custom-polynomial(k={exponent})",
-        spec_record={
-            "kind": "custom-polynomial",
-            "params": {
-                "linear": list(map(float, lv)),
-                "quadratic": list(map(float, qv)),
-                "offset": off,
-                "exponent": exponent,
-            },
-        },
+        spec_record={"kind": "custom-polynomial", "linear": list(map(float, lv)),
+                     "quadratic": list(map(float, qv)), "offset": off, "exponent": exponent},
     )
 
 
@@ -388,8 +380,7 @@ def _bump_prime(s: Array) -> Array:
 def _plain(dim: int, u_many, grad_u, label: str) -> PlainPotential:
     """A gallery PlainPotential whose single-point value is a batch of one."""
     return PlainPotential(dim=dim, u=lambda x: float(u_many(x[None])[0]), grad_u=grad_u,
-                          label=label, spec_record={"kind": label, "params": {}},
-                          u_many=u_many)
+                          label=label, u_many=u_many)
 
 
 def painleve() -> PlainPotential:
@@ -422,7 +413,8 @@ _GALLERY = {
 
 
 def gallery_lookup(name: str, params: Optional[dict] = None):
-    """Build a gallery potential from a declarative (name, params) record."""
+    """Build a gallery potential from its name and parameters; the potential
+    records them as its ``spec_record``, ``{"kind": name, **params}``."""
     try:
         builder = _GALLERY[name]
     except KeyError:

@@ -20,6 +20,7 @@ from .analysis import (
     convergence_report,
     coordinate_report,
     coordinate_trace,
+    evidence_times,
 )
 from .dynamics import (
     BoundsCheck,
@@ -31,10 +32,9 @@ from .dynamics import (
     step_error_limit,
 )
 from .errors import FlatValleyError, NonFiniteEvaluationError
-from .fields import gallery_lookup
 from .geometry import foot_many, raise_first
 from .integrators import METHOD
-from .scenario import IntegratorOptions
+from .scenario import read_scenario
 
 Array = np.ndarray
 
@@ -112,28 +112,22 @@ _VERDICTS = ("speed_ok", "sublevel_ok", "ball_ok")
 
 
 def scenario_payload(scn) -> dict:
-    """report.json's ``scenario``: what ``_member_steps_hold`` re-derives from."""
-    return {
-        "name": scn.name,
-        "potential": scn.potential.spec_record or {"kind": scn.potential.name},
-        "p": scn.p,
-        "v": scn.v,
-        "horizon": scn.horizon,
-        "eps0": scn.eps0,
-        "ratio": scn.ratio,
-        "count": scn.count,
-        "integrator": METHOD,
-        "step_factor": scn.options.step_factor,
-        "n_out": scn.options.n_out,
-    }
+    """report.json's ``scenario``: a scenario file (see :mod:`flatvalley.scenario`),
+    which file revalidation reads back through ``read_scenario``."""
+    potential = scn.potential.spec_record or {"kind": scn.potential.name}
+    return {"name": scn.name, "potential": potential, "p": scn.p, "v": scn.v,
+            "horizon": scn.horizon, "eps0": scn.eps0, "ratio": scn.ratio, "count": scn.count,
+            "min_eps": scn.min_eps, "step_factor": scn.options.step_factor,
+            "n_out": scn.options.n_out}
 
 
 def family_payload(fam) -> dict:
-    """report.json's ``family``: each member's step, audits and confinement
-    claims (read back by ``_member_steps_hold`` and ``_bounds_hold``), and
-    how the substeps were chosen (see ``dynamics.family_for_gates``)."""
+    """report.json's ``family``: the stepper, each member's step, audits and
+    confinement claims (read back by ``_member_steps_hold`` and ``_bounds_hold``),
+    and how the substeps were chosen (see ``dynamics.family_for_gates``)."""
     plan = fam.plan
     return {
+        "integrator": METHOD,
         "dt": [m.dt for m in fam.members],
         "substeps": fam.substeps,
         # strict JSON: the infinite step error of a blown-up physical run is null
@@ -152,8 +146,7 @@ def family_payload(fam) -> dict:
     }
 
 
-def _bounds_hold(claims: List[dict], potential, p, v, epsilons, steps, x: Array,
-                 vel: Array) -> bool:
+def _bounds_hold(claims: List[dict], scn, steps, x: Array, vel: Array) -> bool:
     """The family's confinement claims (``report.json["family"]["bounds"]``)
     against its member files: ``x`` and ``vel``, each (members, nodes, n).
 
@@ -167,12 +160,12 @@ def _bounds_hold(claims: List[dict], potential, p, v, epsilons, steps, x: Array,
     """
     half = (x.shape[1] - 1) // 2
     m = np.array([m for m, _ in steps])
-    audits = RunAudits(potential, epsilons, p, v, x.shape[1])
+    audits = RunAudits(scn.potential, scn.epsilons, scn.p, scn.v, x.shape[1])
     audits.feed(np.arange(len(x)), m[:, None] * np.arange(-half, half + 1), x, vel,
                 [dt for _, dt in steps], m)
 
     def holds(j, claim):
-        claimed = vars(BoundsCheck.from_maxima(float(epsilons[j]), audits.v_norm,
+        claimed = vars(BoundsCheck.from_maxima(float(audits.epsilons[j]), audits.v_norm,
                                                *(claim[k] for k in _MAXIMA)))
         at_nodes = vars(audits.bounds(j))
         # a NaN node maximum exceeds nothing: non-finite cells are the finite check's
@@ -182,10 +175,10 @@ def _bounds_hold(claims: List[dict], potential, p, v, epsilons, steps, x: Array,
     return len(claims) == len(x) and all(map(holds, range(len(claims)), claims))
 
 
-def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
-    """Every member's (substeps, dt), re-derived from the scenario and the
-    probe readings ``report.json["family"]`` records, and whether the
-    family's step claims hold.
+def _member_steps_hold(fam: dict, scn):
+    """Every member's (substeps, dt), re-derived from the :class:`Scenario`
+    ``scn`` and the probe readings ``report.json["family"]`` records, and
+    whether the family's step claims hold (its integrator being PEFRL).
 
     The ceilings and probe substeps follow from the scenario
     (:func:`flatvalley.dynamics.member_substeps`), and
@@ -198,21 +191,21 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
     probe's confinement verdict being its bounds' verdicts), and the
     recorded lockstep iterations must be those of the calls.
     """
-    opts = IntegratorOptions(step_factor=scn["step_factor"], n_out=scn["n_out"])
-    T, half = scn["horizon"], (scn["n_out"] - 1) // 2
-    ceilings, probe = member_substeps(T, epsilons, opts, exponent=potential.profile.exponent)
+    T, half, epsilons = scn.horizon, (scn.options.n_out - 1) // 2, scn.epsilons
+    ceilings, probe = member_substeps(T, epsilons, scn.options,
+                                      exponent=scn.potential.profile.exponent)
     readings = fam["probe"]
     plan = planned_substeps(probe, ceilings, readings["step_errors"], readings["energy_drifts"],
                             readings["confined"],
-                            step_error_limit(potential, scn["p"], scn["v"], epsilons))
+                            step_error_limit(scn.potential, scn.p, scn.v, epsilons))
     calls = step_calls(probe, plan, ceilings,
                        [j for j, (m, c) in enumerate(zip(fam["substeps"], ceilings)) if m == c])
     # the probe call runs every member in order, and later calls overwrite
     chosen = list({j: m for js, substeps in calls for j, m in zip(js, substeps)}.values())
     moved = {j for js, _ in calls[1:] for j in js}
-    holds = (scn["integrator"] == METHOD and scn["count"] == len(epsilons)
-             and fam["ceilings"] == ceilings and readings["substeps"] == probe
-             and fam["substeps"] == chosen and fam["dt"] == [T / half / m for m in chosen]
+    holds = (fam["integrator"] == METHOD and fam["ceilings"] == ceilings
+             and readings["substeps"] == probe and fam["substeps"] == chosen
+             and fam["dt"] == [T / half / m for m in chosen]
              and all(fam["step_errors"][j] == readings["step_errors"][j]
                      and fam["energy_drifts"][j] == readings["energy_drifts"][j]
                      and readings["confined"][j] == all(fam["bounds"][j][k] for k in _VERDICTS)
@@ -221,38 +214,44 @@ def _member_steps_hold(fam: dict, scn: dict, potential, epsilons):
     return [(m, T / half / m) for m in chosen], holds
 
 
+def _not_a_number(token):
+    raise ValueError(f"report.json holds {token}, which strict JSON does not allow")
+
+
 def revalidate_from_dir(out_dir) -> dict:
     """Re-derive the certificate and every report.json block from the
-    emitted files alone, reading p, v and the eps schedule from its
-    scenario block.
+    emitted files alone and the Scenario that
+    :func:`flatvalley.scenario.read_scenario` reads from its scenario block.
 
+    ``scenario`` requires that block to be the Scenario's
+    :func:`scenario_payload`, so a dropped key does not become its default.
     Beside :func:`flatvalley.analysis.check_certificate`'s checks
-    (``evidence`` also ties evidence.csv's row j to eps_j and to the time
-    tau*/eps_j as physical run j computed it),
-    ``step_plan`` and ``bounds`` re-derive the family block
-    (``_member_steps_hold``, whose integrator must be PEFRL, and
-    ``_bounds_hold``); ``launch`` puts every traj, coords and limit file on
-    the scenario's grid and each member at (p, v) at tau = 0; ``limit``
-    requires limit.csv to be ``foot_many`` of the finest member; and
-    ``coordinates`` (also r = f at each member's nodes) and ``convergence``
-    require :func:`flatvalley.analysis.coordinate_report` and
+    (``evidence`` also ties evidence.csv's row j to eps_j and to its
+    :func:`flatvalley.analysis.evidence_times`), ``step_plan`` and
+    ``bounds`` re-derive the family block (``_member_steps_hold``, whose
+    integrator must be PEFRL, and ``_bounds_hold``); ``launch`` puts every
+    traj, coords and limit file on the scenario's grid and each member at
+    (p, v) at tau = 0; ``limit`` requires limit.csv to be ``foot_many`` of
+    the finest member; and ``coordinates`` (also r = f at each member's
+    nodes) and ``convergence`` require
+    :func:`flatvalley.analysis.coordinate_report` and
     :func:`flatvalley.analysis.convergence_report` of the files to equal
     their blocks and name no failing bound.  File ties hold bit for bit.
     ``finite`` fails on any non-finite cell.
 
     Returns a dict with an ``ok`` flag and the per-check booleans, or
-    ``ok: False`` and a ``reason`` when a file is missing or malformed;
-    never re-runs any integration and never raises on what the files hold.
+    ``ok: False`` and a ``reason`` when a file is missing or malformed
+    (report.json must be strict JSON: no NaN or Infinity token); never
+    re-runs any integration and never raises on what the files hold.
     """
     try:
         with open(os.path.join(out_dir, "report.json"), "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+            report = json.load(fh, parse_constant=_not_a_number)
         cert = report.get("certificate")
         if not cert or cert.get("verdict") != "UNSTABLE":
             return {"ok": False, "reason": "no UNSTABLE certificate in report.json"}
-        scn, fam = report["scenario"], report["family"]
-        potential = gallery_lookup(scn["potential"]["kind"], scn["potential"].get("params"))
-        p, v = np.asarray(scn["p"], dtype=float), np.asarray(scn["v"], dtype=float)
+        scn, fam = read_scenario(report["scenario"]), report["family"]
+        potential, p, v, epsilons = scn.potential, scn.p, scn.v, scn.epsilons
         tables = []
 
         def table(name):
@@ -264,24 +263,23 @@ def revalidate_from_dir(out_dir) -> dict:
             return np.stack([cols[f"{var}{i}"] for i in dims], axis=-1)
 
         limit_cols, evidence_cols = table("limit.csv"), table("evidence.csv")
-        members = [table(f"traj_eps{j}.csv") for j in range(scn["count"])]
-        coords = [table(f"coords_eps{j}.csv") for j in range(scn["count"])]
-        epsilons = scn["eps0"] * scn["ratio"] ** np.arange(len(members))
+        members = [table(f"traj_eps{j}.csv") for j in range(scn.count)]
+        coords = [table(f"coords_eps{j}.csv") for j in range(scn.count)]
         limit_x = states(limit_cols, "x")
         x, vel = (np.stack([states(cols, var) for cols in members]) for var in "xv")
         checks = check_certificate(cert, p, v, limit_cols["tau"], limit_x, list(x),
                                    states(evidence_cols, "x"), fam["energy_drifts"],
                                    [cols["H"] for cols in members])
-        # evidence.csv's row j is physical run j at eps_j, cut at its node i
-        # (tau* = i T/half) and timed as the run computed it, i (T/eps_j/half)
-        T, half = scn["horizon"], (scn["n_out"] - 1) // 2
+        checks["scenario"] = _jsonable(scenario_payload(scn)) == report["scenario"]
+        # first, as a schedule past MAX_STEPS has no times on its grid
+        steps, checks["step_plan"] = _member_steps_hold(fam, scn)
+        T, half = scn.horizon, (scn.options.n_out - 1) // 2
         j, eps, t = (evidence_cols[name] for name in ("j", "eps", "t"))
         checks["evidence"] &= (j.tolist() == list(range(len(members)))
                                and eps.tolist() == epsilons.tolist()
-                               and t.tolist() == (np.rint(cert["tau_star"] / (T / half))
-                                                  * (T / epsilons / half)).tolist())
-        steps, checks["step_plan"] = _member_steps_hold(fam, scn, potential, epsilons)
-        checks["bounds"] = _bounds_hold(fam["bounds"], potential, p, v, epsilons, steps, x, vel)
+                               and t.tolist() == evidence_times(cert["tau_star"], T, half,
+                                                                epsilons).tolist())
+        checks["bounds"] = _bounds_hold(fam["bounds"], scn, steps, x, vel)
         grid = np.arange(-half, half + 1) * (T / half)
         checks["launch"] = (all(np.array_equal(cols["tau"], grid)
                                 for cols in [limit_cols, *members, *coords])

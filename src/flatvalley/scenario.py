@@ -19,8 +19,10 @@ flat JSON documents::
 Only ``potential``, ``p`` and ``v`` are required; a key the file leaves
 out takes the default of :class:`Scenario` or :class:`IntegratorOptions`
 (``name`` defaults to the file's base name), and an unknown key is an
-error.  :func:`parse_scenario` reads a file and :class:`Scenario`
-validates what it holds, for files and library callers alike.
+error.  :func:`parse_scenario` reads a file, :func:`read_scenario` reads a
+record in the same format strictly (report.json's ``scenario`` block is
+one), and :class:`Scenario` validates what they hold, for files, records
+and library callers alike.
 
 Checking the hypotheses needs only the field, so this module imports only
 :mod:`flatvalley.errors` and :mod:`flatvalley.fields`: parsing a scenario
@@ -157,11 +159,9 @@ class Scenario:
         gn = float(np.linalg.norm(g))
         if not gn > TOL_CRIT:
             raise ScenarioError(f"p is a critical point of f: |grad f(p)| = {gn:.3e}")
-        self.horizon = _number("horizon", self.horizon)
-        self.eps0 = _number("eps0", self.eps0)
-        self.ratio = _number("ratio", self.ratio)
-        self.count = _number("count", self.count, numbers.Integral)
-        self.min_eps = _number("min_eps", self.min_eps)
+        for key in ("horizon", "eps0", "ratio", "count", "min_eps"):
+            setattr(self, key, _number(key, getattr(self, key),
+                                       numbers.Integral if key == "count" else numbers.Real))
         if self.horizon <= 0:
             raise ScenarioError("horizon must be positive")
         if self.eps0 <= 0:
@@ -221,11 +221,49 @@ class Scenario:
         return self.eps0 * self.ratio ** np.arange(self.count)
 
 
-#: scenario-file keys that are IntegratorOptions fields of the same name
+#: scenario-record keys that are IntegratorOptions fields of the same name
 _OPTION_KEYS = ("step_factor", "n_out")
-#: scenario-file keys that are Scenario fields of the same name
-_SCENARIO_ARGS = ("horizon", "eps0", "ratio", "count", "min_eps", "out")
-_SCENARIO_KEYS = {"name", "potential", "p", "v", *_OPTION_KEYS, *_SCENARIO_ARGS}
+#: scenario-record keys that are Scenario fields of the same name
+_SCENARIO_ARGS = ("name", "horizon", "eps0", "ratio", "count", "min_eps", "out")
+_SCENARIO_KEYS = {"potential", "p", "v", *_OPTION_KEYS, *_SCENARIO_ARGS}
+
+
+def _scenario_args(record, lookup) -> dict:
+    """:class:`Scenario`'s arguments from a scenario record, its keys checked:
+    the potential ``lookup`` builds from its ``{"kind": ..., **params}``, p
+    and v as :func:`launch_vector` reads them, the options (a bad option is a
+    bad scenario value), and only the other keys it holds: defaults are Scenario's."""
+    if not isinstance(record, dict):
+        raise ScenarioError("a scenario must be a JSON object")
+    unknown = set(record) - _SCENARIO_KEYS
+    if unknown:
+        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+    for key in ("potential", "p", "v"):
+        if key not in record:
+            raise ScenarioError(f"scenario is missing the required field {key!r}")
+    pot_spec = record["potential"]
+    if not isinstance(pot_spec, dict) or not isinstance(pot_spec.get("kind"), str):
+        raise ScenarioError("field 'potential' must be an object with a string 'kind'")
+    potential = lookup(pot_spec["kind"], {k: v for k, v in pot_spec.items() if k != "kind"})
+    if not isinstance(potential, CompositePotential):
+        raise ScenarioError(
+            f"potential kind {pot_spec['kind']!r} is not a composite potential; "
+            "plain gallery entries run through the 'gallery' subcommand")
+    dim = potential.field.dim
+    p, v = launch_vector("p", record["p"], dim), launch_vector("v", record["v"], dim)
+    try:
+        opts = IntegratorOptions(**{key: record[key] for key in _OPTION_KEYS if key in record})
+    except InvalidParameterError as exc:
+        raise ScenarioError(str(exc)) from exc
+    return dict({key: record[key] for key in _SCENARIO_ARGS if key in record},
+                potential=potential, p=p, v=v, options=opts)
+
+
+def read_scenario(record, *, lookup=gallery_lookup) -> Scenario:
+    """The strict reader of a scenario record, report.json's ``scenario`` block
+    included: nothing is snapped or projected before :class:`Scenario`
+    validates it."""
+    return Scenario(**_scenario_args(record, lookup))
 
 
 def parse_scenario(path, overrides: Optional[dict] = None, *,
@@ -237,14 +275,14 @@ def parse_scenario(path, overrides: Optional[dict] = None, *,
     the one projector, imported only then), and v is projected onto the
     tangent plane at p when its cosine with grad f(p) is at most 0.1.
     Beyond those limits the values reach the validator as written and are
-    rejected there.  ``overrides`` (CLI flags) replace file values before
-    validation.
+    rejected there.  ``overrides`` (CLI flags) replace file values, and
+    ``name`` defaults to the file's base name.
 
     ``lookup`` builds the potential from its record, as
     :func:`flatvalley.fields.gallery_lookup` does.  It exists for the
     benchmark's tracer, which counts field calls by patching the CLI's
     ``gallery_lookup``, so the CLI passes its own; it goes once the tracer
-    patches names where they are defined (ROADMAP item 1).
+    patches names where they are defined (ROADMAP item 7).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -257,28 +295,10 @@ def parse_scenario(path, overrides: Optional[dict] = None, *,
             f"{exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must contain a JSON object")
-    unknown = set(raw) - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-    data = dict(raw)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            data[key] = val
-    for key in ("potential", "p", "v"):
-        if key not in data:
-            raise ScenarioError(f"scenario is missing the required field {key!r}")
-    pot_spec = data["potential"]
-    if not isinstance(pot_spec, dict) or not isinstance(pot_spec.get("kind"), str):
-        raise ScenarioError("field 'potential' must be an object with a string 'kind'")
-    params = {k: v for k, v in pot_spec.items() if k != "kind"}
-    potential = lookup(pot_spec["kind"], params)
-    if not isinstance(potential, CompositePotential):
-        raise ScenarioError(
-            f"potential kind {pot_spec['kind']!r} is not a composite potential; "
-            "plain gallery entries run through the 'gallery' subcommand")
-    fld = potential.field
-    p = launch_vector("p", data["p"], fld.dim)
-    v = launch_vector("v", data["v"], fld.dim)
+    data = {"name": os.path.splitext(os.path.basename(path))[0], **raw,
+            **{key: val for key, val in (overrides or {}).items() if val is not None}}
+    args = _scenario_args(data, lookup)
+    fld, p, v = args["potential"].field, args["p"], args["v"]
     if 0.0 < abs(fld.value(p)) <= 1e-4:
         from .geometry import foot_point
 
@@ -287,13 +307,4 @@ def parse_scenario(path, overrides: Optional[dict] = None, *,
     gn = float(np.linalg.norm(g))
     if gn > 0.0 and abs(float(g @ v)) <= 0.1 * gn * float(np.linalg.norm(v)):
         v = v - (float(v @ g) / (gn * gn)) * g
-    # the file passes only the keys it holds: every default is stated once,
-    # in Scenario and IntegratorOptions; a bad option is a bad scenario value
-    try:
-        opts = IntegratorOptions(**{key: data[key] for key in _OPTION_KEYS if key in data})
-    except InvalidParameterError as exc:
-        raise ScenarioError(str(exc)) from exc
-    given = {key: data[key] for key in _SCENARIO_ARGS if key in data}
-    return Scenario(potential=potential, p=p, v=v, options=opts,
-                    name=data.get("name", os.path.splitext(os.path.basename(path))[0]),
-                    **given)
+    return Scenario(**dict(args, p=p, v=v))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,13 +151,13 @@ def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
             [e.drift for e in b.family.energies], [e.values for e in b.family.energies])
     checks = fv.check_certificate(claims, *args)
     assert all(checks.values())
-    # the files also answer for the steps, confinement bounds, launch, limit,
-    # coordinate bounds and convergence report.json claims, which the
-    # in-memory family, limit and traces are the source of, and for every
-    # cell they hold being finite
+    # the files also answer for the scenario, steps, confinement bounds,
+    # launch, limit, coordinate bounds and convergence report.json claims,
+    # which the in-memory scenario, family, limit and traces are the source
+    # of, and for every cell they hold being finite
     file_checks = revalidate_from_dir(circle_run_dir.path)["checks"]
-    for name in ("step_plan", "bounds", "launch", "limit", "coordinates", "convergence",
-                 "finite"):
+    for name in ("scenario", "step_plan", "bounds", "launch", "limit", "coordinates",
+                 "convergence", "finite"):
         assert file_checks.pop(name) is True, name
     assert checks == file_checks
     evidence = claims["evidence"]
@@ -193,6 +195,20 @@ def test_physical_runs_must_match_tau_star(circle_bundle):
     bad_runs = fv.physical_evidence_runs(fam, circle_bundle.tau_star * 0.9)
     with pytest.raises((InvalidParameterError, IndeterminateCertificateError)):
         fv.certify_instability(fam, limit, bad_runs)
+
+
+def test_a_physical_run_one_ulp_off_its_end_time_is_refused(circle_bundle):
+    # each run must end at i (T/eps_j/half), the time it computes at its
+    # node i and the time file revalidation requires of evidence.csv, bit
+    # for bit, and tau* must be the grid's node i T/half bit for bit
+    fam, limit, runs = circle_bundle.family, circle_bundle.limit, circle_bundle.physical_runs
+    tau = runs[-1].tau.copy()
+    tau[-1] = np.nextafter(tau[-1], np.inf)
+    off = runs[:-1] + [dataclasses.replace(runs[-1], tau=tau)]
+    with pytest.raises(InvalidParameterError, match="physical run j=5 ends at"):
+        fv.certify_instability(fam, limit, off)
+    with pytest.raises(InvalidParameterError, match="not a positive node"):
+        fv.physical_evidence_runs(fam, np.nextafter(circle_bundle.tau_star, 0.0))
 
 
 def test_transverse_coordinate_at_least_halves(circle_bundle):

@@ -42,7 +42,10 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # equal, and every report.json when it came to state each fact once: the
 # duplicated keys left it, every other key and value kept its bytes, and
 # again when coordinates.sup_r left it (convergence.violation_max states
-# the same numbers)
+# the same numbers), and again when its scenario block became a scenario
+# file: the potential's parameters flattened into it, min_eps added and
+# the integrator moved into the family block, every number and every other
+# file kept its bytes
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
@@ -68,7 +71,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "8d4a6c84ca4d99f85bbd5b2b99d26bdf8240d46b281514d0a3a354446e215d41",
         "report.json":
-            "74a9cd0c5e123a7bf3d049190aa6ec6490ad0d41bd1fa2cad69575dfbe2ec1d6",
+            "7ec205931c545fe24f46794e4593a00b390b1bca36a72b818b9278c691e2e3b3",
         "traj_eps0.csv":
             "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
         "traj_eps1.csv":
@@ -106,7 +109,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "43cf8f26fa442cbaecde1682267b1ef6e3fc19cb7d7f23864cf9e1cdfb81549e",
         "report.json":
-            "104b50a9f499d1ad1729d27197e2342e83d05b969c6731f4b75f8240975c518f",
+            "986899af7fdc197c544130e0d6b66bc5b38a7c99c70de683e5557ed8b66306a6",
         "traj_eps0.csv":
             "dab30dfdc16df37c4eedc6668c7c16b2008830a96f58cad08f3962868397a96a",
         "traj_eps1.csv":
@@ -144,7 +147,7 @@ ARTIFACT_DIGESTS = {
         "limit.csv":
             "36e62eebc0b2c385fb5c53a3a7f819740a98134bc29d65ef354de0b5df1ce47a",
         "report.json":
-            "ccd9721001951215e00fc1abb55dec710b39d1a50c0aca388e896a214bc90872",
+            "878ca39db31bc46c42e9ca1bed4161beb2a623a1a65bb70f82ea6808e3f00368",
         "traj_eps0.csv":
             "40a6e542175f60971c14916d270a4c662fb3086225b78a7ec0f843ecf0daf957",
         "traj_eps1.csv":

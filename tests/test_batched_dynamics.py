@@ -91,7 +91,8 @@ def _reference_power(s, k):
 
 
 def _reference_field(P):
-    kind, params = P.spec_record["kind"], P.spec_record["params"]
+    params = P.spec_record
+    kind = params["kind"]
     if kind == "circle":
         return lambda X: X[:, 0] * X[:, 0] + X[:, 1] * X[:, 1] - 1.0, lambda X: 2.0 * X
     if kind == "gutter":

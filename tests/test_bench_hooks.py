@@ -203,6 +203,23 @@ def test_one_function_states_the_certificate_law():
     assert "instability_certificate" in checker_calls
 
 
+def test_only_the_scenario_readers_build_a_scenario():
+    # scenario builds every Scenario, in its file and record readers, and
+    # reporting, which reads report.json's scenario block back through the
+    # record reader, builds no potential or options of its own
+    package = pathlib.Path(fields.__file__).resolve().parent
+    builders, problems = [], []
+    for path in sorted(package.glob("*.py")):
+        for owner, name in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if name == "Scenario":
+                builders.append(f"flatvalley.{path.stem}.{owner}")
+            if path.stem == "reporting" and name in ("gallery_lookup", "IntegratorOptions"):
+                problems.append(f"flatvalley.reporting.{owner} calls {name}")
+    assert builders == ["flatvalley.scenario.read_scenario",
+                        "flatvalley.scenario.parse_scenario"]
+    assert not problems
+
+
 def test_one_module_states_the_step_gate_and_one_builds_the_report_blocks():
     # dynamics.step_error_limit is the family's step-error gate, and every
     # report.json block is built in reporting, beside the checks that read

@@ -6,6 +6,7 @@ import re
 import shutil
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -772,7 +773,9 @@ def _drop(block, key):
     (_set_claim("j0", "1"), ["j0"]),
     (_drop("scenario", "p"), None),
     (_set_claim("threshold", None), ["threshold"]),
-    (_drop("scenario", "eps0"), None),
+    # a dropped key would read as its default: the block is then no scenario
+    # payload of what it validates to
+    (_drop("scenario", "eps0"), ["scenario"]),
     # json reads Infinity: eps_1 = inf divides a step by zero
     (lambda rep: rep["scenario"].update(ratio=float("inf")) or rep, None),
     (lambda rep: [rep], None),
@@ -798,6 +801,37 @@ def test_file_revalidation_rejects_malformed_runs(circle_run_dir, tmp_path, edit
         assert result["reason"]
     else:
         assert [check for check, ok in result["checks"].items() if not ok] == failing
+
+
+@pytest.mark.parametrize("token", ["Infinity", "NaN"])
+def test_file_revalidation_refuses_non_finite_json_tokens(circle_run_dir, tmp_path, token):
+    # json reads Infinity and NaN, which strict JSON has no tokens for: an
+    # infinite max_displacement, which no node bounds from above, would
+    # revalidate if it were read as a number
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    rep = json.loads((clone / "report.json").read_text())
+    rep["family"]["bounds"][0]["max_displacement"] = float(token)
+    (clone / "report.json").write_text(json.dumps(rep))
+    assert token in (clone / "report.json").read_text()
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False and token in result["reason"]
+
+
+def test_file_revalidation_of_a_huge_probe_step_error_is_a_verdict(circle_run_dir, tmp_path):
+    # member 1's step error over its target overflows to inf, which plans
+    # the member at its ceiling of 8, not at the 6 substeps the file records;
+    # the overflow itself is no warning
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    rep = json.loads((clone / "report.json").read_text())
+    rep["family"]["probe"]["step_errors"][1] = 1e308
+    (clone / "report.json").write_text(json.dumps(rep))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False
+    assert [check for check, ok in result["checks"].items() if not ok] == ["step_plan"]
 
 
 def _tamper_cell(clone, name, row, column, change):
@@ -943,10 +977,12 @@ TAMPER_SURVIVORS = {
     r"family\.bounds\.\d\.(max_speed|max_potential|max_displacement|worst_ball_ratio)":
         "a maximum over every internal step, which the output nodes bound only from below",
     r"scenario\.step_factor": "the step plan reads it through ceil, which 1e-6 does not move",
+    r"scenario\.min_eps": "a cap on the schedule, not a fact of the run: any cap at or below "
+                          "the smallest eps admits the same files",
 }
 #: the ellipsoid's further survivors
 ELLIPSOID_SURVIVORS = {
-    r"scenario\.potential\.params\.coeffs\.2":
+    r"scenario\.potential\.coeffs\.2":
         "its runs keep x2 = 0, where the third coefficient multiplies nothing",
 }
 
@@ -977,8 +1013,8 @@ def test_every_report_leaf_is_rederived_from_the_files(circle_run_dir, ellipsoid
     monkeypatch.setattr(reporting, "read_csv_columns",
                         functools.lru_cache(maxsize=None)(reporting.read_csv_columns))
     for name, run_dir, leaves, allowances in [
-            ("circle", circle_run_dir, 182, TAMPER_SURVIVORS),
-            ("ellipsoid", ellipsoid_run_dir, 187, {**TAMPER_SURVIVORS, **ELLIPSOID_SURVIVORS})]:
+            ("circle", circle_run_dir, 183, TAMPER_SURVIVORS),
+            ("ellipsoid", ellipsoid_run_dir, 188, {**TAMPER_SURVIVORS, **ELLIPSOID_SURVIVORS})]:
         count, survivors = _survivors(run_dir.path, tmp_path / name)
         allowed = {pattern: [leaf for leaf in survivors if re.fullmatch(pattern, leaf)]
                    for pattern in allowances}
@@ -1294,12 +1330,15 @@ def test_member_0_file_is_unchanged(tmp_path, name):
 # their floor of 8 substeps, and for all three when report.json came to state
 # each fact once (the eps schedule, p and v only in the scenario; every
 # other key and value kept its bytes), and again when coordinates.sup_r left
-# it (convergence.violation_max states the same numbers): a change that
-# claims to keep the verdicts and the numbers keeps these bytes
+# it (convergence.violation_max states the same numbers), and for all three
+# when the scenario block became a scenario file (the potential's parameters
+# flattened, min_eps added, the integrator moved into family; every number
+# kept its bytes): a change that claims to keep the verdicts and the numbers
+# keeps these bytes
 REPORT_DIGESTS = {
-    "circle": "64d8676e05dea113b764a0ea491b1f804cb6d30a4be39691dc4e4113e0bfc2a1",
-    "gutter": "f75ebfb4eeb0272975e6ad7a0f5baafa3a3656ce76abc996b16230940b3027e9",
-    "ellipsoid": "91318fc5ec78911c7403dd7eab60e0b5c303dc512f1ff7bbee68152b57aa3838",
+    "circle": "5060a4aa92d9421e61d05532aaeb909682bd1ad1e9d35d4d2ffaf830b55fa75b",
+    "gutter": "11909c6aeab292ed7b3a1acfcad61515ecc25c6ca12730949df936d35aeef9d5",
+    "ellipsoid": "5e38c76ce32d2291f50972b2754b348a5504cb38c9770367916d5f93895f67a5",
 }
 
 
@@ -1311,6 +1350,18 @@ def test_report_json_is_unchanged(tmp_path, name):
     assert fv.run_pipeline(scn, str(tmp_path), svg=False).exit_code == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_the_report_scenario_block_is_a_scenario_file(tmp_path, name):
+    # the block, written to a file and certified again, reproduces the report
+    scn = fv.parse_scenario(os.path.join(os.path.dirname(CIRCLE), f"{name}.json"))
+    assert fv.run_pipeline(scn, str(tmp_path / "first"), svg=False).exit_code == 0
+    report = (tmp_path / "first" / "report.json").read_bytes()
+    path = _write(tmp_path, f"{name}.json", json.loads(report)["scenario"])
+    again = fv.run_pipeline(fv.parse_scenario(path), str(tmp_path / "again"), svg=False)
+    assert again.exit_code == 0
+    assert (tmp_path / "again" / "report.json").read_bytes() == report
 
 
 def test_report_records_each_members_step(circle_run_dir):
