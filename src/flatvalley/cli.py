@@ -93,8 +93,6 @@ from .svgplot import line_plot
 #: most samples ``residual --samples`` may ask for: a hundred times its
 #: default of 20, checked before any array is built
 MAX_SAMPLES = 2000
-#: the scenario keys a flag of the same name overrides, with their types
-OVERRIDES = {"eps0": float, "ratio": float, "count": int, "horizon": float, "step_factor": float}
 
 
 def chart_for_scenario(scn: Scenario):
@@ -309,7 +307,13 @@ def _figures(out_dir: str, scn: Scenario, state: dict) -> List[str]:
 
 
 def _scenario_from_args(args) -> Scenario:
-    overrides = {key: getattr(args, key) for key in OVERRIDES}
+    overrides = {
+        "eps0": args.eps0,
+        "ratio": args.ratio,
+        "count": args.count,
+        "horizon": args.horizon,
+        "step_factor": args.step_factor,
+    }
     # this module's gallery_lookup, which flatbench/tracer.py patches to count field calls
     return parse_scenario(args.scenario, overrides, lookup=gallery_lookup)
 
@@ -491,8 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility and must be at least 1; every run "
                              "is serial (the family runs in lockstep batches), so it "
                              "changes nothing")
-    for key, kind in OVERRIDES.items():
-        common.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
+    common.add_argument("--eps0", type=float, default=None)
+    common.add_argument("--ratio", type=float, default=None)
+    common.add_argument("--count", type=int, default=None)
+    common.add_argument("--horizon", type=float, default=None)
+    common.add_argument("--step-factor", dest="step_factor", type=float, default=None)
     # only the stages of run_pipeline write files
     writes = argparse.ArgumentParser(add_help=False)
     writes.add_argument("--out", default=None, help="output directory")

@@ -159,9 +159,11 @@ class Scenario:
         gn = float(np.linalg.norm(g))
         if not gn > TOL_CRIT:
             raise ScenarioError(f"p is a critical point of f: |grad f(p)| = {gn:.3e}")
-        for key in ("horizon", "eps0", "ratio", "count", "min_eps"):
-            setattr(self, key, _number(key, getattr(self, key),
-                                       numbers.Integral if key == "count" else numbers.Real))
+        self.horizon = _number("horizon", self.horizon)
+        self.eps0 = _number("eps0", self.eps0)
+        self.ratio = _number("ratio", self.ratio)
+        self.count = _number("count", self.count, numbers.Integral)
+        self.min_eps = _number("min_eps", self.min_eps)
         if self.horizon <= 0:
             raise ScenarioError("horizon must be positive")
         if self.eps0 <= 0:
@@ -259,11 +261,11 @@ def _scenario_args(record, lookup) -> dict:
                 potential=potential, p=p, v=v, options=opts)
 
 
-def read_scenario(record, *, lookup=gallery_lookup) -> Scenario:
+def read_scenario(record) -> Scenario:
     """The strict reader of a scenario record, report.json's ``scenario`` block
     included: nothing is snapped or projected before :class:`Scenario`
     validates it."""
-    return Scenario(**_scenario_args(record, lookup))
+    return Scenario(**_scenario_args(record, gallery_lookup))
 
 
 def parse_scenario(path, overrides: Optional[dict] = None, *,
