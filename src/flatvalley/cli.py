@@ -23,8 +23,8 @@ INDETERMINATE verdict (a member failed its confinement audit, drifted in
 energy by more than ``dynamics.ENERGY_DRIFT_LIMIT`` = 1e-8 or showed a step
 error above ``dynamics.STEP_ERROR_FRACTION`` = 1e-3 of the limit
 tolerance, a proof bound of the tube coordinates failed, the limit failed
-its Cauchy diagnostic, a degenerate limit, a schedule too short, a failed
-in-memory revalidation),
+its Cauchy diagnostic, a degenerate limit, a schedule too short, a
+physical run ending within R/2 of p),
 1 on hard errors, bad input and malformed command lines included: every
 failure is a ``FlatValleyError``, reported on one ``error: ...`` line.
 """
@@ -47,7 +47,7 @@ from .analysis import (
     extract_limit,
     limit_escape,
     physical_evidence_runs,
-    revalidate_certificate,
+    revalidate_certificate,  # noqa: F401 (flatbench/tracer.py patches it here)
 )
 from .contrast import (
     MAX_TRAJECTORIES,
@@ -204,13 +204,8 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
         fam, limit = state["family"], state["limit"]
         _, _, tau_star, _ = limit_escape(limit.tau, limit.x, fam.p, fam.v)  # before the cut
         runs = state["physical_runs"] = physical_evidence_runs(fam, tau_star)
-        cert = certify_instability(fam, limit, runs)
-        ok = revalidate_certificate(cert, fam, limit, runs)
-        state["certificate"] = cert
+        cert = state["certificate"] = certify_instability(fam, limit, runs)
         payload["certificate"] = dict(vars(cert))
-        if not ok:
-            raise IndeterminateCertificateError(
-                "the certificate failed its in-memory revalidation")
         report.verdict = cert.verdict
 
     def stage_emit():

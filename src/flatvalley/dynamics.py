@@ -445,12 +445,6 @@ class EnergyReport:
     values: Array
 
 
-def energy_drift(H: Array) -> float:
-    """max |H - H(0)| / max(|H(0)|, 1e-300), with H(0) the middle sample."""
-    h0 = float(H[(len(H) - 1) // 2])
-    return float(np.max(np.abs(H - h0)) / max(abs(h0), 1e-300))
-
-
 @dataclass(eq=False)
 class BoundsCheck:
     """Conservation-law confinement verdicts for one rescaled run.

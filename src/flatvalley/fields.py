@@ -307,11 +307,25 @@ def circle(exponent: int = 2) -> CompositePotential:
     )
 
 
+#: the largest coefficient whose double, which a gradient kernel takes, is finite
+_HALF_MAX = np.finfo(float).max / 2
+
+
+def _bounded(name: str, value, limit=np.finfo(float).max):
+    """``value`` when each of its entries is at most ``limit`` in size, and
+    so finite; otherwise the parameter ``name`` is refused."""
+    if not np.all(np.abs(value) <= limit):
+        raise InvalidParameterError(f"{name} must be finite and at most {limit:g} in size, "
+                                    f"got {np.asarray(value).tolist()}")
+    return value
+
+
 def ellipsoid(coeffs=(1.0, 2.0, 3.0), exponent: int = 4) -> CompositePotential:
     """U(x) = (sum_i c_i x_i^2 - 1)**k: the valley floor is an ellipsoid."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size < 2 or np.any(c <= 0):
         raise InvalidParameterError("ellipsoid coefficients must be positive, >= 2 of them")
+    _bounded("coeffs", c, _HALF_MAX)
     c2 = _tile(2.0 * c)
     fld = _field(c.size, lambda X: np.subtract(np.vecdot(np.multiply(X, X), c), _ONE),
                  lambda X: np.multiply(c2(len(X)), X), f"ellipsoid{tuple(c)}")
@@ -339,9 +353,9 @@ def custom_polynomial(
     if l is not None and q is not None and l.shape != q.shape:
         raise InvalidParameterError("linear and quadratic coefficient lengths differ")
     n = (l if l is not None else q).size
-    lv = np.zeros(n) if l is None else l
-    qv = np.zeros(n) if q is None else q
-    off = float(offset)
+    lv = np.zeros(n) if l is None else _bounded("linear", l)
+    qv = np.zeros(n) if q is None else _bounded("quadratic", q, _HALF_MAX)
+    off = _bounded("offset", float(offset))
     off0, q2 = np.array(off), 2.0 * qv
     fld = _field(
         n,

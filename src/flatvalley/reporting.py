@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -99,9 +99,10 @@ def write_report_json(path, payload: dict) -> None:
 
 
 def read_csv_columns(path) -> Dict[str, Array]:
+    """The columns of a CSV file by header name, read from one handle."""
     with open(path, "r", encoding="utf-8") as fh:
         names = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
@@ -123,7 +124,7 @@ def scenario_payload(scn) -> dict:
 
 def family_payload(fam) -> dict:
     """report.json's ``family``: the stepper, each member's step, audits and
-    confinement claims (read back by ``_member_steps_hold`` and ``_bounds_hold``),
+    confinement claims (read back by ``_member_steps_hold`` and ``_audits_hold``),
     and how the substeps were chosen (see ``dynamics.family_for_gates``)."""
     plan = fam.plan
     return {
@@ -146,17 +147,31 @@ def family_payload(fam) -> dict:
     }
 
 
-def _bounds_hold(claims: List[dict], scn, steps, x: Array, vel: Array) -> bool:
-    """The family's confinement claims (``report.json["family"]["bounds"]``)
-    against its member files: ``x`` and ``vel``, each (members, nodes, n).
+#: 1 + 16u, u the unit roundoff: the rounding a displacement claim may show
+#: above worst_ball_ratio T |v| (see ``_audits_hold``)
+_REACH_ROUNDING = 1.0 + 8.0 * float(np.finfo(float).eps)
 
-    Member j's output nodes, the columns of its file, are audited by
+
+def _audits_hold(fam: dict, scn, steps, x: Array, vel: Array, h: Array) -> Tuple[bool, bool]:
+    """``bounds`` and ``energy_drift``: the family's confinement and energy
+    drift claims (``fam["bounds"]`` and ``fam["energy_drifts"]``) against
+    its member files, ``x``, ``vel`` and ``h``, each (members, nodes[, n]).
+
+    Member j's output nodes, the rows of its file, are audited by
     :class:`flatvalley.dynamics.RunAudits` at their step indices (node i at
     step (i - half) m_j of ``steps[j]``), as the family audited every
     internal state: the nodes are a subset of those states, so a claimed
     maximum of |v|, U, |x - p| or the ball ratio below its node maximum is
-    false.  Each claim's verdicts must also hold and follow from its
-    claimed maxima against their SLACK bounds.
+    false, and so is a claimed drift below the nodes' drift.  Each H column
+    must be the audit's H at the nodes bit for bit.  Each claim's verdicts
+    must also hold and follow from its claimed maxima against their SLACK
+    bounds, and its ``max_displacement`` must be at most
+    ``worst_ball_ratio`` T |v| (1 + 16u), u the unit roundoff: the family
+    read each state at |tau| = |k dt| <= T (1 + u)^3, dt = (T / half) / m
+    and |k| <= half m, and rounded its ratio |x - p| / (|tau| |v|) twice,
+    so |x - p| <= ratio T |v| (1 + u)^4 / (1 - u); the bound here, three
+    products, rounds to at least (1 - u)^3 of its value, and (1 + u)^4 /
+    (1 - u)^4 < 1 + 16u.
     """
     half = (x.shape[1] - 1) // 2
     m = np.array([m for m, _ in steps])
@@ -168,11 +183,16 @@ def _bounds_hold(claims: List[dict], scn, steps, x: Array, vel: Array) -> bool:
         claimed = vars(BoundsCheck.from_maxima(float(audits.epsilons[j]), audits.v_norm,
                                                *(claim[k] for k in _MAXIMA)))
         at_nodes = vars(audits.bounds(j))
+        reach = claim["worst_ball_ratio"] * scn.horizon * audits.v_norm * _REACH_ROUNDING
         # a NaN node maximum exceeds nothing: non-finite cells are the finite check's
         return (all(claim[k] is True and claimed[k] for k in _VERDICTS)
-                and not any(at_nodes[k] > claim[k] for k in _MAXIMA))
+                and not any(at_nodes[k] > claim[k] for k in _MAXIMA)
+                and claim["max_displacement"] <= reach)
 
-    return len(claims) == len(x) and all(map(holds, range(len(claims)), claims))
+    claims, drifts = fam["bounds"], fam["energy_drifts"]
+    return (len(claims) == len(x) and all(map(holds, range(len(claims)), claims)),
+            len(drifts) == len(x) and np.array_equal(audits.values, h)
+            and all(audits.energy(j).drift <= d for j, d in enumerate(drifts)))
 
 
 def _member_steps_hold(fam: dict, scn):
@@ -227,9 +247,10 @@ def revalidate_from_dir(out_dir) -> dict:
     :func:`scenario_payload`, so a dropped key does not become its default.
     Beside :func:`flatvalley.analysis.check_certificate`'s checks
     (``evidence`` also ties evidence.csv's row j to eps_j and to its
-    :func:`flatvalley.analysis.evidence_times`), ``step_plan`` and
-    ``bounds`` re-derive the family block (``_member_steps_hold``, whose
-    integrator must be PEFRL, and ``_bounds_hold``); ``launch`` puts every
+    :func:`flatvalley.analysis.evidence_times`), ``step_plan``, ``bounds``
+    and ``energy_drift`` re-derive the family block (``_member_steps_hold``,
+    whose integrator must be PEFRL, and ``_audits_hold``, which also ties
+    each member's H column to its states); ``launch`` puts every
     traj, coords and limit file on the scenario's grid and each member at
     (p, v) at tau = 0; ``limit`` requires limit.csv to be ``foot_many`` of
     the finest member; and ``coordinates`` (also r = f at each member's
@@ -268,8 +289,7 @@ def revalidate_from_dir(out_dir) -> dict:
         limit_x = states(limit_cols, "x")
         x, vel = (np.stack([states(cols, var) for cols in members]) for var in "xv")
         checks = check_certificate(cert, p, v, limit_cols["tau"], limit_x, list(x),
-                                   states(evidence_cols, "x"), fam["energy_drifts"],
-                                   [cols["H"] for cols in members])
+                                   states(evidence_cols, "x"))
         checks["scenario"] = _jsonable(scenario_payload(scn)) == report["scenario"]
         # first, as a schedule past MAX_STEPS has no times on its grid
         steps, checks["step_plan"] = _member_steps_hold(fam, scn)
@@ -279,7 +299,8 @@ def revalidate_from_dir(out_dir) -> dict:
                                and eps.tolist() == epsilons.tolist()
                                and t.tolist() == evidence_times(cert["tau_star"], T, half,
                                                                 epsilons).tolist())
-        checks["bounds"] = _bounds_hold(fam["bounds"], scn, steps, x, vel)
+        checks["bounds"], checks["energy_drift"] = _audits_hold(
+            fam, scn, steps, x, vel, np.stack([cols["H"] for cols in members]))
         grid = np.arange(-half, half + 1) * (T / half)
         checks["launch"] = (all(np.array_equal(cols["tau"], grid)
                                 for cols in [limit_cols, *members, *coords])

@@ -4,7 +4,7 @@ A scenario states the hypotheses of the instability theorem, a composite
 potential U = g(f), a launch point p on the valley floor M = {f = 0} at a
 regular point of f and a launch velocity v tangent to M there, together
 with the eps schedule and the integrator's resolution.  Scenario files are
-flat JSON documents::
+flat, strict JSON documents (a NaN or Infinity token is refused)::
 
     {
       "potential": {"kind": "circle", "exponent": 2},
@@ -286,9 +286,12 @@ def parse_scenario(path, overrides: Optional[dict] = None, *,
     ``gallery_lookup``, so the CLI passes its own; it goes once the tracer
     patches names where they are defined (ROADMAP item 7).
     """
+    def refuse(token):
+        raise ScenarioError(f"scenario file {path} holds {token}, which JSON does not allow")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -78,6 +78,17 @@ def ellipsoid_run_dir(tmp_path_factory):
     return SimpleNamespace(path=str(out), report=report)
 
 
+@pytest.fixture(scope="session")
+def gutter_run_dir(tmp_path_factory):
+    """The shipped gutter scenario's full pipeline, figures left out."""
+    out = tmp_path_factory.mktemp("gutter_pipeline")
+    scn = fv.parse_scenario(str(pathlib.Path(__file__).parent.parent / "scenarios" /
+                                "gutter.json"))
+    report = fv.run_pipeline(scn, str(out), svg=False)
+    assert report.exit_code == 0, report.reason
+    return SimpleNamespace(path=str(out), report=report)
+
+
 @pytest.fixture()
 def tiny_scenario_file(tmp_path):
     """A fast 3-member circle scenario for CLI plumbing tests."""

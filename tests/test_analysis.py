@@ -147,17 +147,16 @@ def test_memory_and_file_checks_agree(circle_bundle, circle_run_dir):
     b = circle_bundle
     claims = dict(vars(b.certificate))
     args = (b.scenario.p, b.scenario.v, b.limit.tau, b.limit.x,
-            [m.x for m in b.family.members], [run.x[-1] for run in b.physical_runs],
-            [e.drift for e in b.family.energies], [e.values for e in b.family.energies])
+            [m.x for m in b.family.members], [run.x[-1] for run in b.physical_runs])
     checks = fv.check_certificate(claims, *args)
     assert all(checks.values())
     # the files also answer for the scenario, steps, confinement bounds,
-    # launch, limit, coordinate bounds and convergence report.json claims,
-    # which the in-memory scenario, family, limit and traces are the source
-    # of, and for every cell they hold being finite
+    # energy drifts, launch, limit, coordinate bounds and convergence
+    # report.json claims, which the in-memory scenario, family, limit and
+    # traces are the source of, and for every cell they hold being finite
     file_checks = revalidate_from_dir(circle_run_dir.path)["checks"]
-    for name in ("scenario", "step_plan", "bounds", "launch", "limit", "coordinates",
-                 "convergence", "finite"):
+    for name in ("scenario", "step_plan", "bounds", "energy_drift", "launch", "limit",
+                 "coordinates", "convergence", "finite"):
         assert file_checks.pop(name) is True, name
     assert checks == file_checks
     evidence = claims["evidence"]
@@ -174,20 +173,19 @@ def test_check_certificate_rederives_the_noise_ball(circle_bundle):
     b = circle_bundle
     claims, p, v = dict(vars(b.certificate)), b.scenario.p, b.scenario.v
     args = (b.limit.tau, b.limit.x, [m.x for m in b.family.members],
-            [run.x[-1] for run in b.physical_runs], [e.drift for e in b.family.energies],
-            [e.values for e in b.family.energies])
+            [run.x[-1] for run in b.physical_runs])
     assert fv.check_certificate(claims, p, v, *args)["tol_r"]
     for factor in (0.5, 1.5):
         tampered = dict(claims, tol_r=claims["tol_r"] * factor)
         assert not fv.check_certificate(tampered, p, v, *args)["tol_r"]
     # at twice the speed that puts R on the noise ball, a claim restating the
     # ball still fails: the limit shows no escape, so no certificate is rebuilt
-    # and every field fails (the drifts do not depend on v)
+    # and every field fails
     fast = v * 2.0 * claims["escape_radius"] / claims["tol_r"]
     ball = fv.analysis.noise_ball(b.limit.tau, fast)
     checks = fv.check_certificate(dict(claims, tol_r=ball), p, fast, *args)
     assert ball > claims["escape_radius"]
-    assert [name for name, ok in checks.items() if ok] == ["energy_drift"]
+    assert [name for name, ok in checks.items() if ok] == []
 
 
 def test_physical_runs_must_match_tau_star(circle_bundle):

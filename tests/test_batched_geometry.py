@@ -330,9 +330,8 @@ def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, fl
     # CHART_NEWTON_ITERS.  f is read once at the nodes, twice by the flow
     # identity, once by the foot polish (every row settles at once) and
     # CHART_NEWTON_ITERS + 1 times by the graph solve: 17 f_many calls.
-    # extract_limit's foot projection reads it four times in the same way,
-    # the limit's residual once and the floor violations once per member:
-    # 11 on the bundles' 6 members
+    # extract_limit's foot projection reads it four times in the same way
+    # and the floor violations once per member: 10 on the bundles' 6 members
     b = request.getfixturevalue(bundle)
     fld = b.chart.field
     r = fld.value_many(np.concatenate([traj.x for traj in b.family.members]))
@@ -368,7 +367,7 @@ def test_coordinate_traces_flow_in_one_lockstep(request, monkeypatch, bundle, fl
     family = dataclasses.replace(
         b.family, potential=dataclasses.replace(b.family.potential, field=counting))
     limit, _ = fv.extract_limit(family)
-    assert b.family.count == 6 and calls["f"] == 11
+    assert b.family.count == 6 and calls["f"] == 10
     assert _bits(limit.x) == _bits(b.limit.x)
 
 

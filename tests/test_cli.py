@@ -22,6 +22,7 @@ from flatvalley.errors import (
     UnverifiedLimitError,
 )
 from flatvalley.reporting import read_csv_columns, revalidate_from_dir, write_trajectory_csv
+from flatvalley.scenario import read_scenario
 
 
 def _write(tmp_path, name, payload):
@@ -93,6 +94,18 @@ def test_parse_scenario_rejects_plain_potential(tmp_path):
     ({"p": [float("nan"), 0.0, 0.0]}, "p must be a 3-vector of finite numbers"),
     ({"horizon": float("nan")}, "horizon must be a finite real number, got nan"),
     ({"eps0": float("inf")}, "eps0 must be a finite real number, got inf"),
+], ids=["p-nan", "horizon-nan", "eps0-inf"])
+def test_the_validator_refuses_non_finite_values(change, message):
+    # a record that is no JSON text: json.dumps writes these values as NaN
+    # and Infinity tokens, which a scenario file may not hold
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        read_scenario(dict(BASE, **change))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"p": [float("nan"), 0.0, 0.0]}, "holds NaN, which JSON does not allow"),
+    ({"horizon": float("nan")}, "holds NaN, which JSON does not allow"),
+    ({"eps0": float("inf")}, "holds Infinity, which JSON does not allow"),
     ({"count": "3"}, "count must be a JSON integer"),
     ({"count": True}, "count must be a JSON integer"),
     ({"tol_on_m": 5.0}, "unknown scenario fields: ['tol_on_m']"),
@@ -211,8 +224,8 @@ def test_report_json_content(circle_run_dir):
     assert rep["convergence"]["cauchy_ok"] is True
     assert len(rep["family"]["dt"]) == rep["scenario"]["count"] == 6
     assert all(d <= 1e-8 for d in rep["family"]["energy_drifts"])
-    # each fact once: the eps schedule, p and v only in the scenario, the
-    # in-memory revalidation in the exit code
+    # each fact once: the eps schedule, p and v only in the scenario; file
+    # revalidation re-derives the certificate, which records no verdict of it
     assert "slack" not in rep["scenario"] and "epsilons" not in rep["family"]
     assert not {"epsilons", "p", "v", "revalidated_in_memory"} & set(rep["certificate"])
     assert not {"epsilons", "source_epsilon", "verified"} & set(rep["convergence"])
@@ -589,19 +602,6 @@ def test_confinement_failure_stops_family_and_certify(tiny_scenario_file, tmp_pa
         assert (out / "traj_eps2.csv").exists()
 
 
-def test_failed_in_memory_revalidation_is_indeterminate(tiny_scenario_file, tmp_path,
-                                                        monkeypatch, capsys):
-    monkeypatch.setattr(cli, "revalidate_certificate", lambda *args: False)
-    out = tmp_path / "out"
-    assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out", str(out),
-                     "--no-svg"]) == 2
-    assert "verdict: INDETERMINATE" in capsys.readouterr().out
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["certificate"] == {
-        "verdict": "INDETERMINATE",
-        "reason": "the certificate failed its in-memory revalidation"}
-
-
 def test_limit_runs_no_coordinates_stage(tmp_path, capsys):
     # the small-chart ellipsoid fails its Cauchy diagnostic
     path = _write(tmp_path, "slow.json",
@@ -667,15 +667,19 @@ def test_huge_horizon_is_one_error_line(tiny_scenario_file, tmp_path, capsys, ar
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("exponent", [1e300, float("inf")], ids=["1e300", "inf"])
-def test_huge_profile_exponent_is_one_error_line(tmp_path, capsys, exponent):
-    # json.dumps writes inf as Infinity, which json.load reads back
+@pytest.mark.parametrize("exponent, error, reason", [
+    (1e300, "InvalidParameterError", "from 2 to 64"),
+    (float("inf"), "ScenarioError", "holds Infinity"),
+], ids=["1e300", "inf"])
+def test_huge_profile_exponent_is_one_error_line(tmp_path, capsys, exponent, error, reason):
+    # json.dumps writes inf as Infinity, which the scenario reader refuses as
+    # no JSON number
     path = _write(tmp_path, "steep.json",
                   dict(BASE, potential={"kind": "ellipsoid", "exponent": exponent}))
     assert cli.main(["family", "--scenario", path, "--out", str(tmp_path / "out"),
                      "--no-svg"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: InvalidParameterError") and "from 2 to 64" in err
+    assert err.startswith(f"error: {error}") and reason in err
     assert len(err.splitlines()) == 1
 
 
@@ -753,6 +757,74 @@ def test_file_revalidation_rederives_energy_drift(circle_run_dir, tmp_path):
     result = revalidate_from_dir(str(clone))
     assert not result["ok"] and not result["checks"]["energy_drift"]
     assert revalidate_from_dir(circle_run_dir.path)["checks"]["energy_drift"]
+
+
+@pytest.mark.parametrize("run", ["circle", "gutter", "ellipsoid"])
+def test_file_revalidation_bounds_the_claimed_displacement_from_above(
+        circle_run_dir, gutter_run_dir, ellipsoid_run_dir, tmp_path, run):
+    # the nodes bound max |x - p| from below; worst_ball_ratio T |v| bounds
+    # it from above
+    run_dir = {"circle": circle_run_dir, "gutter": gutter_run_dir,
+               "ellipsoid": ellipsoid_run_dir}[run]
+    clone = tmp_path / "tampered"
+    shutil.copytree(run_dir.path, clone)
+    rep = json.loads((clone / "report.json").read_text())
+    rep["family"]["bounds"][0]["max_displacement"] = 1e308
+    (clone / "report.json").write_text(json.dumps(rep))
+    result = revalidate_from_dir(str(clone))
+    assert [check for check, ok in result["checks"].items() if not ok] == ["bounds"]
+
+
+def test_file_revalidation_of_a_huge_coefficient_is_a_reason(ellipsoid_run_dir, tmp_path):
+    # twice 1e308 overflows, so the scenario block builds no potential (a
+    # numpy RuntimeWarning fails the suite)
+    clone = tmp_path / "tampered"
+    shutil.copytree(ellipsoid_run_dir.path, clone)
+    rep = json.loads((clone / "report.json").read_text())
+    rep["scenario"]["potential"]["coeffs"][0] = 1e308
+    (clone / "report.json").write_text(json.dumps(rep))
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False and "coeffs" in result["reason"]
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ("[1e308, 2, 3]", "coeffs must be finite and at most"),
+    ("[1, 2, 1e308]", "coeffs must be finite and at most"),
+    ("[Infinity, 2, 3]", "holds Infinity, which JSON does not allow"),
+    ("[NaN, 2, 3]", "holds NaN, which JSON does not allow"),
+], ids=["first-huge", "last-huge", "infinity", "nan"])
+def test_a_non_finite_or_huge_coefficient_is_one_error_line(tmp_path, capsys, coeffs,
+                                                             message):
+    path = tmp_path / "huge.json"
+    path.write_text('{"potential": {"kind": "ellipsoid", "coeffs": %s}, '
+                    '"p": [1.0, 0.0, 0.0], "v": [0.0, 1.0, 0.0]}' % coeffs)
+    assert cli.main(["check", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert message in captured.err and captured.out == ""
+
+
+def test_certify_builds_the_certificate_once(tiny_scenario_file, tmp_path, monkeypatch):
+    calls = []
+    build = fv.analysis.instability_certificate
+    monkeypatch.setattr(fv.analysis, "instability_certificate",
+                        lambda *args: calls.append(1) or build(*args))
+    assert cli.main(["certify", "--scenario", tiny_scenario_file, "--out",
+                     str(tmp_path / "out"), "--no-svg"]) == 0
+    assert len(calls) == 1
+
+
+def test_csv_columns_read_from_one_handle(circle_run_dir, gutter_run_dir, ellipsoid_run_dir):
+    # the header and the table come from one open file, as the cells print
+    for run_dir in (circle_run_dir, gutter_run_dir, ellipsoid_run_dir):
+        for name in sorted(f for f in os.listdir(run_dir.path) if f.endswith(".csv")):
+            path = os.path.join(run_dir.path, name)
+            with open(path) as fh:
+                header, *rows = fh.read().splitlines()
+            cols = read_csv_columns(path)
+            assert list(cols) == header.split(",")
+            for i, column in enumerate(cols.values()):
+                assert column.tolist() == [float(row.split(",")[i]) for row in rows]
 
 
 def _set_claim(key, value):
@@ -835,26 +907,29 @@ def test_file_revalidation_of_a_huge_probe_step_error_is_a_verdict(circle_run_di
 
 
 def _tamper_cell(clone, name, row, column, change):
-    """Replace the cell of ``name``'s data row ``row`` in ``column`` by
-    ``change`` of its value, written as a float literal."""
+    """Replace the cell of ``name``'s data row ``row`` (of every row when
+    None) in ``column`` by ``change`` of its value, written as a float
+    literal."""
     lines = (clone / name).read_text().splitlines()
-    cells = lines[1 + row].split(",")
     i = lines[0].split(",").index(column)
-    cells[i] = repr(change(float(cells[i])))
-    lines[1 + row] = ",".join(cells)
+    for r in range(len(lines) - 1) if row is None else [row]:
+        cells = lines[1 + r].split(",")
+        cells[i] = repr(change(float(cells[i])))
+        lines[1 + r] = ",".join(cells)
     (clone / name).write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("name, column, failing", [
     ("limit.csv", "x0", ["limit", "finite"]),
-    ("traj_eps0.csv", "v0", ["finite"]),
+    ("traj_eps0.csv", "v0", ["energy_drift", "finite"]),
     ("evidence.csv", "t", ["evidence", "finite"]),
 ], ids=["limit.csv-x0", "traj_eps0.csv-v0", "evidence.csv-t"])
 def test_file_revalidation_rejects_non_finite_cells(circle_run_dir, tmp_path, name, column,
                                                     failing):
     # the first row of limit.csv and traj_eps0.csv lies at tau = -T < 0: only
-    # the limit check reads that limit.csv cell and no check but finite the
-    # member's; evidence.csv's t is run 0's tau*/eps_0
+    # the limit check reads that limit.csv cell, and the member's NaN speed
+    # makes its H NaN, which its H column does not hold; evidence.csv's t is
+    # run 0's tau*/eps_0
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     _tamper_cell(clone, name, 0, column, lambda value: float("nan"))
@@ -903,7 +978,7 @@ def test_file_revalidation_rejects_a_tampered_coordinates_claim(circle_run_dir, 
 def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_path, tamper):
     # the circle's members claim speeds within |v| (1 + slack) = 1 + 1e-6; a
     # failed verdict of member 0, which only the probe ran, also contradicts
-    # its probe's confinement verdict
+    # its probe's confinement verdict; a node's speed is also in its H
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     if tamper == "v1":  # a node faster than the claimed maximum
@@ -920,7 +995,8 @@ def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_
         (clone / "report.json").write_text(json.dumps(report))
     result = revalidate_from_dir(str(clone))
     assert result["ok"] is False
-    failing = ["step_plan", "bounds"] if tamper == "speed_ok" else ["bounds"]
+    failing = {"speed_ok": ["step_plan", "bounds"],
+               "v1": ["bounds", "energy_drift"]}.get(tamper, ["bounds"])
     assert [check for check, ok in result["checks"].items() if not ok] == failing
 
 
@@ -932,15 +1008,19 @@ def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_
     ("coords_eps1.csv", 100, "tau", lambda tau: tau + 1e-3, ["launch"]),
     ("traj_eps2.csv", 200, "x0", lambda x: x + 1e-12, ["launch", "coordinates"]),
     ("limit.csv", 50, "x1", lambda x: x * (1.0 + 1e-9), ["limit"]),
+    ("traj_eps2.csv", None, "H", lambda h: 0.5, ["energy_drift"]),
+    ("traj_eps1.csv", 300, "v1", lambda v: v * (1.0 + 1e-9), ["energy_drift"]),
 ], ids=["evidence-eps", "evidence-t", "evidence-t-ulp", "coords-r", "coords-tau",
-        "member-launch", "limit-cell"])
+        "member-launch", "limit-cell", "member-H-flat", "member-v"])
 def test_file_revalidation_ties_every_file_to_the_scenario(circle_run_dir, tmp_path, name,
                                                            row, column, change, failing):
     # evidence.csv's eps is the schedule and t is tau*/eps as the run computed
     # it, to the last bit; coords_eps<j>.csv
     # holds its member's tau and r = f; every member leaves (p, v) at tau = 0
     # (row 200); limit.csv is the feet of the finest member (row 50 is far
-    # from the escape node, the last)
+    # from the escape node, the last); each member's H column is the energy
+    # of its states, H(0) = 0.5 at every node of a flattened one, and a
+    # node's speed is in its H
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     _tamper_cell(clone, name, row, column, change)
@@ -975,7 +1055,8 @@ def _tampered(value):
 #: why no file can tell
 TAMPER_SURVIVORS = {
     r"family\.bounds\.\d\.(max_speed|max_potential|max_displacement|worst_ball_ratio)":
-        "a maximum over every internal step, which the output nodes bound only from below",
+        "a maximum over every internal step, which the output nodes bound from below "
+        "(max_displacement also from above, by worst_ball_ratio T |v|, 4-13% higher here)",
     r"scenario\.step_factor": "the step plan reads it through ceil, which 1e-6 does not move",
     r"scenario\.min_eps": "a cap on the schedule, not a fact of the run: any cap at or below "
                           "the smallest eps admits the same files",
@@ -1022,6 +1103,40 @@ def test_every_report_leaf_is_rederived_from_the_files(circle_run_dir, ellipsoid
         assert sorted(sum(allowed.values(), [])) == sorted(survivors), name
         # and no allowance is stale
         assert all(allowed.values()), (name, allowed)
+
+
+#: the CSV columns whose cells revalidate after their tamper, each pattern
+#: with why no check can tell
+CELL_SURVIVORS = {
+    r"coords_eps\d\.csv:y1":
+        "y is read from the member's nodes by the transversal flow, which file "
+        "revalidation does not re-run (ROADMAP item 10); only its finite differences "
+        "are checked, against maxima a small change at one node need not move",
+}
+
+
+def test_every_csv_cell_is_rederived_from_the_files(circle_run_dir, tmp_path):
+    # one interior cell of every column of every circle CSV, scaled by
+    # 1 + 1e-9 alone, must fail file revalidation, or be allowed
+    clone = tmp_path / "circle"
+    shutil.copytree(circle_run_dir.path, clone)
+    survivors, columns = [], 0
+    for name in sorted(f for f in os.listdir(clone) if f.endswith(".csv")):
+        text = (clone / name).read_text()
+        header, rows = text.splitlines()[0].split(","), text.count("\n") - 1
+        row = (3 * rows) // 4  # off tau = 0, where 0 scales to itself
+        for column in header:
+            _tamper_cell(clone, name, row, column, lambda value: value * (1.0 + 1e-9))
+            assert (clone / name).read_text() != text, (name, column)
+            columns += 1
+            if revalidate_from_dir(str(clone))["ok"]:
+                survivors.append(f"{name}:{column}")
+            (clone / name).write_text(text)
+    allowed = {pattern: [leaf for leaf in survivors if re.fullmatch(pattern, leaf)]
+               for pattern in CELL_SURVIVORS}
+    assert columns == 6 * 6 + 6 * 3 + 3 + 5
+    assert sorted(sum(allowed.values(), [])) == sorted(survivors)
+    assert all(allowed.values()), allowed
 
 
 def test_file_revalidation_ties_each_probe_only_verdict_to_its_bounds(circle_run_dir,

@@ -165,6 +165,20 @@ def test_custom_polynomial():
         fv.custom_polynomial()
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: fv.ellipsoid(coeffs=[1e308, 2.0, 3.0]), "coeffs"),
+    (lambda: fv.ellipsoid(coeffs=[1.0, 2.0, np.inf]), "coeffs"),
+    (lambda: fv.custom_polynomial(quadratic=[1.0, -1e308]), "quadratic"),
+    (lambda: fv.custom_polynomial(linear=[np.nan, 1.0]), "linear"),
+    (lambda: fv.custom_polynomial(linear=[1.0, 0.0], offset=np.inf), "offset"),
+], ids=["coeffs-huge", "coeffs-inf", "quadratic-huge", "linear-nan", "offset-inf"])
+def test_a_coefficient_the_oracles_cannot_use_is_refused(build, name):
+    # the gradient kernels take twice the ellipsoid's and the quadratic
+    # coefficients, which must not overflow
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+        build()
+
+
 def test_dimension_mismatch():
     C = fv.circle()
     with pytest.raises(DimensionMismatchError):
