@@ -41,12 +41,12 @@ _EXPORTS = {
     ),
     "analysis": (
         "ConvergenceReport", "CoordinateReport", "CoordinateTrace", "InstabilityCertificate",
-        "LimitCurve", "certify_instability", "check_certificate", "coordinate_report",
-        "coordinate_traces", "escape_point", "extract_limit", "physical_evidence_runs",
-        "revalidate_certificate",
+        "LimitCurve", "certify_instability", "chart_for_scenario", "check_certificate",
+        "coordinate_report", "coordinate_traces", "escape_point", "extract_limit",
+        "physical_evidence_runs", "revalidate_certificate",
     ),
     "contrast": ("BarrierInfo", "TrapReport", "locate_barrier", "trapped_motion_check"),
-    "cli": ("chart_for_scenario", "run_pipeline"),
+    "cli": ("run_pipeline",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

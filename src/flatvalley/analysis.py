@@ -50,11 +50,13 @@ from .errors import (
 )
 from .geometry import (
     MChart,
+    build_m_chart,
     foot_many,
     foot_point,  # noqa: F401 (flatbench/tracer.py patches it here)
     pullback_metric_min,  # noqa: F401 (flatbench/tracer.py patches it here)
     raise_first,
 )
+from .scenario import Scenario
 
 Array = np.ndarray
 
@@ -75,6 +77,12 @@ class CoordinateTrace:
     rdot: Array
     ydot: Array
     yddot: Array         # NaN at endpoints
+
+
+def chart_for_scenario(scn: Scenario) -> MChart:
+    """Chart sized to the ball the trajectories are confined to."""
+    delta = 1.05 * scn.horizon * float(np.linalg.norm(scn.v))
+    return build_m_chart(scn.potential.field, scn.p, scn.v, delta=delta)
 
 
 def coordinate_traces(chart: MChart, family: FamilyResult) -> List[CoordinateTrace]:

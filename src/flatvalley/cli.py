@@ -41,6 +41,7 @@ import numpy as np
 
 from .analysis import (
     certify_instability,
+    chart_for_scenario,
     check_limit_shape,
     coordinate_report,
     coordinate_traces,
@@ -71,7 +72,6 @@ from .errors import (
 )
 from .fields import fd_gradient_check, gallery_lookup
 from .geometry import (
-    build_m_chart,
     check_regular_value,
     flow_many,
     foot_point,  # noqa: F401 (flatbench/tracer.py patches it here)
@@ -80,6 +80,7 @@ from .geometry import (
 )
 from .reporting import (
     family_payload,
+    grid_cells,
     scenario_payload,
     write_coords_csv,
     write_evidence_csv,
@@ -93,12 +94,6 @@ from .svgplot import line_plot
 #: most samples ``residual --samples`` may ask for: a hundred times its
 #: default of 20, checked before any array is built
 MAX_SAMPLES = 2000
-
-
-def chart_for_scenario(scn: Scenario):
-    """Chart sized to the ball the trajectories are confined to."""
-    delta = 1.05 * scn.horizon * float(np.linalg.norm(scn.v))
-    return build_m_chart(scn.potential.field, scn.p, scn.v, delta=delta)
 
 
 #: the analysis stages of :func:`run_pipeline`, in the order they run
@@ -210,9 +205,11 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
 
     def stage_emit():
         fam = state.get("family")
+        # the members and the limit share one grid, formatted once
+        tau_cells = grid_cells(fam.tau) if fam is not None else None
         for j in range(fam.count if fam is not None else 0):
             name = os.path.join(out_dir, f"traj_eps{j}.csv")
-            write_trajectory_csv(name, fam.members[j], fam.energies[j].values)
+            write_trajectory_csv(name, fam.members[j], tau_cells)
             report.manifest.append(name)
         for j, trace in enumerate(state.get("traces", [])):
             name = os.path.join(out_dir, f"coords_eps{j}.csv")
@@ -220,7 +217,7 @@ def run_pipeline(scenario: Scenario, out_dir: str, svg: bool = True,
             report.manifest.append(name)
         if "limit" in state:
             name = os.path.join(out_dir, "limit.csv")
-            write_limit_csv(name, state["limit"])
+            write_limit_csv(name, state["limit"], tau_cells)
             report.manifest.append(name)
         if "physical_runs" in state:
             name = os.path.join(out_dir, "evidence.csv")

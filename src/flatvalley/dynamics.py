@@ -436,13 +436,12 @@ class EnergyReport:
     """Conservation audit of H = |v|^2/2 + U/eps^2 along a rescaled run.
 
     ``drift`` is max |H - H(0)| / max(|H(0)|, 1e-300) over every internal
-    step; ``values`` carries H on the output grid for serialization.
+    step.
     """
 
     epsilon: float
     h0: float
     drift: float
-    values: Array
 
 
 @dataclass(eq=False)
@@ -508,8 +507,8 @@ class RunAudits:
 
     Each state is read once: H = |v|^2/2 + U/eps^2, the speed |v|, U, the
     displacement |x - p| and the ball ratio |x - p|/(|tau| |v|) are
-    evaluated on the block and folded into running maxima per run, and H
-    is kept at the output nodes.  Every quantity is row by row and every
+    evaluated on the block and folded into running maxima per run.  Every
+    quantity is row by row and every
     reduction a maximum, so the reports are the same bits however the
     states are cut into blocks: a family feeds its members chunk by chunk
     as the lockstep integrator makes them, :func:`energy_audit` and
@@ -517,34 +516,29 @@ class RunAudits:
     holding tau = 0, where H(0) is read, comes first.
     """
 
-    def __init__(self, potential, epsilons, p, v, nodes: int):
+    def __init__(self, potential, epsilons, p, v):
         self.potential = potential
         self.epsilons = np.asarray(epsilons, dtype=float)
         self.p = np.asarray(p, dtype=float)
         self.v_norm = float(np.linalg.norm(v))
         runs = len(self.epsilons)
-        self.values = np.empty((runs, nodes))  # H at the output nodes
         self.h0 = np.empty(runs)
         self.maxima = np.full((runs, 5), -np.inf)  # |H - H(0)|, |v|, U, |x - p|, ball ratio
 
-    def feed(self, runs, k: Array, x: Array, v: Array, dt, stride) -> None:
+    def feed(self, runs, k: Array, x: Array, v: Array, dt) -> None:
         """Audit a block of states: row c of the (cols, steps, n) states
         (x, v) holds states of run ``runs[c]`` at the signed step indices
         ``k[c]`` (negative before tau = 0) of a step ``dt[c]`` of either
-        sign (|tau| = |k dt|), whose output nodes are every
-        ``stride[c]``-th step."""
+        sign (|tau| = |k dt|)."""
         cols, steps, n = x.shape
         runs = np.asarray(runs)
-        dt, stride = np.asarray(dt, dtype=float)[:, None], np.asarray(stride)[:, None]
+        dt = np.asarray(dt, dtype=float)[:, None]
         eps = self.epsilons[runs][:, None]
         U = self.potential.value_many(x.reshape(-1, n)).reshape(cols, steps)
         flat_v = v.reshape(-1, n)
         H = 0.5 * np.einsum("ij,ij->i", flat_v, flat_v).reshape(cols, steps) + U / (eps * eps)
         zero = k == 0
         self.h0[runs[np.nonzero(zero)[0]]] = H[zero]
-        node = k % stride == 0
-        self.values[runs[np.nonzero(node)[0]],
-                    (self.values.shape[1] - 1) // 2 + (k // stride)[node]] = H[node]
         taus = np.abs(k * dt)
         disps = np.sqrt(_squared_norms(x - self.p))
         ratios = np.zeros_like(disps)
@@ -558,8 +552,7 @@ class RunAudits:
     def energy(self, j: int) -> EnergyReport:
         h0 = float(self.h0[j])
         return EnergyReport(epsilon=float(self.epsilons[j]), h0=h0,
-                            drift=float(self.maxima[j, 0]) / max(abs(h0), 1e-300),
-                            values=self.values[j])
+                            drift=float(self.maxima[j, 0]) / max(abs(h0), 1e-300))
 
     def bounds(self, j: int) -> BoundsCheck:
         return BoundsCheck.from_maxima(float(self.epsilons[j]), self.v_norm,
@@ -577,9 +570,9 @@ def _dense_audit(traj: Trajectory, potential, v, name: str) -> RunAudits:
     steps = (len(traj.tau_int) - 1) // 2
     # without a v (the energy audit), the ball ratio it never reads uses the launch velocity
     audit = RunAudits(potential, [traj.epsilon], traj.x_int[steps],
-                      traj.v_int[steps] if v is None else v, len(traj.tau))
+                      traj.v_int[steps] if v is None else v)
     audit.feed([0], np.arange(-steps, steps + 1)[None], traj.x_int[None], traj.v_int[None],
-               [traj.dt], [(len(traj.tau_int) - 1) // (len(traj.tau) - 1)])
+               [traj.dt])
     return audit
 
 
@@ -714,7 +707,7 @@ def _member_runs(potential, p, v, T, epsilons, opts: IntegratorOptions,
     for eps, m in zip(epsilons, substeps):
         c = _physical_substeps(m)
         batch.append((p, float(eps) * v, 1.0, (c, T / float(eps) / half / c, half * c)))
-    audits = RunAudits(potential, epsilons, p, v, opts.n_out)
+    audits = RunAudits(potential, epsilons, p, v)
 
     def observe(rows, first, X, V, due):
         # the members' halves feed their audits as run i; row 2i + 1, the
@@ -725,8 +718,7 @@ def _member_runs(potential, p, v, T, epsilons, opts: IntegratorOptions,
             rs = rows[cols]
             k = (1 - 2 * (rs % 2))[:, None] * (first + np.arange(length))
             audits.feed(rs // 2, k, X[:length].transpose(1, 0, 2)[cols],
-                        V[:length].transpose(1, 0, 2)[cols], [batch[r][3][1] for r in rs],
-                        [batch[r][3][0] for r in rs])
+                        V[:length].transpose(1, 0, 2)[cols], [batch[r][3][1] for r in rs])
 
     Xs, Vs, failures = _lockstep(potential, batch, dense=False, observe=observe)
     runs = []

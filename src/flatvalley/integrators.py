@@ -25,11 +25,15 @@ coefficient is 0): the operations of a loop over the table, in its order,
 without the loop's per-substep Python work (``tests/test_integrators.py``
 keeps that loop as the reference).  Each kick is one call of ``accel``,
 which for a potential is its ``gradient_many`` kernel, bound once per
-potential (see ``fields.CompositePotential``).  States are
-buffered CHUNK steps at a time, tested for blow-up, shown to an optional
-observer and copied, every stride-th one, into one exact-size array per
-row: the blow-up test and the observer see every state, and no (steps,
-rows, n) array is ever allocated.
+potential (see ``fields.CompositePotential``).  The last drift's
+product d4 v is the next step's first-drift product (d0 = d4, and no
+kick lies between), computed once.  States are buffered CHUNK steps at
+a time, each step's last kick and drift writing straight into the
+buffer, then tested for blow-up, shown to an optional observer and
+copied, every stride-th one, into one exact-size array per row: the
+blow-up test and the observer see every state, and no (steps, rows, n)
+array is ever allocated.  The states before a chunk are copied once,
+for the blow-up report of a row that fails at the chunk's first step.
 """
 from __future__ import annotations
 
@@ -126,9 +130,11 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps, scale, blowup_radius: f
     bad = {}  # failed row -> index of its first bad state
     live = rows
     k = 0
+    drift = d0 * v  # the first drift's product, then each last drift's
     while k < n_steps:
         first, live0 = k + 1, live
-        x_before, v_before = x, v  # the states at step first - 1
+        # the states at step first - 1, copied: they may live in the buffer
+        x_before, v_before = x.copy(), v.copy()
         steps_here = min(chunk, n_steps - k)
         with np.errstate(over="ignore", invalid="ignore"):  # a blown-up row is caught below
             for i in range(steps_here):
@@ -136,22 +142,22 @@ def integrate(accel, x0, v0, dt, n_steps: int, *, steps, scale, blowup_radius: f
                 if counts[live - 1] < k:  # finished rows drop off the end of the live prefix
                     while counts[live - 1] < k:
                         live -= 1
-                    x, v = x[:live], v[:live]
+                    x, v, drift = x[:live], v[:live], drift[:live]
                     coeffs = [c[:live] for c in coeffs]
                     d0, d1, d2, d3, d4, k0, k1, k2, k3 = coeffs
                     a_scale = a_scale[:live]
-                # one PEFRL step, written out: the table's substeps in order
-                x = x + d0 * v
+                # one PEFRL step, written out: the table's substeps in order,
+                # its last kick and drift written into the buffer
+                x = x + drift
                 v = v + k0 * (a_scale * accel(x))
                 x = x + d1 * v
                 v = v + k1 * (a_scale * accel(x))
                 x = x + d2 * v
                 v = v + k2 * (a_scale * accel(x))
                 x = x + d3 * v
-                v = v + k3 * (a_scale * accel(x))
-                x = x + d4 * v
-                buf_x[i, :live] = x
-                buf_v[i, :live] = v
+                v = np.add(v, k3 * (a_scale * accel(x)), out=buf_v[i, :live])
+                drift = d4 * v
+                x = np.add(x, drift, out=buf_x[i, :live])
             bx, bv = buf_x[:steps_here, :live0], buf_v[:steps_here, :live0]
             inside = np.vecdot(bx, bx) + np.vecdot(bv, bv) <= r2 + r2  # False also for NaN
         span = [min(counts[r], k) - first + 1 for r in range(live0)]  # the chunk's states per row

@@ -2,8 +2,13 @@
 
 CSV columns use '.' decimals and 17 significant digits, which round-trips
 float64 exactly: revalidation from files reproduces in-memory numbers to
-the bit.  report.json contains only deterministic content (no wall-clock),
-so identical scenarios produce identical bytes, and it is strict JSON (RFC
+the bit.  Each value is written once: a member file holds tau, x and v
+(revalidation audits H from x and v), a coords file only its chart
+coordinates y (its tau and its r = f(x) are its member's, and
+revalidation re-derives its y from x), and a run formats its tau grid
+once for every file that starts with it.
+report.json contains only deterministic content (no wall-clock), so
+identical scenarios produce identical bytes, and it is strict JSON (RFC
 8259): a non-finite number is an error, never a bare NaN token.  Each of
 its blocks is built here or is an analysis record, field for field.
 """
@@ -16,6 +21,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .analysis import (
+    chart_for_scenario,
     check_certificate,
     convergence_report,
     coordinate_report,
@@ -53,40 +59,59 @@ def _jsonable(obj):
     return obj
 
 
-def _write_table(path, header, columns) -> None:
+def _headers(n: int) -> Dict[str, list]:
+    """Each CSV's header by file kind, for states in n dimensions, as its
+    writer writes it (the ``columns`` check of :func:`revalidate_from_dir`)."""
+    x, v = ([f"{var}{i}" for i in range(n)] for var in "xv")
+    return {"traj": ["tau", *x, *v], "coords": [f"y{i}" for i in range(1, n)],
+            "limit": ["tau", *x], "evidence": ["j", "eps", "t", *x]}
+
+
+def grid_cells(tau) -> list:
+    """The cells of a tau grid, each node's ``%.17g`` text: formatted once
+    per run and handed to every file on that grid."""
+    return [_FMT % t for t in np.asarray(tau, dtype=float).tolist()]
+
+
+def _write_table(path, header, columns, lead=None) -> None:
     """Write the columns side by side: each a (rows,) array or a (rows, k)
-    block of k columns.  The table is one float array, formatted by one
-    ``%.17g`` row template per file."""
+    block of k columns, after ``lead``, if given, a first column of cells
+    already formatted (:func:`grid_cells`).  The columns are one float
+    table, formatted by one ``%.17g`` row template per file that takes
+    each row's lead cell as it is."""
     table = np.column_stack(columns)
     row = ",".join([_FMT] * table.shape[1]) + "\n"
+    if lead is not None:
+        floats, table = table, np.empty((len(table), table.shape[1] + 1), dtype=object)
+        table[:, 0], table[:, 1:] = lead, floats
+        row = "%s," + row
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def write_trajectory_csv(path, traj, h_values) -> None:
-    """One rescaled member: tau, positions, velocities, energy."""
-    n = traj.dim
-    header = (["tau"] + [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)] + ["H"])
-    _write_table(path, header, [traj.tau, traj.x, traj.v, h_values])
+def write_trajectory_csv(path, traj, tau_cells) -> None:
+    """One rescaled member: tau (``tau_cells``, its grid's :func:`grid_cells`),
+    positions, velocities."""
+    _write_table(path, _headers(traj.dim)["traj"], [traj.x, traj.v], tau_cells)
 
 
 def write_coords_csv(path, trace) -> None:
-    """One coordinate trace: tau, r, tangential chart coordinates."""
-    header = ["tau", "r"] + [f"y{i + 1}" for i in range(trace.y.shape[1])]
-    _write_table(path, header, [trace.tau, trace.r, trace.y])
+    """One coordinate trace: its tangential chart coordinates, one row per
+    row of its member's file (whose tau and r = f(x) it shares)."""
+    _write_table(path, _headers(trace.y.shape[1] + 1)["coords"], [trace.y])
 
 
-def write_limit_csv(path, limit) -> None:
-    header = ["tau"] + [f"x{i}" for i in range(limit.x.shape[1])]
-    _write_table(path, header, [limit.tau, limit.x])
+def write_limit_csv(path, limit, tau_cells) -> None:
+    """The limit curve: tau (``tau_cells``, its grid's :func:`grid_cells`), positions."""
+    _write_table(path, _headers(limit.x.shape[1])["limit"], [limit.x], tau_cells)
 
 
 def write_evidence_csv(path, runs) -> None:
     """The physical evidence: each run's state at its end, tau*/eps_j."""
-    header = ["j", "eps", "t"] + [f"x{i}" for i in range(runs[0].dim)]
-    _write_table(path, header, [np.arange(len(runs)), [run.epsilon for run in runs],
-                                [run.tau[-1] for run in runs], [run.x[-1] for run in runs]])
+    _write_table(path, _headers(runs[0].dim)["evidence"],
+                 [np.arange(len(runs)), [run.epsilon for run in runs],
+                  [run.tau[-1] for run in runs], [run.x[-1] for run in runs]])
 
 
 def write_report_json(path, payload: dict) -> None:
@@ -99,10 +124,13 @@ def write_report_json(path, payload: dict) -> None:
 
 
 def read_csv_columns(path) -> Dict[str, Array]:
-    """The columns of a CSV file by header name, read from one handle."""
+    """The columns of a CSV file by header name, read from one handle; a
+    row of another width than the header is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         names = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path} has {data.shape[1]} columns under a header of {len(names)}")
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
@@ -152,18 +180,18 @@ def family_payload(fam) -> dict:
 _REACH_ROUNDING = 1.0 + 8.0 * float(np.finfo(float).eps)
 
 
-def _audits_hold(fam: dict, scn, steps, x: Array, vel: Array, h: Array) -> Tuple[bool, bool]:
+def _audits_hold(fam: dict, scn, steps, x: Array, vel: Array) -> Tuple[bool, bool]:
     """``bounds`` and ``energy_drift``: the family's confinement and energy
     drift claims (``fam["bounds"]`` and ``fam["energy_drifts"]``) against
-    its member files, ``x``, ``vel`` and ``h``, each (members, nodes[, n]).
+    its member files, ``x`` and ``vel``, each (members, nodes, n).
 
     Member j's output nodes, the rows of its file, are audited by
     :class:`flatvalley.dynamics.RunAudits` at their step indices (node i at
     step (i - half) m_j of ``steps[j]``), as the family audited every
     internal state: the nodes are a subset of those states, so a claimed
     maximum of |v|, U, |x - p| or the ball ratio below its node maximum is
-    false, and so is a claimed drift below the nodes' drift.  Each H column
-    must be the audit's H at the nodes bit for bit.  Each claim's verdicts
+    false, and so is a claimed drift below the drift of the audit's H at
+    the nodes, read from their own x and v.  Each claim's verdicts
     must also hold and follow from its claimed maxima against their SLACK
     bounds, and its ``max_displacement`` must be at most
     ``worst_ball_ratio`` T |v| (1 + 16u), u the unit roundoff: the family
@@ -175,9 +203,9 @@ def _audits_hold(fam: dict, scn, steps, x: Array, vel: Array, h: Array) -> Tuple
     """
     half = (x.shape[1] - 1) // 2
     m = np.array([m for m, _ in steps])
-    audits = RunAudits(scn.potential, scn.epsilons, scn.p, scn.v, x.shape[1])
+    audits = RunAudits(scn.potential, scn.epsilons, scn.p, scn.v)
     audits.feed(np.arange(len(x)), m[:, None] * np.arange(-half, half + 1), x, vel,
-                [dt for _, dt in steps], m)
+                [dt for _, dt in steps])
 
     def holds(j, claim):
         claimed = vars(BoundsCheck.from_maxima(float(audits.epsilons[j]), audits.v_norm,
@@ -191,7 +219,7 @@ def _audits_hold(fam: dict, scn, steps, x: Array, vel: Array, h: Array) -> Tuple
 
     claims, drifts = fam["bounds"], fam["energy_drifts"]
     return (len(claims) == len(x) and all(map(holds, range(len(claims)), claims)),
-            len(drifts) == len(x) and np.array_equal(audits.values, h)
+            len(drifts) == len(x)
             and all(audits.energy(j).drift <= d for j, d in enumerate(drifts)))
 
 
@@ -243,27 +271,35 @@ def revalidate_from_dir(out_dir) -> dict:
     emitted files alone and the Scenario that
     :func:`flatvalley.scenario.read_scenario` reads from its scenario block.
 
-    ``scenario`` requires that block to be the Scenario's
-    :func:`scenario_payload`, so a dropped key does not become its default.
-    Beside :func:`flatvalley.analysis.check_certificate`'s checks
-    (``evidence`` also ties evidence.csv's row j to eps_j and to its
+    ``columns`` requires each CSV's header to be exactly the one its
+    writer writes; a file that fails it is read no further, and the
+    result holds that check alone.  ``scenario`` requires the scenario
+    block to be the Scenario's :func:`scenario_payload`, so a dropped key
+    does not become its default.  Beside
+    :func:`flatvalley.analysis.check_certificate`'s checks (``evidence``
+    also ties evidence.csv's row j to eps_j and to its
     :func:`flatvalley.analysis.evidence_times`), ``step_plan``, ``bounds``
     and ``energy_drift`` re-derive the family block (``_member_steps_hold``,
-    whose integrator must be PEFRL, and ``_audits_hold``, which also ties
-    each member's H column to its states); ``launch`` puts every
-    traj, coords and limit file on the scenario's grid and each member at
-    (p, v) at tau = 0; ``limit`` requires limit.csv to be ``foot_many`` of
-    the finest member; and ``coordinates`` (also r = f at each member's
-    nodes) and ``convergence`` require
-    :func:`flatvalley.analysis.coordinate_report` and
+    whose integrator must be PEFRL, and ``_audits_hold``, which audits H
+    from each member's own x and v); ``launch`` puts every traj and limit
+    file on the scenario's grid, every coords file on its rows, and each
+    member at (p, v) at tau = 0; ``limit`` requires limit.csv to be
+    ``foot_many`` of the finest member; ``coordinates`` re-derives each
+    member's r and y from its x as the coordinates stage does (one
+    ``coords_many`` batch on the chart of
+    :func:`flatvalley.analysis.chart_for_scenario`) and requires each
+    coords file to be that y; and ``coordinates`` and ``convergence``
+    require :func:`flatvalley.analysis.coordinate_report` (of the
+    re-derived r and y on the grid) and
     :func:`flatvalley.analysis.convergence_report` of the files to equal
     their blocks and name no failing bound.  File ties hold bit for bit.
     ``finite`` fails on any non-finite cell.
 
     Returns a dict with an ``ok`` flag and the per-check booleans, or
     ``ok: False`` and a ``reason`` when a file is missing or malformed
-    (report.json must be strict JSON: no NaN or Infinity token); never
-    re-runs any integration and never raises on what the files hold.
+    (report.json must be strict JSON: no NaN or Infinity token) or has
+    another header than its writer's; never re-runs a trajectory and
+    never raises on what the files hold.
     """
     try:
         with open(os.path.join(out_dir, "report.json"), "r", encoding="utf-8") as fh:
@@ -273,19 +309,23 @@ def revalidate_from_dir(out_dir) -> dict:
             return {"ok": False, "reason": "no UNSTABLE certificate in report.json"}
         scn, fam = read_scenario(report["scenario"]), report["family"]
         potential, p, v, epsilons = scn.potential, scn.p, scn.v, scn.epsilons
-        tables = []
-
-        def table(name):
-            cols = read_csv_columns(os.path.join(out_dir, name))
-            tables.append(cols)
-            return cols
+        kinds = {"limit.csv": "limit", "evidence.csv": "evidence",
+                 **{f"{kind}_eps{j}.csv": kind for kind in ("traj", "coords")
+                    for j in range(scn.count)}}
+        tables = {name: read_csv_columns(os.path.join(out_dir, name)) for name in kinds}
+        headers = _headers(len(p))
+        wrong = [name for name, kind in kinds.items() if list(tables[name]) != headers[kind]]
+        if wrong:  # a file its writer did not write is read no further
+            return {"ok": False, "checks": {"columns": False},
+                    "reason": f"not the header its writer writes: {', '.join(wrong)}"}
 
         def states(cols, var, dims=range(len(p))):
             return np.stack([cols[f"{var}{i}"] for i in dims], axis=-1)
 
-        limit_cols, evidence_cols = table("limit.csv"), table("evidence.csv")
-        members = [table(f"traj_eps{j}.csv") for j in range(scn.count)]
-        coords = [table(f"coords_eps{j}.csv") for j in range(scn.count)]
+        limit_cols, evidence_cols = tables["limit.csv"], tables["evidence.csv"]
+        members = [tables[f"traj_eps{j}.csv"] for j in range(scn.count)]
+        ys = [states(tables[f"coords_eps{j}.csv"], "y", range(1, len(p)))
+              for j in range(scn.count)]
         limit_x = states(limit_cols, "x")
         x, vel = (np.stack([states(cols, var) for cols in members]) for var in "xv")
         checks = check_certificate(cert, p, v, limit_cols["tau"], limit_x, list(x),
@@ -299,27 +339,30 @@ def revalidate_from_dir(out_dir) -> dict:
                                and eps.tolist() == epsilons.tolist()
                                and t.tolist() == evidence_times(cert["tau_star"], T, half,
                                                                 epsilons).tolist())
-        checks["bounds"], checks["energy_drift"] = _audits_hold(
-            fam, scn, steps, x, vel, np.stack([cols["H"] for cols in members]))
+        checks["bounds"], checks["energy_drift"] = _audits_hold(fam, scn, steps, x, vel)
         grid = np.arange(-half, half + 1) * (T / half)
         checks["launch"] = (all(np.array_equal(cols["tau"], grid)
-                                for cols in [limit_cols, *members, *coords])
+                                for cols in [limit_cols, *members])
+                            and all(len(yj) == len(grid) for yj in ys)
                             and bool(np.all(x[:, half] == p) and np.all(vel[:, half] == v)))
         feet, failures = foot_many(potential.field, x[-1])
         raise_first(failures)
         checks["limit"] = np.array_equal(feet, limit_x)
+        # every member's nodes in one batch, as the coordinates stage reads them
+        r, y, failures = chart_for_scenario(scn).coords_many(x.reshape(-1, len(p)))
+        raise_first(failures)
         record, reason = coordinate_report(
-            [coordinate_trace(eps, cols["tau"], cols["r"], states(cols, "y", range(1, len(p))))
-             for eps, cols in zip(epsilons, coords)], potential, v)
-        checks["coordinates"] = (
-            all(np.array_equal(c["r"], potential.field.f_many(xj)) for c, xj in zip(coords, x))
-            and not reason and _jsonable(vars(record)) == report["coordinates"])
+            [coordinate_trace(eps, grid, rj, yj) for eps, rj, yj
+             in zip(epsilons, r.reshape(len(x), -1), y.reshape(len(x), len(grid), -1))],
+            potential, v)
+        checks["coordinates"] = (np.array_equal(y, np.concatenate(ys)) and not reason
+                                 and _jsonable(vars(record)) == report["coordinates"])
         record = convergence_report(potential, limit_cols["tau"], list(x), limit_x, p, v,
                                     epsilons, 2 * half * steps[-1][0])
         checks["convergence"] = (record.cauchy_ok
                                  and _jsonable(vars(record)) == report["convergence"])
         checks["finite"] = all(bool(np.all(np.isfinite(column)))
-                               for cols in tables for column in cols.values())
+                               for cols in tables.values() for column in cols.values())
     except OSError as exc:
         return {"ok": False, "reason": f"cannot read the run's files: {exc}"}
     except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError,

@@ -45,21 +45,23 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 # the same numbers), and again when its scenario block became a scenario
 # file: the potential's parameters flattened into it, min_eps added and
 # the integrator moved into the family block, every number and every other
-# file kept its bytes
+# file kept its bytes, and the member and coordinate CSVs when each value
+# came to be written once: the member files lost their H column and the
+# coordinate files their tau and r columns, every other cell kept its bytes
 ARTIFACT_DIGESTS = {
     "circle": {
         "coords_eps0.csv":
-            "208f2c04b42263aa593f3c46fbf28b1524b0a893b6c5f279446ff1bcf9a437ef",
+            "992462f8a8fe50d2e25b39ca52a768e6bed71d19d3555c029b9391199a2b5724",
         "coords_eps1.csv":
-            "519f1c7d84d6446741f690e3322d212d7402bcd56f81dda2a740eea74845172d",
+            "45ea5aa851e77ed8d858bf3ff4e8fe3221d0f7c990148566d2568eb95ff9022a",
         "coords_eps2.csv":
-            "b8715021bd3d401246811b526617c30a1f4db00698758ad60c491bd3d01b2371",
+            "0cabc3ff53ebf4a18ebddbfe88763415e3835a0df2a04d81d83cec635b07d064",
         "coords_eps3.csv":
-            "d78f9e13041bc2f9842ababaa7113fafd7016494f030a6a5bd002a3bd58ea366",
+            "b0a147eb679cdda3f3b31d57dfa28a2d3841fc06853dbe56e728b07bef7c96de",
         "coords_eps4.csv":
-            "47edc74f90e0f7e4a66aefc4e63055cf29e1b11ee3029b13a0376742942f69fe",
+            "33b41517d5a8befccca2dd6204377d36ec16996d865dde8a9022c835a93b6f68",
         "coords_eps5.csv":
-            "00fe5785daa8f2d8d6d8a0472ba6041f8837e5e9406582b448a86a98acf8e535",
+            "ae72a22e9157cdf48b330c55154247a9cb3a23d7c27ab910502ad78e2656e62a",
         "evidence.csv":
             "9be823da60c373d5fc0167e9eaab1583363a02f968c15b884105540de7731435",
         "figures/convergence.svg":
@@ -73,31 +75,31 @@ ARTIFACT_DIGESTS = {
         "report.json":
             "7ec205931c545fe24f46794e4593a00b390b1bca36a72b818b9278c691e2e3b3",
         "traj_eps0.csv":
-            "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
+            "329704ce3ac2fe25c6301216cd300509aa5d5607e5fbbf3695aeeae3144f22c6",
         "traj_eps1.csv":
-            "02405346101d4a3103696010ffe8b297fa2ff49e48ceacf93b6b8490cb438092",
+            "c019b47260738108df5010f556d4a04eb2a81f6f8bb2a26cd47344749715af94",
         "traj_eps2.csv":
-            "eb60dd198d370a91a9773156858b8fa75a32f056284f23092d83d4be85b73f06",
+            "21d252a2f3e5dd4feb9842c44b054b9d256e9dfc29e7b07f40b56b75b4df2ebd",
         "traj_eps3.csv":
-            "cb4d547ac50ea05fd1f5da94321167678c594a64ef2cb3b066602df3dca966ba",
+            "bc612f8414254e193598984bfd163eb0a224e626be1503198578b631b2e8c359",
         "traj_eps4.csv":
-            "198a8ec85df2e22dcac547f8f1d60195fdbfcc2138ff286494de0a34d58fda9e",
+            "9539c255ef6aef8f75772dab64893ee6eec390f0dba62f71b768683e6072eb03",
         "traj_eps5.csv":
-            "e60765c0145e33c3c503858a8f58ea6cffa30ebc8e61379556ec7cd7daf34993",
+            "93ca2d74efacc26367cba2d5c1238bf1595b8194065fc72b5dca68580a9c62dd",
     },
     "ellipsoid": {
         "coords_eps0.csv":
-            "c35c51e4e79eb04fed3770e1c5b5f4b27b8c87de874ed308622f07b0c10bf4a0",
+            "c131d2809292e7684400e42dc8e5bc3006cce569f1a59688cf233193295fa164",
         "coords_eps1.csv":
-            "8625f52befa9ae3dea81a3ac87f0dcfc314cdc197c13a18f530d06c8e483006c",
+            "c0f7d6da682d9b8e467506e2538ce1c9f4c5456d64df3f3f48cf0f0c63b168a7",
         "coords_eps2.csv":
-            "858114ccf4b31e0e6165514e563c13e2c3c775435137c7131b3b793cc0122c55",
+            "19c92a5d99ed4c7625037505413a1e37d1aa2d66ec972afc3fb3a0229099bb5e",
         "coords_eps3.csv":
-            "6cad830b86b323a42430d1f6b4be37cf72fb4793cce35d70ae76072568ad0fa3",
+            "f3dcf38ff0ba30300d276dee4bbf3cc674890adf2a108740dea3cce18d3cc72a",
         "coords_eps4.csv":
-            "5bc117ea6a0e0ddf899b2f9b7ab1bf056b569591d8f94a7ce5952bc6f815b9af",
+            "51d006d71670d9dc39f7019550343f889506f1c382c8cff319c628a74c0341bd",
         "coords_eps5.csv":
-            "af16457a36e8dcb9c3124e238324dfeb4e82ab5ee70c590f994ed91f0035dd09",
+            "a5b490db6e1045228cf2dd84b45d33c7cdc40b527dbbb626d857b92ddd56d616",
         "evidence.csv":
             "fcb550aec5ba1fd80629c66dd466334bfa498cfe90e98d59db8ffbbf50aa2167",
         "figures/convergence.svg":
@@ -111,31 +113,31 @@ ARTIFACT_DIGESTS = {
         "report.json":
             "986899af7fdc197c544130e0d6b66bc5b38a7c99c70de683e5557ed8b66306a6",
         "traj_eps0.csv":
-            "dab30dfdc16df37c4eedc6668c7c16b2008830a96f58cad08f3962868397a96a",
+            "4df7311fdb19df74b6f0a9a837f37b6c8503c6d72b154e0463369b9910d8c212",
         "traj_eps1.csv":
-            "23c74100b7aca0ae30510a99e073d4b9c482b385f39425b4faae5a4d330fa18a",
+            "78f6bb2602d0b9bf3b61c689451d491ac48c18b7d84798c63fe151a653404d00",
         "traj_eps2.csv":
-            "f226f393a859f1364a0a83bcb73cee74b44e4d43f03589e8ceb36355e5ba77a2",
+            "3d4ad9591f0687fc0a7c2642c6d31fe48eb182d24302be981735431d457ea714",
         "traj_eps3.csv":
-            "c3e4d64b0c669cb18ddb5e5582b364a0e939e63cb282982f35e3be490e2506c4",
+            "fbcc2f4a05a3882fa9a781c7c78a709bf137b32e09a7b07ebfda03a3c55cc430",
         "traj_eps4.csv":
-            "81ebf35b9321f199b9391c2855d413e18b3c5fc80f03c6635c5cb6f04d42534f",
+            "c10d84e26bf10fa489b4320506c737d089e72f2e8e4b77df58f646ed9bee0b72",
         "traj_eps5.csv":
-            "f3f0237962ceaa64136f49fafd362156a2beea930d98ad35827f4f1163b26fed",
+            "f766c2e0a63512ce9521b03a1dfaa2e7dec3ab66200df4a87b3c1c8071608b5d",
     },
     "gutter": {
         "coords_eps0.csv":
-            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
+            "f8a7a03cba7917fc1dad40a4659d006af86c92a6d6bedb94c0ae9c975f264f00",
         "coords_eps1.csv":
-            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
+            "f8a7a03cba7917fc1dad40a4659d006af86c92a6d6bedb94c0ae9c975f264f00",
         "coords_eps2.csv":
-            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
+            "f8a7a03cba7917fc1dad40a4659d006af86c92a6d6bedb94c0ae9c975f264f00",
         "coords_eps3.csv":
-            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
+            "f8a7a03cba7917fc1dad40a4659d006af86c92a6d6bedb94c0ae9c975f264f00",
         "coords_eps4.csv":
-            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
+            "f8a7a03cba7917fc1dad40a4659d006af86c92a6d6bedb94c0ae9c975f264f00",
         "coords_eps5.csv":
-            "d88e58df7e5a646c4b57d5c5b2a95502439c6d05995105fd3613480b146ae184",
+            "f8a7a03cba7917fc1dad40a4659d006af86c92a6d6bedb94c0ae9c975f264f00",
         "evidence.csv":
             "3021bfefa650295befebf69d9ede7e0b13cc468b42e2bbf9a581d23e2a00f76c",
         "figures/convergence.svg":
@@ -149,17 +151,17 @@ ARTIFACT_DIGESTS = {
         "report.json":
             "878ca39db31bc46c42e9ca1bed4161beb2a623a1a65bb70f82ea6808e3f00368",
         "traj_eps0.csv":
-            "40a6e542175f60971c14916d270a4c662fb3086225b78a7ec0f843ecf0daf957",
+            "ddb58c8a5c4c30ad7063852f4cef807bb893f3e594ccc2d680e31406fec8a21d",
         "traj_eps1.csv":
-            "40a6e542175f60971c14916d270a4c662fb3086225b78a7ec0f843ecf0daf957",
+            "ddb58c8a5c4c30ad7063852f4cef807bb893f3e594ccc2d680e31406fec8a21d",
         "traj_eps2.csv":
-            "40a6e542175f60971c14916d270a4c662fb3086225b78a7ec0f843ecf0daf957",
+            "ddb58c8a5c4c30ad7063852f4cef807bb893f3e594ccc2d680e31406fec8a21d",
         "traj_eps3.csv":
-            "40a6e542175f60971c14916d270a4c662fb3086225b78a7ec0f843ecf0daf957",
+            "ddb58c8a5c4c30ad7063852f4cef807bb893f3e594ccc2d680e31406fec8a21d",
         "traj_eps4.csv":
-            "40a6e542175f60971c14916d270a4c662fb3086225b78a7ec0f843ecf0daf957",
+            "ddb58c8a5c4c30ad7063852f4cef807bb893f3e594ccc2d680e31406fec8a21d",
         "traj_eps5.csv":
-            "40a6e542175f60971c14916d270a4c662fb3086225b78a7ec0f843ecf0daf957",
+            "ddb58c8a5c4c30ad7063852f4cef807bb893f3e594ccc2d680e31406fec8a21d",
     },
 }
 

@@ -21,7 +21,12 @@ from flatvalley.errors import (
     ScenarioError,
     UnverifiedLimitError,
 )
-from flatvalley.reporting import read_csv_columns, revalidate_from_dir, write_trajectory_csv
+from flatvalley.reporting import (
+    grid_cells,
+    read_csv_columns,
+    revalidate_from_dir,
+    write_trajectory_csv,
+)
 from flatvalley.scenario import read_scenario
 
 
@@ -236,12 +241,15 @@ def test_report_json_content(circle_run_dir):
 
 def test_trajectory_csv_roundtrip(circle_run_dir):
     cols = read_csv_columns(os.path.join(circle_run_dir.path, "traj_eps0.csv"))
-    assert list(cols) == ["tau", "x0", "x1", "v0", "v1", "H"]
+    assert list(cols) == ["tau", "x0", "x1", "v0", "v1"]
     assert len(cols["tau"]) == 401
     # 17 significant digits round-trip float64 exactly
     assert cols["tau"][200] == 0.0
     assert cols["x0"][200] == 1.0
-    assert cols["H"][200] == pytest.approx(0.5, abs=1e-14)
+    assert cols["v1"][200] == 1.0
+    # a coords file holds only y, one row per member row
+    coords = read_csv_columns(os.path.join(circle_run_dir.path, "coords_eps0.csv"))
+    assert list(coords) == ["y1"] and len(coords["y1"]) == 401
 
 
 def test_file_revalidation(circle_run_dir):
@@ -629,7 +637,7 @@ def test_simulate_is_a_one_member_family(tiny_scenario_file, tmp_path, capsys):
     traj = fv.integrate_rescaled(scn.potential, scn.p, scn.v, 0.03, scn.horizon, opts)
     assert traj.dt == rep["family"]["dt"][0]
     direct = tmp_path / "direct.csv"
-    write_trajectory_csv(str(direct), traj, fv.energy_audit(traj, scn.potential).values)
+    write_trajectory_csv(str(direct), traj, grid_cells(traj.tau))
     assert (out / "traj_eps0.csv").read_bytes() == direct.read_bytes()
     assert rep["scenario"]["count"] == 1
     # the min_eps cap applies to a one-member family too
@@ -928,8 +936,8 @@ def test_file_revalidation_rejects_non_finite_cells(circle_run_dir, tmp_path, na
                                                     failing):
     # the first row of limit.csv and traj_eps0.csv lies at tau = -T < 0: only
     # the limit check reads that limit.csv cell, and the member's NaN speed
-    # makes its H NaN, which its H column does not hold; evidence.csv's t is
-    # run 0's tau*/eps_0
+    # makes its audited H, and so its drift, NaN; evidence.csv's t is run 0's
+    # tau*/eps_0
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     _tamper_cell(clone, name, 0, column, lambda value: float("nan"))
@@ -955,9 +963,8 @@ def _tamper_sup_r(clone):
 
 
 def _tamper_coords_cell(clone):
-    # member 1's largest |r|, doubled
-    row = int(np.argmax(np.abs(read_csv_columns(str(clone / "coords_eps1.csv"))["r"])))
-    _tamper_cell(clone, "coords_eps1.csv", row, "r", lambda r: 2.0 * r)
+    # member 1's y at row 100, doubled: no longer the y read from its x
+    _tamper_cell(clone, "coords_eps1.csv", 100, "y1", lambda y: 2.0 * y)
 
 
 @pytest.mark.parametrize("tamper, failing", [(_tamper_sup_r, ["convergence"]),
@@ -1004,29 +1011,96 @@ def test_file_revalidation_rederives_the_confinement_claims(circle_run_dir, tmp_
     ("evidence.csv", 3, "eps", lambda eps: 1.5 * eps, ["evidence"]),
     ("evidence.csv", 3, "t", lambda t: 1.5 * t, ["evidence"]),
     ("evidence.csv", 3, "t", lambda t: t * (1.0 + 1e-15), ["evidence"]),
-    ("coords_eps1.csv", 100, "r", lambda r: r * (1.0 + 1e-9), ["coordinates"]),
-    ("coords_eps1.csv", 100, "tau", lambda tau: tau + 1e-3, ["launch"]),
-    ("traj_eps2.csv", 200, "x0", lambda x: x + 1e-12, ["launch", "coordinates"]),
+    ("traj_eps1.csv", 29, "x0", lambda x: x * (1.0 + 1e-9), ["energy_drift", "coordinates"]),
+    ("traj_eps3.csv", 300, "x0", lambda x: x * (1.0 + 1e-9), ["coordinates"]),
+    ("traj_eps2.csv", 200, "x0", lambda x: x + 1e-12, ["launch"]),
     ("limit.csv", 50, "x1", lambda x: x * (1.0 + 1e-9), ["limit"]),
-    ("traj_eps2.csv", None, "H", lambda h: 0.5, ["energy_drift"]),
     ("traj_eps1.csv", 300, "v1", lambda v: v * (1.0 + 1e-9), ["energy_drift"]),
-], ids=["evidence-eps", "evidence-t", "evidence-t-ulp", "coords-r", "coords-tau",
-        "member-launch", "limit-cell", "member-H-flat", "member-v"])
+], ids=["evidence-eps", "evidence-t", "evidence-t-ulp", "member-r", "member-y",
+        "member-launch", "limit-cell", "member-v"])
 def test_file_revalidation_ties_every_file_to_the_scenario(circle_run_dir, tmp_path, name,
                                                            row, column, change, failing):
     # evidence.csv's eps is the schedule and t is tau*/eps as the run computed
-    # it, to the last bit; coords_eps<j>.csv
-    # holds its member's tau and r = f; every member leaves (p, v) at tau = 0
+    # it, to the last bit; each member's r = f is read from its own x, so a
+    # node beside member 1's largest |r'| (row 28) moves its max_rdot, and
+    # its potential moves its energy, while member 3's node 300, near a floor
+    # crossing where the force is near 0, moves only the y read from it
+    # (coords_eps3.csv); every member leaves (p, v) at tau = 0
     # (row 200); limit.csv is the feet of the finest member (row 50 is far
-    # from the escape node, the last); each member's H column is the energy
-    # of its states, H(0) = 0.5 at every node of a flattened one, and a
-    # node's speed is in its H
+    # from the escape node, the last); a node's speed is in its audited H
     clone = tmp_path / "tampered"
     shutil.copytree(circle_run_dir.path, clone)
     _tamper_cell(clone, name, row, column, change)
     result = revalidate_from_dir(str(clone))
     assert result["ok"] is False
     assert [check for check, ok in result["checks"].items() if not ok] == failing
+
+
+def _edit_columns(clone, name, edit):
+    """Rewrite ``name`` by ``edit`` of its columns, each a list of its
+    header and then its cells."""
+    rows = [line.split(",") for line in (clone / name).read_text().splitlines()]
+    columns = edit([list(column) for column in zip(*rows)])
+    (clone / name).write_text("".join(",".join(row) + "\n" for row in zip(*columns)))
+
+
+def _parent_format(clone):
+    # the files as written before each value was written once: each member
+    # with an H column after its states, each coords file with its member's
+    # tau and its r before its y (the header alone fails, whatever the cells)
+    for j in range(6):
+        tau = [row.split(",")[0] for row in (clone / f"traj_eps{j}.csv").read_text().splitlines()]
+        _edit_columns(clone, f"traj_eps{j}.csv", lambda cols: cols + [["H"] + cols[0][1:]])
+        _edit_columns(clone, f"coords_eps{j}.csv",
+                      lambda cols, tau=tau: [tau, ["r"] + tau[1:]] + cols)
+
+
+@pytest.mark.parametrize("tamper", [
+    _parent_format,
+    lambda clone: _edit_columns(clone, "traj_eps2.csv", lambda cols: cols + [["H"] + cols[0][1:]]),
+    lambda clone: _edit_columns(clone, "coords_eps2.csv",
+                                lambda cols: [["tau"] + cols[0][1:]] + cols),
+    lambda clone: _edit_columns(clone, "coords_eps2.csv",
+                                lambda cols: cols + [["claim"] + ["12345"] * (len(cols[0]) - 1)]),
+    lambda clone: _edit_columns(clone, "traj_eps0.csv", lambda cols: cols[:-1]),
+    lambda clone: _edit_columns(clone, "traj_eps0.csv",
+                                lambda cols: [cols[0], cols[2], cols[1], *cols[3:]]),
+], ids=["parent-format", "member-H", "coords-tau", "appended", "dropped", "swapped"])
+def test_file_revalidation_requires_each_writers_header(circle_run_dir, tmp_path, tamper):
+    # each CSV's header must be the one its writer writes: a column it does
+    # not write, one it does missing, or two swapped, header and cells
+    # alike, fail the columns check, and the file is read no further
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    tamper(clone)
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False and result["checks"] == {"columns": False}
+    assert result["reason"].startswith("not the header its writer writes: ")
+
+
+def test_a_column_without_a_header_name_is_malformed(circle_run_dir, tmp_path):
+    # a cell past the header's names, on every row, is no column of the file
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    header, *rows = (clone / "coords_eps2.csv").read_text().splitlines()
+    (clone / "coords_eps2.csv").write_text("".join(f"{row}\n" for row in
+                                                   [header] + [f"{r},12345" for r in rows]))
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False and "checks" not in result
+    assert "coords_eps2.csv has 2 columns under a header of 1" in result["reason"]
+
+
+def test_file_revalidation_puts_each_coords_row_on_its_member_row(circle_run_dir, tmp_path):
+    # a coords file holds no tau: its rows are its member's, one per node,
+    # and its y is no longer the y re-derived from its member's x
+    clone = tmp_path / "tampered"
+    shutil.copytree(circle_run_dir.path, clone)
+    lines = (clone / "coords_eps1.csv").read_text().splitlines()
+    (clone / "coords_eps1.csv").write_text("\n".join(lines[:-1]) + "\n")
+    result = revalidate_from_dir(str(clone))
+    assert result["ok"] is False
+    assert [check for check, ok in result["checks"].items() if not ok] == ["launch",
+                                                                          "coordinates"]
 
 
 def _leaves(node, path=()):
@@ -1105,19 +1179,10 @@ def test_every_report_leaf_is_rederived_from_the_files(circle_run_dir, ellipsoid
         assert all(allowed.values()), (name, allowed)
 
 
-#: the CSV columns whose cells revalidate after their tamper, each pattern
-#: with why no check can tell
-CELL_SURVIVORS = {
-    r"coords_eps\d\.csv:y1":
-        "y is read from the member's nodes by the transversal flow, which file "
-        "revalidation does not re-run (ROADMAP item 10); only its finite differences "
-        "are checked, against maxima a small change at one node need not move",
-}
-
-
 def test_every_csv_cell_is_rederived_from_the_files(circle_run_dir, tmp_path):
     # one interior cell of every column of every circle CSV, scaled by
-    # 1 + 1e-9 alone, must fail file revalidation, or be allowed
+    # 1 + 1e-9 alone, must fail file revalidation: y is re-derived from its
+    # member's x bit for bit, so x is tied at every node
     clone = tmp_path / "circle"
     shutil.copytree(circle_run_dir.path, clone)
     survivors, columns = [], 0
@@ -1132,11 +1197,8 @@ def test_every_csv_cell_is_rederived_from_the_files(circle_run_dir, tmp_path):
             if revalidate_from_dir(str(clone))["ok"]:
                 survivors.append(f"{name}:{column}")
             (clone / name).write_text(text)
-    allowed = {pattern: [leaf for leaf in survivors if re.fullmatch(pattern, leaf)]
-               for pattern in CELL_SURVIVORS}
-    assert columns == 6 * 6 + 6 * 3 + 3 + 5
-    assert sorted(sum(allowed.values(), [])) == sorted(survivors)
-    assert all(allowed.values()), allowed
+    assert columns == 6 * 5 + 6 * 1 + 3 + 5
+    assert survivors == []
 
 
 def test_file_revalidation_ties_each_probe_only_verdict_to_its_bounds(circle_run_dir,
@@ -1413,11 +1475,13 @@ def test_rates_at_the_rounding_floor_are_null(tmp_path):
 # the circle and 1 on the ellipsoid and gutter, from 5, 3 and 5, and again
 # when every member probed at the probe call's longest row: 5, 3 and 3,
 # and for the gutter and the ellipsoid when the backward half stepped at
-# -dt from (p, v): its zero velocity cells print 0 instead of -0
+# -dt from (p, v): its zero velocity cells print 0 instead of -0, and for
+# all three when the member files lost their H column (every other cell
+# kept its bytes)
 MEMBER_0_DIGESTS = {
-    "circle": "aca6f1daef4bc0686d3f23f45fac4eeb5eb2294938ab7388c68e76bdda08a797",
-    "gutter": "40a6e542175f60971c14916d270a4c662fb3086225b78a7ec0f843ecf0daf957",
-    "ellipsoid": "dab30dfdc16df37c4eedc6668c7c16b2008830a96f58cad08f3962868397a96a",
+    "circle": "329704ce3ac2fe25c6301216cd300509aa5d5607e5fbbf3695aeeae3144f22c6",
+    "gutter": "ddb58c8a5c4c30ad7063852f4cef807bb893f3e594ccc2d680e31406fec8a21d",
+    "ellipsoid": "4df7311fdb19df74b6f0a9a837f37b6c8503c6d72b154e0463369b9910d8c212",
 }
 
 

@@ -31,11 +31,12 @@ EXPORTS = {
                  "residual_convergence", "transversal_flow"],
     "analysis": ["ConvergenceReport", "CoordinateReport", "CoordinateTrace",
                  "InstabilityCertificate", "LimitCurve", "certify_instability",
-                 "check_certificate", "coordinate_report", "coordinate_traces",
+                 "chart_for_scenario", "check_certificate", "coordinate_report",
+                 "coordinate_traces",
                  "escape_point", "extract_limit", "physical_evidence_runs",
                  "revalidate_certificate"],
     "contrast": ["BarrierInfo", "TrapReport", "locate_barrier", "trapped_motion_check"],
-    "cli": ["chart_for_scenario", "run_pipeline"],
+    "cli": ["run_pipeline"],
 }
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('flatvalley.'))))\n"
 

@@ -140,3 +140,29 @@ def test_a_negative_step_runs_the_reflected_row(accel, dim):
     assert exc.last_time == -ref.last_time < 0
     assert np.array_equal(exc.last_state[0], ref.last_state[0])
     assert np.array_equal(exc.last_state[1], -ref.last_state[1])
+
+
+def test_a_blow_up_at_a_chunk_s_first_step_reports_the_state_before_it():
+    # row 0, pushed outward, leaves the box at step CHUNK + 1, the first of
+    # the second chunk: its last valid state is step CHUNK's, which the first
+    # chunk's buffer held and the second chunk's steps overwrite before the
+    # blow-up is reported
+    x0, v0 = np.array([[0.1, 0.05], [0.3, -0.2]]), np.array([[0.1, 0.0], [0.0, 0.2]])
+    dts, steps, scales = [0.01, 0.02], [2 * CHUNK, CHUNK + 3], [1.0, -1.0]
+    X, V, _ = _pefrl_reference(np.sinh, x0[0], v0[0], dts[0], CHUNK + 1, scales[0], np.inf)
+    reach = np.vecdot(X, X) + np.vecdot(V, V)
+    assert np.all(np.diff(reach) > 0)  # outward at every step: no earlier exit
+    radius = float(np.sqrt((reach[CHUNK] + reach[CHUNK + 1]) / 4.0))
+    Xs, Vs, failures = integrate(np.sinh, x0, v0, dts, max(steps), steps=steps, scale=scales,
+                                 blowup_radius=radius)
+    assert list(failures) == [0]
+    for r in range(2):
+        X, V, bad = _pefrl_reference(np.sinh, x0[r], v0[r], dts[r], steps[r], scales[r], radius)
+        assert Xs[r].tobytes() == X.tobytes() and Vs[r].tobytes() == V.tobytes()
+    assert bad is None and len(X) == steps[1] + 1
+    X, V, bad = _pefrl_reference(np.sinh, x0[0], v0[0], dts[0], steps[0], scales[0], radius)
+    exc = failures[0]
+    assert bad == CHUNK + 1 and len(X) == CHUNK + 1
+    assert exc.last_time == CHUNK * dts[0]
+    assert exc.last_state[0].tobytes() == X[CHUNK].tobytes()
+    assert exc.last_state[1].tobytes() == V[CHUNK].tobytes()
